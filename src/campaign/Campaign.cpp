@@ -6,11 +6,7 @@
 
 #include "campaign/Campaign.h"
 
-#include "support/Telemetry.h"
-#include "support/Trace.h"
-
 #include <algorithm>
-#include <cstdio>
 
 using namespace spvfuzz;
 
@@ -143,67 +139,4 @@ spvfuzz::makeInterestingnessTest(const Target &T, const std::string &Signature,
                                  const Module &Original,
                                  const ShaderInput &Input) {
   return makeInterestingnessTestFor(T, Signature, Original, Input);
-}
-
-//===----------------------------------------------------------------------===//
-// CampaignProgress
-//===----------------------------------------------------------------------===//
-
-CampaignProgress::CampaignProgress(std::string Phase, size_t TotalUnits,
-                                   size_t ReportEvery)
-    : Phase(std::move(Phase)), TotalUnits(TotalUnits),
-      ReportEvery(ReportEvery ? ReportEvery : 1),
-      Active(telemetry::MetricsRegistry::global().enabled()),
-      Start(std::chrono::steady_clock::now()) {}
-
-CampaignProgress::~CampaignProgress() {
-  if (Active && Units > 0)
-    report(/*Final=*/true);
-}
-
-void CampaignProgress::advance() {
-  if (!Active)
-    return;
-  ++Units;
-  if (Units % ReportEvery == 0)
-    report(/*Final=*/false);
-}
-
-void CampaignProgress::recordSignature(const std::string &TargetName,
-                                       const std::string &Signature) {
-  if (!Active)
-    return;
-  ++Bugs;
-  ++BugsPerTarget[TargetName];
-  telemetry::Tracer::global().event(
-      "campaign.bug",
-      {{"phase", Phase}, {"target", TargetName}, {"signature", Signature}});
-}
-
-void CampaignProgress::recordClasses(size_t NumClasses) {
-  if (!Active)
-    return;
-  Classes = NumClasses;
-  telemetry::MetricsRegistry::global().set("campaign.dedup_classes",
-                                           static_cast<double>(NumClasses));
-}
-
-void CampaignProgress::report(bool Final) {
-  double Seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - Start)
-                       .count();
-  double PerSec = Seconds > 0.0 ? static_cast<double>(Units) / Seconds : 0.0;
-  telemetry::MetricsRegistry::global().set("campaign.units_per_sec." + Phase,
-                                           PerSec);
-
-  std::string BugSummary;
-  for (const auto &[TargetName, Count] : BugsPerTarget)
-    BugSummary += " " + TargetName + "=" + std::to_string(Count);
-  if (BugSummary.empty())
-    BugSummary = " none";
-  std::fprintf(stderr, "[%s] %zu/%zu units (%.1f/s)%s bugs:%s%s\n",
-               Phase.c_str(), Units, TotalUnits, PerSec,
-               Final ? " [done]" : "", BugSummary.c_str(),
-               Classes ? (" classes=" + std::to_string(Classes)).c_str()
-                       : "");
 }

@@ -22,7 +22,6 @@
 #include "support/Trace.h"
 #include "target/Target.h"
 
-#include <chrono>
 #include <map>
 #include <optional>
 
@@ -244,9 +243,9 @@ TestEvaluation evaluateTest(const Corpus &C, const ToolConfig &Tool,
 
 /// Builds the interestingness test for a bug found on \p T: dispatches to
 /// makeCrashInterestingness / makeMiscompilationInterestingness on whether
-/// \p Signature is MiscompilationSignature. Templated so cache-aware
-/// wrappers (target/EvalCache.h's CachedTarget) fit as well as plain
-/// Targets; \p T is captured by pointer and must outlive the test.
+/// \p Signature is MiscompilationSignature. Templated so harnessed views
+/// (target/Harness.h's HarnessedTarget) fit as well as plain Targets;
+/// \p T is captured by pointer and must outlive the test.
 template <typename TargetT>
 InterestingnessTest
 makeInterestingnessTestFor(const TargetT &T, const std::string &Signature,
@@ -259,47 +258,6 @@ makeInterestingnessTestFor(const TargetT &T, const std::string &Signature,
 InterestingnessTest
 makeInterestingnessTest(const Target &T, const std::string &Signature,
                         const Module &Original, const ShaderInput &Input);
-
-/// Campaign-level progress reporting: tracks throughput (units/sec), bugs
-/// found per target and dedup-class growth, mirrors them into the metrics
-/// registry (`campaign.*`) and prints periodic summaries to stderr. The
-/// reporter is inert while the metrics registry is disabled, so unit tests
-/// and benches stay quiet by default.
-class CampaignProgress {
-public:
-  /// \p Phase names the campaign phase (e.g. "bug-finding/spirv-fuzz");
-  /// \p TotalUnits is the expected unit count (0 if unknown) and
-  /// \p ReportEvery the stderr reporting period in units.
-  CampaignProgress(std::string Phase, size_t TotalUnits,
-                   size_t ReportEvery = 25);
-  CampaignProgress(const CampaignProgress &) = delete;
-  CampaignProgress &operator=(const CampaignProgress &) = delete;
-  /// Emits the final summary line.
-  ~CampaignProgress();
-
-  /// Records one completed unit (a generated test, a reduction, ...).
-  void advance();
-
-  /// Records a bug found on \p TargetName.
-  void recordSignature(const std::string &TargetName,
-                       const std::string &Signature);
-
-  /// Records the current number of distinct deduplicated bug classes.
-  void recordClasses(size_t NumClasses);
-
-private:
-  void report(bool Final);
-
-  std::string Phase;
-  size_t TotalUnits;
-  size_t ReportEvery;
-  size_t Units = 0;
-  size_t Bugs = 0;
-  size_t Classes = 0;
-  bool Active;
-  std::chrono::steady_clock::time_point Start;
-  std::map<std::string, size_t> BugsPerTarget;
-};
 
 } // namespace spvfuzz
 

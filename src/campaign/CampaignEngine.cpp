@@ -320,8 +320,6 @@ BugFindingData CampaignEngine::runBugFinding(const BugFindingConfig &Config) {
     for (const Target &T : Fleet)
       PerTarget[T.name()].PerGroup.resize(Config.NumGroups);
 
-    CampaignProgress Progress("bug-finding/" + Tool.Name,
-                              Config.TestsPerTool);
     std::vector<TestEvaluation> Evals =
         evaluateTests(Tool, Config.TestsPerTool);
     for (size_t TestIndex = 0; TestIndex < Evals.size(); ++TestIndex) {
@@ -331,9 +329,7 @@ BugFindingData CampaignEngine::runBugFinding(const BugFindingConfig &Config) {
         ToolTargetStats &Stats = PerTarget[TargetName];
         Stats.Distinct.insert(Signature);
         Stats.PerGroup[Group].insert(Signature);
-        Progress.recordSignature(TargetName, Signature);
       }
-      Progress.advance();
     }
   }
   return Data;
@@ -459,10 +455,6 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       continue;
     if (Observer)
       Observer->onPhaseStarted(PhaseKey, StartWave, Config.TestsPerTool);
-
-    CampaignProgress Progress("reduction/" + Tool.Name,
-                              Config.MaxReductionsPerTool,
-                              /*ReportEvery=*/10);
 
     size_t WavesSinceSave = 0;
     bool Interrupted = false;
@@ -656,9 +648,6 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
           Truncated = true;
           break;
         }
-        Progress.recordSignature(Out->Record.TargetName,
-                                 Out->Record.Signature);
-        Progress.advance();
         telemetry::MetricsRegistry::global().add("campaign.reductions");
         if (Observer) {
           Observer->onReductionStep(PhaseKey, WaveEnd, Out->Record);
@@ -741,9 +730,6 @@ DedupData CampaignEngine::runDedup(const ReductionConfig &ConfigIn) {
   DedupData Data;
   Data.Total.TargetName = "Total";
   std::set<std::string> TotalSigs;
-  CampaignProgress Progress("dedup", Config.TargetNames.size(),
-                            /*ReportEvery=*/1);
-
   if (Observer)
     Observer->onPhaseStarted("dedup", 0, Config.TargetNames.size());
   telemetry::TracePhaseScope DedupPhase("dedup");
@@ -788,13 +774,16 @@ DedupData CampaignEngine::runDedup(const ReductionConfig &ConfigIn) {
     Data.Total.Distinct += Result.Distinct;
     for (const std::string &Sig : Sigs)
       TotalSigs.insert(TargetName + ":" + Sig);
-    Progress.recordClasses(Data.Total.Distinct);
-    Progress.advance();
     if (Observer)
       Observer->onWaveCommitted("dedup", TargetIdx + 1,
                                 Config.TargetNames.size(),
                                 Data.Total.Distinct);
   }
   Data.Total.Sigs = TotalSigs.size();
+  // The Table 4 dump's class count; unset when no target had reductions.
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  if (Metrics.enabled() && !Data.PerTarget.empty())
+    Metrics.set("campaign.dedup_classes",
+                static_cast<double>(Data.Total.Distinct));
   return Data;
 }

@@ -28,36 +28,14 @@
 
 namespace spvfuzz {
 
-class ThreadPool;
-
 /// The interestingness test: returns true iff the variant produced by a
 /// candidate subsequence still exhibits the bug (gfauto's generated script
-/// in the paper's pipeline). When a ThreadPool is supplied via
-/// ReduceOptions, the test is invoked concurrently from worker threads and
-/// must be thread-safe (the standard factories below are, as long as the
-/// target's run() is).
+/// in the paper's pipeline). When a ReductionPlan supplies a ThreadPool,
+/// the test is invoked concurrently from worker threads and must be
+/// thread-safe (the standard factories below are, as long as the target's
+/// run() is).
 using InterestingnessTest =
     std::function<bool(const Module &Variant, const FactManager &Facts)>;
-
-/// Performance knobs for sequence reduction (consumed via
-/// ReductionPlan::fromOptions). Every combination yields the same
-/// ReduceResult (including Checks) — the options only change how much each
-/// interestingness check costs and whether checks are speculated in
-/// parallel.
-struct ReduceOptions {
-  /// Prefix-snapshot spacing for incremental replay (see ReplayCache);
-  /// 0 disables snapshots and every check replays from the original.
-  size_t SnapshotInterval = 8;
-  /// Approximate byte budget for retained snapshots.
-  size_t SnapshotBudgetBytes = 64ull << 20;
-  /// When non-null, one delta-debugging pass's candidates are evaluated
-  /// speculatively on the pool while acceptance commits strictly in serial
-  /// pass order; results invalidated by an earlier acceptance are
-  /// discarded (counted in ReduceResult::SpeculativeChecks). The reducer
-  /// only submits leaf jobs — never run a reduction itself from a job
-  /// running on the same pool.
-  ThreadPool *Pool = nullptr;
-};
 
 /// Per-pass accounting of the IR-level post-reduction stage (see
 /// core/ReductionPipeline.h).
@@ -101,8 +79,7 @@ struct ReduceResult {
 };
 
 // Sequence reduction is driven through ReductionPipeline
-// (core/ReductionPipeline.h): build a ReductionPlan — default-constructed,
-// or ReductionPlan::fromOptions(ReduceOptions) — and call
+// (core/ReductionPipeline.h): build a ReductionPlan and call
 // ReductionPipeline(Plan).run(Original, Input, Sequence, Test).
 
 //===----------------------------------------------------------------------===//

@@ -57,6 +57,8 @@
 
 namespace spvfuzz {
 
+class ThreadPool;
+
 //===----------------------------------------------------------------------===//
 // Candidate ordering
 //===----------------------------------------------------------------------===//
@@ -197,15 +199,6 @@ struct ReductionPlan {
   /// list. Unknown names are ignored (callers validate user input with
   /// findPostReducePass).
   std::vector<std::string> PostPasses;
-
-  /// Lifts the legacy performance-knob struct into a plan.
-  static ReductionPlan fromOptions(const ReduceOptions &Options) {
-    ReductionPlan Plan;
-    Plan.SnapshotInterval = Options.SnapshotInterval;
-    Plan.SnapshotBudgetBytes = Options.SnapshotBudgetBytes;
-    Plan.Pool = Options.Pool;
-    return Plan;
-  }
 
   ReductionPlan &withSnapshotInterval(size_t Interval) {
     SnapshotInterval = Interval;

@@ -6,7 +6,7 @@
 
 #include "obs/Journal.h"
 
-#include "obs/FlatJson.h"
+#include "support/Json.h"
 
 #include <cerrno>
 #include <chrono>
@@ -75,37 +75,11 @@ bool obs::journalEventKindFromName(const std::string &Name,
 
 namespace {
 
-void appendQuoted(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 void appendField(std::string &Out, const char *Key, const std::string &S) {
   Out += ",\"";
   Out += Key;
   Out += "\":";
-  appendQuoted(Out, S);
+  json::appendString(Out, S);
 }
 
 void appendField(std::string &Out, const char *Key, uint64_t Value) {
@@ -205,49 +179,56 @@ std::string obs::serializeJournalEvent(const JournalEvent &Event) {
 
 bool obs::parseJournalLine(const std::string &Line, JournalEvent &Out,
                            std::string &Error) {
-  FlatObject Object;
-  if (!parseFlatObject(Line, Object, Error))
+  json::Value Object;
+  if (!json::parse(Line, Object, Error))
     return false;
-  if (!Object.hasNumber("v")) {
+  if (!Object.isObject()) {
+    Error = Object.error("expected an object");
+    return false;
+  }
+  const json::Value *VersionField = Object.find("v");
+  if (!VersionField || !VersionField->isNumber()) {
     Error = "missing journal format version field 'v'";
     return false;
   }
-  uint64_t Version = Object.count("v");
+  uint64_t Version = 0;
+  if (!VersionField->toCount(Version, Error))
+    return false;
   if (Version == 0 || Version > JournalFormatVersion) {
     Error = "unsupported journal format version " + std::to_string(Version) +
             " (this build understands up to " +
             std::to_string(JournalFormatVersion) + ")";
     return false;
   }
-  if (!Object.hasText("kind")) {
+  const json::Value *KindField = Object.find("kind");
+  if (!KindField || !KindField->isString()) {
     Error = "missing event kind";
     return false;
   }
-  if (!journalEventKindFromName(Object.text("kind"), Out.Kind)) {
-    Error = "unknown event kind '" + Object.text("kind") + "'";
+  if (!journalEventKindFromName(KindField->Text, Out.Kind)) {
+    Error = "unknown event kind '" + KindField->Text + "'";
     return false;
   }
-  Out.Seq = Object.count("seq");
-  Out.Campaign = Object.text("campaign");
-  Out.Phase = Object.text("phase");
-  Out.Target = Object.text("target");
-  Out.Signature = Object.text("signature");
-  Out.Pass = Object.text("pass");
-  Out.Wave = Object.count("wave");
-  Out.Total = Object.count("total");
-  Out.Test = Object.count("test");
-  Out.Count = Object.count("count");
-  Out.Seed = Object.count("seed");
-  Out.Limit = Object.count("limit");
-  Out.Unreduced = Object.count("unreduced");
-  Out.Reduced = Object.count("reduced");
-  Out.Minimized = Object.count("minimized");
-  Out.Checks = Object.count("checks");
-  Out.Attempted = Object.count("attempted");
-  Out.Accepted = Object.count("accepted");
-  Out.Worker = Object.count("worker");
-  Out.WallUs = Object.count("wall_us");
-  return true;
+  return Object.getCount("seq", Out.Seq, Error) &&
+         Object.getString("campaign", Out.Campaign, Error) &&
+         Object.getString("phase", Out.Phase, Error) &&
+         Object.getString("target", Out.Target, Error) &&
+         Object.getString("signature", Out.Signature, Error) &&
+         Object.getString("pass", Out.Pass, Error) &&
+         Object.getCount("wave", Out.Wave, Error) &&
+         Object.getCount("total", Out.Total, Error) &&
+         Object.getCount("test", Out.Test, Error) &&
+         Object.getCount("count", Out.Count, Error) &&
+         Object.getCount("seed", Out.Seed, Error) &&
+         Object.getCount("limit", Out.Limit, Error) &&
+         Object.getCount("unreduced", Out.Unreduced, Error) &&
+         Object.getCount("reduced", Out.Reduced, Error) &&
+         Object.getCount("minimized", Out.Minimized, Error) &&
+         Object.getCount("checks", Out.Checks, Error) &&
+         Object.getCount("attempted", Out.Attempted, Error) &&
+         Object.getCount("accepted", Out.Accepted, Error) &&
+         Object.getCount("worker", Out.Worker, Error) &&
+         Object.getCount("wall_us", Out.WallUs, Error);
 }
 
 std::string obs::formatJournalEvent(const JournalEvent &Event) {

@@ -6,7 +6,7 @@
 
 #include "obs/TraceReport.h"
 
-#include "obs/FlatJson.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -18,31 +18,44 @@ using namespace spvfuzz::obs;
 
 bool obs::parseTraceLine(const std::string &Line, TraceRecord &Out,
                          std::string &Error) {
-  FlatObject Object;
-  if (!parseFlatObject(Line, Object, Error))
+  json::Value Object;
+  if (!json::parse(Line, Object, Error))
     return false;
-  if (!Object.hasText("type")) {
+  if (!Object.isObject()) {
+    Error = Object.error("expected an object");
+    return false;
+  }
+  const json::Value *Type = Object.find("type");
+  if (!Type || !Type->isString()) {
     Error = "missing record type";
     return false;
   }
-  if (!Object.hasText("name")) {
+  const json::Value *Name = Object.find("name");
+  if (!Name || !Name->isString()) {
     Error = "missing record name";
     return false;
   }
-  Out.Type = Object.text("type");
-  Out.Name = Object.text("name");
-  Out.Phase = Object.text("phase");
-  Out.TsUs = Object.count("ts_us");
-  Out.DurUs = Object.count("dur_us");
-  Out.Id = Object.count("id");
-  Out.Parent = Object.count("parent");
-  Out.Text = std::move(Object.Text);
-  Out.Numbers = std::move(Object.Numbers);
-  for (const char *Known :
-       {"type", "name", "phase"})
-    Out.Text.erase(Known);
-  for (const char *Known : {"ts_us", "dur_us", "id", "parent"})
-    Out.Numbers.erase(Known);
+  Out.Type = Type->Text;
+  Out.Name = Name->Text;
+  if (!Object.getString("phase", Out.Phase, Error) ||
+      !Object.getCount("ts_us", Out.TsUs, Error) ||
+      !Object.getCount("dur_us", Out.DurUs, Error) ||
+      !Object.getCount("id", Out.Id, Error) ||
+      !Object.getCount("parent", Out.Parent, Error))
+    return false;
+  // Everything else is a free-form field: a string or a number.
+  for (const auto &[Key, Value] : Object.Members) {
+    if (Value.isString()) {
+      if (Key != "type" && Key != "name" && Key != "phase")
+        Out.Text[Key] = Value.Text;
+    } else if (Value.isNumber()) {
+      if (Key != "ts_us" && Key != "dur_us" && Key != "id" && Key != "parent")
+        Out.Numbers[Key] = Value.Number;
+    } else {
+      Error = Value.error("expected a string or a number");
+      return false;
+    }
+  }
   return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include "ir/Text.h"
 #include "store/Serde.h"
+#include "support/Json.h"
 #include "support/ModuleHash.h"
 #include "triage/Triage.h"
 
@@ -103,23 +104,6 @@ std::string bucketDirName(const std::string &Target,
                           const std::string &TypesKey) {
   return sanitizeName(Target) + "_" + hexDigits(hashString(Signature), 8) +
          "_" + hexDigits(hashString(TypesKey), 8);
-}
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\', Out += C;
-    else if (C == '\n')
-      Out += "\\n";
-    else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else
-      Out += C;
-  }
-  Out += '"';
 }
 
 bool copyFile(const std::string &From, const std::string &To,
@@ -621,13 +605,13 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
     Repro.add("SEQN", SeqW.take());
 
     std::string Meta = "{\n  \"tool\": ";
-    jsonEscapeInto(Meta, Record.Tool);
+    json::appendString(Meta, Record.Tool);
     Meta += ",\n  \"target\": ";
-    jsonEscapeInto(Meta, Record.TargetName);
+    json::appendString(Meta, Record.TargetName);
     Meta += ",\n  \"signature\": ";
-    jsonEscapeInto(Meta, Record.Signature);
+    json::appendString(Meta, Record.Signature);
     Meta += ",\n  \"types\": ";
-    jsonEscapeInto(Meta, TypesKey);
+    json::appendString(Meta, TypesKey);
     Meta += ",\n  \"testIndex\": " + std::to_string(Record.TestIndex);
     Meta += ",\n  \"originalCount\": " + std::to_string(Record.OriginalCount);
     Meta +=
@@ -802,21 +786,21 @@ void CampaignStore::writeManifestMirror() const {
     const CampaignEntry &Campaign = Manifest.Campaigns[I];
     Json += I ? ",\n    {" : "\n    {";
     Json += "\"id\": ";
-    jsonEscapeInto(Json, Campaign.Id);
+    json::appendString(Json, Campaign.Id);
     Json += ", \"digest\": ";
-    jsonEscapeInto(Json, Campaign.ConfigDigest);
+    json::appendString(Json, Campaign.ConfigDigest);
     Json += ", \"buckets\": [";
     for (size_t B = 0; B < Campaign.Buckets.size(); ++B) {
       const BugBucket &Bucket = Campaign.Buckets[B];
       Json += B ? ",\n      {" : "\n      {";
       Json += "\"target\": ";
-      jsonEscapeInto(Json, Bucket.Target);
+      json::appendString(Json, Bucket.Target);
       Json += ", \"signature\": ";
-      jsonEscapeInto(Json, Bucket.Signature);
+      json::appendString(Json, Bucket.Signature);
       Json += ", \"types\": ";
-      jsonEscapeInto(Json, Bucket.TypesKey);
+      json::appendString(Json, Bucket.TypesKey);
       Json += ", \"dir\": ";
-      jsonEscapeInto(Json, Bucket.Dir);
+      json::appendString(Json, Bucket.Dir);
       Json += ", \"count\": " + std::to_string(Bucket.Count) + "}";
     }
     Json += Campaign.Buckets.empty() ? "]}" : "\n    ]}";

@@ -6,13 +6,13 @@
 
 #include "support/Telemetry.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 using namespace spvfuzz;
@@ -207,58 +207,13 @@ void MetricsRegistry::restore(const MetricsSnapshot &Snapshot) {
 // JSON serialization
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-std::string formatNumber(double Value) {
-  if (std::isfinite(Value) && Value == std::floor(Value) &&
-      std::fabs(Value) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.0f", Value);
-    return Buf;
-  }
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", Value);
-  return Buf;
-}
-
-} // namespace
-
 std::string telemetry::metricsToJson(const MetricsSnapshot &Snapshot) {
   std::string Out = "{\n  \"counters\": {";
   bool First = true;
   for (const auto &[Name, Value] : Snapshot.Counters) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendJsonString(Out, Name);
+    json::appendString(Out, Name);
     Out += ": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
@@ -268,8 +223,9 @@ std::string telemetry::metricsToJson(const MetricsSnapshot &Snapshot) {
   for (const auto &[Name, Value] : Snapshot.Gauges) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendJsonString(Out, Name);
-    Out += ": " + formatNumber(Value);
+    json::appendString(Out, Name);
+    Out += ": ";
+    json::appendNumber(Out, Value);
   }
   Out += First ? "},\n" : "\n  },\n";
 
@@ -278,15 +234,21 @@ std::string telemetry::metricsToJson(const MetricsSnapshot &Snapshot) {
   for (const auto &[Name, H] : Snapshot.Histograms) {
     Out += First ? "\n    " : ",\n    ";
     First = false;
-    appendJsonString(Out, Name);
+    json::appendString(Out, Name);
     Out += ": {\"count\": " + std::to_string(H.Count);
-    Out += ", \"sum\": " + formatNumber(H.Sum);
-    Out += ", \"min\": " + formatNumber(H.Min);
-    Out += ", \"max\": " + formatNumber(H.Max);
-    Out += ", \"mean\": " + formatNumber(H.Mean);
-    Out += ", \"p50\": " + formatNumber(H.P50);
-    Out += ", \"p90\": " + formatNumber(H.P90);
-    Out += ", \"p99\": " + formatNumber(H.P99);
+    for (const auto &[Field, Value] :
+         {std::pair<const char *, double>{"sum", H.Sum},
+          {"min", H.Min},
+          {"max", H.Max},
+          {"mean", H.Mean},
+          {"p50", H.P50},
+          {"p90", H.P90},
+          {"p99", H.P99}}) {
+      Out += ", \"";
+      Out += Field;
+      Out += "\": ";
+      json::appendNumber(Out, Value);
+    }
     if (!H.Buckets.empty()) {
       // Sparse "index:count" pairs — most of the 66 log2 buckets are empty.
       std::string Sparse;
@@ -298,7 +260,7 @@ std::string telemetry::metricsToJson(const MetricsSnapshot &Snapshot) {
         Sparse += std::to_string(I) + ":" + std::to_string(H.Buckets[I]);
       }
       Out += ", \"buckets\": ";
-      appendJsonString(Out, Sparse);
+      json::appendString(Out, Sparse);
     }
     Out += "}";
   }
@@ -308,237 +270,84 @@ std::string telemetry::metricsToJson(const MetricsSnapshot &Snapshot) {
 }
 
 //===----------------------------------------------------------------------===//
-// JSON parsing (the subset metricsToJson emits)
+// JSON parsing
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// A recursive-descent parser for the JSON subset the registry emits:
-/// objects, strings and numbers. No arrays, booleans or nulls.
-class MetricsJsonParser {
-public:
-  MetricsJsonParser(const std::string &Text, std::string &Error)
-      : Text(Text), Error(Error) {}
+/// Reads an exact unsigned decimal that fills all of \p Text.
+bool parseDecimal(std::string_view Text, uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Status] = std::from_chars(Text.data(), End, Out);
+  return Status == std::errc() && Ptr == End;
+}
 
-  bool parse(MetricsSnapshot &Snapshot) {
-    skipSpace();
-    if (!expect('{'))
-      return false;
-    if (peek() == '}')
-      return advance(), true;
-    do {
-      std::string Section;
-      if (!parseString(Section) || !expect(':'))
-        return false;
-      if (Section == "counters") {
-        if (!parseFlatObject([&](const std::string &Name, double Value) {
-              Snapshot.Counters[Name] = static_cast<uint64_t>(Value);
-            }))
-          return false;
-      } else if (Section == "gauges") {
-        if (!parseFlatObject([&](const std::string &Name, double Value) {
-              Snapshot.Gauges[Name] = Value;
-            }))
-          return false;
-      } else if (Section == "histograms") {
-        if (!parseHistograms(Snapshot))
-          return false;
-      } else {
-        return fail("unknown section '" + Section + "'");
-      }
-    } while (consume(','));
-    return expect('}');
-  }
-
-private:
-  bool parseFlatObject(
-      const std::function<void(const std::string &, double)> &Emit) {
-    if (!expect('{'))
-      return false;
-    if (consume('}'))
-      return true;
-    do {
-      std::string Name;
-      double Value = 0.0;
-      if (!parseString(Name) || !expect(':') || !parseNumber(Value))
-        return false;
-      Emit(Name, Value);
-    } while (consume(','));
-    return expect('}');
-  }
-
-  bool parseHistograms(MetricsSnapshot &Snapshot) {
-    if (!expect('{'))
-      return false;
-    if (consume('}'))
-      return true;
-    do {
-      std::string Name;
-      if (!parseString(Name) || !expect(':'))
-        return false;
-      HistogramStats Stats;
-      if (!parseHistogramObject(Stats))
-        return false;
-      Snapshot.Histograms[Name] = Stats;
-    } while (consume(','));
-    return expect('}');
-  }
-
-  /// One histogram's object: numeric summary fields plus the optional
-  /// string-valued sparse "buckets" field.
-  bool parseHistogramObject(HistogramStats &Stats) {
-    if (!expect('{'))
-      return false;
-    if (consume('}'))
-      return true;
-    do {
-      std::string Field;
-      if (!parseString(Field) || !expect(':'))
-        return false;
-      if (Field == "buckets") {
-        std::string Sparse;
-        if (!parseString(Sparse))
-          return false;
-        Stats.Buckets.assign(MetricsRegistry::NumHistogramBuckets, 0);
-        size_t Cursor = 0;
-        while (Cursor < Sparse.size()) {
-          size_t Colon = Sparse.find(':', Cursor);
-          if (Colon == std::string::npos)
-            return fail("malformed buckets field");
-          size_t Comma = Sparse.find(',', Colon);
-          if (Comma == std::string::npos)
-            Comma = Sparse.size();
-          size_t Index = static_cast<size_t>(
-              std::strtoul(Sparse.substr(Cursor, Colon - Cursor).c_str(),
-                           nullptr, 10));
-          if (Index >= Stats.Buckets.size())
-            return fail("bucket index out of range");
-          Stats.Buckets[Index] = std::strtoull(
-              Sparse.substr(Colon + 1, Comma - Colon - 1).c_str(), nullptr,
-              10);
-          Cursor = Comma + 1;
-        }
-        continue;
-      }
-      double Value = 0.0;
-      if (!parseNumber(Value))
-        return false;
-      if (Field == "count")
-        Stats.Count = static_cast<uint64_t>(Value);
-      else if (Field == "sum")
-        Stats.Sum = Value;
-      else if (Field == "min")
-        Stats.Min = Value;
-      else if (Field == "max")
-        Stats.Max = Value;
-      else if (Field == "mean")
-        Stats.Mean = Value;
-      else if (Field == "p50")
-        Stats.P50 = Value;
-      else if (Field == "p90")
-        Stats.P90 = Value;
-      else if (Field == "p99")
-        Stats.P99 = Value;
-    } while (consume(','));
-    return expect('}');
-  }
-
-  bool parseString(std::string &Out) {
-    skipSpace();
-    if (peek() != '"')
-      return fail("expected string");
-    ++Pos;
-    Out.clear();
-    while (Pos < Text.size() && Text[Pos] != '"') {
-      char C = Text[Pos++];
-      if (C == '\\' && Pos < Text.size()) {
-        char E = Text[Pos++];
-        switch (E) {
-        case 'n':
-          Out += '\n';
-          break;
-        case 't':
-          Out += '\t';
-          break;
-        case 'u':
-          if (Pos + 4 > Text.size())
-            return fail("truncated \\u escape");
-          Out += static_cast<char>(
-              std::strtoul(Text.substr(Pos, 4).c_str(), nullptr, 16));
-          Pos += 4;
-          break;
-        default:
-          Out += E;
-        }
-      } else {
-        Out += C;
-      }
-    }
-    if (Pos >= Text.size())
-      return fail("unterminated string");
-    ++Pos; // closing quote
-    return true;
-  }
-
-  bool parseNumber(double &Out) {
-    skipSpace();
-    size_t End = Pos;
-    while (End < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[End])) ||
-            Text[End] == '-' || Text[End] == '+' || Text[End] == '.' ||
-            Text[End] == 'e' || Text[End] == 'E'))
-      ++End;
-    if (End == Pos)
-      return fail("expected number");
-    Out = std::strtod(Text.substr(Pos, End - Pos).c_str(), nullptr);
-    Pos = End;
-    return true;
-  }
-
-  char peek() {
-    skipSpace();
-    return Pos < Text.size() ? Text[Pos] : '\0';
-  }
-  void advance() { ++Pos; }
-  bool consume(char C) {
-    if (peek() != C)
-      return false;
-    ++Pos;
-    return true;
-  }
-  bool expect(char C) {
-    if (consume(C))
-      return true;
-    return fail(std::string("expected '") + C + "'");
-  }
-  void skipSpace() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-  bool fail(const std::string &Message) {
-    if (Error.empty()) {
-      // Line-accurate position so a truncated or hand-edited metrics file
-      // points straight at the damage.
-      size_t Line = 1, Column = 1;
-      for (size_t I = 0; I < Pos && I < Text.size(); ++I) {
-        if (Text[I] == '\n') {
-          ++Line;
-          Column = 1;
-        } else {
-          ++Column;
-        }
-      }
-      Error = Message + " at line " + std::to_string(Line) + ", column " +
-              std::to_string(Column);
-    }
+/// Decodes the sparse "index:count,..." bucket string metricsToJson
+/// writes.
+bool parseBuckets(const json::Value &Field, std::vector<uint64_t> &Buckets,
+                  std::string &Error) {
+  if (!Field.isString()) {
+    Error = Field.error("expected a string");
     return false;
   }
+  Buckets.assign(MetricsRegistry::NumHistogramBuckets, 0);
+  std::string_view Sparse = Field.Text;
+  while (!Sparse.empty()) {
+    size_t Comma = std::min(Sparse.find(','), Sparse.size());
+    std::string_view Pair = Sparse.substr(0, Comma);
+    size_t Colon = Pair.find(':');
+    uint64_t Index = 0, Count = 0;
+    if (Colon == std::string_view::npos ||
+        !parseDecimal(Pair.substr(0, Colon), Index) ||
+        !parseDecimal(Pair.substr(Colon + 1), Count) ||
+        Index >= Buckets.size()) {
+      Error = Field.error("malformed buckets field");
+      return false;
+    }
+    Buckets[Index] = Count;
+    Sparse.remove_prefix(Comma == Sparse.size() ? Comma : Comma + 1);
+  }
+  return true;
+}
 
-  const std::string &Text;
-  std::string &Error;
-  size_t Pos = 0;
-};
+bool parseHistogram(const json::Value &Object, HistogramStats &Stats,
+                    std::string &Error) {
+  if (!Object.isObject()) {
+    Error = Object.error("expected an object");
+    return false;
+  }
+  for (const auto &[Field, Value] : Object.Members) {
+    if (Field == "buckets") {
+      if (!parseBuckets(Value, Stats.Buckets, Error))
+        return false;
+      continue;
+    }
+    if (Field == "count") {
+      if (!Value.toCount(Stats.Count, Error))
+        return false;
+      continue;
+    }
+    if (!Value.isNumber()) {
+      Error = Value.error("expected a number");
+      return false;
+    }
+    if (Field == "sum")
+      Stats.Sum = Value.Number;
+    else if (Field == "min")
+      Stats.Min = Value.Number;
+    else if (Field == "max")
+      Stats.Max = Value.Number;
+    else if (Field == "mean")
+      Stats.Mean = Value.Number;
+    else if (Field == "p50")
+      Stats.P50 = Value.Number;
+    else if (Field == "p90")
+      Stats.P90 = Value.Number;
+    else if (Field == "p99")
+      Stats.P99 = Value.Number;
+  }
+  return true;
+}
 
 } // namespace
 
@@ -546,8 +355,39 @@ bool telemetry::metricsFromJson(const std::string &Json,
                                 MetricsSnapshot &Snapshot,
                                 std::string &Error) {
   Error.clear();
-  MetricsJsonParser Parser(Json, Error);
-  return Parser.parse(Snapshot);
+  json::Value Root;
+  if (!json::parse(Json, Root, Error))
+    return false;
+  if (!Root.isObject()) {
+    Error = Root.error("expected an object");
+    return false;
+  }
+  for (const auto &[Section, Body] : Root.Members) {
+    if (Section != "counters" && Section != "gauges" &&
+        Section != "histograms") {
+      Error = Body.error("unknown section '" + Section + "'");
+      return false;
+    }
+    if (!Body.isObject()) {
+      Error = Body.error("expected an object");
+      return false;
+    }
+    for (const auto &[Name, Value] : Body.Members) {
+      if (Section == "counters") {
+        if (!Value.toCount(Snapshot.Counters[Name], Error))
+          return false;
+      } else if (Section == "gauges") {
+        if (!Value.isNumber()) {
+          Error = Value.error("expected a number");
+          return false;
+        }
+        Snapshot.Gauges[Name] = Value.Number;
+      } else if (!parseHistogram(Value, Snapshot.Histograms[Name], Error)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,7 @@
 
 #include "support/Trace.h"
 
-#include <cmath>
-#include <cstdio>
+#include "support/Json.h"
 
 using namespace spvfuzz;
 using namespace spvfuzz::telemetry;
@@ -84,49 +83,6 @@ void Tracer::span(std::string_view Name, uint64_t StartUs, uint64_t Id,
               /*HasDur=*/true, Id, ParentId, Phase);
 }
 
-namespace {
-
-void appendQuoted(std::string &Out, std::string_view S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-void appendNumber(std::string &Out, double Value) {
-  if (std::isfinite(Value) && Value == std::floor(Value) &&
-      std::fabs(Value) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.0f", Value);
-    Out += Buf;
-    return;
-  }
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", Value);
-  Out += Buf;
-}
-
-} // namespace
-
 void Tracer::writeRecord(std::string_view Type, std::string_view Name,
                          uint64_t TsUs, const TraceField *Fields,
                          size_t NumFields, uint64_t DurUs, bool HasDur,
@@ -135,7 +91,7 @@ void Tracer::writeRecord(std::string_view Type, std::string_view Name,
   std::string Line;
   Line.reserve(160);
   Line += "{\"type\":";
-  appendQuoted(Line, Type);
+  json::appendString(Line, Type);
   Line += ",\"ts_us\":" + std::to_string(TsUs);
   if (HasDur)
     Line += ",\"dur_us\":" + std::to_string(DurUs);
@@ -145,19 +101,19 @@ void Tracer::writeRecord(std::string_view Type, std::string_view Name,
   }
   if (!Phase.empty()) {
     Line += ",\"phase\":";
-    appendQuoted(Line, Phase);
+    json::appendString(Line, Phase);
   }
   Line += ",\"name\":";
-  appendQuoted(Line, Name);
+  json::appendString(Line, Name);
   for (size_t I = 0; I < NumFields; ++I) {
     const TraceField &F = Fields[I];
     Line += ',';
-    appendQuoted(Line, F.Key);
+    json::appendString(Line, F.Key);
     Line += ':';
     if (F.IsNumber)
-      appendNumber(Line, F.Number);
+      json::appendNumber(Line, F.Number);
     else
-      appendQuoted(Line, F.Text);
+      json::appendString(Line, F.Text);
   }
   Line += "}\n";
 

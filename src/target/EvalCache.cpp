@@ -40,88 +40,25 @@ size_t EvalCache::KeyHasher::operator()(const Key &K) const {
 
 bool EvalCache::lookup(uint64_t ArtifactId, uint64_t InputHash,
                        TargetRun &Out) {
+  const bool Hit = Lru.lookup(Key{ArtifactId, InputHash}, Out);
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  Key K{ArtifactId, InputHash};
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Index.find(K);
-  if (It == Index.end()) {
-    ++Misses;
-    if (Metrics.enabled())
-      Metrics.add("evalcache.misses");
-    return false;
-  }
-  ++Hits;
   if (Metrics.enabled())
-    Metrics.add("evalcache.hits");
-  Lru.splice(Lru.begin(), Lru, It->second);
-  Out = It->second->Run;
-  return true;
+    Metrics.add(Hit ? "evalcache.hits" : "evalcache.misses");
+  return Hit;
 }
 
 void EvalCache::insert(uint64_t ArtifactId, uint64_t InputHash,
                        const TargetRun &Run) {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  Key K{ArtifactId, InputHash};
-  size_t Bytes = approxRunBytes(Run);
-  if (Bytes > BudgetBytes)
-    return; // covers the budget-0 "cache disabled" case
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Index.count(K))
-    return; // racing insert of the same (deterministic) outcome
-  while (BytesUsed + Bytes > BudgetBytes && !Lru.empty()) {
-    size_t EvictedBytes = Lru.back().Bytes;
-    BytesUsed -= EvictedBytes;
-    Index.erase(Lru.back().K);
-    Lru.pop_back();
-    if (Metrics.enabled())
-      Metrics.add("evalcache.evictions");
-    if (telemetry::Tracer::global().enabled())
-      telemetry::Tracer::global().event("evalcache.evict",
-                                        {{"bytes", EvictedBytes}});
-  }
-  Lru.push_front(Entry{K, Run, Bytes});
-  Index.emplace(std::move(K), Lru.begin());
-  BytesUsed += Bytes;
-  if (Metrics.enabled())
-    Metrics.set("evalcache.bytes", static_cast<double>(BytesUsed));
-}
-
-size_t EvalCache::bytesUsed() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return BytesUsed;
-}
-
-size_t EvalCache::entryCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Lru.size();
-}
-
-uint64_t EvalCache::hitCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Hits;
-}
-
-uint64_t EvalCache::missCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Misses;
-}
-
-TargetRun CachedTarget::run(const Module &M, const ShaderInput &Input) const {
-  if (!Inner->spec().deterministic()) {
-    // Memoizing a flaky target would freeze one sample as truth. This path
-    // is a policy violation (the Harness owns faulty targets); the counter
-    // is an alarm that CI asserts stays zero.
-    telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-    if (Metrics.enabled())
-      Metrics.add("evalcache.flaky_consults");
-    return Inner->run(M, Input);
-  }
-  uint64_t AId = Inner->artifactId(hashModule(M));
-  uint64_t IHash = hashShaderInput(Input);
-  TargetRun Cached;
-  if (Cache->lookup(AId, IHash, Cached))
-    return Cached;
-  TargetRun Fresh = Inner->run(M, Input);
-  Cache->insert(AId, IHash, Fresh);
-  return Fresh;
+  telemetry::Tracer &Tracer = telemetry::Tracer::global();
+  const bool Stored = Lru.insert(
+      Key{ArtifactId, InputHash}, Run, approxRunBytes(Run),
+      [&](size_t EvictedBytes) {
+        if (Metrics.enabled())
+          Metrics.add("evalcache.evictions");
+        if (Tracer.enabled())
+          Tracer.event("evalcache.evict", {{"bytes", EvictedBytes}});
+      });
+  if (Stored && Metrics.enabled())
+    Metrics.set("evalcache.bytes", static_cast<double>(Lru.bytesUsed()));
 }

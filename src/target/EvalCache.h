@@ -9,14 +9,13 @@
 /// function of (module, input) — so an outcome can be replayed from a
 /// cache keyed by (artifact id, input hash), where the artifact id
 /// (Target::artifactId) already encodes both the structural module hash
-/// and the target identity, instead of re-running the pipeline. Flaky-flavored targets are not pure
-/// attempt-free: memoizing them would silently freeze one sample as truth,
-/// so CachedTarget refuses to (bypassing the cache and raising the
-/// evalcache.flaky_consults alarm counter, which CI asserts stays zero);
-/// the Harness is the supported way to run faulty targets. Delta-debugging reduction re-evaluates many
-/// identical variants (failed chunk removals regenerate the same module),
-/// and the dedup phase re-runs modules the reduction phase already ran;
-/// both hit this cache.
+/// and the target identity, instead of re-running the pipeline. Flaky
+/// targets are not pure (each attempt draws fresh faults), so
+/// HarnessedTarget, the one memoized run path, never consults the cache
+/// for them. Delta-debugging reduction re-evaluates many identical
+/// variants (failed chunk removals regenerate the same module), and the
+/// dedup phase re-runs modules the reduction phase already ran; both hit
+/// this cache.
 ///
 /// Because the memoized function is deterministic, a hit returns exactly
 /// what a miss would have computed: cache state (and therefore budget,
@@ -29,24 +28,17 @@
 #ifndef TARGET_EVALCACHE_H
 #define TARGET_EVALCACHE_H
 
+#include "support/LruCache.h"
 #include "target/Target.h"
-
-#include <list>
-#include <mutex>
-#include <span>
-#include <unordered_map>
 
 namespace spvfuzz {
 
-/// Thread-safe LRU cache of TargetRun outcomes, bounded by an approximate
-/// byte budget. A budget of 0 disables the cache (every lookup misses and
-/// nothing is stored).
+/// Thread-safe LRU cache of TargetRun outcomes (support/LruCache.h),
+/// bounded by an approximate byte budget. A budget of 0 disables the cache
+/// (every lookup misses and nothing is stored).
 class EvalCache {
 public:
-  explicit EvalCache(size_t BudgetBytes) : BudgetBytes(BudgetBytes) {}
-
-  EvalCache(const EvalCache &) = delete;
-  EvalCache &operator=(const EvalCache &) = delete;
+  explicit EvalCache(size_t BudgetBytes) : Lru(BudgetBytes) {}
 
   /// True (and fills \p Out) iff an outcome for the key is cached; a hit
   /// refreshes the entry's LRU position. \p ArtifactId is
@@ -58,10 +50,9 @@ public:
   /// alone exceeds it.
   void insert(uint64_t ArtifactId, uint64_t InputHash, const TargetRun &Run);
 
-  size_t bytesUsed() const;
-  size_t entryCount() const;
-  uint64_t hitCount() const;
-  uint64_t missCount() const;
+  size_t entryCount() const { return Lru.entryCount(); }
+  uint64_t hitCount() const { return Lru.hitCount(); }
+  uint64_t missCount() const { return Lru.missCount(); }
 
 private:
   struct Key {
@@ -75,53 +66,8 @@ private:
   struct KeyHasher {
     size_t operator()(const Key &K) const;
   };
-  struct Entry {
-    Key K;
-    TargetRun Run;
-    size_t Bytes = 0;
-  };
 
-  mutable std::mutex Mutex;
-  const size_t BudgetBytes;
-  size_t BytesUsed = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  /// Front = most recently used.
-  std::list<Entry> Lru;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> Index;
-};
-
-/// A Target plus an EvalCache, presenting the same run() interface as
-/// Target so it drops into the interestingness-test factories of
-/// core/Reducer.h and the campaign scan loop. Both referents must outlive
-/// the wrapper; run() is thread-safe (Target::run is const and pure, the
-/// cache locks internally).
-class CachedTarget {
-public:
-  CachedTarget(const Target &T, EvalCache &Cache)
-      : Inner(&T), Cache(&Cache) {}
-
-  const std::string &name() const { return Inner->name(); }
-  const TargetSpec &spec() const { return Inner->spec(); }
-  bool canExecute() const { return Inner->canExecute(); }
-  const Target &target() const { return *Inner; }
-
-  TargetRun run(const Module &M, const ShaderInput &Input) const;
-
-  /// Per-input memoized batch: element i equals run(M, Inputs[i]). The
-  /// cache key is per (artifact, input), so batching here is a loop.
-  std::vector<TargetRun> runBatch(const Module &M,
-                                  std::span<const ShaderInput> Inputs) const {
-    std::vector<TargetRun> Runs;
-    Runs.reserve(Inputs.size());
-    for (const ShaderInput &Input : Inputs)
-      Runs.push_back(run(M, Input));
-    return Runs;
-  }
-
-private:
-  const Target *Inner;
-  EvalCache *Cache;
+  LruCache<Key, TargetRun, KeyHasher> Lru;
 };
 
 } // namespace spvfuzz

@@ -18,34 +18,30 @@
 /// what they would be with no cache at all — independent of job count and
 /// hit/miss interleaving, which the campaign determinism gates assert.
 /// Only wall-time histograms (opt.pass_time_us) reflect real compiles.
-/// Hit/miss/eviction tallies are exposed through accessors, deliberately
-/// not through the registry.
+/// Hit/miss tallies are exposed through accessors, deliberately not
+/// through the registry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TARGET_EXECUTABLECACHE_H
 #define TARGET_EXECUTABLECACHE_H
 
+#include "support/LruCache.h"
 #include "target/Target.h"
 
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 namespace spvfuzz {
 
-/// Thread-safe LRU cache of compiled target artifacts, bounded by an
-/// approximate byte budget. A budget of 0 disables storage (every call
-/// compiles fresh). Compilation happens outside the lock; a racing miss on
-/// the same key may compile twice, but each call still bumps compile
-/// counters exactly once, so totals are schedule-independent.
+/// Thread-safe LRU cache of compiled target artifacts (support/LruCache.h),
+/// bounded by an approximate byte budget. A budget of 0 disables storage
+/// (every call compiles fresh). Compilation happens outside the lock; a
+/// racing miss on the same key may compile twice, but each call still
+/// bumps compile counters exactly once, so totals are
+/// schedule-independent.
 class ExecutableCache {
 public:
-  explicit ExecutableCache(size_t BudgetBytes) : BudgetBytes(BudgetBytes) {}
-
-  ExecutableCache(const ExecutableCache &) = delete;
-  ExecutableCache &operator=(const ExecutableCache &) = delete;
+  explicit ExecutableCache(size_t BudgetBytes) : Lru(BudgetBytes) {}
 
   /// The artifact of compiling \p M (whose structural hash is
   /// \p ModuleHash) on \p T for \p Engine — cached, or compiled and
@@ -57,11 +53,8 @@ public:
   getOrCompile(const Target &T, const Module &M, ExecEngine Engine,
                uint64_t ModuleHash);
 
-  size_t bytesUsed() const;
-  size_t entryCount() const;
-  uint64_t hitCount() const;
-  uint64_t missCount() const;
-  uint64_t evictionCount() const;
+  uint64_t hitCount() const { return Lru.hitCount(); }
+  uint64_t missCount() const { return Lru.missCount(); }
 
 private:
   struct Key {
@@ -75,21 +68,8 @@ private:
   struct KeyHasher {
     size_t operator()(const Key &K) const;
   };
-  struct Entry {
-    Key K;
-    std::shared_ptr<const TargetArtifact> Art;
-    size_t Bytes = 0;
-  };
 
-  mutable std::mutex Mutex;
-  const size_t BudgetBytes;
-  size_t BytesUsed = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  /// Front = most recently used.
-  std::list<Entry> Lru;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> Index;
+  LruCache<Key, std::shared_ptr<const TargetArtifact>, KeyHasher> Lru;
 };
 
 } // namespace spvfuzz

@@ -6,42 +6,10 @@
 
 #include "triage/Attribution.h"
 
+#include "support/Json.h"
+
 using namespace spvfuzz;
 using namespace spvfuzz::triage;
-
-namespace {
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  Out.push_back('"');
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out.push_back(Hex[(C >> 4) & 0xF]);
-        Out.push_back(Hex[C & 0xF]);
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
-  Out.push_back('"');
-}
-
-} // namespace
 
 const char *spvfuzz::triage::triageVerdictName(TriageVerdict V) {
   switch (V) {
@@ -131,12 +99,12 @@ bool spvfuzz::triage::readAttributionBinary(ByteReader &R, BugAttribution &Out) 
 
 std::string spvfuzz::triage::attributionJson(const BugAttribution &Attr) {
   std::string Json = "{\"verdict\": ";
-  jsonEscapeInto(Json, triageVerdictName(Attr.Verdict));
+  json::appendString(Json, triageVerdictName(Attr.Verdict));
   Json += ", \"label\": ";
-  jsonEscapeInto(Json, Attr.culpritLabel());
+  json::appendString(Json, Attr.culpritLabel());
   if (Attr.Verdict == TriageVerdict::ExactPass) {
     Json += ", \"culprit\": ";
-    jsonEscapeInto(Json, optPassName(Attr.Culprit));
+    json::appendString(Json, optPassName(Attr.Culprit));
     Json += ", \"pipelineIndex\": " + std::to_string(Attr.PipelineIndex);
     Json += ", \"instanceIndex\": " + std::to_string(Attr.InstanceIndex);
   }
@@ -146,7 +114,7 @@ std::string spvfuzz::triage::attributionJson(const BugAttribution &Attr) {
   Json += ", \"localizationRuns\": " + std::to_string(Attr.LocalizationRuns);
   if (!Attr.Reason.empty()) {
     Json += ", \"reason\": ";
-    jsonEscapeInto(Json, Attr.Reason);
+    json::appendString(Json, Attr.Reason);
   }
   Json += "}";
   return Json;

@@ -141,6 +141,37 @@ TEST(Journal, ParserRejectsBadLinesWithDiagnostics) {
   EXPECT_NE(Error.find("column"), std::string::npos) << Error;
 }
 
+TEST(Journal, ParserRejectsMalformedNumbers) {
+  JournalEvent Event;
+  std::string Error;
+  EXPECT_FALSE(parseJournalLine(R"({"v":1-2,"seq":0,"kind":"BugFound"})",
+                                Event, Error));
+  EXPECT_EQ(Error, "expected ',' or '}' at line 1, column 7");
+}
+
+TEST(Journal, ParserRejectsBadUnicodeEscapes) {
+  JournalEvent Event;
+  std::string Error;
+  EXPECT_FALSE(parseJournalLine(
+      R"({"v":3,"seq":0,"kind":"BugFound","target":"\u00zz"})", Event,
+      Error));
+  EXPECT_EQ(Error, "invalid \\u escape at line 1, column 44");
+}
+
+TEST(Journal, ParserRejectsCountsOutsideUint64) {
+  for (const char *Seq : {"-5", "18446744073709551616", "1e20"}) {
+    JournalEvent Event;
+    std::string Error;
+    EXPECT_FALSE(parseJournalLine(std::string(R"({"v":3,"seq":)") + Seq +
+                                      R"(,"kind":"BugFound"})",
+                                  Event, Error))
+        << Seq;
+    EXPECT_EQ(Error,
+              "expected a whole number in [0, 2^64) at line 1, column 14")
+        << Seq;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Writer
 //===----------------------------------------------------------------------===//

@@ -11,8 +11,8 @@
 /// ReduceResult (minimized sequence, variant, Checks) must come out under
 /// every option combination, across many fuzzed campaigns; the structural
 /// module hash must distinguish exactly the modules a target can
-/// distinguish; and a cached target must return what the uncached target
-/// returns.
+/// distinguish; and a memoized harnessed target must return what the
+/// plain target returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +22,7 @@
 #include "gen/Generator.h"
 #include "support/ModuleHash.h"
 #include "support/ThreadPool.h"
-#include "target/EvalCache.h"
+#include "target/Harness.h"
 #include "TestHelpers.h"
 
 using namespace spvfuzz;
@@ -100,61 +100,13 @@ TEST(ModuleHash, BoundIsExcluded) {
 // EvalCache
 //===----------------------------------------------------------------------===//
 
-TargetRun makeRun(const std::string &Signature) {
-  TargetRun Run;
-  Run.RunOutcome = Outcome::Crash;
-  Run.Signature = Signature;
-  return Run;
-}
-
-TEST(EvalCache, HitReturnsInsertedOutcome) {
-  EvalCache Cache(1 << 20);
-  TargetRun Out;
-  EXPECT_FALSE(Cache.lookup(1, 2, Out));
-  Cache.insert(1, 2, makeRun("sig-x"));
-  ASSERT_TRUE(Cache.lookup(1, 2, Out));
-  EXPECT_EQ(Out.RunOutcome, Outcome::Crash);
-  EXPECT_EQ(Out.Signature, "sig-x");
-  // Key components are all significant.
-  EXPECT_FALSE(Cache.lookup(2, 2, Out));
-  EXPECT_FALSE(Cache.lookup(1, 3, Out));
-  EXPECT_EQ(Cache.hitCount(), 1u);
-  EXPECT_EQ(Cache.missCount(), 3u);
-}
-
-TEST(EvalCache, ZeroBudgetDisables) {
-  EvalCache Cache(0);
-  Cache.insert(1, 2, makeRun("sig-x"));
-  TargetRun Out;
-  EXPECT_FALSE(Cache.lookup(1, 2, Out));
-  EXPECT_EQ(Cache.entryCount(), 0u);
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-}
-
-TEST(EvalCache, EvictsLeastRecentlyUsed) {
-  // Budget for only a few entries: the oldest (and only the oldest)
-  // untouched entries must fall out.
-  EvalCache Tiny(1);
-  Tiny.insert(1, 0, makeRun("a"));
-  EXPECT_EQ(Tiny.entryCount(), 0u) << "oversized entry must not be stored";
-
-  EvalCache Cache(4096);
-  size_t N = 0;
-  while (Cache.bytesUsed() == 0 || Cache.entryCount() == N)
-    Cache.insert(++N, 0, makeRun("sig"));
-  // Insertion N evicted the LRU entry (key 1); the newest still hits.
-  TargetRun Out;
-  EXPECT_FALSE(Cache.lookup(1, 0, Out));
-  EXPECT_TRUE(Cache.lookup(N, 0, Out));
-}
-
 TEST(EvalCache, CachedTargetMatchesTarget) {
   CampaignEngine Engine(ExecutionPolicy{}.withTransformationLimit(60),
                         CorpusSpec{}.withReferences(2).withDonors(3));
   EvalCache Cache(8u << 20);
   const GeneratedProgram &Program = Engine.corpus().References[0];
   for (const Target &T : Engine.targets()) {
-    CachedTarget Cached(T, Cache);
+    HarnessedTarget Cached(T, HarnessPolicy{}, &Cache);
     TargetRun Direct = T.run(Program.M, Program.Input);
     TargetRun Miss = Cached.run(Program.M, Program.Input);
     TargetRun Hit = Cached.run(Program.M, Program.Input);
@@ -214,27 +166,19 @@ TEST(ReducerCache, AllOptionCombinationsAreBitIdentical) {
                                 .run(Program.M, Program.Input, Fuzzed.Sequence,
                                      Test);
 
-    ReduceOptions NoSnapshots;
-    NoSnapshots.SnapshotInterval = 0;
-    ReduceOptions Dense;
-    Dense.SnapshotInterval = 1;
-    ReduceOptions Starved;
-    Starved.SnapshotInterval = 2;
-    Starved.SnapshotBudgetBytes = 256; // forces continual eviction
-    ReduceOptions Speculative;
-    Speculative.Pool = &Pool;
-
-    for (const auto &[What, Opts] :
-         std::initializer_list<std::pair<const char *, const ReduceOptions &>>{
-             {"no-snapshots", NoSnapshots},
-             {"dense", Dense},
-             {"starved-budget", Starved},
-             {"speculative", Speculative}}) {
-      ReduceResult Result =
-          ReductionPipeline(ReductionPlan::fromOptions(Opts))
-              .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
+    for (const auto &[What, Plan] :
+         std::initializer_list<std::pair<const char *, ReductionPlan>>{
+             {"no-snapshots", ReductionPlan{}.withSnapshotInterval(0)},
+             {"dense", ReductionPlan{}.withSnapshotInterval(1)},
+             // A starved budget forces continual eviction.
+             {"starved-budget", ReductionPlan{}
+                                    .withSnapshotInterval(2)
+                                    .withSnapshotBudgetBytes(256)},
+             {"speculative", ReductionPlan{}.withPool(&Pool)}}) {
+      ReduceResult Result = ReductionPipeline(Plan).run(
+          Program.M, Program.Input, Fuzzed.Sequence, Test);
       expectSameReduceResult(Baseline, Result, Seed, What);
-      if (Opts.Pool)
+      if (Plan.Pool)
         SpeculativeWaste += Result.SpeculativeChecks;
       else
         EXPECT_EQ(Result.SpeculativeChecks, 0u) << What << " seed " << Seed;
@@ -246,9 +190,9 @@ TEST(ReducerCache, AllOptionCombinationsAreBitIdentical) {
 }
 
 TEST(ReducerCache, CachedInterestingnessMatchesUncached) {
-  // End-to-end over a real target: reduction through a CachedTarget-backed
-  // crash interestingness test equals reduction through the raw Target,
-  // and the cache absorbs repeat evaluations.
+  // End-to-end over a real target: reduction through a memoized
+  // HarnessedTarget's crash interestingness test equals reduction through
+  // the raw Target, and the cache absorbs repeat evaluations.
   CampaignEngine Engine(ExecutionPolicy{}.withTransformationLimit(120),
                         CorpusSpec{}.withReferences(2).withDonors(3));
   const ToolConfig &Tool = Engine.tools()[0];
@@ -266,7 +210,7 @@ TEST(ReducerCache, CachedInterestingnessMatchesUncached) {
           Reference.M, Reference.Input, Fuzzed.Sequence,
           makeCrashInterestingness(T, Run.Signature, Reference.Input));
       EvalCache Cache(8u << 20);
-      CachedTarget Cached(T, Cache);
+      HarnessedTarget Cached(T, HarnessPolicy{}, &Cache);
       ReduceResult ViaCache = ReductionPipeline(ReductionPlan{}).run(
           Reference.M, Reference.Input, Fuzzed.Sequence,
           makeCrashInterestingness(Cached, Run.Signature, Reference.Input));

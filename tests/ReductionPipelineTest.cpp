@@ -142,33 +142,6 @@ TEST(ReductionPipeline, LearnedIsJobInvariantAndNeverWorseThanPaper) {
       << " campaigns";
 }
 
-TEST(ReductionPipeline, DefaultPlanMatchesFromDefaultOptions) {
-  // ReductionPlan{} and ReductionPlan::fromOptions(ReduceOptions{}) are the
-  // same plan, bit for bit — the two spellings callers migrated to when the
-  // legacy reduceSequence wrappers were removed.
-  for (uint64_t Seed : {100u, 107u, 113u}) {
-    GeneratedProgram Program = generateProgram(Seed);
-    FuzzerOptions Options;
-    Options.TransformationLimit = 60;
-    FuzzResult Fuzzed = fuzz(Program.M, Program.Input, {}, Seed, Options);
-    InterestingnessTest Test = grewBy(Program.M.instructionCount(), 5);
-    if (!Test(Fuzzed.Variant, Fuzzed.Facts))
-      continue;
-    ReduceResult Defaulted =
-        ReductionPipeline(ReductionPlan{})
-            .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
-    ReduceResult FromOptions =
-        ReductionPipeline(ReductionPlan::fromOptions(ReduceOptions{}))
-            .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
-    expectSameReduceResult(Defaulted, FromOptions, Seed,
-                           "default plan vs default options");
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// IR-level post-reduction
-//===----------------------------------------------------------------------===//
-
 TEST(ReductionPipeline, StandardPassListIsNamedAndFindable) {
   const std::vector<ReductionPassPtr> &Passes = standardPostReducePasses();
   ASSERT_EQ(Passes.size(), 3u);

@@ -118,7 +118,8 @@ RunOutput runSerial(const std::string &Dir, size_t Tests,
 RunOutput runServe(const std::string &Dir, size_t Tests,
                    std::vector<WorkerOptions> Workers,
                    uint64_t LeaseTtlMs = 60000, bool Faulty = false,
-                   uint32_t QuarantineThreshold = 0) {
+                   uint32_t QuarantineThreshold = 0,
+                   bool Sequential = false) {
   ExecutionPolicy Policy = testPolicy(Dir);
   if (QuarantineThreshold)
     Policy.QuarantineThreshold = QuarantineThreshold;
@@ -163,15 +164,23 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   EXPECT_TRUE(Coordinator.start(WC, Error)) << Error;
   Engine.setShardProvider(&Coordinator);
 
-  std::vector<std::thread> Threads;
-  for (WorkerOptions WO : Workers) {
+  auto RunWorker = [Dir](WorkerOptions WO) {
     WO.StoreDir = Dir;
     WO.PollMs = 2;
-    Threads.emplace_back([WO] {
-      ShardWorker Worker(WO);
-      std::string WorkerError;
-      Worker.run(WorkerError);
+    ShardWorker Worker(WO);
+    std::string WorkerError;
+    Worker.run(WorkerError);
+  };
+  std::vector<std::thread> Threads;
+  if (Sequential) {
+    // One thread: each worker starts when the previous one has exited.
+    Threads.emplace_back([RunWorker, Workers] {
+      for (const WorkerOptions &WO : Workers)
+        RunWorker(WO);
     });
+  } else {
+    for (const WorkerOptions &WO : Workers)
+      Threads.emplace_back(RunWorker, WO);
   }
 
   BugFindingConfig Config;
@@ -270,14 +279,18 @@ TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
 
 // A worker killed mid-shard holds a lease it will never complete: the
 // coordinator expires it after the TTL, bumps the generation, and the
-// surviving worker recomputes — no shard lost, none double-counted.
+// surviving worker recomputes — no shard lost, none double-counted. The
+// survivor starts only once the dying worker has exited; started together,
+// it could lease every remaining shard first, so that nothing is abandoned.
 TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
   constexpr size_t Tests = 32;
   RunOutput Serial = runSerial(uniqueDir("ab-serial"), Tests);
   WorkerOptions Dying = workerOpts(1);
   Dying.AbandonAfterShards = 1;
   RunOutput Serve = runServe(uniqueDir("ab-serve"), Tests,
-                             {Dying, workerOpts(2)}, /*LeaseTtlMs=*/100);
+                             {Dying, workerOpts(2)}, /*LeaseTtlMs=*/100,
+                             /*Faulty=*/false, /*QuarantineThreshold=*/0,
+                             /*Sequential=*/true);
   EXPECT_GT(Serve.Expiries, 0u)
       << "the abandoned lease should have expired";
   expectIdentical(Serial, Serve, "abandoned lease");

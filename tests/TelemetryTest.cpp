@@ -215,4 +215,37 @@ TEST(Telemetry, ParseErrorsAreLineAccurate) {
   EXPECT_NE(Error.find("line 3"), std::string::npos) << Error;
 }
 
+TEST(Telemetry, ParserRejectsMalformedNumbers) {
+  // A number is the JSON grammar, not a run of number-ish characters.
+  MetricsSnapshot Out;
+  std::string Error;
+  EXPECT_FALSE(
+      metricsFromJson(R"({"counters": {"x": 12-3e+}})", Out, Error));
+  EXPECT_EQ(Error, "expected ',' or '}' at line 1, column 22");
+}
+
+TEST(Telemetry, ParserRejectsTrailingBytes) {
+  MetricsRegistry Registry;
+  Registry.setEnabled(true);
+  Registry.add("c", 1);
+  MetricsSnapshot Out;
+  std::string Error;
+  EXPECT_FALSE(metricsFromJson(metricsToJson(Registry.snapshot()) + "}x",
+                               Out, Error));
+  EXPECT_EQ(Error, "trailing bytes after the JSON value at line 8, column 1");
+}
+
+TEST(Telemetry, ParserRejectsCountersOutsideUint64) {
+  for (const char *Json : {R"({"counters": {"x": -5}})",
+                           R"({"counters": {"x": 18446744073709551616}})",
+                           R"({"counters": {"x": 2.5}})"}) {
+    MetricsSnapshot Out;
+    std::string Error;
+    EXPECT_FALSE(metricsFromJson(Json, Out, Error)) << Json;
+    EXPECT_EQ(Error,
+              "expected a whole number in [0, 2^64) at line 1, column 20")
+        << Json;
+  }
+}
+
 } // namespace
