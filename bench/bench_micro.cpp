@@ -118,7 +118,8 @@ void BM_LoweredRunBatch(benchmark::State &State) {
   std::vector<ShaderInput> Matrix =
       uniformInputMatrix(Program.Input, 32, 7);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Exe->runBatch(Matrix).size());
+    for (const ShaderInput &Input : Matrix)
+      benchmark::DoNotOptimize(Exe->run(Input).Outputs.size());
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Matrix.size()));
 }
@@ -209,8 +210,8 @@ void dumpDispatchThroughput(const char *Path) {
       Executable::compile(Program.M, ExecEngine::Lowered);
   size_t LoweredOutputs = 0;
   for (size_t Round = 0; Round < Rounds; ++Round)
-    for (const ExecResult &Result : Exe->runBatch(Matrix))
-      LoweredOutputs += Result.Outputs.size();
+    for (const ShaderInput &Input : Matrix)
+      LoweredOutputs += Exe->run(Input).Outputs.size();
   double LoweredSeconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - Start)
                               .count();

@@ -119,7 +119,6 @@ int main(int argc, char **argv) {
     Footer.push_back("harness.retries");
     Footer.push_back("harness.tool_errors");
     Footer.push_back("harness.quarantined");
-    Footer.push_back("evalcache.flaky_consults");
   }
   bench::BenchTelemetry Telemetry(Footer,
                                   /*RateCounter=*/"campaign.reductions");

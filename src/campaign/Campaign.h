@@ -22,8 +22,10 @@
 #include "support/Trace.h"
 #include "target/Target.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 
 namespace spvfuzz {
 
@@ -131,20 +133,67 @@ uint64_t testSeed(uint64_t CampaignSeed, uint32_t SeedStream,
 std::vector<ShaderInput> uniformInputMatrix(const ShaderInput &Base,
                                             size_t Count, uint64_t Seed);
 
+/// One target's verdict on one test.
+struct ScanVerdict {
+  /// The variant's run ended in a hard tool error: circuit-breaker food,
+  /// never a bug report.
+  bool ToolError = false;
+  /// The bug the test exposes on the target; empty when it exposes none.
+  std::string Signature;
+};
+
+/// The per-test bug check, applied to each of \p Targets in order over
+/// \p Inputs (the first input that decides, decides): a tool error, else
+/// an interesting (crash or timeout) signature, else — unless
+/// \p CrashesOnly or the target cannot execute — Theorem 2.6's
+/// differential check: the variant's result on a target must match the
+/// original's result on that same target, for every input the original
+/// executes. Templated over the target view so plain, harnessed and cached
+/// targets fit; TargetT::runBatch(Module, span) returns one TargetRun per
+/// input. Returns one verdict per target, in target order.
+template <typename TargetT>
+std::vector<ScanVerdict>
+scanTargets(const Module &Variant, const Module &Original,
+            const std::vector<const TargetT *> &Targets, bool CrashesOnly,
+            std::span<const ShaderInput> Inputs) {
+  std::vector<ScanVerdict> Verdicts(Targets.size());
+  for (size_t I = 0; I < Targets.size(); ++I) {
+    const TargetT &T = *Targets[I];
+    ScanVerdict &Verdict = Verdicts[I];
+    const std::vector<TargetRun> VariantRuns = T.runBatch(Variant, Inputs);
+    auto Decided = std::find_if(
+        VariantRuns.begin(), VariantRuns.end(), [](const TargetRun &R) {
+          return R.RunOutcome == Outcome::ToolError || R.interesting();
+        });
+    if (Decided != VariantRuns.end()) {
+      Verdict.ToolError = Decided->RunOutcome == Outcome::ToolError;
+      if (!Verdict.ToolError)
+        Verdict.Signature = Decided->Signature;
+      continue;
+    }
+    if (CrashesOnly || !T.canExecute())
+      continue;
+    // Every variant run executed; an original run that did not (the target
+    // cannot even handle the original) is skipped.
+    const std::vector<TargetRun> OriginalRuns = T.runBatch(Original, Inputs);
+    for (size_t K = 0; K < Inputs.size(); ++K)
+      if (OriginalRuns[K].executed() &&
+          VariantRuns[K].Result != OriginalRuns[K].Result) {
+        Verdict.Signature = MiscompilationSignature;
+        break;
+      }
+  }
+  return Verdicts;
+}
+
 /// Generates test number \p TestIndex for \p Tool (deterministic in
 /// (\p CampaignSeed, \p Tool.SeedStream, \p TestIndex)) and evaluates it on
-/// all \p Targets. With \p CrashesOnly, the differential (miscompilation)
-/// check is skipped and only interesting signatures are recorded.
-/// Templated over the target type so harnessed/cached wrappers fit; any
-/// TargetT whose run(Module, ShaderInput) returns a TargetRun (and whose
-/// runBatch(Module, span) returns one TargetRun per input) works.
-///
-/// With \p UniformInputs > 1 each target evaluates the whole
+/// all \p Targets with scanTargets. With \p CrashesOnly, the differential
+/// (miscompilation) check is skipped and only interesting signatures are
+/// recorded. With \p UniformInputs > 1 each target evaluates the whole
 /// uniformInputMatrix(Reference.Input, UniformInputs, MatrixSeed) through
-/// runBatch — one compile, many executions. The per-input decision ladder
-/// is identical to the single-input path, applied in input order; the
-/// first input producing a verdict (tool error or interesting signature,
-/// then first differential mismatch) decides the target's entry.
+/// runBatch — one compile, many executions; otherwise the reference input
+/// alone.
 template <typename TargetT>
 TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
                               const std::vector<const TargetT *> &Targets,
@@ -158,60 +207,19 @@ TestEvaluation evaluateTestOn(const Corpus &C, const ToolConfig &Tool,
       regenerateTest(C, Tool, CampaignSeed, TestIndex, Eval.ReferenceIndex);
   const GeneratedProgram &Reference = C.References[Eval.ReferenceIndex];
 
-  if (UniformInputs <= 1) {
-    for (const TargetT *TP : Targets) {
-      const TargetT &T = *TP;
-      TargetRun VariantRun = T.run(Fuzzed.Variant, Reference.Input);
-      if (VariantRun.RunOutcome == Outcome::ToolError) {
-        Eval.ToolErrored.push_back(T.name());
-        continue;
-      }
-      if (VariantRun.interesting()) {
-        Eval.Signatures[T.name()] = VariantRun.Signature;
-        continue;
-      }
-      if (CrashesOnly || !T.canExecute())
-        continue;
-      // Differential check (Theorem 2.6): the variant's result through the
-      // implementation must match the original's result through the same
-      // implementation.
-      TargetRun OriginalRun = T.run(Reference.M, Reference.Input);
-      if (!OriginalRun.executed())
-        continue; // the target cannot even handle the original; skip
-      if (VariantRun.Result != OriginalRun.Result)
-        Eval.Signatures[T.name()] = MiscompilationSignature;
-    }
-  } else {
-    const std::vector<ShaderInput> Matrix =
-        uniformInputMatrix(Reference.Input, UniformInputs, MatrixSeed);
-    for (const TargetT *TP : Targets) {
-      const TargetT &T = *TP;
-      std::vector<TargetRun> VariantRuns = T.runBatch(Fuzzed.Variant, Matrix);
-      bool Decided = false;
-      for (const TargetRun &R : VariantRuns) {
-        if (R.RunOutcome == Outcome::ToolError) {
-          Eval.ToolErrored.push_back(T.name());
-          Decided = true;
-          break;
-        }
-        if (R.interesting()) {
-          Eval.Signatures[T.name()] = R.Signature;
-          Decided = true;
-          break;
-        }
-      }
-      if (Decided || CrashesOnly || !T.canExecute())
-        continue;
-      std::vector<TargetRun> OriginalRuns = T.runBatch(Reference.M, Matrix);
-      for (size_t K = 0; K < Matrix.size(); ++K) {
-        if (!VariantRuns[K].executed() || !OriginalRuns[K].executed())
-          continue;
-        if (VariantRuns[K].Result != OriginalRuns[K].Result) {
-          Eval.Signatures[T.name()] = MiscompilationSignature;
-          break;
-        }
-      }
-    }
+  std::vector<ShaderInput> Matrix;
+  std::span<const ShaderInput> Inputs(&Reference.Input, 1);
+  if (UniformInputs > 1) {
+    Matrix = uniformInputMatrix(Reference.Input, UniformInputs, MatrixSeed);
+    Inputs = Matrix;
+  }
+  const std::vector<ScanVerdict> Verdicts = scanTargets(
+      Fuzzed.Variant, Reference.M, Targets, CrashesOnly, Inputs);
+  for (size_t I = 0; I < Targets.size(); ++I) {
+    if (Verdicts[I].ToolError)
+      Eval.ToolErrored.push_back(Targets[I]->name());
+    else if (!Verdicts[I].Signature.empty())
+      Eval.Signatures[Targets[I]->name()] = Verdicts[I].Signature;
   }
 
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();

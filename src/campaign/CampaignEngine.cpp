@@ -12,10 +12,21 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 using namespace spvfuzz;
+
+namespace {
+
+/// Byte budget of the engine-wide compiled-artifact cache
+/// (target/ExecutableCache.h). Never changes results or counter totals,
+/// only cost.
+constexpr size_t ExecutableCacheBudget = 64ull << 20;
+
+} // namespace
 
 CampaignEngine::CampaignEngine(ExecutionPolicy PolicyIn, CorpusSpec CorpusOpts,
                                ToolsetSpec ToolOpts, TargetFleet FleetIn)
@@ -28,7 +39,7 @@ CampaignEngine::CampaignEngine(ExecutionPolicy PolicyIn, CorpusSpec CorpusOpts,
   Tools = standardTools(ToolOpts);
   Fleet = FleetIn.empty() ? TargetFleet::standard() : std::move(FleetIn);
   Eval = std::make_unique<EvalCache>(Policy.EvalCacheBudget);
-  ExeC = std::make_unique<ExecutableCache>(Policy.ExecutableCacheBudget);
+  ExeC = std::make_unique<ExecutableCache>(ExecutableCacheBudget);
   HarnessPolicy HarnessOpts;
   HarnessOpts.CampaignSeed = Policy.Seed;
   HarnessOpts.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
@@ -94,39 +105,185 @@ CampaignEngine::runJobs(std::vector<std::function<ResultT()>> Jobs) {
   return Results;
 }
 
+namespace {
+
+/// What one scheduling phase plugs into CampaignEngine::runWaves. Results
+/// are per test; nullopt marks a job the deadline cut short.
+template <typename ResultT> struct WavePhase {
+  using Targets = std::vector<const HarnessedTarget *>;
+
+  /// The phase key observer events and checkpoints carry.
+  std::string Key;
+  /// Waves below StartWave were restored from a checkpoint.
+  size_t StartWave = 0;
+  /// Tests in the phase.
+  size_t Total = 0;
+  /// The phase's targets, in fleet order. Each wave runs on those not
+  /// quarantined at its boundary.
+  Targets Views;
+  /// The running tally onWaveCommitted reports (bugs or reductions so
+  /// far). No wave starts once it reaches Budget.
+  const size_t *Tally = nullptr;
+  size_t Budget = std::numeric_limits<size_t>::max();
+  /// Computes tests [WaveStart, WaveEnd) on the wave's targets, in
+  /// parallel, returning results in test-index order.
+  std::function<std::vector<std::optional<ResultT>>(
+      size_t WaveStart, size_t WaveEnd, const Targets &WaveTargets,
+      telemetry::TraceSpan &WaveSpan)>
+      Compute;
+  /// Serially folds one test's result, after its breaker commit.
+  std::function<void(size_t WaveEnd, size_t TestIndex,
+                     const Targets &WaveTargets, ResultT &Result)>
+      Fold;
+  /// Serial work after a wave's last fold; false when the deadline cut it
+  /// short.
+  std::function<bool(size_t WaveEnd, telemetry::TraceSpan &WaveSpan)> EndWave;
+  /// Saves the phase's checkpoint at boundary NextWave.
+  std::function<void(size_t NextWave, bool Complete)> Save;
+};
+
+/// What one reduce-phase scan job learns about one test: one scanTargets
+/// verdict per wave target and, when some verdict names a bug, the fuzzed
+/// variant itself, kept so the reduction phase can reuse it instead of
+/// re-running the (deterministic but not free) fuzzer. Outcomes live until
+/// the end of the wave.
+struct ScanOutcome {
+  std::vector<ScanVerdict> Verdicts;
+  FuzzResult Fuzzed;
+  size_t ReferenceIndex = 0;
+};
+
+/// Whether the wave target in \p Slot, named \p Name, hard-errored on a
+/// test: circuit-breaker food.
+bool toolErrored(const TestEvaluation &Eval, size_t /*Slot*/,
+                 const std::string &Name) {
+  return std::find(Eval.ToolErrored.begin(), Eval.ToolErrored.end(), Name) !=
+         Eval.ToolErrored.end();
+}
+bool toolErrored(const ScanOutcome &Scan, size_t Slot,
+                 const std::string & /*Name*/) {
+  return Scan.Verdicts[Slot].ToolError;
+}
+
+} // namespace
+
+template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
+  auto checkpoint = [&](size_t NextWave, bool Complete) {
+    Phase.Save(NextWave, Complete);
+    if (Observer)
+      Observer->onCheckpointSaved(Phase.Key, NextWave);
+  };
+  size_t WavesSinceSave = 0;
+  for (size_t WaveStart = Phase.StartWave;
+       WaveStart < Phase.Total && *Phase.Tally < Phase.Budget;
+       WaveStart += ShardSize) {
+    if (checkDeadline())
+      return false;
+    const size_t WaveEnd = std::min(Phase.Total, WaveStart + ShardSize);
+
+    telemetry::TraceSpan WaveSpan("campaign.wave");
+    if (WaveSpan.active()) {
+      WaveSpan.note({"phase_key", Phase.Key});
+      WaveSpan.note({"wave", WaveEnd});
+    }
+
+    // Quarantine snapshot: targets sidelined by earlier waves stay out of
+    // this whole wave. Taken serially between waves, so it is identical at
+    // any job count.
+    typename PhaseT::Targets WaveTargets;
+    for (const HarnessedTarget *T : Phase.Views)
+      if (!Har->quarantined(T->name()))
+        WaveTargets.push_back(T);
+
+    auto Results = Phase.Compute(WaveStart, WaveEnd, WaveTargets, WaveSpan);
+    for (size_t Offset = 0; Offset < Results.size(); ++Offset) {
+      // A wave cut short mid-commit is not checkpointed: the last saved
+      // checkpoint still describes a state the uninterrupted run passed
+      // through, and resume recomputes this wave whole.
+      if (!Results[Offset])
+        return false;
+      // Serial breaker commit, in test-index and target order: hard tool
+      // errors advance a target's consecutive-failure count, anything else
+      // resets it.
+      for (size_t Slot = 0; Slot < WaveTargets.size(); ++Slot) {
+        const std::string &Name = WaveTargets[Slot]->name();
+        if (Har->recordOutcome(Name,
+                               toolErrored(*Results[Offset], Slot, Name)) &&
+            Observer)
+          Observer->onTargetQuarantined(Phase.Key, WaveEnd, Name);
+      }
+      Phase.Fold(WaveEnd, WaveStart + Offset, WaveTargets, *Results[Offset]);
+    }
+    if (!Phase.EndWave(WaveEnd, WaveSpan))
+      return false;
+    if (Observer)
+      Observer->onWaveCommitted(Phase.Key, WaveEnd, Phase.Total,
+                                *Phase.Tally);
+    if (Checkpointer && ++WavesSinceSave >= Policy.CheckpointInterval) {
+      WavesSinceSave = 0;
+      checkpoint(WaveEnd, /*Complete=*/false);
+    }
+  }
+  if (Checkpointer)
+    checkpoint(Phase.Total, /*Complete=*/true);
+  return true;
+}
+
+std::vector<std::function<std::optional<TestEvaluation>()>>
+CampaignEngine::evaluationJobs(
+    const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
+    bool CrashesOnly, const std::vector<const HarnessedTarget *> &Targets,
+    uint64_t WaveId) {
+  std::vector<std::function<std::optional<TestEvaluation>()>> Jobs;
+  Jobs.reserve(WaveEnd - WaveStart);
+  for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
+    Jobs.push_back([this, &Tool, &Targets, Index, CrashesOnly,
+                    WaveId]() -> std::optional<TestEvaluation> {
+      if (cancelled())
+        return std::nullopt;
+      telemetry::TracePhaseScope JobPhase("fuzz");
+      telemetry::TraceSpan JobSpan("campaign.evaluate", WaveId);
+      JobSpan.note({"test", Index});
+      return evaluateTestOn(CorpusData, Tool, Targets, Policy.Seed, Index,
+                            CrashesOnly, Policy.UniformInputs, Policy.Seed);
+    });
+  return Jobs;
+}
+
 std::vector<TestEvaluation>
 CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
                               bool CrashesOnly) {
-  // The scan goes through the harness's *uncached* views: the bug-finding
-  // counters must not depend on cross-thread cache interleaving.
-  const std::vector<HarnessedTarget> &Scan = Har->uncached();
-
   std::vector<TestEvaluation> Evals;
   Evals.reserve(Count);
 
+  WavePhase<TestEvaluation> Phase;
+  Phase.Key = "eval/" + Tool.Name + "/" + std::to_string(Count) +
+              (CrashesOnly ? "/crashes" : "");
+  Phase.Total = Count;
   // Resume: a checkpoint holds whole waves only, so restoring it and
   // continuing from NextWave retraces exactly the uninterrupted schedule.
-  const std::string PhaseKey = "eval/" + Tool.Name + "/" +
-                               std::to_string(Count) +
-                               (CrashesOnly ? "/crashes" : "");
-  size_t StartWave = 0;
   if (Checkpointer) {
     EvaluationCheckpoint Saved;
-    if (Checkpointer->loadEvaluation(PhaseKey, Saved)) {
+    if (Checkpointer->loadEvaluation(Phase.Key, Saved)) {
       Evals = std::move(Saved.Evals);
       Har->restoreBreakers(Saved.Breakers);
       if (Saved.Complete)
         return Evals;
-      StartWave = Saved.NextWave;
+      Phase.StartWave = Saved.NextWave;
     }
   }
   if (Observer)
-    Observer->onPhaseStarted(PhaseKey, StartWave, Count);
+    Observer->onPhaseStarted(Phase.Key, Phase.StartWave, Count);
   // Running bug-observation tally for WaveCommitted events, primed from the
   // restored prefix so resumed tallies match the uninterrupted run's.
   size_t BugsSoFar = 0;
   for (const TestEvaluation &Restored : Evals)
     BugsSoFar += Restored.Signatures.size();
+  Phase.Tally = &BugsSoFar;
+  // The scan goes through the harness's *uncached* views: the bug-finding
+  // counters must not depend on cross-thread cache interleaving.
+  for (const HarnessedTarget &T : Har->uncached())
+    Phase.Views.push_back(&T);
 
   // The quarantine mask in provider terms: target *names* sidelined at the
   // current wave boundary, in fleet order. A remote worker rebuilds the
@@ -134,146 +291,69 @@ CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
   // wave's target set.
   auto sidelinedNames = [&] {
     std::vector<std::string> Names;
-    for (const HarnessedTarget &T : Scan)
-      if (Har->quarantined(T.name()))
-        Names.push_back(T.name());
+    for (const HarnessedTarget *T : Phase.Views)
+      if (Har->quarantined(T->name()))
+        Names.push_back(T->name());
     return Names;
   };
+  ShardRequest Request;
+  Request.Phase = Phase.Key;
+  Request.Tool = Tool.Name;
+  Request.Count = Count;
+  Request.CrashesOnly = CrashesOnly;
   if (Provider) {
-    ShardRequest Prototype;
-    Prototype.Phase = PhaseKey;
-    Prototype.Tool = Tool.Name;
-    Prototype.Count = Count;
-    Prototype.CrashesOnly = CrashesOnly;
-    Prototype.Sidelined = sidelinedNames();
-    Provider->beginPhase(Prototype, StartWave);
+    Request.Sidelined = sidelinedNames();
+    Provider->beginPhase(Request, Phase.StartWave);
   }
 
   telemetry::TracePhaseScope EvalPhase("fuzz");
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-
-  size_t WavesSinceSave = 0;
-  bool Interrupted = false;
-  for (size_t WaveStart = StartWave; WaveStart < Count;
-       WaveStart += ShardSize) {
-    if (checkDeadline()) {
-      Interrupted = true;
-      break;
-    }
-    size_t WaveEnd = std::min(Count, WaveStart + ShardSize);
-
-    telemetry::TraceSpan WaveSpan("campaign.wave");
-    const uint64_t WaveId = WaveSpan.id();
-    uint64_t StepsBefore = 0;
-    if (WaveSpan.active()) {
-      WaveSpan.note({"phase_key", PhaseKey});
-      WaveSpan.note({"wave", WaveEnd});
-      if (Metrics.enabled())
-        StepsBefore = Metrics.counterValue("exec.steps");
-    }
-
-    // Quarantine snapshot: targets sidelined by earlier waves stay out of
-    // this whole wave. Taken serially between waves, so it is identical at
-    // any job count.
-    std::vector<const HarnessedTarget *> WaveTargets;
-    WaveTargets.reserve(Scan.size());
-    for (const HarnessedTarget &T : Scan)
-      if (!Har->quarantined(T.name()))
-        WaveTargets.push_back(&T);
-
+  uint64_t StepsBefore = 0;
+  Phase.Compute = [&](size_t WaveStart, size_t WaveEnd,
+                      const std::vector<const HarnessedTarget *> &WaveTargets,
+                      telemetry::TraceSpan &WaveSpan) {
+    if (WaveSpan.active() && Metrics.enabled())
+      StepsBefore = Metrics.counterValue("exec.steps");
     // With a provider attached, the wave's computation (and only the
-    // computation — the serial fold below is shared) is sourced from it;
-    // a declined shard falls back to the local pool.
-    bool FromProvider = false;
+    // computation; the fold stays here) is sourced from it. A declined
+    // shard falls back to the local pool.
     std::vector<std::optional<TestEvaluation>> Results;
     if (Provider) {
-      ShardRequest Request;
-      Request.Phase = PhaseKey;
-      Request.Tool = Tool.Name;
-      Request.Count = Count;
-      Request.CrashesOnly = CrashesOnly;
       Request.WaveStart = WaveStart;
       Request.WaveEnd = WaveEnd;
       Request.Sidelined = sidelinedNames();
       std::vector<TestEvaluation> Provided;
       if (Provider->takeShard(Request, Provided)) {
-        FromProvider = true;
-        Results.reserve(Provided.size());
         for (TestEvaluation &Eval : Provided)
           Results.emplace_back(std::move(Eval));
+        return Results;
       }
     }
-    if (!FromProvider) {
-      std::vector<std::function<std::optional<TestEvaluation>()>> Jobs;
-      Jobs.reserve(WaveEnd - WaveStart);
-      for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-        Jobs.push_back(
-            [this, &Tool, &WaveTargets, Index, CrashesOnly,
-             WaveId]() -> std::optional<TestEvaluation> {
-              if (cancelled())
-                return std::nullopt;
-              telemetry::TracePhaseScope JobPhase("fuzz");
-              telemetry::TraceSpan JobSpan("campaign.evaluate", WaveId);
-              JobSpan.note({"test", Index});
-              return evaluateTestOn(CorpusData, Tool, WaveTargets, Policy.Seed,
-                                    Index, CrashesOnly, Policy.UniformInputs,
-                                    Policy.Seed);
-            });
-      Results = runJobs(std::move(Jobs));
-    }
-    bool Truncated = false;
-    for (size_t Offset = 0; Offset < Results.size(); ++Offset) {
-      std::optional<TestEvaluation> &Result = Results[Offset];
-      if (!Result) {
-        Truncated = true;
-        break;
-      }
-      // Serial breaker commit, in test-index and target order: hard tool
-      // errors advance a target's consecutive-failure count, anything else
-      // resets it.
-      for (const HarnessedTarget *T : WaveTargets) {
-        bool HardError =
-            std::find(Result->ToolErrored.begin(), Result->ToolErrored.end(),
-                      T->name()) != Result->ToolErrored.end();
-        if (Har->recordOutcome(T->name(), HardError) && Observer)
-          Observer->onTargetQuarantined(PhaseKey, WaveEnd, T->name());
-      }
-      if (Observer)
-        for (const auto &[TargetName, Signature] : Result->Signatures)
-          Observer->onBugFound(PhaseKey, WaveEnd, WaveStart + Offset,
-                               TargetName, Signature);
-      BugsSoFar += Result->Signatures.size();
-      Evals.push_back(std::move(*Result));
-    }
-    if (Truncated) {
-      // The wave was cut short mid-commit: its partial results (and their
-      // breaker commits) are NOT checkpointed — the last saved checkpoint
-      // still describes a state the uninterrupted run passed through, and
-      // resume recomputes this wave whole.
-      Interrupted = true;
-      break;
-    }
+    return runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, CrashesOnly,
+                                  WaveTargets, WaveSpan.id()));
+  };
+  Phase.Fold = [&](size_t WaveEnd, size_t TestIndex, const auto &,
+                   TestEvaluation &Eval) {
+    if (Observer)
+      for (const auto &[TargetName, Signature] : Eval.Signatures)
+        Observer->onBugFound(Phase.Key, WaveEnd, TestIndex, TargetName,
+                             Signature);
+    BugsSoFar += Eval.Signatures.size();
+    Evals.push_back(std::move(Eval));
+  };
+  Phase.EndWave = [&](size_t, telemetry::TraceSpan &WaveSpan) {
     if (WaveSpan.active() && Metrics.enabled())
-      WaveSpan.note({"steps", Metrics.counterValue("exec.steps") - StepsBefore});
-    if (Observer)
-      Observer->onWaveCommitted(PhaseKey, WaveEnd, Count, BugsSoFar);
-    if (Checkpointer && ++WavesSinceSave >= Policy.CheckpointInterval) {
-      WavesSinceSave = 0;
-      Checkpointer->saveEvaluation(
-          {PhaseKey, WaveEnd, /*Complete=*/false, Evals,
-           Har->snapshotBreakers()});
-      if (Observer)
-        Observer->onCheckpointSaved(PhaseKey, WaveEnd);
-    }
-  }
-  if (Checkpointer && !Interrupted) {
+      WaveSpan.note(
+          {"steps", Metrics.counterValue("exec.steps") - StepsBefore});
+    return true;
+  };
+  Phase.Save = [&](size_t NextWave, bool Complete) {
     Checkpointer->saveEvaluation(
-        {PhaseKey, Count, /*Complete=*/true, Evals, Har->snapshotBreakers()});
-    if (Observer)
-      Observer->onCheckpointSaved(PhaseKey, Count);
-  }
+        {Phase.Key, NextWave, Complete, Evals, Har->snapshotBreakers()});
+  };
+  const bool Complete = runWaves(Phase);
   if (Provider)
-    Provider->endPhase(PhaseKey, !Interrupted);
+    Provider->endPhase(Phase.Key, Complete);
   return Evals;
 }
 
@@ -281,24 +361,20 @@ std::vector<TestEvaluation>
 CampaignEngine::evaluateShard(const ToolConfig &Tool, size_t WaveStart,
                               size_t WaveEnd, bool CrashesOnly,
                               const std::vector<std::string> &Sidelined) {
-  const std::vector<HarnessedTarget> &Scan = Har->uncached();
   std::vector<const HarnessedTarget *> WaveTargets;
-  WaveTargets.reserve(Scan.size());
-  for (const HarnessedTarget &T : Scan)
+  for (const HarnessedTarget &T : Har->uncached())
     if (std::find(Sidelined.begin(), Sidelined.end(), T.name()) ==
         Sidelined.end())
       WaveTargets.push_back(&T);
 
   telemetry::TracePhaseScope EvalPhase("fuzz");
-  std::vector<std::function<TestEvaluation()>> Jobs;
-  Jobs.reserve(WaveEnd - WaveStart);
-  for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-    Jobs.push_back([this, &Tool, &WaveTargets, Index, CrashesOnly]() {
-      telemetry::TracePhaseScope JobPhase("fuzz");
-      return evaluateTestOn(CorpusData, Tool, WaveTargets, Policy.Seed, Index,
-                            CrashesOnly, Policy.UniformInputs, Policy.Seed);
-    });
-  return runJobs(std::move(Jobs));
+  std::vector<TestEvaluation> Evals;
+  Evals.reserve(WaveEnd - WaveStart);
+  for (std::optional<TestEvaluation> &Eval :
+       runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, CrashesOnly,
+                              WaveTargets, telemetry::currentSpanId())))
+    Evals.push_back(std::move(Eval.value()));
+  return Evals;
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,20 +416,6 @@ BugFindingData CampaignEngine::runBugFinding(const BugFindingConfig &Config) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// What one wave scan job learns about one test: the (target index,
-/// signature) pairs that expose a bug and, when there are any, the fuzzed
-/// variant itself, kept so the reduction phase can reuse it instead of
-/// re-running the (deterministic but not free) fuzzer. Outcomes live until
-/// the end of the wave.
-struct ScanOutcome {
-  std::vector<std::pair<size_t, std::string>> Found;
-  /// Indices (into the wanted-target list) whose run ended in a hard tool
-  /// error — breaker food, committed serially after the wave.
-  std::vector<size_t> HardErrors;
-  FuzzResult Fuzzed;
-  size_t ReferenceIndex = 0;
-};
 
 /// One reduction accepted by the serial cap/budget decision loop.
 struct ReductionTask {
@@ -406,9 +468,6 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
   BasePlan.PostReduce = Policy.PostReduce;
   BasePlan.PostPasses = Policy.PostReducePasses;
 
-  // nullopt marks a scan job cut short by the deadline.
-  using ScanResult = std::optional<ScanOutcome>;
-
   for (const ToolConfig &Tool : Tools) {
     if (std::find(WantedTools.begin(), WantedTools.end(), Tool.Name) ==
         WantedTools.end())
@@ -417,10 +476,11 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
     // (target, signature) -> count, for the per-signature cap.
     std::map<std::pair<std::string, std::string>, size_t> SignatureCounts;
 
+    WavePhase<ScanOutcome> Phase;
     // Resume: the phase key covers every knob that shapes this tool's
     // schedule, so a checkpoint can never be replayed into a differently
     // configured run.
-    std::string PhaseKey =
+    Phase.Key =
         "reduce/" + Tool.Name + "/" + std::to_string(Config.TestsPerTool) +
         "/" + std::to_string(Config.MaxReductionsPerTool) + "/" +
         std::to_string(Config.CapPerSignature) +
@@ -428,65 +488,47 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
     // Pipeline knobs fold in only when non-default, so checkpoints from
     // paper-order campaigns keep their phase identity across versions.
     if (Policy.ReduceOrder != CandidateOrder::Paper)
-      PhaseKey += std::string("/order=") + candidateOrderName(Policy.ReduceOrder);
+      Phase.Key +=
+          std::string("/order=") + candidateOrderName(Policy.ReduceOrder);
     if (Policy.PostReduce) {
-      PhaseKey += "/post";
+      Phase.Key += "/post";
       for (const std::string &Pass : Policy.PostReducePasses)
-        PhaseKey += "=" + Pass;
+        Phase.Key += "=" + Pass;
     }
     for (const std::string &TargetName : WantedTargets)
-      PhaseKey += "/" + TargetName;
+      Phase.Key += "/" + TargetName;
+    Phase.Total = Config.TestsPerTool;
+    Phase.Views = Wanted;
+    Phase.Tally = &ReductionsDone;
+    Phase.Budget = Config.MaxReductionsPerTool;
     const size_t ToolRecordsStart = Data.Records.size();
-    size_t StartWave = 0;
-    bool AlreadyComplete = false;
     if (Checkpointer) {
       ReductionCheckpoint Saved;
-      if (Checkpointer->loadReduction(PhaseKey, Saved)) {
+      if (Checkpointer->loadReduction(Phase.Key, Saved)) {
         ReductionsDone = Saved.ReductionsDone;
         SignatureCounts = std::move(Saved.SignatureCounts);
         for (ReductionRecord &Record : Saved.Records)
           Data.Records.push_back(std::move(Record));
         Har->restoreBreakers(Saved.Breakers);
-        AlreadyComplete = Saved.Complete;
-        StartWave = Saved.NextWave;
+        if (Saved.Complete)
+          continue;
+        Phase.StartWave = Saved.NextWave;
       }
     }
-    if (AlreadyComplete)
-      continue;
     if (Observer)
-      Observer->onPhaseStarted(PhaseKey, StartWave, Config.TestsPerTool);
+      Observer->onPhaseStarted(Phase.Key, Phase.StartWave,
+                               Config.TestsPerTool);
 
-    size_t WavesSinceSave = 0;
-    bool Interrupted = false;
-    for (size_t WaveStart = StartWave;
-         WaveStart < Config.TestsPerTool &&
-         ReductionsDone < Config.MaxReductionsPerTool;
-         WaveStart += ShardSize) {
-      if (checkDeadline()) {
-        Interrupted = true;
-        break;
-      }
-      size_t WaveEnd = std::min(Config.TestsPerTool, WaveStart + ShardSize);
-
-      telemetry::TraceSpan WaveSpan("campaign.wave");
+    // Scan this wave's tests for bugs, in parallel.
+    Phase.Compute = [&](size_t WaveStart, size_t WaveEnd,
+                        const std::vector<const HarnessedTarget *> &WaveTargets,
+                        telemetry::TraceSpan &WaveSpan) {
       const uint64_t WaveId = WaveSpan.id();
-      if (WaveSpan.active()) {
-        WaveSpan.note({"phase_key", PhaseKey});
-        WaveSpan.note({"wave", WaveEnd});
-      }
-
-      // Quarantine snapshot at the wave boundary (serial, so identical at
-      // any job count): sidelined targets sit this wave out.
-      std::vector<char> Sidelined(Wanted.size(), 0);
-      for (size_t TargetIdx = 0; TargetIdx < Wanted.size(); ++TargetIdx)
-        Sidelined[TargetIdx] = Har->quarantined(Wanted[TargetIdx]->name());
-
-      // Phase 1 (parallel): scan this wave's tests for bugs.
-      std::vector<std::function<ScanResult()>> ScanJobs;
-      ScanJobs.reserve(WaveEnd - WaveStart);
+      std::vector<std::function<std::optional<ScanOutcome>()>> Jobs;
+      Jobs.reserve(WaveEnd - WaveStart);
       for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-        ScanJobs.push_back([this, &Tool, &Wanted, &Config, &Sidelined, Index,
-                            WaveId]() -> ScanResult {
+        Jobs.push_back([this, &Tool, &WaveTargets, &Config, Index,
+                        WaveId]() -> std::optional<ScanOutcome> {
           if (cancelled())
             return std::nullopt;
           telemetry::TracePhaseScope JobPhase("scan");
@@ -496,86 +538,64 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
           Out.Fuzzed = regenerate(Tool, Index, Out.ReferenceIndex);
           const GeneratedProgram &Reference =
               CorpusData.References[Out.ReferenceIndex];
-          for (size_t TargetIdx = 0; TargetIdx < Wanted.size(); ++TargetIdx) {
-            if (Sidelined[TargetIdx])
-              continue;
-            const HarnessedTarget &T = *Wanted[TargetIdx];
-            TargetRun Run = T.run(Out.Fuzzed.Variant, Reference.Input);
-            if (Run.RunOutcome == Outcome::ToolError) {
-              Out.HardErrors.push_back(TargetIdx);
-              continue;
-            }
-            if (Run.interesting()) {
-              Out.Found.emplace_back(TargetIdx, Run.Signature);
-              continue;
-            }
-            if (Config.CrashesOnly || !T.canExecute())
-              continue;
-            TargetRun OriginalRun = T.run(Reference.M, Reference.Input);
-            if (OriginalRun.executed() && Run.Result != OriginalRun.Result)
-              Out.Found.emplace_back(TargetIdx, MiscompilationSignature);
-          }
-          if (Out.Found.empty())
+          Out.Verdicts = scanTargets(
+              Out.Fuzzed.Variant, Reference.M, WaveTargets, Config.CrashesOnly,
+              std::span<const ShaderInput>(&Reference.Input, 1));
+          if (std::all_of(Out.Verdicts.begin(), Out.Verdicts.end(),
+                          [](const ScanVerdict &V) {
+                            return V.Signature.empty();
+                          }))
             Out.Fuzzed = FuzzResult{}; // nothing to reduce; free the variant
           return Out;
         });
-      std::vector<ScanResult> Scans = runJobs(std::move(ScanJobs));
+      return runJobs(std::move(Jobs));
+    };
 
-      // Phase 2 (serial, in test-index order): commit breaker outcomes and
-      // apply the per-signature cap and the per-tool budget exactly as the
-      // serial driver would.
-      std::vector<ReductionTask> Accepted;
-      bool Truncated = false;
-      for (size_t Offset = 0; Offset < Scans.size(); ++Offset) {
-        if (!Scans[Offset]) {
-          Truncated = true;
+    // Serially, in test-index order: apply the per-signature cap and the
+    // per-tool budget exactly as the serial driver would.
+    std::vector<ReductionTask> Accepted;
+    Phase.Fold = [&](size_t WaveEnd, size_t TestIndex,
+                     const std::vector<const HarnessedTarget *> &WaveTargets,
+                     ScanOutcome &Scan) {
+      // Every bug observation is journaled, whether or not the cap or
+      // budget below accepts it for reduction.
+      if (Observer)
+        for (size_t Slot = 0; Slot < WaveTargets.size(); ++Slot)
+          if (!Scan.Verdicts[Slot].Signature.empty())
+            Observer->onBugFound(Phase.Key, WaveEnd, TestIndex,
+                                 WaveTargets[Slot]->name(),
+                                 Scan.Verdicts[Slot].Signature);
+      for (size_t Slot = 0; Slot < WaveTargets.size(); ++Slot) {
+        const std::string &Signature = Scan.Verdicts[Slot].Signature;
+        if (Signature.empty())
+          continue;
+        if (ReductionsDone >= Config.MaxReductionsPerTool)
           break;
-        }
-        for (size_t TargetIdx = 0; TargetIdx < Wanted.size(); ++TargetIdx) {
-          if (Sidelined[TargetIdx])
-            continue;
-          bool HardError =
-              std::find(Scans[Offset]->HardErrors.begin(),
-                        Scans[Offset]->HardErrors.end(),
-                        TargetIdx) != Scans[Offset]->HardErrors.end();
-          if (Har->recordOutcome(Wanted[TargetIdx]->name(), HardError) &&
-              Observer)
-            Observer->onTargetQuarantined(PhaseKey, WaveEnd,
-                                          Wanted[TargetIdx]->name());
-        }
-        // Every bug observation is journaled, whether or not the cap or
-        // budget below accepts it for reduction.
-        if (Observer)
-          for (const auto &[TargetIdx, Signature] : Scans[Offset]->Found)
-            Observer->onBugFound(PhaseKey, WaveEnd, WaveStart + Offset,
-                                 Wanted[TargetIdx]->name(), Signature);
-        for (const auto &[TargetIdx, Signature] : Scans[Offset]->Found) {
-          if (ReductionsDone >= Config.MaxReductionsPerTool)
-            break;
-          const HarnessedTarget *T = Wanted[TargetIdx];
-          auto Key = std::make_pair(T->name(), Signature);
-          if (SignatureCounts[Key] >= Config.CapPerSignature)
-            continue;
-          ++SignatureCounts[Key];
-          Accepted.push_back(
-              {WaveStart + Offset, T, Signature, &*Scans[Offset]});
-          ++ReductionsDone;
-        }
+        const HarnessedTarget *T = WaveTargets[Slot];
+        auto Key = std::make_pair(T->name(), Signature);
+        if (SignatureCounts[Key] >= Config.CapPerSignature)
+          continue;
+        ++SignatureCounts[Key];
+        Accepted.push_back({TestIndex, T, Signature, &Scan});
+        ++ReductionsDone;
       }
+    };
 
-      // Phase 3: run the accepted reductions; aggregate records in
-      // acceptance order. Two schedules, same records:
-      //  - speculative (spirv-fuzz tools, pool available): reductions run
-      //    one at a time on this thread while each reduction speculates
-      //    its delta-debugging candidates across the pool. Reductions must
-      //    not themselves be pool jobs then — a job submitting to and
-      //    blocking on its own pool can deadlock it.
-      //  - otherwise: reductions fan out across the pool as before
-      //    (glsl-fuzz's group reducer has no speculative path).
-      const bool Speculative =
-          Policy.SpeculativeReduction && Pool && Tool.Name != "glsl-fuzz";
+    // Run the wave's accepted reductions; commit records in acceptance
+    // order. Two schedules, same records:
+    //  - speculative (spirv-fuzz tools, pool available): reductions run
+    //    one at a time on this thread while each reduction speculates its
+    //    delta-debugging candidates across the pool. Reductions must not
+    //    themselves be pool jobs then — a job submitting to and blocking
+    //    on its own pool can deadlock it.
+    //  - otherwise: reductions fan out across the pool (glsl-fuzz's group
+    //    reducer has no speculative path).
+    const bool Speculative = Pool && Tool.Name != "glsl-fuzz";
+    Phase.EndWave = [&](size_t WaveEnd, telemetry::TraceSpan &WaveSpan) {
+      std::vector<ReductionTask> Tasks = std::move(Accepted);
+      Accepted.clear();
       auto RunTask = [this, &Tool, &BasePlan, Speculative,
-                      WaveId](const ReductionTask &Task)
+                      WaveId = WaveSpan.id()](const ReductionTask &Task)
           -> std::optional<ReductionOutcome> {
         if (cancelled())
           return std::nullopt;
@@ -594,7 +614,7 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
             *Task.T, Task.Signature, Reference.M, Reference.Input);
         ReductionPlan TaskPlan = BasePlan;
         TaskPlan.Pool = Speculative ? Pool.get() : nullptr;
-        // The ğ3.4 spirv-reduce step (AddFunction payload shrinking) is a
+        // The §3.4 spirv-reduce step (AddFunction payload shrinking) is a
         // pipeline stage now; glsl-fuzz's group reducer has neither it nor
         // a sequence-level pipeline.
         TaskPlan.ShrinkFunctions = Tool.Name != "glsl-fuzz";
@@ -632,28 +652,26 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
 
       std::vector<std::optional<ReductionOutcome>> Outcomes;
       if (Speculative) {
-        Outcomes.reserve(Accepted.size());
-        for (const ReductionTask &Task : Accepted)
+        Outcomes.reserve(Tasks.size());
+        for (const ReductionTask &Task : Tasks)
           Outcomes.push_back(RunTask(Task));
       } else {
         std::vector<std::function<std::optional<ReductionOutcome>()>>
             ReduceJobs;
-        ReduceJobs.reserve(Accepted.size());
-        for (const ReductionTask &Task : Accepted)
+        ReduceJobs.reserve(Tasks.size());
+        for (const ReductionTask &Task : Tasks)
           ReduceJobs.push_back([&RunTask, Task] { return RunTask(Task); });
         Outcomes = runJobs(std::move(ReduceJobs));
       }
       for (std::optional<ReductionOutcome> &Out : Outcomes) {
-        if (!Out) {
-          Truncated = true;
-          break;
-        }
+        if (!Out)
+          return false;
         telemetry::MetricsRegistry::global().add("campaign.reductions");
         if (Observer) {
-          Observer->onReductionStep(PhaseKey, WaveEnd, Out->Record);
+          Observer->onReductionStep(Phase.Key, WaveEnd, Out->Record);
           for (const PostReducePassStats &Stat : Out->Record.PostStats)
             if (Stat.Attempted > 0)
-              Observer->onPostReduceStep(PhaseKey, WaveEnd, Out->Record,
+              Observer->onPostReduceStep(Phase.Key, WaveEnd, Out->Record,
                                          Stat);
         }
         if (Checkpointer || Sink) {
@@ -673,38 +691,17 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         }
         Data.Records.push_back(std::move(Out->Record));
       }
-      if (Truncated) {
-        Interrupted = true;
-        break;
-      }
-      if (Observer)
-        Observer->onWaveCommitted(PhaseKey, WaveEnd, Config.TestsPerTool,
-                                  ReductionsDone);
-      if (Checkpointer && ++WavesSinceSave >= Policy.CheckpointInterval) {
-        WavesSinceSave = 0;
-        Checkpointer->saveReduction(
-            {PhaseKey, WaveEnd, /*Complete=*/false, ReductionsDone,
-             SignatureCounts,
-             std::vector<ReductionRecord>(
-                 Data.Records.begin() +
-                     static_cast<ptrdiff_t>(ToolRecordsStart),
-                 Data.Records.end()),
-             Har->snapshotBreakers()});
-        if (Observer)
-          Observer->onCheckpointSaved(PhaseKey, WaveEnd);
-      }
-    }
-    if (Checkpointer && !Interrupted) {
+      return true;
+    };
+    Phase.Save = [&](size_t NextWave, bool Complete) {
       Checkpointer->saveReduction(
-          {PhaseKey, Config.TestsPerTool, /*Complete=*/true, ReductionsDone,
-           SignatureCounts,
+          {Phase.Key, NextWave, Complete, ReductionsDone, SignatureCounts,
            std::vector<ReductionRecord>(
                Data.Records.begin() + static_cast<ptrdiff_t>(ToolRecordsStart),
                Data.Records.end()),
            Har->snapshotBreakers()});
-      if (Observer)
-        Observer->onCheckpointSaved(PhaseKey, Config.TestsPerTool);
-    }
+    };
+    runWaves(Phase);
   }
   return Data;
 }

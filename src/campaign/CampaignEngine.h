@@ -31,6 +31,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 
 namespace spvfuzz {
 
@@ -60,12 +61,6 @@ struct ExecutionPolicy {
   /// memoizes TargetRun outcomes across reduction checks and dedup
   /// (target/EvalCache.h); 0 disables memoization. Never changes results.
   size_t EvalCacheBudget = 64ull << 20;
-  /// When true and Jobs != 1, spirv-fuzz-style reductions evaluate each
-  /// delta-debugging pass's candidates speculatively on the worker pool
-  /// (acceptance still commits in serial pass order, so results and Checks
-  /// stay bit-identical to a serial run). glsl-fuzz reductions, which have
-  /// no speculative path, keep running in parallel across reductions.
-  bool SpeculativeReduction = true;
   /// Simulated step budget per target attempt (target/Harness.h); 0 =
   /// unlimited. The default equals the interpreter's own step limit, so
   /// solid targets behave exactly as before the harness existed.
@@ -98,10 +93,6 @@ struct ExecutionPolicy {
   /// module, K executions. Changing K changes which bugs a scan can see
   /// (more inputs, more miscompilation coverage), never determinism.
   size_t UniformInputs = 1;
-  /// Approximate byte budget for the engine-wide compiled-artifact cache
-  /// (target/ExecutableCache.h); 0 disables artifact sharing. Never
-  /// changes results or counter totals, only cost.
-  size_t ExecutableCacheBudget = 64ull << 20;
   /// Chunk-candidate ordering for the reduce phase's delta debugging
   /// (core/ReductionPipeline.h). Paper (the default) is the fixed
   /// back-to-front scan; Learned orders candidates by the online
@@ -117,13 +108,6 @@ struct ExecutionPolicy {
   /// Post-reduction passes to run when PostReduce is set, by name; empty =
   /// the full standard list.
   std::vector<std::string> PostReducePasses;
-  /// Run the triage post-pass (pass-sequence bisection + differential
-  /// localization) over this campaign's bug buckets after reduction.
-  /// Consumed by the CLI/bench layer, like StorePath: attribution is a
-  /// pure function of each reproducer, runs strictly above the engine,
-  /// and never shapes reduction results — so it is deliberately not part
-  /// of the campaign config digest.
-  bool Triage = false;
 
   ExecutionPolicy &withJobs(size_t Count) {
     Jobs = Count;
@@ -147,10 +131,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withEvalCacheBudget(size_t Bytes) {
     EvalCacheBudget = Bytes;
-    return *this;
-  }
-  ExecutionPolicy &withSpeculativeReduction(bool On) {
-    SpeculativeReduction = On;
     return *this;
   }
   ExecutionPolicy &withTargetDeadlineSteps(uint64_t Steps) {
@@ -185,10 +165,6 @@ struct ExecutionPolicy {
     UniformInputs = Count;
     return *this;
   }
-  ExecutionPolicy &withExecutableCacheBudget(size_t Bytes) {
-    ExecutableCacheBudget = Bytes;
-    return *this;
-  }
   ExecutionPolicy &withReduceOrder(CandidateOrder Order) {
     ReduceOrder = Order;
     return *this;
@@ -199,10 +175,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withPostReducePasses(std::vector<std::string> Names) {
     PostReducePasses = std::move(Names);
-    return *this;
-  }
-  ExecutionPolicy &withTriage(bool On) {
-    Triage = On;
     return *this;
   }
 };
@@ -421,7 +393,6 @@ public:
   /// fires beside the checkpointer's recordReproducer with identical
   /// arguments and ordering.
   void setReproducerSink(ReproducerSink S) { Sink = std::move(S); }
-  const ReproducerSink &reproducerSink() const { return Sink; }
 
   /// Attaches (or detaches, with nullptr) the observability hook. Events
   /// fire on the aggregation thread at serial commit points; the observer
@@ -434,15 +405,17 @@ public:
   /// keeps only the serial fold; a provider that declines a shard falls
   /// back to local computation. Not owned.
   void setShardProvider(ShardProvider *P) { Provider = P; }
-  ShardProvider *shardProvider() const { return Provider; }
 
   /// Computes one shard purely: evaluates tests [\p WaveStart, \p WaveEnd)
   /// of \p Tool against every scan target not named in \p Sidelined, in
   /// parallel per the policy, and returns the evaluations in test-index
-  /// order. No breaker commits, no observer events, no checkpoints, no
-  /// deadline — this is the worker-side unit of work behind ShardProvider,
-  /// and byte-for-byte what evaluateTests would compute for the same wave
-  /// under the same quarantine mask.
+  /// order. No breaker commits, no observer events, no checkpoints — this
+  /// is the worker-side unit of work behind ShardProvider, running the
+  /// same jobs as evaluateTests, so it is byte-for-byte what evaluateTests
+  /// would compute for the same wave under the same quarantine mask. Call
+  /// it only before the engine's deadline latches (serve campaigns and
+  /// workers set none); a job the deadline cut short throws
+  /// std::bad_optional_access.
   std::vector<TestEvaluation>
   evaluateShard(const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
                 bool CrashesOnly,
@@ -483,6 +456,25 @@ private:
   /// pool with futures collected in submission order.
   template <typename ResultT>
   std::vector<ResultT> runJobs(std::vector<std::function<ResultT()>> Jobs);
+
+  /// The wave-commit protocol every scheduling phase shares: waves of
+  /// ShardSize tests from the phase's start wave, each behind the deadline
+  /// check and under a campaign.wave span; the quarantine snapshot; the
+  /// phase's parallel compute; serial breaker commits (with
+  /// onTargetQuarantined) and the phase's fold, in test-index order;
+  /// truncation; onWaveCommitted; and the checkpoint cadence plus the
+  /// final complete checkpoint, each followed by onCheckpointSaved.
+  /// Returns false when the deadline cut the phase short.
+  template <typename PhaseT> bool runWaves(const PhaseT &Phase);
+
+  /// One evaluation job per test in [\p WaveStart, \p WaveEnd) of \p Tool
+  /// against \p Targets; a job returns nullopt once the deadline passed.
+  /// evaluateTests and evaluateShard both run these.
+  std::vector<std::function<std::optional<TestEvaluation>()>>
+  evaluationJobs(const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
+                 bool CrashesOnly,
+                 const std::vector<const HarnessedTarget *> &Targets,
+                 uint64_t WaveId);
 
   /// Returns true (and latches cancellation) once the deadline has passed.
   bool checkDeadline();

@@ -77,21 +77,6 @@ double ProbabilisticModel::chunkScore(const TransformationSequence &Current,
   return Count ? Sum / static_cast<double>(Count) : 0.5;
 }
 
-uint64_t ProbabilisticModel::tieBreak(size_t Start, size_t End) const {
-  if (Seed == 0)
-    return 0;
-  // splitmix64-style mix of (Seed, Start, End); any fixed bijection works,
-  // it only has to be deterministic.
-  uint64_t X = Seed ^ (0x9e3779b97f4a7c15ull * (Start + 1)) ^
-               (0xbf58476d1ce4e5b9ull * (End + 1));
-  X ^= X >> 30;
-  X *= 0xbf58476d1ce4e5b9ull;
-  X ^= X >> 27;
-  X *= 0x94d049bb133111ebull;
-  X ^= X >> 31;
-  return X;
-}
-
 //===----------------------------------------------------------------------===//
 // Sequence-reduction stage
 //===----------------------------------------------------------------------===//
@@ -111,12 +96,11 @@ struct ChunkCandidate {
   uint64_t Hash = 0;
 };
 
-/// A (Start, End) chunk range plus its (learned-order) sort keys.
+/// A (Start, End) chunk range plus its learned-order sort key.
 struct ChunkRange {
   size_t Start = 0;
   size_t End = 0;
   double Score = 0;
-  uint64_t Tie = 0;
 };
 
 void buildCandidate(const TransformationSequence &Current, size_t Start,
@@ -142,7 +126,7 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
     Metrics.add("reducer.reductions");
 
   const bool Learned = Plan.Order == CandidateOrder::Learned;
-  ProbabilisticModel Model(Plan.ModelSeed);
+  ProbabilisticModel Model;
 
   ReplayCache Cache(Original, Input, Plan.SnapshotInterval,
                     Plan.SnapshotBudgetBytes);
@@ -224,16 +208,12 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
       End = R.Start;
     }
     if (Learned) {
-      for (ChunkRange &R : Ranges) {
+      for (ChunkRange &R : Ranges)
         R.Score = Model.chunkScore(Current, R.Start, R.End);
-        R.Tie = Model.tieBreak(R.Start, R.End);
-      }
       std::vector<ChunkRange> Sorted = Ranges;
       std::stable_sort(Sorted.begin(), Sorted.end(),
                        [](const ChunkRange &A, const ChunkRange &B) {
-                         if (A.Score != B.Score)
-                           return A.Score > B.Score;
-                         return A.Tie < B.Tie;
+                         return A.Score > B.Score;
                        });
       bool Reordered = false;
       for (size_t I = 0; I != Ranges.size(); ++I)

@@ -88,10 +88,6 @@ bool candidateOrderFromName(const std::string &Name, CandidateOrder &Out);
 /// replayable.
 class ProbabilisticModel {
 public:
-  /// \p Seed salts the deterministic tie-break only; 0 (the default)
-  /// breaks ties by keeping the paper order.
-  explicit ProbabilisticModel(uint64_t Seed = 0) : Seed(Seed) {}
-
   /// Records the serial decision for the chunk [\p Start, \p End) of
   /// \p Current: \p Removed iff the interestingness test accepted its
   /// removal.
@@ -105,10 +101,6 @@ public:
   double chunkScore(const TransformationSequence &Current, size_t Start,
                     size_t End) const;
 
-  /// Deterministic tie-break key for a chunk; 0 whenever Seed is 0 (ties
-  /// then keep the paper order under a stable sort).
-  uint64_t tieBreak(size_t Start, size_t End) const;
-
   /// Serial decisions recorded so far.
   size_t updates() const { return Updates; }
 
@@ -118,7 +110,6 @@ private:
     uint64_t Removed = 0;
   };
   std::array<KindStats, NumTransformationKinds> Stats{};
-  uint64_t Seed;
   size_t Updates = 0;
 };
 
@@ -187,8 +178,6 @@ struct ReductionPlan {
   ThreadPool *Pool = nullptr;
   /// Chunk-candidate ordering for the delta-debugging scans.
   CandidateOrder Order = CandidateOrder::Paper;
-  /// Tie-break salt for the learned order (0 keeps paper-order ties).
-  uint64_t ModelSeed = 0;
   /// Shrink surviving AddFunction payloads after sequence reduction
   /// (core/FunctionShrinker.h).
   bool ShrinkFunctions = false;
@@ -214,14 +203,6 @@ struct ReductionPlan {
   }
   ReductionPlan &withOrder(CandidateOrder O) {
     Order = O;
-    return *this;
-  }
-  ReductionPlan &withModelSeed(uint64_t Seed) {
-    ModelSeed = Seed;
-    return *this;
-  }
-  ReductionPlan &withShrinkFunctions(bool On) {
-    ShrinkFunctions = On;
     return *this;
   }
   ReductionPlan &withPostReduce(bool On) {

@@ -62,10 +62,6 @@ public:
   void replay(const TransformationSequence &Candidate, size_t SharedPrefixLen,
               Module &MOut, FactManager &FactsOut) const;
 
-  size_t snapshotCount() const { return Snapshots.size(); }
-  size_t bytesUsed() const { return BytesUsed; }
-  size_t effectiveInterval() const { return EffectiveInterval; }
-
 private:
   struct Snapshot {
     size_t PrefixLen = 0;

@@ -372,16 +372,6 @@ ExecResult Executable::run(const ShaderInput &Input,
   return Result;
 }
 
-std::vector<ExecResult>
-Executable::runBatch(std::span<const ShaderInput> Inputs,
-                     const InterpreterOptions &Options) const {
-  std::vector<ExecResult> Results;
-  Results.reserve(Inputs.size());
-  for (const ShaderInput &Input : Inputs)
-    Results.push_back(run(Input, Options));
-  return Results;
-}
-
 size_t Executable::approxBytes() const {
   return sizeof(Executable) + M.instructionCount() * 48 + Prog.approxBytes();
 }

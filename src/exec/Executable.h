@@ -38,7 +38,6 @@
 #include "ir/Module.h"
 
 #include <memory>
-#include <span>
 
 namespace spvfuzz {
 
@@ -76,12 +75,6 @@ public:
   /// interpret(module(), Input, Options), including telemetry counters.
   ExecResult run(const ShaderInput &Input,
                  const InterpreterOptions &Options = InterpreterOptions()) const;
-
-  /// Executes on each input in order, amortizing the one-time lowering
-  /// across the batch; element i equals run(Inputs[i], Options).
-  std::vector<ExecResult>
-  runBatch(std::span<const ShaderInput> Inputs,
-           const InterpreterOptions &Options = InterpreterOptions()) const;
 
   size_t approxBytes() const;
 

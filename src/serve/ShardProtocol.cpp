@@ -97,11 +97,9 @@ bool knownKind(uint8_t Kind) {
   return false;
 }
 
-/// Decodes a frame expecting \p Expected; with Expected unset, any known
-/// kind passes.
-bool decodeFrameExpecting(const std::string &Bytes,
-                          const MessageKind *Expected, MessageKind &KindOut,
-                          std::string &PayloadOut, std::string &ErrorOut) {
+/// Decodes a frame whose kind must be \p Expected.
+bool decodeTyped(const std::string &Bytes, MessageKind Expected,
+                 std::string &PayloadOut, std::string &ErrorOut) {
   if (Bytes.size() < FrameHeaderSize) {
     ErrorOut = "shard frame truncated: " + std::to_string(Bytes.size()) +
                " bytes, header needs " + std::to_string(FrameHeaderSize);
@@ -141,21 +139,14 @@ bool decodeFrameExpecting(const std::string &Bytes,
     ErrorOut = "shard frame checksum mismatch (corrupt or torn write)";
     return false;
   }
-  KindOut = static_cast<MessageKind>(Kind);
-  if (Expected && KindOut != *Expected) {
+  if (static_cast<MessageKind>(Kind) != Expected) {
     ErrorOut = std::string("unexpected shard message kind: wanted ") +
-               messageKindName(*Expected) + ", got " +
-               messageKindName(KindOut);
+               messageKindName(Expected) + ", got " +
+               messageKindName(static_cast<MessageKind>(Kind));
     return false;
   }
   PayloadOut = std::move(Payload);
   return true;
-}
-
-bool decodeTyped(const std::string &Bytes, MessageKind Expected,
-                 std::string &PayloadOut, std::string &ErrorOut) {
-  MessageKind Kind;
-  return decodeFrameExpecting(Bytes, &Expected, Kind, PayloadOut, ErrorOut);
 }
 
 bool payloadError(const ByteReader &R, MessageKind Kind,
@@ -176,11 +167,6 @@ bool finish(const ByteReader &R, MessageKind Kind, std::string &ErrorOut) {
 }
 
 } // namespace
-
-bool serve::decodeFrame(const std::string &Bytes, MessageKind &KindOut,
-                        std::string &PayloadOut, std::string &ErrorOut) {
-  return decodeFrameExpecting(Bytes, nullptr, KindOut, PayloadOut, ErrorOut);
-}
 
 //===----------------------------------------------------------------------===//
 // Payload codecs

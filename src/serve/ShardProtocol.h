@@ -176,12 +176,6 @@ std::string encodeLeaseLedger(const LeaseLedgerMsg &Msg);
 bool decodeLeaseLedger(const std::string &Bytes, LeaseLedgerMsg &Out,
                        std::string &ErrorOut);
 
-/// Frame-level decode: validates everything except the payload encoding
-/// and returns the kind + raw payload. The typed decoders above also
-/// check that the frame's kind matches the expected one.
-bool decodeFrame(const std::string &Bytes, MessageKind &KindOut,
-                 std::string &PayloadOut, std::string &ErrorOut);
-
 } // namespace serve
 } // namespace spvfuzz
 

@@ -93,12 +93,6 @@ std::string sanitizeName(const std::string &Name) {
   return Out.empty() ? std::string("unnamed") : Out;
 }
 
-std::string typesKeyOf(const std::set<TransformationKind> &Types) {
-  // Canonical rendering shared with the ground-truth scorer, so the types
-  // dedup axis means the same thing in buckets and in scores.
-  return triage::dedupTypesKey(Types);
-}
-
 std::string bucketDirName(const std::string &Target,
                           const std::string &Signature,
                           const std::string &TypesKey) {
@@ -580,7 +574,9 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
                                      const ShaderInput &Input,
                                      const Module &Reduced,
                                      const TransformationSequence &Minimized) {
-  const std::string TypesKey = typesKeyOf(Record.Types);
+  // The canonical rendering shared with the ground-truth scorer, so the
+  // types dedup axis means the same thing in buckets and in scores.
+  const std::string TypesKey = triage::dedupTypesKey(Record.Types);
   const std::string BucketDir =
       bucketDirName(Record.TargetName, Record.Signature, TypesKey);
   const std::string BucketPath = Root + "/bugs/" + BucketDir;
@@ -746,7 +742,7 @@ void CampaignStore::commitManifest() {
     (void)Phase;
     for (const ReductionRecord &Record : Records)
       ++Counts[{Record.TargetName, Record.Signature,
-                typesKeyOf(Record.Types)}];
+                triage::dedupTypesKey(Record.Types)}];
   }
   CampaignEntry *Entry = Manifest.find(CampaignId);
   if (!Entry) {

@@ -14,76 +14,76 @@
 
 using namespace spvfuzz;
 
+namespace {
+
+/// Closes out one harnessed target.run span: counts timeouts, then notes
+/// the target and either the outcome of a single run or the batch size.
+void finishRun(telemetry::TraceSpan &Span, const std::string &Target,
+               std::span<const TargetRun> Runs) {
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  if (Metrics.enabled())
+    for (const TargetRun &R : Runs)
+      if (R.RunOutcome == Outcome::Timeout)
+        Metrics.add("harness.timeouts");
+  if (!Span.active())
+    return;
+  Span.note({"target", Target});
+  if (Runs.size() == 1)
+    Span.note({"outcome", outcomeName(Runs[0].RunOutcome)});
+  else
+    Span.note({"inputs", std::to_string(Runs.size())});
+}
+
+} // namespace
+
+RunContext HarnessedTarget::context(uint32_t Attempt) const {
+  RunContext Ctx;
+  Ctx.CampaignSeed = Policy.CampaignSeed;
+  Ctx.Attempt = Attempt;
+  Ctx.StepBudget = Policy.TargetDeadlineSteps;
+  Ctx.Engine = Policy.Engine;
+  Ctx.ExeCache = ExeC;
+  return Ctx;
+}
+
 TargetRun HarnessedTarget::run(const Module &M,
                                const ShaderInput &Input) const {
-  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-
-  telemetry::TraceSpan RunSpan("target.run");
-  if (RunSpan.active())
-    RunSpan.note({"target", Inner->name()});
-
-  TargetRun Final;
-  if (deterministic()) {
-    // One attempt suffices — and is safe to memoize.
-    RunContext Ctx;
-    Ctx.CampaignSeed = Policy.CampaignSeed;
-    Ctx.StepBudget = Policy.TargetDeadlineSteps;
-    Ctx.Engine = Policy.Engine;
-    Ctx.ExeCache = ExeC;
-    if (!Cache) {
-      Final = Inner->run(M, Input, Ctx);
-    } else {
-      const uint64_t AId = Inner->artifactId(hashModule(M));
-      const uint64_t IHash = hashShaderInput(Input);
-      if (!Cache->lookup(AId, IHash, Final)) {
-        Final = Inner->run(M, Input, Ctx);
-        Cache->insert(AId, IHash, Final);
-      }
-    }
-  } else {
-    Final = votedRun(M, Input);
-  }
-
-  if (Metrics.enabled() && Final.RunOutcome == Outcome::Timeout)
-    Metrics.add("harness.timeouts");
-  if (RunSpan.active())
-    RunSpan.note({"outcome", outcomeName(Final.RunOutcome)});
-  return Final;
+  return std::move(runBatch(M, std::span<const ShaderInput>(&Input, 1))[0]);
 }
 
 std::vector<TargetRun>
 HarnessedTarget::runBatch(const Module &M,
                           std::span<const ShaderInput> Inputs) const {
+  // A deterministic unmemoized target compiles once and executes the
+  // artifact per input, all under one span.
+  if (deterministic() && !Cache) {
+    telemetry::TraceSpan RunSpan("target.run");
+    std::vector<TargetRun> Runs = Inner->runBatch(M, Inputs, context(0));
+    finishRun(RunSpan, name(), Runs);
+    return Runs;
+  }
+
+  // Memoized and voted targets go input by input: the EvalCache key and
+  // the retry vote are both per (module, input). The artifact cache (when
+  // wired) still amortizes the compile across the loop.
   std::vector<TargetRun> Runs;
-  if (Inputs.empty())
-    return Runs;
-  // Memoized views and flaky targets go input-by-input: the EvalCache key
-  // and the retry vote are both per (module, input). The artifact cache
-  // (when wired) still amortizes the compile across the loop.
-  if (!deterministic() || Cache) {
-    Runs.reserve(Inputs.size());
-    for (const ShaderInput &Input : Inputs)
-      Runs.push_back(run(M, Input));
-    return Runs;
+  Runs.reserve(Inputs.size());
+  for (const ShaderInput &Input : Inputs) {
+    telemetry::TraceSpan RunSpan("target.run");
+    TargetRun &Run = Runs.emplace_back();
+    if (!deterministic()) {
+      Run = votedRun(M, Input);
+    } else {
+      // One attempt suffices, and is safe to memoize.
+      const uint64_t AId = Inner->artifactId(hashModule(M));
+      const uint64_t IHash = hashShaderInput(Input);
+      if (!Cache->lookup(AId, IHash, Run)) {
+        Run = Inner->run(M, Input, context(0));
+        Cache->insert(AId, IHash, Run);
+      }
+    }
+    finishRun(RunSpan, name(), std::span<const TargetRun>(&Run, 1));
   }
-
-  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  telemetry::TraceSpan BatchSpan("target.run_batch");
-  if (BatchSpan.active()) {
-    BatchSpan.note({"target", Inner->name()});
-    BatchSpan.note({"inputs", std::to_string(Inputs.size())});
-  }
-
-  RunContext Ctx;
-  Ctx.CampaignSeed = Policy.CampaignSeed;
-  Ctx.StepBudget = Policy.TargetDeadlineSteps;
-  Ctx.Engine = Policy.Engine;
-  Ctx.ExeCache = ExeC;
-  Runs = Inner->runBatch(M, Inputs, Ctx);
-  if (Metrics.enabled())
-    for (const TargetRun &R : Runs)
-      if (R.RunOutcome == Outcome::Timeout)
-        Metrics.add("harness.timeouts");
   return Runs;
 }
 
@@ -110,13 +110,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
   bool HardFailure = false;
 
   for (uint32_t Attempt = 0; Attempt < Attempts; ++Attempt) {
-    RunContext Ctx;
-    Ctx.CampaignSeed = Policy.CampaignSeed;
-    Ctx.Attempt = Attempt;
-    Ctx.StepBudget = Policy.TargetDeadlineSteps;
-    Ctx.Engine = Policy.Engine;
-    Ctx.ExeCache = ExeC;
-    TargetRun R = Inner->run(M, Input, Ctx);
+    TargetRun R = Inner->run(M, Input, context(Attempt));
     ++Used;
     if (R.RunOutcome == Outcome::ToolError) {
       LastError = R;

@@ -79,20 +79,23 @@ public:
   const Target &target() const { return *Inner; }
   bool deterministic() const { return Inner->spec().deterministic(); }
 
-  /// The harnessed verdict: single (possibly memoized) attempt for
-  /// deterministic targets; majority vote over FlakyRetries attempts for
+  /// The harnessed verdicts on a uniform-input matrix, one per input, in
+  /// order: a single (possibly memoized) attempt for deterministic
+  /// targets; a majority vote over FlakyRetries attempts for
   /// nondeterministic ones. A ToolError verdict means the attempts were
   /// dominated by hard toolchain failures (circuit-breaker material).
-  TargetRun run(const Module &M, const ShaderInput &Input) const;
-
-  /// The whole uniform-input matrix in one harnessed attempt: element i
-  /// equals run(M, Inputs[i]). Deterministic unmemoized targets compile
-  /// once and execute the artifact per input (Target::runBatch); memoized
-  /// and flaky targets fall back to per-input run().
+  /// Deterministic unmemoized targets compile once and execute the
+  /// artifact per input (Target::runBatch) under one target.run span;
+  /// memoized and voted targets get one target.run span per input.
   std::vector<TargetRun> runBatch(const Module &M,
                                   std::span<const ShaderInput> Inputs) const;
 
+  /// runBatch over the single input \p Input.
+  TargetRun run(const Module &M, const ShaderInput &Input) const;
+
 private:
+  /// The context of attempt \p Attempt under this harness's policy.
+  RunContext context(uint32_t Attempt) const;
   TargetRun votedRun(const Module &M, const ShaderInput &Input) const;
 
   const Target *Inner;

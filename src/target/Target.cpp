@@ -486,12 +486,3 @@ std::vector<std::string> TargetFleet::gpulessNames() const {
       Out.push_back(T.name());
   return Out;
 }
-
-TargetFleet
-TargetFleet::filter(const std::function<bool(const Target &)> &Keep) const {
-  TargetFleet Out;
-  for (const Target &T : Targets)
-    if (Keep(T))
-      Out.add(T);
-  return Out;
-}

@@ -28,7 +28,6 @@
 #include "exec/Interpreter.h"
 #include "opt/Passes.h"
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -301,9 +300,6 @@ public:
   /// experiments' default fleet): crash-only compilers plus CPU
   /// rasterizers, in fleet order.
   std::vector<std::string> gpulessNames() const;
-
-  /// A new fleet holding only the targets \p Keep accepts, in order.
-  TargetFleet filter(const std::function<bool(const Target &)> &Keep) const;
 
 private:
   std::vector<Target> Targets;

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Campaign.h"
 #include "gen/Generator.h"
 #include "support/ModuleHash.h"
 #include "support/Telemetry.h"
@@ -262,16 +263,24 @@ TEST(Harness, FlakyTargetsNeverTouchTheEvalCache) {
   Fixture F;
   Cached.run(F.M, F.Input);
   Cached.run(F.M, F.Input);
+  // The batch path votes input by input, past the cache as well.
+  const std::vector<ShaderInput> Matrix = uniformInputMatrix(F.Input, 3, 7);
+  EXPECT_EQ(Cached.runBatch(F.M, Matrix).size(), 3u);
   EXPECT_EQ(Cache.entryCount(), 0u);
   EXPECT_EQ(Cache.hitCount() + Cache.missCount(), 0u);
 
-  // A deterministic target through the same harness does get memoized.
+  // A deterministic target through the same harness does get memoized,
+  // one entry per (module, input): Matrix[0] is F.Input itself.
   const Target *Opt = fleetTarget(Fleet, "spirv-opt");
   HarnessedTarget CachedOpt(*Opt, Policy, &Cache);
   CachedOpt.run(F.M, F.Input);
   CachedOpt.run(F.M, F.Input);
   EXPECT_EQ(Cache.hitCount(), 1u);
   EXPECT_EQ(Cache.missCount(), 1u);
+  CachedOpt.runBatch(F.M, Matrix);
+  EXPECT_EQ(Cache.entryCount(), 3u);
+  EXPECT_EQ(Cache.hitCount(), 2u);
+  EXPECT_EQ(Cache.missCount(), 3u);
 }
 
 } // namespace

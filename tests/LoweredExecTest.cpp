@@ -145,13 +145,11 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
         ++LoweredActive;
       std::vector<ShaderInput> Matrix =
           uniformInputMatrix(Base.Input, 3, Seed);
-      std::vector<ExecResult> Batch = Exe->runBatch(Matrix);
-      ASSERT_EQ(Batch.size(), Matrix.size());
       for (size_t I = 0; I < Matrix.size(); ++I) {
         std::string Context = "module " + std::to_string(Modules) +
                               " input " + std::to_string(I);
         ExecResult Tree = interpret(Fuzzed.Variant, Matrix[I]);
-        expectSameResult(Tree, Batch[I], Context);
+        expectSameResult(Tree, Exe->run(Matrix[I]), Context);
         if (Tree.ExecStatus == ExecResult::Status::Killed)
           ++Kills;
         ExecResult TreeTight = interpret(Fuzzed.Variant, Matrix[I], Tight);

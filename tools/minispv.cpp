@@ -100,13 +100,17 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 using namespace spvfuzz;
 
@@ -294,10 +298,36 @@ struct Args {
       fail("missing required flag --" + Name);
     return FlagValue;
   }
+  /// The value of the unsigned decimal flag --\p Name; \p Default when the
+  /// flag is absent, which is an error when \p Default is unset. An empty
+  /// value, a sign, any byte that is not a digit, or a value above T's
+  /// maximum is a parse error (exit 1): "64k" must not read as 64.
+  template <typename T = uint64_t>
+  T number(const std::string &Name,
+           std::type_identity_t<std::optional<T>> Default =
+               std::nullopt) const {
+    auto It = std::find_if(Flags.begin(), Flags.end(), [&](const auto &Flag) {
+      return Flag.first == Name;
+    });
+    if (It == Flags.end()) {
+      if (!Default)
+        fail("missing required flag --" + Name);
+      return *Default;
+    }
+    const std::string &Text = It->second;
+    T Value = 0;
+    auto [End, Error] =
+        std::from_chars(Text.data(), Text.data() + Text.size(), Value);
+    if (Error != std::errc() || End != Text.data() + Text.size())
+      fail("flag --" + Name + " expects an unsigned integer up to " +
+           std::to_string(std::numeric_limits<T>::max()) + ", got '" + Text +
+           "'");
+    return Value;
+  }
 };
 
 int cmdGen(const Args &A) {
-  uint64_t Seed = strtoull(A.get("seed", "0").c_str(), nullptr, 10);
+  uint64_t Seed = A.number("seed", 0);
   GeneratedProgram Program = generateProgram(Seed);
   std::string OutPath = A.require("o");
   writeFile(OutPath, writeModuleText(Program.M));
@@ -374,7 +404,7 @@ int cmdFuzz(const Args &A) {
          "-o <out> --sequence <out> [--donor <file>]... [--baseline]");
   Module M = readModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
-  uint64_t Seed = strtoull(A.get("seed", "0").c_str(), nullptr, 10);
+  uint64_t Seed = A.number("seed", 0);
 
   std::vector<Module> DonorModules;
   for (const std::string &Path : A.getAll("donor"))
@@ -384,8 +414,7 @@ int cmdFuzz(const Args &A) {
     Donors.push_back(&Donor);
 
   FuzzerOptions Options;
-  Options.TransformationLimit = static_cast<uint32_t>(
-      strtoul(A.get("limit", "2000").c_str(), nullptr, 10));
+  Options.TransformationLimit = A.number<uint32_t>("limit", 2000);
   if (A.has("baseline")) {
     Options.Profile = FuzzerProfile::Baseline;
     Options.EnableRecommendations = false;
@@ -472,12 +501,10 @@ int cmdReduce(const Args &A) {
   // result. Order and post-reduce change which result — deterministically,
   // still independent of the job count.
   ReductionPlan Plan;
-  Plan.SnapshotInterval = strtoull(
-      A.get("snapshot-interval", "8").c_str(), nullptr, 10);
-  Plan.SnapshotBudgetBytes = strtoull(
-      A.get("snapshot-budget", "67108864").c_str(), nullptr, 10);
+  Plan.SnapshotInterval = A.number("snapshot-interval", 8);
+  Plan.SnapshotBudgetBytes = A.number("snapshot-budget", 64ull << 20);
   Plan.ShrinkFunctions = true;
-  size_t Jobs = strtoull(A.get("jobs", "1").c_str(), nullptr, 10);
+  size_t Jobs = A.number("jobs", 1);
   std::unique_ptr<ThreadPool> Pool;
   if (Jobs != 1) {
     Pool = std::make_unique<ThreadPool>(Jobs);
@@ -584,27 +611,24 @@ runTriageOverStore(CampaignStore &Store, const TargetFleet &Fleet,
 /// computation out to a ServeCoordinator while every decision-bearing
 /// line of the run stays identical.
 int cmdCampaign(const Args &A, bool Serve) {
-  size_t Jobs = strtoull(A.get("jobs", "1").c_str(), nullptr, 10);
+  size_t Jobs = A.number("jobs", 1);
   if (Serve && A.has("deadline-ms"))
     fail("--deadline-ms is not supported in serve mode (deadline-truncated "
          "runs are not deterministic across worker counts)");
   ExecutionPolicy Policy =
       ExecutionPolicy{}
           .withJobs(Jobs)
-          .withSeed(strtoull(A.get("seed", "2021").c_str(), nullptr, 10))
-          .withTransformationLimit(static_cast<uint32_t>(
-              strtoul(A.get("limit", "250").c_str(), nullptr, 10)))
-          .withDeadline(std::chrono::milliseconds(
-              strtoull(A.get("deadline-ms", "0").c_str(), nullptr, 10)));
-  if (A.has("deadline-steps"))
-    Policy.withTargetDeadlineSteps(
-        strtoull(A.get("deadline-steps").c_str(), nullptr, 10));
-  if (A.has("flaky-retries"))
-    Policy.withFlakyRetries(static_cast<uint32_t>(
-        strtoul(A.get("flaky-retries").c_str(), nullptr, 10)));
-  if (A.has("quarantine-threshold"))
-    Policy.withQuarantineThreshold(static_cast<uint32_t>(
-        strtoul(A.get("quarantine-threshold").c_str(), nullptr, 10)));
+          .withSeed(A.number("seed", 2021))
+          .withTransformationLimit(A.number<uint32_t>("limit", 250))
+          .withDeadline(std::chrono::milliseconds(A.number("deadline-ms", 0)));
+  Policy
+      .withTargetDeadlineSteps(
+          A.number("deadline-steps", Policy.TargetDeadlineSteps))
+      .withFlakyRetries(
+          A.number<uint32_t>("flaky-retries", Policy.FlakyRetries))
+      .withQuarantineThreshold(A.number<uint32_t>(
+          "quarantine-threshold", Policy.QuarantineThreshold))
+      .withUniformInputs(A.number("uniform-inputs", Policy.UniformInputs));
   if (A.has("exec")) {
     ExecEngine Engine = ExecEngine::Lowered;
     if (!execEngineFromName(A.get("exec"), Engine))
@@ -612,9 +636,6 @@ int cmdCampaign(const Args &A, bool Serve) {
            "' (expected lowered or tree)");
     Policy.withEngine(Engine);
   }
-  if (A.has("uniform-inputs"))
-    Policy.withUniformInputs(
-        strtoull(A.get("uniform-inputs").c_str(), nullptr, 10));
   // Reduction-quality knobs: both change results (deterministically) and
   // therefore fold into the campaign id when non-default.
   Policy.withReduceOrder(parseOrderFlag(A, "reduce-order"));
@@ -624,7 +645,7 @@ int cmdCampaign(const Args &A, bool Serve) {
   // run. It is a post-pass over the bug database (so it needs --store)
   // and does not fold into the campaign id: the bug-finding decisions
   // are unchanged, and an existing store can be re-triaged on resume.
-  Policy.withTriage(A.has("triage"));
+  const bool Triage = A.has("triage");
 
   // A store makes the run durable: checkpoints at wave boundaries plus the
   // reproducer database. Metrics are forced on so the persisted telemetry
@@ -633,8 +654,7 @@ int cmdCampaign(const Args &A, bool Serve) {
   if (A.has("store")) {
     Policy.withStorePath(A.get("store"))
         .withResume(A.has("resume"))
-        .withCheckpointInterval(strtoull(
-            A.get("checkpoint-interval", "1").c_str(), nullptr, 10));
+        .withCheckpointInterval(A.number("checkpoint-interval", 1));
     telemetry::MetricsRegistry::global().setEnabled(true);
     std::string Error;
     Store = CampaignStore::open(Policy.StorePath, Policy, Error);
@@ -649,12 +669,11 @@ int cmdCampaign(const Args &A, bool Serve) {
   }
   if (A.has("deterministic-journal") && !Store)
     fail("--deterministic-journal requires --store");
-  if (Policy.Triage && !Store)
+  if (Triage && !Store)
     fail("--triage requires --store (it attributes the stored buckets)");
 
   BugFindingConfig Config;
-  Config.TestsPerTool =
-      strtoull(A.get("tests", "100").c_str(), nullptr, 10);
+  Config.TestsPerTool = A.number("tests", 100);
 
   // A durable campaign also journals its decision events into the store,
   // which is what `minispv top` / `minispv tail` monitor.
@@ -701,16 +720,13 @@ int cmdCampaign(const Args &A, bool Serve) {
       fail(Error);
     serve::ServeOptions SOpts;
     SOpts.StoreDir = Policy.StorePath;
-    SOpts.Workers = strtoull(A.get("workers", "2").c_str(), nullptr, 10);
-    SOpts.WorkerJobs =
-        strtoull(A.get("worker-jobs", "1").c_str(), nullptr, 10);
+    SOpts.Workers = A.number("workers", 2);
+    SOpts.WorkerJobs = A.number("worker-jobs", 1);
     SOpts.MinispvPath = A.get("minispv", "/proc/self/exe");
-    SOpts.LeaseTtlMs =
-        strtoull(A.get("lease-ttl-ms", "3000").c_str(), nullptr, 10);
-    SOpts.PollMs = strtoull(A.get("poll-ms", "10").c_str(), nullptr, 10);
-    SOpts.StallMs = strtoull(A.get("stall-ms", "0").c_str(), nullptr, 10);
-    SOpts.KillWorkerAfterShards =
-        strtoull(A.get("kill-worker-after", "0").c_str(), nullptr, 10);
+    SOpts.LeaseTtlMs = A.number("lease-ttl-ms", 3000);
+    SOpts.PollMs = A.number("poll-ms", 10);
+    SOpts.StallMs = A.number("stall-ms", 0);
+    SOpts.KillWorkerAfterShards = A.number("kill-worker-after", 0);
     SOpts.ServeJournal = ServeJournal.get();
     Coordinator =
         std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
@@ -780,7 +796,7 @@ int cmdCampaign(const Args &A, bool Serve) {
   // culprit pass. Runs over the store (not the in-memory results), so
   // serve-mode output matches the single-process run byte for byte.
   std::vector<TriagedBucket> Triaged;
-  if (Policy.Triage && !Engine.deadlineExpired()) {
+  if (Triage && !Engine.deadlineExpired()) {
     triage::TriageOptions TOpts;
     TOpts.Jobs = Policy.Jobs;
     TOpts.Engine = Policy.Engine;
@@ -841,17 +857,13 @@ int cmdCampaign(const Args &A, bool Serve) {
 int cmdWorker(const Args &A) {
   serve::WorkerOptions Opts;
   Opts.StoreDir = A.require("store");
-  Opts.WorkerId = strtoull(A.get("worker-id", "1").c_str(), nullptr, 10);
-  Opts.Jobs = strtoull(A.get("jobs", "1").c_str(), nullptr, 10);
-  if (A.has("poll-ms"))
-    Opts.PollMs = strtoull(A.get("poll-ms").c_str(), nullptr, 10);
-  if (A.has("config-wait-ms"))
-    Opts.ConfigWaitMs =
-        strtoull(A.get("config-wait-ms").c_str(), nullptr, 10);
-  Opts.MaxShards = strtoull(A.get("max-shards", "0").c_str(), nullptr, 10);
+  Opts.WorkerId = A.number("worker-id", 1);
+  Opts.Jobs = A.number("jobs", 1);
+  Opts.PollMs = A.number("poll-ms", Opts.PollMs);
+  Opts.ConfigWaitMs = A.number("config-wait-ms", Opts.ConfigWaitMs);
+  Opts.MaxShards = A.number("max-shards", 0);
   Opts.TruncateLastResult = A.has("truncate-last-result");
-  Opts.AbandonAfterShards =
-      strtoull(A.get("abandon-after", "0").c_str(), nullptr, 10);
+  Opts.AbandonAfterShards = A.number("abandon-after", 0);
   // A worker process has its own registry, so shipping per-shard counter
   // deltas is safe (and required for coordinator totals to match serial).
   Opts.CollectMetrics = true;
@@ -971,7 +983,7 @@ int cmdDb(const Args &A) {
     return 0;
   }
   if (Sub == "gc") {
-    size_t Budget = strtoull(A.require("budget").c_str(), nullptr, 10);
+    size_t Budget = A.number("budget");
     size_t Before = Store->corpusBytes();
     size_t Removed = Store->gc(Budget);
     printf("gc: evicted %zu corpus entr%s (%zu -> %zu bytes, budget %zu)\n",
@@ -1021,7 +1033,7 @@ int cmdTriage(const Args &A) {
   if (!Store)
     fail(Error);
   triage::TriageOptions Options;
-  Options.Jobs = strtoull(A.get("jobs", "1").c_str(), nullptr, 10);
+  Options.Jobs = A.number("jobs", 1);
   if (!Options.Jobs)
     Options.Jobs = 1;
   if (A.has("exec") && !execEngineFromName(A.get("exec"), Options.Engine))
@@ -1093,8 +1105,8 @@ int cmdReport(const Args &A) {
     telemetry::MetricsSnapshot Current =
         loadMetricsFileOrExit(A.Positional[0]);
     obs::CompareOptions Opts;
-    Opts.ThresholdPct =
-        strtod(A.get("regression-threshold", "25").c_str(), nullptr);
+    Opts.ThresholdPct = static_cast<double>(
+        A.number("regression-threshold", 25));
     obs::CompareResult Result = obs::compareSnapshots(Base, Current, Opts);
     printf("comparing %s (base) vs %s (current)\n\n", A.get("compare").c_str(),
            A.Positional[0].c_str());
@@ -1152,10 +1164,8 @@ int cmdTail(const Args &A) {
   const std::string JournalPath = obs::journalPathFor(A.Positional[0]);
   const bool Follow = A.has("follow");
   const bool Json = A.has("json");
-  const uint64_t TimeoutMs =
-      strtoull(A.get("timeout-ms", "0").c_str(), nullptr, 10);
-  const uint64_t IntervalMs =
-      strtoull(A.get("interval-ms", "200").c_str(), nullptr, 10);
+  const uint64_t TimeoutMs = A.number("timeout-ms", 0);
+  const uint64_t IntervalMs = A.number("interval-ms", 200);
 
   if (!Follow && !std::ifstream(JournalPath))
     failWithCode(ObsExitMissingInput, "cannot open '" + JournalPath +
@@ -1196,10 +1206,8 @@ int cmdTop(const Args &A) {
   const std::string StoreDir = A.Positional[0];
   const std::string JournalPath = obs::journalPathFor(StoreDir);
   const bool Once = A.has("once");
-  const uint64_t TimeoutMs =
-      strtoull(A.get("timeout-ms", "0").c_str(), nullptr, 10);
-  const uint64_t IntervalMs =
-      strtoull(A.get("interval-ms", "500").c_str(), nullptr, 10);
+  const uint64_t TimeoutMs = A.number("timeout-ms", 0);
+  const uint64_t IntervalMs = A.number("interval-ms", 500);
 
   if (Once && !std::ifstream(JournalPath))
     failWithCode(ObsExitMissingInput, "cannot open '" + JournalPath +
