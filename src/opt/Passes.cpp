@@ -148,6 +148,28 @@ PassCrash crash(BugPoint Point) { return std::string(bugSignature(Point)); }
 // Shared utilities
 //===----------------------------------------------------------------------===//
 
+/// A flat table indexed by id, as in ModuleAnalysis: ids are dense below
+/// Module::Bound, so a lookup is an index, not a hash. Writes widen the
+/// table to cover any id actually present (ids at or past the bound only
+/// occur in modules the validator rejects); reads past the end see T{}.
+template <typename T> class IdTable {
+public:
+  explicit IdTable(const Module &M) : Slots(M.Bound) {}
+
+  T &operator[](Id TheId) {
+    if (TheId >= Slots.size())
+      Slots.resize(static_cast<size_t>(TheId) + 1);
+    return Slots[TheId];
+  }
+
+  T lookup(Id TheId) const {
+    return TheId < Slots.size() ? Slots[TheId] : T{};
+  }
+
+private:
+  std::vector<T> Slots;
+};
+
 /// Follows CopyObject chains to the underlying definition id.
 Id pointerRoot(const Module &M, Id TheId) {
   const Instruction *Def = M.findDef(TheId);
@@ -286,6 +308,9 @@ PassCrash runFrontendCheck(Module &M, const BugHost &Bugs) {
 //===----------------------------------------------------------------------===//
 
 PassCrash runSimplifyCfg(Module &M, const BugHost &Bugs) {
+  // BlockAt maps a label to its block index + 1 (0: not a block of the
+  // current function); it is cleared after each function.
+  IdTable<uint32_t> BlockAt(M);
   for (Function &Func : M.Functions) {
     removeUnreachableBlocks(Func);
     if (Bugs.enabled(BugPoint::CrashKillObstructsMerge))
@@ -295,42 +320,68 @@ PassCrash runSimplifyCfg(Module &M, const BugHost &Bugs) {
             return crash(BugPoint::CrashKillObstructsMerge);
 
     // Merge straight-line pairs: B ends "Branch S", S's only predecessor is
-    // B, and S starts with no phis.
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      Cfg Graph(Func);
-      for (BasicBlock &Block : Func.Blocks) {
-        if (!Block.hasTerminator() ||
-            Block.terminator().Opcode != Op::Branch)
-          continue;
+    // B, and S starts with no phis. Merging S into B renames S to B in
+    // every predecessor list, so no surviving block's predecessor count
+    // changes and only B's eligibility can change. One walk in layout
+    // order that merges into each block until it stops being eligible
+    // therefore makes the same merges, in the same order, as rescanning
+    // from the first block after every merge.
+    std::vector<BasicBlock> &Blocks = Func.Blocks;
+    for (size_t I = Blocks.size(); I-- > 0;)
+      BlockAt[Blocks[I].LabelId] = static_cast<uint32_t>(I + 1);
+    std::vector<uint32_t> Preds(Blocks.size()); // by block index
+    for (const BasicBlock &Block : Blocks)
+      for (Id Succ : Block.successors())
+        if (uint32_t At = BlockAt.lookup(Succ))
+          ++Preds[At - 1];
+
+    std::vector<bool> Merged(Blocks.size());
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      if (Merged[I])
+        continue;
+      BasicBlock &Block = Blocks[I];
+      while (Block.hasTerminator() &&
+             Block.terminator().Opcode == Op::Branch) {
         Id SuccId = Block.terminator().idOperand(0);
-        if (SuccId == Block.LabelId)
-          continue;
-        if (Graph.predecessors(SuccId).size() != 1)
-          continue;
-        BasicBlock *Succ = Func.findBlock(SuccId);
-        if (!Succ || (!Succ->Body.empty() && Succ->Body[0].Opcode == Op::Phi))
-          continue;
+        uint32_t At = SuccId == Block.LabelId ? 0 : BlockAt.lookup(SuccId);
+        if (At == 0 || Merged[At - 1] || Preds[At - 1] != 1)
+          break;
+        BasicBlock &Succ = Blocks[At - 1];
+        if (!Succ.Body.empty() && Succ.Body[0].Opcode == Op::Phi)
+          break;
         // Splice S into B and rename S to B in downstream phis.
         Block.Body.pop_back();
-        Block.Body.insert(Block.Body.end(), Succ->Body.begin(),
-                          Succ->Body.end());
-        std::vector<Id> NewSuccs = Block.successors();
-        Func.Blocks.erase(Func.Blocks.begin() + *Func.blockIndex(SuccId));
-        for (Id Downstream : NewSuccs)
-          if (BasicBlock *DownstreamBlock = Func.findBlock(Downstream))
-            for (Instruction &Inst : DownstreamBlock->Body) {
-              if (Inst.Opcode != Op::Phi)
-                break;
-              for (size_t I = 0; I + 1 < Inst.Operands.size(); I += 2)
-                if (Inst.Operands[I + 1].asId() == SuccId)
-                  Inst.Operands[I + 1] = Operand::id(Block.LabelId);
-            }
-        Changed = true;
-        break; // iteration state invalidated; restart
+        Block.Body.insert(Block.Body.end(),
+                          std::make_move_iterator(Succ.Body.begin()),
+                          std::make_move_iterator(Succ.Body.end()));
+        Succ.Body.clear();
+        Merged[At - 1] = true;
+        for (Id Downstream : Block.successors()) {
+          uint32_t DownAt = BlockAt.lookup(Downstream);
+          if (DownAt == 0 || Merged[DownAt - 1])
+            continue;
+          for (Instruction &Inst : Blocks[DownAt - 1].Body) {
+            if (Inst.Opcode != Op::Phi)
+              break;
+            for (size_t P = 0; P + 1 < Inst.Operands.size(); P += 2)
+              if (Inst.Operands[P + 1].asId() == SuccId)
+                Inst.Operands[P + 1] = Operand::id(Block.LabelId);
+          }
+        }
       }
     }
+
+    for (const BasicBlock &Block : Blocks)
+      BlockAt[Block.LabelId] = 0;
+    size_t Kept = 0;
+    for (size_t I = 0; I < Blocks.size(); ++I) {
+      if (Merged[I])
+        continue;
+      if (Kept != I)
+        Blocks[Kept] = std::move(Blocks[I]);
+      ++Kept;
+    }
+    Blocks.resize(Kept);
   }
   return std::nullopt;
 }
@@ -1008,53 +1059,66 @@ PassCrash runBlockLayout(Module &M, const BugHost &Bugs) {
 //===----------------------------------------------------------------------===//
 
 PassCrash runDce(Module &M, const BugHost &Bugs) {
-  bool Changed = true;
-  bool FirstRound = true;
-  while (Changed) {
-    Changed = false;
-    std::unordered_map<Id, size_t> UseCounts;
-    auto Count = [&UseCounts](const Instruction &Inst) {
-      for (const Operand &Opnd : Inst.Operands)
-        if (Opnd.isId())
-          ++UseCounts[Opnd.Word];
-    };
-    for (const Instruction &Global : M.GlobalInsts)
-      Count(Global);
-    for (const Function &Func : M.Functions) {
-      Count(Func.Def);
+  // Operand uses per id. Result types are not uses here.
+  IdTable<uint32_t> Uses(M);
+  auto Count = [&Uses](const Instruction &Inst) {
+    for (const Operand &Opnd : Inst.Operands)
+      if (Opnd.isId())
+        ++Uses[Opnd.Word];
+  };
+  for (const Instruction &Global : M.GlobalInsts)
+    Count(Global);
+  for (const Function &Func : M.Functions) {
+    Count(Func.Def);
+    for (const BasicBlock &Block : Func.Blocks)
+      for (const Instruction &Inst : Block.Body)
+        Count(Inst);
+  }
+
+  // The bug reads the counts before anything is removed.
+  if (Bugs.enabled(BugPoint::CrashUnusedComposite))
+    for (const Function &Func : M.Functions)
       for (const BasicBlock &Block : Func.Blocks)
         for (const Instruction &Inst : Block.Body)
-          Count(Inst);
-    }
+          if (Inst.Opcode == Op::CompositeConstruct &&
+              Uses.lookup(Inst.Result) == 0)
+            return crash(BugPoint::CrashUnusedComposite);
 
-    for (Function &Func : M.Functions) {
-      for (BasicBlock &Block : Func.Blocks) {
-        if (FirstRound) {
-          for (const Instruction &Inst : Block.Body) {
-            if (Bugs.enabled(BugPoint::CrashUnusedComposite) &&
-                Inst.Opcode == Op::CompositeConstruct &&
-                UseCounts[Inst.Result] == 0)
-              return crash(BugPoint::CrashUnusedComposite);
-          }
+  auto Removable = [](const Instruction &Inst) {
+    return Inst.Result != InvalidId &&
+           (Inst.Opcode == Op::Variable || isSideEffectFree(Inst.Opcode));
+  };
+  // Removing an unused instruction releases its operands; an operand whose
+  // count reaches zero dies too if its definition is removable. This
+  // reaches the same fixpoint as recounting after every sweep: self-uses
+  // and dead phi cycles keep their counts above zero and stay.
+  IdTable<const Instruction *> RemovableDef(M);
+  std::vector<const Instruction *> Worklist;
+  for (const Function &Func : M.Functions)
+    for (const BasicBlock &Block : Func.Blocks)
+      for (const Instruction &Inst : Block.Body)
+        if (Removable(Inst)) {
+          RemovableDef[Inst.Result] = &Inst;
+          if (Uses.lookup(Inst.Result) == 0)
+            Worklist.push_back(&Inst);
         }
-        size_t Before = Block.Body.size();
-        Block.Body.erase(
-            std::remove_if(Block.Body.begin(), Block.Body.end(),
-                           [&](const Instruction &Inst) {
-                             if (Inst.Result == InvalidId ||
-                                 UseCounts[Inst.Result] != 0)
-                               return false;
-                             if (Inst.Opcode == Op::Variable)
-                               return true;
-                             return isSideEffectFree(Inst.Opcode);
-                           }),
-            Block.Body.end());
-        if (Block.Body.size() != Before)
-          Changed = true;
-      }
-    }
-    FirstRound = false;
+  while (!Worklist.empty()) {
+    const Instruction *Dead = Worklist.back();
+    Worklist.pop_back();
+    for (const Operand &Opnd : Dead->Operands)
+      if (Opnd.isId() && --Uses[Opnd.Word] == 0)
+        if (const Instruction *Def = RemovableDef.lookup(Opnd.Word))
+          Worklist.push_back(Def);
   }
+
+  for (Function &Func : M.Functions)
+    for (BasicBlock &Block : Func.Blocks)
+      Block.Body.erase(std::remove_if(Block.Body.begin(), Block.Body.end(),
+                                      [&](const Instruction &Inst) {
+                                        return Removable(Inst) &&
+                                               Uses.lookup(Inst.Result) == 0;
+                                      }),
+                       Block.Body.end());
   return std::nullopt;
 }
 

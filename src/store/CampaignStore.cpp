@@ -381,6 +381,12 @@ std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy) {
   // paper-order campaigns are stable across versions.
   if (Policy.ReduceOrder != CandidateOrder::Paper)
     H.word(static_cast<uint64_t>(Policy.ReduceOrder) + 1);
+  // More uniform inputs per test can expose more miscompilations, so the
+  // matrix size shapes scan results too (0 and 1 both run one input).
+  if (Policy.UniformInputs > 1) {
+    H.word(0x756e69u); // "uni"
+    H.word(Policy.UniformInputs);
+  }
   if (Policy.PostReduce) {
     H.word(0x706f7374u); // "post"
     for (const std::string &Pass : Policy.PostReducePasses)

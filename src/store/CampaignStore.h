@@ -74,8 +74,10 @@ struct StoreManifest {
 };
 
 /// Digest over the result-shaping policy fields (seed, transformation
-/// limit, harness knobs — not jobs/deadline/checkpoint cadence, which
-/// never change results). 16 lowercase hex characters.
+/// limit, harness knobs, and the reduction order, post-reduce passes and
+/// uniform-input count when they are not the defaults — not
+/// jobs/deadline/checkpoint cadence, which never change results). 16
+/// lowercase hex characters.
 std::string campaignConfigDigest(const ExecutionPolicy &Policy);
 
 /// The campaign id a policy maps to: "seed<seed>-<digest16>".

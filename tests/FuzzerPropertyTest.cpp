@@ -14,11 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Validator.h"
-#include "core/Fuzzer.h"
-#include "exec/Interpreter.h"
-#include "gen/Generator.h"
-#include "ir/Text.h"
+#include "TestHelpers.h"
+
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -27,25 +24,8 @@ using namespace spvfuzz;
 
 namespace {
 
-struct FuzzCase {
-  GeneratedProgram Original;
-  std::vector<GeneratedProgram> DonorPrograms;
-  std::vector<const Module *> Donors;
-  FuzzResult Result;
-};
-
-FuzzCase runFuzz(uint64_t Seed, uint32_t TransformationLimit = 300) {
-  FuzzCase Case;
-  Case.Original = generateProgram(Seed);
-  Case.DonorPrograms = generateCorpus(3, Seed + 1000);
-  for (const GeneratedProgram &Donor : Case.DonorPrograms)
-    Case.Donors.push_back(&Donor.M);
-  FuzzerOptions Options;
-  Options.TransformationLimit = TransformationLimit;
-  Case.Result =
-      fuzz(Case.Original.M, Case.Original.Input, Case.Donors, Seed, Options);
-  return Case;
-}
+using test::FuzzCase;
+using test::runFuzz;
 
 class FuzzerProperty : public ::testing::TestWithParam<uint64_t> {};
 

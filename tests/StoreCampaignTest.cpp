@@ -225,6 +225,46 @@ TEST(StoreCampaign, ReopenWithoutResumeIsRefused) {
   EXPECT_NE(Store, nullptr) << Error;
 }
 
+/// The uniform-input count shapes scan results, so it is part of the
+/// campaign identity: resuming with a different count starts a campaign
+/// of its own instead of continuing the recorded one. K = 1 keeps the
+/// digest it had before the count was hashed.
+TEST(StoreCampaign, UniformInputsArePartOfTheCampaignIdentity) {
+  ExecutionPolicy Single = policyFor(5, 1);
+  ExecutionPolicy Batched = policyFor(5, 1).withUniformInputs(4);
+  EXPECT_EQ(campaignConfigDigest(Single), "a2d5273362bffe3f");
+  EXPECT_NE(campaignConfigDigest(Batched), campaignConfigDigest(Single));
+
+  std::string Dir = uniqueDir("uniform");
+  std::string Error;
+  {
+    std::unique_ptr<CampaignStore> Store =
+        CampaignStore::open(Dir, Batched, Error);
+    ASSERT_NE(Store, nullptr) << Error;
+    CampaignEngine Engine(Batched, CorpusSpec{}, ToolsetSpec{},
+                          TargetFleet{});
+    Engine.setCheckpointer(Store.get());
+    BugFindingConfig Config;
+    Config.TestsPerTool = 8;
+    Engine.runBugFinding(Config);
+  }
+
+  ExecutionPolicy Resumed = Single;
+  Resumed.withResume(true);
+  std::unique_ptr<CampaignStore> Store =
+      CampaignStore::open(Dir, Resumed, Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_NE(Store->campaignId(), campaignIdFor(Batched));
+  EvaluationCheckpoint Checkpoint;
+  EXPECT_FALSE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+
+  // Resuming with the recorded count does continue the campaign.
+  Batched.withResume(true);
+  Store = CampaignStore::open(Dir, Batched, Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_TRUE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+}
+
 std::string bucketTable(const CampaignStore &Store) {
   std::ostringstream Out;
   for (const BugBucket &Bucket : Store.aggregatedBuckets())

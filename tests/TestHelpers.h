@@ -9,8 +9,10 @@
 
 #include "analysis/Validator.h"
 #include "core/Fact.h"
+#include "core/Fuzzer.h"
 #include "core/Transformation.h"
 #include "exec/Interpreter.h"
+#include "gen/Generator.h"
 #include "ir/ModuleBuilder.h"
 #include "ir/Text.h"
 
@@ -134,6 +136,28 @@ inline bool applyIfApplicable(Module &M, FactManager &Facts,
     return false;
   T.apply(M, Facts);
   return true;
+}
+
+/// One fuzzer run over a generated original, with three generated donors:
+/// the variant shape the property tests check.
+struct FuzzCase {
+  GeneratedProgram Original;
+  std::vector<GeneratedProgram> DonorPrograms;
+  std::vector<const Module *> Donors;
+  FuzzResult Result;
+};
+
+inline FuzzCase runFuzz(uint64_t Seed, uint32_t TransformationLimit = 300) {
+  FuzzCase Case;
+  Case.Original = generateProgram(Seed);
+  Case.DonorPrograms = generateCorpus(3, Seed + 1000);
+  for (const GeneratedProgram &Donor : Case.DonorPrograms)
+    Case.Donors.push_back(&Donor.M);
+  FuzzerOptions Options;
+  Options.TransformationLimit = TransformationLimit;
+  Case.Result =
+      fuzz(Case.Original.M, Case.Original.Input, Case.Donors, Seed, Options);
+  return Case;
 }
 
 /// Checks a transformation's wire-format round trip.
