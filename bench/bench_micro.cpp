@@ -94,15 +94,13 @@ BENCHMARK(BM_Interpret);
 void BM_LowerModule(benchmark::State &State) {
   const GeneratedProgram &Program = sharedProgram();
   for (auto _ : State)
-    benchmark::DoNotOptimize(
-        Executable::compile(Program.M, ExecEngine::Lowered)->approxBytes());
+    benchmark::DoNotOptimize(Executable::compile(Program.M)->approxBytes());
 }
 BENCHMARK(BM_LowerModule);
 
 void BM_LoweredRun(benchmark::State &State) {
   const GeneratedProgram &Program = sharedProgram();
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(Program.M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(Program.M);
   for (auto _ : State)
     benchmark::DoNotOptimize(Exe->run(Program.Input).Outputs.size());
 }
@@ -113,8 +111,7 @@ void BM_LoweredRunBatch(benchmark::State &State) {
   // scans. Report per-run time so the batch numbers compare directly with
   // BM_Interpret / BM_LoweredRun.
   const GeneratedProgram &Program = sharedProgram();
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(Program.M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(Program.M);
   std::vector<ShaderInput> Matrix =
       uniformInputMatrix(Program.Input, 32, 7);
   for (auto _ : State)
@@ -206,8 +203,7 @@ void dumpDispatchThroughput(const char *Path) {
                            .count();
 
   Start = std::chrono::steady_clock::now();
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(Program.M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(Program.M);
   size_t LoweredOutputs = 0;
   for (size_t Round = 0; Round < Rounds; ++Round)
     for (const ShaderInput &Input : Matrix)

@@ -125,18 +125,6 @@ int main(int argc, char **argv) {
   size_t Jobs = bench::parseJobs(argc, argv);
   ExecutionPolicy Policy =
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(150);
-  // `--exec tree` routes every execution through the tree interpreter;
-  // diffing its stdout against the default lowered run is the end-to-end
-  // engine-equivalence check of EXPERIMENTS.md.
-  std::string EngineArg = bench::parseString(argc, argv, "--exec");
-  if (!EngineArg.empty()) {
-    ExecEngine ExecSel = ExecEngine::Lowered;
-    if (!execEngineFromName(EngineArg, ExecSel)) {
-      fprintf(stderr, "unknown execution engine '%s'\n", EngineArg.c_str());
-      return 1;
-    }
-    Policy.withEngine(ExecSel);
-  }
   ExecutionPolicy ConfiguredPolicy = Policy;
   ConfiguredPolicy.withReduceOrder(Order).withPostReduce(PostReduce);
   CampaignEngine Engine(ConfiguredPolicy, CorpusSpec{}, ToolsetSpec{},

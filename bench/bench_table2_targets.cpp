@@ -8,15 +8,13 @@
 /// Prints the target inventory of Table 2: name, version, GPU type, plus
 /// the simulation-specific columns (pipeline length, injected bug count,
 /// execution capability). With `--throughput N` it additionally measures
-/// execution-engine throughput: N generated modules, each compiled once
-/// per executing target (artifacts shared through an ExecutableCache) and
-/// run over a uniform-input matrix for several rounds. `--exec tree`
-/// selects the tree-walking interpreter; the per-target result digests on
-/// stdout are engine-independent, so
-/// `diff <(bench --throughput N) <(bench --throughput N --exec tree)` is
-/// the cross-engine equivalence check, and the `bench.throughput_per_sec`
-/// gauge (exec.runs per wall second) in the REPRO_METRICS_OUT dump is the
-/// speedup measurement.
+/// execution throughput: N generated modules, each compiled once per
+/// executing target (artifacts shared through an ExecutableCache) and run
+/// over a uniform-input matrix for several rounds. stdout carries one
+/// result digest per target; the `bench.throughput_per_sec` gauge
+/// (exec.runs per wall second) in the REPRO_METRICS_OUT dump is the
+/// measurement. bench_micro's `interp.tree_runs_per_sec` times the tree
+/// interpreter on the same kind of workload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +57,7 @@ static std::string faultSummary(const TargetSpec &Spec) {
   return Out.empty() ? "-" : Out;
 }
 
-/// FNV-1a over the rendered result, so the digest is stable across builds
-/// and identical whenever the two engines agree.
+/// FNV-1a over the rendered result, so the digest is stable across builds.
 static uint64_t resultDigest(uint64_t Digest, const TargetRun &Run) {
   std::string Rendered = std::to_string(static_cast<int>(Run.RunOutcome)) +
                          Run.Signature + Run.Result.str();
@@ -69,12 +66,12 @@ static uint64_t resultDigest(uint64_t Digest, const TargetRun &Run) {
   return Digest;
 }
 
-/// Execution-engine throughput over \p NumModules generated modules ×
+/// Execution throughput over \p NumModules generated modules ×
 /// \p NumInputs uniform vectors × \p Rounds repeat rounds per executing
 /// target. Rounds after the first hit the ExecutableCache, so the measured
 /// path is runBatch over a shared artifact — the campaign's steady state.
-static void runThroughput(const TargetFleet &Fleet, ExecEngine Engine,
-                          size_t NumModules, size_t NumInputs, size_t Rounds) {
+static void runThroughput(const TargetFleet &Fleet, size_t NumModules,
+                          size_t NumInputs, size_t Rounds) {
   ExecutableCache ExeCache(256ull << 20);
   printf("\nExecution throughput: %zu modules x %zu inputs x %zu rounds\n",
          NumModules, NumInputs, Rounds);
@@ -86,7 +83,6 @@ static void runThroughput(const TargetFleet &Fleet, ExecEngine Engine,
       continue;
     uint64_t Digest = 0xcbf29ce484222325ULL;
     RunContext Ctx;
-    Ctx.Engine = Engine;
     Ctx.ExeCache = &ExeCache;
     for (const GeneratedProgram &Program : Programs) {
       std::vector<ShaderInput> Matrix =
@@ -135,12 +131,6 @@ int main(int argc, char **argv) {
          "spirv-opt is not a full Vulkan implementation).\n");
 
   if (NumModules) {
-    ExecEngine Engine = ExecEngine::Lowered;
-    std::string EngineArg = bench::parseString(argc, argv, "--exec");
-    if (!EngineArg.empty() && !execEngineFromName(EngineArg, Engine)) {
-      fprintf(stderr, "unknown execution engine '%s'\n", EngineArg.c_str());
-      return 1;
-    }
     size_t NumInputs = 16, Rounds = 8;
     std::string InputsArg = bench::parseString(argc, argv, "--inputs");
     if (!InputsArg.empty())
@@ -148,8 +138,7 @@ int main(int argc, char **argv) {
     std::string RoundsArg = bench::parseString(argc, argv, "--rounds");
     if (!RoundsArg.empty())
       Rounds = std::strtoull(RoundsArg.c_str(), nullptr, 10);
-    fprintf(stderr, "engine: %s\n", execEngineName(Engine));
-    runThroughput(Fleet, Engine, NumModules, NumInputs, Rounds);
+    runThroughput(Fleet, NumModules, NumInputs, Rounds);
   }
   return 0;
 }

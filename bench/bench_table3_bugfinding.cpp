@@ -70,18 +70,10 @@ double runAtWorkerCount(size_t Workers, const std::string &StoreDir,
     SOpts.LeaseTtlMs = 30000;
     SOpts.PollMs = 5;
     Coordinator = std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
-    serve::WorkerConfigMsg WC;
-    WC.CampaignId = Store->campaignId();
-    WC.Seed = Policy.Seed;
-    WC.TransformationLimit = Policy.TransformationLimit;
-    WC.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
-    WC.FlakyRetries = Policy.FlakyRetries;
-    WC.QuarantineThreshold = Policy.QuarantineThreshold;
-    WC.Engine = static_cast<uint8_t>(Policy.Engine);
-    WC.UniformInputs = Policy.UniformInputs;
-    WC.Tests = Tests;
-    WC.LeaseTtlMs = SOpts.LeaseTtlMs;
-    if (!Coordinator->start(WC, Error)) {
+    if (!Coordinator->start(serve::workerConfigFor(Policy,
+                                                   /*FaultyFleet=*/false,
+                                                   Tests, SOpts.LeaseTtlMs),
+                            Error)) {
       fprintf(stderr, "scaleout: %s\n", Error.c_str());
       return -1.0;
     }

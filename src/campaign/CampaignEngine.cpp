@@ -26,6 +26,11 @@ namespace {
 /// only cost.
 constexpr size_t ExecutableCacheBudget = 64ull << 20;
 
+/// Byte budget of the engine-wide evaluation cache that memoizes TargetRun
+/// outcomes across reduction checks and dedup (target/EvalCache.h). Never
+/// changes results, only cost.
+constexpr size_t EvalCacheBudget = 64ull << 20;
+
 } // namespace
 
 CampaignEngine::CampaignEngine(ExecutionPolicy PolicyIn, CorpusSpec CorpusOpts,
@@ -38,14 +43,13 @@ CampaignEngine::CampaignEngine(ExecutionPolicy PolicyIn, CorpusSpec CorpusOpts,
   CorpusData = makeCorpus(CorpusOpts);
   Tools = standardTools(ToolOpts);
   Fleet = FleetIn.empty() ? TargetFleet::standard() : std::move(FleetIn);
-  Eval = std::make_unique<EvalCache>(Policy.EvalCacheBudget);
+  Eval = std::make_unique<EvalCache>(EvalCacheBudget);
   ExeC = std::make_unique<ExecutableCache>(ExecutableCacheBudget);
   HarnessPolicy HarnessOpts;
   HarnessOpts.CampaignSeed = Policy.Seed;
   HarnessOpts.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
   HarnessOpts.FlakyRetries = Policy.FlakyRetries;
   HarnessOpts.QuarantineThreshold = Policy.QuarantineThreshold;
-  HarnessOpts.Engine = Policy.Engine;
   Har = std::make_unique<Harness>(Fleet, HarnessOpts, Eval.get(), ExeC.get());
   if (Policy.Jobs != 1)
     Pool = std::make_unique<ThreadPool>(Policy.Jobs);
@@ -461,9 +465,9 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       Wanted.push_back(&T);
 
   // Plan shared by every reduction task of this phase; the pool and the
-  // per-tool AddFunction-shrink knob are filled in per task.
+  // per-tool AddFunction-shrink knob are filled in per task. Replay
+  // snapshots keep the ReductionPlan defaults.
   ReductionPlan BasePlan;
-  BasePlan.SnapshotInterval = Policy.ReplaySnapshotInterval;
   BasePlan.Order = Policy.ReduceOrder;
   BasePlan.PostReduce = Policy.PostReduce;
   BasePlan.PostPasses = Policy.PostReducePasses;

@@ -53,14 +53,6 @@ struct ExecutionPolicy {
   /// truncated results — deadline-limited runs are therefore *not*
   /// deterministic across thread counts.
   std::chrono::milliseconds Deadline{0};
-  /// Prefix-snapshot spacing for the reducer's incremental replay
-  /// (core/ReplayCache.h); 0 makes every reduction check replay from the
-  /// original module. Never changes results, only their cost.
-  size_t ReplaySnapshotInterval = 8;
-  /// Approximate byte budget for the engine-wide evaluation cache that
-  /// memoizes TargetRun outcomes across reduction checks and dedup
-  /// (target/EvalCache.h); 0 disables memoization. Never changes results.
-  size_t EvalCacheBudget = 64ull << 20;
   /// Simulated step budget per target attempt (target/Harness.h); 0 =
   /// unlimited. The default equals the interpreter's own step limit, so
   /// solid targets behave exactly as before the harness existed.
@@ -83,10 +75,6 @@ struct ExecutionPolicy {
   /// When true, the CLI resumes the campaign found in StorePath instead of
   /// requiring a fresh store.
   bool Resume = false;
-  /// Execution engine for every target run (exec/Executable.h). Lowered
-  /// and Tree produce byte-identical campaign outputs; Tree exists as the
-  /// differential oracle and for the CI equivalence gate.
-  ExecEngine Engine = ExecEngine::Lowered;
   /// Uniform inputs evaluated per (test, target) in the bug-finding scan:
   /// 1 (the default) is the paper's single-input differential check; K > 1
   /// runs uniformInputMatrix through batched evaluation — one compile per
@@ -125,14 +113,6 @@ struct ExecutionPolicy {
     Deadline = Budget;
     return *this;
   }
-  ExecutionPolicy &withReplaySnapshotInterval(size_t Interval) {
-    ReplaySnapshotInterval = Interval;
-    return *this;
-  }
-  ExecutionPolicy &withEvalCacheBudget(size_t Bytes) {
-    EvalCacheBudget = Bytes;
-    return *this;
-  }
   ExecutionPolicy &withTargetDeadlineSteps(uint64_t Steps) {
     TargetDeadlineSteps = Steps;
     return *this;
@@ -155,10 +135,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withResume(bool On) {
     Resume = On;
-    return *this;
-  }
-  ExecutionPolicy &withEngine(ExecEngine E) {
-    Engine = E;
     return *this;
   }
   ExecutionPolicy &withUniformInputs(size_t Count) {

@@ -29,22 +29,6 @@
 using namespace spvfuzz;
 using namespace spvfuzz::bytecode;
 
-const char *spvfuzz::execEngineName(ExecEngine Engine) {
-  return Engine == ExecEngine::Lowered ? "lowered" : "tree";
-}
-
-bool spvfuzz::execEngineFromName(const std::string &Name, ExecEngine &Out) {
-  if (Name == "lowered") {
-    Out = ExecEngine::Lowered;
-    return true;
-  }
-  if (Name == "tree") {
-    Out = ExecEngine::Tree;
-    return true;
-  }
-  return false;
-}
-
 namespace {
 
 /// Reusable per-thread execution state: the register stack, the memory
@@ -298,17 +282,14 @@ EnterBlock : {
 
 } // namespace
 
-Executable::Executable(Module TheModule, ExecEngine TheEngine,
-                       uint64_t TheArtifactId)
-    : M(std::move(TheModule)), Engine(TheEngine), ArtifactId(TheArtifactId) {
-  if (Engine == ExecEngine::Lowered)
-    Prog = lowerModule(M);
-}
+Executable::Executable(Module TheModule, uint64_t TheArtifactId)
+    : M(std::move(TheModule)), ArtifactId(TheArtifactId),
+      Prog(lowerModule(M)) {}
 
-std::shared_ptr<const Executable>
-Executable::compile(Module M, ExecEngine Engine, uint64_t ArtifactId) {
+std::shared_ptr<const Executable> Executable::compile(Module M,
+                                                      uint64_t ArtifactId) {
   return std::shared_ptr<const Executable>(
-      new Executable(std::move(M), Engine, ArtifactId));
+      new Executable(std::move(M), ArtifactId));
 }
 
 ExecResult Executable::run(const ShaderInput &Input,
@@ -357,8 +338,8 @@ ExecResult Executable::run(const ShaderInput &Input,
     }
   }
 
-  // Identical accounting to interpret() so the two engines are
-  // counter-for-counter interchangeable.
+  // Identical accounting to interpret(), so a run's counters do not
+  // depend on whether the module was lowered.
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   if (Metrics.enabled()) {
     Metrics.add("exec.runs");

@@ -12,17 +12,13 @@
 /// so that every phase touching the same lowered program shares one
 /// compilation.
 ///
-/// Two engines live behind the same API:
-///
-///  * ExecEngine::Lowered (the default) lowers the module to register
-///    bytecode (Bytecode.h, Lower.h) and runs it on a threaded-dispatch
-///    executor. When the lowerer cannot prove exact equivalence — or a
-///    uniform input does not match its declared shape — the run falls
-///    back to the tree interpreter, so results are always
-///    interpret()-identical.
-///  * ExecEngine::Tree runs the reference interpreter directly; it exists
-///    for differential testing and for byte-for-byte campaign
-///    comparisons against the lowered engine.
+/// compile() lowers the module to register bytecode (Bytecode.h, Lower.h)
+/// for a threaded-dispatch executor when the lowerer proves the lowering
+/// exactly equivalent; otherwise the lowering is skipped and every run
+/// goes through the tree interpreter. A uniform input that does not match
+/// its declared shape also runs on the tree interpreter. Which path a run
+/// takes is the artifact's own decision, never the caller's: results and
+/// telemetry counters are interpret()-identical either way.
 ///
 /// interpret() (Interpreter.h) remains the semantics of record; outside
 /// of exec unit tests and differential oracles, execution goes through
@@ -41,32 +37,20 @@
 
 namespace spvfuzz {
 
-/// Which execution engine an Executable (and everything above it) uses.
-enum class ExecEngine : uint8_t {
-  Lowered, // register-bytecode executor, tree fallback when unprovable
-  Tree,    // reference tree interpreter
-};
-
-/// "lowered" / "tree" (CLI flag values and bench labels).
-const char *execEngineName(ExecEngine Engine);
-
-/// Parses "lowered"/"tree"; returns false on unknown names.
-bool execEngineFromName(const std::string &Name, ExecEngine &Out);
-
 class Executable {
 public:
-  /// Compiles \p M for \p Engine. \p ArtifactId is the caller's identity
-  /// for this compilation (targets derive it from the module hash and
-  /// target name); it is what EvalCache keys on.
-  static std::shared_ptr<const Executable>
-  compile(Module M, ExecEngine Engine = ExecEngine::Lowered,
-          uint64_t ArtifactId = 0);
+  /// Compiles \p M, lowering it when the lowerer can prove it.
+  /// \p ArtifactId is the caller's identity for this compilation (targets
+  /// derive it from the module hash and target name); it is what EvalCache
+  /// keys on.
+  static std::shared_ptr<const Executable> compile(Module M,
+                                                   uint64_t ArtifactId = 0);
 
   uint64_t id() const { return ArtifactId; }
-  ExecEngine engine() const { return Engine; }
 
-  /// True when runs actually go through the bytecode executor (lowered
-  /// engine and the lowerer proved the module).
+  /// True when the lowerer proved the module, so runs go through the
+  /// bytecode executor (shape-matched inputs) rather than the tree
+  /// interpreter.
   bool loweredActive() const { return Prog.Ok; }
 
   const Module &module() const { return M; }
@@ -79,12 +63,11 @@ public:
   size_t approxBytes() const;
 
 private:
-  Executable(Module M, ExecEngine Engine, uint64_t ArtifactId);
+  Executable(Module M, uint64_t ArtifactId);
 
   Module M;
-  ExecEngine Engine;
   uint64_t ArtifactId;
-  bytecode::LoweredProgram Prog; // Ok == false for Tree or unprovable
+  bytecode::LoweredProgram Prog; // Ok == false when the lowering is unproven
 };
 
 } // namespace spvfuzz

@@ -6,6 +6,7 @@
 
 #include "serve/ShardProtocol.h"
 
+#include "store/CampaignStore.h"
 #include "store/Serde.h"
 #include "support/ModuleHash.h"
 
@@ -26,6 +27,41 @@ const char *serve::messageKindName(MessageKind Kind) {
     return "LeaseLedger";
   }
   return "Unknown";
+}
+
+WorkerConfigMsg serve::workerConfigFor(const ExecutionPolicy &Policy,
+                                       bool FaultyFleet, uint64_t Tests,
+                                       uint64_t LeaseTtlMs) {
+  WorkerConfigMsg Msg;
+  Msg.CampaignId = campaignIdFor(Policy);
+  Msg.Seed = Policy.Seed;
+  Msg.TransformationLimit = Policy.TransformationLimit;
+  Msg.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
+  Msg.FlakyRetries = Policy.FlakyRetries;
+  Msg.QuarantineThreshold = Policy.QuarantineThreshold;
+  Msg.UniformInputs = Policy.UniformInputs;
+  Msg.ReduceOrder = static_cast<uint8_t>(Policy.ReduceOrder);
+  Msg.PostReduce = Policy.PostReduce ? 1 : 0;
+  Msg.PostReducePasses = Policy.PostReducePasses;
+  Msg.FaultyFleet = FaultyFleet ? 1 : 0;
+  Msg.Tests = Tests;
+  Msg.LeaseTtlMs = LeaseTtlMs;
+  return Msg;
+}
+
+ExecutionPolicy serve::policyFor(const WorkerConfigMsg &Config, size_t Jobs) {
+  ExecutionPolicy Policy;
+  Policy.Jobs = Jobs;
+  Policy.Seed = Config.Seed;
+  Policy.TransformationLimit = Config.TransformationLimit;
+  Policy.TargetDeadlineSteps = Config.TargetDeadlineSteps;
+  Policy.FlakyRetries = Config.FlakyRetries;
+  Policy.QuarantineThreshold = Config.QuarantineThreshold;
+  Policy.UniformInputs = Config.UniformInputs ? Config.UniformInputs : 1;
+  Policy.ReduceOrder = static_cast<CandidateOrder>(Config.ReduceOrder);
+  Policy.PostReduce = Config.PostReduce != 0;
+  Policy.PostReducePasses = Config.PostReducePasses;
+  return Policy;
 }
 
 uint64_t serve::sidelinedDigest(const std::vector<std::string> &Sidelined) {
@@ -118,9 +154,9 @@ bool decodeTyped(const std::string &Bytes, MessageKind Expected,
     ErrorOut = "shard frame header unreadable: " + R.error();
     return false;
   }
-  if (Version == 0 || Version > ShardProtocolVersion) {
+  if (Version != ShardProtocolVersion) {
     ErrorOut = "unsupported shard protocol version " +
-               std::to_string(Version) + " (this build speaks up to " +
+               std::to_string(Version) + " (this build speaks " +
                std::to_string(ShardProtocolVersion) + ")";
     return false;
   }
@@ -180,8 +216,10 @@ std::string serve::encodeWorkerConfig(const WorkerConfigMsg &Msg) {
   W.u64(Msg.TargetDeadlineSteps);
   W.u32(Msg.FlakyRetries);
   W.u32(Msg.QuarantineThreshold);
-  W.u8(Msg.Engine);
   W.u64(Msg.UniformInputs);
+  W.u8(Msg.ReduceOrder);
+  W.u8(Msg.PostReduce);
+  W.strs(Msg.PostReducePasses);
   W.u8(Msg.FaultyFleet);
   W.u64(Msg.Tests);
   W.u64(Msg.LeaseTtlMs);
@@ -197,7 +235,8 @@ bool serve::decodeWorkerConfig(const std::string &Bytes, WorkerConfigMsg &Out,
   if (!R.str(Out.CampaignId) || !R.u64(Out.Seed) ||
       !R.u32(Out.TransformationLimit) || !R.u64(Out.TargetDeadlineSteps) ||
       !R.u32(Out.FlakyRetries) || !R.u32(Out.QuarantineThreshold) ||
-      !R.u8(Out.Engine) || !R.u64(Out.UniformInputs) ||
+      !R.u64(Out.UniformInputs) || !R.u8(Out.ReduceOrder) ||
+      !R.u8(Out.PostReduce) || !R.strs(Out.PostReducePasses) ||
       !R.u8(Out.FaultyFleet) || !R.u64(Out.Tests) || !R.u64(Out.LeaseTtlMs))
     return payloadError(R, MessageKind::WorkerConfig, ErrorOut);
   return finish(R, MessageKind::WorkerConfig, ErrorOut);
@@ -232,9 +271,7 @@ std::string serve::encodeShardJob(const ShardJobMsg &Msg) {
   W.u8(Msg.CrashesOnly);
   W.u64(Msg.WaveStart);
   W.u64(Msg.WaveEnd);
-  W.u32(static_cast<uint32_t>(Msg.Sidelined.size()));
-  for (const std::string &Name : Msg.Sidelined)
-    W.str(Name);
+  W.strs(Msg.Sidelined);
   return encodeFrame(MessageKind::ShardJob, W.take());
 }
 
@@ -244,21 +281,11 @@ bool serve::decodeShardJob(const std::string &Bytes, ShardJobMsg &Out,
   if (!decodeTyped(Bytes, MessageKind::ShardJob, Payload, ErrorOut))
     return false;
   ByteReader R(Payload);
-  uint32_t SidelinedCount = 0;
   if (!R.u64(Out.JobId) || !R.u64(Out.Generation) ||
       !R.str(Out.CampaignId) || !R.str(Out.Phase) || !R.str(Out.Tool) ||
       !R.u64(Out.Count) || !R.u8(Out.CrashesOnly) || !R.u64(Out.WaveStart) ||
-      !R.u64(Out.WaveEnd) || !R.u32(SidelinedCount) ||
-      !R.checkCount(SidelinedCount, 4))
+      !R.u64(Out.WaveEnd) || !R.strs(Out.Sidelined))
     return payloadError(R, MessageKind::ShardJob, ErrorOut);
-  Out.Sidelined.clear();
-  Out.Sidelined.reserve(SidelinedCount);
-  for (uint32_t I = 0; I < SidelinedCount; ++I) {
-    std::string Name;
-    if (!R.str(Name))
-      return payloadError(R, MessageKind::ShardJob, ErrorOut);
-    Out.Sidelined.push_back(std::move(Name));
-  }
   return finish(R, MessageKind::ShardJob, ErrorOut);
 }
 

@@ -16,8 +16,8 @@
 ///
 /// with the checksum a StructuralHasher digest over (version, kind,
 /// payload). Any bit flip, truncation or stray append is rejected at
-/// decode with a diagnostic, never undefined behaviour; frames from a
-/// newer protocol version are refused rather than misparsed.
+/// decode with a diagnostic, never undefined behaviour; frames from any
+/// other protocol version are refused rather than misparsed.
 ///
 /// The payload types cover the whole deployment conversation: the
 /// coordinator publishes one WorkerConfig (the campaign policy a worker
@@ -43,8 +43,8 @@ namespace spvfuzz {
 namespace serve {
 
 /// The wire version this build speaks. Bump on any incompatible frame or
-/// payload change; decoders refuse anything newer.
-inline constexpr uint32_t ShardProtocolVersion = 1;
+/// payload change; decoders refuse every other version.
+inline constexpr uint32_t ShardProtocolVersion = 2;
 
 /// Every frame kind the protocol carries.
 enum class MessageKind : uint8_t {
@@ -57,10 +57,11 @@ enum class MessageKind : uint8_t {
 
 const char *messageKindName(MessageKind Kind);
 
-/// The campaign policy a worker replicates. Everything that feeds
-/// campaignConfigDigest is here, plus the knobs that shape evaluation
-/// (engine, uniform inputs, fleet flavor); the worker rebuilds the same
-/// corpus, tools and fleet from it and cross-checks CampaignId.
+/// The campaign policy a worker replicates. Every ExecutionPolicy field
+/// that feeds campaignConfigDigest is here, plus the fleet flavor; the
+/// worker rebuilds the same corpus, tools and fleet from it and
+/// cross-checks CampaignId. Build it with workerConfigFor and read it
+/// back with policyFor, so the two ends cannot drift apart.
 struct WorkerConfigMsg {
   std::string CampaignId;
   uint64_t Seed = 0;
@@ -68,15 +69,27 @@ struct WorkerConfigMsg {
   uint64_t TargetDeadlineSteps = 0;
   uint32_t FlakyRetries = 0;
   uint32_t QuarantineThreshold = 0;
-  /// ExecEngine as its underlying value.
-  uint8_t Engine = 0;
   uint64_t UniformInputs = 1;
+  /// CandidateOrder as its underlying value.
+  uint8_t ReduceOrder = 0;
+  uint8_t PostReduce = 0;
+  std::vector<std::string> PostReducePasses;
   uint8_t FaultyFleet = 0;
   /// Tests per tool (phase totals, for progress accounting only).
   uint64_t Tests = 0;
   /// Lease time-to-live workers request when leasing, in milliseconds.
   uint64_t LeaseTtlMs = 0;
 };
+
+/// The worker config that replicates \p Policy, whose campaign id it
+/// carries (campaignIdFor).
+WorkerConfigMsg workerConfigFor(const ExecutionPolicy &Policy,
+                                bool FaultyFleet, uint64_t Tests,
+                                uint64_t LeaseTtlMs);
+
+/// The policy a worker running \p Jobs threads rebuilds from \p Config;
+/// campaignIdFor of it equals the coordinator's campaign id.
+ExecutionPolicy policyFor(const WorkerConfigMsg &Config, size_t Jobs);
 
 /// A worker announcing itself (written once at startup).
 struct WorkerHelloMsg {

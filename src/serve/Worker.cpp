@@ -62,15 +62,7 @@ int ShardWorker::run(std::string &ErrorOut) {
 
   // Replicate the campaign policy and prove it by digest: a worker built
   // from a different binary or config would compute different shards.
-  ExecutionPolicy Policy;
-  Policy.Jobs = Opts.Jobs;
-  Policy.Seed = Config.Seed;
-  Policy.TransformationLimit = Config.TransformationLimit;
-  Policy.TargetDeadlineSteps = Config.TargetDeadlineSteps;
-  Policy.FlakyRetries = Config.FlakyRetries;
-  Policy.QuarantineThreshold = Config.QuarantineThreshold;
-  Policy.Engine = static_cast<ExecEngine>(Config.Engine);
-  Policy.UniformInputs = Config.UniformInputs ? Config.UniformInputs : 1;
+  const ExecutionPolicy Policy = policyFor(Config, Opts.Jobs);
   if (campaignIdFor(Policy) != Config.CampaignId) {
     ErrorOut = "campaign id mismatch: coordinator has " + Config.CampaignId +
                ", this worker derives " + campaignIdFor(Policy);

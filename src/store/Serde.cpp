@@ -391,14 +391,11 @@ void spvfuzz::writeTestEvaluationBinary(ByteWriter &W,
     W.str(Target);
     W.str(Signature);
   }
-  W.u32(static_cast<uint32_t>(Eval.ToolErrored.size()));
-  for (const std::string &Name : Eval.ToolErrored)
-    W.str(Name);
+  W.strs(Eval.ToolErrored);
 }
 
 bool spvfuzz::readTestEvaluationBinary(ByteReader &R, TestEvaluation &Eval) {
   Eval.Signatures.clear();
-  Eval.ToolErrored.clear();
   uint64_t ReferenceIndex = 0;
   uint32_t SigCount = 0;
   if (!R.u64(Eval.Seed) || !R.u64(ReferenceIndex) || !R.u32(SigCount) ||
@@ -411,16 +408,7 @@ bool spvfuzz::readTestEvaluationBinary(ByteReader &R, TestEvaluation &Eval) {
       return false;
     Eval.Signatures[std::move(Target)] = std::move(Signature);
   }
-  uint32_t ErroredCount = 0;
-  if (!R.u32(ErroredCount) || !R.checkCount(ErroredCount, 4))
-    return false;
-  for (uint32_t E = 0; E < ErroredCount; ++E) {
-    std::string Name;
-    if (!R.str(Name))
-      return false;
-    Eval.ToolErrored.push_back(std::move(Name));
-  }
-  return true;
+  return R.strs(Eval.ToolErrored);
 }
 
 // --- Fact codec ------------------------------------------------------------

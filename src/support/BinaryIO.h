@@ -50,6 +50,12 @@ public:
     for (uint32_t Word : Words)
       u32(Word);
   }
+  /// Count-prefixed list of length-prefixed strings (u32 count + str each).
+  void strs(const std::vector<std::string> &Values) {
+    u32(static_cast<uint32_t>(Values.size()));
+    for (const std::string &Value : Values)
+      str(Value);
+  }
   void raw(const std::string &Bytes) { Buf.append(Bytes); }
 
   const std::string &bytes() const { return Buf; }
@@ -116,6 +122,16 @@ public:
       u32(Word);
       Out.push_back(Word);
     }
+    return true;
+  }
+  bool strs(std::vector<std::string> &Out) {
+    uint32_t Count = 0;
+    if (!u32(Count) || !checkCount(Count, 4))
+      return false;
+    Out.assign(Count, std::string());
+    for (std::string &Value : Out)
+      if (!str(Value))
+        return false;
     return true;
   }
 

@@ -10,15 +10,14 @@
 
 using namespace spvfuzz;
 
-size_t ExecutableCache::KeyHasher::operator()(const Key &K) const {
-  return static_cast<size_t>(StructuralHasher::mix(
-      K.ArtifactId ^ (static_cast<uint64_t>(K.Engine) << 56)));
+size_t ExecutableCache::KeyHasher::operator()(uint64_t ArtifactId) const {
+  return static_cast<size_t>(StructuralHasher::mix(ArtifactId));
 }
 
 std::shared_ptr<const TargetArtifact>
 ExecutableCache::getOrCompile(const Target &T, const Module &M,
-                              ExecEngine Engine, uint64_t ModuleHash) {
-  const Key K{T.artifactId(ModuleHash), Engine};
+                              uint64_t ModuleHash) {
+  const uint64_t K = T.artifactId(ModuleHash);
   std::shared_ptr<const TargetArtifact> Art;
   if (Lru.lookup(K, Art)) {
     // Replay outside the lock; the registry locks internally.
@@ -28,7 +27,7 @@ ExecutableCache::getOrCompile(const Target &T, const Module &M,
   // Compile outside the lock: pipelines are the expensive part and the
   // artifact is deterministic, so a racing duplicate compile is wasted
   // work, not wrong results.
-  Art = T.compile(M, Engine);
+  Art = T.compile(M);
   Lru.insert(K, Art, Art->approxBytes());
   return Art;
 }

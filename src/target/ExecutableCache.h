@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-safe LRU cache of TargetArtifacts keyed by (artifact id,
-/// engine). Campaign evaluation compiles the same module on the same
-/// target over and over — every test re-runs its reference program, every
-/// failed chunk removal in delta debugging regenerates an already-seen
-/// variant — and for a *deterministic* target the artifact is a pure
-/// function of the module, so the pipeline and the register-bytecode
+/// A thread-safe LRU cache of TargetArtifacts keyed by artifact id
+/// (Target::artifactId). Campaign evaluation compiles the same module on
+/// the same target over and over — every test re-runs its reference
+/// program, every failed chunk removal in delta debugging regenerates an
+/// already-seen variant — and for a *deterministic* target the artifact is
+/// a pure function of the module, so the pipeline and the register-bytecode
 /// lowering need only happen once per distinct module.
 ///
 /// Cache hits replay the compile-side counters a fresh compile would have
@@ -44,32 +44,22 @@ public:
   explicit ExecutableCache(size_t BudgetBytes) : Lru(BudgetBytes) {}
 
   /// The artifact of compiling \p M (whose structural hash is
-  /// \p ModuleHash) on \p T for \p Engine — cached, or compiled and
-  /// cached. \p T must be deterministic (the caller's responsibility: a
-  /// flaky target's artifact depends on the attempt draw and must not be
-  /// frozen). A hit replays compile metrics; a miss compiles and bumps
-  /// them for real.
+  /// \p ModuleHash) on \p T — cached, or compiled and cached. \p T must
+  /// be deterministic (the caller's responsibility: a flaky target's
+  /// artifact depends on the attempt draw and must not be frozen). A hit
+  /// replays compile metrics; a miss compiles and bumps them for real.
   std::shared_ptr<const TargetArtifact>
-  getOrCompile(const Target &T, const Module &M, ExecEngine Engine,
-               uint64_t ModuleHash);
+  getOrCompile(const Target &T, const Module &M, uint64_t ModuleHash);
 
   uint64_t hitCount() const { return Lru.hitCount(); }
   uint64_t missCount() const { return Lru.missCount(); }
 
 private:
-  struct Key {
-    uint64_t ArtifactId = 0;
-    ExecEngine Engine = ExecEngine::Lowered;
-
-    bool operator==(const Key &Other) const {
-      return ArtifactId == Other.ArtifactId && Engine == Other.Engine;
-    }
-  };
   struct KeyHasher {
-    size_t operator()(const Key &K) const;
+    size_t operator()(uint64_t ArtifactId) const;
   };
 
-  LruCache<Key, std::shared_ptr<const TargetArtifact>, KeyHasher> Lru;
+  LruCache<uint64_t, std::shared_ptr<const TargetArtifact>, KeyHasher> Lru;
 };
 
 } // namespace spvfuzz

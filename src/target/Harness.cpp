@@ -41,7 +41,6 @@ RunContext HarnessedTarget::context(uint32_t Attempt) const {
   Ctx.CampaignSeed = Policy.CampaignSeed;
   Ctx.Attempt = Attempt;
   Ctx.StepBudget = Policy.TargetDeadlineSteps;
-  Ctx.Engine = Policy.Engine;
   Ctx.ExeCache = ExeC;
   return Ctx;
 }

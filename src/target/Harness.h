@@ -53,9 +53,6 @@ struct HarnessPolicy {
   uint32_t FlakyRetries = 5;
   /// Consecutive hard tool-error runs before a target is quarantined.
   uint32_t QuarantineThreshold = 3;
-  /// Which execution engine targets run compiled artifacts on. Lowered and
-  /// Tree produce byte-identical results; see exec/Executable.h.
-  ExecEngine Engine = ExecEngine::Lowered;
 };
 
 /// One target wrapped with the harness's deadline, retry/voting and

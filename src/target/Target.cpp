@@ -83,8 +83,7 @@ bool spvfuzz::toolErrorFires(uint64_t Seed, uint64_t ModuleHash,
 }
 
 size_t spvfuzz::TargetArtifact::approxBytes() const {
-  size_t Bytes =
-      sizeof(TargetArtifact) + PassesRun.capacity() * sizeof(OptPassKind);
+  size_t Bytes = sizeof(TargetArtifact);
   if (Crash)
     Bytes += Crash->size();
   if (Exe)
@@ -92,28 +91,35 @@ size_t spvfuzz::TargetArtifact::approxBytes() const {
   return Bytes;
 }
 
-PassCrash Target::compile(const Module &M, Module &OptimizedOut) const {
-  OptimizedOut = M;
-  PassCrash Crash = runPipeline(Spec.Pipeline, OptimizedOut, Spec.Bugs);
+void Target::countCompile(bool Crashed) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  if (Metrics.enabled()) {
-    Metrics.add("target.compiles");
-    Metrics.add("target.compiles." + Spec.Name);
-    if (Crash)
-      Metrics.add("target.crashes." + Spec.Name);
-  }
+  if (!Metrics.enabled())
+    return;
+  Metrics.add("target.compiles");
+  Metrics.add("target.compiles." + Spec.Name);
+  if (Crashed)
+    Metrics.add("target.crashes." + Spec.Name);
+}
+
+PassCrash Target::compile(const Module &M, Module &OptimizedOut) const {
+  PassCrash Crash =
+      compilePrefix(M, Spec.Pipeline.size(), Spec.Bugs, OptimizedOut);
+  countCompile(Crash.has_value());
   return Crash;
 }
 
 PassCrash Target::compilePrefix(const Module &M, size_t PrefixLength,
-                                const BugHost &Bugs,
-                                Module &OptimizedOut) const {
+                                const BugHost &Bugs, Module &OptimizedOut,
+                                size_t *PassesRunOut) const {
   OptimizedOut = M;
   PrefixLength = std::min(PrefixLength, Spec.Pipeline.size());
-  for (size_t I = 0; I < PrefixLength; ++I)
-    if (PassCrash Crash = runOptPass(Spec.Pipeline[I], OptimizedOut, Bugs))
-      return Crash;
-  return std::nullopt;
+  PassCrash Crash;
+  size_t Ran = 0;
+  while (Ran < PrefixLength && !Crash)
+    Crash = runOptPass(Spec.Pipeline[Ran++], OptimizedOut, Bugs);
+  if (PassesRunOut)
+    *PassesRunOut = Ran;
+  return Crash;
 }
 
 BugHost Target::solidBugs() const {
@@ -125,52 +131,38 @@ uint64_t Target::artifactId(uint64_t ModuleHash) const {
 }
 
 std::shared_ptr<const TargetArtifact>
-Target::compileWith(const Module &M, const BugHost &Bugs, ExecEngine Engine,
+Target::compileWith(const Module &M, const BugHost &Bugs,
                     uint64_t ModuleHash) const {
   auto Art = std::make_shared<TargetArtifact>();
   Art->ModuleHash = ModuleHash;
   Art->ArtifactId = artifactId(ModuleHash);
   Art->CompileCost = compileStepCost(M, Spec);
 
-  Module Optimized = M;
-  Art->PassesRun.reserve(Spec.Pipeline.size());
-  for (OptPassKind Pass : Spec.Pipeline) {
-    Art->PassesRun.push_back(Pass);
-    if ((Art->Crash = runOptPass(Pass, Optimized, Bugs)))
-      break;
-  }
-  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  if (Metrics.enabled()) {
-    Metrics.add("target.compiles");
-    Metrics.add("target.compiles." + Spec.Name);
-    if (Art->Crash)
-      Metrics.add("target.crashes." + Spec.Name);
-  }
+  Module Optimized;
+  Art->Crash = compilePrefix(M, Spec.Pipeline.size(), Bugs, Optimized,
+                             &Art->PassesRun);
+  countCompile(Art->Crash.has_value());
   if (Art->Crash)
     Art->HangCrash = isHangFlavor(Bugs.flavorOfSignature(*Art->Crash));
   else if (Spec.CanExecute)
-    Art->Exe =
-        Executable::compile(std::move(Optimized), Engine, Art->ArtifactId);
+    Art->Exe = Executable::compile(std::move(Optimized), Art->ArtifactId);
   return Art;
 }
 
-std::shared_ptr<const TargetArtifact>
-Target::compile(const Module &M, ExecEngine Engine) const {
-  return compileWith(M, Spec.Bugs, Engine, hashModule(M));
+std::shared_ptr<const TargetArtifact> Target::compile(const Module &M) const {
+  return compileWith(M, Spec.Bugs, hashModule(M));
 }
 
 void Target::replayCompileMetrics(const TargetArtifact &Art) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   if (!Metrics.enabled())
     return;
-  for (OptPassKind Pass : Art.PassesRun)
-    Metrics.add(std::string("opt.pass_runs.") + optPassName(Pass));
+  for (size_t I = 0; I < Art.PassesRun; ++I)
+    Metrics.add(std::string("opt.pass_runs.") +
+                optPassName(Spec.Pipeline[I]));
   if (Art.Crash)
     Metrics.add(std::string("opt.bug_triggers.") + *Art.Crash);
-  Metrics.add("target.compiles");
-  Metrics.add("target.compiles." + Spec.Name);
-  if (Art.Crash)
-    Metrics.add("target.crashes." + Spec.Name);
+  countCompile(Art.Crash.has_value());
 }
 
 TargetRun Target::run(const Module &M, const ShaderInput &Input) const {
@@ -216,14 +208,14 @@ Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
   std::shared_ptr<const TargetArtifact> Art;
   if (!Spec.Bugs.hasNondeterministic()) {
     if (Ctx.ExeCache && Spec.deterministic())
-      Art = Ctx.ExeCache->getOrCompile(*this, M, Ctx.Engine, MHash);
+      Art = Ctx.ExeCache->getOrCompile(*this, M, MHash);
     else
-      Art = compileWith(M, Spec.Bugs, Ctx.Engine, MHash);
+      Art = compileWith(M, Spec.Bugs, MHash);
   } else {
     BugHost Resolved = Spec.Bugs.resolve([&](BugPoint P) {
       return flakyBugFires(Ctx.CampaignSeed, MHash, P, Ctx.Attempt);
     });
-    Art = compileWith(M, Resolved, Ctx.Engine, MHash);
+    Art = compileWith(M, Resolved, MHash);
   }
 
   if (Art->Crash) {

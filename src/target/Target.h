@@ -89,10 +89,6 @@ struct RunContext {
   /// Simulated compile/execute step budget; 0 = unlimited. Hang-flavored
   /// bugs and oversized pipelines surface as Outcome::Timeout against it.
   uint64_t StepBudget = 0;
-  /// Which execution engine compiled artifacts run on. Lowered and Tree
-  /// produce byte-identical ExecResults (exec/Executable.h's contract);
-  /// the knob exists for the differential gate and for benchmarks.
-  ExecEngine Engine = ExecEngine::Lowered;
   /// Optional shared artifact cache. Only consulted for deterministic
   /// targets (a flaky bug resolution changes the compiled artifact, so
   /// those always compile fresh); hits replay compile-side counters so
@@ -118,10 +114,10 @@ struct TargetArtifact {
   bool HangCrash = false;
   /// Simulated compile cost of the source module (budget accounting).
   uint64_t CompileCost = 0;
-  /// The passes that actually ran, in order (the pipeline prefix up to and
-  /// including a crashing pass). Replayed into opt.pass_runs.* counters on
-  /// cache hits.
-  std::vector<OptPassKind> PassesRun;
+  /// How many pipeline passes actually ran (the prefix up to and including
+  /// a crashing pass). Replayed into opt.pass_runs.* counters on cache
+  /// hits.
+  size_t PassesRun = 0;
   /// The compiled module, ready to execute; null for crash-only targets
   /// and for crashed compiles.
   std::shared_ptr<const Executable> Exe;
@@ -195,12 +191,15 @@ public:
   /// Runs only the first \p PrefixLength passes of the pipeline over a
   /// copy of \p M, under an explicit bug host \p Bugs (pass solidBugs()
   /// for the attempt-free view), leaving the intermediate module in
-  /// \p OptimizedOut. Stops at the first crash, like the full pipeline.
-  /// This is the triage subsystem's probe primitive: because the pipeline
-  /// halts at its first crash, "some pass in [0, k) crashes" is monotone
-  /// in k, which makes pass-sequence bisection sound.
+  /// \p OptimizedOut. Stops at the first crash, like the full pipeline;
+  /// \p PassesRunOut, if given, receives how many passes ran (including a
+  /// crashing one). This is the walk under every compile, and the triage
+  /// subsystem's probe primitive: because the pipeline halts at its first
+  /// crash, "some pass in [0, k) crashes" is monotone in k, which makes
+  /// pass-sequence bisection sound.
   PassCrash compilePrefix(const Module &M, size_t PrefixLength,
-                          const BugHost &Bugs, Module &OptimizedOut) const;
+                          const BugHost &Bugs, Module &OptimizedOut,
+                          size_t *PassesRunOut = nullptr) const;
 
   /// The deterministic view of this target's bug host: every
   /// flaky-flavored bug removed (solid and hang flavors survive). Pipeline
@@ -210,10 +209,10 @@ public:
 
   /// Compiles \p M into a shareable artifact under this target's static
   /// bug host (the deterministic, attempt-0 view): runs the pipeline,
-  /// records the pass trail, and — when the target executes and the
-  /// pipeline did not crash — lowers the optimized module for \p Engine.
-  std::shared_ptr<const TargetArtifact> compile(const Module &M,
-                                                ExecEngine Engine) const;
+  /// records how many passes ran, and — when the target executes and the
+  /// pipeline did not crash — compiles the optimized module into an
+  /// Executable.
+  std::shared_ptr<const TargetArtifact> compile(const Module &M) const;
 
   /// Dense identity of (this target, source module hash). Stable across
   /// processes; keys artifact and evaluation caches.
@@ -256,8 +255,12 @@ public:
 
 private:
   std::shared_ptr<const TargetArtifact>
-  compileWith(const Module &M, const BugHost &Bugs, ExecEngine Engine,
-              uint64_t ModuleHash) const;
+  compileWith(const Module &M, const BugHost &Bugs, uint64_t ModuleHash) const;
+
+  /// Bumps target.compiles, target.compiles.<name> and, when \p Crashed,
+  /// target.crashes.<name>: the per-compile counters every compile path
+  /// (fresh or replayed) shares.
+  void countCompile(bool Crashed) const;
 
   TargetSpec Spec;
 };

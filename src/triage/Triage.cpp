@@ -138,16 +138,13 @@ void bisectCrash(const Target &T, const Module &Repro,
 /// observably. Linear scan, not bisection: a later pass could mask an
 /// earlier divergence, so "diverges after k passes" is not monotone.
 void localizeMiscompilation(const Target &T, const Module &Repro,
-                            const ShaderInput &Input,
-                            const TriageOptions &Options,
-                            BugAttribution &Attr) {
+                            const ShaderInput &Input, BugAttribution &Attr) {
   const std::vector<OptPassKind> &Pipeline = T.spec().Pipeline;
   const size_t N = Pipeline.size();
   BugHost Solid = T.solidBugs();
   PrefixOracle Oracle(T, Repro, Solid);
 
-  ExecResult Baseline =
-      Executable::compile(Repro, Options.Engine)->run(Input);
+  ExecResult Baseline = Executable::compile(Repro)->run(Input);
   ++Attr.LocalizationRuns;
 
   for (size_t K = 1; K <= N; ++K) {
@@ -160,7 +157,7 @@ void localizeMiscompilation(const Target &T, const Module &Repro,
       return;
     }
     ExecResult Stepped =
-        Executable::compile(Oracle.intermediate(K), Options.Engine)->run(Input);
+        Executable::compile(Oracle.intermediate(K))->run(Input);
     ++Attr.LocalizationRuns;
     if (Stepped != Baseline) {
       fillCulprit(Attr, Pipeline, K - 1);
@@ -198,8 +195,7 @@ void bumpCounters(const BugAttribution &Attr) {
 BugAttribution spvfuzz::triage::attributeBug(const Target &T,
                                              const Module &Repro,
                                              const ShaderInput &Input,
-                                             const std::string &Signature,
-                                             const TriageOptions &Options) {
+                                             const std::string &Signature) {
   BugAttribution Attr;
   Attr.Target = T.name();
   Attr.Signature = Signature;
@@ -223,7 +219,7 @@ BugAttribution spvfuzz::triage::attributeBug(const Target &T,
       Attr.Reason = "target cannot execute; differential localization "
                     "needs a reference run";
     } else {
-      localizeMiscompilation(T, Repro, Input, Options, Attr);
+      localizeMiscompilation(T, Repro, Input, Attr);
     }
   } else {
     bisectCrash(T, Repro, Signature, Attr);
@@ -249,7 +245,7 @@ spvfuzz::triage::attributeAll(const TargetFleet &Fleet,
       bumpCounters(Attr);
       return Attr;
     }
-    return attributeBug(*T, Item.Repro, Item.Input, Item.Signature, Options);
+    return attributeBug(*T, Item.Repro, Item.Input, Item.Signature);
   };
 
   std::vector<BugAttribution> Out(Items.size());

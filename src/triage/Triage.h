@@ -42,8 +42,6 @@ struct TriageOptions {
   /// of its item and results commit in item order, so every job count
   /// yields byte-identical output.
   size_t Jobs = 1;
-  /// Execution engine for differential-localization runs.
-  ExecEngine Engine = ExecEngine::Lowered;
 
   TriageOptions withJobs(size_t N) const {
     TriageOptions O = *this;
@@ -67,8 +65,7 @@ struct TriageItem {
 /// deterministic Unattributable verdict.
 BugAttribution attributeBug(const Target &T, const Module &Repro,
                             const ShaderInput &Input,
-                            const std::string &Signature,
-                            const TriageOptions &Options = TriageOptions());
+                            const std::string &Signature);
 
 /// Attributes every item, fanning out over Options.Jobs threads and
 /// committing results in item order. Items naming a target absent from

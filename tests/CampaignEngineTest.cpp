@@ -136,6 +136,9 @@ TEST(CampaignEngine, ReductionsAreIdenticalAcrossJobCounts) {
 
   CampaignEngine Serial = makeEngine(1);
   ReductionData A = Serial.runReductions(Config);
+  EXPECT_GT(Serial.evalCache().hitCount(), 0u)
+      << "reduction re-evaluates identical variants; the cache must absorb "
+         "some of them";
   CampaignEngine Parallel = makeEngine(8);
   ReductionData B = Parallel.runReductions(Config);
 
@@ -192,33 +195,6 @@ TEST(CampaignEngine, SpeculativeReductionIsIdenticalToSerial) {
   // The serial run never discards evaluations.
   for (const ReductionRecord &Record : A.Records)
     EXPECT_EQ(Record.SpeculativeChecks, 0u);
-}
-
-TEST(CampaignEngine, EvalCacheAndSnapshotKnobsNeverChangeResults) {
-  // Reduction results with memoization and snapshots disabled must match
-  // the default configuration exactly; only the evaluation counts differ.
-  ReductionConfig Config;
-  Config.TestsPerTool = 60;
-  Config.CapPerSignature = 2;
-  Config.MaxReductionsPerTool = 8;
-
-  CampaignEngine Default = makeEngine(1);
-  ReductionData A = Default.runReductions(Config);
-  EXPECT_GT(Default.evalCache().hitCount(), 0u)
-      << "reduction re-evaluates identical variants; the cache must absorb "
-         "some of them";
-
-  CampaignEngine Uncached(ExecutionPolicy{}
-                              .withJobs(1)
-                              .withTransformationLimit(120)
-                              .withEvalCacheBudget(0)
-                              .withReplaySnapshotInterval(0),
-                          smallCorpus());
-  ReductionData B = Uncached.runReductions(Config);
-  EXPECT_EQ(Uncached.evalCache().entryCount(), 0u);
-  EXPECT_EQ(Uncached.evalCache().hitCount(), 0u);
-
-  expectSameReductionRecords(A, B);
 }
 
 TEST(CampaignEngine, DedupClassesAreIdenticalAcrossJobCounts) {
@@ -405,68 +381,19 @@ TEST(CampaignEngine, FaultyFleetNeverConsultsEvalCacheForFlakyTargets) {
   EXPECT_GT(Counters["harness.tool_errors"], 0u);
 }
 
-CampaignEngine makeEngineWith(size_t Jobs, ExecEngine Engine,
-                              size_t UniformInputs = 1) {
+CampaignEngine makeBatchedEngine(size_t Jobs, size_t UniformInputs) {
   return CampaignEngine(ExecutionPolicy{}
                             .withJobs(Jobs)
                             .withTransformationLimit(120)
-                            .withEngine(Engine)
                             .withUniformInputs(UniformInputs),
                         smallCorpus());
-}
-
-TEST(CampaignEngine, TreeAndLoweredEnginesProduceIdenticalEvaluations) {
-  // The Executable contract: routing every execution through the lowered
-  // bytecode engine changes only cost, never a decision.
-  CampaignEngine Lowered = makeEngineWith(4, ExecEngine::Lowered);
-  CampaignEngine Tree = makeEngineWith(4, ExecEngine::Tree);
-  for (const ToolConfig &Tool : Lowered.tools()) {
-    std::vector<TestEvaluation> A = Lowered.evaluateTests(Tool, 48);
-    std::vector<TestEvaluation> B = Tree.evaluateTests(Tool, 48);
-    ASSERT_EQ(A.size(), 48u) << Tool.Name;
-    expectSameEvaluations(A, B);
-  }
-}
-
-TEST(CampaignEngine, TreeAndLoweredEnginesProduceIdenticalCounters) {
-  // Stronger than result equality: the two engines publish the very same
-  // counter totals (exec.runs, exec.steps, target.*, opt.*), so any
-  // telemetry-derived gate sees one execution semantics.
-  using telemetry::MetricsRegistry;
-  BugFindingConfig Config;
-  Config.TestsPerTool = 40;
-  Config.NumGroups = 4;
-
-  MetricsRegistry::global().setEnabled(true);
-  MetricsRegistry::global().reset();
-  {
-    CampaignEngine Lowered = makeEngineWith(2, ExecEngine::Lowered);
-    Lowered.runBugFinding(Config);
-  }
-  std::map<std::string, uint64_t> LoweredCounters =
-      MetricsRegistry::global().snapshot().Counters;
-
-  MetricsRegistry::global().reset();
-  {
-    CampaignEngine Tree = makeEngineWith(2, ExecEngine::Tree);
-    Tree.runBugFinding(Config);
-  }
-  std::map<std::string, uint64_t> TreeCounters =
-      MetricsRegistry::global().snapshot().Counters;
-  MetricsRegistry::global().reset();
-  MetricsRegistry::global().setEnabled(false);
-
-  EXPECT_EQ(LoweredCounters, TreeCounters);
-  EXPECT_GT(LoweredCounters["exec.runs"], 0u);
 }
 
 TEST(CampaignEngine, UniformInputBatchesAreIdenticalAcrossJobCounts) {
   // Batched evaluation (K perturbed inputs per test, amortized over one
   // lowering) keeps the scan deterministic at any job count.
-  CampaignEngine Serial =
-      makeEngineWith(1, ExecEngine::Lowered, /*UniformInputs=*/4);
-  CampaignEngine Parallel =
-      makeEngineWith(8, ExecEngine::Lowered, /*UniformInputs=*/4);
+  CampaignEngine Serial = makeBatchedEngine(1, /*UniformInputs=*/4);
+  CampaignEngine Parallel = makeBatchedEngine(8, /*UniformInputs=*/4);
   for (const ToolConfig &Tool : Serial.tools()) {
     std::vector<TestEvaluation> A = Serial.evaluateTests(Tool, 48);
     std::vector<TestEvaluation> B = Parallel.evaluateTests(Tool, 48);

@@ -1,17 +1,18 @@
-//===- tests/LoweredExecTest.cpp - Lowered vs tree engine equivalence -----===//
+//===- tests/LoweredExecTest.cpp - Executable vs interpret() equivalence --===//
 //
 // Part of the spirv-fuzz reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests for the compiled execution engine: every fuzzed
-/// module must produce an ExecResult from the register-bytecode executor
-/// that is indistinguishable from the tree-walking interpreter — same
-/// status, same fault message, same outputs, and the same block-granular
-/// step accounting at any step limit. Also covers the Executable artifact
-/// plumbing: batch runs, target-level step budgets, and ExecutableCache
-/// hit/replay counter neutrality.
+/// Differential tests for the Executable artifact against interpret(), the
+/// semantics of record: every fuzzed module must produce an ExecResult
+/// from Executable::run that is indistinguishable from the tree-walking
+/// interpreter — same status, same fault message, same outputs, the same
+/// block-granular step accounting at any step limit, and the same exec.*
+/// counter totals. Also covers the artifact plumbing: batch runs,
+/// target-level step budgets and runs, and ExecutableCache hit/replay
+/// counter neutrality.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include "TestHelpers.h"
 
 #include <climits>
+#include <map>
 
 using namespace spvfuzz;
 
@@ -54,7 +56,7 @@ const Target &findTarget(const TargetFleet &Fleet, const std::string &Name) {
 }
 
 /// Exact step count of executing \p Exe on \p Input, read back from the
-/// exec.steps counter (charged identically by both engines).
+/// exec.steps counter (charged identically by interpret()).
 uint64_t measureSteps(const Executable &Exe, const ShaderInput &Input) {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   Metrics.reset();
@@ -64,6 +66,22 @@ uint64_t measureSteps(const Executable &Exe, const ShaderInput &Input) {
   Metrics.setEnabled(false);
   Metrics.reset();
   return Steps;
+}
+
+/// Runs \p Run with metrics on and adds the exec.* counters it bumped to
+/// \p Totals.
+template <typename RunFn>
+ExecResult countedRun(std::map<std::string, uint64_t> &Totals, RunFn Run) {
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  Metrics.reset();
+  Metrics.setEnabled(true);
+  ExecResult Result = Run();
+  Metrics.setEnabled(false);
+  for (const auto &[Name, Value] : Metrics.snapshot().Counters)
+    if (Name.rfind("exec.", 0) == 0)
+      Totals[Name] += Value;
+  Metrics.reset();
+  return Result;
 }
 
 /// A tiny module whose execution cost dwarfs its instruction count: loops
@@ -117,9 +135,10 @@ Module makeLoopModule(int32_t Iterations) {
 }
 
 // The core differential: >= 200 fuzzer-generated modules, each executed
-// on several perturbed inputs by both engines, at the default step limit
-// and again at a tight limit that forces step-limit faults. Every result
-// component must agree.
+// on several perturbed inputs by interpret() and by its Executable, at the
+// default step limit and again at a tight limit that forces step-limit
+// faults. Every result component must agree, and so must the exec.*
+// counter totals of the two passes.
 TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
   std::vector<GeneratedProgram> Bases = generateCorpus(40, 11);
   std::vector<GeneratedProgram> DonorPrograms = generateCorpus(3, 99);
@@ -133,6 +152,16 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
   Tight.StepLimit = 64;
 
   size_t Modules = 0, LoweredActive = 0, Kills = 0, Faults = 0;
+  std::map<std::string, uint64_t> TreeCounters, ExeCounters;
+  auto treeRun = [&](const Module &M, const ShaderInput &Input,
+                     const InterpreterOptions &Options) {
+    return countedRun(TreeCounters,
+                      [&] { return interpret(M, Input, Options); });
+  };
+  auto exeRun = [&](const Executable &Exe, const ShaderInput &Input,
+                    const InterpreterOptions &Options) {
+    return countedRun(ExeCounters, [&] { return Exe.run(Input, Options); });
+  };
   for (const GeneratedProgram &Base : Bases) {
     for (uint64_t Round = 0; Round < 5; ++Round) {
       uint64_t Seed = 1000 * Round + Modules;
@@ -140,7 +169,7 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
           fuzz(Base.M, Base.Input, Donors, Seed, Options);
       ++Modules;
       std::shared_ptr<const Executable> Exe =
-          Executable::compile(Fuzzed.Variant, ExecEngine::Lowered);
+          Executable::compile(Fuzzed.Variant);
       if (Exe->loweredActive())
         ++LoweredActive;
       std::vector<ShaderInput> Matrix =
@@ -148,12 +177,12 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
       for (size_t I = 0; I < Matrix.size(); ++I) {
         std::string Context = "module " + std::to_string(Modules) +
                               " input " + std::to_string(I);
-        ExecResult Tree = interpret(Fuzzed.Variant, Matrix[I]);
-        expectSameResult(Tree, Exe->run(Matrix[I]), Context);
+        ExecResult Tree = treeRun(Fuzzed.Variant, Matrix[I], {});
+        expectSameResult(Tree, exeRun(*Exe, Matrix[I], {}), Context);
         if (Tree.ExecStatus == ExecResult::Status::Killed)
           ++Kills;
-        ExecResult TreeTight = interpret(Fuzzed.Variant, Matrix[I], Tight);
-        expectSameResult(TreeTight, Exe->run(Matrix[I], Tight),
+        ExecResult TreeTight = treeRun(Fuzzed.Variant, Matrix[I], Tight);
+        expectSameResult(TreeTight, exeRun(*Exe, Matrix[I], Tight),
                          Context + " (tight)");
         if (TreeTight.ExecStatus == ExecResult::Status::Fault)
           ++Faults;
@@ -168,10 +197,10 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
         Entry->Blocks[0].Body.insert(Entry->Blocks[0].Body.begin(),
                                      ModuleBuilder::makeKill());
         std::shared_ptr<const Executable> KilledExe =
-            Executable::compile(Killed, ExecEngine::Lowered);
-        ExecResult Tree = interpret(Killed, Base.Input);
+            Executable::compile(Killed);
+        ExecResult Tree = treeRun(Killed, Base.Input, {});
         EXPECT_EQ(Tree.ExecStatus, ExecResult::Status::Killed);
-        expectSameResult(Tree, KilledExe->run(Base.Input),
+        expectSameResult(Tree, exeRun(*KilledExe, Base.Input, {}),
                          "killed variant of base");
         if (Tree.ExecStatus == ExecResult::Status::Killed)
           ++Kills;
@@ -185,6 +214,10 @@ TEST(LoweredExecTest, DifferentialOnFuzzedModules) {
       << "lowering bailed out too often";
   EXPECT_GT(Kills, 0u) << "no OpKill coverage in the differential";
   EXPECT_GT(Faults, 0u) << "no step-limit fault coverage";
+  EXPECT_EQ(TreeCounters, ExeCounters)
+      << "interpret() and Executable::run publish different exec.* totals";
+  EXPECT_GT(TreeCounters["exec.runs"], 0u);
+  EXPECT_GT(TreeCounters["exec.steps"], 0u);
 }
 
 TEST(LoweredExecTest, KillAgrees) {
@@ -195,8 +228,7 @@ TEST(LoweredExecTest, KillAgrees) {
   F.Blocks[0].Body.push_back(ModuleBuilder::makeKill());
   Builder.setEntryPoint(F.Def.Result);
 
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(M);
   ASSERT_TRUE(Exe->loweredActive());
   ShaderInput Input;
   ExecResult Tree = interpret(M, Input);
@@ -205,7 +237,8 @@ TEST(LoweredExecTest, KillAgrees) {
 }
 
 // Division edge cases are defined (not faulting) in MiniSPV: x/0 and
-// INT_MIN/-1 yield zero. Both engines must implement the same definition.
+// INT_MIN/-1 yield zero. The bytecode executor must implement the same
+// definition as interpret().
 TEST(LoweredExecTest, DivisionEdgeCasesAgree) {
   Module M;
   ModuleBuilder Builder(M);
@@ -224,8 +257,7 @@ TEST(LoweredExecTest, DivisionEdgeCasesAgree) {
   Entry.Body.push_back(ModuleBuilder::makeReturn());
   Builder.setEntryPoint(F.Def.Result);
 
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(M);
   ASSERT_TRUE(Exe->loweredActive());
   const std::pair<int32_t, int32_t> Cases[] = {
       {5, 0}, {INT_MIN, -1}, {INT_MIN, 0}, {7, -2}, {-7, 2}};
@@ -240,13 +272,12 @@ TEST(LoweredExecTest, DivisionEdgeCasesAgree) {
   }
 }
 
-// Satellite: block-granular step accounting must agree between engines at
-// exactly the budget. StepLimit == measured steps succeeds in both; one
-// step less faults in both with the same message.
+// Block-granular step accounting must agree with interpret() at exactly
+// the budget. StepLimit == measured steps succeeds in both; one step less
+// faults in both with the same message.
 TEST(LoweredExecTest, StepLimitBoundaryAgrees) {
   test::Fixture F;
-  std::shared_ptr<const Executable> Exe =
-      Executable::compile(F.M, ExecEngine::Lowered);
+  std::shared_ptr<const Executable> Exe = Executable::compile(F.M);
   ASSERT_TRUE(Exe->loweredActive());
   uint64_t Steps = measureSteps(*Exe, F.Input);
   ASSERT_GT(Steps, 1u);
@@ -267,16 +298,15 @@ TEST(LoweredExecTest, StepLimitBoundaryAgrees) {
 }
 
 // Same boundary one layer up: RunContext::StepBudget (the campaign's
-// TargetDeadlineSteps) must flip a run from Executed to Timeout at the
-// same budget value under both engines.
+// TargetDeadlineSteps) must flip a run from Executed to Timeout at exactly
+// the measured step count.
 TEST(LoweredExecTest, TargetStepBudgetBoundaryAgrees) {
   TargetFleet Fleet = TargetFleet::standard();
   const Target &Swift = findTarget(Fleet, "SwiftShader");
   Module Loop = makeLoopModule(2000);
   ASSERT_TRUE(validateModule(Loop).empty());
 
-  std::shared_ptr<const TargetArtifact> Art =
-      Swift.compile(Loop, ExecEngine::Lowered);
+  std::shared_ptr<const TargetArtifact> Art = Swift.compile(Loop);
   ASSERT_FALSE(Art->Crash.has_value());
   ASSERT_NE(Art->Exe, nullptr);
   ShaderInput Input;
@@ -284,46 +314,45 @@ TEST(LoweredExecTest, TargetStepBudgetBoundaryAgrees) {
   ASSERT_GT(Steps, Art->CompileCost)
       << "loop too small to isolate the execution budget";
 
-  for (ExecEngine Engine : {ExecEngine::Lowered, ExecEngine::Tree}) {
-    RunContext Ctx;
-    Ctx.Engine = Engine;
-    Ctx.StepBudget = Steps;
-    TargetRun AtBudget = Swift.run(Loop, Input, Ctx);
-    EXPECT_EQ(AtBudget.RunOutcome, Outcome::Executed)
-        << execEngineName(Engine);
-    Ctx.StepBudget = Steps - 1;
-    TargetRun UnderBudget = Swift.run(Loop, Input, Ctx);
-    EXPECT_EQ(UnderBudget.RunOutcome, Outcome::Timeout)
-        << execEngineName(Engine);
-  }
+  RunContext Ctx;
+  Ctx.StepBudget = Steps;
+  EXPECT_EQ(Swift.run(Loop, Input, Ctx).RunOutcome, Outcome::Executed);
+  Ctx.StepBudget = Steps - 1;
+  EXPECT_EQ(Swift.run(Loop, Input, Ctx).RunOutcome, Outcome::Timeout);
 }
 
-// Post-pipeline equivalence: Target::run through both engines, over every
-// executing target in the standard fleet (whose injected bugs produce
-// deliberately miscompiled modules — both engines must execute the wrong
-// code identically).
+// Post-pipeline equivalence: Target::run against interpret() of the module
+// Target::compile(M, Out) produces, over every executing target in the
+// standard fleet with its bugs enabled (the injected miscompilations make
+// deliberately wrong modules, which the artifact must execute exactly as
+// the reference interpreter does).
 TEST(LoweredExecTest, TargetRunEngineEquality) {
   TargetFleet Fleet = TargetFleet::standard();
   std::vector<GeneratedProgram> Bases = generateCorpus(4, 23);
   std::vector<const Module *> Donors;
   FuzzerOptions Options;
   Options.TransformationLimit = 120;
+  size_t Executed = 0;
   for (const GeneratedProgram &Base : Bases) {
     FuzzResult Fuzzed = fuzz(Base.M, Base.Input, Donors, 77, Options);
     for (const Target &T : Fleet) {
-      if (!T.canExecute() || !T.spec().deterministic())
+      if (!T.canExecute())
         continue;
-      RunContext TreeCtx, LoweredCtx;
-      TreeCtx.Engine = ExecEngine::Tree;
-      LoweredCtx.Engine = ExecEngine::Lowered;
-      TargetRun Tree = T.run(Fuzzed.Variant, Base.Input, TreeCtx);
-      TargetRun Lowered = T.run(Fuzzed.Variant, Base.Input, LoweredCtx);
-      ASSERT_EQ(Tree.RunOutcome, Lowered.RunOutcome) << T.spec().Name;
-      EXPECT_EQ(Tree.Signature, Lowered.Signature) << T.spec().Name;
-      if (Tree.executed())
-        expectSameResult(Tree.Result, Lowered.Result, T.spec().Name);
+      Module Optimized;
+      PassCrash Crash = T.compile(Fuzzed.Variant, Optimized);
+      TargetRun Run = T.run(Fuzzed.Variant, Base.Input);
+      if (Crash) {
+        EXPECT_EQ(Run.RunOutcome, Outcome::Crash) << T.name();
+        EXPECT_EQ(Run.Signature, *Crash) << T.name();
+        continue;
+      }
+      ASSERT_EQ(Run.RunOutcome, Outcome::Executed) << T.name();
+      expectSameResult(interpret(Optimized, Base.Input), Run.Result,
+                       T.name());
+      ++Executed;
     }
   }
+  EXPECT_GT(Executed, 0u) << "every pipeline crashed; nothing compared";
 }
 
 TEST(LoweredExecTest, RunBatchMatchesRun) {
@@ -358,11 +387,11 @@ TEST(LoweredExecTest, ExecutableCacheReplayKeepsCounters) {
   Metrics.setEnabled(true);
   ExecutableCache Cache(64ull << 20);
   std::shared_ptr<const TargetArtifact> First =
-      Cache.getOrCompile(Swift, F.M, ExecEngine::Lowered, ModuleHash);
+      Cache.getOrCompile(Swift, F.M, ModuleHash);
   uint64_t CompilesAfterFirst = Metrics.counterValue(CompilesCounter);
   uint64_t PassesAfterFirst = Metrics.counterValue(PassCounter);
   std::shared_ptr<const TargetArtifact> Second =
-      Cache.getOrCompile(Swift, F.M, ExecEngine::Lowered, ModuleHash);
+      Cache.getOrCompile(Swift, F.M, ModuleHash);
   uint64_t CompilesAfterSecond = Metrics.counterValue(CompilesCounter);
   uint64_t PassesAfterSecond = Metrics.counterValue(PassCounter);
   Metrics.setEnabled(false);
@@ -379,9 +408,9 @@ TEST(LoweredExecTest, ExecutableCacheReplayKeepsCounters) {
   // compiles fresh, still bumping the same counters.
   ExecutableCache Disabled(0);
   std::shared_ptr<const TargetArtifact> A =
-      Disabled.getOrCompile(Swift, F.M, ExecEngine::Lowered, ModuleHash);
+      Disabled.getOrCompile(Swift, F.M, ModuleHash);
   std::shared_ptr<const TargetArtifact> B =
-      Disabled.getOrCompile(Swift, F.M, ExecEngine::Lowered, ModuleHash);
+      Disabled.getOrCompile(Swift, F.M, ModuleHash);
   EXPECT_EQ(Disabled.hitCount(), 0u);
   EXPECT_EQ(Disabled.missCount(), 2u);
   EXPECT_NE(A.get(), B.get());

@@ -16,6 +16,7 @@
 
 #include "serve/LeaseLedger.h"
 #include "serve/ShardProtocol.h"
+#include "store/CampaignStore.h"
 
 #include <gtest/gtest.h>
 
@@ -44,8 +45,10 @@ WorkerConfigMsg sampleConfig() {
   Msg.TargetDeadlineSteps = 1ull << 22;
   Msg.FlakyRetries = 5;
   Msg.QuarantineThreshold = 3;
-  Msg.Engine = 0;
   Msg.UniformInputs = 2;
+  Msg.ReduceOrder = static_cast<uint8_t>(CandidateOrder::Learned);
+  Msg.PostReduce = 1;
+  Msg.PostReducePasses = {"StripUnusedDefs", "SimplifyReferenceProgram"};
   Msg.FaultyFleet = 1;
   Msg.Tests = 400;
   Msg.LeaseTtlMs = 3000;
@@ -155,11 +158,43 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
   EXPECT_EQ(Out.TargetDeadlineSteps, In.TargetDeadlineSteps);
   EXPECT_EQ(Out.FlakyRetries, In.FlakyRetries);
   EXPECT_EQ(Out.QuarantineThreshold, In.QuarantineThreshold);
-  EXPECT_EQ(Out.Engine, In.Engine);
   EXPECT_EQ(Out.UniformInputs, In.UniformInputs);
+  EXPECT_EQ(Out.ReduceOrder, In.ReduceOrder);
+  EXPECT_EQ(Out.PostReduce, In.PostReduce);
+  EXPECT_EQ(Out.PostReducePasses, In.PostReducePasses);
   EXPECT_EQ(Out.FaultyFleet, In.FaultyFleet);
   EXPECT_EQ(Out.Tests, In.Tests);
   EXPECT_EQ(Out.LeaseTtlMs, In.LeaseTtlMs);
+
+  // The policy a worker rebuilds from the wire must derive the
+  // coordinator's campaign id for every knob campaignConfigDigest hashes;
+  // otherwise the worker refuses the deployment.
+  const std::pair<const char *, ExecutionPolicy> Policies[] = {
+      {"default", ExecutionPolicy{}},
+      {"learned order",
+       ExecutionPolicy{}.withReduceOrder(CandidateOrder::Learned)},
+      {"post-reduce with passes",
+       ExecutionPolicy{}.withPostReduce(true).withPostReducePasses(
+           {"StripUnusedDefs", "StripUnusedTypesAndGlobals"})},
+      {"uniform inputs", ExecutionPolicy{}.withUniformInputs(4)},
+      {"harness knobs", ExecutionPolicy{}
+                            .withSeed(9)
+                            .withTransformationLimit(60)
+                            .withTargetDeadlineSteps(1ull << 16)
+                            .withFlakyRetries(7)
+                            .withQuarantineThreshold(2)},
+  };
+  for (const auto &[Name, Policy] : Policies) {
+    const std::string Frame = encodeWorkerConfig(
+        workerConfigFor(Policy, /*FaultyFleet=*/false, 24, 3000));
+    WorkerConfigMsg Decoded;
+    ASSERT_TRUE(decodeWorkerConfig(Frame, Decoded, Error))
+        << Name << ": " << Error;
+    EXPECT_EQ(Decoded.CampaignId, campaignIdFor(Policy)) << Name;
+    EXPECT_EQ(campaignIdFor(policyFor(Decoded, /*Jobs=*/2)),
+              campaignIdFor(Policy))
+        << Name;
+  }
 }
 
 TEST(ServeProtocol, WorkerHelloRoundTrips) {

@@ -149,19 +149,9 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   SOpts.ServeJournal = ServeJournal.get();
   ServeCoordinator Coordinator(Engine, SOpts);
 
-  WorkerConfigMsg WC;
-  WC.CampaignId = Store->campaignId();
-  WC.Seed = Policy.Seed;
-  WC.TransformationLimit = Policy.TransformationLimit;
-  WC.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
-  WC.FlakyRetries = Policy.FlakyRetries;
-  WC.QuarantineThreshold = Policy.QuarantineThreshold;
-  WC.Engine = static_cast<uint8_t>(Policy.Engine);
-  WC.UniformInputs = Policy.UniformInputs;
-  WC.FaultyFleet = Faulty ? 1 : 0;
-  WC.Tests = Tests;
-  WC.LeaseTtlMs = LeaseTtlMs;
-  EXPECT_TRUE(Coordinator.start(WC, Error)) << Error;
+  EXPECT_TRUE(Coordinator.start(
+      workerConfigFor(Policy, Faulty, Tests, LeaseTtlMs), Error))
+      << Error;
   Engine.setShardProvider(&Coordinator);
 
   auto RunWorker = [Dir](WorkerOptions WO) {

@@ -11,31 +11,34 @@
 ///   minispv gen      --seed N -o prog.mvs [--inputs prog.in]
 ///   minispv validate prog.mvs
 ///   minispv run      prog.mvs --inputs prog.in [--target NAME]
+///                    [--faulty-fleet]
 ///   minispv fuzz     prog.mvs --inputs prog.in --seed N -o variant.mvs
-///                    --sequence seq.txt [--donor donor.mvs]... [--baseline]
+///                    --sequence seq.txt [--donor donor.mvs]... [--limit N]
+///                    [--baseline] [--no-recommendations]
 ///   minispv replay   prog.mvs --inputs prog.in --sequence seq.txt
 ///                    -o variant.mvs
 ///   minispv reduce   prog.mvs --inputs prog.in --sequence seq.txt
 ///                    --target NAME (--signature SIG | --miscompilation)
-///                    -o reduced.mvs --out-sequence min.txt
-///                    [--order paper|learned] [--post-reduce]
-///                    [--post-passes P1,P2,...] [--out-original FILE]
+///                    -o reduced.mvs --out-sequence min.txt [--jobs N]
+///                    [--faulty-fleet] [--order paper|learned]
+///                    [--post-reduce] [--post-passes P1,P2,...]
+///                    [--out-original FILE]
 ///   minispv campaign [--jobs N] [--tests N] [--seed N] [--limit N]
 ///                    [--deadline-ms N] [--faulty-fleet]
 ///                    [--deadline-steps N] [--flaky-retries N]
-///                    [--quarantine-threshold N] [--dedup]
-///                    [--reduce-order paper|learned] [--post-reduce]
-///                    [--post-passes P1,P2,...]
+///                    [--quarantine-threshold N] [--uniform-inputs N]
+///                    [--dedup] [--reduce-order paper|learned]
+///                    [--post-reduce] [--post-passes P1,P2,...]
 ///                    [--store DIR [--resume] [--checkpoint-interval N]
 ///                     [--deterministic-journal] [--triage]]
 ///   minispv serve    --store DIR [--workers K] [--worker-jobs N]
-///                    [--lease-ttl-ms N] [--kill-worker-after N]
-///                    [--minispv PATH] [+ campaign flags except
-///                    --deadline-ms]
-///   minispv worker   --store DIR --worker-id N [--jobs N]
-///                    [--max-shards N] [--abandon-after N]
-///                    [--truncate-last-result]
-///   minispv triage   --store DIR [--jobs N] [--exec lowered|tree]
+///                    [--lease-ttl-ms N] [--poll-ms N] [--stall-ms N]
+///                    [--kill-worker-after N] [--minispv PATH]
+///                    [+ campaign flags except --deadline-ms]
+///   minispv worker   --store DIR --worker-id N [--jobs N] [--poll-ms N]
+///                    [--config-wait-ms N] [--max-shards N]
+///                    [--abandon-after N] [--truncate-last-result]
+///   minispv triage   --store DIR [--jobs N]
 ///   minispv targets  [--faulty-fleet]
 ///   minispv report   (metrics.json... | --store DIR) [--trace t.jsonl]
 ///   minispv report   --compare BASE.json CURRENT.json
@@ -48,6 +51,9 @@
 ///   minispv db       diff  <bucket> --store DIR
 ///   minispv db       gc    --store DIR --budget BYTES
 ///   minispv db       merge --store DIR (--from DIR2 | --from-dir DIR)
+///
+/// A flag the command does not accept (see the table beside dispatch) is
+/// a usage error, exit 1, before the command does any work.
 ///
 /// `campaign --store` makes the run durable: the engine checkpoints at
 /// wave boundaries, every reduced reproducer lands in the store's bug
@@ -250,12 +256,29 @@ const Target *findTarget(const TargetFleet &Fleet, const std::string &Name) {
   fail("unknown target '" + Name + "' (see 'minispv targets')");
 }
 
+struct Args;
+
+/// One subcommand: its handler and the flags it accepts, split into flags
+/// that take a value and bare switches. Every command also accepts the
+/// global --metrics-out and --trace-out.
+struct Command {
+  const char *Name;
+  int (*Run)(const Args &);
+  std::vector<std::string> Valued;
+  std::vector<std::string> Switches;
+};
+
+bool contains(const std::vector<std::string> &Names, const std::string &Name) {
+  return std::find(Names.begin(), Names.end(), Name) != Names.end();
+}
+
 /// Minimal flag parser: positional arguments plus --name [value] pairs.
+/// A flag \p Cmd does not accept fails the parse.
 struct Args {
   std::vector<std::string> Positional;
   std::vector<std::pair<std::string, std::string>> Flags;
 
-  Args(int Argc, char **Argv, const std::vector<std::string> &BoolFlags) {
+  Args(int Argc, char **Argv, const Command &Cmd) {
     for (int I = 0; I < Argc; ++I) {
       std::string Arg = Argv[I];
       if (Arg.empty() || Arg[0] != '-') {
@@ -263,15 +286,22 @@ struct Args {
         continue;
       }
       std::string Name = Arg.substr(Arg.rfind("--", 0) == 0 ? 2 : 1);
-      bool IsBool = std::find(BoolFlags.begin(), BoolFlags.end(), Name) !=
-                    BoolFlags.end();
-      if (IsBool) {
+      if (contains(Cmd.Switches, Name)) {
         Flags.push_back({Name, "true"});
-      } else {
-        if (I + 1 >= Argc)
-          fail("flag --" + Name + " needs a value");
-        Flags.push_back({Name, Argv[++I]});
+        continue;
       }
+      if (!contains(Cmd.Valued, Name) && Name != "metrics-out" &&
+          Name != "trace-out") {
+        std::string Accepted;
+        for (const auto *Names : {&Cmd.Valued, &Cmd.Switches})
+          for (const std::string &Known : *Names)
+            Accepted += "--" + Known + ", ";
+        fail("unknown flag '" + Arg + "' for 'minispv " + Cmd.Name +
+             "' (accepts " + Accepted + "--metrics-out, --trace-out)");
+      }
+      if (I + 1 >= Argc)
+        fail("flag --" + Name + " needs a value");
+      Flags.push_back({Name, Argv[++I]});
     }
   }
 
@@ -357,27 +387,17 @@ int cmdValidate(const Args &A) {
 int cmdRun(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv run <module.mvs> --inputs <file> [--target NAME] "
-         "[--exec lowered|tree]");
+         "[--faulty-fleet]");
   Module M = readModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
-  ExecEngine Engine = ExecEngine::Lowered;
-  if (A.has("exec") && !execEngineFromName(A.get("exec"), Engine))
-    fail("unknown execution engine '" + A.get("exec") +
-         "' (expected lowered or tree)");
   if (!A.has("target")) {
-    // Output is engine-independent by the Executable equivalence
-    // contract, so `--exec tree` diffs cleanly against the default.
-    std::shared_ptr<const Executable> Exe =
-        Executable::compile(std::move(M), Engine);
-    ExecResult Result = Exe->run(Input);
+    ExecResult Result = Executable::compile(std::move(M))->run(Input);
     printf("reference semantics: %s\n", Result.str().c_str());
     return Result.ExecStatus == ExecResult::Status::Fault ? 1 : 0;
   }
   TargetFleet Fleet = fleetFor(A.has("faulty-fleet"));
   const Target *T = findTarget(Fleet, A.get("target"));
-  RunContext Ctx;
-  Ctx.Engine = Engine;
-  TargetRun Run = T->run(M, Input, Ctx);
+  TargetRun Run = T->run(M, Input);
   if (Run.interesting()) {
     printf("%s: %s: %s\n", T->name().c_str(),
            Run.RunOutcome == Outcome::Timeout ? "TIMEOUT" : "CRASH",
@@ -483,9 +503,8 @@ int cmdReduce(const Args &A) {
     fail("usage: minispv reduce <module.mvs> --inputs <file> "
          "--sequence <file> --target NAME (--signature SIG | "
          "--miscompilation) -o <out> --out-sequence <out> "
-         "[--jobs N] [--order paper|learned] [--post-reduce] "
-         "[--post-passes P1,P2,...] [--out-original FILE] "
-         "[--snapshot-interval N] [--snapshot-budget BYTES]");
+         "[--jobs N] [--faulty-fleet] [--order paper|learned] "
+         "[--post-reduce] [--post-passes P1,P2,...] [--out-original FILE]");
   Module M = readModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   TransformationSequence Sequence = readSequence(A.require("sequence"));
@@ -497,12 +516,10 @@ int cmdReduce(const Args &A) {
           ? makeMiscompilationInterestingness(*T, M, Input)
           : makeCrashInterestingness(*T, A.require("signature"), Input);
 
-  // Snapshot/jobs are performance knobs: every setting reduces to the same
-  // result. Order and post-reduce change which result — deterministically,
-  // still independent of the job count.
+  // Jobs is a performance knob: every setting reduces to the same result.
+  // Order and post-reduce change which result — deterministically, still
+  // independent of the job count.
   ReductionPlan Plan;
-  Plan.SnapshotInterval = A.number("snapshot-interval", 8);
-  Plan.SnapshotBudgetBytes = A.number("snapshot-budget", 64ull << 20);
   Plan.ShrinkFunctions = true;
   size_t Jobs = A.number("jobs", 1);
   std::unique_ptr<ThreadPool> Pool;
@@ -629,13 +646,6 @@ int cmdCampaign(const Args &A, bool Serve) {
       .withQuarantineThreshold(A.number<uint32_t>(
           "quarantine-threshold", Policy.QuarantineThreshold))
       .withUniformInputs(A.number("uniform-inputs", Policy.UniformInputs));
-  if (A.has("exec")) {
-    ExecEngine Engine = ExecEngine::Lowered;
-    if (!execEngineFromName(A.get("exec"), Engine))
-      fail("unknown execution engine '" + A.get("exec") +
-           "' (expected lowered or tree)");
-    Policy.withEngine(Engine);
-  }
   // Reduction-quality knobs: both change results (deterministically) and
   // therefore fold into the campaign id when non-default.
   Policy.withReduceOrder(parseOrderFlag(A, "reduce-order"));
@@ -730,19 +740,10 @@ int cmdCampaign(const Args &A, bool Serve) {
     SOpts.ServeJournal = ServeJournal.get();
     Coordinator =
         std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
-    serve::WorkerConfigMsg WC;
-    WC.CampaignId = Store->campaignId();
-    WC.Seed = Policy.Seed;
-    WC.TransformationLimit = Policy.TransformationLimit;
-    WC.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
-    WC.FlakyRetries = Policy.FlakyRetries;
-    WC.QuarantineThreshold = Policy.QuarantineThreshold;
-    WC.Engine = static_cast<uint8_t>(Policy.Engine);
-    WC.UniformInputs = Policy.UniformInputs;
-    WC.FaultyFleet = A.has("faulty-fleet") ? 1 : 0;
-    WC.Tests = Config.TestsPerTool;
-    WC.LeaseTtlMs = SOpts.LeaseTtlMs;
-    if (!Coordinator->start(WC, Error))
+    if (!Coordinator->start(
+            serve::workerConfigFor(Policy, A.has("faulty-fleet"),
+                                   Config.TestsPerTool, SOpts.LeaseTtlMs),
+            Error))
       fail(Error);
     Engine.setShardProvider(Coordinator.get());
     fprintf(stderr, "serve: %zu worker(s), lease ttl %llu ms\n",
@@ -797,10 +798,8 @@ int cmdCampaign(const Args &A, bool Serve) {
   // serve-mode output matches the single-process run byte for byte.
   std::vector<TriagedBucket> Triaged;
   if (Triage && !Engine.deadlineExpired()) {
-    triage::TriageOptions TOpts;
-    TOpts.Jobs = Policy.Jobs;
-    TOpts.Engine = Policy.Engine;
-    Triaged = runTriageOverStore(*Store, Engine.fleet(), TOpts);
+    Triaged = runTriageOverStore(*Store, Engine.fleet(),
+                                 triage::TriageOptions{}.withJobs(Policy.Jobs));
   }
 
   // Drain the deployment before sealing: DONE goes down, workers exit
@@ -1036,9 +1035,6 @@ int cmdTriage(const Args &A) {
   Options.Jobs = A.number("jobs", 1);
   if (!Options.Jobs)
     Options.Jobs = 1;
-  if (A.has("exec") && !execEngineFromName(A.get("exec"), Options.Engine))
-    fail("unknown execution engine '" + A.get("exec") +
-         "' (expected lowered or tree)");
   std::vector<TriagedBucket> Triaged =
       runTriageOverStore(*Store, TargetFleet::faulty(), Options);
   size_t Exact = 0;
@@ -1266,7 +1262,7 @@ int cmdTop(const Args &A) {
 
 /// `minispv help` (also --help/-h): the command list plus the exit-code
 /// contract, documented once — every subcommand adheres to it.
-int cmdHelp() {
+int cmdHelp(const Args &) {
   printf(
       "minispv — transformation-based compiler-testing campaign driver\n"
       "\n"
@@ -1301,47 +1297,86 @@ int cmdHelp() {
       "\n"
       "exit codes (uniform across subcommands):\n"
       "  0  success\n"
-      "  1  parse/usage/protocol error (bad flags, malformed input)\n"
+      "  1  parse/usage/protocol error (unknown or bad flags, malformed\n"
+      "     input)\n"
       "  2  missing input (file, store, or serve deployment not found)\n"
       "  3  timeout (top/tail --timeout-ms, worker config wait)\n"
       "  4  bench regression (report --compare)\n");
   return 0;
 }
 
-int dispatch(const std::string &Command, const Args &A) {
-  if (Command == "gen")
-    return cmdGen(A);
-  if (Command == "validate")
-    return cmdValidate(A);
-  if (Command == "run")
-    return cmdRun(A);
-  if (Command == "fuzz")
-    return cmdFuzz(A);
-  if (Command == "replay")
-    return cmdReplay(A);
-  if (Command == "reduce")
-    return cmdReduce(A);
-  if (Command == "campaign")
-    return cmdCampaign(A, /*Serve=*/false);
-  if (Command == "serve")
-    return cmdCampaign(A, /*Serve=*/true);
-  if (Command == "worker")
-    return cmdWorker(A);
-  if (Command == "db")
-    return cmdDb(A);
-  if (Command == "triage")
-    return cmdTriage(A);
-  if (Command == "targets")
-    return cmdTargets(A);
-  if (Command == "report")
-    return cmdReport(A);
-  if (Command == "top")
-    return cmdTop(A);
-  if (Command == "tail")
-    return cmdTail(A);
-  if (Command == "help" || Command == "--help" || Command == "-h")
-    return cmdHelp();
-  fail("unknown command '" + Command + "'");
+int cmdCampaignInProcess(const Args &A) {
+  return cmdCampaign(A, /*Serve=*/false);
+}
+int cmdServe(const Args &A) { return cmdCampaign(A, /*Serve=*/true); }
+
+std::vector<std::string> concat(std::vector<std::string> Head,
+                                const std::vector<std::string> &Tail) {
+  Head.insert(Head.end(), Tail.begin(), Tail.end());
+  return Head;
+}
+
+/// Every subcommand with the flags it accepts: the one place a new flag
+/// must be registered, or the parser refuses it.
+const std::vector<Command> &commands() {
+  // `serve` takes every campaign flag (refusing --deadline-ms itself, with
+  // the reason) plus its deployment knobs.
+  static const std::vector<std::string> CampaignValued = {
+      "jobs", "tests", "seed", "limit", "deadline-ms", "deadline-steps",
+      "flaky-retries", "quarantine-threshold", "uniform-inputs",
+      "reduce-order", "post-passes", "store", "checkpoint-interval"};
+  static const std::vector<std::string> CampaignSwitches = {
+      "faulty-fleet", "dedup", "post-reduce", "resume", "triage",
+      "deterministic-journal"};
+  static const std::vector<Command> Table = {
+      {"gen", cmdGen, {"seed", "o", "inputs"}, {}},
+      {"validate", cmdValidate, {}, {}},
+      {"run", cmdRun, {"inputs", "target"}, {"faulty-fleet"}},
+      {"fuzz",
+       cmdFuzz,
+       {"inputs", "seed", "o", "sequence", "donor", "limit"},
+       {"baseline", "no-recommendations"}},
+      {"replay", cmdReplay, {"inputs", "sequence", "o"}, {}},
+      {"reduce",
+       cmdReduce,
+       {"inputs", "sequence", "target", "signature", "o", "out-sequence",
+        "jobs", "order", "post-passes", "out-original"},
+       {"faulty-fleet", "miscompilation", "post-reduce"}},
+      {"campaign", cmdCampaignInProcess, CampaignValued, CampaignSwitches},
+      {"serve",
+       cmdServe,
+       concat(CampaignValued,
+              {"workers", "worker-jobs", "minispv", "lease-ttl-ms", "poll-ms",
+               "stall-ms", "kill-worker-after"}),
+       CampaignSwitches},
+      {"worker",
+       cmdWorker,
+       {"store", "worker-id", "jobs", "poll-ms", "config-wait-ms",
+        "max-shards", "abandon-after"},
+       {"truncate-last-result"}},
+      {"db", cmdDb, {"store", "budget", "from", "from-dir"}, {}},
+      {"triage", cmdTriage, {"store", "jobs"}, {}},
+      {"targets", cmdTargets, {}, {"faulty-fleet"}},
+      {"report",
+       cmdReport,
+       {"store", "compare", "regression-threshold", "trace"},
+       {"warn-only"}},
+      {"top", cmdTop, {"timeout-ms", "interval-ms"}, {"once"}},
+      {"tail", cmdTail, {"timeout-ms", "interval-ms"}, {"follow", "json"}},
+      {"help", cmdHelp, {}, {}},
+  };
+  return Table;
+}
+
+/// The command named \p Name ("--help" and "-h" alias "help"); fails on
+/// an unknown name.
+const Command &dispatch(std::string Name) {
+  if (Name == "--help" || Name == "-h")
+    Name = "help";
+  for (const Command &Cmd : commands())
+    if (Name == Cmd.Name)
+      return Cmd;
+  fail("unknown command '" + Name + "'");
 }
 
 } // namespace
@@ -1355,12 +1390,8 @@ int main(int Argc, char **Argv) {
             "[--trace-out t.jsonl] ...\n");
     return 1;
   }
-  std::string Command = Argv[1];
-  Args A(Argc - 2, Argv + 2,
-         {"baseline", "no-recommendations", "miscompilation", "faulty-fleet",
-          "resume", "dedup", "follow", "json", "once", "warn-only",
-          "deterministic-journal", "truncate-last-result", "post-reduce",
-          "triage"});
+  const Command &Cmd = dispatch(Argv[1]);
+  Args A(Argc - 2, Argv + 2, Cmd);
 
   std::string MetricsOut = A.get("metrics-out");
   std::string TraceOut = A.get("trace-out");
@@ -1372,7 +1403,7 @@ int main(int Argc, char **Argv) {
       fail(Error);
   }
 
-  int Code = dispatch(Command, A);
+  int Code = Cmd.Run(A);
 
   if (!MetricsOut.empty()) {
     std::string Error;
