@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Shared plumbing for routing the evaluation binaries through the
-/// CampaignEngine: `--jobs N` / REPRO_JOBS parsing and a scope timer. The
-/// timer reports to stderr so stdout stays byte-identical across job
-/// counts — `diff <(bench --jobs 1) <(bench --jobs 8)` is the bit-identical
-/// parallelism check.
+/// CampaignEngine: the worker-thread count and a scope timer. The timer
+/// reports to stderr so stdout stays byte-identical across job counts —
+/// `diff <(bench --jobs 1) <(bench --jobs 8)` is the bit-identical
+/// parallelism check. Flags are parsed by tools/CommandLine.h, the
+/// parser `minispv` uses: a bench refuses any flag it does not list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,41 +19,29 @@
 
 #include "campaign/CampaignEngine.h"
 
+#include "CommandLine.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 namespace spvfuzz {
 namespace bench {
 
-/// Worker-thread count: `--jobs N` (or `-j N`) on the command line wins,
-/// then REPRO_JOBS, then serial.
-inline size_t parseJobs(int Argc, char **Argv) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (!std::strcmp(Argv[I], "--jobs") || !std::strcmp(Argv[I], "-j"))
-      return static_cast<size_t>(std::strtoull(Argv[I + 1], nullptr, 10));
+/// Worker-thread count: `--jobs N` (or `-j N`; a bench lists both flags)
+/// on the command line wins, then REPRO_JOBS, then serial. Each must be
+/// an unsigned decimal.
+inline size_t jobs(const cli::Args &A) {
+  for (const char *Flag : {"jobs", "j"})
+    if (!A.getAll(Flag).empty())
+      return A.number<size_t>(Flag);
+  size_t Jobs = 1;
   if (const char *Env = std::getenv("REPRO_JOBS"))
-    return static_cast<size_t>(std::strtoull(Env, nullptr, 10));
-  return 1;
-}
-
-/// True when boolean flag \p Name (e.g. "--faulty-fleet") appears on the
-/// command line.
-inline bool parseFlag(int Argc, char **Argv, const char *Name) {
-  for (int I = 1; I < Argc; ++I)
-    if (!std::strcmp(Argv[I], Name))
-      return true;
-  return false;
-}
-
-/// The value of string flag \p Name (e.g. "--store DIR"), or "" if absent.
-inline std::string parseString(int Argc, char **Argv, const char *Name) {
-  for (int I = 1; I + 1 < Argc; ++I)
-    if (!std::strcmp(Argv[I], Name))
-      return Argv[I + 1];
-  return "";
+    if (!cli::parseUnsigned(std::string_view(Env), Jobs))
+      cli::fail("REPRO_JOBS expects an unsigned integer, got '" +
+                std::string(Env) + "'");
+  return Jobs;
 }
 
 /// Prints "engine: jobs=N elapsed=X.XXs" to stderr at scope exit; running

@@ -21,10 +21,11 @@
 using namespace spvfuzz;
 
 int main(int argc, char **argv) {
+  const cli::Args A(argc - 1, argv + 1, {"", nullptr, {"jobs", "j"}, {}});
+  size_t Jobs = bench::jobs(A);
   bench::BenchTelemetry Telemetry(
       {"campaign.tests", "target.compiles", "exec.runs"},
       /*RateCounter=*/"campaign.tests");
-  size_t Jobs = bench::parseJobs(argc, argv);
   CampaignEngine Engine(
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(250));
   BugFindingConfig Config;

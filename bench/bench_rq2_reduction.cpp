@@ -90,14 +90,16 @@ static void printComparison(const ReductionData &Base,
 }
 
 int main(int argc, char **argv) {
-  bool FaultyFleet = bench::parseFlag(argc, argv, "--faulty-fleet");
-  bool PostReduce = bench::parseFlag(argc, argv, "--post-reduce");
+  const cli::Args A(argc - 1, argv + 1,
+                    {"", nullptr, {"jobs", "j", "order"},
+                     {"faulty-fleet", "post-reduce"}});
+  size_t Jobs = bench::jobs(A);
+  bool FaultyFleet = A.has("faulty-fleet");
+  bool PostReduce = A.has("post-reduce");
   CandidateOrder Order = CandidateOrder::Paper;
-  std::string OrderArg = bench::parseString(argc, argv, "--order");
-  if (!OrderArg.empty() && !candidateOrderFromName(OrderArg, Order)) {
-    fprintf(stderr, "unknown candidate order '%s'\n", OrderArg.c_str());
-    return 1;
-  }
+  std::string OrderArg = A.get("order");
+  if (!OrderArg.empty() && !candidateOrderFromName(OrderArg, Order))
+    cli::fail("unknown candidate order '" + OrderArg + "'");
   // Either knob switches the bench into comparison mode: a paper-baseline
   // run first, then the configured run, plus the delta table.
   bool Compare = Order != CandidateOrder::Paper || PostReduce;
@@ -122,7 +124,6 @@ int main(int argc, char **argv) {
   }
   bench::BenchTelemetry Telemetry(Footer,
                                   /*RateCounter=*/"campaign.reductions");
-  size_t Jobs = bench::parseJobs(argc, argv);
   ExecutionPolicy Policy =
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(150);
   ExecutionPolicy ConfiguredPolicy = Policy;

@@ -97,10 +97,12 @@ static void runThroughput(const TargetFleet &Fleet, size_t NumModules,
 }
 
 int main(int argc, char **argv) {
-  size_t NumModules = 0;
-  std::string ThroughputArg = bench::parseString(argc, argv, "--throughput");
-  if (!ThroughputArg.empty())
-    NumModules = std::strtoull(ThroughputArg.c_str(), nullptr, 10);
+  const cli::Args A(argc - 1, argv + 1,
+                    {"", nullptr, {"throughput", "inputs", "rounds"},
+                     {"faulty-fleet"}});
+  size_t NumModules = A.number<size_t>("throughput", 0);
+  size_t NumInputs = A.number<size_t>("inputs", 16);
+  size_t Rounds = A.number<size_t>("rounds", 8);
   // Inventory-only runs print no footer counters, keeping the default
   // stdout byte-identical to the pre-throughput bench; still honours
   // REPRO_METRICS_OUT for uniformity with the other binaries.
@@ -109,7 +111,7 @@ int main(int argc, char **argv) {
                                             "target.compiles"}
                  : std::vector<std::string>{},
       NumModules ? "exec.runs" : "");
-  bool FaultyFleet = bench::parseFlag(argc, argv, "--faulty-fleet");
+  bool FaultyFleet = A.has("faulty-fleet");
   TargetFleet Fleet =
       FaultyFleet ? TargetFleet::faulty() : TargetFleet::standard();
   printf("Table 2: the SPIR-V targets we test (simulated%s)\n",
@@ -130,15 +132,7 @@ int main(int argc, char **argv) {
          "spirv-opt-old (as in the paper,\nwhich lacked an AMD GPU and notes "
          "spirv-opt is not a full Vulkan implementation).\n");
 
-  if (NumModules) {
-    size_t NumInputs = 16, Rounds = 8;
-    std::string InputsArg = bench::parseString(argc, argv, "--inputs");
-    if (!InputsArg.empty())
-      NumInputs = std::strtoull(InputsArg.c_str(), nullptr, 10);
-    std::string RoundsArg = bench::parseString(argc, argv, "--rounds");
-    if (!RoundsArg.empty())
-      Rounds = std::strtoull(RoundsArg.c_str(), nullptr, 10);
+  if (NumModules)
     runThroughput(Fleet, NumModules, NumInputs, Rounds);
-  }
   return 0;
 }

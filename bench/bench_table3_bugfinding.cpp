@@ -12,11 +12,16 @@
 /// (default 400 tests per tool; the paper used 10,000).
 ///
 /// Scale-out mode: `--scaleout 1,4 --store DIR --minispv PATH` runs the
-/// same campaign once per worker count — serial in-process for 1, a
-/// ServeCoordinator spawning `minispv worker` processes otherwise — and
-/// publishes `scaleout.w<K>.wall_seconds` / `scaleout.w<K>.tests_per_sec`
+/// same campaign three times per worker count — serial in-process for 1,
+/// a ServeCoordinator spawning `minispv worker` processes otherwise —
+/// each repeat in a fresh store subdirectory. It prints every repeat,
+/// then one summary line per count with the fastest repeat and its
+/// speed-up over the first count's fastest, and publishes that fastest
+/// run as `scaleout.w<K>.wall_seconds` / `scaleout.w<K>.tests_per_sec`
 /// gauges into the REPRO_METRICS_OUT dump, which is what `minispv report
-/// --compare bench/baselines/BENCH_scaleout.json` gates on.
+/// --compare bench/baselines/BENCH_scaleout.json` gates on. The fastest
+/// of three is the estimator because a cold 4-core VM runs the first
+/// campaign after an idle spell at about a third of its warm speed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +32,7 @@
 #include "BenchEngine.h"
 #include "BenchTelemetry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -37,16 +43,20 @@ using namespace spvfuzz;
 
 namespace {
 
+/// Runs per worker count in scale-out mode; the fastest one is reported.
+constexpr size_t ScaleoutRepeats = 3;
+
 ExecutionPolicy scaleoutPolicy(const std::string &StoreDir) {
   return ExecutionPolicy{}.withTransformationLimit(250).withStorePath(
       StoreDir);
 }
 
-/// One full campaign at \p Workers worker processes over a fresh store
-/// subdirectory; returns the wall seconds or a negative value on failure.
-double runAtWorkerCount(size_t Workers, const std::string &StoreDir,
-                        const std::string &MinispvPath, size_t Tests) {
-  const std::string Dir = StoreDir + "/w" + std::to_string(Workers);
+/// One full campaign at \p Workers worker processes over the fresh store
+/// \p Dir; returns the wall seconds (and the tests run over all tools in
+/// \p TotalTestsOut) or a negative value on failure.
+double runAtWorkerCount(size_t Workers, const std::string &Dir,
+                        const std::string &MinispvPath, size_t Tests,
+                        size_t &TotalTestsOut) {
   ExecutionPolicy Policy = scaleoutPolicy(Dir);
   std::string Error;
   std::unique_ptr<CampaignStore> Store = CampaignStore::open(Dir, Policy, Error);
@@ -72,7 +82,7 @@ double runAtWorkerCount(size_t Workers, const std::string &StoreDir,
     Coordinator = std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
     if (!Coordinator->start(serve::workerConfigFor(Policy,
                                                    /*FaultyFleet=*/false,
-                                                   Tests, SOpts.LeaseTtlMs),
+                                                   SOpts.LeaseTtlMs),
                             Error)) {
       fprintf(stderr, "scaleout: %s\n", Error.c_str());
       return -1.0;
@@ -89,44 +99,35 @@ double runAtWorkerCount(size_t Workers, const std::string &StoreDir,
           .count();
   if (Coordinator)
     Coordinator->shutdown();
-  size_t TotalTests = Data.ToolNames.size() * Tests;
-  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  const std::string Prefix = "scaleout.w" + std::to_string(Workers);
-  Metrics.set(Prefix + ".wall_seconds", Seconds);
-  if (Seconds > 0.0)
-    Metrics.set(Prefix + ".tests_per_sec",
-                static_cast<double>(TotalTests) / Seconds);
+  TotalTestsOut = Data.ToolNames.size() * Tests;
   return Seconds;
 }
 
-int runScaleout(const std::string &Spec, int argc, char **argv) {
+int runScaleout(const std::string &Spec, const cli::Args &A) {
+  std::vector<size_t> Counts;
+  for (size_t Pos = 0; Pos <= Spec.size();) {
+    size_t Comma = std::min(Spec.find(',', Pos), Spec.size());
+    size_t K = 0;
+    if (!cli::parseUnsigned(std::string_view(Spec).substr(Pos, Comma - Pos),
+                            K) ||
+        K == 0)
+      cli::fail("--scaleout expects comma-separated worker counts of at "
+                "least 1, got '" + Spec + "'");
+    Counts.push_back(K);
+    Pos = Comma + 1;
+  }
   bench::BenchTelemetry Telemetry({"campaign.tests", "exec.runs"});
-  const std::string StoreDir = bench::parseString(argc, argv, "--store");
+  const std::string StoreDir = A.get("store");
   if (StoreDir.empty()) {
     fprintf(stderr, "scaleout: --store DIR is required\n");
     return 2;
   }
-  ::mkdir(StoreDir.c_str(), 0755); // per-K stores live underneath
-  std::string MinispvPath = bench::parseString(argc, argv, "--minispv");
+  ::mkdir(StoreDir.c_str(), 0755); // per-run stores live underneath
+  std::string MinispvPath = A.get("minispv");
   if (MinispvPath.empty())
     if (const char *Env = std::getenv("REPRO_MINISPV"))
       MinispvPath = Env;
 
-  std::vector<size_t> Counts;
-  for (size_t Pos = 0; Pos < Spec.size();) {
-    size_t Comma = Spec.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Spec.size();
-    char *End = nullptr;
-    unsigned long long K = strtoull(Spec.substr(Pos, Comma - Pos).c_str(),
-                                    &End, 10);
-    if (!K) {
-      fprintf(stderr, "scaleout: bad worker count in '%s'\n", Spec.c_str());
-      return 1;
-    }
-    Counts.push_back(static_cast<size_t>(K));
-    Pos = Comma + 1;
-  }
   for (size_t K : Counts)
     if (K > 1 && MinispvPath.empty()) {
       // /proc/self/exe would re-exec this bench, not minispv.
@@ -137,16 +138,34 @@ int runScaleout(const std::string &Spec, int argc, char **argv) {
     }
 
   size_t Tests = envSize("REPRO_TESTS", 600);
-  printf("Table 3 scale-out: %zu tests per tool\n", Tests);
+  printf("Table 3 scale-out: %zu tests per tool, fastest of %zu runs\n",
+         Tests, ScaleoutRepeats);
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   double Reference = -1.0;
   for (size_t K : Counts) {
-    double Seconds = runAtWorkerCount(K, StoreDir, MinispvPath, Tests);
-    if (Seconds < 0.0)
-      return 2;
+    double Fastest = -1.0;
+    size_t TotalTests = 0;
+    for (size_t R = 1; R <= ScaleoutRepeats; ++R) {
+      const std::string Dir = StoreDir + "/w" + std::to_string(K) + "-r" +
+                              std::to_string(R);
+      double Seconds =
+          runAtWorkerCount(K, Dir, MinispvPath, Tests, TotalTests);
+      if (Seconds < 0.0)
+        return 2;
+      printf("scaleout: %zu worker(s), run %zu of %zu: %.2fs\n", K, R,
+             ScaleoutRepeats, Seconds);
+      if (Fastest < 0.0 || Seconds < Fastest)
+        Fastest = Seconds;
+    }
     if (Reference < 0.0)
-      Reference = Seconds;
-    printf("scaleout: workers=%zu wall=%.2fs speedup=%.2fx\n", K, Seconds,
-           Reference / Seconds);
+      Reference = Fastest;
+    printf("scaleout: workers=%zu wall=%.2fs speedup=%.2fx\n", K, Fastest,
+           Reference / Fastest);
+    const std::string Prefix = "scaleout.w" + std::to_string(K);
+    Metrics.set(Prefix + ".wall_seconds", Fastest);
+    if (Fastest > 0.0)
+      Metrics.set(Prefix + ".tests_per_sec",
+                  static_cast<double>(TotalTests) / Fastest);
   }
   return 0;
 }
@@ -154,13 +173,15 @@ int runScaleout(const std::string &Spec, int argc, char **argv) {
 } // namespace
 
 int main(int argc, char **argv) {
-  const std::string Scaleout = bench::parseString(argc, argv, "--scaleout");
-  if (!Scaleout.empty())
-    return runScaleout(Scaleout, argc, argv);
+  const cli::Args A(argc - 1, argv + 1,
+                    {"", nullptr, {"jobs", "j", "scaleout", "store", "minispv"},
+                     {}});
+  if (!A.getAll("scaleout").empty())
+    return runScaleout(A.get("scaleout"), A);
+  size_t Jobs = bench::jobs(A);
   bench::BenchTelemetry Telemetry(
       {"campaign.tests", "target.compiles", "exec.runs"},
       /*RateCounter=*/"campaign.tests");
-  size_t Jobs = bench::parseJobs(argc, argv);
   CampaignEngine Engine(
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(250));
   BugFindingConfig Config;

@@ -34,8 +34,12 @@
 using namespace spvfuzz;
 
 int main(int argc, char **argv) {
-  bool FaultyFleet = bench::parseFlag(argc, argv, "--faulty-fleet");
-  bool GroundTruth = bench::parseFlag(argc, argv, "--ground-truth");
+  const cli::Args A(argc - 1, argv + 1,
+                    {"", nullptr, {"jobs", "j", "store"},
+                     {"faulty-fleet", "ground-truth", "resume"}});
+  size_t Jobs = bench::jobs(A);
+  bool FaultyFleet = A.has("faulty-fleet");
+  bool GroundTruth = A.has("ground-truth");
   std::vector<std::string> Footer = {"target.compiles",
                                      "campaign.reductions", "reducer.checks"};
   if (FaultyFleet) {
@@ -51,19 +55,21 @@ int main(int argc, char **argv) {
   }
   bench::BenchTelemetry Telemetry(Footer,
                                   /*RateCounter=*/"campaign.reductions");
-  size_t Jobs = bench::parseJobs(argc, argv);
   ExecutionPolicy Policy =
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(150);
 
   // `--store DIR` makes the bench durable: an interrupted regeneration
   // resumes with `--store DIR --resume` and prints the same table.
+  // The fleet is part of the campaign identity, so a --faulty-fleet store
+  // never resumes as a standard one or the other way round.
+  TargetFleet Fleet =
+      FaultyFleet ? TargetFleet::faulty() : TargetFleet::standard();
   std::unique_ptr<CampaignStore> Store;
-  std::string StorePath = bench::parseString(argc, argv, "--store");
+  std::string StorePath = A.get("store");
   if (!StorePath.empty()) {
-    Policy.withStorePath(StorePath)
-        .withResume(bench::parseFlag(argc, argv, "--resume"));
+    Policy.withStorePath(StorePath).withResume(A.has("resume"));
     std::string Error;
-    Store = CampaignStore::open(StorePath, Policy, Error);
+    Store = CampaignStore::open(StorePath, Policy, Fleet, Error);
     if (!Store) {
       fprintf(stderr, "bench_table4_dedup: %s\n", Error.c_str());
       return 1;
@@ -72,8 +78,7 @@ int main(int argc, char **argv) {
       Store->restoreMetrics();
   }
 
-  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
-                        FaultyFleet ? TargetFleet::faulty() : TargetFleet{});
+  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, std::move(Fleet));
   if (Store)
     Engine.setCheckpointer(Store.get());
 

@@ -362,20 +362,22 @@ CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
 }
 
 std::vector<TestEvaluation>
-CampaignEngine::evaluateShard(const ToolConfig &Tool, size_t WaveStart,
-                              size_t WaveEnd, bool CrashesOnly,
-                              const std::vector<std::string> &Sidelined) {
+CampaignEngine::evaluateShard(const ToolConfig &Tool,
+                              const ShardRequest &Request) {
+  const std::vector<std::string> &Sidelined = Request.Sidelined;
   std::vector<const HarnessedTarget *> WaveTargets;
   for (const HarnessedTarget &T : Har->uncached())
     if (std::find(Sidelined.begin(), Sidelined.end(), T.name()) ==
         Sidelined.end())
       WaveTargets.push_back(&T);
 
+  const size_t WaveStart = static_cast<size_t>(Request.WaveStart);
+  const size_t WaveEnd = static_cast<size_t>(Request.WaveEnd);
   telemetry::TracePhaseScope EvalPhase("fuzz");
   std::vector<TestEvaluation> Evals;
   Evals.reserve(WaveEnd - WaveStart);
   for (std::optional<TestEvaluation> &Eval :
-       runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, CrashesOnly,
+       runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, Request.CrashesOnly,
                               WaveTargets, telemetry::currentSpanId())))
     Evals.push_back(std::move(Eval.value()));
   return Evals;

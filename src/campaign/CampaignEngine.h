@@ -382,20 +382,18 @@ public:
   /// back to local computation. Not owned.
   void setShardProvider(ShardProvider *P) { Provider = P; }
 
-  /// Computes one shard purely: evaluates tests [\p WaveStart, \p WaveEnd)
-  /// of \p Tool against every scan target not named in \p Sidelined, in
-  /// parallel per the policy, and returns the evaluations in test-index
-  /// order. No breaker commits, no observer events, no checkpoints — this
-  /// is the worker-side unit of work behind ShardProvider, running the
-  /// same jobs as evaluateTests, so it is byte-for-byte what evaluateTests
-  /// would compute for the same wave under the same quarantine mask. Call
-  /// it only before the engine's deadline latches (serve campaigns and
-  /// workers set none); a job the deadline cut short throws
-  /// std::bad_optional_access.
-  std::vector<TestEvaluation>
-  evaluateShard(const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
-                bool CrashesOnly,
-                const std::vector<std::string> &Sidelined);
+  /// Computes one shard purely: evaluates tests [WaveStart, WaveEnd) of
+  /// \p Tool (the tool \p Request names) against every scan target not
+  /// in Request.Sidelined, in parallel per the policy, and returns the
+  /// evaluations in test-index order. No breaker commits, no observer
+  /// events, no checkpoints — this is the worker-side unit of work behind
+  /// ShardProvider, running the same jobs as evaluateTests, so it is
+  /// byte-for-byte what evaluateTests would compute for the same wave
+  /// under the same quarantine mask. Call it only before the engine's
+  /// deadline latches (serve campaigns and workers set none); a job the
+  /// deadline cut short throws std::bad_optional_access.
+  std::vector<TestEvaluation> evaluateShard(const ToolConfig &Tool,
+                                            const ShardRequest &Request);
 
   /// Deterministically re-runs the fuzzer behind (\p Tool, \p TestIndex).
   FuzzResult regenerate(const ToolConfig &Tool, size_t TestIndex,

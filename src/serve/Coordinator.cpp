@@ -12,10 +12,8 @@
 
 #include <algorithm>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -115,11 +113,7 @@ void ServeCoordinator::reapWorkers() {
 void ServeCoordinator::pollHellos() {
   if (!Opts.ServeJournal)
     return;
-  DIR *D = ::opendir(Ledger.serveDir().c_str());
-  if (!D)
-    return;
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
+  for (const std::string &Name : listDir(Ledger.serveDir(), ".msg")) {
     if (Name.rfind("hello-", 0) != 0)
       continue;
     std::string Bytes, Error;
@@ -136,7 +130,6 @@ void ServeCoordinator::pollHellos() {
     Event.Count = Hello.Pid;
     Opts.ServeJournal->append(Event);
   }
-  ::closedir(D);
 }
 
 void ServeCoordinator::journalShardEvent(obs::JournalEventKind Kind,
@@ -195,23 +188,6 @@ void ServeCoordinator::foldMetrics(const std::string &MetricsJson) {
   telemetry::MetricsRegistry::global().restore(Delta);
 }
 
-ShardJobMsg ServeCoordinator::jobFor(const ShardRequest &Request,
-                                     uint64_t JobId,
-                                     uint64_t Generation) const {
-  ShardJobMsg Job;
-  Job.JobId = JobId;
-  Job.Generation = Generation;
-  Job.CampaignId = Config.CampaignId;
-  Job.Phase = Request.Phase;
-  Job.Tool = Request.Tool;
-  Job.Count = Request.Count;
-  Job.CrashesOnly = Request.CrashesOnly ? 1 : 0;
-  Job.WaveStart = Request.WaveStart;
-  Job.WaveEnd = Request.WaveEnd;
-  Job.Sidelined = Request.Sidelined;
-  return Job;
-}
-
 void ServeCoordinator::beginPhase(const ShardRequest &Prototype,
                                   size_t StartWave) {
   JobByWaveStart.clear();
@@ -237,15 +213,10 @@ void ServeCoordinator::beginPhase(const ShardRequest &Prototype,
     ShardRequest Request = Prototype;
     Request.WaveStart = W;
     Request.WaveEnd = End;
-    ShardJobMsg Job = jobFor(Request, First + Index, 0);
-    JobByWaveStart[Job.WaveStart] = Job.JobId;
-    JobInfo Info;
-    Info.Phase = Prototype.Phase;
-    Info.WaveStart = Job.WaveStart;
-    Info.WaveEnd = Job.WaveEnd;
-    Info.Mask = Prototype.Sidelined;
-    Jobs[Job.JobId] = std::move(Info);
-    Batch.push_back(std::move(Job));
+    const uint64_t JobId = First + Index;
+    JobByWaveStart[W] = JobId;
+    Jobs[JobId] = Request;
+    Batch.push_back({JobId, /*Generation=*/0, Config.CampaignId, Request});
   }
   if (!Ledger.enqueue(Batch, Error))
     JobByWaveStart.clear(); // degrade: the engine computes every wave locally
@@ -257,7 +228,7 @@ bool ServeCoordinator::takeShard(const ShardRequest &Request,
   if (WaveIt == JobByWaveStart.end())
     return false;
   const uint64_t JobId = WaveIt->second;
-  JobInfo &Info = Jobs[JobId];
+  ShardRequest &Enqueued = Jobs[JobId];
   const uint64_t WantDigest = sidelinedDigest(Request.Sidelined);
   const uint64_t Entered = monotonicNowMs();
   const uint64_t StallMs = Opts.StallMs ? Opts.StallMs : 4 * Opts.LeaseTtlMs;
@@ -274,11 +245,12 @@ bool ServeCoordinator::takeShard(const ShardRequest &Request,
     // The serial quarantine mask moved past the mask this job was
     // enqueued under: requeue under the current mask with a bumped
     // generation, fencing any in-flight stale computation.
-    if (Info.Mask != Request.Sidelined) {
-      if (!Ledger.requeue(jobFor(Request, JobId, Entry->Generation + 1),
-                          Error))
+    if (Enqueued.Sidelined != Request.Sidelined) {
+      if (!Ledger.requeue(
+              {JobId, Entry->Generation + 1, Config.CampaignId, Request},
+              Error))
         return false;
-      Info.Mask = Request.Sidelined;
+      Enqueued = Request;
       continue;
     }
 
@@ -300,10 +272,11 @@ bool ServeCoordinator::takeShard(const ShardRequest &Request,
         Out = std::move(Result.Evals);
         return true;
       }
-      // Torn frame or a stale-mask result: retire it and fence.
+      // Torn message or a stale-mask result: retire it and fence.
       ::unlink(Ledger.resultPath(JobId, Entry->Generation).c_str());
-      if (!Ledger.requeue(jobFor(Request, JobId, Entry->Generation + 1),
-                          Error))
+      if (!Ledger.requeue(
+              {JobId, Entry->Generation + 1, Config.CampaignId, Request},
+              Error))
         return false;
       continue;
     }
@@ -324,10 +297,7 @@ bool ServeCoordinator::takeShard(const ShardRequest &Request,
       const ToolConfig *Tool = Engine.findTool(Request.Tool);
       if (!Tool)
         return false;
-      Out = Engine.evaluateShard(
-          *Tool, static_cast<size_t>(Request.WaveStart),
-          static_cast<size_t>(Request.WaveEnd), Request.CrashesOnly,
-          Request.Sidelined);
+      Out = Engine.evaluateShard(*Tool, Request);
       LeaseLedgerMsg Fresh;
       if (Ledger.snapshot(Fresh, Error))
         if (const LeaseEntry *Now = findEntry(Fresh, JobId))

@@ -16,7 +16,7 @@
 ///
 /// Fault tolerance: leases that outlive their TTL are expired and
 /// re-queued with a bumped generation (fencing the dead worker's stale
-/// output); torn or mask-stale result frames are retired the same way;
+/// output); torn or mask-stale result messages are retired the same way;
 /// and if every spawned worker dies — or a shard stalls past StallMs —
 /// the coordinator computes the shard inline, so `serve` always
 /// terminates with the same output as `campaign`.
@@ -74,7 +74,7 @@ public:
   ServeCoordinator(CampaignEngine &Engine, ServeOptions Opts);
   ~ServeCoordinator() override;
 
-  /// Deploys: fresh serve layout, config frame for workers to replicate,
+  /// Deploys: fresh serve layout, config message for workers to replicate,
   /// then spawns Opts.Workers worker processes (their stdout/stderr land
   /// in `serve/worker<id>.log`).
   bool start(const WorkerConfigMsg &Config, std::string &ErrorOut);
@@ -99,18 +99,6 @@ private:
     pid_t Pid = -1;
     bool Alive = false;
   };
-  /// What the coordinator remembers about an enqueued job: its phase
-  /// identity for journaling and the quarantine mask it was enqueued
-  /// under (to detect serial-mask drift).
-  struct JobInfo {
-    std::string Phase;
-    uint64_t WaveStart = 0;
-    uint64_t WaveEnd = 0;
-    std::vector<std::string> Mask;
-  };
-
-  ShardJobMsg jobFor(const ShardRequest &Request, uint64_t JobId,
-                     uint64_t Generation) const;
   void spawnWorker(uint64_t Id);
   void reapWorkers();
   void pollHellos();
@@ -131,7 +119,10 @@ private:
 
   std::vector<SpawnedWorker> Spawned;
   std::set<uint64_t> Attached;
-  std::map<uint64_t, JobInfo> Jobs;
+  /// Every enqueued job's request as last enqueued: its phase identity
+  /// for journaling and the quarantine mask it carries (to detect
+  /// serial-mask drift).
+  std::map<uint64_t, ShardRequest> Jobs;
   std::map<uint64_t, uint64_t> JobByWaveStart;
   /// (JobId, Generation) leases already journaled as ShardLeased.
   std::set<std::pair<uint64_t, uint64_t>> SeenLeases;

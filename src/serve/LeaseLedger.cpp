@@ -8,15 +8,10 @@
 
 #include "store/Serde.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <ctime>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace spvfuzz;
@@ -31,23 +26,9 @@ uint64_t serve::monotonicNowMs() {
 
 namespace {
 
-bool ensureDir(const std::string &Path, std::string &ErrorOut) {
-  if (::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST)
-    return true;
-  ErrorOut = "cannot create directory " + Path + ": " + strerror(errno);
-  return false;
-}
-
 void removeEntries(const std::string &Dir) {
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D)
-    return;
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
-    if (Name != "." && Name != "..")
-      ::unlink((Dir + "/" + Name).c_str());
-  }
-  ::closedir(D);
+  for (const std::string &Name : listDir(Dir))
+    ::unlink((Dir + "/" + Name).c_str());
 }
 
 /// Exclusive (or shared) flock on the ledger lock file, released on
@@ -100,15 +81,9 @@ bool LeaseLedger::initialize(std::string &ErrorOut) {
     return false;
   removeEntries(Dir + "/jobs");
   removeEntries(Dir + "/results");
-  DIR *D = ::opendir(Dir.c_str());
-  if (D) {
-    while (struct dirent *Entry = ::readdir(D)) {
-      std::string Name = Entry->d_name;
-      if (Name == "DONE" || Name.rfind("hello-", 0) == 0)
-        ::unlink((Dir + "/" + Name).c_str());
-    }
-    ::closedir(D);
-  }
+  for (const std::string &Name : listDir(Dir))
+    if (Name == "DONE" || Name.rfind("hello-", 0) == 0)
+      ::unlink((Dir + "/" + Name).c_str());
   return atomicWriteFile(ledgerPath(), encodeLeaseLedger(LeaseLedgerMsg{}),
                          ErrorOut);
 }
@@ -152,7 +127,7 @@ bool LeaseLedger::allocateJobIds(size_t Count, uint64_t &FirstOut,
 
 bool LeaseLedger::enqueue(const std::vector<ShardJobMsg> &Jobs,
                           std::string &ErrorOut) {
-  // Job frames land before their ledger entries: a worker that sees an
+  // Job messages land before their ledger entries: a worker that sees an
   // entry is guaranteed a readable job file.
   for (const ShardJobMsg &Job : Jobs)
     if (!atomicWriteFile(jobPath(Job.JobId), encodeShardJob(Job), ErrorOut))
@@ -204,7 +179,7 @@ bool LeaseLedger::lease(uint64_t Worker, uint64_t TtlMs,
   ShardJobMsg Job;
   if (!decodeShardJob(Bytes, Job, ErrorOut))
     return false;
-  // The job frame can lag the ledger by one requeue (frame rewritten
+  // The job message can lag the ledger by one requeue (message rewritten
   // after the entry moved on); serve the ledger's generation so the
   // completion fence matches what the worker actually leased.
   Job.Generation = LeasedGeneration;

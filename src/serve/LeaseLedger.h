@@ -8,12 +8,12 @@
 /// The crash-safe lease table coordinating shard work across processes,
 /// living under `<store>/serve/`:
 ///
-///   serve/ledger.bin     the lease table (one LeaseLedger frame)
+///   serve/ledger.bin     the lease table (a LeaseLedger message)
 ///   serve/ledger.lock    flock guard for ledger read-modify-write
-///   serve/config.msg     the WorkerConfig frame workers replicate
-///   serve/jobs/<id>.job  one ShardJob frame per enqueued shard
-///   serve/results/<id>-g<gen>.msg  ShardResult frames workers publish
-///   serve/hello-<id>.msg WorkerHello frames (worker discovery)
+///   serve/config.msg     the WorkerConfig message workers replicate
+///   serve/jobs/<id>.job  one ShardJob message per enqueued shard
+///   serve/results/<id>-g<gen>.msg  ShardResult messages workers publish
+///   serve/hello-<id>.msg WorkerHello messages (worker discovery)
 ///   serve/DONE           written at shutdown; workers drain and exit
 ///
 /// Lease state machine: Queued → Leased (worker takes the lowest queued
@@ -29,7 +29,7 @@
 /// Every mutation is a read-modify-write of the whole table under an
 /// exclusive flock, persisted with the store's atomicWriteFile
 /// (write-tmp/fsync/rename), so a crash at any point leaves a valid
-/// ledger; the frame checksum rejects torn bytes from outside writers.
+/// ledger; the message checksum rejects torn bytes from outside writers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +70,7 @@ public:
   /// anything) when the serve directory or ledger is missing or corrupt.
   bool openExisting(std::string &ErrorOut);
 
-  /// Coordinator: writes each job's frame then appends Queued entries to
+  /// Coordinator: writes each job's message then appends Queued entries to
   /// the ledger. Job ids must come from the ledger's NextJobId sequence
   /// (the coordinator assigns them).
   bool enqueue(const std::vector<ShardJobMsg> &Jobs, std::string &ErrorOut);
@@ -90,7 +90,7 @@ public:
   bool expireStale(std::vector<LeaseEntry> &ExpiredOut,
                    std::string &ErrorOut);
 
-  /// Coordinator: force-requeues \p Job — rewrites its job frame (new
+  /// Coordinator: force-requeues \p Job — rewrites its job message (new
   /// mask, bumped generation) and resets its entry to Queued with that
   /// generation. Used when the serial quarantine mask moved past the mask
   /// a job was enqueued under, and to retire torn result files.

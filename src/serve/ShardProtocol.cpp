@@ -13,55 +13,19 @@
 using namespace spvfuzz;
 using namespace spvfuzz::serve;
 
-const char *serve::messageKindName(MessageKind Kind) {
-  switch (Kind) {
-  case MessageKind::WorkerConfig:
-    return "WorkerConfig";
-  case MessageKind::WorkerHello:
-    return "WorkerHello";
-  case MessageKind::ShardJob:
-    return "ShardJob";
-  case MessageKind::ShardResult:
-    return "ShardResult";
-  case MessageKind::LeaseLedger:
-    return "LeaseLedger";
-  }
-  return "Unknown";
-}
-
 WorkerConfigMsg serve::workerConfigFor(const ExecutionPolicy &Policy,
-                                       bool FaultyFleet, uint64_t Tests,
+                                       bool FaultyFleet,
                                        uint64_t LeaseTtlMs) {
   WorkerConfigMsg Msg;
-  Msg.CampaignId = campaignIdFor(Policy);
-  Msg.Seed = Policy.Seed;
-  Msg.TransformationLimit = Policy.TransformationLimit;
-  Msg.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
-  Msg.FlakyRetries = Policy.FlakyRetries;
-  Msg.QuarantineThreshold = Policy.QuarantineThreshold;
-  Msg.UniformInputs = Policy.UniformInputs;
-  Msg.ReduceOrder = static_cast<uint8_t>(Policy.ReduceOrder);
-  Msg.PostReduce = Policy.PostReduce ? 1 : 0;
-  Msg.PostReducePasses = Policy.PostReducePasses;
-  Msg.FaultyFleet = FaultyFleet ? 1 : 0;
-  Msg.Tests = Tests;
+  Msg.Policy = Policy;
+  Msg.FaultyFleet = FaultyFleet;
   Msg.LeaseTtlMs = LeaseTtlMs;
+  Msg.CampaignId = campaignIdFor(Policy, fleetFor(Msg));
   return Msg;
 }
 
-ExecutionPolicy serve::policyFor(const WorkerConfigMsg &Config, size_t Jobs) {
-  ExecutionPolicy Policy;
-  Policy.Jobs = Jobs;
-  Policy.Seed = Config.Seed;
-  Policy.TransformationLimit = Config.TransformationLimit;
-  Policy.TargetDeadlineSteps = Config.TargetDeadlineSteps;
-  Policy.FlakyRetries = Config.FlakyRetries;
-  Policy.QuarantineThreshold = Config.QuarantineThreshold;
-  Policy.UniformInputs = Config.UniformInputs ? Config.UniformInputs : 1;
-  Policy.ReduceOrder = static_cast<CandidateOrder>(Config.ReduceOrder);
-  Policy.PostReduce = Config.PostReduce != 0;
-  Policy.PostReducePasses = Config.PostReducePasses;
-  return Policy;
+TargetFleet serve::fleetFor(const WorkerConfigMsg &Config) {
+  return Config.FaultyFleet ? TargetFleet::faulty() : TargetFleet{};
 }
 
 uint64_t serve::sidelinedDigest(const std::vector<std::string> &Sidelined) {
@@ -76,300 +40,267 @@ uint64_t serve::sidelinedDigest(const std::vector<std::string> &Sidelined) {
 }
 
 //===----------------------------------------------------------------------===//
-// Frame layer
+// Message container and body codecs
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-constexpr char FrameMagic[9] = "MSPVSHRD";
-constexpr size_t FrameHeaderSize = 8 + 4 + 1 + 8 + 8;
+// Section tags, one per message kind.
+constexpr char WorkerConfigTag[] = "WCFG";
+constexpr char WorkerHelloTag[] = "HELO";
+constexpr char ShardJobTag[] = "SJOB";
+constexpr char ShardResultTag[] = "SRES";
+constexpr char LeaseLedgerTag[] = "LEAS";
 
-/// Checksum over everything the payload's meaning depends on: version,
-/// kind, and the payload bytes in 8-byte little-endian chunks.
-uint64_t frameChecksum(uint32_t Version, uint8_t Kind,
-                       const std::string &Payload) {
-  StructuralHasher H;
-  H.word(Version);
-  H.word(Kind);
-  H.word(Payload.size());
-  uint64_t Word = 0;
-  size_t Shift = 0;
-  for (unsigned char C : Payload) {
-    Word |= static_cast<uint64_t>(C) << Shift;
-    Shift += 8;
-    if (Shift == 64) {
-      H.word(Word);
-      Word = 0;
-      Shift = 0;
-    }
-  }
-  if (Shift)
-    H.word(Word);
-  return H.digest();
-}
-
-std::string encodeFrame(MessageKind Kind, const std::string &Payload) {
+/// A StoreFile with one \p Tag section: the protocol version, then the
+/// body \p Write appends.
+template <typename Fn> std::string encodeMessage(const char *Tag, Fn Write) {
   ByteWriter W;
-  W.raw(std::string(FrameMagic, 8));
   W.u32(ShardProtocolVersion);
-  W.u8(static_cast<uint8_t>(Kind));
-  W.u64(frameChecksum(ShardProtocolVersion, static_cast<uint8_t>(Kind),
-                      Payload));
-  W.u64(Payload.size());
-  std::string Out = W.take();
-  Out += Payload;
-  return Out;
+  Write(W);
+  StoreFile File;
+  File.add(Tag, W.take());
+  return File.encode();
 }
 
-bool knownKind(uint8_t Kind) {
-  switch (static_cast<MessageKind>(Kind)) {
-  case MessageKind::WorkerConfig:
-  case MessageKind::WorkerHello:
-  case MessageKind::ShardJob:
-  case MessageKind::ShardResult:
-  case MessageKind::LeaseLedger:
-    return true;
-  }
-  return false;
-}
-
-/// Decodes a frame whose kind must be \p Expected.
-bool decodeTyped(const std::string &Bytes, MessageKind Expected,
-                 std::string &PayloadOut, std::string &ErrorOut) {
-  if (Bytes.size() < FrameHeaderSize) {
-    ErrorOut = "shard frame truncated: " + std::to_string(Bytes.size()) +
-               " bytes, header needs " + std::to_string(FrameHeaderSize);
+/// Opens a message that must be of kind \p Tag and this build's protocol
+/// version, then lets \p Read decode the body, which must end exactly
+/// where the section does.
+template <typename Fn>
+bool decodeMessage(const std::string &Bytes, const char *Tag, Fn Read,
+                   std::string &ErrorOut) {
+  StoreFile File;
+  if (!StoreFile::decode(Bytes, File, ErrorOut)) {
+    ErrorOut = "shard message unreadable: " + ErrorOut;
     return false;
   }
-  if (Bytes.compare(0, 8, FrameMagic, 8) != 0) {
-    ErrorOut = "bad shard frame magic";
+  if (File.Sections.size() != 1) {
+    ErrorOut = "shard message holds " + std::to_string(File.Sections.size()) +
+               " sections, expected 1";
     return false;
   }
-  ByteReader R(Bytes);
-  R.skip(8);
+  const auto &[Kind, Payload] = File.Sections.front();
+  if (Kind != Tag) {
+    ErrorOut = "unexpected shard message kind: wanted " + std::string(Tag) +
+               ", got " + Kind;
+    return false;
+  }
+  ByteReader R(Payload);
   uint32_t Version = 0;
-  uint8_t Kind = 0;
-  uint64_t Checksum = 0, Size = 0;
-  if (!R.u32(Version) || !R.u8(Kind) || !R.u64(Checksum) || !R.u64(Size)) {
-    ErrorOut = "shard frame header unreadable: " + R.error();
-    return false;
-  }
-  if (Version != ShardProtocolVersion) {
+  if (R.u32(Version) && Version != ShardProtocolVersion) {
     ErrorOut = "unsupported shard protocol version " +
                std::to_string(Version) + " (this build speaks " +
                std::to_string(ShardProtocolVersion) + ")";
     return false;
   }
-  if (!knownKind(Kind)) {
-    ErrorOut = "unknown shard message kind " + std::to_string(Kind);
+  if (!R.ok() || !Read(R)) {
+    ErrorOut = Kind + " message malformed";
+    if (!R.error().empty())
+      ErrorOut += ": " + R.error();
     return false;
   }
-  if (Bytes.size() - FrameHeaderSize != Size) {
-    ErrorOut = "shard frame size mismatch: header says " +
-               std::to_string(Size) + " payload bytes, frame carries " +
-               std::to_string(Bytes.size() - FrameHeaderSize);
+  if (!R.atEnd()) {
+    ErrorOut = Kind + " message has " + std::to_string(R.remaining()) +
+               " trailing bytes";
     return false;
   }
-  std::string Payload = Bytes.substr(FrameHeaderSize);
-  if (frameChecksum(Version, Kind, Payload) != Checksum) {
-    ErrorOut = "shard frame checksum mismatch (corrupt or torn write)";
-    return false;
-  }
-  if (static_cast<MessageKind>(Kind) != Expected) {
-    ErrorOut = std::string("unexpected shard message kind: wanted ") +
-               messageKindName(Expected) + ", got " +
-               messageKindName(static_cast<MessageKind>(Kind));
-    return false;
-  }
-  PayloadOut = std::move(Payload);
   return true;
 }
 
-bool payloadError(const ByteReader &R, MessageKind Kind,
-                  std::string &ErrorOut) {
-  ErrorOut = std::string(messageKindName(Kind)) + " payload malformed";
-  if (!R.error().empty())
-    ErrorOut += ": " + R.error();
-  return false;
+bool readFlag(ByteReader &R, bool &Out) {
+  uint8_t Byte = 0;
+  if (!R.u8(Byte))
+    return false;
+  if (Byte > 1)
+    return R.failAt("flag byte " + std::to_string(Byte));
+  Out = Byte != 0;
+  return true;
 }
 
-/// Rejects payloads with trailing bytes: a valid frame decodes exactly.
-bool finish(const ByteReader &R, MessageKind Kind, std::string &ErrorOut) {
-  if (R.atEnd())
-    return true;
-  ErrorOut = std::string(messageKindName(Kind)) + " payload has " +
-             std::to_string(R.remaining()) + " trailing bytes";
-  return false;
+/// The policy fields that shape results (exactly those
+/// campaignConfigDigest reads); the rest keep their defaults, and a
+/// worker sets its own Jobs.
+void writePolicy(ByteWriter &W, const ExecutionPolicy &Policy) {
+  W.u64(Policy.Seed);
+  W.u32(Policy.TransformationLimit);
+  W.u64(Policy.TargetDeadlineSteps);
+  W.u32(Policy.FlakyRetries);
+  W.u32(Policy.QuarantineThreshold);
+  W.u64(Policy.UniformInputs);
+  W.u8(static_cast<uint8_t>(Policy.ReduceOrder));
+  W.u8(Policy.PostReduce ? 1 : 0);
+  W.strs(Policy.PostReducePasses);
+}
+
+bool readPolicy(ByteReader &R, ExecutionPolicy &Policy) {
+  Policy = ExecutionPolicy{};
+  uint64_t UniformInputs = 0;
+  uint8_t Order = 0;
+  if (!R.u64(Policy.Seed) || !R.u32(Policy.TransformationLimit) ||
+      !R.u64(Policy.TargetDeadlineSteps) || !R.u32(Policy.FlakyRetries) ||
+      !R.u32(Policy.QuarantineThreshold) || !R.u64(UniformInputs) ||
+      !R.u8(Order))
+    return false;
+  if (Order > static_cast<uint8_t>(CandidateOrder::Learned))
+    return R.failAt("unknown candidate order " + std::to_string(Order));
+  Policy.UniformInputs = static_cast<size_t>(UniformInputs);
+  Policy.ReduceOrder = static_cast<CandidateOrder>(Order);
+  return readFlag(R, Policy.PostReduce) && R.strs(Policy.PostReducePasses);
+}
+
+void writeRequest(ByteWriter &W, const ShardRequest &Request) {
+  W.str(Request.Phase);
+  W.str(Request.Tool);
+  W.u64(Request.Count);
+  W.u8(Request.CrashesOnly ? 1 : 0);
+  W.u64(Request.WaveStart);
+  W.u64(Request.WaveEnd);
+  W.strs(Request.Sidelined);
+}
+
+bool readRequest(ByteReader &R, ShardRequest &Request) {
+  if (!R.str(Request.Phase) || !R.str(Request.Tool) || !R.u64(Request.Count) ||
+      !readFlag(R, Request.CrashesOnly) || !R.u64(Request.WaveStart) ||
+      !R.u64(Request.WaveEnd) || !R.strs(Request.Sidelined))
+    return false;
+  // The worker sizes its evaluation vector from these bounds.
+  if (Request.WaveStart > Request.WaveEnd || Request.WaveEnd > Request.Count)
+    return R.failAt("wave [" + std::to_string(Request.WaveStart) + ", " +
+                    std::to_string(Request.WaveEnd) + ") outside [0, " +
+                    std::to_string(Request.Count) + ")");
+  return true;
 }
 
 } // namespace
 
-//===----------------------------------------------------------------------===//
-// Payload codecs
-//===----------------------------------------------------------------------===//
-
 std::string serve::encodeWorkerConfig(const WorkerConfigMsg &Msg) {
-  ByteWriter W;
-  W.str(Msg.CampaignId);
-  W.u64(Msg.Seed);
-  W.u32(Msg.TransformationLimit);
-  W.u64(Msg.TargetDeadlineSteps);
-  W.u32(Msg.FlakyRetries);
-  W.u32(Msg.QuarantineThreshold);
-  W.u64(Msg.UniformInputs);
-  W.u8(Msg.ReduceOrder);
-  W.u8(Msg.PostReduce);
-  W.strs(Msg.PostReducePasses);
-  W.u8(Msg.FaultyFleet);
-  W.u64(Msg.Tests);
-  W.u64(Msg.LeaseTtlMs);
-  return encodeFrame(MessageKind::WorkerConfig, W.take());
+  return encodeMessage(WorkerConfigTag, [&](ByteWriter &W) {
+    W.str(Msg.CampaignId);
+    writePolicy(W, Msg.Policy);
+    W.u8(Msg.FaultyFleet ? 1 : 0);
+    W.u64(Msg.LeaseTtlMs);
+  });
 }
 
 bool serve::decodeWorkerConfig(const std::string &Bytes, WorkerConfigMsg &Out,
                                std::string &ErrorOut) {
-  std::string Payload;
-  if (!decodeTyped(Bytes, MessageKind::WorkerConfig, Payload, ErrorOut))
-    return false;
-  ByteReader R(Payload);
-  if (!R.str(Out.CampaignId) || !R.u64(Out.Seed) ||
-      !R.u32(Out.TransformationLimit) || !R.u64(Out.TargetDeadlineSteps) ||
-      !R.u32(Out.FlakyRetries) || !R.u32(Out.QuarantineThreshold) ||
-      !R.u64(Out.UniformInputs) || !R.u8(Out.ReduceOrder) ||
-      !R.u8(Out.PostReduce) || !R.strs(Out.PostReducePasses) ||
-      !R.u8(Out.FaultyFleet) || !R.u64(Out.Tests) || !R.u64(Out.LeaseTtlMs))
-    return payloadError(R, MessageKind::WorkerConfig, ErrorOut);
-  return finish(R, MessageKind::WorkerConfig, ErrorOut);
+  return decodeMessage(
+      Bytes, WorkerConfigTag,
+      [&](ByteReader &R) {
+        return R.str(Out.CampaignId) && readPolicy(R, Out.Policy) &&
+               readFlag(R, Out.FaultyFleet) && R.u64(Out.LeaseTtlMs);
+      },
+      ErrorOut);
 }
 
 std::string serve::encodeWorkerHello(const WorkerHelloMsg &Msg) {
-  ByteWriter W;
-  W.u64(Msg.Worker);
-  W.u64(Msg.Pid);
-  return encodeFrame(MessageKind::WorkerHello, W.take());
+  return encodeMessage(WorkerHelloTag, [&](ByteWriter &W) {
+    W.u64(Msg.Worker);
+    W.u64(Msg.Pid);
+  });
 }
 
 bool serve::decodeWorkerHello(const std::string &Bytes, WorkerHelloMsg &Out,
                               std::string &ErrorOut) {
-  std::string Payload;
-  if (!decodeTyped(Bytes, MessageKind::WorkerHello, Payload, ErrorOut))
-    return false;
-  ByteReader R(Payload);
-  if (!R.u64(Out.Worker) || !R.u64(Out.Pid))
-    return payloadError(R, MessageKind::WorkerHello, ErrorOut);
-  return finish(R, MessageKind::WorkerHello, ErrorOut);
+  return decodeMessage(
+      Bytes, WorkerHelloTag,
+      [&](ByteReader &R) { return R.u64(Out.Worker) && R.u64(Out.Pid); },
+      ErrorOut);
 }
 
 std::string serve::encodeShardJob(const ShardJobMsg &Msg) {
-  ByteWriter W;
-  W.u64(Msg.JobId);
-  W.u64(Msg.Generation);
-  W.str(Msg.CampaignId);
-  W.str(Msg.Phase);
-  W.str(Msg.Tool);
-  W.u64(Msg.Count);
-  W.u8(Msg.CrashesOnly);
-  W.u64(Msg.WaveStart);
-  W.u64(Msg.WaveEnd);
-  W.strs(Msg.Sidelined);
-  return encodeFrame(MessageKind::ShardJob, W.take());
+  return encodeMessage(ShardJobTag, [&](ByteWriter &W) {
+    W.u64(Msg.JobId);
+    W.u64(Msg.Generation);
+    W.str(Msg.CampaignId);
+    writeRequest(W, Msg.Request);
+  });
 }
 
 bool serve::decodeShardJob(const std::string &Bytes, ShardJobMsg &Out,
                            std::string &ErrorOut) {
-  std::string Payload;
-  if (!decodeTyped(Bytes, MessageKind::ShardJob, Payload, ErrorOut))
-    return false;
-  ByteReader R(Payload);
-  if (!R.u64(Out.JobId) || !R.u64(Out.Generation) ||
-      !R.str(Out.CampaignId) || !R.str(Out.Phase) || !R.str(Out.Tool) ||
-      !R.u64(Out.Count) || !R.u8(Out.CrashesOnly) || !R.u64(Out.WaveStart) ||
-      !R.u64(Out.WaveEnd) || !R.strs(Out.Sidelined))
-    return payloadError(R, MessageKind::ShardJob, ErrorOut);
-  return finish(R, MessageKind::ShardJob, ErrorOut);
+  return decodeMessage(
+      Bytes, ShardJobTag,
+      [&](ByteReader &R) {
+        return R.u64(Out.JobId) && R.u64(Out.Generation) &&
+               R.str(Out.CampaignId) && readRequest(R, Out.Request);
+      },
+      ErrorOut);
 }
 
 std::string serve::encodeShardResult(const ShardResultMsg &Msg) {
-  ByteWriter W;
-  W.u64(Msg.JobId);
-  W.u64(Msg.Generation);
-  W.u64(Msg.Worker);
-  W.str(Msg.CampaignId);
-  W.str(Msg.Phase);
-  W.u64(Msg.WaveStart);
-  W.u64(Msg.WaveEnd);
-  W.u64(Msg.MaskDigest);
-  W.u32(static_cast<uint32_t>(Msg.Evals.size()));
-  for (const TestEvaluation &Eval : Msg.Evals)
-    writeTestEvaluationBinary(W, Eval);
-  W.str(Msg.MetricsJson);
-  return encodeFrame(MessageKind::ShardResult, W.take());
+  return encodeMessage(ShardResultTag, [&](ByteWriter &W) {
+    W.u64(Msg.JobId);
+    W.u64(Msg.Generation);
+    W.u64(Msg.Worker);
+    W.str(Msg.CampaignId);
+    W.str(Msg.Phase);
+    W.u64(Msg.WaveStart);
+    W.u64(Msg.WaveEnd);
+    W.u64(Msg.MaskDigest);
+    W.u32(static_cast<uint32_t>(Msg.Evals.size()));
+    for (const TestEvaluation &Eval : Msg.Evals)
+      writeTestEvaluationBinary(W, Eval);
+    W.str(Msg.MetricsJson);
+  });
 }
 
 bool serve::decodeShardResult(const std::string &Bytes, ShardResultMsg &Out,
                               std::string &ErrorOut) {
-  std::string Payload;
-  if (!decodeTyped(Bytes, MessageKind::ShardResult, Payload, ErrorOut))
-    return false;
-  ByteReader R(Payload);
-  uint32_t EvalCount = 0;
-  if (!R.u64(Out.JobId) || !R.u64(Out.Generation) || !R.u64(Out.Worker) ||
-      !R.str(Out.CampaignId) || !R.str(Out.Phase) || !R.u64(Out.WaveStart) ||
-      !R.u64(Out.WaveEnd) || !R.u64(Out.MaskDigest) || !R.u32(EvalCount) ||
-      !R.checkCount(EvalCount, 24))
-    return payloadError(R, MessageKind::ShardResult, ErrorOut);
-  Out.Evals.clear();
-  Out.Evals.reserve(EvalCount);
-  for (uint32_t I = 0; I < EvalCount; ++I) {
-    TestEvaluation Eval;
-    if (!readTestEvaluationBinary(R, Eval))
-      return payloadError(R, MessageKind::ShardResult, ErrorOut);
-    Out.Evals.push_back(std::move(Eval));
-  }
-  if (!R.str(Out.MetricsJson))
-    return payloadError(R, MessageKind::ShardResult, ErrorOut);
-  return finish(R, MessageKind::ShardResult, ErrorOut);
+  return decodeMessage(
+      Bytes, ShardResultTag,
+      [&](ByteReader &R) {
+        uint32_t EvalCount = 0;
+        if (!R.u64(Out.JobId) || !R.u64(Out.Generation) ||
+            !R.u64(Out.Worker) || !R.str(Out.CampaignId) ||
+            !R.str(Out.Phase) || !R.u64(Out.WaveStart) ||
+            !R.u64(Out.WaveEnd) || !R.u64(Out.MaskDigest) ||
+            !R.u32(EvalCount) || !R.checkCount(EvalCount, 24))
+          return false;
+        Out.Evals.assign(EvalCount, TestEvaluation{});
+        for (TestEvaluation &Eval : Out.Evals)
+          if (!readTestEvaluationBinary(R, Eval))
+            return false;
+        return R.str(Out.MetricsJson);
+      },
+      ErrorOut);
 }
 
 std::string serve::encodeLeaseLedger(const LeaseLedgerMsg &Msg) {
-  ByteWriter W;
-  W.u64(Msg.NextJobId);
-  W.u32(static_cast<uint32_t>(Msg.Entries.size()));
-  for (const LeaseEntry &Entry : Msg.Entries) {
-    W.u64(Entry.JobId);
-    W.u64(Entry.Generation);
-    W.u8(static_cast<uint8_t>(Entry.State));
-    W.u64(Entry.Worker);
-    W.u64(Entry.DeadlineMs);
-  }
-  return encodeFrame(MessageKind::LeaseLedger, W.take());
+  return encodeMessage(LeaseLedgerTag, [&](ByteWriter &W) {
+    W.u64(Msg.NextJobId);
+    W.u32(static_cast<uint32_t>(Msg.Entries.size()));
+    for (const LeaseEntry &Entry : Msg.Entries) {
+      W.u64(Entry.JobId);
+      W.u64(Entry.Generation);
+      W.u8(static_cast<uint8_t>(Entry.State));
+      W.u64(Entry.Worker);
+      W.u64(Entry.DeadlineMs);
+    }
+  });
 }
 
 bool serve::decodeLeaseLedger(const std::string &Bytes, LeaseLedgerMsg &Out,
                               std::string &ErrorOut) {
-  std::string Payload;
-  if (!decodeTyped(Bytes, MessageKind::LeaseLedger, Payload, ErrorOut))
-    return false;
-  ByteReader R(Payload);
-  uint32_t EntryCount = 0;
-  if (!R.u64(Out.NextJobId) || !R.u32(EntryCount) ||
-      !R.checkCount(EntryCount, 33))
-    return payloadError(R, MessageKind::LeaseLedger, ErrorOut);
-  Out.Entries.clear();
-  Out.Entries.reserve(EntryCount);
-  for (uint32_t I = 0; I < EntryCount; ++I) {
-    LeaseEntry Entry;
-    uint8_t State = 0;
-    if (!R.u64(Entry.JobId) || !R.u64(Entry.Generation) || !R.u8(State) ||
-        !R.u64(Entry.Worker) || !R.u64(Entry.DeadlineMs))
-      return payloadError(R, MessageKind::LeaseLedger, ErrorOut);
-    if (State > static_cast<uint8_t>(LeaseState::Done)) {
-      ErrorOut = "LeaseLedger payload malformed: unknown lease state " +
-                 std::to_string(State);
-      return false;
-    }
-    Entry.State = static_cast<LeaseState>(State);
-    Out.Entries.push_back(std::move(Entry));
-  }
-  return finish(R, MessageKind::LeaseLedger, ErrorOut);
+  return decodeMessage(
+      Bytes, LeaseLedgerTag,
+      [&](ByteReader &R) {
+        uint32_t EntryCount = 0;
+        if (!R.u64(Out.NextJobId) || !R.u32(EntryCount) ||
+            !R.checkCount(EntryCount, 33))
+          return false;
+        Out.Entries.assign(EntryCount, LeaseEntry{});
+        for (LeaseEntry &Entry : Out.Entries) {
+          uint8_t State = 0;
+          if (!R.u64(Entry.JobId) || !R.u64(Entry.Generation) ||
+              !R.u8(State) || !R.u64(Entry.Worker) ||
+              !R.u64(Entry.DeadlineMs))
+            return false;
+          if (State > static_cast<uint8_t>(LeaseState::Done))
+            return R.failAt("unknown lease state " + std::to_string(State));
+          Entry.State = static_cast<LeaseState>(State);
+        }
+        return true;
+      },
+      ErrorOut);
 }

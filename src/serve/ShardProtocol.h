@@ -5,25 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The message layer between the scale-out coordinator and its workers:
-/// versioned, checksummed frames over the same little-endian serde as the
-/// store (support/BinaryIO.h), so the transport underneath is
-/// interchangeable — today messages travel as files in `<store>/serve/`,
-/// and a socket transport is a framing change, not a rewrite. A frame is
+/// The message layer between the scale-out coordinator and its workers.
+/// Every message is a StoreFile (store/Serde.h), the store's own
+/// checksummed container, holding exactly one section: a four-character
+/// tag naming the message kind, whose payload starts with the protocol
+/// version (u32) and continues with the message body, all in the store's
+/// little-endian serde (support/BinaryIO.h). Today messages travel as
+/// files in `<store>/serve/`; a socket transport would carry the same
+/// bytes.
 ///
-///   MagicBytes(8) ProtocolVersion(u32) Kind(u8)
-///   PayloadChecksum(u64) PayloadSize(u64) Payload(Size)
+/// Decoding refuses, with a diagnostic and never undefined behaviour: any
+/// bit flip, truncation or stray append (the container's checksum and
+/// exact framing), a message of another kind (the tag), a message of any
+/// other protocol version (checked exactly, so an older layout is never
+/// misparsed), and a body with bytes left over.
 ///
-/// with the checksum a StructuralHasher digest over (version, kind,
-/// payload). Any bit flip, truncation or stray append is rejected at
-/// decode with a diagnostic, never undefined behaviour; frames from any
-/// other protocol version are refused rather than misparsed.
-///
-/// The payload types cover the whole deployment conversation: the
-/// coordinator publishes one WorkerConfig (the campaign policy a worker
-/// must replicate bit-exactly), workers announce themselves with
-/// WorkerHello, ShardJob/ShardResult carry the leased unit of work and
-/// its evaluations (reusing the store's TestEvaluation codec, so a shard
+/// The messages cover the whole deployment conversation: the coordinator
+/// publishes one WorkerConfig (the campaign policy a worker must
+/// replicate bit-exactly), workers announce themselves with WorkerHello,
+/// ShardJob/ShardResult carry the leased unit of work and its
+/// evaluations (reusing the store's TestEvaluation codec, so a shard
 /// result is byte-for-byte what the coordinator checkpoints), and
 /// LeaseLedger is the crash-safe lease table itself.
 ///
@@ -42,54 +43,31 @@
 namespace spvfuzz {
 namespace serve {
 
-/// The wire version this build speaks. Bump on any incompatible frame or
-/// payload change; decoders refuse every other version.
-inline constexpr uint32_t ShardProtocolVersion = 2;
+/// The wire version this build speaks. Bump on any incompatible message
+/// change; decoders refuse every other version.
+inline constexpr uint32_t ShardProtocolVersion = 3;
 
-/// Every frame kind the protocol carries.
-enum class MessageKind : uint8_t {
-  WorkerConfig = 1,
-  WorkerHello = 2,
-  ShardJob = 3,
-  ShardResult = 4,
-  LeaseLedger = 5,
-};
-
-const char *messageKindName(MessageKind Kind);
-
-/// The campaign policy a worker replicates. Every ExecutionPolicy field
-/// that feeds campaignConfigDigest is here, plus the fleet flavor; the
-/// worker rebuilds the same corpus, tools and fleet from it and
-/// cross-checks CampaignId. Build it with workerConfigFor and read it
-/// back with policyFor, so the two ends cannot drift apart.
+/// What a worker needs to replicate the coordinator's campaign: the
+/// policy (its result-shaping fields travel, the ones
+/// campaignConfigDigest reads) and the fleet. The worker rebuilds the
+/// same corpus, tools and fleet from it, runs the policy at its own
+/// --jobs, and checks that it derives CampaignId.
 struct WorkerConfigMsg {
+  /// campaignIdFor(Policy, fleet) at the coordinator.
   std::string CampaignId;
-  uint64_t Seed = 0;
-  uint32_t TransformationLimit = 0;
-  uint64_t TargetDeadlineSteps = 0;
-  uint32_t FlakyRetries = 0;
-  uint32_t QuarantineThreshold = 0;
-  uint64_t UniformInputs = 1;
-  /// CandidateOrder as its underlying value.
-  uint8_t ReduceOrder = 0;
-  uint8_t PostReduce = 0;
-  std::vector<std::string> PostReducePasses;
-  uint8_t FaultyFleet = 0;
-  /// Tests per tool (phase totals, for progress accounting only).
-  uint64_t Tests = 0;
+  ExecutionPolicy Policy;
+  bool FaultyFleet = false;
   /// Lease time-to-live workers request when leasing, in milliseconds.
   uint64_t LeaseTtlMs = 0;
 };
 
-/// The worker config that replicates \p Policy, whose campaign id it
-/// carries (campaignIdFor).
+/// The worker config that replicates \p Policy on the standard or the
+/// faulty fleet, carrying the campaign id they map to.
 WorkerConfigMsg workerConfigFor(const ExecutionPolicy &Policy,
-                                bool FaultyFleet, uint64_t Tests,
-                                uint64_t LeaseTtlMs);
+                                bool FaultyFleet, uint64_t LeaseTtlMs);
 
-/// The policy a worker running \p Jobs threads rebuilds from \p Config;
-/// campaignIdFor of it equals the coordinator's campaign id.
-ExecutionPolicy policyFor(const WorkerConfigMsg &Config, size_t Jobs);
+/// The fleet a worker config names (empty, i.e. standard, or faulty).
+TargetFleet fleetFor(const WorkerConfigMsg &Config);
 
 /// A worker announcing itself (written once at startup).
 struct WorkerHelloMsg {
@@ -105,13 +83,7 @@ struct ShardJobMsg {
   uint64_t JobId = 0;
   uint64_t Generation = 0;
   std::string CampaignId;
-  std::string Phase;
-  std::string Tool;
-  uint64_t Count = 0;
-  uint8_t CrashesOnly = 0;
-  uint64_t WaveStart = 0;
-  uint64_t WaveEnd = 0;
-  std::vector<std::string> Sidelined;
+  ShardRequest Request;
 };
 
 /// A computed shard: the evaluations in test-index order, plus the mask
@@ -163,11 +135,11 @@ struct LeaseLedgerMsg {
 /// the mask the coordinator's serial fold expects.
 uint64_t sidelinedDigest(const std::vector<std::string> &Sidelined);
 
-// --- Frame + payload codecs ------------------------------------------------
+// --- Message codecs ----------------------------------------------------
 //
-// Every encode returns a complete frame; every decode validates magic,
-// version, kind, checksum and exact payload size before touching the
-// payload, and returns false with a diagnostic on any mismatch.
+// Every encode returns a complete StoreFile; every decode validates the
+// container, the kind tag and the protocol version before reading the
+// body, and returns false with a diagnostic on any mismatch.
 
 std::string encodeWorkerConfig(const WorkerConfigMsg &Msg);
 bool decodeWorkerConfig(const std::string &Bytes, WorkerConfigMsg &Out,

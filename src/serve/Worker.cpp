@@ -11,18 +11,12 @@
 #include "store/Serde.h"
 #include "support/Telemetry.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace spvfuzz;
 using namespace spvfuzz::serve;
 
 namespace {
-
-bool pathExists(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0;
-}
 
 void sleepMs(uint64_t Ms) { ::usleep(static_cast<useconds_t>(Ms) * 1000); }
 
@@ -60,12 +54,16 @@ int ShardWorker::run(std::string &ErrorOut) {
   if (!Ledger.openExisting(ErrorOut))
     return 1;
 
-  // Replicate the campaign policy and prove it by digest: a worker built
-  // from a different binary or config would compute different shards.
-  const ExecutionPolicy Policy = policyFor(Config, Opts.Jobs);
-  if (campaignIdFor(Policy) != Config.CampaignId) {
+  // Replicate the campaign policy and fleet and prove it by digest: a
+  // worker built from a different binary or config would compute
+  // different shards.
+  ExecutionPolicy Policy = Config.Policy;
+  Policy.withJobs(Opts.Jobs);
+  const TargetFleet Fleet = fleetFor(Config);
+  const std::string Derived = campaignIdFor(Policy, Fleet);
+  if (Derived != Config.CampaignId) {
     ErrorOut = "campaign id mismatch: coordinator has " + Config.CampaignId +
-               ", this worker derives " + campaignIdFor(Policy);
+               ", this worker derives " + Derived;
     return 1;
   }
 
@@ -79,9 +77,7 @@ int ShardWorker::run(std::string &ErrorOut) {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   if (Opts.CollectMetrics)
     Metrics.setEnabled(true);
-  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
-                        Config.FaultyFleet ? TargetFleet::faulty()
-                                           : TargetFleet{});
+  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, Fleet);
   // Construction counters (corpus/tool building) are the coordinator's to
   // count — exactly once, like a serial run. Shard deltas start here.
   if (Opts.CollectMetrics)
@@ -103,29 +99,25 @@ int ShardWorker::run(std::string &ErrorOut) {
       ErrorOut = "leased job for foreign campaign " + Job->CampaignId;
       return 1;
     }
-    const ToolConfig *Tool = Engine.findTool(Job->Tool);
+    const ShardRequest &Request = Job->Request;
+    const ToolConfig *Tool = Engine.findTool(Request.Tool);
     if (!Tool) {
-      ErrorOut = "leased job names unknown tool " + Job->Tool;
+      ErrorOut = "leased job names unknown tool " + Request.Tool;
       return 1;
     }
 
     if (Opts.CollectMetrics)
       Metrics.reset();
-    std::vector<TestEvaluation> Evals = Engine.evaluateShard(
-        *Tool, static_cast<size_t>(Job->WaveStart),
-        static_cast<size_t>(Job->WaveEnd), Job->CrashesOnly != 0,
-        Job->Sidelined);
-
     ShardResultMsg Result;
+    Result.Evals = Engine.evaluateShard(*Tool, Request);
     Result.JobId = Job->JobId;
     Result.Generation = Job->Generation;
     Result.Worker = Opts.WorkerId;
     Result.CampaignId = Config.CampaignId;
-    Result.Phase = Job->Phase;
-    Result.WaveStart = Job->WaveStart;
-    Result.WaveEnd = Job->WaveEnd;
-    Result.MaskDigest = sidelinedDigest(Job->Sidelined);
-    Result.Evals = std::move(Evals);
+    Result.Phase = Request.Phase;
+    Result.WaveStart = Request.WaveStart;
+    Result.WaveEnd = Request.WaveEnd;
+    Result.MaskDigest = sidelinedDigest(Request.Sidelined);
     if (Opts.CollectMetrics) {
       // The snapshot since the last reset IS this shard's delta. Gauges
       // are point-in-time (cache budgets etc.), not additive — strip

@@ -9,7 +9,7 @@
 /// coordinator's WorkerConfig, rebuilds the exact campaign policy
 /// (cross-checking the campaign-id digest), then loops leasing shards
 /// from the ledger, computing each through CampaignEngine::evaluateShard
-/// and publishing a ShardResult frame before marking the lease Done. It
+/// and publishing a ShardResult message before marking the lease Done. It
 /// exits when the DONE marker is down and nothing is queued — or, for
 /// the crash-matrix tests, after the configured shard count (optionally
 /// tearing its last result or abandoning a fresh lease, the two ways a

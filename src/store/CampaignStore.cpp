@@ -13,11 +13,9 @@
 #include "triage/Triage.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
-#include <dirent.h>
 #include <sys/stat.h>
 
 using namespace spvfuzz;
@@ -28,43 +26,9 @@ using namespace spvfuzz;
 
 namespace {
 
-bool ensureDir(const std::string &Path, std::string &ErrorOut) {
-  if (::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST)
-    return true;
-  ErrorOut = "cannot create directory " + Path + ": " + strerror(errno);
-  return false;
-}
-
-bool fileExists(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0;
-}
-
 size_t fileSize(const std::string &Path) {
   struct stat St;
   return ::stat(Path.c_str(), &St) == 0 ? static_cast<size_t>(St.st_size) : 0;
-}
-
-/// Sorted names of regular entries in \p Dir with suffix \p Suffix ("" for
-/// all).
-std::vector<std::string> listDir(const std::string &Dir,
-                                 const std::string &Suffix) {
-  std::vector<std::string> Names;
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D)
-    return Names;
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
-    if (Name == "." || Name == "..")
-      continue;
-    if (Name.size() < Suffix.size() ||
-        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) != 0)
-      continue;
-    Names.push_back(std::move(Name));
-  }
-  ::closedir(D);
-  std::sort(Names.begin(), Names.end());
-  return Names;
 }
 
 uint64_t hashString(const std::string &S) {
@@ -369,7 +333,8 @@ const CampaignEntry *StoreManifest::find(const std::string &Id) const {
   return const_cast<StoreManifest *>(this)->find(Id);
 }
 
-std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy) {
+std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy,
+                                          const TargetFleet &Fleet) {
   StructuralHasher H;
   H.word(Policy.Seed);
   H.word(Policy.TransformationLimit);
@@ -392,12 +357,21 @@ std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy) {
     for (const std::string &Pass : Policy.PostReducePasses)
       H.word(hashString(Pass));
   }
+  // Another fleet finds other bugs (and scan checkpoints name its
+  // targets), so its target names join the identity; the standard fleet
+  // (an empty one means it too) adds nothing.
+  if (!Fleet.empty() && Fleet.names() != TargetFleet::standard().names()) {
+    H.word(0x666c656574u); // "fleet"
+    for (const std::string &Name : Fleet.names())
+      H.word(hashString(Name));
+  }
   return hexDigits(H.digest(), 16);
 }
 
-std::string spvfuzz::campaignIdFor(const ExecutionPolicy &Policy) {
+std::string spvfuzz::campaignIdFor(const ExecutionPolicy &Policy,
+                                   const TargetFleet &Fleet) {
   return "seed" + std::to_string(Policy.Seed) + "-" +
-         campaignConfigDigest(Policy);
+         campaignConfigDigest(Policy, Fleet);
 }
 
 //===----------------------------------------------------------------------===//
@@ -407,17 +381,23 @@ std::string spvfuzz::campaignIdFor(const ExecutionPolicy &Policy) {
 std::unique_ptr<CampaignStore>
 CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
                     std::string &ErrorOut) {
+  return open(Dir, Policy, TargetFleet{}, ErrorOut);
+}
+
+std::unique_ptr<CampaignStore>
+CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
+                    const TargetFleet &Fleet, std::string &ErrorOut) {
   std::unique_ptr<CampaignStore> Store(new CampaignStore());
   Store->Root = Dir;
-  Store->CampaignId = campaignIdFor(Policy);
-  Store->ConfigDigest = campaignConfigDigest(Policy);
+  Store->CampaignId = campaignIdFor(Policy, Fleet);
+  Store->ConfigDigest = campaignConfigDigest(Policy, Fleet);
 
   for (const char *Sub : {"", "/checkpoint", "/bugs", "/corpus", "/journal"})
     if (!ensureDir(Dir + Sub, ErrorOut))
       return nullptr;
 
   const std::string ManifestPath = Dir + "/checkpoint/manifest.bin";
-  if (fileExists(ManifestPath)) {
+  if (pathExists(ManifestPath)) {
     std::string Bytes;
     if (!readFileBytes(ManifestPath, Bytes, ErrorOut) ||
         !decodeManifest(Bytes, Store->Manifest, ErrorOut))
@@ -463,7 +443,7 @@ CampaignStore::openForTools(const std::string &Dir, std::string &ErrorOut) {
   std::unique_ptr<CampaignStore> Store(new CampaignStore());
   Store->Root = Dir;
   const std::string ManifestPath = Dir + "/checkpoint/manifest.bin";
-  if (!fileExists(ManifestPath)) {
+  if (!pathExists(ManifestPath)) {
     ErrorOut = Dir + " is not a campaign store (no checkpoint/manifest.bin)";
     return nullptr;
   }
@@ -486,7 +466,7 @@ bool CampaignStore::loadCheckpointFile(const std::string &Phase,
       Root + "/checkpoint/" +
       hexDigits(hashString(CampaignId + "\n" + Phase), 16) + ".ckpt";
   std::string Bytes, Error;
-  if (!fileExists(Path) || !readFileBytes(Path, Bytes, Error))
+  if (!pathExists(Path) || !readFileBytes(Path, Bytes, Error))
     return false;
   StoreFile File;
   if (!StoreFile::decode(Bytes, File, Error)) {
@@ -594,7 +574,7 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
 
   // The bucket keeps its first reproducer as the representative; later
   // hits only raise the manifest count.
-  if (!fileExists(BucketPath + "/repro.msb")) {
+  if (!pathExists(BucketPath + "/repro.msb")) {
     ByteWriter OrigW, InputW, ReducedW, SeqW;
     writeModuleBinary(OrigW, Original);
     writeShaderInputBinary(InputW, Input);
@@ -848,7 +828,7 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
     for (const BugBucket &Bucket : Campaign.Buckets) {
       const std::string From = Other.Root + "/bugs/" + Bucket.Dir;
       const std::string To = Root + "/bugs/" + Bucket.Dir;
-      if (fileExists(To + "/repro.msb"))
+      if (pathExists(To + "/repro.msb"))
         continue; // bucket already has a representative here
       if (!ensureDir(To, ErrorOut))
         return false;
@@ -858,7 +838,7 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
     }
     for (const std::string &Name : listDir(Other.Root + "/corpus", ".msb"))
       if (Name.compare(0, Campaign.Id.size() + 1, Campaign.Id + "-") == 0 &&
-          !fileExists(Root + "/corpus/" + Name) &&
+          !pathExists(Root + "/corpus/" + Name) &&
           !copyFile(Other.Root + "/corpus/" + Name, Root + "/corpus/" + Name,
                     ErrorOut))
         return false;
@@ -871,25 +851,17 @@ bool CampaignStore::mergeFromDirectory(const std::string &Dir,
                                        std::string &ErrorOut) {
   MergedOut = 0;
   SkippedOut = 0;
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D) {
-    ErrorOut = "cannot open directory " + Dir + ": " + strerror(errno);
+  std::string ListError;
+  std::vector<std::string> Names = listDir(Dir, "", &ListError);
+  if (!ListError.empty()) {
+    ErrorOut = ListError;
     return false;
   }
-  std::vector<std::string> Names;
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
-    if (Name == "." || Name == "..")
-      continue;
-    struct stat St;
-    if (::stat((Dir + "/" + Name).c_str(), &St) == 0 && S_ISDIR(St.st_mode))
-      Names.push_back(std::move(Name));
-  }
-  ::closedir(D);
-  std::sort(Names.begin(), Names.end());
   for (const std::string &Name : Names) {
     const std::string Sub = Dir + "/" + Name;
-    if (Sub == Root || !fileExists(Sub + "/checkpoint/manifest.bin")) {
+    if (!pathExists(Sub + "/"))
+      continue; // not a directory
+    if (Sub == Root || !pathExists(Sub + "/checkpoint/manifest.bin")) {
       ++SkippedOut;
       continue;
     }
@@ -971,7 +943,7 @@ bool CampaignStore::loadMetrics(telemetry::MetricsSnapshot &Out,
                                 std::string &ErrorOut) const {
   const std::string Path = Root + "/checkpoint/metrics.json";
   std::string Bytes;
-  if (!fileExists(Path)) {
+  if (!pathExists(Path)) {
     ErrorOut = "no metrics saved in " + Root;
     return false;
   }

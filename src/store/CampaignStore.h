@@ -76,21 +76,30 @@ struct StoreManifest {
 /// Digest over the result-shaping policy fields (seed, transformation
 /// limit, harness knobs, and the reduction order, post-reduce passes and
 /// uniform-input count when they are not the defaults — not
-/// jobs/deadline/checkpoint cadence, which never change results). 16
+/// jobs/deadline/checkpoint cadence, which never change results) and
+/// over \p Fleet's target names when it is not the standard fleet (an
+/// empty fleet stands for the standard one, as in CampaignEngine). 16
 /// lowercase hex characters.
-std::string campaignConfigDigest(const ExecutionPolicy &Policy);
+std::string campaignConfigDigest(const ExecutionPolicy &Policy,
+                                 const TargetFleet &Fleet = TargetFleet{});
 
-/// The campaign id a policy maps to: "seed<seed>-<digest16>".
-std::string campaignIdFor(const ExecutionPolicy &Policy);
+/// The campaign id a policy and fleet map to: "seed<seed>-<digest16>".
+std::string campaignIdFor(const ExecutionPolicy &Policy,
+                          const TargetFleet &Fleet = TargetFleet{});
 
 class CampaignStore : public CampaignCheckpointer {
 public:
   /// Opens (creating if needed) the store at \p Dir for the campaign
-  /// \p Policy describes. Without Policy.Resume the campaign id must not
-  /// already be in the manifest (fresh store or cross-campaign
-  /// accumulation only); with Resume an existing entry must match the
-  /// config digest. Returns nullptr with a diagnostic on layout or
-  /// validation failure.
+  /// \p Policy describes on \p Fleet. Without Policy.Resume the campaign
+  /// id must not already be in the manifest (fresh store or
+  /// cross-campaign accumulation only); with Resume an existing entry
+  /// must match the config digest. Returns nullptr with a diagnostic on
+  /// layout or validation failure.
+  static std::unique_ptr<CampaignStore> open(const std::string &Dir,
+                                             const ExecutionPolicy &Policy,
+                                             const TargetFleet &Fleet,
+                                             std::string &ErrorOut);
+  /// The same on the standard fleet.
   static std::unique_ptr<CampaignStore> open(const std::string &Dir,
                                              const ExecutionPolicy &Policy,
                                              std::string &ErrorOut);

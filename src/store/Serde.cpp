@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace spvfuzz;
@@ -213,6 +215,42 @@ bool spvfuzz::readFileBytes(const std::string &Path, std::string &Out,
   if (!Ok)
     ErrorOut = "read of " + Path + " failed";
   return Ok;
+}
+
+bool spvfuzz::ensureDir(const std::string &Path, std::string &ErrorOut) {
+  if (::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST)
+    return true;
+  ErrorOut = "cannot create directory " + Path + ": " + strerror(errno);
+  return false;
+}
+
+bool spvfuzz::pathExists(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0;
+}
+
+std::vector<std::string> spvfuzz::listDir(const std::string &Dir,
+                                          const std::string &Suffix,
+                                          std::string *ErrorOut) {
+  std::vector<std::string> Names;
+  DIR *D = ::opendir(Dir.c_str());
+  if (!D) {
+    if (ErrorOut)
+      *ErrorOut = "cannot open directory " + Dir + ": " + strerror(errno);
+    return Names;
+  }
+  while (struct dirent *Entry = ::readdir(D)) {
+    std::string Name = Entry->d_name;
+    if (Name == "." || Name == "..")
+      continue;
+    if (Name.size() < Suffix.size() ||
+        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) != 0)
+      continue;
+    Names.push_back(std::move(Name));
+  }
+  ::closedir(D);
+  std::sort(Names.begin(), Names.end());
+  return Names;
 }
 
 // --- Instruction / module codec -------------------------------------------

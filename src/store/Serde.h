@@ -18,7 +18,8 @@
 /// the section bytes: any bit flip, truncation or stray append is rejected
 /// at decode with a diagnostic, never undefined behaviour, and files whose
 /// FormatVersion is newer than this build understands are refused rather
-/// than misparsed.
+/// than misparsed. The serve layer's messages (serve/ShardProtocol.h) are
+/// StoreFiles too, and the file helpers below serve both layers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +75,21 @@ bool atomicWriteFile(const std::string &Path, const std::string &Bytes,
 /// Reads a whole file; false with a diagnostic if unreadable.
 bool readFileBytes(const std::string &Path, std::string &Out,
                    std::string &ErrorOut);
+
+/// Creates directory \p Path (its parent must exist); an existing one is
+/// fine. False with a diagnostic otherwise.
+bool ensureDir(const std::string &Path, std::string &ErrorOut);
+
+/// True when \p Path names an existing file or directory. A trailing '/'
+/// makes it true for directories only.
+bool pathExists(const std::string &Path);
+
+/// Sorted names of the entries of directory \p Dir ("." and ".." left
+/// out) that end in \p Suffix ("" keeps them all). An unreadable \p Dir
+/// lists as empty and, when \p ErrorOut is given, sets a diagnostic.
+std::vector<std::string> listDir(const std::string &Dir,
+                                 const std::string &Suffix = "",
+                                 std::string *ErrorOut = nullptr);
 
 // --- Payload codecs -------------------------------------------------------
 

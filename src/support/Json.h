@@ -15,7 +15,7 @@
 /// strings and numbers, with JSON's number grammar and escapes (`\u`
 /// escapes only up to U+007F; the writers use them for control bytes).
 /// It is strict because its inputs come from outside the process (report,
-/// tail, top, store resume, serve worker frames): a malformed number,
+/// tail, top, store resume, serve shard results): a malformed number,
 /// escape or trailing byte is an error carrying a 1-based line and column,
 /// never a silently truncated value.
 ///

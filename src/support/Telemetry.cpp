@@ -145,31 +145,6 @@ void MetricsRegistry::reset() {
   Histograms.clear();
 }
 
-void MetricsRegistry::mergeFrom(const MetricsRegistry &Other) {
-  if (&Other == this)
-    return;
-  std::scoped_lock Lock(Mutex, Other.Mutex);
-  for (const auto &[Name, Value] : Other.Counters)
-    Counters[Name] += Value;
-  for (const auto &[Name, Value] : Other.Gauges)
-    Gauges[Name] = Value;
-  for (const auto &[Name, TheirHistogram] : Other.Histograms) {
-    if (TheirHistogram.Count == 0)
-      continue;
-    Histogram &Ours = Histograms[Name];
-    if (Ours.Count == 0) {
-      Ours = TheirHistogram;
-      continue;
-    }
-    Ours.Min = std::min(Ours.Min, TheirHistogram.Min);
-    Ours.Max = std::max(Ours.Max, TheirHistogram.Max);
-    Ours.Count += TheirHistogram.Count;
-    Ours.Sum += TheirHistogram.Sum;
-    for (size_t I = 0; I < Ours.Buckets.size(); ++I)
-      Ours.Buckets[I] += TheirHistogram.Buckets[I];
-  }
-}
-
 void MetricsRegistry::restore(const MetricsSnapshot &Snapshot) {
   std::lock_guard<std::mutex> Lock(Mutex);
   for (const auto &[Name, Value] : Snapshot.Counters)

@@ -92,21 +92,17 @@ public:
   /// Drops all recorded values (the enabled flag is left untouched).
   void reset();
 
-  /// Folds \p Other's metrics into this registry: counters add, histograms
-  /// merge bucket-wise, gauges take \p Other's value on conflict. Histogram
-  /// merging is associative and commutative (bucket counts are summed), so
-  /// per-worker registries can be combined in any order — or any tree
-  /// shape — and produce the same p50/p90/p99 snapshots. (Sum is a
-  /// floating-point accumulation, associative up to rounding.) The enabled
-  /// flags of both registries are ignored: merging is a bookkeeping step,
-  /// not instrumentation.
-  void mergeFrom(const MetricsRegistry &Other);
-
-  /// Folds a snapshot back into the live registry (the resume path:
-  /// counters add, gauges overwrite, histograms merge bucket-wise like
-  /// mergeFrom). Snapshot histograms without bucket data are merged as a
-  /// single observation mass at their mean — lossy, but only reachable for
-  /// snapshots parsed from pre-bucket JSON.
+  /// Folds a snapshot into this registry — the one merge path, used by
+  /// resume and by the serve coordinator's per-shard deltas: counters
+  /// add, gauges take the snapshot's value, histograms merge bucket-wise.
+  /// Histogram merging is associative and commutative (bucket counts are
+  /// summed), so per-worker snapshots can be combined in any order — or
+  /// any tree shape — and produce the same p50/p90/p99. (Sum is a
+  /// floating-point accumulation, associative up to rounding.) The
+  /// enabled flag is ignored: merging is a bookkeeping step, not
+  /// instrumentation. Snapshot histograms without bucket data are merged
+  /// as a single observation mass at their mean — lossy, but only
+  /// reachable for snapshots parsed from pre-bucket JSON.
   void restore(const MetricsSnapshot &Snapshot);
 
   /// Histogram bucket layout: bucket 0 holds values < 1 (including

@@ -7,18 +7,23 @@
 /// \file
 /// The wire contract of the scale-out layer: every message kind
 /// round-trips bit-exactly; every single-bit flip, every truncation
-/// prefix and any trailing append of a valid frame is rejected with a
-/// diagnostic (never a crash, never a silent misparse); and the lease
-/// ledger walks its Queued → Leased → Done state machine with generation
-/// fencing exactly as serve/LeaseLedger.h documents.
+/// prefix, any trailing append, a doubled message, a message of another
+/// kind and a correctly checksummed message of another protocol version
+/// are each rejected with a diagnostic (never a crash, never a silent
+/// misparse); and the lease ledger walks its Queued → Leased → Done state
+/// machine with generation fencing exactly as serve/LeaseLedger.h
+/// documents.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/LeaseLedger.h"
 #include "serve/ShardProtocol.h"
 #include "store/CampaignStore.h"
+#include "store/Serde.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -38,21 +43,18 @@ std::string uniqueDir(const std::string &Hint) {
 }
 
 WorkerConfigMsg sampleConfig() {
-  WorkerConfigMsg Msg;
-  Msg.CampaignId = "seed2021-0123456789abcdef";
-  Msg.Seed = 2021;
-  Msg.TransformationLimit = 300;
-  Msg.TargetDeadlineSteps = 1ull << 22;
-  Msg.FlakyRetries = 5;
-  Msg.QuarantineThreshold = 3;
-  Msg.UniformInputs = 2;
-  Msg.ReduceOrder = static_cast<uint8_t>(CandidateOrder::Learned);
-  Msg.PostReduce = 1;
-  Msg.PostReducePasses = {"StripUnusedDefs", "SimplifyReferenceProgram"};
-  Msg.FaultyFleet = 1;
-  Msg.Tests = 400;
-  Msg.LeaseTtlMs = 3000;
-  return Msg;
+  return workerConfigFor(
+      ExecutionPolicy{}
+          .withSeed(2021)
+          .withTransformationLimit(300)
+          .withFlakyRetries(7)
+          .withQuarantineThreshold(2)
+          .withUniformInputs(2)
+          .withReduceOrder(CandidateOrder::Learned)
+          .withPostReduce(true)
+          .withPostReducePasses(
+              {"StripUnusedDefs", "SimplifyReferenceProgram"}),
+      /*FaultyFleet=*/true, /*LeaseTtlMs=*/3000);
 }
 
 ShardJobMsg sampleJob() {
@@ -60,13 +62,13 @@ ShardJobMsg sampleJob() {
   Msg.JobId = 7;
   Msg.Generation = 2;
   Msg.CampaignId = "seed9-ffee";
-  Msg.Phase = "eval/spirv-fuzz/96";
-  Msg.Tool = "spirv-fuzz";
-  Msg.Count = 96;
-  Msg.CrashesOnly = 1;
-  Msg.WaveStart = 32;
-  Msg.WaveEnd = 64;
-  Msg.Sidelined = {"Mali-G78", "Pixel-3"};
+  Msg.Request.Phase = "eval/spirv-fuzz/96";
+  Msg.Request.Tool = "spirv-fuzz";
+  Msg.Request.Count = 96;
+  Msg.Request.CrashesOnly = true;
+  Msg.Request.WaveStart = 32;
+  Msg.Request.WaveEnd = 64;
+  Msg.Request.Sidelined = {"Mali-G78", "Pixel-3"};
   return Msg;
 }
 
@@ -109,41 +111,35 @@ LeaseLedgerMsg sampleLedger() {
   return Msg;
 }
 
-/// Every valid frame the sweep tests chew on, labelled by kind.
-std::vector<std::pair<MessageKind, std::string>> allFrames() {
-  return {{MessageKind::WorkerConfig, encodeWorkerConfig(sampleConfig())},
-          {MessageKind::WorkerHello, encodeWorkerHello({42, 31337})},
-          {MessageKind::ShardJob, encodeShardJob(sampleJob())},
-          {MessageKind::ShardResult, encodeShardResult(sampleResult())},
-          {MessageKind::LeaseLedger, encodeLeaseLedger(sampleLedger())}};
+/// One message kind: a valid encoded sample and a typed decode.
+struct Kind {
+  const char *Name;
+  std::string Bytes;
+  std::function<bool(const std::string &, std::string &)> Decode;
+};
+
+template <typename Msg>
+std::function<bool(const std::string &, std::string &)>
+decoder(bool (*Decode)(const std::string &, Msg &, std::string &)) {
+  return [Decode](const std::string &Bytes, std::string &ErrorOut) {
+    Msg Out;
+    return Decode(Bytes, Out, ErrorOut);
+  };
 }
 
-/// Typed decode of \p Bytes as \p Kind; returns success + diagnostic.
-bool decodeAs(MessageKind Kind, const std::string &Bytes,
-              std::string &ErrorOut) {
-  switch (Kind) {
-  case MessageKind::WorkerConfig: {
-    WorkerConfigMsg Out;
-    return decodeWorkerConfig(Bytes, Out, ErrorOut);
-  }
-  case MessageKind::WorkerHello: {
-    WorkerHelloMsg Out;
-    return decodeWorkerHello(Bytes, Out, ErrorOut);
-  }
-  case MessageKind::ShardJob: {
-    ShardJobMsg Out;
-    return decodeShardJob(Bytes, Out, ErrorOut);
-  }
-  case MessageKind::ShardResult: {
-    ShardResultMsg Out;
-    return decodeShardResult(Bytes, Out, ErrorOut);
-  }
-  case MessageKind::LeaseLedger: {
-    LeaseLedgerMsg Out;
-    return decodeLeaseLedger(Bytes, Out, ErrorOut);
-  }
-  }
-  return false;
+/// Every message kind the sweep tests chew on.
+std::vector<Kind> allKinds() {
+  return {
+      {"WorkerConfig", encodeWorkerConfig(sampleConfig()),
+       decoder(decodeWorkerConfig)},
+      {"WorkerHello", encodeWorkerHello({42, 31337}),
+       decoder(decodeWorkerHello)},
+      {"ShardJob", encodeShardJob(sampleJob()), decoder(decodeShardJob)},
+      {"ShardResult", encodeShardResult(sampleResult()),
+       decoder(decodeShardResult)},
+      {"LeaseLedger", encodeLeaseLedger(sampleLedger()),
+       decoder(decodeLeaseLedger)},
+  };
 }
 
 TEST(ServeProtocol, WorkerConfigRoundTrips) {
@@ -153,22 +149,21 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
   ASSERT_TRUE(decodeWorkerConfig(encodeWorkerConfig(In), Out, Error))
       << Error;
   EXPECT_EQ(Out.CampaignId, In.CampaignId);
-  EXPECT_EQ(Out.Seed, In.Seed);
-  EXPECT_EQ(Out.TransformationLimit, In.TransformationLimit);
-  EXPECT_EQ(Out.TargetDeadlineSteps, In.TargetDeadlineSteps);
-  EXPECT_EQ(Out.FlakyRetries, In.FlakyRetries);
-  EXPECT_EQ(Out.QuarantineThreshold, In.QuarantineThreshold);
-  EXPECT_EQ(Out.UniformInputs, In.UniformInputs);
-  EXPECT_EQ(Out.ReduceOrder, In.ReduceOrder);
-  EXPECT_EQ(Out.PostReduce, In.PostReduce);
-  EXPECT_EQ(Out.PostReducePasses, In.PostReducePasses);
+  EXPECT_EQ(Out.Policy.Seed, In.Policy.Seed);
+  EXPECT_EQ(Out.Policy.TransformationLimit, In.Policy.TransformationLimit);
+  EXPECT_EQ(Out.Policy.TargetDeadlineSteps, In.Policy.TargetDeadlineSteps);
+  EXPECT_EQ(Out.Policy.FlakyRetries, In.Policy.FlakyRetries);
+  EXPECT_EQ(Out.Policy.QuarantineThreshold, In.Policy.QuarantineThreshold);
+  EXPECT_EQ(Out.Policy.UniformInputs, In.Policy.UniformInputs);
+  EXPECT_EQ(Out.Policy.ReduceOrder, In.Policy.ReduceOrder);
+  EXPECT_EQ(Out.Policy.PostReduce, In.Policy.PostReduce);
+  EXPECT_EQ(Out.Policy.PostReducePasses, In.Policy.PostReducePasses);
   EXPECT_EQ(Out.FaultyFleet, In.FaultyFleet);
-  EXPECT_EQ(Out.Tests, In.Tests);
   EXPECT_EQ(Out.LeaseTtlMs, In.LeaseTtlMs);
 
   // The policy a worker rebuilds from the wire must derive the
-  // coordinator's campaign id for every knob campaignConfigDigest hashes;
-  // otherwise the worker refuses the deployment.
+  // coordinator's campaign id for every knob campaignConfigDigest hashes,
+  // on either fleet; otherwise the worker refuses the deployment.
   const std::pair<const char *, ExecutionPolicy> Policies[] = {
       {"default", ExecutionPolicy{}},
       {"learned order",
@@ -184,17 +179,20 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
                             .withFlakyRetries(7)
                             .withQuarantineThreshold(2)},
   };
-  for (const auto &[Name, Policy] : Policies) {
-    const std::string Frame = encodeWorkerConfig(
-        workerConfigFor(Policy, /*FaultyFleet=*/false, 24, 3000));
-    WorkerConfigMsg Decoded;
-    ASSERT_TRUE(decodeWorkerConfig(Frame, Decoded, Error))
-        << Name << ": " << Error;
-    EXPECT_EQ(Decoded.CampaignId, campaignIdFor(Policy)) << Name;
-    EXPECT_EQ(campaignIdFor(policyFor(Decoded, /*Jobs=*/2)),
-              campaignIdFor(Policy))
-        << Name;
-  }
+  for (const bool Faulty : {false, true})
+    for (const auto &[Name, Policy] : Policies) {
+      const TargetFleet Fleet =
+          Faulty ? TargetFleet::faulty() : TargetFleet::standard();
+      const std::string Message =
+          encodeWorkerConfig(workerConfigFor(Policy, Faulty, 3000));
+      WorkerConfigMsg Decoded;
+      ASSERT_TRUE(decodeWorkerConfig(Message, Decoded, Error))
+          << Name << ": " << Error;
+      EXPECT_EQ(Decoded.CampaignId, campaignIdFor(Policy, Fleet)) << Name;
+      EXPECT_EQ(campaignIdFor(Decoded.Policy.withJobs(2), fleetFor(Decoded)),
+                campaignIdFor(Policy, Fleet))
+          << Name << (Faulty ? " (faulty fleet)" : "");
+    }
 }
 
 TEST(ServeProtocol, WorkerHelloRoundTrips) {
@@ -214,13 +212,25 @@ TEST(ServeProtocol, ShardJobRoundTrips) {
   EXPECT_EQ(Out.JobId, In.JobId);
   EXPECT_EQ(Out.Generation, In.Generation);
   EXPECT_EQ(Out.CampaignId, In.CampaignId);
-  EXPECT_EQ(Out.Phase, In.Phase);
-  EXPECT_EQ(Out.Tool, In.Tool);
-  EXPECT_EQ(Out.Count, In.Count);
-  EXPECT_EQ(Out.CrashesOnly, In.CrashesOnly);
-  EXPECT_EQ(Out.WaveStart, In.WaveStart);
-  EXPECT_EQ(Out.WaveEnd, In.WaveEnd);
-  EXPECT_EQ(Out.Sidelined, In.Sidelined);
+  EXPECT_EQ(Out.Request.Phase, In.Request.Phase);
+  EXPECT_EQ(Out.Request.Tool, In.Request.Tool);
+  EXPECT_EQ(Out.Request.Count, In.Request.Count);
+  EXPECT_EQ(Out.Request.CrashesOnly, In.Request.CrashesOnly);
+  EXPECT_EQ(Out.Request.WaveStart, In.Request.WaveStart);
+  EXPECT_EQ(Out.Request.WaveEnd, In.Request.WaveEnd);
+  EXPECT_EQ(Out.Request.Sidelined, In.Request.Sidelined);
+
+  // A wave outside the phase is refused, not handed to a worker.
+  for (const auto &[Start, End] :
+       {std::pair<uint64_t, uint64_t>{64, 32}, {64, 97}}) {
+    ShardJobMsg Bad = In;
+    Bad.Request.WaveStart = Start;
+    Bad.Request.WaveEnd = End;
+    Error.clear();
+    EXPECT_FALSE(decodeShardJob(encodeShardJob(Bad), Out, Error))
+        << Start << ".." << End;
+    EXPECT_NE(Error.find("wave"), std::string::npos) << Error;
+  }
 }
 
 TEST(ServeProtocol, ShardResultRoundTrips) {
@@ -257,65 +267,88 @@ TEST(ServeProtocol, LeaseLedgerRoundTrips) {
   EXPECT_EQ(Out.Entries[1].DeadlineMs, In.Entries[1].DeadlineMs);
 }
 
+// Every message decoded as every other kind is refused by its kind tag,
+// even though the container itself is intact.
 TEST(ServeProtocol, MismatchedKindIsRefused) {
-  std::string Error;
-  WorkerHelloMsg Hello;
-  EXPECT_FALSE(
-      decodeWorkerHello(encodeWorkerConfig(sampleConfig()), Hello, Error));
-  EXPECT_FALSE(Error.empty());
+  const std::vector<Kind> Kinds = allKinds();
+  for (const Kind &Message : Kinds)
+    for (const Kind &As : Kinds) {
+      if (&Message == &As)
+        continue;
+      std::string Error;
+      EXPECT_FALSE(As.Decode(Message.Bytes, Error))
+          << Message.Name << " decoded as " << As.Name;
+      EXPECT_NE(Error.find("kind"), std::string::npos)
+          << Message.Name << " as " << As.Name << ": " << Error;
+    }
 }
 
 // Exhaustive robustness sweep: flipping ANY single bit of ANY message
-// frame must be rejected with a diagnostic — the checksum covers the
-// header fields and the payload, and the magic/version/kind/size checks
-// cover the rest. A flip that still decoded cleanly would mean a torn or
-// corrupted file could silently alter campaign results.
+// must be rejected with a diagnostic — the container checksum covers
+// the version word and every section byte, and the magic and version
+// checks cover the rest. A flip that still decoded cleanly would mean a
+// torn or corrupted file could silently alter campaign results.
 TEST(ServeProtocol, EveryBitFlipIsRejected) {
-  for (const auto &[Kind, Frame] : allFrames()) {
-    for (size_t Byte = 0; Byte < Frame.size(); ++Byte) {
+  for (const Kind &Message : allKinds()) {
+    for (size_t Byte = 0; Byte < Message.Bytes.size(); ++Byte) {
       for (int Bit = 0; Bit < 8; ++Bit) {
-        std::string Mutated = Frame;
+        std::string Mutated = Message.Bytes;
         Mutated[Byte] = static_cast<char>(Mutated[Byte] ^ (1 << Bit));
         std::string Error;
-        EXPECT_FALSE(decodeAs(Kind, Mutated, Error))
-            << messageKindName(Kind) << ": flip survived at byte " << Byte
+        EXPECT_FALSE(Message.Decode(Mutated, Error))
+            << Message.Name << ": flip survived at byte " << Byte
             << " bit " << Bit;
         EXPECT_FALSE(Error.empty())
-            << messageKindName(Kind) << ": empty diagnostic at byte "
-            << Byte << " bit " << Bit;
+            << Message.Name << ": empty diagnostic at byte " << Byte
+            << " bit " << Bit;
       }
     }
   }
 }
 
 // Every truncation prefix (including the empty string) must fail, and so
-// must a frame with bytes appended — exact-size framing means a file
-// can't hide garbage after a valid message.
+// must a message with a byte appended or the whole message doubled —
+// exact framing means a file can't hide garbage after a valid message.
 TEST(ServeProtocol, TruncationAndTrailingBytesAreRejected) {
-  for (const auto &[Kind, Frame] : allFrames()) {
-    for (size_t Len = 0; Len < Frame.size(); ++Len) {
+  for (const Kind &Message : allKinds()) {
+    for (size_t Len = 0; Len < Message.Bytes.size(); ++Len) {
       std::string Error;
-      EXPECT_FALSE(decodeAs(Kind, Frame.substr(0, Len), Error))
-          << messageKindName(Kind) << ": truncation to " << Len
-          << " bytes survived";
+      EXPECT_FALSE(Message.Decode(Message.Bytes.substr(0, Len), Error))
+          << Message.Name << ": truncation to " << Len << " bytes survived";
       EXPECT_FALSE(Error.empty());
     }
     std::string Error;
-    EXPECT_FALSE(decodeAs(Kind, Frame + "x", Error))
-        << messageKindName(Kind) << ": trailing byte survived";
-    EXPECT_FALSE(decodeAs(Kind, Frame + Frame, Error))
-        << messageKindName(Kind) << ": doubled frame survived";
+    EXPECT_FALSE(Message.Decode(Message.Bytes + "x", Error))
+        << Message.Name << ": trailing byte survived";
+    EXPECT_FALSE(Error.empty());
+    Error.clear();
+    EXPECT_FALSE(Message.Decode(Message.Bytes + Message.Bytes, Error))
+        << Message.Name << ": doubled message survived";
+    EXPECT_FALSE(Error.empty());
   }
 }
 
+// A message of any other protocol version is refused by name even when
+// its container is intact: here each message is re-sealed, correctly
+// checksummed, with the version word rewritten to the neighbours of this
+// build's version.
 TEST(ServeProtocol, NewerVersionIsRefused) {
-  std::string Frame = encodeWorkerHello({1, 2});
-  // The u32 version sits right after the 8-byte magic (little-endian).
-  Frame[8] = static_cast<char>(ShardProtocolVersion + 1);
-  std::string Error;
-  WorkerHelloMsg Out;
-  EXPECT_FALSE(decodeWorkerHello(Frame, Out, Error));
-  EXPECT_NE(Error.find("version"), std::string::npos) << Error;
+  for (const Kind &Message : allKinds())
+    for (const uint32_t Version :
+         {ShardProtocolVersion - 1, ShardProtocolVersion + 1}) {
+      StoreFile File;
+      std::string Error;
+      ASSERT_TRUE(StoreFile::decode(Message.Bytes, File, Error)) << Error;
+      ASSERT_EQ(File.Sections.size(), 1u);
+      ByteWriter W;
+      W.u32(Version);
+      File.Sections[0].second.replace(0, 4, W.take());
+      EXPECT_FALSE(Message.Decode(File.encode(), Error))
+          << Message.Name << ": version " << Version << " accepted";
+      EXPECT_NE(Error.find("version " + std::to_string(Version)),
+                std::string::npos)
+          << Message.Name << ": " << Error;
+    }
 }
 
 ShardJobMsg ledgerJob(uint64_t JobId, uint64_t Generation = 0) {
@@ -409,13 +442,13 @@ TEST(ServeProtocol, LedgerRequeueReplacesJobFrame) {
 
   // Coordinator moves the quarantine mask and force-requeues.
   ShardJobMsg Updated = ledgerJob(First, /*Generation=*/5);
-  Updated.Sidelined = {"SwiftShader"};
+  Updated.Request.Sidelined = {"SwiftShader"};
   ASSERT_TRUE(Ledger.requeue(Updated, Error)) << Error;
 
   ASSERT_TRUE(Ledger.lease(2, 60000, Job, Error)) << Error;
   ASSERT_TRUE(Job.has_value());
   EXPECT_EQ(Job->Generation, 5u);
-  EXPECT_EQ(Job->Sidelined, std::vector<std::string>{"SwiftShader"});
+  EXPECT_EQ(Job->Request.Sidelined, std::vector<std::string>{"SwiftShader"});
 
   // The first worker's completion under the old generation is fenced.
   ASSERT_TRUE(Ledger.complete(First, 0, Error)) << Error;
@@ -431,7 +464,7 @@ TEST(ServeProtocol, LedgerTornBytesAreRejectedNotMisread) {
   std::string Error;
   ASSERT_TRUE(Ledger.initialize(Error)) << Error;
 
-  // Overwrite the ledger with a truncated frame, as an outside writer
+  // Overwrite the ledger with a truncated message, as an outside writer
   // tearing it would: every operation reports a diagnostic.
   std::string Valid = encodeLeaseLedger(sampleLedger());
   FILE *F = fopen(Ledger.ledgerPath().c_str(), "wb");

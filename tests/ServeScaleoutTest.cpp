@@ -9,7 +9,7 @@
 /// workers leasing shards from the ledger produces output byte-identical
 /// to the serial run — same bug stats, same decision journal bytes, same
 /// checkpoint file bytes — including the crash matrix: a worker dying at
-/// every shard boundary, mid-publish (torn result frame) and mid-shard
+/// every shard boundary, mid-publish (torn result message) and mid-shard
 /// (abandoned lease recovered by expiry). Workers here run in-process on
 /// threads against the same on-disk ledger the real `minispv worker`
 /// processes use; the flock/atomic-rename discipline is identical.
@@ -27,7 +27,6 @@
 #include <map>
 #include <thread>
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -69,18 +68,16 @@ void collectArtifacts(const std::string &Dir, RunOutput &Out) {
       readFileBytes(obs::journalPathFor(Dir), Out.Journal, Error))
       << Error;
   const std::string CheckpointDir = Dir + "/checkpoint";
-  DIR *D = ::opendir(CheckpointDir.c_str());
-  ASSERT_NE(D, nullptr);
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
-    if (Name == "." || Name == ".." || Name == "metrics.json")
+  std::vector<std::string> Names = listDir(CheckpointDir, "", &Error);
+  ASSERT_FALSE(Names.empty()) << Error;
+  for (const std::string &Name : Names) {
+    if (Name == "metrics.json")
       continue;
     std::string Bytes;
     ASSERT_TRUE(readFileBytes(CheckpointDir + "/" + Name, Bytes, Error))
         << Error;
     Out.Checkpoints[Name] = std::move(Bytes);
   }
-  ::closedir(D);
 }
 
 RunOutput runSerial(const std::string &Dir, size_t Tests,
@@ -88,16 +85,16 @@ RunOutput runSerial(const std::string &Dir, size_t Tests,
   ExecutionPolicy Policy = testPolicy(Dir);
   if (QuarantineThreshold)
     Policy.QuarantineThreshold = QuarantineThreshold;
+  const TargetFleet Fleet = Faulty ? TargetFleet::faulty() : TargetFleet{};
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
-      CampaignStore::open(Dir, Policy, Error);
+      CampaignStore::open(Dir, Policy, Fleet, Error);
   EXPECT_TRUE(Store) << Error;
   std::unique_ptr<obs::JournalWriter> Journal = obs::JournalWriter::open(
       Dir, /*Resume=*/false, /*Deterministic=*/true, Error);
   EXPECT_TRUE(Journal) << Error;
   obs::JournalObserver Observer(*Journal);
-  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
-                        Faulty ? TargetFleet::faulty() : TargetFleet{});
+  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, Fleet);
   Engine.setCheckpointer(Store.get());
   Engine.setObserver(&Observer);
   BugFindingConfig Config;
@@ -123,9 +120,10 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   ExecutionPolicy Policy = testPolicy(Dir);
   if (QuarantineThreshold)
     Policy.QuarantineThreshold = QuarantineThreshold;
+  const TargetFleet Fleet = Faulty ? TargetFleet::faulty() : TargetFleet{};
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
-      CampaignStore::open(Dir, Policy, Error);
+      CampaignStore::open(Dir, Policy, Fleet, Error);
   EXPECT_TRUE(Store) << Error;
   std::unique_ptr<obs::JournalWriter> Journal = obs::JournalWriter::open(
       Dir, /*Resume=*/false, /*Deterministic=*/true, Error);
@@ -135,8 +133,7 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
                                  /*Deterministic=*/true, Error);
   EXPECT_TRUE(ServeJournal) << Error;
   obs::JournalObserver Observer(*Journal);
-  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
-                        Faulty ? TargetFleet::faulty() : TargetFleet{});
+  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, Fleet);
   Engine.setCheckpointer(Store.get());
   Engine.setObserver(&Observer);
 
@@ -149,8 +146,8 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   SOpts.ServeJournal = ServeJournal.get();
   ServeCoordinator Coordinator(Engine, SOpts);
 
-  EXPECT_TRUE(Coordinator.start(
-      workerConfigFor(Policy, Faulty, Tests, LeaseTtlMs), Error))
+  EXPECT_TRUE(
+      Coordinator.start(workerConfigFor(Policy, Faulty, LeaseTtlMs), Error))
       << Error;
   Engine.setShardProvider(&Coordinator);
 
@@ -253,8 +250,8 @@ TEST(ServeScaleout, CrashMatrixAtEveryShardBoundary) {
   }
 }
 
-// A worker killed mid-publish leaves a torn result frame and an
-// uncompleted lease: the coordinator must reject the frame by checksum,
+// A worker killed mid-publish leaves a torn result message and an
+// uncompleted lease: the coordinator must reject the message by checksum,
 // fence the generation, and have the shard recomputed.
 TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
   constexpr size_t Tests = 32;

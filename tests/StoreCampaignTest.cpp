@@ -110,6 +110,19 @@ ExecutionPolicy policyFor(uint64_t Seed, size_t Jobs) {
       .withTransformationLimit(120);
 }
 
+/// The distinct signatures of a bug-finding run, per tool and target.
+std::string renderBugFinding(BugFindingData &Data) {
+  std::ostringstream Out;
+  for (const std::string &Tool : Data.ToolNames)
+    for (const std::string &Target : Data.TargetNames) {
+      Out << Tool << "/" << Target << ":";
+      for (const std::string &Signature : Data.Stats[Tool][Target].Distinct)
+        Out << " {" << Signature << "}";
+      Out << "\n";
+    }
+  return Out.str();
+}
+
 /// Every result-shaping decision of a full campaign (bug finding followed
 /// by dedup) flattened to one comparable string.
 std::string runCampaign(const ExecutionPolicy &Policy,
@@ -123,13 +136,7 @@ std::string runCampaign(const ExecutionPolicy &Policy,
   BugFindingData Data = Engine.runBugFinding(Config);
 
   std::ostringstream Out;
-  for (const std::string &Tool : Data.ToolNames)
-    for (const std::string &Target : Data.TargetNames) {
-      Out << Tool << "/" << Target << ":";
-      for (const std::string &Signature : Data.Stats[Tool][Target].Distinct)
-        Out << " {" << Signature << "}";
-      Out << "\n";
-    }
+  Out << renderBugFinding(Data);
 
   ReductionConfig RC;
   RC.TestsPerTool = Tests;
@@ -261,6 +268,58 @@ TEST(StoreCampaign, UniformInputsArePartOfTheCampaignIdentity) {
   // Resuming with the recorded count does continue the campaign.
   Batched.withResume(true);
   Store = CampaignStore::open(Dir, Batched, Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_TRUE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+}
+
+/// The fleet shapes scan results, so a non-standard fleet is part of the
+/// campaign identity: a faulty-fleet store resumed on the standard fleet
+/// starts a campaign of its own, identical to a fresh standard run,
+/// instead of folding the faulty fleet's checkpoints into standard-fleet
+/// results (whose per-target tables lack the faulty targets). The
+/// standard fleet, given explicitly or as an empty fleet, keeps the
+/// digest it had before fleets were hashed.
+TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
+  const ExecutionPolicy Policy = policyFor(5, 1);
+  EXPECT_EQ(campaignConfigDigest(Policy, TargetFleet::standard()),
+            "a2d5273362bffe3f");
+  EXPECT_EQ(campaignIdFor(Policy, TargetFleet{}), campaignIdFor(Policy));
+  EXPECT_NE(campaignConfigDigest(Policy, TargetFleet::faulty()),
+            campaignConfigDigest(Policy));
+
+  auto Scan = [](const ExecutionPolicy &P, TargetFleet Fleet,
+                 CampaignCheckpointer *Checkpointer) {
+    CampaignEngine Engine(P, CorpusSpec{}, ToolsetSpec{}, std::move(Fleet));
+    if (Checkpointer)
+      Engine.setCheckpointer(Checkpointer);
+    BugFindingConfig Config;
+    Config.TestsPerTool = 8;
+    BugFindingData Data = Engine.runBugFinding(Config);
+    return renderBugFinding(Data);
+  };
+
+  std::string Dir = uniqueDir("fleet");
+  std::string Error;
+  {
+    std::unique_ptr<CampaignStore> Store =
+        CampaignStore::open(Dir, Policy, TargetFleet::faulty(), Error);
+    ASSERT_NE(Store, nullptr) << Error;
+    Scan(Policy, TargetFleet::faulty(), Store.get());
+  }
+
+  ExecutionPolicy Resumed = Policy;
+  Resumed.withResume(true);
+  std::unique_ptr<CampaignStore> Store =
+      CampaignStore::open(Dir, Resumed, TargetFleet::standard(), Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_EQ(Store->campaignId(), campaignIdFor(Policy));
+  EvaluationCheckpoint Checkpoint;
+  EXPECT_FALSE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+  EXPECT_EQ(Scan(Resumed, TargetFleet::standard(), Store.get()),
+            Scan(Policy, TargetFleet::standard(), nullptr));
+
+  // Resuming on the recorded fleet does continue the campaign.
+  Store = CampaignStore::open(Dir, Resumed, TargetFleet::faulty(), Error);
   ASSERT_NE(Store, nullptr) << Error;
   EXPECT_TRUE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
 }

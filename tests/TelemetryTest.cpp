@@ -68,12 +68,12 @@ TEST(Telemetry, MergeIsAssociativeAndCommutative) {
 
   // (A + B) + C
   auto A1 = MakeWorker(0), B1 = MakeWorker(5), C1 = MakeWorker(11);
-  A1->mergeFrom(*B1);
-  A1->mergeFrom(*C1);
+  A1->restore(B1->snapshot());
+  A1->restore(C1->snapshot());
   // C + (B + A): different order and shape.
   auto A2 = MakeWorker(0), B2 = MakeWorker(5), C2 = MakeWorker(11);
-  B2->mergeFrom(*A2);
-  C2->mergeFrom(*B2);
+  B2->restore(A2->snapshot());
+  C2->restore(B2->snapshot());
 
   MetricsSnapshot Left = A1->snapshot(), Right = C2->snapshot();
   EXPECT_EQ(Left.Counters, Right.Counters);
@@ -93,9 +93,9 @@ TEST(Telemetry, MergeIntoEmptyAndFromEmpty) {
   Full.set("g", 1.5);
 
   MetricsRegistry Target;
-  Target.mergeFrom(Empty); // no-op
-  Target.mergeFrom(Full);
-  Target.mergeFrom(Empty); // still a no-op
+  Target.restore(Empty.snapshot()); // no-op
+  Target.restore(Full.snapshot());
+  Target.restore(Empty.snapshot()); // still a no-op
   MetricsSnapshot Snapshot = Target.snapshot();
   EXPECT_EQ(Snapshot.Counters["c"], 3u);
   EXPECT_DOUBLE_EQ(Snapshot.Gauges["g"], 1.5);
@@ -111,7 +111,7 @@ TEST(Telemetry, MergeSemanticsForCountersAndGauges) {
   B.add("c", 5);
   A.set("g", 1.0);
   B.set("g", 9.0);
-  A.mergeFrom(B);
+  A.restore(B.snapshot());
   MetricsSnapshot Snapshot = A.snapshot();
   EXPECT_EQ(Snapshot.Counters["c"], 7u); // counters add
   EXPECT_DOUBLE_EQ(Snapshot.Gauges["g"], 9.0); // gauges: other wins

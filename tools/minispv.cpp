@@ -106,26 +106,22 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
-#include <charconv>
+#include "CommandLine.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 using namespace spvfuzz;
+using cli::Args;
+using cli::Command;
+using cli::fail;
 
 namespace {
-
-[[noreturn]] void fail(const std::string &Message) {
-  fprintf(stderr, "minispv: error: %s\n", Message.c_str());
-  exit(1);
-}
 
 /// The minispv exit-code contract (see `minispv help`), shared by every
 /// subcommand that distinguishes outcomes: distinct so CI can tell "bad
@@ -255,106 +251,6 @@ const Target *findTarget(const TargetFleet &Fleet, const std::string &Name) {
     return T;
   fail("unknown target '" + Name + "' (see 'minispv targets')");
 }
-
-struct Args;
-
-/// One subcommand: its handler and the flags it accepts, split into flags
-/// that take a value and bare switches. Every command also accepts the
-/// global --metrics-out and --trace-out.
-struct Command {
-  const char *Name;
-  int (*Run)(const Args &);
-  std::vector<std::string> Valued;
-  std::vector<std::string> Switches;
-};
-
-bool contains(const std::vector<std::string> &Names, const std::string &Name) {
-  return std::find(Names.begin(), Names.end(), Name) != Names.end();
-}
-
-/// Minimal flag parser: positional arguments plus --name [value] pairs.
-/// A flag \p Cmd does not accept fails the parse.
-struct Args {
-  std::vector<std::string> Positional;
-  std::vector<std::pair<std::string, std::string>> Flags;
-
-  Args(int Argc, char **Argv, const Command &Cmd) {
-    for (int I = 0; I < Argc; ++I) {
-      std::string Arg = Argv[I];
-      if (Arg.empty() || Arg[0] != '-') {
-        Positional.push_back(Arg);
-        continue;
-      }
-      std::string Name = Arg.substr(Arg.rfind("--", 0) == 0 ? 2 : 1);
-      if (contains(Cmd.Switches, Name)) {
-        Flags.push_back({Name, "true"});
-        continue;
-      }
-      if (!contains(Cmd.Valued, Name) && Name != "metrics-out" &&
-          Name != "trace-out") {
-        std::string Accepted;
-        for (const auto *Names : {&Cmd.Valued, &Cmd.Switches})
-          for (const std::string &Known : *Names)
-            Accepted += "--" + Known + ", ";
-        fail("unknown flag '" + Arg + "' for 'minispv " + Cmd.Name +
-             "' (accepts " + Accepted + "--metrics-out, --trace-out)");
-      }
-      if (I + 1 >= Argc)
-        fail("flag --" + Name + " needs a value");
-      Flags.push_back({Name, Argv[++I]});
-    }
-  }
-
-  std::string get(const std::string &Name,
-                  const std::string &Default = "") const {
-    for (const auto &[FlagName, FlagValue] : Flags)
-      if (FlagName == Name)
-        return FlagValue;
-    return Default;
-  }
-  std::vector<std::string> getAll(const std::string &Name) const {
-    std::vector<std::string> Out;
-    for (const auto &[FlagName, FlagValue] : Flags)
-      if (FlagName == Name)
-        Out.push_back(FlagValue);
-    return Out;
-  }
-  bool has(const std::string &Name) const {
-    return !get(Name, "\x01").empty() && get(Name, "\x01") != "\x01";
-  }
-  std::string require(const std::string &Name) const {
-    std::string FlagValue = get(Name);
-    if (FlagValue.empty())
-      fail("missing required flag --" + Name);
-    return FlagValue;
-  }
-  /// The value of the unsigned decimal flag --\p Name; \p Default when the
-  /// flag is absent, which is an error when \p Default is unset. An empty
-  /// value, a sign, any byte that is not a digit, or a value above T's
-  /// maximum is a parse error (exit 1): "64k" must not read as 64.
-  template <typename T = uint64_t>
-  T number(const std::string &Name,
-           std::type_identity_t<std::optional<T>> Default =
-               std::nullopt) const {
-    auto It = std::find_if(Flags.begin(), Flags.end(), [&](const auto &Flag) {
-      return Flag.first == Name;
-    });
-    if (It == Flags.end()) {
-      if (!Default)
-        fail("missing required flag --" + Name);
-      return *Default;
-    }
-    const std::string &Text = It->second;
-    T Value = 0;
-    auto [End, Error] =
-        std::from_chars(Text.data(), Text.data() + Text.size(), Value);
-    if (Error != std::errc() || End != Text.data() + Text.size())
-      fail("flag --" + Name + " expects an unsigned integer up to " +
-           std::to_string(std::numeric_limits<T>::max()) + ", got '" + Text +
-           "'");
-    return Value;
-  }
-};
 
 int cmdGen(const Args &A) {
   uint64_t Seed = A.number("seed", 0);
@@ -656,6 +552,8 @@ int cmdCampaign(const Args &A, bool Serve) {
   // and does not fold into the campaign id: the bug-finding decisions
   // are unchanged, and an existing store can be re-triaged on resume.
   const bool Triage = A.has("triage");
+  const bool FaultyFleet = A.has("faulty-fleet");
+  TargetFleet Fleet = fleetFor(FaultyFleet);
 
   // A store makes the run durable: checkpoints at wave boundaries plus the
   // reproducer database. Metrics are forced on so the persisted telemetry
@@ -667,7 +565,7 @@ int cmdCampaign(const Args &A, bool Serve) {
         .withCheckpointInterval(A.number("checkpoint-interval", 1));
     telemetry::MetricsRegistry::global().setEnabled(true);
     std::string Error;
-    Store = CampaignStore::open(Policy.StorePath, Policy, Error);
+    Store = CampaignStore::open(Policy.StorePath, Policy, Fleet, Error);
     if (!Store)
       fail(Error);
     if (Policy.Resume)
@@ -709,7 +607,7 @@ int cmdCampaign(const Args &A, bool Serve) {
   }
 
   CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
-                        fleetFor(A.has("faulty-fleet")));
+                        std::move(Fleet));
   if (Store)
     Engine.setCheckpointer(Store.get());
   if (JournalObs)
@@ -741,8 +639,7 @@ int cmdCampaign(const Args &A, bool Serve) {
     Coordinator =
         std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
     if (!Coordinator->start(
-            serve::workerConfigFor(Policy, A.has("faulty-fleet"),
-                                   Config.TestsPerTool, SOpts.LeaseTtlMs),
+            serve::workerConfigFor(Policy, FaultyFleet, SOpts.LeaseTtlMs),
             Error))
       fail(Error);
     Engine.setShardProvider(Coordinator.get());
@@ -1316,8 +1213,9 @@ std::vector<std::string> concat(std::vector<std::string> Head,
   return Head;
 }
 
-/// Every subcommand with the flags it accepts: the one place a new flag
-/// must be registered, or the parser refuses it.
+/// Every subcommand with the flags it accepts (besides --metrics-out and
+/// --trace-out, which main adds to each): the one place a new flag must
+/// be registered, or the parser refuses it.
 const std::vector<Command> &commands() {
   // `serve` takes every campaign flag (refusing --deadline-ms itself, with
   // the reason) plus its deployment knobs.
@@ -1390,7 +1288,9 @@ int main(int Argc, char **Argv) {
             "[--trace-out t.jsonl] ...\n");
     return 1;
   }
-  const Command &Cmd = dispatch(Argv[1]);
+  Command Cmd = dispatch(Argv[1]);
+  // Every command also takes the telemetry outputs handled here.
+  Cmd.Valued.insert(Cmd.Valued.end(), {"metrics-out", "trace-out"});
   Args A(Argc - 2, Argv + 2, Cmd);
 
   std::string MetricsOut = A.get("metrics-out");
