@@ -71,19 +71,12 @@ double runAtWorkerCount(size_t Workers, const std::string &Dir,
   std::unique_ptr<serve::ServeCoordinator> Coordinator;
   if (Workers > 1) {
     serve::ServeOptions SOpts;
-    SOpts.StoreDir = Dir;
     SOpts.Workers = Workers;
     SOpts.WorkerJobs = 1;
     SOpts.MinispvPath = MinispvPath;
-    // Generous TTL: a spurious expiry costs a recomputation, which would
-    // pollute the wall-clock measurement.
-    SOpts.LeaseTtlMs = 30000;
-    SOpts.PollMs = 5;
-    Coordinator = std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
-    if (!Coordinator->start(serve::workerConfigFor(Policy,
-                                                   /*FaultyFleet=*/false,
-                                                   SOpts.LeaseTtlMs),
-                            Error)) {
+    Coordinator = std::make_unique<serve::ServeCoordinator>(SOpts);
+    if (!Coordinator->start(
+            serve::workerConfigFor(Policy, /*FaultyFleet=*/false), Error)) {
       fprintf(stderr, "scaleout: %s\n", Error.c_str());
       return -1.0;
     }

@@ -74,8 +74,7 @@ int main(int argc, char **argv) {
       fprintf(stderr, "bench_table4_dedup: %s\n", Error.c_str());
       return 1;
     }
-    if (Policy.Resume)
-      Store->restoreMetrics();
+    Store->restoreMetrics();
   }
 
   CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, std::move(Fleet));

@@ -129,9 +129,11 @@ struct JournalEvent {
   uint64_t Attempted = 0;
   uint64_t Accepted = 0;
   /// Scale-out events: the worker id (0 = the coordinator itself). For
-  /// ShardLeased/ShardCompleted/LeaseExpired, Count carries the lease
-  /// ledger job id and Wave the shard's end boundary; for
-  /// WorkerAttached/WorkerExited, Count carries the worker's pid.
+  /// ShardLeased (a wave sent to a worker), ShardCompleted and
+  /// LeaseExpired (a wave requeued because its worker's socket closed or
+  /// sent a bad frame), Count carries the coordinator's job number and
+  /// Wave the shard's end boundary; for WorkerAttached/WorkerExited, Count
+  /// carries the worker's pid (0 for a worker thread).
   uint64_t Worker = 0;
   /// Wall clock (microseconds since the Unix epoch) when the event was
   /// appended; 0 under deterministic-journal mode.

@@ -7,13 +7,16 @@
 #include "serve/Coordinator.h"
 
 #include "campaign/CampaignEngine.h"
-#include "store/Serde.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 
-#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -22,157 +25,81 @@ using namespace spvfuzz::serve;
 
 namespace {
 
-void sleepMs(uint64_t Ms) { ::usleep(static_cast<useconds_t>(Ms) * 1000); }
-
-const LeaseEntry *findEntry(const LeaseLedgerMsg &Table, uint64_t JobId) {
-  for (const LeaseEntry &Entry : Table.Entries)
-    if (Entry.JobId == JobId)
-      return &Entry;
-  return nullptr;
-}
+/// Waves one worker holds at once: the one it computes and the next.
+constexpr size_t WavesPerWorker = 2;
 
 } // namespace
 
-ServeCoordinator::ServeCoordinator(CampaignEngine &EngineIn,
-                                   ServeOptions OptsIn)
-    : Engine(EngineIn), Opts(std::move(OptsIn)), Ledger(Opts.StoreDir) {}
+ServeCoordinator::ServeCoordinator(ServeOptions OptsIn)
+    : Opts(std::move(OptsIn)) {}
 
 ServeCoordinator::~ServeCoordinator() { shutdown(); }
 
 size_t ServeCoordinator::liveWorkers() const {
-  size_t Live = 0;
-  for (const SpawnedWorker &W : Spawned)
-    Live += W.Alive ? 1 : 0;
-  return Live;
+  return static_cast<size_t>(std::count_if(
+      Peers.begin(), Peers.end(), [](const Peer &W) { return W.Fd >= 0; }));
 }
 
-bool ServeCoordinator::start(const WorkerConfigMsg &ConfigIn,
+bool ServeCoordinator::start(const WorkerConfigMsg &Config,
                              std::string &ErrorOut) {
-  Config = ConfigIn;
-  if (!Ledger.initialize(ErrorOut))
-    return false;
-  // The config lands last: a worker that can read it is guaranteed a
-  // complete deployment underneath.
-  if (!atomicWriteFile(Ledger.configPath(), encodeWorkerConfig(Config),
-                       ErrorOut))
-    return false;
-  Deployed = true;
-  for (size_t I = 0; I < Opts.Workers; ++I)
-    spawnWorker(I + 1);
+  ConfigFrame = frameMessage(encodeWorkerConfig(Config));
+  const std::string JobsStr = std::to_string(Opts.WorkerJobs);
+  const char *Argv[] = {"minispv", "worker", "--jobs", JobsStr.c_str(),
+                        nullptr};
+  for (size_t I = 0; I < Opts.Workers; ++I) {
+    // Both ends are close-on-exec, so no later worker inherits this one's
+    // end: a dead worker's socket must read end of stream.
+    int Fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds) != 0) {
+      ErrorOut = std::string("socketpair failed: ") + std::strerror(errno);
+      return false;
+    }
+    const pid_t Pid = ::fork();
+    if (Pid == 0) {
+      // Only async-signal-safe calls between fork and exec. The dup2
+      // copies are not close-on-exec, so exactly this end survives.
+      ::dup2(Fds[1], STDIN_FILENO);
+      ::dup2(Fds[1], STDOUT_FILENO);
+      ::execv(Opts.MinispvPath.c_str(), const_cast<char *const *>(Argv));
+      ::_exit(127);
+    }
+    ::close(Fds[1]);
+    if (Pid < 0) {
+      ::close(Fds[0]);
+      ErrorOut = std::string("fork failed: ") + std::strerror(errno);
+      return false;
+    }
+    attachWorker(Fds[0], Pid);
+  }
   return true;
 }
 
-void ServeCoordinator::spawnWorker(uint64_t Id) {
-  const std::string IdStr = std::to_string(Id);
-  const std::string JobsStr = std::to_string(Opts.WorkerJobs);
-  const std::string LogPath =
-      Ledger.serveDir() + "/worker" + IdStr + ".log";
-  pid_t Pid = ::fork();
-  if (Pid == 0) {
-    int LogFd = ::open(LogPath.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (LogFd >= 0) {
-      ::dup2(LogFd, 1);
-      ::dup2(LogFd, 2);
-      ::close(LogFd);
-    }
-    const char *Argv[] = {"minispv",       "worker",
-                          "--store",       Opts.StoreDir.c_str(),
-                          "--worker-id",   IdStr.c_str(),
-                          "--jobs",        JobsStr.c_str(),
-                          nullptr};
-    ::execv(Opts.MinispvPath.c_str(), const_cast<char *const *>(Argv));
-    ::_exit(127);
-  }
-  if (Pid > 0) {
-    SpawnedWorker W;
-    W.Id = Id;
-    W.Pid = Pid;
-    W.Alive = true;
-    Spawned.push_back(W);
-  }
+void ServeCoordinator::attachWorker(int Fd, pid_t Pid) {
+  Peer W;
+  W.Id = Peers.size() + 1;
+  W.Pid = Pid;
+  W.Fd = Fd;
+  Peers.push_back(std::move(W));
+  journal(obs::JournalEventKind::WorkerAttached, Peers.back().Id,
+          static_cast<uint64_t>(Pid));
+  std::string Error;
+  if (!sendAll(Fd, ConfigFrame, Error))
+    reap(Peers.back(), /*Kill=*/true);
 }
 
-void ServeCoordinator::reapWorkers() {
-  for (SpawnedWorker &W : Spawned) {
-    if (!W.Alive)
-      continue;
-    int Status = 0;
-    if (::waitpid(W.Pid, &Status, WNOHANG) == W.Pid) {
-      W.Alive = false;
-      if (Opts.ServeJournal) {
-        obs::JournalEvent Event;
-        Event.Kind = obs::JournalEventKind::WorkerExited;
-        Event.Worker = W.Id;
-        Event.Count = static_cast<uint64_t>(W.Pid);
-        Opts.ServeJournal->append(Event);
-      }
-    }
-  }
-}
-
-void ServeCoordinator::pollHellos() {
-  if (!Opts.ServeJournal)
-    return;
-  for (const std::string &Name : listDir(Ledger.serveDir(), ".msg")) {
-    if (Name.rfind("hello-", 0) != 0)
-      continue;
-    std::string Bytes, Error;
-    if (!readFileBytes(Ledger.serveDir() + "/" + Name, Bytes, Error))
-      continue;
-    WorkerHelloMsg Hello;
-    if (!decodeWorkerHello(Bytes, Hello, Error))
-      continue;
-    if (!Attached.insert(Hello.Worker).second)
-      continue;
-    obs::JournalEvent Event;
-    Event.Kind = obs::JournalEventKind::WorkerAttached;
-    Event.Worker = Hello.Worker;
-    Event.Count = Hello.Pid;
-    Opts.ServeJournal->append(Event);
-  }
-}
-
-void ServeCoordinator::journalShardEvent(obs::JournalEventKind Kind,
-                                         uint64_t JobId, uint64_t Worker) {
+void ServeCoordinator::journal(obs::JournalEventKind Kind, uint64_t WorkerId,
+                               uint64_t Count, const ShardRequest *Request) {
   if (!Opts.ServeJournal)
     return;
   obs::JournalEvent Event;
   Event.Kind = Kind;
-  Event.Worker = Worker;
-  Event.Count = JobId;
-  auto It = Jobs.find(JobId);
-  if (It != Jobs.end()) {
-    Event.Phase = It->second.Phase;
-    Event.Wave = It->second.WaveEnd;
+  Event.Worker = WorkerId;
+  Event.Count = Count;
+  if (Request) {
+    Event.Phase = Request->Phase;
+    Event.Wave = Request->WaveEnd;
   }
   Opts.ServeJournal->append(Event);
-}
-
-void ServeCoordinator::journalNewLeases(const LeaseLedgerMsg &Table) {
-  for (const LeaseEntry &Entry : Table.Entries) {
-    if (Entry.State != LeaseState::Leased)
-      continue;
-    if (!SeenLeases.insert({Entry.JobId, Entry.Generation}).second)
-      continue;
-    journalShardEvent(obs::JournalEventKind::ShardLeased, Entry.JobId,
-                      Entry.Worker);
-  }
-}
-
-void ServeCoordinator::maybeKillWorker(const LeaseLedgerMsg &Table) {
-  if (Killed || Opts.KillWorkerAfterShards == 0 ||
-      Folded < Opts.KillWorkerAfterShards)
-    return;
-  for (const LeaseEntry &Entry : Table.Entries) {
-    if (Entry.State != LeaseState::Leased)
-      continue;
-    for (SpawnedWorker &W : Spawned)
-      if (W.Alive && W.Id == Entry.Worker) {
-        ::kill(W.Pid, SIGKILL);
-        Killed = true;
-        return;
-      }
-  }
 }
 
 void ServeCoordinator::foldMetrics(const std::string &MetricsJson) {
@@ -188,158 +115,202 @@ void ServeCoordinator::foldMetrics(const std::string &MetricsJson) {
   telemetry::MetricsRegistry::global().restore(Delta);
 }
 
+void ServeCoordinator::dispatch() {
+  // One wave to every worker before a second to any.
+  for (size_t Depth = 1; Depth <= WavesPerWorker; ++Depth)
+    for (Peer &W : Peers) {
+      if (W.Fd < 0 || W.Held.size() >= Depth || Queue.empty())
+        continue;
+      const uint64_t Start = *Queue.begin();
+      Queue.erase(Queue.begin());
+      Wave &Next = Waves.at(Start);
+      Next.Request.Sidelined = Mask;
+      Next.Job = ++LastJob;
+      W.Held.emplace_back(Next.Job, Start);
+      journal(obs::JournalEventKind::ShardLeased, W.Id, Next.Job,
+              &Next.Request);
+      std::string Error;
+      if (!sendAll(W.Fd, frameMessage(encodeShardJob(Next.Request)), Error))
+        reap(W, /*Kill=*/true);
+    }
+}
+
+void ServeCoordinator::waitForResults() {
+  std::vector<pollfd> Fds;
+  std::vector<Peer *> Polled;
+  for (Peer &W : Peers)
+    if (W.Fd >= 0) {
+      Fds.push_back({W.Fd, POLLIN, 0});
+      Polled.push_back(&W);
+    }
+  if (::poll(Fds.data(), Fds.size(), -1) < 0)
+    return; // EINTR: the caller polls again
+  for (size_t I = 0; I < Fds.size(); ++I)
+    if (Fds[I].revents)
+      readFrom(*Polled[I]);
+}
+
+void ServeCoordinator::readFrom(Peer &W) {
+  const ssize_t Got = readSome(W.Fd, W.Buffer);
+  if (Got <= 0) {
+    // End of stream: the worker exited or died, maybe mid-frame.
+    reap(W, /*Kill=*/Got < 0);
+    return;
+  }
+  std::string Bytes, Error;
+  for (;;) {
+    const FrameStatus Status = takeFrame(W.Buffer, Bytes, Error);
+    if (Status == FrameStatus::Incomplete)
+      return;
+    if (Status == FrameStatus::Invalid || !acceptResult(W, Bytes, Error)) {
+      fprintf(stderr, "serve: worker %llu sent a bad frame: %s\n",
+              static_cast<unsigned long long>(W.Id), Error.c_str());
+      reap(W, /*Kill=*/true);
+      return;
+    }
+  }
+}
+
+bool ServeCoordinator::acceptResult(Peer &W, const std::string &Bytes,
+                                    std::string &ErrorOut) {
+  ShardResultMsg Result;
+  if (!decodeShardResult(Bytes, Result, ErrorOut))
+    return false;
+  if (W.Held.empty()) {
+    ErrorOut = "a result for no job";
+    return false;
+  }
+  const auto [Job, Start] = W.Held.front();
+  auto It = Waves.find(Start);
+  // A job whose wave was since requeued under another mask, or whose
+  // phase ended, is answered but no longer counts.
+  const bool Current = It != Waves.end() && It->second.Job == Job;
+  if (Current && Result.Evals.size() != It->second.Request.WaveEnd -
+                                            It->second.Request.WaveStart) {
+    ErrorOut = std::to_string(Result.Evals.size()) +
+               " evaluations for a wave of " +
+               std::to_string(It->second.Request.WaveEnd -
+                              It->second.Request.WaveStart);
+    return false;
+  }
+  W.Held.pop_front();
+  if (Current) {
+    It->second.Done = true;
+    It->second.WorkerId = W.Id;
+    It->second.Result = std::move(Result);
+  }
+  return true;
+}
+
+void ServeCoordinator::reap(Peer &W, bool Kill) {
+  ::close(W.Fd);
+  W.Fd = -1;
+  W.Buffer.clear();
+  for (const auto &[Job, Start] : W.Held) {
+    auto It = Waves.find(Start);
+    if (It == Waves.end() || It->second.Job != Job)
+      continue;
+    It->second.Job = 0;
+    Queue.insert(Start);
+    ++Requeues;
+    journal(obs::JournalEventKind::LeaseExpired, W.Id, Job,
+            &It->second.Request);
+  }
+  W.Held.clear();
+  if (W.Pid > 0) {
+    if (Kill)
+      ::kill(W.Pid, SIGKILL);
+    int Status = 0;
+    ::waitpid(W.Pid, &Status, 0);
+  }
+  journal(obs::JournalEventKind::WorkerExited, W.Id,
+          static_cast<uint64_t>(W.Pid));
+}
+
+void ServeCoordinator::maybeKillWorker() {
+  if (Killed || Opts.KillWorkerAfterShards == 0 ||
+      Folded < Opts.KillWorkerAfterShards)
+    return;
+  for (Peer &W : Peers)
+    if (W.Fd >= 0 && W.Pid > 0 && !W.Held.empty()) {
+      ::kill(W.Pid, SIGKILL);
+      Killed = true;
+      return;
+    }
+}
+
 void ServeCoordinator::beginPhase(const ShardRequest &Prototype,
                                   size_t StartWave) {
-  JobByWaveStart.clear();
-  if (!Deployed)
-    return;
-  std::vector<ShardJobMsg> Batch;
-  size_t Waves = 0;
-  for (size_t W = StartWave; W < Prototype.Count;
-       W += CampaignEngine::ShardSize)
-    ++Waves;
-  if (Waves == 0)
-    return;
-  uint64_t First = 0;
-  std::string Error;
-  if (!Ledger.allocateJobIds(Waves, First, Error))
-    return;
-  size_t Index = 0;
-  for (size_t W = StartWave; W < Prototype.Count;
-       W += CampaignEngine::ShardSize, ++Index) {
-    const size_t End =
-        std::min(W + CampaignEngine::ShardSize,
-                 static_cast<size_t>(Prototype.Count));
-    ShardRequest Request = Prototype;
-    Request.WaveStart = W;
-    Request.WaveEnd = End;
-    const uint64_t JobId = First + Index;
-    JobByWaveStart[W] = JobId;
-    Jobs[JobId] = Request;
-    Batch.push_back({JobId, /*Generation=*/0, Config.CampaignId, Request});
+  Waves.clear();
+  Queue.clear();
+  Mask = Prototype.Sidelined;
+  for (size_t Start = StartWave; Start < Prototype.Count;
+       Start += CampaignEngine::ShardSize) {
+    Wave &Next = Waves[Start];
+    Next.Request = Prototype;
+    Next.Request.WaveStart = Start;
+    Next.Request.WaveEnd =
+        std::min<uint64_t>(Start + CampaignEngine::ShardSize, Prototype.Count);
+    Queue.insert(Start);
   }
-  if (!Ledger.enqueue(Batch, Error))
-    JobByWaveStart.clear(); // degrade: the engine computes every wave locally
 }
 
 bool ServeCoordinator::takeShard(const ShardRequest &Request,
                                  std::vector<TestEvaluation> &Out) {
-  auto WaveIt = JobByWaveStart.find(Request.WaveStart);
-  if (WaveIt == JobByWaveStart.end())
+  auto It = Waves.find(Request.WaveStart);
+  if (It == Waves.end())
     return false;
-  const uint64_t JobId = WaveIt->second;
-  ShardRequest &Enqueued = Jobs[JobId];
-  const uint64_t WantDigest = sidelinedDigest(Request.Sidelined);
-  const uint64_t Entered = monotonicNowMs();
-  const uint64_t StallMs = Opts.StallMs ? Opts.StallMs : 4 * Opts.LeaseTtlMs;
-  std::string Error;
-  for (;;) {
-    LeaseLedgerMsg Table;
-    if (!Ledger.snapshot(Table, Error))
-      return false; // unreadable ledger: compute this shard locally
-    const LeaseEntry *Entry = findEntry(Table, JobId);
-    if (!Entry)
-      return false;
-    journalNewLeases(Table);
-
-    // The serial quarantine mask moved past the mask this job was
-    // enqueued under: requeue under the current mask with a bumped
-    // generation, fencing any in-flight stale computation.
-    if (Enqueued.Sidelined != Request.Sidelined) {
-      if (!Ledger.requeue(
-              {JobId, Entry->Generation + 1, Config.CampaignId, Request},
-              Error))
-        return false;
-      Enqueued = Request;
-      continue;
-    }
-
-    std::string Bytes, ReadError;
-    if (readFileBytes(Ledger.resultPath(JobId, Entry->Generation), Bytes,
-                      ReadError)) {
-      ShardResultMsg Result;
-      std::string DecodeError;
-      if (decodeShardResult(Bytes, Result, DecodeError) &&
-          Result.MaskDigest == WantDigest) {
-        foldMetrics(Result.MetricsJson);
-        // Mark Done coordinator-side: authoritative even when the worker
-        // died between publishing the result and completing the lease.
-        Ledger.complete(JobId, Entry->Generation, Error);
-        journalShardEvent(obs::JournalEventKind::ShardCompleted, JobId,
-                          Result.Worker);
-        ++Folded;
-        maybeKillWorker(Table);
-        Out = std::move(Result.Evals);
-        return true;
-      }
-      // Torn message or a stale-mask result: retire it and fence.
-      ::unlink(Ledger.resultPath(JobId, Entry->Generation).c_str());
-      if (!Ledger.requeue(
-              {JobId, Entry->Generation + 1, Config.CampaignId, Request},
-              Error))
-        return false;
-      continue;
-    }
-
-    std::vector<LeaseEntry> Expired;
-    if (Ledger.expireStale(Expired, Error))
-      for (const LeaseEntry &E : Expired) {
-        ++Expiries;
-        journalShardEvent(obs::JournalEventKind::LeaseExpired, E.JobId,
-                          E.Worker);
-      }
-    pollHellos();
-    reapWorkers();
-    maybeKillWorker(Table);
-
-    const bool AllSpawnedDead = !Spawned.empty() && liveWorkers() == 0;
-    if (AllSpawnedDead || monotonicNowMs() - Entered >= StallMs) {
-      const ToolConfig *Tool = Engine.findTool(Request.Tool);
-      if (!Tool)
-        return false;
-      Out = Engine.evaluateShard(*Tool, Request);
-      LeaseLedgerMsg Fresh;
-      if (Ledger.snapshot(Fresh, Error))
-        if (const LeaseEntry *Now = findEntry(Fresh, JobId))
-          Ledger.complete(JobId, Now->Generation, Error);
-      journalShardEvent(obs::JournalEventKind::ShardCompleted, JobId,
-                        /*Worker=*/0);
-      ++Folded;
-      return true;
-    }
-    sleepMs(Opts.PollMs);
+  Wave &Current = It->second;
+  Mask = Request.Sidelined;
+  // The serial quarantine mask moved past the one this wave was sent
+  // under: whatever that job computes no longer counts, and the wave goes
+  // back to the queue to be sent under the current mask.
+  if (Current.Job != 0 && Current.Request.Sidelined != Request.Sidelined) {
+    Current.Done = false;
+    Current.Job = 0;
+    Queue.insert(Request.WaveStart);
   }
+  for (;;) {
+    dispatch();
+    if (Current.Done || liveWorkers() == 0)
+      break;
+    maybeKillWorker();
+    waitForResults();
+  }
+  // With no worker left the wave is declined, and the engine computes it
+  // itself (worker 0 in the journal).
+  const bool Computed = Current.Done;
+  if (Computed) {
+    foldMetrics(Current.Result.MetricsJson);
+    Out = std::move(Current.Result.Evals);
+  }
+  journal(obs::JournalEventKind::ShardCompleted,
+          Computed ? Current.WorkerId : 0, Computed ? Current.Job : 0,
+          &Request);
+  Queue.erase(Request.WaveStart);
+  Waves.erase(It);
+  ++Folded;
+  return Computed;
 }
 
 void ServeCoordinator::endPhase(const std::string & /*Phase*/,
                                 bool /*Complete*/) {
-  JobByWaveStart.clear();
+  Waves.clear();
+  Queue.clear();
 }
 
 void ServeCoordinator::shutdown() {
-  if (Finished || !Deployed)
+  if (Finished)
     return;
   Finished = true;
-  std::string Error;
-  atomicWriteFile(Ledger.donePath(), "done\n", Error);
-  // Grace period for workers to drain, then force.
-  const uint64_t Deadline = monotonicNowMs() + 10000;
-  for (;;) {
-    reapWorkers();
-    if (liveWorkers() == 0)
-      break;
-    if (monotonicNowMs() >= Deadline) {
-      for (SpawnedWorker &W : Spawned)
-        if (W.Alive)
-          ::kill(W.Pid, SIGKILL);
-      for (SpawnedWorker &W : Spawned)
-        if (W.Alive) {
-          int Status = 0;
-          ::waitpid(W.Pid, &Status, 0);
-          W.Alive = false;
-        }
-      break;
-    }
-    sleepMs(Opts.PollMs);
-  }
+  // An idle worker reads end of stream and exits 0; one still computing
+  // a wave (sent under a mask the fold moved past) is not waited for.
+  // Every worker sees end of stream before the first is waited for, so
+  // they wind down together.
+  for (Peer &W : Peers)
+    if (W.Fd >= 0)
+      ::shutdown(W.Fd, SHUT_WR);
+  for (Peer &W : Peers)
+    if (W.Fd >= 0)
+      reap(W, /*Kill=*/!W.Held.empty());
 }

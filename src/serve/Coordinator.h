@@ -5,25 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The coordinator side of `minispv serve`: a ShardProvider that turns
-/// each evaluation phase into lease-ledger jobs (one per ShardSize wave),
-/// lets worker processes compute them, and folds the published results
-/// back into the engine's serial wave loop in wave order. Everything
+/// The coordinator side of `minispv serve`: a ShardProvider that queues
+/// each evaluation phase's waves (ShardSize tests each), hands them to
+/// its workers over one socket per worker, and folds their results back
+/// into the engine's serial wave loop in wave order. Everything
 /// decision-bearing — breaker commits, bug events, checkpoints, the
 /// events.jsonl stream — stays in the engine's fold, so a K-worker run is
 /// byte-identical to a serial one; the coordinator only moves where the
 /// pure shard computation happens.
 ///
-/// Fault tolerance: leases that outlive their TTL are expired and
-/// re-queued with a bumped generation (fencing the dead worker's stale
-/// output); torn or mask-stale result messages are retired the same way;
-/// and if every spawned worker dies — or a shard stalls past StallMs —
-/// the coordinator computes the shard inline, so `serve` always
-/// terminates with the same output as `campaign`.
+/// Each live worker holds at most two waves, so it has the next one to
+/// compute while the coordinator folds and checkpoints. A worker answers
+/// its jobs in the order it got them, so a result needs no identity of
+/// its own. A worker whose socket reads end of stream or sends a frame
+/// that does not decode is reaped and its waves requeued; a result
+/// computed under a quarantine mask the serial fold has since moved past
+/// is discarded and the wave recomputed under the current mask; and with
+/// no live worker left the coordinator declines the wave, so the engine
+/// computes it itself and `serve` always terminates with the same output
+/// as `campaign`.
 ///
-/// Scheduling events (worker attach/exit, leases, completions, expiries)
-/// go to the separate serve.jsonl journal; they are timing-dependent and
-/// never part of the equivalence surface.
+/// Scheduling events (worker attach/exit, waves sent, completed and
+/// requeued) go to the separate serve.jsonl journal; they are
+/// timing-dependent and never part of the equivalence surface.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +35,13 @@
 #define SERVE_COORDINATOR_H
 
 #include "obs/Journal.h"
-#include "serve/LeaseLedger.h"
+#include "serve/ShardProtocol.h"
 
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/types.h>
@@ -44,26 +50,16 @@ namespace spvfuzz {
 namespace serve {
 
 struct ServeOptions {
-  std::string StoreDir;
-  /// Worker processes to spawn via fork/exec of MinispvPath. 0 = attach
-  /// mode: workers are started externally (the tests run them on
-  /// threads) and the coordinator only leases and folds.
+  /// Worker processes start() spawns via fork/exec of MinispvPath. With
+  /// 0 it spawns none, and workers join through attachWorker (the tests
+  /// run them on threads).
   size_t Workers = 2;
   /// --jobs passed to each spawned worker.
   size_t WorkerJobs = 1;
   /// Binary to exec for workers; defaults to this very binary.
   std::string MinispvPath = "/proc/self/exe";
-  /// Lease TTL handed to workers; a worker silent past this is presumed
-  /// dead and its shard re-queued.
-  uint64_t LeaseTtlMs = 3000;
-  /// Poll interval while waiting for a shard result.
-  uint64_t PollMs = 10;
-  /// Stall cutoff: a shard with no result after this long is computed
-  /// inline by the coordinator. 0 defaults to 4 * LeaseTtlMs.
-  uint64_t StallMs = 0;
   /// Test/CI hook: after this many folded shards, SIGKILL one spawned
-  /// worker that currently holds a lease (0 = never). Exercises the
-  /// expiry path deterministically enough for the smoke check.
+  /// worker that holds a wave (0 = never), exercising the requeue path.
   uint64_t KillWorkerAfterShards = 0;
   /// Scheduling-event journal (serve.jsonl); optional, not owned.
   obs::JournalWriter *ServeJournal = nullptr;
@@ -71,16 +67,24 @@ struct ServeOptions {
 
 class ServeCoordinator : public ShardProvider {
 public:
-  ServeCoordinator(CampaignEngine &Engine, ServeOptions Opts);
+  explicit ServeCoordinator(ServeOptions Opts);
   ~ServeCoordinator() override;
+  ServeCoordinator(const ServeCoordinator &) = delete;
+  ServeCoordinator &operator=(const ServeCoordinator &) = delete;
 
-  /// Deploys: fresh serve layout, config message for workers to replicate,
-  /// then spawns Opts.Workers worker processes (their stdout/stderr land
-  /// in `serve/worker<id>.log`).
+  /// Keeps \p Config for every worker, then spawns Opts.Workers worker
+  /// processes, each on one end of a socketpair as its stdin and stdout
+  /// (stderr is inherited). False when a socketpair or fork fails.
   bool start(const WorkerConfigMsg &Config, std::string &ErrorOut);
 
-  /// Writes the DONE marker and reaps spawned workers (SIGKILL after a
-  /// grace period). Idempotent; also run by the destructor.
+  /// Takes \p Fd, the coordinator's end of a worker's stream socket, and
+  /// sends the config down it. \p Pid is the worker's process, or 0 for a
+  /// worker running on a thread of this process.
+  void attachWorker(int Fd, pid_t Pid);
+
+  /// Closes every worker's socket, so idle workers read end of stream and
+  /// exit; a worker still computing a wave nobody needs is SIGKILLed.
+  /// Reaps the processes. Idempotent; also run by the destructor.
   void shutdown();
 
   // ShardProvider: the engine's wave loop drives these.
@@ -90,44 +94,64 @@ public:
   void endPhase(const std::string &Phase, bool Complete) override;
 
   size_t shardsFolded() const { return Folded; }
-  size_t leaseExpiries() const { return Expiries; }
+  /// Waves requeued because their worker died or sent a bad frame.
+  size_t requeues() const { return Requeues; }
   size_t liveWorkers() const;
 
 private:
-  struct SpawnedWorker {
-    uint64_t Id = 0;
-    pid_t Pid = -1;
-    bool Alive = false;
+  /// One wave of the current phase.
+  struct Wave {
+    /// Its bounds and the mask it was last sent under.
+    ShardRequest Request;
+    /// The job whose result counts (0 while it waits in the queue).
+    uint64_t Job = 0;
+    bool Done = false;
+    /// The worker whose result it holds once Done.
+    uint64_t WorkerId = 0;
+    ShardResultMsg Result;
   };
-  void spawnWorker(uint64_t Id);
-  void reapWorkers();
-  void pollHellos();
-  void journalNewLeases(const LeaseLedgerMsg &Table);
-  void maybeKillWorker(const LeaseLedgerMsg &Table);
-  void journalShardEvent(obs::JournalEventKind Kind, uint64_t JobId,
-                         uint64_t Worker);
+  /// One attached worker.
+  struct Peer {
+    uint64_t Id = 0;
+    pid_t Pid = 0;
+    int Fd = -1;
+    /// Bytes read from the socket that do not make a whole frame yet.
+    std::string Buffer;
+    /// (job, wave start) pairs sent and not answered yet, oldest first.
+    std::deque<std::pair<uint64_t, uint64_t>> Held;
+  };
+
+  void dispatch();
+  void waitForResults();
+  void readFrom(Peer &W);
+  /// Takes \p Bytes as the answer to W's oldest job; false, with a
+  /// diagnostic, when they are not one.
+  bool acceptResult(Peer &W, const std::string &Bytes, std::string &ErrorOut);
+  /// Closes W's socket, requeues the waves it held and reaps its process,
+  /// SIGKILLing it first when \p Kill.
+  void reap(Peer &W, bool Kill);
+  void maybeKillWorker();
+  void journal(obs::JournalEventKind Kind, uint64_t WorkerId, uint64_t Count,
+               const ShardRequest *Request = nullptr);
   /// Counter/histogram deltas a worker shipped with its result fold into
   /// the coordinator's registry, so metric totals match a serial run.
   void foldMetrics(const std::string &MetricsJson);
 
-  CampaignEngine &Engine;
   ServeOptions Opts;
-  LeaseLedger Ledger;
-  WorkerConfigMsg Config;
-  bool Deployed = false;
+  std::string ConfigFrame;
   bool Finished = false;
 
-  std::vector<SpawnedWorker> Spawned;
-  std::set<uint64_t> Attached;
-  /// Every enqueued job's request as last enqueued: its phase identity
-  /// for journaling and the quarantine mask it carries (to detect
-  /// serial-mask drift).
-  std::map<uint64_t, ShardRequest> Jobs;
-  std::map<uint64_t, uint64_t> JobByWaveStart;
-  /// (JobId, Generation) leases already journaled as ShardLeased.
-  std::set<std::pair<uint64_t, uint64_t>> SeenLeases;
+  std::vector<Peer> Peers;
+  std::map<uint64_t, Wave> Waves;
+  /// Start indices of the waves waiting for a worker; the lowest goes
+  /// first.
+  std::set<uint64_t> Queue;
+  /// The quarantine mask of the latest wave the engine asked for, which
+  /// queued waves are sent under.
+  std::vector<std::string> Mask;
+  uint64_t LastJob = 0;
   size_t Folded = 0;
-  size_t Expiries = 0;
+  size_t Requeues = 0;
   bool Killed = false;
 };
 

@@ -8,35 +8,27 @@
 
 #include "store/CampaignStore.h"
 #include "store/Serde.h"
-#include "support/ModuleHash.h"
+
+#include <cerrno>
+#include <cstring>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace spvfuzz;
 using namespace spvfuzz::serve;
 
 WorkerConfigMsg serve::workerConfigFor(const ExecutionPolicy &Policy,
-                                       bool FaultyFleet,
-                                       uint64_t LeaseTtlMs) {
+                                       bool FaultyFleet) {
   WorkerConfigMsg Msg;
   Msg.Policy = Policy;
   Msg.FaultyFleet = FaultyFleet;
-  Msg.LeaseTtlMs = LeaseTtlMs;
   Msg.CampaignId = campaignIdFor(Policy, fleetFor(Msg));
   return Msg;
 }
 
 TargetFleet serve::fleetFor(const WorkerConfigMsg &Config) {
   return Config.FaultyFleet ? TargetFleet::faulty() : TargetFleet{};
-}
-
-uint64_t serve::sidelinedDigest(const std::vector<std::string> &Sidelined) {
-  StructuralHasher H;
-  H.word(Sidelined.size());
-  for (const std::string &Name : Sidelined) {
-    H.word(Name.size());
-    for (char C : Name)
-      H.word(static_cast<uint8_t>(C));
-  }
-  return H.digest();
 }
 
 //===----------------------------------------------------------------------===//
@@ -47,10 +39,8 @@ namespace {
 
 // Section tags, one per message kind.
 constexpr char WorkerConfigTag[] = "WCFG";
-constexpr char WorkerHelloTag[] = "HELO";
 constexpr char ShardJobTag[] = "SJOB";
 constexpr char ShardResultTag[] = "SRES";
-constexpr char LeaseLedgerTag[] = "LEAS";
 
 /// A StoreFile with one \p Tag section: the protocol version, then the
 /// body \p Write appends.
@@ -178,7 +168,6 @@ std::string serve::encodeWorkerConfig(const WorkerConfigMsg &Msg) {
     W.str(Msg.CampaignId);
     writePolicy(W, Msg.Policy);
     W.u8(Msg.FaultyFleet ? 1 : 0);
-    W.u64(Msg.LeaseTtlMs);
   });
 }
 
@@ -188,56 +177,25 @@ bool serve::decodeWorkerConfig(const std::string &Bytes, WorkerConfigMsg &Out,
       Bytes, WorkerConfigTag,
       [&](ByteReader &R) {
         return R.str(Out.CampaignId) && readPolicy(R, Out.Policy) &&
-               readFlag(R, Out.FaultyFleet) && R.u64(Out.LeaseTtlMs);
+               readFlag(R, Out.FaultyFleet);
       },
       ErrorOut);
 }
 
-std::string serve::encodeWorkerHello(const WorkerHelloMsg &Msg) {
-  return encodeMessage(WorkerHelloTag, [&](ByteWriter &W) {
-    W.u64(Msg.Worker);
-    W.u64(Msg.Pid);
-  });
+std::string serve::encodeShardJob(const ShardRequest &Request) {
+  return encodeMessage(ShardJobTag,
+                       [&](ByteWriter &W) { writeRequest(W, Request); });
 }
 
-bool serve::decodeWorkerHello(const std::string &Bytes, WorkerHelloMsg &Out,
-                              std::string &ErrorOut) {
-  return decodeMessage(
-      Bytes, WorkerHelloTag,
-      [&](ByteReader &R) { return R.u64(Out.Worker) && R.u64(Out.Pid); },
-      ErrorOut);
-}
-
-std::string serve::encodeShardJob(const ShardJobMsg &Msg) {
-  return encodeMessage(ShardJobTag, [&](ByteWriter &W) {
-    W.u64(Msg.JobId);
-    W.u64(Msg.Generation);
-    W.str(Msg.CampaignId);
-    writeRequest(W, Msg.Request);
-  });
-}
-
-bool serve::decodeShardJob(const std::string &Bytes, ShardJobMsg &Out,
+bool serve::decodeShardJob(const std::string &Bytes, ShardRequest &Out,
                            std::string &ErrorOut) {
   return decodeMessage(
-      Bytes, ShardJobTag,
-      [&](ByteReader &R) {
-        return R.u64(Out.JobId) && R.u64(Out.Generation) &&
-               R.str(Out.CampaignId) && readRequest(R, Out.Request);
-      },
+      Bytes, ShardJobTag, [&](ByteReader &R) { return readRequest(R, Out); },
       ErrorOut);
 }
 
 std::string serve::encodeShardResult(const ShardResultMsg &Msg) {
   return encodeMessage(ShardResultTag, [&](ByteWriter &W) {
-    W.u64(Msg.JobId);
-    W.u64(Msg.Generation);
-    W.u64(Msg.Worker);
-    W.str(Msg.CampaignId);
-    W.str(Msg.Phase);
-    W.u64(Msg.WaveStart);
-    W.u64(Msg.WaveEnd);
-    W.u64(Msg.MaskDigest);
     W.u32(static_cast<uint32_t>(Msg.Evals.size()));
     for (const TestEvaluation &Eval : Msg.Evals)
       writeTestEvaluationBinary(W, Eval);
@@ -251,11 +209,7 @@ bool serve::decodeShardResult(const std::string &Bytes, ShardResultMsg &Out,
       Bytes, ShardResultTag,
       [&](ByteReader &R) {
         uint32_t EvalCount = 0;
-        if (!R.u64(Out.JobId) || !R.u64(Out.Generation) ||
-            !R.u64(Out.Worker) || !R.str(Out.CampaignId) ||
-            !R.str(Out.Phase) || !R.u64(Out.WaveStart) ||
-            !R.u64(Out.WaveEnd) || !R.u64(Out.MaskDigest) ||
-            !R.u32(EvalCount) || !R.checkCount(EvalCount, 24))
+        if (!R.u32(EvalCount) || !R.checkCount(EvalCount, 24))
           return false;
         Out.Evals.assign(EvalCount, TestEvaluation{});
         for (TestEvaluation &Eval : Out.Evals)
@@ -266,41 +220,78 @@ bool serve::decodeShardResult(const std::string &Bytes, ShardResultMsg &Out,
       ErrorOut);
 }
 
-std::string serve::encodeLeaseLedger(const LeaseLedgerMsg &Msg) {
-  return encodeMessage(LeaseLedgerTag, [&](ByteWriter &W) {
-    W.u64(Msg.NextJobId);
-    W.u32(static_cast<uint32_t>(Msg.Entries.size()));
-    for (const LeaseEntry &Entry : Msg.Entries) {
-      W.u64(Entry.JobId);
-      W.u64(Entry.Generation);
-      W.u8(static_cast<uint8_t>(Entry.State));
-      W.u64(Entry.Worker);
-      W.u64(Entry.DeadlineMs);
-    }
-  });
+//===----------------------------------------------------------------------===//
+// Framing
+//===----------------------------------------------------------------------===//
+
+std::string serve::frameMessage(const std::string &Message) {
+  ByteWriter W;
+  W.u64(Message.size());
+  return W.take() + Message;
 }
 
-bool serve::decodeLeaseLedger(const std::string &Bytes, LeaseLedgerMsg &Out,
-                              std::string &ErrorOut) {
-  return decodeMessage(
-      Bytes, LeaseLedgerTag,
-      [&](ByteReader &R) {
-        uint32_t EntryCount = 0;
-        if (!R.u64(Out.NextJobId) || !R.u32(EntryCount) ||
-            !R.checkCount(EntryCount, 33))
-          return false;
-        Out.Entries.assign(EntryCount, LeaseEntry{});
-        for (LeaseEntry &Entry : Out.Entries) {
-          uint8_t State = 0;
-          if (!R.u64(Entry.JobId) || !R.u64(Entry.Generation) ||
-              !R.u8(State) || !R.u64(Entry.Worker) ||
-              !R.u64(Entry.DeadlineMs))
-            return false;
-          if (State > static_cast<uint8_t>(LeaseState::Done))
-            return R.failAt("unknown lease state " + std::to_string(State));
-          Entry.State = static_cast<LeaseState>(State);
-        }
-        return true;
-      },
-      ErrorOut);
+FrameStatus serve::takeFrame(std::string &Buffer, std::string &Out,
+                             std::string &ErrorOut) {
+  ByteReader R(Buffer);
+  uint64_t Length = 0;
+  if (!R.u64(Length))
+    return FrameStatus::Incomplete;
+  if (Length > MaxFrameBytes) {
+    ErrorOut = "frame of " + std::to_string(Length) +
+               " bytes exceeds the limit of " + std::to_string(MaxFrameBytes);
+    return FrameStatus::Invalid;
+  }
+  if (R.remaining() < Length)
+    return FrameStatus::Incomplete;
+  Out.assign(Buffer, sizeof(uint64_t), Length);
+  Buffer.erase(0, sizeof(uint64_t) + Length);
+  return FrameStatus::Complete;
+}
+
+ssize_t serve::readSome(int Fd, std::string &Buffer) {
+  char Chunk[1 << 16];
+  ssize_t Got;
+  do
+    Got = ::read(Fd, Chunk, sizeof(Chunk));
+  while (Got < 0 && errno == EINTR);
+  if (Got > 0)
+    Buffer.append(Chunk, static_cast<size_t>(Got));
+  return Got;
+}
+
+bool serve::readFrame(int Fd, std::string &Buffer, std::string &Out,
+                      std::string &ErrorOut) {
+  for (;;) {
+    switch (takeFrame(Buffer, Out, ErrorOut)) {
+    case FrameStatus::Complete:
+      return true;
+    case FrameStatus::Invalid:
+      return false;
+    case FrameStatus::Incomplete:
+      break;
+    }
+    const ssize_t Got = readSome(Fd, Buffer);
+    if (Got > 0)
+      continue;
+    if (Got < 0)
+      ErrorOut = std::string("read failed: ") + std::strerror(errno);
+    else if (!Buffer.empty())
+      ErrorOut = "stream ended inside a frame";
+    return false;
+  }
+}
+
+bool serve::sendAll(int Fd, const std::string &Bytes, std::string &ErrorOut) {
+  for (size_t Sent = 0; Sent < Bytes.size();) {
+    const ssize_t N =
+        ::send(Fd, Bytes.data() + Sent, Bytes.size() - Sent, MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0) {
+      ErrorOut = std::string("send failed: ") + std::strerror(errno);
+      return false;
+    }
+    Sent += static_cast<size_t>(N);
+  }
+  return true;
 }

@@ -10,9 +10,7 @@
 /// checksummed container, holding exactly one section: a four-character
 /// tag naming the message kind, whose payload starts with the protocol
 /// version (u32) and continues with the message body, all in the store's
-/// little-endian serde (support/BinaryIO.h). Today messages travel as
-/// files in `<store>/serve/`; a socket transport would carry the same
-/// bytes.
+/// little-endian serde (support/BinaryIO.h).
 ///
 /// Decoding refuses, with a diagnostic and never undefined behaviour: any
 /// bit flip, truncation or stray append (the container's checksum and
@@ -20,13 +18,13 @@
 /// other protocol version (checked exactly, so an older layout is never
 /// misparsed), and a body with bytes left over.
 ///
-/// The messages cover the whole deployment conversation: the coordinator
-/// publishes one WorkerConfig (the campaign policy a worker must
-/// replicate bit-exactly), workers announce themselves with WorkerHello,
-/// ShardJob/ShardResult carry the leased unit of work and its
-/// evaluations (reusing the store's TestEvaluation codec, so a shard
-/// result is byte-for-byte what the coordinator checkpoints), and
-/// LeaseLedger is the crash-safe lease table itself.
+/// The conversation over one worker's socket: the coordinator sends one
+/// WorkerConfig (the campaign policy the worker must replicate
+/// bit-exactly), then ShardJobs; the worker answers each job, in order,
+/// with a ShardResult (its evaluations, reusing the store's
+/// TestEvaluation codec, so a shard result is byte-for-byte what the
+/// coordinator checkpoints). On the stream each message travels as one
+/// frame: a u64 little-endian length, then the message bytes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,12 +38,14 @@
 #include <string>
 #include <vector>
 
+#include <sys/types.h>
+
 namespace spvfuzz {
 namespace serve {
 
 /// The wire version this build speaks. Bump on any incompatible message
 /// change; decoders refuse every other version.
-inline constexpr uint32_t ShardProtocolVersion = 3;
+inline constexpr uint32_t ShardProtocolVersion = 4;
 
 /// What a worker needs to replicate the coordinator's campaign: the
 /// policy (its result-shaping fields travel, the ones
@@ -57,83 +57,25 @@ struct WorkerConfigMsg {
   std::string CampaignId;
   ExecutionPolicy Policy;
   bool FaultyFleet = false;
-  /// Lease time-to-live workers request when leasing, in milliseconds.
-  uint64_t LeaseTtlMs = 0;
 };
 
 /// The worker config that replicates \p Policy on the standard or the
 /// faulty fleet, carrying the campaign id they map to.
 WorkerConfigMsg workerConfigFor(const ExecutionPolicy &Policy,
-                                bool FaultyFleet, uint64_t LeaseTtlMs);
+                                bool FaultyFleet);
 
 /// The fleet a worker config names (empty, i.e. standard, or faulty).
 TargetFleet fleetFor(const WorkerConfigMsg &Config);
 
-/// A worker announcing itself (written once at startup).
-struct WorkerHelloMsg {
-  uint64_t Worker = 0;
-  uint64_t Pid = 0;
-};
-
-/// One leased unit of work: a ShardRequest plus its ledger identity.
-/// Generation fences stale completions — a shard re-leased after a lease
-/// expiry carries a bumped generation, and results tagged with an older
-/// one are ignored.
-struct ShardJobMsg {
-  uint64_t JobId = 0;
-  uint64_t Generation = 0;
-  std::string CampaignId;
-  ShardRequest Request;
-};
-
-/// A computed shard: the evaluations in test-index order, plus the mask
-/// digest the worker computed under (cross-checked by the coordinator)
-/// and an optional per-shard metrics-counter delta (metricsToJson) the
+/// A computed shard: the evaluations in test-index order, plus an
+/// optional per-shard metrics-counter delta (metricsToJson) the
 /// coordinator folds into its registry so counter totals equal a serial
-/// run's.
+/// run's. Which wave, under which mask, is the coordinator's to know: it
+/// is the oldest job the worker has not answered yet.
 struct ShardResultMsg {
-  uint64_t JobId = 0;
-  uint64_t Generation = 0;
-  uint64_t Worker = 0;
-  std::string CampaignId;
-  std::string Phase;
-  uint64_t WaveStart = 0;
-  uint64_t WaveEnd = 0;
-  uint64_t MaskDigest = 0;
   std::vector<TestEvaluation> Evals;
   std::string MetricsJson;
 };
-
-/// Lease ledger entry states. Queued entries are up for lease; Leased
-/// entries revert to Queued (with a bumped generation) when their
-/// deadline passes; Done entries are folded or foldable.
-enum class LeaseState : uint8_t {
-  Queued = 0,
-  Leased = 1,
-  Done = 2,
-};
-
-struct LeaseEntry {
-  uint64_t JobId = 0;
-  uint64_t Generation = 0;
-  LeaseState State = LeaseState::Queued;
-  /// Worker currently holding the lease (meaningful when Leased/Done).
-  uint64_t Worker = 0;
-  /// Lease expiry in coordinator-clock milliseconds (CLOCK_MONOTONIC,
-  /// shared across local processes).
-  uint64_t DeadlineMs = 0;
-};
-
-/// The whole lease table, rewritten atomically under the ledger lock.
-struct LeaseLedgerMsg {
-  uint64_t NextJobId = 1;
-  std::vector<LeaseEntry> Entries;
-};
-
-/// Digest of a quarantine mask (the Sidelined name list, order-
-/// sensitive), used to cross-check that a worker computed a shard under
-/// the mask the coordinator's serial fold expects.
-uint64_t sidelinedDigest(const std::vector<std::string> &Sidelined);
 
 // --- Message codecs ----------------------------------------------------
 //
@@ -145,21 +87,52 @@ std::string encodeWorkerConfig(const WorkerConfigMsg &Msg);
 bool decodeWorkerConfig(const std::string &Bytes, WorkerConfigMsg &Out,
                         std::string &ErrorOut);
 
-std::string encodeWorkerHello(const WorkerHelloMsg &Msg);
-bool decodeWorkerHello(const std::string &Bytes, WorkerHelloMsg &Out,
-                       std::string &ErrorOut);
-
-std::string encodeShardJob(const ShardJobMsg &Msg);
-bool decodeShardJob(const std::string &Bytes, ShardJobMsg &Out,
+/// A shard job is the engine's ShardRequest, nothing more.
+std::string encodeShardJob(const ShardRequest &Request);
+bool decodeShardJob(const std::string &Bytes, ShardRequest &Out,
                     std::string &ErrorOut);
 
 std::string encodeShardResult(const ShardResultMsg &Msg);
 bool decodeShardResult(const std::string &Bytes, ShardResultMsg &Out,
                        std::string &ErrorOut);
 
-std::string encodeLeaseLedger(const LeaseLedgerMsg &Msg);
-bool decodeLeaseLedger(const std::string &Bytes, LeaseLedgerMsg &Out,
-                       std::string &ErrorOut);
+// --- Framing -----------------------------------------------------------
+
+/// The largest message a frame may carry. A longer declared length is
+/// refused before anything is allocated for it.
+inline constexpr uint64_t MaxFrameBytes = uint64_t(64) << 20;
+
+/// \p Message behind its u64 little-endian length.
+std::string frameMessage(const std::string &Message);
+
+enum class FrameStatus {
+  /// A whole frame was taken off the buffer.
+  Complete,
+  /// The buffer holds only a prefix of the next frame (possibly none).
+  Incomplete,
+  /// The next frame declares a length above MaxFrameBytes.
+  Invalid,
+};
+
+/// Moves the message of the first whole frame in \p Buffer into \p Out
+/// and drops that frame from the buffer.
+FrameStatus takeFrame(std::string &Buffer, std::string &Out,
+                      std::string &ErrorOut);
+
+/// Appends what one read(2) of \p Fd returns to \p Buffer (retrying
+/// EINTR): the byte count, 0 at end of stream, -1 on error.
+ssize_t readSome(int Fd, std::string &Buffer);
+
+/// Blocks until the next whole frame from \p Fd is in \p Buffer and takes
+/// it into \p Out. False at end of stream, with \p ErrorOut empty when the
+/// stream ended between frames and set when it cut a frame short, and on
+/// a read error or an oversized frame.
+bool readFrame(int Fd, std::string &Buffer, std::string &Out,
+               std::string &ErrorOut);
+
+/// Writes all of \p Bytes to the socket \p Fd with MSG_NOSIGNAL, so a
+/// closed peer is an error return (EPIPE), never SIGPIPE.
+bool sendAll(int Fd, const std::string &Bytes, std::string &ErrorOut);
 
 } // namespace serve
 } // namespace spvfuzz

@@ -415,6 +415,7 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
     ErrorOut = "config digest mismatch for campaign " + Store->CampaignId;
     return nullptr;
   }
+  Store->Found = Existing != nullptr;
 
   // Reload this campaign's reduction records from its checkpoints so
   // bucket counts survive reopen even before the next save.
@@ -952,6 +953,8 @@ bool CampaignStore::loadMetrics(telemetry::MetricsSnapshot &Out,
 }
 
 void CampaignStore::restoreMetrics() const {
+  if (!Found)
+    return;
   telemetry::MetricsSnapshot Snapshot;
   std::string Error;
   if (loadMetrics(Snapshot, Error))

@@ -112,6 +112,10 @@ public:
   const std::string &dir() const { return Root; }
   const std::string &campaignId() const { return CampaignId; }
   const StoreManifest &manifest() const { return Manifest; }
+  /// Whether open() found this campaign in the manifest, i.e. the run
+  /// continues a campaign the store records rather than starting one.
+  /// The store's journal and metrics.json belong to it only then.
+  bool foundCampaign() const { return Found; }
 
   // --- CampaignCheckpointer ------------------------------------------------
 
@@ -180,7 +184,9 @@ public:
   std::vector<std::string> corpusFiles() const;
 
   /// Restores persisted telemetry (checkpoint/metrics.json) into the
-  /// global metrics registry; no-op if none was saved yet.
+  /// global metrics registry; no-op if none was saved yet or the store
+  /// does not record this campaign (foundCampaign), whose run never wrote
+  /// it.
   void restoreMetrics() const;
 
   /// Reads the persisted telemetry snapshot; false if none was saved.
@@ -205,6 +211,7 @@ private:
   std::string Root;
   std::string CampaignId;
   std::string ConfigDigest;
+  bool Found = false;
   StoreManifest Manifest;
   /// Reduction records per phase key, accumulated from checkpoint saves
   /// (and reloaded from disk at open), the source of bucket counts.

@@ -1,4 +1,4 @@
-//===- tests/ServeProtocolTest.cpp - Shard protocol + lease ledger --------===//
+//===- tests/ServeProtocolTest.cpp - Shard protocol and framing -----------===//
 //
 // Part of the spirv-fuzz reproduction. MIT licensed.
 //
@@ -10,13 +10,12 @@
 /// prefix, any trailing append, a doubled message, a message of another
 /// kind and a correctly checksummed message of another protocol version
 /// are each rejected with a diagnostic (never a crash, never a silent
-/// misparse); and the lease ledger walks its Queued → Leased → Done state
-/// machine with generation fencing exactly as serve/LeaseLedger.h
-/// documents.
+/// misparse); and the length-prefixed framing yields exactly the whole
+/// frames of a stream cut at any byte, refuses an oversized length before
+/// allocating, and ends cleanly only between frames.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "serve/LeaseLedger.h"
 #include "serve/ShardProtocol.h"
 #include "store/CampaignStore.h"
 #include "store/Serde.h"
@@ -25,22 +24,13 @@
 
 #include <functional>
 
-#include <sys/stat.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace spvfuzz;
 using namespace spvfuzz::serve;
 
 namespace {
-
-std::string uniqueDir(const std::string &Hint) {
-  static int Counter = 0;
-  std::string Dir = ::testing::TempDir() + "spvfuzz-serve-" + Hint + "-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(Counter++);
-  ::mkdir(Dir.c_str(), 0755);
-  return Dir;
-}
 
 WorkerConfigMsg sampleConfig() {
   return workerConfigFor(
@@ -54,34 +44,23 @@ WorkerConfigMsg sampleConfig() {
           .withPostReduce(true)
           .withPostReducePasses(
               {"StripUnusedDefs", "SimplifyReferenceProgram"}),
-      /*FaultyFleet=*/true, /*LeaseTtlMs=*/3000);
+      /*FaultyFleet=*/true);
 }
 
-ShardJobMsg sampleJob() {
-  ShardJobMsg Msg;
-  Msg.JobId = 7;
-  Msg.Generation = 2;
-  Msg.CampaignId = "seed9-ffee";
-  Msg.Request.Phase = "eval/spirv-fuzz/96";
-  Msg.Request.Tool = "spirv-fuzz";
-  Msg.Request.Count = 96;
-  Msg.Request.CrashesOnly = true;
-  Msg.Request.WaveStart = 32;
-  Msg.Request.WaveEnd = 64;
-  Msg.Request.Sidelined = {"Mali-G78", "Pixel-3"};
-  return Msg;
+ShardRequest sampleJob() {
+  ShardRequest Request;
+  Request.Phase = "eval/spirv-fuzz/96";
+  Request.Tool = "spirv-fuzz";
+  Request.Count = 96;
+  Request.CrashesOnly = true;
+  Request.WaveStart = 32;
+  Request.WaveEnd = 64;
+  Request.Sidelined = {"Mali-G78", "Pixel-3"};
+  return Request;
 }
 
 ShardResultMsg sampleResult() {
   ShardResultMsg Msg;
-  Msg.JobId = 7;
-  Msg.Generation = 2;
-  Msg.Worker = 3;
-  Msg.CampaignId = "seed9-ffee";
-  Msg.Phase = "eval/spirv-fuzz/96";
-  Msg.WaveStart = 32;
-  Msg.WaveEnd = 64;
-  Msg.MaskDigest = sidelinedDigest({"Mali-G78"});
   TestEvaluation Eval;
   Eval.Seed = 0xdeadbeef;
   Eval.ReferenceIndex = 4;
@@ -90,24 +69,6 @@ ShardResultMsg sampleResult() {
   Msg.Evals.push_back(Eval);
   Msg.Evals.push_back(TestEvaluation{});
   Msg.MetricsJson = "{\"counters\":{\"exec.runs\":12}}";
-  return Msg;
-}
-
-LeaseLedgerMsg sampleLedger() {
-  LeaseLedgerMsg Msg;
-  Msg.NextJobId = 9;
-  LeaseEntry A;
-  A.JobId = 1;
-  A.Generation = 0;
-  A.State = LeaseState::Done;
-  A.Worker = 2;
-  LeaseEntry B;
-  B.JobId = 2;
-  B.Generation = 3;
-  B.State = LeaseState::Leased;
-  B.Worker = 1;
-  B.DeadlineMs = 123456;
-  Msg.Entries = {A, B};
   return Msg;
 }
 
@@ -132,13 +93,9 @@ std::vector<Kind> allKinds() {
   return {
       {"WorkerConfig", encodeWorkerConfig(sampleConfig()),
        decoder(decodeWorkerConfig)},
-      {"WorkerHello", encodeWorkerHello({42, 31337}),
-       decoder(decodeWorkerHello)},
       {"ShardJob", encodeShardJob(sampleJob()), decoder(decodeShardJob)},
       {"ShardResult", encodeShardResult(sampleResult()),
        decoder(decodeShardResult)},
-      {"LeaseLedger", encodeLeaseLedger(sampleLedger()),
-       decoder(decodeLeaseLedger)},
   };
 }
 
@@ -159,7 +116,6 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
   EXPECT_EQ(Out.Policy.PostReduce, In.Policy.PostReduce);
   EXPECT_EQ(Out.Policy.PostReducePasses, In.Policy.PostReducePasses);
   EXPECT_EQ(Out.FaultyFleet, In.FaultyFleet);
-  EXPECT_EQ(Out.LeaseTtlMs, In.LeaseTtlMs);
 
   // The policy a worker rebuilds from the wire must derive the
   // coordinator's campaign id for every knob campaignConfigDigest hashes,
@@ -184,7 +140,7 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
       const TargetFleet Fleet =
           Faulty ? TargetFleet::faulty() : TargetFleet::standard();
       const std::string Message =
-          encodeWorkerConfig(workerConfigFor(Policy, Faulty, 3000));
+          encodeWorkerConfig(workerConfigFor(Policy, Faulty));
       WorkerConfigMsg Decoded;
       ASSERT_TRUE(decodeWorkerConfig(Message, Decoded, Error))
           << Name << ": " << Error;
@@ -195,37 +151,25 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
     }
 }
 
-TEST(ServeProtocol, WorkerHelloRoundTrips) {
-  WorkerHelloMsg Out;
-  std::string Error;
-  ASSERT_TRUE(decodeWorkerHello(encodeWorkerHello({42, 31337}), Out, Error))
-      << Error;
-  EXPECT_EQ(Out.Worker, 42u);
-  EXPECT_EQ(Out.Pid, 31337u);
-}
-
 TEST(ServeProtocol, ShardJobRoundTrips) {
-  ShardJobMsg In = sampleJob();
-  ShardJobMsg Out;
+  ShardRequest In = sampleJob();
+  ShardRequest Out;
   std::string Error;
   ASSERT_TRUE(decodeShardJob(encodeShardJob(In), Out, Error)) << Error;
-  EXPECT_EQ(Out.JobId, In.JobId);
-  EXPECT_EQ(Out.Generation, In.Generation);
-  EXPECT_EQ(Out.CampaignId, In.CampaignId);
-  EXPECT_EQ(Out.Request.Phase, In.Request.Phase);
-  EXPECT_EQ(Out.Request.Tool, In.Request.Tool);
-  EXPECT_EQ(Out.Request.Count, In.Request.Count);
-  EXPECT_EQ(Out.Request.CrashesOnly, In.Request.CrashesOnly);
-  EXPECT_EQ(Out.Request.WaveStart, In.Request.WaveStart);
-  EXPECT_EQ(Out.Request.WaveEnd, In.Request.WaveEnd);
-  EXPECT_EQ(Out.Request.Sidelined, In.Request.Sidelined);
+  EXPECT_EQ(Out.Phase, In.Phase);
+  EXPECT_EQ(Out.Tool, In.Tool);
+  EXPECT_EQ(Out.Count, In.Count);
+  EXPECT_EQ(Out.CrashesOnly, In.CrashesOnly);
+  EXPECT_EQ(Out.WaveStart, In.WaveStart);
+  EXPECT_EQ(Out.WaveEnd, In.WaveEnd);
+  EXPECT_EQ(Out.Sidelined, In.Sidelined);
 
   // A wave outside the phase is refused, not handed to a worker.
   for (const auto &[Start, End] :
        {std::pair<uint64_t, uint64_t>{64, 32}, {64, 97}}) {
-    ShardJobMsg Bad = In;
-    Bad.Request.WaveStart = Start;
-    Bad.Request.WaveEnd = End;
+    ShardRequest Bad = In;
+    Bad.WaveStart = Start;
+    Bad.WaveEnd = End;
     Error.clear();
     EXPECT_FALSE(decodeShardJob(encodeShardJob(Bad), Out, Error))
         << Start << ".." << End;
@@ -238,12 +182,6 @@ TEST(ServeProtocol, ShardResultRoundTrips) {
   ShardResultMsg Out;
   std::string Error;
   ASSERT_TRUE(decodeShardResult(encodeShardResult(In), Out, Error)) << Error;
-  EXPECT_EQ(Out.JobId, In.JobId);
-  EXPECT_EQ(Out.Generation, In.Generation);
-  EXPECT_EQ(Out.Worker, In.Worker);
-  EXPECT_EQ(Out.CampaignId, In.CampaignId);
-  EXPECT_EQ(Out.Phase, In.Phase);
-  EXPECT_EQ(Out.MaskDigest, In.MaskDigest);
   EXPECT_EQ(Out.MetricsJson, In.MetricsJson);
   ASSERT_EQ(Out.Evals.size(), In.Evals.size());
   EXPECT_EQ(Out.Evals[0].Seed, In.Evals[0].Seed);
@@ -251,20 +189,6 @@ TEST(ServeProtocol, ShardResultRoundTrips) {
   EXPECT_EQ(Out.Evals[0].Signatures, In.Evals[0].Signatures);
   EXPECT_EQ(Out.Evals[0].ToolErrored, In.Evals[0].ToolErrored);
   EXPECT_TRUE(Out.Evals[1].Signatures.empty());
-}
-
-TEST(ServeProtocol, LeaseLedgerRoundTrips) {
-  LeaseLedgerMsg In = sampleLedger();
-  LeaseLedgerMsg Out;
-  std::string Error;
-  ASSERT_TRUE(decodeLeaseLedger(encodeLeaseLedger(In), Out, Error)) << Error;
-  EXPECT_EQ(Out.NextJobId, In.NextJobId);
-  ASSERT_EQ(Out.Entries.size(), In.Entries.size());
-  EXPECT_EQ(Out.Entries[1].JobId, In.Entries[1].JobId);
-  EXPECT_EQ(Out.Entries[1].Generation, In.Entries[1].Generation);
-  EXPECT_EQ(Out.Entries[1].State, In.Entries[1].State);
-  EXPECT_EQ(Out.Entries[1].Worker, In.Entries[1].Worker);
-  EXPECT_EQ(Out.Entries[1].DeadlineMs, In.Entries[1].DeadlineMs);
 }
 
 // Every message decoded as every other kind is refused by its kind tag,
@@ -351,134 +275,110 @@ TEST(ServeProtocol, NewerVersionIsRefused) {
     }
 }
 
-ShardJobMsg ledgerJob(uint64_t JobId, uint64_t Generation = 0) {
-  ShardJobMsg Job = sampleJob();
-  Job.JobId = JobId;
-  Job.Generation = Generation;
-  return Job;
+// Two framed messages in one stream, delivered cut at every byte: the
+// decoder yields exactly the frames that are whole in the prefix, in
+// order and bit-exact, and then reports the rest incomplete — never a
+// misparse, never an error.
+TEST(ServeProtocol, StreamCutAtEveryByteYieldsOnlyWholeFrames) {
+  const std::string First = encodeShardJob(sampleJob());
+  const std::string Second = encodeShardResult(sampleResult());
+  const std::string Stream = frameMessage(First) + frameMessage(Second);
+  const size_t FirstEnd = frameMessage(First).size();
+  for (size_t Cut = 0; Cut <= Stream.size(); ++Cut) {
+    std::string Buffer = Stream.substr(0, Cut), Out, Error;
+    std::vector<std::string> Frames;
+    FrameStatus Status;
+    while ((Status = takeFrame(Buffer, Out, Error)) == FrameStatus::Complete)
+      Frames.push_back(Out);
+    EXPECT_EQ(Status, FrameStatus::Incomplete) << "cut " << Cut << ": "
+                                               << Error;
+    const size_t Whole = Cut == Stream.size() ? 2 : Cut >= FirstEnd ? 1 : 0;
+    ASSERT_EQ(Frames.size(), Whole) << "cut " << Cut;
+    if (Whole >= 1) {
+      EXPECT_EQ(Frames[0], First) << "cut " << Cut;
+    }
+    if (Whole == 2) {
+      EXPECT_EQ(Frames[1], Second);
+    }
+    // What is left is exactly the bytes past the last whole frame.
+    const size_t Consumed = Whole == 0 ? 0 : Whole == 1 ? FirstEnd : Cut;
+    EXPECT_EQ(Buffer, Stream.substr(Consumed, Cut - Consumed))
+        << "cut " << Cut;
+  }
 }
 
-TEST(ServeProtocol, LedgerLeasesLowestQueuedJob) {
-  LeaseLedger Ledger(uniqueDir("lease"));
-  std::string Error;
-  ASSERT_TRUE(Ledger.initialize(Error)) << Error;
-  uint64_t First = 0;
-  ASSERT_TRUE(Ledger.allocateJobIds(3, First, Error)) << Error;
-  EXPECT_EQ(First, 1u);
-  ASSERT_TRUE(Ledger.enqueue(
-                  {ledgerJob(First), ledgerJob(First + 1), ledgerJob(First + 2)},
-                  Error))
-      << Error;
+// A declared length above the cap is refused from the eight length bytes
+// alone: nothing is read or allocated for it, here 1 TiB.
+TEST(ServeProtocol, OversizedFrameIsRefusedBeforeAllocation) {
+  ByteWriter W;
+  W.u64(uint64_t(1) << 40);
+  std::string Buffer = W.take(), Out, Error;
+  EXPECT_EQ(takeFrame(Buffer, Out, Error), FrameStatus::Invalid);
+  EXPECT_NE(Error.find("exceeds"), std::string::npos) << Error;
+  EXPECT_TRUE(Out.empty());
 
-  std::optional<ShardJobMsg> Job;
-  ASSERT_TRUE(Ledger.lease(/*Worker=*/1, /*TtlMs=*/60000, Job, Error))
-      << Error;
-  ASSERT_TRUE(Job.has_value());
-  EXPECT_EQ(Job->JobId, First);
-  ASSERT_TRUE(Ledger.lease(/*Worker=*/2, 60000, Job, Error)) << Error;
-  ASSERT_TRUE(Job.has_value());
-  EXPECT_EQ(Job->JobId, First + 1);
-
-  LeaseLedgerMsg Table;
-  ASSERT_TRUE(Ledger.snapshot(Table, Error)) << Error;
-  ASSERT_EQ(Table.Entries.size(), 3u);
-  EXPECT_EQ(Table.Entries[0].State, LeaseState::Leased);
-  EXPECT_EQ(Table.Entries[0].Worker, 1u);
-  EXPECT_EQ(Table.Entries[1].State, LeaseState::Leased);
-  EXPECT_EQ(Table.Entries[2].State, LeaseState::Queued);
-}
-
-TEST(ServeProtocol, LedgerExpiryBumpsGenerationAndFencesCompletion) {
-  LeaseLedger Ledger(uniqueDir("expiry"));
-  std::string Error;
-  ASSERT_TRUE(Ledger.initialize(Error)) << Error;
-  uint64_t First = 0;
-  ASSERT_TRUE(Ledger.allocateJobIds(1, First, Error)) << Error;
-  ASSERT_TRUE(Ledger.enqueue({ledgerJob(First)}, Error)) << Error;
-
-  // Lease with a zero TTL: immediately stale.
-  std::optional<ShardJobMsg> Job;
-  ASSERT_TRUE(Ledger.lease(1, /*TtlMs=*/0, Job, Error)) << Error;
-  ASSERT_TRUE(Job.has_value());
-  EXPECT_EQ(Job->Generation, 0u);
-
-  std::vector<LeaseEntry> Expired;
-  ASSERT_TRUE(Ledger.expireStale(Expired, Error)) << Error;
-  ASSERT_EQ(Expired.size(), 1u);
-  EXPECT_EQ(Expired[0].Worker, 1u);
-  EXPECT_EQ(Expired[0].Generation, 0u); // pre-bump identity
-
-  // The dead worker's completion arrives late: generation 0 is fenced.
-  ASSERT_TRUE(Ledger.complete(First, /*Generation=*/0, Error)) << Error;
-  LeaseLedgerMsg Table;
-  ASSERT_TRUE(Ledger.snapshot(Table, Error)) << Error;
-  EXPECT_EQ(Table.Entries[0].State, LeaseState::Queued);
-  EXPECT_EQ(Table.Entries[0].Generation, 1u);
-
-  // Re-lease serves the bumped generation; completing with it lands.
-  ASSERT_TRUE(Ledger.lease(2, 60000, Job, Error)) << Error;
-  ASSERT_TRUE(Job.has_value());
-  EXPECT_EQ(Job->Generation, 1u);
-  ASSERT_TRUE(Ledger.complete(First, 1, Error)) << Error;
-  ASSERT_TRUE(Ledger.snapshot(Table, Error)) << Error;
-  EXPECT_EQ(Table.Entries[0].State, LeaseState::Done);
-
-  // Nothing queued any more.
-  ASSERT_TRUE(Ledger.lease(3, 60000, Job, Error)) << Error;
-  EXPECT_FALSE(Job.has_value());
-}
-
-TEST(ServeProtocol, LedgerRequeueReplacesJobFrame) {
-  LeaseLedger Ledger(uniqueDir("requeue"));
-  std::string Error;
-  ASSERT_TRUE(Ledger.initialize(Error)) << Error;
-  uint64_t First = 0;
-  ASSERT_TRUE(Ledger.allocateJobIds(1, First, Error)) << Error;
-  ASSERT_TRUE(Ledger.enqueue({ledgerJob(First)}, Error)) << Error;
-
-  std::optional<ShardJobMsg> Job;
-  ASSERT_TRUE(Ledger.lease(1, 60000, Job, Error)) << Error;
-  ASSERT_TRUE(Job.has_value());
-
-  // Coordinator moves the quarantine mask and force-requeues.
-  ShardJobMsg Updated = ledgerJob(First, /*Generation=*/5);
-  Updated.Request.Sidelined = {"SwiftShader"};
-  ASSERT_TRUE(Ledger.requeue(Updated, Error)) << Error;
-
-  ASSERT_TRUE(Ledger.lease(2, 60000, Job, Error)) << Error;
-  ASSERT_TRUE(Job.has_value());
-  EXPECT_EQ(Job->Generation, 5u);
-  EXPECT_EQ(Job->Request.Sidelined, std::vector<std::string>{"SwiftShader"});
-
-  // The first worker's completion under the old generation is fenced.
-  ASSERT_TRUE(Ledger.complete(First, 0, Error)) << Error;
-  LeaseLedgerMsg Table;
-  ASSERT_TRUE(Ledger.snapshot(Table, Error)) << Error;
-  EXPECT_EQ(Table.Entries[0].State, LeaseState::Leased);
-  EXPECT_EQ(Table.Entries[0].Generation, 5u);
-}
-
-TEST(ServeProtocol, LedgerTornBytesAreRejectedNotMisread) {
-  std::string Dir = uniqueDir("torn");
-  LeaseLedger Ledger(Dir);
-  std::string Error;
-  ASSERT_TRUE(Ledger.initialize(Error)) << Error;
-
-  // Overwrite the ledger with a truncated message, as an outside writer
-  // tearing it would: every operation reports a diagnostic.
-  std::string Valid = encodeLeaseLedger(sampleLedger());
-  FILE *F = fopen(Ledger.ledgerPath().c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  fwrite(Valid.data(), 1, Valid.size() / 2, F);
-  fclose(F);
-
-  LeaseLedgerMsg Table;
-  EXPECT_FALSE(Ledger.snapshot(Table, Error));
-  EXPECT_FALSE(Error.empty());
-  std::optional<ShardJobMsg> Job;
+  ByteWriter AtCap;
+  AtCap.u64(MaxFrameBytes);
+  Buffer = AtCap.take();
   Error.clear();
-  EXPECT_FALSE(Ledger.lease(1, 1000, Job, Error));
+  EXPECT_EQ(takeFrame(Buffer, Out, Error), FrameStatus::Incomplete) << Error;
+}
+
+// Flipping any bit of a framed message never yields the message: a flip
+// in the length makes the frame incomplete, oversized or short of its
+// message, and a flip inside the message is refused by the checksum.
+TEST(ServeProtocol, FrameBitFlipsAreRefused) {
+  const std::string Message = encodeShardResult(sampleResult());
+  const std::string Frame = frameMessage(Message);
+  for (size_t Byte = 0; Byte < Frame.size(); ++Byte)
+    for (int Bit = 0; Bit < 8; ++Bit) {
+      std::string Buffer = Frame, Out, Error;
+      Buffer[Byte] = static_cast<char>(Buffer[Byte] ^ (1 << Bit));
+      if (takeFrame(Buffer, Out, Error) != FrameStatus::Complete)
+        continue;
+      ShardResultMsg Decoded;
+      EXPECT_FALSE(decodeShardResult(Out, Decoded, Error))
+          << "flip survived at byte " << Byte << " bit " << Bit;
+      EXPECT_FALSE(Error.empty());
+    }
+}
+
+// Over a real socket: frames arrive whole however the bytes are split; a
+// stream that ends between frames is a clean end (no diagnostic), and one
+// that ends inside a frame is an error.
+TEST(ServeProtocol, ReadFrameOverASocket) {
+  const std::string Message = encodeShardJob(sampleJob());
+  const std::string Frame = frameMessage(Message);
+  for (const bool Torn : {false, true}) {
+    int Fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+    std::string Error;
+    // Split the frame inside its length word and inside its message.
+    ASSERT_TRUE(sendAll(Fds[1], Frame.substr(0, 3), Error)) << Error;
+    ASSERT_TRUE(sendAll(Fds[1], Frame.substr(3, 20), Error)) << Error;
+    ASSERT_TRUE(sendAll(Fds[1], Frame.substr(23), Error)) << Error;
+    if (Torn) {
+      ASSERT_TRUE(sendAll(Fds[1], Frame.substr(0, Frame.size() / 2), Error));
+    }
+    ::close(Fds[1]);
+
+    std::string Buffer, Out;
+    ASSERT_TRUE(readFrame(Fds[0], Buffer, Out, Error)) << Error;
+    EXPECT_EQ(Out, Message);
+    EXPECT_FALSE(readFrame(Fds[0], Buffer, Out, Error));
+    EXPECT_EQ(Error.empty(), !Torn) << Error;
+    ::close(Fds[0]);
+  }
+
+  // Sending to a socket whose reader is gone fails; it does not raise
+  // SIGPIPE (which would end this test binary).
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+  ::close(Fds[0]);
+  std::string Error;
+  EXPECT_FALSE(sendAll(Fds[1], Frame, Error));
   EXPECT_FALSE(Error.empty());
+  ::close(Fds[1]);
 }
 
 } // namespace

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The scale-out flagship invariant: a campaign distributed over K
-/// workers leasing shards from the ledger produces output byte-identical
-/// to the serial run — same bug stats, same decision journal bytes, same
-/// checkpoint file bytes — including the crash matrix: a worker dying at
-/// every shard boundary, mid-publish (torn result message) and mid-shard
-/// (abandoned lease recovered by expiry). Workers here run in-process on
-/// threads against the same on-disk ledger the real `minispv worker`
-/// processes use; the flock/atomic-rename discipline is identical.
+/// workers produces output byte-identical to the serial run — same bug
+/// stats, same decision journal bytes, same checkpoint file bytes —
+/// including the crash matrix: a worker dying at every shard boundary,
+/// mid-send (torn result frame) and mid-shard (a job taken and never
+/// answered), and a quarantine mask that moves on while waves are out.
+/// Workers here run in-process on threads, each on one end of a
+/// socketpair whose other end the coordinator attaches exactly as it
+/// attaches a spawned `minispv worker` process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 #include <map>
 #include <thread>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -58,8 +60,10 @@ struct RunOutput {
   /// carry wall-clock values, deliberately outside the equivalence
   /// surface).
   std::map<std::string, std::string> Checkpoints;
-  size_t Expiries = 0;
+  size_t Requeues = 0;
   size_t Folded = 0;
+  /// ShardLeased events in serve.jsonl: every time a wave was sent.
+  size_t Sent = 0;
 };
 
 void collectArtifacts(const std::string &Dir, RunOutput &Out) {
@@ -106,17 +110,15 @@ RunOutput runSerial(const std::string &Dir, size_t Tests,
   return Out;
 }
 
-/// A serve-mode run with in-process workers on threads (attach mode:
-/// Workers=0, so the coordinator spawns nothing and the threads play the
-/// worker processes). CollectMetrics stays off — in-process workers share
-/// the global registry with the coordinator, and shipping deltas would
-/// double-count; metric parity is the CLI smoke's job, where workers are
-/// real processes.
+/// A serve-mode run with in-process workers on threads: the coordinator
+/// spawns no process (Workers=0) and attaches one end of a socketpair per
+/// thread. CollectMetrics stays off — in-process workers share the global
+/// registry with the coordinator, and shipping deltas would double-count;
+/// metric parity is the CLI smoke's job, where workers are real
+/// processes.
 RunOutput runServe(const std::string &Dir, size_t Tests,
-                   std::vector<WorkerOptions> Workers,
-                   uint64_t LeaseTtlMs = 60000, bool Faulty = false,
-                   uint32_t QuarantineThreshold = 0,
-                   bool Sequential = false) {
+                   std::vector<WorkerOptions> Workers, bool Faulty = false,
+                   uint32_t QuarantineThreshold = 0) {
   ExecutionPolicy Policy = testPolicy(Dir);
   if (QuarantineThreshold)
     Policy.QuarantineThreshold = QuarantineThreshold;
@@ -138,47 +140,43 @@ RunOutput runServe(const std::string &Dir, size_t Tests,
   Engine.setObserver(&Observer);
 
   ServeOptions SOpts;
-  SOpts.StoreDir = Dir;
-  SOpts.Workers = 0; // attach mode
-  SOpts.PollMs = 2;
-  SOpts.LeaseTtlMs = LeaseTtlMs;
-  SOpts.StallMs = 60000; // in-process workers: inline fallback is a bug
+  SOpts.Workers = 0; // the threads below are the workers
   SOpts.ServeJournal = ServeJournal.get();
-  ServeCoordinator Coordinator(Engine, SOpts);
-
-  EXPECT_TRUE(
-      Coordinator.start(workerConfigFor(Policy, Faulty, LeaseTtlMs), Error))
+  ServeCoordinator Coordinator(SOpts);
+  EXPECT_TRUE(Coordinator.start(workerConfigFor(Policy, Faulty), Error))
       << Error;
   Engine.setShardProvider(&Coordinator);
 
-  auto RunWorker = [Dir](WorkerOptions WO) {
-    WO.StoreDir = Dir;
-    WO.PollMs = 2;
-    ShardWorker Worker(WO);
-    std::string WorkerError;
-    Worker.run(WorkerError);
-  };
   std::vector<std::thread> Threads;
-  if (Sequential) {
-    // One thread: each worker starts when the previous one has exited.
-    Threads.emplace_back([RunWorker, Workers] {
-      for (const WorkerOptions &WO : Workers)
-        RunWorker(WO);
+  for (const WorkerOptions &WO : Workers) {
+    int Fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+    Coordinator.attachWorker(Fds[0], /*Pid=*/0);
+    Threads.emplace_back([WO, Fd = Fds[1]] {
+      ShardWorker Worker(WO);
+      std::string WorkerError;
+      Worker.run(Fd, Fd, WorkerError);
+      ::close(Fd);
     });
-  } else {
-    for (const WorkerOptions &WO : Workers)
-      Threads.emplace_back(RunWorker, WO);
   }
 
   BugFindingConfig Config;
   Config.TestsPerTool = Tests;
   RunOutput Out;
   Out.Data = Engine.runBugFinding(Config);
-  Coordinator.shutdown(); // DONE goes down; idle workers drain and exit
+  Coordinator.shutdown(); // the sockets close; idle workers exit
   for (std::thread &T : Threads)
     T.join();
-  Out.Expiries = Coordinator.leaseExpiries();
+  Out.Requeues = Coordinator.requeues();
   Out.Folded = Coordinator.shardsFolded();
+  ServeJournal->commit();
+  std::string Scheduling;
+  EXPECT_TRUE(readFileBytes(obs::servePathFor(Dir), Scheduling, Error))
+      << Error;
+  for (size_t Pos = 0;
+       (Pos = Scheduling.find("\"ShardLeased\"", Pos)) != std::string::npos;
+       ++Pos)
+    ++Out.Sent;
   Journal->commit();
   collectArtifacts(Dir, Out);
   return Out;
@@ -208,17 +206,10 @@ void expectIdentical(const RunOutput &Serial, const RunOutput &Serve,
   }
 }
 
-WorkerOptions workerOpts(uint64_t Id) {
-  WorkerOptions WO;
-  WO.WorkerId = Id;
-  return WO;
-}
-
 TEST(ServeScaleout, TwoWorkersMatchSerial) {
   constexpr size_t Tests = 48;
   RunOutput Serial = runSerial(uniqueDir("serial"), Tests);
-  RunOutput Serve = runServe(uniqueDir("serve2"), Tests,
-                             {workerOpts(1), workerOpts(2)});
+  RunOutput Serve = runServe(uniqueDir("serve2"), Tests, {{}, {}});
   EXPECT_GT(Serve.Folded, 0u);
   expectIdentical(Serial, Serve, "2 workers");
 }
@@ -227,78 +218,96 @@ TEST(ServeScaleout, FourWorkersMatchSerial) {
   constexpr size_t Tests = 48;
   RunOutput Serial = runSerial(uniqueDir("serial4"), Tests);
   RunOutput Serve =
-      runServe(uniqueDir("serve4"), Tests,
-               {workerOpts(1), workerOpts(2), workerOpts(3), workerOpts(4)});
+      runServe(uniqueDir("serve4"), Tests, {{}, {}, {}, {}});
   expectIdentical(Serial, Serve, "4 workers");
 }
 
-// The lease-ledger crash matrix: worker 1 exits cleanly after k shards
-// for every k up to the total shard count (a kill -9 at each shard
-// boundary); worker 2 picks up the remainder. Every run must be
-// byte-identical to the uninterrupted serial run.
+// The crash matrix: worker 1 exits cleanly after k shards for every k up
+// to the total shard count (a kill -9 at each shard boundary); worker 2
+// picks up the remainder. Every run must be byte-identical to the
+// uninterrupted serial run.
 TEST(ServeScaleout, CrashMatrixAtEveryShardBoundary) {
   constexpr size_t Tests = 32; // one wave per tool -> 3 shards total
   RunOutput Serial = runSerial(uniqueDir("cm-serial"), Tests);
   for (uint64_t Boundary = 1; Boundary <= 3; ++Boundary) {
-    WorkerOptions Dying = workerOpts(1);
+    WorkerOptions Dying;
     Dying.MaxShards = Boundary;
-    RunOutput Serve =
-        runServe(uniqueDir("cm-" + std::to_string(Boundary)), Tests,
-                 {Dying, workerOpts(2)});
+    RunOutput Serve = runServe(uniqueDir("cm-" + std::to_string(Boundary)),
+                               Tests, {Dying, {}});
     expectIdentical(Serial, Serve,
                     "death at boundary " + std::to_string(Boundary));
   }
 }
 
-// A worker killed mid-publish leaves a torn result message and an
-// uncompleted lease: the coordinator must reject the message by checksum,
-// fence the generation, and have the shard recomputed.
+// A worker killed mid-send leaves half a result frame before its socket
+// closes: the coordinator must drop the torn bytes, requeue the wave and
+// have it recomputed.
 TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
   constexpr size_t Tests = 32;
   RunOutput Serial = runSerial(uniqueDir("torn-serial"), Tests);
-  WorkerOptions Dying = workerOpts(1);
+  WorkerOptions Dying;
   Dying.MaxShards = 1;
   Dying.TruncateLastResult = true;
-  RunOutput Serve =
-      runServe(uniqueDir("torn-serve"), Tests, {Dying, workerOpts(2)});
+  RunOutput Serve = runServe(uniqueDir("torn-serve"), Tests, {Dying, {}});
+  EXPECT_GT(Serve.Requeues, 0u) << "the torn wave should have been requeued";
   expectIdentical(Serial, Serve, "torn result");
 }
 
-// A worker killed mid-shard holds a lease it will never complete: the
-// coordinator expires it after the TTL, bumps the generation, and the
-// surviving worker recomputes — no shard lost, none double-counted. The
-// survivor starts only once the dying worker has exited; started together,
-// it could lease every remaining shard first, so that nothing is abandoned.
+// A worker killed mid-shard took a job it will never answer: its socket
+// closing requeues the wave and the surviving worker recomputes it — no
+// shard lost, none double-counted. Worker 1 gets each phase's one wave
+// while it is idle, so it is the one holding the second phase's wave.
 TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
   constexpr size_t Tests = 32;
   RunOutput Serial = runSerial(uniqueDir("ab-serial"), Tests);
-  WorkerOptions Dying = workerOpts(1);
+  WorkerOptions Dying;
   Dying.AbandonAfterShards = 1;
-  RunOutput Serve = runServe(uniqueDir("ab-serve"), Tests,
-                             {Dying, workerOpts(2)}, /*LeaseTtlMs=*/100,
-                             /*Faulty=*/false, /*QuarantineThreshold=*/0,
-                             /*Sequential=*/true);
-  EXPECT_GT(Serve.Expiries, 0u)
-      << "the abandoned lease should have expired";
-  expectIdentical(Serial, Serve, "abandoned lease");
+  RunOutput Serve = runServe(uniqueDir("ab-serve"), Tests, {Dying, {}});
+  EXPECT_GT(Serve.Requeues, 0u) << "the abandoned wave should be requeued";
+  expectIdentical(Serial, Serve, "abandoned shard");
 }
 
 // Faulty fleet: quarantine decisions are made in the coordinator's
-// serial fold and move the shard mask mid-phase; workers that computed
-// under a stale mask are re-queued. The decision journal (including
-// TargetQuarantined events) must still match the serial run byte for
-// byte.
+// serial fold and move the shard mask mid-phase; results computed under
+// the stale mask are discarded and the waves recomputed. The decision
+// journal (including TargetQuarantined events) must still match the
+// serial run byte for byte.
 TEST(ServeScaleout, FaultyFleetQuarantineMaskMatchesSerial) {
   constexpr size_t Tests = 64;
   RunOutput Serial = runSerial(uniqueDir("ff-serial"), Tests,
                                /*Faulty=*/true, /*QuarantineThreshold=*/2);
   EXPECT_NE(Serial.Journal.find("TargetQuarantined"), std::string::npos)
       << "expected the faulty fleet to quarantine a target in this run";
-  RunOutput Serve =
-      runServe(uniqueDir("ff-serve"), Tests, {workerOpts(1), workerOpts(2)},
-               /*LeaseTtlMs=*/60000, /*Faulty=*/true,
-               /*QuarantineThreshold=*/2);
+  RunOutput Serve = runServe(uniqueDir("ff-serve"), Tests, {{}, {}},
+                             /*Faulty=*/true, /*QuarantineThreshold=*/2);
+  // Each phase's two waves go out together, so a quarantine decided in
+  // the fold of a phase's first wave finds the second one sent under the
+  // old mask: it is sent again, and nothing was requeued for a death.
+  EXPECT_GT(Serve.Sent, Serve.Folded) << "no wave was resent under a new mask";
+  EXPECT_EQ(Serve.Requeues, 0u);
   expectIdentical(Serial, Serve, "faulty fleet");
+}
+
+// A worker refuses a config whose campaign id its own build does not
+// derive from the policy it carries, naming both ids, before any job.
+TEST(ServeScaleout, WorkerRefusesAForeignCampaignId) {
+  WorkerConfigMsg Config = workerConfigFor(testPolicy(""), false);
+  const std::string Derived = Config.CampaignId;
+  Config.CampaignId = "seed77-0123456789abcdef";
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds), 0);
+  std::string Error;
+  ASSERT_TRUE(
+      sendAll(Fds[0], frameMessage(encodeWorkerConfig(Config)), Error))
+      << Error;
+  ShardWorker Worker({});
+  EXPECT_EQ(Worker.run(Fds[1], Fds[1], Error), 1);
+  EXPECT_NE(Error.find("campaign id mismatch"), std::string::npos) << Error;
+  EXPECT_NE(Error.find(Config.CampaignId), std::string::npos) << Error;
+  EXPECT_NE(Error.find(Derived), std::string::npos) << Error;
+  EXPECT_EQ(Worker.shardsCompleted(), 0u);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
 }
 
 TEST(ServeScaleout, MergeFromDirectoryFoldsEveryStore) {

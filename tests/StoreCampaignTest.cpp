@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "store/CampaignStore.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -322,6 +323,52 @@ TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
   Store = CampaignStore::open(Dir, Resumed, TargetFleet::faulty(), Error);
   ASSERT_NE(Store, nullptr) << Error;
   EXPECT_TRUE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+}
+
+// The persisted metrics are per store, so a resume restores them only
+// for a campaign the store records. Resuming a faulty-fleet store on the
+// standard fleet starts a campaign of its own, which must not count the
+// faulty run's tests as its own.
+TEST(StoreCampaign, ResumeRestoresMetricsOnlyForARecordedCampaign) {
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  Metrics.reset();
+  Metrics.setEnabled(true);
+  const ExecutionPolicy Policy = policyFor(5, 1);
+  const std::string Dir = uniqueDir("foreign-metrics");
+  std::string Error;
+  {
+    std::unique_ptr<CampaignStore> Store =
+        CampaignStore::open(Dir, Policy, TargetFleet::faulty(), Error);
+    ASSERT_NE(Store, nullptr) << Error;
+    EXPECT_FALSE(Store->foundCampaign());
+    CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{},
+                          TargetFleet::faulty());
+    Engine.setCheckpointer(Store.get());
+    BugFindingConfig Config;
+    Config.TestsPerTool = 8;
+    Engine.runBugFinding(Config);
+  }
+  const uint64_t FaultyTests = Metrics.counterValue("campaign.tests");
+  ASSERT_GT(FaultyTests, 0u);
+
+  ExecutionPolicy Resumed = Policy;
+  Resumed.withResume(true);
+  Metrics.reset();
+  std::unique_ptr<CampaignStore> Store =
+      CampaignStore::open(Dir, Resumed, TargetFleet::standard(), Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_FALSE(Store->foundCampaign());
+  Store->restoreMetrics();
+  EXPECT_EQ(Metrics.counterValue("campaign.tests"), 0u);
+
+  // Resuming the recorded campaign does restore its metrics.
+  Store = CampaignStore::open(Dir, Resumed, TargetFleet::faulty(), Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  EXPECT_TRUE(Store->foundCampaign());
+  Store->restoreMetrics();
+  EXPECT_EQ(Metrics.counterValue("campaign.tests"), FaultyTests);
+  Metrics.reset();
+  Metrics.setEnabled(false);
 }
 
 std::string bucketTable(const CampaignStore &Store) {

@@ -31,13 +31,10 @@
 ///                    [--post-reduce] [--post-passes P1,P2,...]
 ///                    [--store DIR [--resume] [--checkpoint-interval N]
 ///                     [--deterministic-journal] [--triage]]
-///   minispv serve    --store DIR [--workers K] [--worker-jobs N]
-///                    [--lease-ttl-ms N] [--poll-ms N] [--stall-ms N]
+///   minispv serve    [--workers K] [--worker-jobs N]
 ///                    [--kill-worker-after N] [--minispv PATH]
 ///                    [+ campaign flags except --deadline-ms]
-///   minispv worker   --store DIR --worker-id N [--jobs N] [--poll-ms N]
-///                    [--config-wait-ms N] [--max-shards N]
-///                    [--abandon-after N] [--truncate-last-result]
+///   minispv worker   [--jobs N]
 ///   minispv triage   --store DIR [--jobs N]
 ///   minispv targets  [--faulty-fleet]
 ///   minispv report   (metrics.json... | --store DIR) [--trace t.jsonl]
@@ -61,12 +58,13 @@
 /// where it stopped — with byte-identical stdout to an uninterrupted run.
 /// `db` is the cross-campaign triage CLI over such a store.
 ///
-/// `serve` is the multi-process form of `campaign --store`: the
-/// coordinator spawns K `worker` processes that lease scheduling waves
-/// from a crash-safe ledger under the store (see serve/LeaseLedger.h) and
-/// folds their results back serially — stdout, the bug database, the
-/// decision journal and the metrics counters are byte-identical to the
-/// single-process run, even when a worker is killed mid-wave.
+/// `serve` is the multi-process form of `campaign`: the coordinator
+/// spawns K `worker` processes, each on one end of a socketpair as its
+/// stdin and stdout, hands them scheduling waves over those sockets (see
+/// serve/Coordinator.h) and folds their results back serially — stdout,
+/// the bug database, the decision journal and the metrics counters are
+/// byte-identical to the single-process run, even when a worker is killed
+/// mid-wave.
 /// Module files use the textual assembly of ir/Text.h; input files hold
 /// one "binding kind value" triple per line (e.g. "0 int 7", "2 bool
 /// true"); sequence files hold one serialized transformation per line.
@@ -115,6 +113,8 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+
+#include <unistd.h>
 
 using namespace spvfuzz;
 using cli::Args;
@@ -568,12 +568,9 @@ int cmdCampaign(const Args &A, bool Serve) {
     Store = CampaignStore::open(Policy.StorePath, Policy, Fleet, Error);
     if (!Store)
       fail(Error);
-    if (Policy.Resume)
-      Store->restoreMetrics();
+    Store->restoreMetrics();
   } else if (A.has("resume")) {
     fail("--resume requires --store");
-  } else if (Serve) {
-    fail("serve requires --store (the lease ledger lives under it)");
   }
   if (A.has("deterministic-journal") && !Store)
     fail("--deterministic-journal requires --store");
@@ -589,7 +586,10 @@ int cmdCampaign(const Args &A, bool Serve) {
   std::unique_ptr<obs::JournalObserver> JournalObs;
   if (Store) {
     std::string Error;
-    Journal = obs::JournalWriter::open(Policy.StorePath, Policy.Resume,
+    // The journal is per store: it continues only a campaign the store
+    // already records, and starts afresh for any other.
+    Journal = obs::JournalWriter::open(Policy.StorePath,
+                                       Store->foundCampaign(),
                                        A.has("deterministic-journal"), Error);
     if (!Journal)
       fail(Error);
@@ -613,39 +613,33 @@ int cmdCampaign(const Args &A, bool Serve) {
   if (JournalObs)
     Engine.setObserver(JournalObs.get());
 
-  // Serve mode: deploy the lease ledger + worker config under the store,
-  // spawn the workers, and let the coordinator source each wave. The
-  // scheduling journal (serve.jsonl) is separate from the decision
-  // journal so the latter stays diffable across worker counts.
+  // Serve mode: spawn the workers and let the coordinator source each
+  // wave. A durable run's scheduling journal (serve.jsonl) is separate
+  // from the decision journal so the latter stays diffable across worker
+  // counts.
   std::unique_ptr<obs::JournalWriter> ServeJournal;
   std::unique_ptr<serve::ServeCoordinator> Coordinator;
   if (Serve) {
     std::string Error;
-    ServeJournal = obs::JournalWriter::openAt(
-        obs::servePathFor(Policy.StorePath), /*Resume=*/false,
-        A.has("deterministic-journal"), Error);
-    if (!ServeJournal)
-      fail(Error);
+    if (Store) {
+      ServeJournal = obs::JournalWriter::openAt(
+          obs::servePathFor(Policy.StorePath), /*Resume=*/false,
+          A.has("deterministic-journal"), Error);
+      if (!ServeJournal)
+        fail(Error);
+    }
     serve::ServeOptions SOpts;
-    SOpts.StoreDir = Policy.StorePath;
     SOpts.Workers = A.number("workers", 2);
     SOpts.WorkerJobs = A.number("worker-jobs", 1);
     SOpts.MinispvPath = A.get("minispv", "/proc/self/exe");
-    SOpts.LeaseTtlMs = A.number("lease-ttl-ms", 3000);
-    SOpts.PollMs = A.number("poll-ms", 10);
-    SOpts.StallMs = A.number("stall-ms", 0);
     SOpts.KillWorkerAfterShards = A.number("kill-worker-after", 0);
     SOpts.ServeJournal = ServeJournal.get();
-    Coordinator =
-        std::make_unique<serve::ServeCoordinator>(Engine, SOpts);
-    if (!Coordinator->start(
-            serve::workerConfigFor(Policy, FaultyFleet, SOpts.LeaseTtlMs),
-            Error))
+    Coordinator = std::make_unique<serve::ServeCoordinator>(SOpts);
+    if (!Coordinator->start(serve::workerConfigFor(Policy, FaultyFleet),
+                            Error))
       fail(Error);
     Engine.setShardProvider(Coordinator.get());
-    fprintf(stderr, "serve: %zu worker(s), lease ttl %llu ms\n",
-            SOpts.Workers,
-            static_cast<unsigned long long>(SOpts.LeaseTtlMs));
+    fprintf(stderr, "serve: %zu worker(s)\n", SOpts.Workers);
   }
 
   // Scheduling facts (jobs, resume) go to stderr: stdout carries only the
@@ -656,7 +650,8 @@ int cmdCampaign(const Args &A, bool Serve) {
           Config.TestsPerTool,
           static_cast<unsigned long long>(Policy.Seed),
           Policy.TransformationLimit, Policy.Jobs,
-          Store ? (Policy.Resume ? ", resuming" : ", durable") : "");
+          Store ? (Store->foundCampaign() ? ", resuming" : ", durable")
+                : "");
   BugFindingData Data = Engine.runBugFinding(Config);
 
   size_t TotalDistinct = 0;
@@ -699,14 +694,13 @@ int cmdCampaign(const Args &A, bool Serve) {
                                  triage::TriageOptions{}.withJobs(Policy.Jobs));
   }
 
-  // Drain the deployment before sealing: DONE goes down, workers exit
-  // and are reaped. Scheduling facts stay on stderr; stdout above is
-  // byte-identical to the single-process run.
+  // Drain the deployment before sealing: the workers' sockets close, and
+  // they exit and are reaped. Scheduling facts stay on stderr; stdout
+  // above is byte-identical to the single-process run.
   if (Coordinator) {
     Coordinator->shutdown();
-    fprintf(stderr, "serve: folded %zu shard(s), %zu lease expir%s\n",
-            Coordinator->shardsFolded(), Coordinator->leaseExpiries(),
-            Coordinator->leaseExpiries() == 1 ? "y" : "ies");
+    fprintf(stderr, "serve: folded %zu shard(s), %zu requeued\n",
+            Coordinator->shardsFolded(), Coordinator->requeues());
   }
 
   if (Engine.deadlineExpired())
@@ -747,32 +741,23 @@ int cmdCampaign(const Args &A, bool Serve) {
   return 0;
 }
 
-/// The worker side of `minispv serve`. Normally spawned by the
-/// coordinator; the extra flags are the crash-matrix hooks (die at a
-/// shard boundary, die mid-publish, die holding a lease).
+/// The worker side of `minispv serve`, spawned by the coordinator with
+/// its socket as stdin and stdout; stderr is the coordinator's.
 int cmdWorker(const Args &A) {
   serve::WorkerOptions Opts;
-  Opts.StoreDir = A.require("store");
-  Opts.WorkerId = A.number("worker-id", 1);
   Opts.Jobs = A.number("jobs", 1);
-  Opts.PollMs = A.number("poll-ms", Opts.PollMs);
-  Opts.ConfigWaitMs = A.number("config-wait-ms", Opts.ConfigWaitMs);
-  Opts.MaxShards = A.number("max-shards", 0);
-  Opts.TruncateLastResult = A.has("truncate-last-result");
-  Opts.AbandonAfterShards = A.number("abandon-after", 0);
   // A worker process has its own registry, so shipping per-shard counter
   // deltas is safe (and required for coordinator totals to match serial).
   Opts.CollectMetrics = true;
   serve::ShardWorker Worker(Opts);
   std::string Error;
-  int Code = Worker.run(Error);
+  int Code = Worker.run(STDIN_FILENO, STDOUT_FILENO, Error);
   if (Code != 0)
-    fprintf(stderr, "minispv: worker %llu: %s\n",
-            static_cast<unsigned long long>(Opts.WorkerId), Error.c_str());
+    fprintf(stderr, "minispv: worker %d: %s\n", static_cast<int>(::getpid()),
+            Error.c_str());
   else
-    fprintf(stderr, "worker %llu: %zu shard(s) completed\n",
-            static_cast<unsigned long long>(Opts.WorkerId),
-            Worker.shardsCompleted());
+    fprintf(stderr, "worker %d: %zu shard(s) completed\n",
+            static_cast<int>(::getpid()), Worker.shardsCompleted());
   return Code;
 }
 
@@ -1175,9 +1160,11 @@ int cmdHelp(const Args &) {
       "  campaign   run a bug-finding campaign in this process\n"
       "             (--store DIR makes it durable/resumable)\n"
       "  serve      the same campaign, scaled out: spawns K worker\n"
-      "             processes leasing waves from DIR/serve; output is\n"
-      "             byte-identical to `campaign` at any worker count\n"
-      "  worker     one scale-out worker (normally spawned by serve)\n"
+      "             processes and hands them waves over one socket\n"
+      "             each; output is byte-identical to `campaign` at any\n"
+      "             worker count\n"
+      "  worker     one scale-out worker on stdin/stdout (spawned by\n"
+      "             serve)\n"
       "  triage     attribute stored bugs to their culprit pass (crash\n"
       "             bisection + miscompilation localization); `campaign\n"
       "             --triage` runs the same post-pass inline\n"
@@ -1196,8 +1183,8 @@ int cmdHelp(const Args &) {
       "  0  success\n"
       "  1  parse/usage/protocol error (unknown or bad flags, malformed\n"
       "     input)\n"
-      "  2  missing input (file, store, or serve deployment not found)\n"
-      "  3  timeout (top/tail --timeout-ms, worker config wait)\n"
+      "  2  missing input (file or store not found)\n"
+      "  3  timeout (top/tail --timeout-ms)\n"
       "  4  bench regression (report --compare)\n");
   return 0;
 }
@@ -1244,14 +1231,9 @@ const std::vector<Command> &commands() {
       {"serve",
        cmdServe,
        concat(CampaignValued,
-              {"workers", "worker-jobs", "minispv", "lease-ttl-ms", "poll-ms",
-               "stall-ms", "kill-worker-after"}),
+              {"workers", "worker-jobs", "minispv", "kill-worker-after"}),
        CampaignSwitches},
-      {"worker",
-       cmdWorker,
-       {"store", "worker-id", "jobs", "poll-ms", "config-wait-ms",
-        "max-shards", "abandon-after"},
-       {"truncate-last-result"}},
+      {"worker", cmdWorker, {"jobs"}, {}},
       {"db", cmdDb, {"store", "budget", "from", "from-dir"}, {}},
       {"triage", cmdTriage, {"store", "jobs"}, {}},
       {"targets", cmdTargets, {}, {"faulty-fleet"}},
