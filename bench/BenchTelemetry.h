@@ -27,6 +27,8 @@
 
 #include "support/Telemetry.h"
 
+#include "CommandLine.h"
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -75,11 +77,9 @@ public:
     if (const char *Path = std::getenv("REPRO_METRICS_OUT")) {
       std::string Error;
       if (!telemetry::writeGlobalMetrics(Path, Error))
-        fprintf(stderr, "warning: failed to write metrics: %s\n",
-                Error.c_str());
-      else
-        fprintf(stderr, "wrote metrics to %s (render with: minispv report)\n",
-                Path);
+        cli::failWith(cli::ExitWriteError, Error);
+      fprintf(stderr, "wrote metrics to %s (render with: minispv report)\n",
+              Path);
     }
   }
 

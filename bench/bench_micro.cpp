@@ -20,6 +20,8 @@
 #include "gen/Generator.h"
 #include "support/Telemetry.h"
 
+#include "CommandLine.h"
+
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -229,10 +231,9 @@ void dumpDispatchThroughput(const char *Path) {
   }
   std::string Error;
   if (!telemetry::writeGlobalMetrics(Path, Error))
-    fprintf(stderr, "warning: failed to write metrics: %s\n", Error.c_str());
-  else
-    fprintf(stderr, "wrote metrics to %s (render with: minispv report)\n",
-            Path);
+    cli::failWith(cli::ExitWriteError, Error);
+  fprintf(stderr, "wrote metrics to %s (render with: minispv report)\n",
+          Path);
 }
 
 } // namespace

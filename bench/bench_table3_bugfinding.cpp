@@ -28,6 +28,7 @@
 #include "campaign/Experiments.h"
 #include "serve/Coordinator.h"
 #include "store/CampaignStore.h"
+#include "support/FileIO.h"
 
 #include "BenchEngine.h"
 #include "BenchTelemetry.h"
@@ -36,8 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-
-#include <sys/stat.h>
 
 using namespace spvfuzz;
 
@@ -115,7 +114,7 @@ int runScaleout(const std::string &Spec, const cli::Args &A) {
     fprintf(stderr, "scaleout: --store DIR is required\n");
     return 2;
   }
-  ::mkdir(StoreDir.c_str(), 0755); // per-run stores live underneath
+  ensureDir(StoreDir); // per-run stores live underneath
   std::string MinispvPath = A.get("minispv");
   if (MinispvPath.empty())
     if (const char *Env = std::getenv("REPRO_MINISPV"))
@@ -163,9 +162,7 @@ int runScaleout(const std::string &Spec, const cli::Args &A) {
   return 0;
 }
 
-} // namespace
-
-int main(int argc, char **argv) {
+int runBench(int argc, char **argv) {
   const cli::Args A(argc - 1, argv + 1,
                     {"", nullptr, {"jobs", "j", "scaleout", "store", "minispv"},
                      {}});
@@ -219,4 +216,14 @@ int main(int argc, char **argv) {
          "overall with very high\nconfidence; spirv-fuzz vs "
          "spirv-fuzz-simple is positive but less clear-cut.\n");
   return 0;
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  try {
+    return runBench(argc, argv);
+  } catch (const FileWriteError &E) {
+    cli::failWith(cli::ExitWriteError, E.what());
+  }
 }

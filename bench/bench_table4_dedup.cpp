@@ -26,6 +26,7 @@
 #include "BenchTelemetry.h"
 #include "opt/BugHost.h"
 #include "store/CampaignStore.h"
+#include "support/FileIO.h"
 #include "triage/Triage.h"
 
 #include <cstdio>
@@ -33,7 +34,9 @@
 
 using namespace spvfuzz;
 
-int main(int argc, char **argv) {
+namespace {
+
+int runBench(int argc, char **argv) {
   const cli::Args A(argc - 1, argv + 1,
                     {"", nullptr, {"jobs", "j", "store"},
                      {"faulty-fleet", "ground-truth", "resume"}});
@@ -209,4 +212,14 @@ int main(int argc, char **argv) {
                       : 1.0);
   }
   return 0;
+}
+
+} // namespace
+
+int main(int argc, char **argv) {
+  try {
+    return runBench(argc, argv);
+  } catch (const FileWriteError &E) {
+    cli::failWith(cli::ExitWriteError, E.what());
+  }
 }

@@ -172,10 +172,13 @@ bool toolErrored(const ScanOutcome &Scan, size_t Slot,
 } // namespace
 
 template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
+  // The observer hears of a checkpoint before it is saved, so a journal
+  // is never behind the store, not even when the save or the journal's
+  // write fails.
   auto checkpoint = [&](size_t NextWave, bool Complete) {
-    Phase.Save(NextWave, Complete);
     if (Observer)
       Observer->onCheckpointSaved(Phase.Key, NextWave);
+    Phase.Save(NextWave, Complete);
   };
   size_t WavesSinceSave = 0;
   for (size_t WaveStart = Phase.StartWave;

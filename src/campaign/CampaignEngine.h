@@ -318,7 +318,9 @@ public:
   virtual void onWaveCommitted(const std::string & /*Phase*/,
                                size_t /*WaveEnd*/, size_t /*Total*/,
                                size_t /*Count*/) {}
-  /// A checkpoint for \p Phase at boundary \p WaveEnd was saved.
+  /// A checkpoint for \p Phase at boundary \p WaveEnd is being saved:
+  /// called just before the checkpointer's save, so an observer that
+  /// records it (the journal) is never behind the checkpointer.
   virtual void onCheckpointSaved(const std::string & /*Phase*/,
                                  size_t /*WaveEnd*/) {}
 };
@@ -437,7 +439,7 @@ private:
   /// phase's parallel compute; serial breaker commits (with
   /// onTargetQuarantined) and the phase's fold, in test-index order;
   /// truncation; onWaveCommitted; and the checkpoint cadence plus the
-  /// final complete checkpoint, each followed by onCheckpointSaved.
+  /// final complete checkpoint, each preceded by onCheckpointSaved.
   /// Returns false when the deadline cut the phase short.
   template <typename PhaseT> bool runWaves(const PhaseT &Phase);
 

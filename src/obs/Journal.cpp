@@ -6,16 +6,12 @@
 
 #include "obs/Journal.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace spvfuzz;
 using namespace spvfuzz::obs;
@@ -300,6 +296,16 @@ std::string obs::journalPathFor(const std::string &StoreDir) {
   return StoreDir + "/journal/events.jsonl";
 }
 
+std::string obs::journalCampaign(const std::string &StoreDir) {
+  std::ifstream In(journalPathFor(StoreDir));
+  std::string Line, Error;
+  JournalEvent Event;
+  if (std::getline(In, Line) && parseJournalLine(Line, Event, Error) &&
+      Event.Kind == JournalEventKind::CampaignStarted)
+    return Event.Campaign;
+  return "";
+}
+
 std::string obs::servePathFor(const std::string &StoreDir) {
   return StoreDir + "/journal/serve.jsonl";
 }
@@ -309,10 +315,6 @@ std::string obs::servePathFor(const std::string &StoreDir) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-bool ensureDir(const std::string &Path) {
-  return ::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST;
-}
 
 uint64_t wallClockUs() {
   return static_cast<uint64_t>(
@@ -327,11 +329,7 @@ std::unique_ptr<JournalWriter> JournalWriter::open(const std::string &StoreDir,
                                                    bool Resume,
                                                    bool Deterministic,
                                                    std::string &Error) {
-  if (!ensureDir(StoreDir + "/journal")) {
-    Error = "cannot create journal directory under '" + StoreDir +
-            "': " + std::strerror(errno);
-    return nullptr;
-  }
+  ensureDir(StoreDir + "/journal");
   return openAt(journalPathFor(StoreDir), Resume, Deterministic, Error);
 }
 
@@ -344,75 +342,48 @@ std::unique_ptr<JournalWriter> JournalWriter::openAt(const std::string &Path,
   Writer->Deterministic = Deterministic;
 
   uint64_t KeepBytes = 0;
-  if (Resume) {
-    // Keep the parseable prefix of any existing journal; a torn or
+  std::string Bytes, Missing;
+  if (Resume && readFileBytes(Path, Bytes, Missing)) {
+    // Keep the parseable prefix of the existing journal; a torn or
     // malformed tail (mid-write crash) is truncated away. A journal from
     // a newer format version is refused rather than extended.
-    std::ifstream In(Writer->Path, std::ios::binary);
-    if (In) {
-      std::string Line;
-      uint64_t Offset = 0;
-      while (std::getline(In, Line)) {
-        if (In.eof() && !In.good())
-          break; // no trailing newline: torn tail
-        uint64_t LineBytes = static_cast<uint64_t>(Line.size()) + 1;
-        if (Line.empty()) {
-          Offset += LineBytes;
-          continue;
+    for (size_t End; (End = Bytes.find('\n', KeepBytes)) != std::string::npos;
+         KeepBytes = End + 1) {
+      if (End == KeepBytes)
+        continue; // blank line
+      JournalEvent Event;
+      std::string LineError;
+      if (!parseJournalLine(Bytes.substr(KeepBytes, End - KeepBytes), Event,
+                            LineError)) {
+        if (LineError.rfind("unsupported journal format version", 0) == 0) {
+          Error = Path + ": " + LineError;
+          return nullptr;
         }
-        JournalEvent Event;
-        std::string LineError;
-        if (!parseJournalLine(Line, Event, LineError)) {
-          if (LineError.rfind("unsupported journal format version", 0) == 0) {
-            Error = Writer->Path + ": " + LineError;
-            return nullptr;
-          }
-          break; // torn/corrupt line: keep the prefix before it
-        }
-        Offset += LineBytes;
-        Writer->Events.push_back(std::move(Event));
-        Writer->LineEnds.push_back(Offset);
+        break; // torn/corrupt line: keep the prefix before it
       }
-      KeepBytes = Offset;
+      Writer->Events.push_back(std::move(Event));
+      Writer->LineEnds.push_back(End + 1);
     }
     if (!Writer->Events.empty())
       Writer->NextSeq = Writer->Events.back().Seq + 1;
   }
 
-  Writer->File = std::fopen(Writer->Path.c_str(), Resume ? "ab" : "wb");
-  if (!Writer->File) {
-    Error = "cannot open '" + Writer->Path +
-            "' for writing: " + std::strerror(errno);
-    return nullptr;
-  }
-  if (Resume) {
-    // Drop the torn tail (no-op when the file already ends cleanly).
-    if (::ftruncate(fileno(Writer->File), static_cast<off_t>(KeepBytes)) !=
-        0) {
-      Error = "cannot truncate '" + Writer->Path +
-              "': " + std::strerror(errno);
-      return nullptr;
-    }
-  }
+  Writer->File.open(Path, /*Truncate=*/!Resume);
+  if (Resume)
+    Writer->File.truncate(KeepBytes); // drops a torn tail, if any
   return Writer;
 }
 
-JournalWriter::~JournalWriter() {
-  if (File) {
-    std::fflush(File);
-    std::fclose(File);
-  }
-}
+JournalWriter::~JournalWriter() = default;
 
 uint64_t JournalWriter::append(JournalEvent Event) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Event.Seq = NextSeq++;
   Event.WallUs = Deterministic ? 0 : wallClockUs();
   std::string Line = serializeJournalEvent(Event) + "\n";
-  if (File) {
-    std::fwrite(Line.data(), 1, Line.size(), File);
-    std::fflush(File);
-  }
+  // Each line reaches the OS as it is appended, for `tail --follow`.
+  File.append(Line);
+  File.flush();
   uint64_t PrevEnd = LineEnds.empty() ? 0 : LineEnds.back();
   LineEnds.push_back(PrevEnd + Line.size());
   uint64_t Seq = Event.Seq;
@@ -422,32 +393,38 @@ uint64_t JournalWriter::append(JournalEvent Event) {
 
 void JournalWriter::commit() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (File) {
-    std::fflush(File);
-    ::fsync(fileno(File));
-  }
+  File.sync();
 }
 
 void JournalWriter::truncateForPhaseResume(const std::string &Phase,
                                            uint64_t StartWave) {
   std::lock_guard<std::mutex> Lock(Mutex);
+  // The checkpoint the phase resumes from was journaled before it was
+  // saved, so its CheckpointSaved line is the last one kept. A second
+  // line at the same wave belongs to the phase's final checkpoint, which
+  // the resumed phase saves (and journals) again.
   size_t Cut = Events.size();
-  for (size_t I = 0; I < Events.size(); ++I)
-    if (Events[I].Phase == Phase && Events[I].Wave > StartWave) {
+  for (size_t I = 0; I < Events.size(); ++I) {
+    const JournalEvent &Event = Events[I];
+    if (Event.Phase != Phase)
+      continue;
+    if (Event.Wave > StartWave) {
       Cut = I;
       break;
     }
+    if (StartWave > 0 && Event.Kind == JournalEventKind::CheckpointSaved &&
+        Event.Wave == StartWave) {
+      Cut = I + 1;
+      break;
+    }
+  }
   if (Cut == Events.size())
     return;
   uint64_t KeepBytes = Cut == 0 ? 0 : LineEnds[Cut - 1];
   Events.resize(Cut);
   LineEnds.resize(Cut);
   NextSeq = Events.empty() ? 0 : Events.back().Seq + 1;
-  if (File) {
-    std::fflush(File);
-    ::ftruncate(fileno(File), static_cast<off_t>(KeepBytes));
-    std::fseek(File, 0, SEEK_END);
-  }
+  File.truncate(KeepBytes);
 }
 
 bool JournalWriter::empty() const {

@@ -22,7 +22,9 @@
 /// Crash safety: lines are flushed to the OS as they are appended and
 /// fsync'd at wave boundaries (JournalWriter::commit), and every append
 /// happens *before* the corresponding store checkpoint save — so after a
-/// crash the journal is always at or ahead of the store. On resume the
+/// crash or a failed write the journal is always at or ahead of the
+/// store. A failed append, fsync or truncation throws FileWriteError
+/// (support/FileIO.h), out of the observer hooks too. On resume the
 /// writer keeps the parseable prefix (a torn tail from a mid-write crash
 /// is truncated away), and the engine's onPhaseStarted callback trims the
 /// journal back to the wave the store actually resumes from; recomputed
@@ -30,7 +32,8 @@
 /// therefore marks a journal as complete: anything after the last
 /// checkpoint of an interrupted run is reproduced, never duplicated.
 ///
-/// The journal covers the most recent campaign run into the store; the
+/// The journal covers the most recent campaign run into the store (the
+/// store parks other campaigns' journals, see CampaignStore::open); the
 /// live monitoring surface (`minispv top` / `minispv tail --follow`)
 /// tails it while the campaign is still running via JournalTailer.
 ///
@@ -40,9 +43,9 @@
 #define OBS_JOURNAL_H
 
 #include "campaign/CampaignEngine.h"
+#include "support/FileIO.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -156,6 +159,11 @@ std::string formatJournalEvent(const JournalEvent &Event);
 /// Path of the journal file inside store directory \p StoreDir.
 std::string journalPathFor(const std::string &StoreDir);
 
+/// The campaign the journal of store \p StoreDir belongs to: the id its
+/// first line, the CampaignStarted event, names ("" without a journal or
+/// such a line). Reads only that line.
+std::string journalCampaign(const std::string &StoreDir);
+
 /// Path of the scale-out scheduling journal (worker/lease events) inside
 /// store directory \p StoreDir. Kept separate from events.jsonl so the
 /// decision stream stays byte-identical across worker counts.
@@ -189,17 +197,21 @@ public:
   JournalWriter &operator=(const JournalWriter &) = delete;
 
   /// Appends one event: assigns Seq (and WallUs unless deterministic),
-  /// writes the line and flushes it to the OS. Returns the assigned Seq.
+  /// writes the line and flushes it to the OS. Returns the assigned Seq;
+  /// a failed write throws FileWriteError.
   uint64_t append(JournalEvent Event);
 
-  /// Durability point: fsyncs the journal file. The engine observer calls
-  /// this at wave boundaries, before the store checkpoint save.
+  /// Durability point: fsyncs the journal file (FileWriteError on
+  /// failure). The engine observer calls this at wave boundaries, before
+  /// the store checkpoint save.
   void commit();
 
   /// Trims the journal for a phase resuming at wave boundary
-  /// \p StartWave: every event of \p Phase with Wave > StartWave — and
-  /// everything after the first such event — is dropped, because the
-  /// engine is about to recompute those waves and re-append their events.
+  /// \p StartWave: everything from the first event of \p Phase with
+  /// Wave > StartWave, or from just past its CheckpointSaved line at
+  /// StartWave, is dropped, because the engine is about to recompute
+  /// those waves (and save the phase's final checkpoint) and re-append
+  /// their events.
   void truncateForPhaseResume(const std::string &Phase, uint64_t StartWave);
 
   bool empty() const;
@@ -212,7 +224,7 @@ private:
   JournalWriter() = default;
 
   std::string Path;
-  FILE *File = nullptr;
+  AppendFile File;
   bool Deterministic = false;
   uint64_t NextSeq = 0;
   mutable std::mutex Mutex;

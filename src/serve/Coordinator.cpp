@@ -7,12 +7,14 @@
 #include "serve/Coordinator.h"
 
 #include "campaign/CampaignEngine.h"
+#include "support/FileIO.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include <poll.h>
 #include <signal.h>
@@ -33,7 +35,15 @@ constexpr size_t WavesPerWorker = 2;
 ServeCoordinator::ServeCoordinator(ServeOptions OptsIn)
     : Opts(std::move(OptsIn)) {}
 
-ServeCoordinator::~ServeCoordinator() { shutdown(); }
+ServeCoordinator::~ServeCoordinator() {
+  // The workers are reaped either way. A serve.jsonl append that fails
+  // here is dropped: the destructor runs when a run ends early, often
+  // while a write error the caller reports is already unwinding.
+  try {
+    shutdown();
+  } catch (const FileWriteError &) {
+  }
+}
 
 size_t ServeCoordinator::liveWorkers() const {
   return static_cast<size_t>(std::count_if(
@@ -80,10 +90,13 @@ void ServeCoordinator::attachWorker(int Fd, pid_t Pid) {
   W.Pid = Pid;
   W.Fd = Fd;
   Peers.push_back(std::move(W));
+  // The config goes out first, so a worker whose attach fails to journal
+  // still reads a well-formed stream: the config, then end of stream.
+  std::string Error;
+  const bool Sent = sendAll(Fd, ConfigFrame, Error);
   journal(obs::JournalEventKind::WorkerAttached, Peers.back().Id,
           static_cast<uint64_t>(Pid));
-  std::string Error;
-  if (!sendAll(Fd, ConfigFrame, Error))
+  if (!Sent)
     reap(Peers.back(), /*Kill=*/true);
 }
 
@@ -206,7 +219,17 @@ void ServeCoordinator::reap(Peer &W, bool Kill) {
   ::close(W.Fd);
   W.Fd = -1;
   W.Buffer.clear();
-  for (const auto &[Job, Start] : W.Held) {
+  // The process is gone before anything is journaled, so a failed
+  // journal append cannot leave it running.
+  if (W.Pid > 0) {
+    if (Kill)
+      ::kill(W.Pid, SIGKILL);
+    int Status = 0;
+    ::waitpid(W.Pid, &Status, 0);
+  }
+  const auto Held = std::move(W.Held);
+  W.Held.clear();
+  for (const auto &[Job, Start] : Held) {
     auto It = Waves.find(Start);
     if (It == Waves.end() || It->second.Job != Job)
       continue;
@@ -215,13 +238,6 @@ void ServeCoordinator::reap(Peer &W, bool Kill) {
     ++Requeues;
     journal(obs::JournalEventKind::LeaseExpired, W.Id, Job,
             &It->second.Request);
-  }
-  W.Held.clear();
-  if (W.Pid > 0) {
-    if (Kill)
-      ::kill(W.Pid, SIGKILL);
-    int Status = 0;
-    ::waitpid(W.Pid, &Status, 0);
   }
   journal(obs::JournalEventKind::WorkerExited, W.Id,
           static_cast<uint64_t>(W.Pid));
@@ -310,7 +326,18 @@ void ServeCoordinator::shutdown() {
   for (Peer &W : Peers)
     if (W.Fd >= 0)
       ::shutdown(W.Fd, SHUT_WR);
+  // Every worker is reaped even when journaling one fails; the first
+  // failure is rethrown after.
+  std::exception_ptr Failure;
   for (Peer &W : Peers)
-    if (W.Fd >= 0)
-      reap(W, /*Kill=*/!W.Held.empty());
+    if (W.Fd >= 0) {
+      try {
+        reap(W, /*Kill=*/!W.Held.empty());
+      } catch (const FileWriteError &) {
+        if (!Failure)
+          Failure = std::current_exception();
+      }
+    }
+  if (Failure)
+    std::rethrow_exception(Failure);
 }

@@ -84,7 +84,9 @@ public:
 
   /// Closes every worker's socket, so idle workers read end of stream and
   /// exit; a worker still computing a wave nobody needs is SIGKILLed.
-  /// Reaps the processes. Idempotent; also run by the destructor.
+  /// Reaps the processes. Idempotent; also run by the destructor. A
+  /// failed serve.jsonl append throws FileWriteError once every worker is
+  /// reaped (the destructor drops it).
   void shutdown();
 
   // ShardProvider: the engine's wave loop drives these.

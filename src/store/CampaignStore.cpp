@@ -6,8 +6,9 @@
 
 #include "store/CampaignStore.h"
 
-#include "ir/Text.h"
+#include "obs/Journal.h"
 #include "store/Serde.h"
+#include "support/FileIO.h"
 #include "support/Json.h"
 #include "support/ModuleHash.h"
 #include "triage/Triage.h"
@@ -64,11 +65,14 @@ std::string bucketDirName(const std::string &Target,
          "_" + hexDigits(hashString(TypesKey), 8);
 }
 
+/// False when \p From cannot be read; a failed write throws.
 bool copyFile(const std::string &From, const std::string &To,
               std::string &ErrorOut) {
   std::string Bytes;
-  return readFileBytes(From, Bytes, ErrorOut) &&
-         atomicWriteFile(To, Bytes, ErrorOut);
+  if (!readFileBytes(From, Bytes, ErrorOut))
+    return false;
+  atomicWriteFile(To, Bytes);
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -393,8 +397,7 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
   Store->ConfigDigest = campaignConfigDigest(Policy, Fleet);
 
   for (const char *Sub : {"", "/checkpoint", "/bugs", "/corpus", "/journal"})
-    if (!ensureDir(Dir + Sub, ErrorOut))
-      return nullptr;
+    ensureDir(Dir + Sub);
 
   const std::string ManifestPath = Dir + "/checkpoint/manifest.bin";
   if (pathExists(ManifestPath)) {
@@ -416,6 +419,29 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
     return nullptr;
   }
   Store->Found = Existing != nullptr;
+
+  // journal/events.jsonl and checkpoint/metrics.json belong to the
+  // campaign the store ran last. Opening it for another campaign parks
+  // that campaign's pair as parked/<id>-events.jsonl and
+  // parked/<id>-metrics.json and brings this campaign's parked pair, if
+  // any, back. A fresh store only looks up three paths here.
+  const std::string Journal = obs::journalPathFor(Dir);
+  const std::string Metrics = Dir + "/checkpoint/metrics.json";
+  const std::string Owner = obs::journalCampaign(Dir);
+  if (Owner != Store->CampaignId) {
+    const std::string Parked = Dir + "/parked/";
+    if (!Owner.empty()) {
+      ensureDir(Parked);
+      moveFile(Journal, Parked + Owner + "-events.jsonl");
+      if (pathExists(Metrics))
+        moveFile(Metrics, Parked + Owner + "-metrics.json");
+    }
+    const std::string Mine = Parked + Store->CampaignId;
+    if (pathExists(Mine + "-events.jsonl"))
+      moveFile(Mine + "-events.jsonl", Journal);
+    if (pathExists(Mine + "-metrics.json"))
+      moveFile(Mine + "-metrics.json", Metrics);
+  }
 
   // Reload this campaign's reduction records from its checkpoints so
   // bucket counts survive reopen even before the next save.
@@ -486,19 +512,20 @@ bool CampaignStore::loadCheckpointFile(const std::string &Phase,
   return true;
 }
 
-void CampaignStore::saveCheckpointFile(const std::string &Phase,
-                                       const char *SectionTag,
-                                       std::string Payload) {
+void CampaignStore::commitCheckpoint(const std::string &Phase,
+                                     const char *SectionTag,
+                                     std::string Payload) {
+  commitManifest();
+  // The phase checkpoint goes last: a failed write before it leaves the
+  // previous checkpoint in place, so resume redoes this wave.
   StoreFile File;
   File.add("CAMP", CampaignId);
   File.add("PHSE", Phase);
   File.add(SectionTag, std::move(Payload));
-  const std::string Path =
-      Root + "/checkpoint/" +
-      hexDigits(hashString(CampaignId + "\n" + Phase), 16) + ".ckpt";
-  std::string Error;
-  if (!atomicWriteFile(Path, File.encode(), Error))
-    fprintf(stderr, "store: checkpoint write failed: %s\n", Error.c_str());
+  atomicWriteFile(Root + "/checkpoint/" +
+                      hexDigits(hashString(CampaignId + "\n" + Phase), 16) +
+                      ".ckpt",
+                  File.encode());
 }
 
 bool CampaignStore::loadEvaluation(const std::string &Phase,
@@ -522,8 +549,7 @@ bool CampaignStore::loadEvaluation(const std::string &Phase,
 void CampaignStore::saveEvaluation(const EvaluationCheckpoint &Checkpoint) {
   ByteWriter W;
   writeEvaluationPayload(W, Checkpoint);
-  saveCheckpointFile(Checkpoint.Phase, "EVAL", W.take());
-  commitManifest();
+  commitCheckpoint(Checkpoint.Phase, "EVAL", W.take());
 }
 
 bool CampaignStore::loadReduction(const std::string &Phase,
@@ -547,9 +573,8 @@ bool CampaignStore::loadReduction(const std::string &Phase,
 void CampaignStore::saveReduction(const ReductionCheckpoint &Checkpoint) {
   ByteWriter W;
   writeReductionPayload(W, Checkpoint);
-  saveCheckpointFile(Checkpoint.Phase, "REDU", W.take());
   PhaseRecords[Checkpoint.Phase] = Checkpoint.Records;
-  commitManifest();
+  commitCheckpoint(Checkpoint.Phase, "REDU", W.take());
 }
 
 //===----------------------------------------------------------------------===//
@@ -567,14 +592,11 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
   const std::string BucketDir =
       bucketDirName(Record.TargetName, Record.Signature, TypesKey);
   const std::string BucketPath = Root + "/bugs/" + BucketDir;
-  std::string Error;
-  if (!ensureDir(BucketPath, Error)) {
-    fprintf(stderr, "store: %s\n", Error.c_str());
-    return;
-  }
+  ensureDir(BucketPath);
 
   // The bucket keeps its first reproducer as the representative; later
-  // hits only raise the manifest count.
+  // hits only raise the manifest count. repro.msb goes last, so a bucket
+  // without it is rewritten whole on resume.
   if (!pathExists(BucketPath + "/repro.msb")) {
     ByteWriter OrigW, InputW, ReducedW, SeqW;
     writeModuleBinary(OrigW, Original);
@@ -604,15 +626,8 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
         ",\n  \"minimizedLength\": " + std::to_string(Record.MinimizedLength);
     Meta += "\n}\n";
 
-    bool Ok = atomicWriteFile(BucketPath + "/repro.msb", Repro.encode(),
-                              Error) &&
-              atomicWriteFile(BucketPath + "/repro.txt",
-                              writeModuleText(Reduced), Error) &&
-              atomicWriteFile(BucketPath + "/delta.diff",
-                              diffModuleText(Original, Reduced), Error) &&
-              atomicWriteFile(BucketPath + "/meta.json", Meta, Error);
-    if (!Ok)
-      fprintf(stderr, "store: reproducer write failed: %s\n", Error.c_str());
+    atomicWriteFile(BucketPath + "/meta.json", Meta);
+    atomicWriteFile(BucketPath + "/repro.msb", Repro.encode());
   }
 
   // Corpus entry: the reduced reproducer, gc'able bulk storage.
@@ -626,8 +641,7 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
                                  "-t" + std::to_string(Record.TestIndex) +
                                  "-" + sanitizeName(Record.TargetName) +
                                  ".msb";
-  if (!atomicWriteFile(Root + "/corpus/" + CorpusName, Entry.encode(), Error))
-    fprintf(stderr, "store: corpus write failed: %s\n", Error.c_str());
+  atomicWriteFile(Root + "/corpus/" + CorpusName, Entry.encode());
 }
 
 bool CampaignStore::loadReproducer(const BugBucket &Bucket, Module &OriginalOut,
@@ -680,23 +694,7 @@ bool CampaignStore::recordAttribution(const BugBucket &Bucket,
   ByteWriter AttrW;
   triage::writeAttributionBinary(AttrW, Attr);
   Updated.add("ATTR", AttrW.take());
-  if (!atomicWriteFile(BucketPath + "/repro.msb", Updated.encode(), ErrorOut))
-    return false;
-
-  // Mirror into meta.json under an "attribution" key. The key is always
-  // the final member, so a re-run truncates at its marker and re-appends.
-  std::string Meta;
-  if (readFileBytes(BucketPath + "/meta.json", Meta, ErrorOut)) {
-    const std::string Marker = ",\n  \"attribution\": ";
-    if (size_t Pos = Meta.find(Marker); Pos != std::string::npos)
-      Meta.resize(Pos);
-    else if (size_t End = Meta.rfind("\n}"); End != std::string::npos)
-      Meta.resize(End);
-    Meta += ",\n  \"attribution\": " + triage::attributionJson(Attr) + "\n}\n";
-    if (!atomicWriteFile(BucketPath + "/meta.json", Meta, ErrorOut))
-      return false;
-  }
-  ErrorOut.clear();
+  atomicWriteFile(BucketPath + "/repro.msb", Updated.encode());
   return true;
 }
 
@@ -748,50 +746,13 @@ void CampaignStore::commitManifest() {
     Entry->Buckets.push_back(std::move(Bucket));
   }
 
-  std::string Error;
-  if (!atomicWriteFile(Root + "/checkpoint/manifest.bin",
-                       encodeManifest(Manifest), Error))
-    fprintf(stderr, "store: manifest write failed: %s\n", Error.c_str());
-  writeManifestMirror();
+  atomicWriteFile(Root + "/checkpoint/manifest.bin", encodeManifest(Manifest));
 
   // Telemetry at this commit point, for resume merging and report --store.
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  if (Metrics.enabled() &&
-      !atomicWriteFile(Root + "/checkpoint/metrics.json",
-                       telemetry::metricsToJson(Metrics.snapshot()), Error))
-    fprintf(stderr, "store: metrics write failed: %s\n", Error.c_str());
-}
-
-void CampaignStore::writeManifestMirror() const {
-  std::string Json = "{\n  \"version\": " + std::to_string(StoreFormatVersion);
-  Json += ",\n  \"campaigns\": [";
-  for (size_t I = 0; I < Manifest.Campaigns.size(); ++I) {
-    const CampaignEntry &Campaign = Manifest.Campaigns[I];
-    Json += I ? ",\n    {" : "\n    {";
-    Json += "\"id\": ";
-    json::appendString(Json, Campaign.Id);
-    Json += ", \"digest\": ";
-    json::appendString(Json, Campaign.ConfigDigest);
-    Json += ", \"buckets\": [";
-    for (size_t B = 0; B < Campaign.Buckets.size(); ++B) {
-      const BugBucket &Bucket = Campaign.Buckets[B];
-      Json += B ? ",\n      {" : "\n      {";
-      Json += "\"target\": ";
-      json::appendString(Json, Bucket.Target);
-      Json += ", \"signature\": ";
-      json::appendString(Json, Bucket.Signature);
-      Json += ", \"types\": ";
-      json::appendString(Json, Bucket.TypesKey);
-      Json += ", \"dir\": ";
-      json::appendString(Json, Bucket.Dir);
-      Json += ", \"count\": " + std::to_string(Bucket.Count) + "}";
-    }
-    Json += Campaign.Buckets.empty() ? "]}" : "\n    ]}";
-  }
-  Json += Manifest.Campaigns.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  std::string Error;
-  if (!atomicWriteFile(Root + "/MANIFEST.json", Json, Error))
-    fprintf(stderr, "store: MANIFEST.json write failed: %s\n", Error.c_str());
+  if (Metrics.enabled())
+    atomicWriteFile(Root + "/checkpoint/metrics.json",
+                    telemetry::metricsToJson(Metrics.snapshot()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -831,8 +792,7 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
       const std::string To = Root + "/bugs/" + Bucket.Dir;
       if (pathExists(To + "/repro.msb"))
         continue; // bucket already has a representative here
-      if (!ensureDir(To, ErrorOut))
-        return false;
+      ensureDir(To);
       for (const std::string &Name : listDir(From, ""))
         if (!copyFile(From + "/" + Name, To + "/" + Name, ErrorOut))
           return false;
@@ -844,7 +804,8 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
                     ErrorOut))
         return false;
   }
-  return commitMergedManifest(ErrorOut);
+  atomicWriteFile(Root + "/checkpoint/manifest.bin", encodeManifest(Manifest));
+  return true;
 }
 
 bool CampaignStore::mergeFromDirectory(const std::string &Dir,
@@ -879,14 +840,6 @@ bool CampaignStore::mergeFromDirectory(const std::string &Dir,
   return true;
 }
 
-bool CampaignStore::commitMergedManifest(std::string &ErrorOut) {
-  if (!atomicWriteFile(Root + "/checkpoint/manifest.bin",
-                       encodeManifest(Manifest), ErrorOut))
-    return false;
-  writeManifestMirror();
-  return true;
-}
-
 std::vector<std::string> CampaignStore::corpusFiles() const {
   return listDir(Root + "/corpus", ".msb");
 }
@@ -898,7 +851,7 @@ size_t CampaignStore::corpusBytes() const {
   return Total;
 }
 
-size_t CampaignStore::gc(size_t BudgetBytes) {
+size_t CampaignStore::gc(size_t BudgetBytes, std::string &ErrorOut) {
   std::vector<std::string> Files = corpusFiles();
   std::vector<size_t> Sizes;
   size_t Total = 0;
@@ -907,6 +860,21 @@ size_t CampaignStore::gc(size_t BudgetBytes) {
     Total += Sizes.back();
   }
   size_t Removed = 0;
+  ErrorOut.clear();
+  // Evicts one entry and returns the bytes it leaves on disk: all of them
+  // when it cannot be removed, which is reported (the first such failure)
+  // and not counted.
+  auto evict = [&](const std::string &Name, size_t Size) -> size_t {
+    try {
+      removeFile(Root + "/corpus/" + Name);
+    } catch (const FileWriteError &E) {
+      if (ErrorOut.empty())
+        ErrorOut = E.what();
+      return Size;
+    }
+    ++Removed;
+    return 0;
+  };
   // ReplayCache's farthest-first thinning: keep every other entry (the
   // later of each pair, walking from the end) until the budget fits.
   while (Total > BudgetBytes && Files.size() > 1) {
@@ -919,8 +887,7 @@ size_t CampaignStore::gc(size_t BudgetBytes) {
         Kept.push_back(std::move(Files[I]));
         KeptSizes.push_back(Sizes[I]);
       } else {
-        ::remove((Root + "/corpus/" + Files[I]).c_str());
-        ++Removed;
+        KeptTotal += evict(Files[I], Sizes[I]);
       }
     }
     std::reverse(Kept.begin(), Kept.end());
@@ -929,10 +896,8 @@ size_t CampaignStore::gc(size_t BudgetBytes) {
     Sizes = std::move(KeptSizes);
     Total = KeptTotal;
   }
-  if (Total > BudgetBytes && Files.size() == 1) {
-    ::remove((Root + "/corpus/" + Files[0]).c_str());
-    ++Removed;
-  }
+  if (Total > BudgetBytes && Files.size() == 1)
+    evict(Files[0], Sizes[0]);
   return Removed;
 }
 

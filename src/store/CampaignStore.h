@@ -8,19 +8,30 @@
 /// The persistent campaign store: durable checkpoints, a cross-campaign
 /// bug database and reduced reproducers, under one directory:
 ///
-///   <dir>/MANIFEST.json        human-readable mirror (write-only)
 ///   <dir>/checkpoint/          manifest.bin + one .ckpt per phase +
 ///                              metrics.json (telemetry at the last commit)
 ///   <dir>/bugs/<bucket>/       one dir per dedup bucket (target,
 ///                              signature, transformation-type set):
-///                              meta.json, repro.msb, repro.txt, delta.diff
+///                              meta.json and repro.msb (modules, input,
+///                              sequence and, once triaged, attribution)
 ///   <dir>/corpus/              one .msb per reduced reproducer, the gc'able
 ///                              bulk storage
+///   <dir>/journal/             events.jsonl, the decision journal
+///                              (obs/Journal.h)
+///   <dir>/parked/              <id>-events.jsonl + <id>-metrics.json of
+///                              each campaign other than the one the
+///                              store ran last
 ///
-/// Every file is written write-temp-then-rename with fsync (Serde.h's
+/// `db list/show/diff` render everything else (module text, diffs, the
+/// attribution) from manifest.bin and repro.msb.
+///
+/// Every file is written write-temp-then-rename with fsync (FileIO.h's
 /// atomicWriteFile), so a crash leaves the store at some complete earlier
-/// state, never torn. The store implements CampaignCheckpointer: attach it
-/// to a CampaignEngine and the engine checkpoints at wave boundaries;
+/// state, never torn. A failed write throws FileWriteError out of the
+/// call, hooks included. Each commit writes the phase .ckpt last and each
+/// bucket its repro.msb last, so whatever failed before them is redone
+/// on resume. The store implements CampaignCheckpointer: attach it to a
+/// CampaignEngine and the engine checkpoints at wave boundaries;
 /// reopening with Resume and re-running the same campaign replays the
 /// checkpoints and continues — byte-identical to an uninterrupted run.
 ///
@@ -94,7 +105,11 @@ public:
   /// id must not already be in the manifest (fresh store or
   /// cross-campaign accumulation only); with Resume an existing entry
   /// must match the config digest. Returns nullptr with a diagnostic on
-  /// layout or validation failure.
+  /// a corrupt manifest or a refused campaign; a failed directory
+  /// creation or move throws FileWriteError. When the journal belongs to
+  /// another campaign, that campaign's journal and metrics.json move into
+  /// parked/ under its id, and this campaign's parked pair, if any, moves
+  /// back.
   static std::unique_ptr<CampaignStore> open(const std::string &Dir,
                                              const ExecutionPolicy &Policy,
                                              const TargetFleet &Fleet,
@@ -114,7 +129,7 @@ public:
   const StoreManifest &manifest() const { return Manifest; }
   /// Whether open() found this campaign in the manifest, i.e. the run
   /// continues a campaign the store records rather than starting one.
-  /// The store's journal and metrics.json belong to it only then.
+  /// Only then do the journal and metrics.json in place continue it.
   bool foundCampaign() const { return Found; }
 
   // --- CampaignCheckpointer ------------------------------------------------
@@ -144,10 +159,10 @@ public:
                       std::string &ErrorOut) const;
 
   /// Persists \p Attr into \p Bucket: rewrites repro.msb with an ATTR
-  /// section (replacing any previous one) and appends/replaces the
-  /// "attribution" key of meta.json. Attribution lives in the bucket, not
-  /// the manifest — commitManifest rebuilds manifest entries from
-  /// checkpoint records and would drop anything stored there.
+  /// section (replacing any previous one). Returns false with a
+  /// diagnostic when repro.msb cannot be read. Attribution lives in the
+  /// bucket, not the manifest — commitManifest rebuilds manifest entries
+  /// from checkpoint records and would drop anything stored there.
   bool recordAttribution(const BugBucket &Bucket,
                          const triage::BugAttribution &Attr,
                          std::string &ErrorOut);
@@ -160,22 +175,24 @@ public:
   /// Folds \p Other's campaigns into this store: campaigns whose id this
   /// store already has are skipped (same campaign, same buckets); new ones
   /// bring their manifest entries, bucket directories and corpus files.
-  /// Returns false with a diagnostic on I/O failure.
+  /// Returns false with a diagnostic when a file of \p Other cannot be
+  /// read.
   bool merge(const CampaignStore &Other, std::string &ErrorOut);
 
   /// Folds every store found directly under \p Dir into this one (merge(),
   /// applied to each subdirectory in sorted order). Subdirectories that do
   /// not hold a parseable store are counted in \p SkippedOut and left
   /// alone; \p MergedOut counts the stores folded. Returns false with a
-  /// diagnostic only on I/O failure while merging an actual store.
+  /// diagnostic only on a read failure while merging an actual store.
   bool mergeFromDirectory(const std::string &Dir, size_t &MergedOut,
                           size_t &SkippedOut, std::string &ErrorOut);
 
   /// Evicts corpus entries until their total size fits \p BudgetBytes,
   /// using ReplayCache's farthest-first policy: repeatedly keep every
   /// other entry (newest of each pair). Returns the number of files
-  /// removed.
-  size_t gc(size_t BudgetBytes);
+  /// removed; an entry that cannot be removed is left, not counted, and
+  /// the first such failure is named in \p ErrorOut (empty otherwise).
+  size_t gc(size_t BudgetBytes, std::string &ErrorOut);
 
   /// Total bytes currently in corpus/.
   size_t corpusBytes() const;
@@ -197,16 +214,13 @@ private:
 
   bool loadCheckpointFile(const std::string &Phase, const char *SectionTag,
                           std::string &PayloadOut, uint32_t &VersionOut);
-  void saveCheckpointFile(const std::string &Phase, const char *SectionTag,
-                          std::string Payload);
+  /// One commit: commitManifest, then the phase checkpoint file.
+  void commitCheckpoint(const std::string &Phase, const char *SectionTag,
+                        std::string Payload);
   /// Rebuilds this campaign's manifest entry from every reduction record
   /// in its checkpoints (idempotent under replay), then persists the
   /// manifest and the telemetry snapshot.
   void commitManifest();
-  /// Persists the manifest exactly as merge() left it (no rebuild from
-  /// local checkpoints, which would drop the foreign campaigns).
-  bool commitMergedManifest(std::string &ErrorOut);
-  void writeManifestMirror() const;
 
   std::string Root;
   std::string CampaignId;

@@ -10,14 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace spvfuzz;
 
@@ -149,108 +142,6 @@ bool StoreFile::decode(const std::string &Bytes, StoreFile &Out,
     return false;
   }
   return true;
-}
-
-bool spvfuzz::atomicWriteFile(const std::string &Path,
-                              const std::string &Bytes,
-                              std::string &ErrorOut) {
-  std::string TempPath = Path + ".tmp";
-  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    ErrorOut = "cannot create " + TempPath + ": " + strerror(errno);
-    return false;
-  }
-  size_t Written = 0;
-  while (Written < Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Written, Bytes.size() - Written);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ErrorOut = "write to " + TempPath + " failed: " + strerror(errno);
-      ::close(Fd);
-      ::unlink(TempPath.c_str());
-      return false;
-    }
-    Written += static_cast<size_t>(N);
-  }
-  if (::fsync(Fd) != 0) {
-    ErrorOut = "fsync of " + TempPath + " failed: " + strerror(errno);
-    ::close(Fd);
-    ::unlink(TempPath.c_str());
-    return false;
-  }
-  ::close(Fd);
-  if (::rename(TempPath.c_str(), Path.c_str()) != 0) {
-    ErrorOut = "rename to " + Path + " failed: " + strerror(errno);
-    ::unlink(TempPath.c_str());
-    return false;
-  }
-  // Make the rename itself durable.
-  std::string Dir = ".";
-  size_t Slash = Path.find_last_of('/');
-  if (Slash != std::string::npos)
-    Dir = Path.substr(0, Slash);
-  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (DirFd >= 0) {
-    ::fsync(DirFd);
-    ::close(DirFd);
-  }
-  return true;
-}
-
-bool spvfuzz::readFileBytes(const std::string &Path, std::string &Out,
-                            std::string &ErrorOut) {
-  FILE *File = fopen(Path.c_str(), "rb");
-  if (!File) {
-    ErrorOut = "cannot open " + Path + ": " + strerror(errno);
-    return false;
-  }
-  Out.clear();
-  char Buf[65536];
-  size_t N;
-  while ((N = fread(Buf, 1, sizeof(Buf), File)) > 0)
-    Out.append(Buf, N);
-  bool Ok = !ferror(File);
-  fclose(File);
-  if (!Ok)
-    ErrorOut = "read of " + Path + " failed";
-  return Ok;
-}
-
-bool spvfuzz::ensureDir(const std::string &Path, std::string &ErrorOut) {
-  if (::mkdir(Path.c_str(), 0755) == 0 || errno == EEXIST)
-    return true;
-  ErrorOut = "cannot create directory " + Path + ": " + strerror(errno);
-  return false;
-}
-
-bool spvfuzz::pathExists(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0;
-}
-
-std::vector<std::string> spvfuzz::listDir(const std::string &Dir,
-                                          const std::string &Suffix,
-                                          std::string *ErrorOut) {
-  std::vector<std::string> Names;
-  DIR *D = ::opendir(Dir.c_str());
-  if (!D) {
-    if (ErrorOut)
-      *ErrorOut = "cannot open directory " + Dir + ": " + strerror(errno);
-    return Names;
-  }
-  while (struct dirent *Entry = ::readdir(D)) {
-    std::string Name = Entry->d_name;
-    if (Name == "." || Name == "..")
-      continue;
-    if (Name.size() < Suffix.size() ||
-        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) != 0)
-      continue;
-    Names.push_back(std::move(Name));
-  }
-  ::closedir(D);
-  std::sort(Names.begin(), Names.end());
-  return Names;
 }
 
 // --- Instruction / module codec -------------------------------------------

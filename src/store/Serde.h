@@ -19,7 +19,7 @@
 /// at decode with a diagnostic, never undefined behaviour, and files whose
 /// FormatVersion is newer than this build understands are refused rather
 /// than misparsed. The serve layer's messages (serve/ShardProtocol.h) are
-/// StoreFiles too, and the file helpers below serve both layers.
+/// StoreFiles too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,32 +64,6 @@ struct StoreFile {
   static bool decode(const std::string &Bytes, StoreFile &Out,
                      std::string &ErrorOut);
 };
-
-/// Writes \p Bytes to \p Path crash-safely: write to a temporary file in
-/// the same directory, fsync it, rename over \p Path, then fsync the
-/// directory. A crash at any point leaves either the old file or the new
-/// one, never a torn mixture.
-bool atomicWriteFile(const std::string &Path, const std::string &Bytes,
-                     std::string &ErrorOut);
-
-/// Reads a whole file; false with a diagnostic if unreadable.
-bool readFileBytes(const std::string &Path, std::string &Out,
-                   std::string &ErrorOut);
-
-/// Creates directory \p Path (its parent must exist); an existing one is
-/// fine. False with a diagnostic otherwise.
-bool ensureDir(const std::string &Path, std::string &ErrorOut);
-
-/// True when \p Path names an existing file or directory. A trailing '/'
-/// makes it true for directories only.
-bool pathExists(const std::string &Path);
-
-/// Sorted names of the entries of directory \p Dir ("." and ".." left
-/// out) that end in \p Suffix ("" keeps them all). An unreadable \p Dir
-/// lists as empty and, when \p ErrorOut is given, sets a diagnostic.
-std::vector<std::string> listDir(const std::string &Dir,
-                                 const std::string &Suffix = "",
-                                 std::string *ErrorOut = nullptr);
 
 // --- Payload codecs -------------------------------------------------------
 

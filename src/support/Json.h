@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The one JSON codec of the tree. Every writer (metrics dumps, trace and
-/// journal lines, the store's meta.json and MANIFEST.json, attribution
-/// records) keeps its own layout but escapes strings and formats numbers
-/// here; every reader (metrics dumps, journal and trace lines) parses
-/// here.
+/// journal lines, the store's meta.json, attribution records) keeps its
+/// own layout but escapes strings and formats numbers here; every reader
+/// (metrics dumps, journal and trace lines) parses here.
 ///
 /// The parser accepts the subset the writers produce: objects, arrays,
 /// strings and numbers, with JSON's number grammar and escapes (`\u`

@@ -6,13 +6,13 @@
 
 #include "support/Telemetry.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 using namespace spvfuzz;
@@ -433,15 +433,11 @@ std::string telemetry::renderMetricsReport(const MetricsSnapshot &Snapshot) {
 
 bool telemetry::writeGlobalMetrics(const std::string &Path,
                                    std::string &Error) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    Error = "cannot open '" + Path + "' for writing";
+  try {
+    writeFile(Path, metricsToJson(MetricsRegistry::global().snapshot()));
+    return true;
+  } catch (const FileWriteError &E) {
+    Error = E.what();
     return false;
   }
-  Out << metricsToJson(MetricsRegistry::global().snapshot());
-  if (!Out.good()) {
-    Error = "write to '" + Path + "' failed";
-    return false;
-  }
-  return true;
 }

@@ -8,6 +8,8 @@
 
 #include "support/Json.h"
 
+#include <utility>
+
 using namespace spvfuzz;
 using namespace spvfuzz::telemetry;
 
@@ -34,11 +36,11 @@ Tracer &Tracer::global() {
 
 bool Tracer::open(const std::string &Path, std::string &Error) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Sink.is_open())
-    Sink.close();
-  Sink.open(Path, std::ios::trunc);
-  if (!Sink) {
-    Error = "cannot open '" + Path + "' for writing";
+  SinkError.clear();
+  try {
+    Sink.open(Path, /*Truncate=*/true);
+  } catch (const FileWriteError &E) {
+    Error = E.what();
     Enabled.store(false, std::memory_order_relaxed);
     return false;
   }
@@ -50,10 +52,14 @@ bool Tracer::open(const std::string &Path, std::string &Error) {
 void Tracer::close() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Enabled.store(false, std::memory_order_relaxed);
-  if (Sink.is_open()) {
-    Sink.flush();
+  try {
     Sink.close();
+  } catch (const FileWriteError &E) {
+    if (SinkError.empty())
+      SinkError = E.what();
   }
+  if (!SinkError.empty())
+    throw FileWriteError(std::exchange(SinkError, {}));
 }
 
 uint64_t Tracer::nowUs() const {
@@ -118,8 +124,13 @@ void Tracer::writeRecord(std::string_view Type, std::string_view Name,
   Line += "}\n";
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Sink.is_open())
-    Sink << Line;
+  if (!Sink.isOpen() || !SinkError.empty())
+    return;
+  try {
+    Sink.append(Line);
+  } catch (const FileWriteError &E) {
+    SinkError = E.what();
+  }
 }
 
 TraceSpan::TraceSpan(std::string_view Name, uint64_t ParentOverride)

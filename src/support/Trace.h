@@ -28,17 +28,21 @@
 /// recorded inside it — readers must collect ids before resolving parents.
 ///
 /// Like the metrics registry, the tracer is disabled until a sink is
-/// opened and instrumentation gates on a relaxed atomic load.
+/// opened and instrumentation gates on a relaxed atomic load. The sink is
+/// a buffered support/FileIO append handle. Spans end in destructors,
+/// which must not throw, so the tracer keeps its first failed write and
+/// close() reports it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_TRACE_H
 #define SUPPORT_TRACE_H
 
+#include "support/FileIO.h"
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <initializer_list>
 #include <mutex>
 #include <string>
@@ -83,7 +87,8 @@ public:
   /// Returns false and sets \p Error on failure.
   bool open(const std::string &Path, std::string &Error);
 
-  /// Flushes and closes the sink; tracing is disabled again.
+  /// Flushes and closes the sink; tracing is disabled again. Throws
+  /// FileWriteError when any write to the sink failed.
   void close();
 
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
@@ -116,7 +121,9 @@ private:
   std::atomic<bool> Enabled{false};
   std::atomic<uint64_t> NextSpanId{1};
   std::mutex Mutex;
-  std::ofstream Sink;
+  AppendFile Sink;
+  /// The sink's first failed write; records after it are dropped.
+  std::string SinkError;
   std::chrono::steady_clock::time_point Epoch;
 };
 

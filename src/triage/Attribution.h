@@ -98,8 +98,8 @@ void writeAttributionBinary(ByteWriter &W, const BugAttribution &Attr);
 /// truncated or semantically invalid input.
 bool readAttributionBinary(ByteReader &R, BugAttribution &Out);
 
-/// Renders \p Attr as a JSON object (no trailing newline), for embedding
-/// under the "attribution" key of a bucket's meta.json.
+/// Renders \p Attr as a JSON object (no trailing newline). `db show`
+/// prints it as the "attribution" key of a triaged bucket's meta.json.
 std::string attributionJson(const BugAttribution &Attr);
 
 } // namespace triage

@@ -117,12 +117,10 @@ triage::BugAttribution goldenAttribution() {
   return Attr;
 }
 
-/// The store's two JSON files after one reduction record with \p Special
-/// in every string field, before and after its bucket is attributed.
+/// The store's JSON file, a bucket's meta.json, after one reduction
+/// record with \p Special in every string field.
 struct StoreFiles {
-  std::string Manifest;
   std::string Meta;
-  std::string AttributedMeta;
   CampaignEntry Campaign;
 };
 
@@ -157,14 +155,14 @@ StoreFiles goldenStoreFiles() {
   GeneratedProgram Program = generateProgram(1);
   Store->recordReproducer(Record, Program.M, Program.Input, Program.M, {});
   Files.Campaign = Store->manifest().Campaigns.at(0);
-  Files.Manifest = readAll(Dir + "/MANIFEST.json");
   const std::string BucketDir =
       Dir + "/bugs/" + Files.Campaign.Buckets.at(0).Dir;
   Files.Meta = readAll(BucketDir + "/meta.json");
+  // The attribution goes into repro.msb only; meta.json stays as written.
   EXPECT_TRUE(Store->recordAttribution(Files.Campaign.Buckets.at(0),
                                        goldenAttribution(), Error))
       << Error;
-  Files.AttributedMeta = readAll(BucketDir + "/meta.json");
+  EXPECT_EQ(readAll(BucketDir + "/meta.json"), Files.Meta);
   return Files;
 }
 
@@ -206,23 +204,6 @@ TEST(Json, AttributionWriterBytes) {
 
 TEST(Json, StoreWriterBytes) {
   StoreFiles Files = goldenStoreFiles();
-  // The campaign id, digest and bucket directory are hex and [A-Za-z0-9_-]
-  // by construction; they are spliced in so this test pins only layout and
-  // escaping.
-  const std::string Id = Files.Campaign.Id;
-  const std::string Digest = Files.Campaign.ConfigDigest;
-  const std::string BucketDir = Files.Campaign.Buckets.at(0).Dir;
-  EXPECT_EQ(Files.Manifest, R"({
-  "version": 3,
-  "campaigns": [
-    {"id": ")" + Id + R"(", "digest": ")" + Digest +
-                                R"(", "buckets": [
-      {"target": "Tq\"b\\s\nn\u0001z", "signature": "sigq\"b\\s\nn\u0001z", "types": "SplitBlock+AddDeadBlock", "dir": ")" +
-                                BucketDir + R"(", "count": 1}
-    ]}
-  ]
-}
-)");
   const std::string Meta = R"({
   "tool": "toolq\"b\\s\nn\u0001z",
   "target": "Tq\"b\\s\nn\u0001z",
@@ -234,9 +215,6 @@ TEST(Json, StoreWriterBytes) {
   "reducedCount": 104,
   "minimizedLength": 2)";
   EXPECT_EQ(Files.Meta, Meta + "\n}\n");
-  EXPECT_EQ(Files.AttributedMeta,
-            Meta + ",\n  \"attribution\": " +
-                triage::attributionJson(goldenAttribution()) + "\n}\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -297,17 +275,7 @@ TEST(Json, EveryWriterParsesBack) {
             "r" + Special);
 
   StoreFiles Files = goldenStoreFiles();
-  json::Value Manifest = parsed(Files.Manifest);
-  const json::Value *Campaigns = Manifest.find("campaigns");
-  ASSERT_TRUE(Campaigns && Campaigns->Items.size() == 1);
-  const json::Value *Buckets = Campaigns->Items[0].find("buckets");
-  ASSERT_TRUE(Buckets && Buckets->Items.size() == 1);
-  EXPECT_EQ(member(Buckets->Items[0], "signature"), "sig" + Special);
   EXPECT_EQ(member(parsed(Files.Meta), "tool"), "tool" + Special);
-  json::Value Attributed = parsed(Files.AttributedMeta);
-  const json::Value *Attribution = Attributed.find("attribution");
-  ASSERT_TRUE(Attribution);
-  EXPECT_EQ(member(*Attribution, "reason"), "r" + Special);
 }
 
 //===----------------------------------------------------------------------===//

@@ -296,6 +296,50 @@ TEST(Journal, TruncateForPhaseResumeDropsRecomputedSuffix) {
   EXPECT_EQ(OnDisk[3].Seq, 3u);
 }
 
+// The checkpoint a phase resumes from was journaled before it was saved;
+// its CheckpointSaved line stays, once, and the final checkpoint's second
+// line at the same wave goes, because the resumed phase saves it again.
+TEST(Journal, TruncateKeepsTheResumedCheckpointOnce) {
+  std::string Dir = uniqueDir("truncate-checkpoint");
+  std::string Error;
+  std::unique_ptr<JournalWriter> Writer =
+      JournalWriter::open(Dir, false, /*Deterministic=*/true, Error);
+  ASSERT_NE(Writer, nullptr) << Error;
+  auto Phased = [](JournalEventKind Kind, uint64_t Wave) {
+    JournalEvent Event;
+    Event.Kind = Kind;
+    Event.Phase = "eval/a";
+    Event.Wave = Wave;
+    return Event;
+  };
+  for (uint64_t Wave : {32, 40}) {
+    Writer->append(Phased(JournalEventKind::WaveCommitted, Wave));
+    Writer->append(Phased(JournalEventKind::CheckpointSaved, Wave));
+  }
+  Writer->append(Phased(JournalEventKind::CheckpointSaved, 40)); // final
+
+  Writer->truncateForPhaseResume("eval/a", 40);
+  ASSERT_EQ(Writer->events().size(), 4u);
+  EXPECT_EQ(Writer->lastKind(), JournalEventKind::CheckpointSaved);
+
+  Writer->truncateForPhaseResume("eval/a", 32);
+  ASSERT_EQ(Writer->events().size(), 2u);
+  EXPECT_EQ(Writer->events().back().Wave, 32u);
+}
+
+// Every write path of the journal reports a failure: appends and fsyncs
+// to a full device throw, and a failed append journals nothing.
+TEST(Journal, WritesToAFullDeviceThrow) {
+  std::string Error;
+  std::unique_ptr<JournalWriter> Writer = JournalWriter::openAt(
+      "/dev/full", /*Resume=*/false, /*Deterministic=*/true, Error);
+  ASSERT_NE(Writer, nullptr) << Error;
+  EXPECT_THROW(Writer->append(sampleEvent(JournalEventKind::CampaignStarted)),
+               FileWriteError);
+  EXPECT_TRUE(Writer->empty());
+  EXPECT_THROW(Writer->commit(), FileWriteError);
+}
+
 //===----------------------------------------------------------------------===//
 // Tailer
 //===----------------------------------------------------------------------===//

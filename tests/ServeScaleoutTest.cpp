@@ -22,6 +22,7 @@
 #include "serve/Worker.h"
 #include "store/CampaignStore.h"
 #include "store/Serde.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 

@@ -9,17 +9,27 @@
 /// arbitrary checkpoint and resumed — at any job count — produces results
 /// byte-identical to an uninterrupted serial run; merging two disjoint
 /// stores yields the same bucket table as accumulating both campaigns into
-/// one store; reopening a recorded campaign without Resume is refused.
+/// one store; reopening a recorded campaign without Resume is refused. A
+/// failed write anywhere in a journaled campaign throws FileWriteError and
+/// leaves a store that a resume finishes exactly; the journal and the
+/// persisted metrics follow the campaign the store ran last.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/Journal.h"
 #include "store/CampaignStore.h"
+#include "support/FileIO.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <iostream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+
+#include <sys/resource.h>
 
 using namespace spvfuzz;
 
@@ -127,10 +137,13 @@ std::string renderBugFinding(BugFindingData &Data) {
 /// Every result-shaping decision of a full campaign (bug finding followed
 /// by dedup) flattened to one comparable string.
 std::string runCampaign(const ExecutionPolicy &Policy,
-                        CampaignCheckpointer *Checkpointer) {
+                        CampaignCheckpointer *Checkpointer,
+                        CampaignObserver *Observer = nullptr) {
   CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, TargetFleet{});
   if (Checkpointer)
     Engine.setCheckpointer(Checkpointer);
+  if (Observer)
+    Engine.setObserver(Observer);
 
   BugFindingConfig Config;
   Config.TestsPerTool = Tests;
@@ -440,11 +453,13 @@ TEST(StoreCampaign, GcEvictsFarthestFirstUnderBudget) {
   ASSERT_GT(Bytes, 0u);
 
   // A generous budget evicts nothing.
-  EXPECT_EQ(Store->gc(Bytes), 0u);
+  EXPECT_EQ(Store->gc(Bytes, Error), 0u);
+  EXPECT_EQ(Error, "");
   EXPECT_EQ(Store->corpusFiles(), Before);
 
   // Halving the budget thins the corpus but keeps the newest entry.
-  size_t Removed = Store->gc(Bytes / 2);
+  size_t Removed = Store->gc(Bytes / 2, Error);
+  EXPECT_EQ(Error, "");
   EXPECT_GT(Removed, 0u);
   EXPECT_LE(Store->corpusBytes(), Bytes / 2);
   std::vector<std::string> After = Store->corpusFiles();
@@ -452,9 +467,251 @@ TEST(StoreCampaign, GcEvictsFarthestFirstUnderBudget) {
   EXPECT_EQ(After.back(), Before.back());
 
   // Budget zero clears it entirely.
-  Store->gc(0);
+  Store->gc(0, Error);
+  EXPECT_EQ(Error, "");
   EXPECT_EQ(Store->corpusBytes(), 0u);
   EXPECT_TRUE(Store->corpusFiles().empty());
+}
+
+/// Runs the campaign the way `minispv campaign --store Dir
+/// --deterministic-journal` does: the store restores its metrics, the
+/// journal continues only a campaign the store records, and the run is
+/// framed by CampaignStarted and CampaignFinished. A failed write throws
+/// FileWriteError out of here.
+std::string runJournaled(const std::string &Dir,
+                         const ExecutionPolicy &Policy) {
+  std::string Error;
+  std::unique_ptr<CampaignStore> Store =
+      CampaignStore::open(Dir, Policy, Error);
+  if (!Store)
+    throw std::runtime_error(Error);
+  Store->restoreMetrics();
+  std::unique_ptr<obs::JournalWriter> Journal = obs::JournalWriter::open(
+      Dir, Store->foundCampaign(), /*Deterministic=*/true, Error);
+  if (!Journal)
+    throw std::runtime_error(Error);
+  if (Journal->empty()) {
+    obs::JournalEvent Started;
+    Started.Kind = obs::JournalEventKind::CampaignStarted;
+    Started.Campaign = Store->campaignId();
+    Started.Seed = Policy.Seed;
+    Started.Total = Tests;
+    Journal->append(std::move(Started));
+    Journal->commit();
+  }
+  obs::JournalObserver Observer(*Journal);
+  std::string Decisions = runCampaign(Policy, Store.get(), &Observer);
+  if (Journal->lastKind() != obs::JournalEventKind::CampaignFinished) {
+    obs::JournalEvent Finished;
+    Finished.Kind = obs::JournalEventKind::CampaignFinished;
+    Finished.Campaign = Store->campaignId();
+    Journal->append(std::move(Finished));
+    Journal->commit();
+  }
+  return Decisions;
+}
+
+std::string readAll(const std::string &Path) {
+  std::string Bytes, Error;
+  EXPECT_TRUE(readFileBytes(Path, Bytes, Error)) << Error;
+  return Bytes;
+}
+
+/// Every file under bugs/ and corpus/, by path relative to the store.
+std::map<std::string, std::string> bugsAndCorpus(const std::string &Dir) {
+  std::map<std::string, std::string> Files;
+  for (const std::string &Bucket : listDir(Dir + "/bugs"))
+    for (const std::string &Name : listDir(Dir + "/bugs/" + Bucket))
+      Files["bugs/" + Bucket + "/" + Name] =
+          readAll(Dir + "/bugs/" + Bucket + "/" + Name);
+  for (const std::string &Name : listDir(Dir + "/corpus"))
+    Files["corpus/" + Name] = readAll(Dir + "/corpus/" + Name);
+  return Files;
+}
+
+/// A store's journal and metrics.json belong to the campaign it ran last:
+/// resuming seed 5 after seed 9 ran in the same store must give seed 5's
+/// own journal and counters back, as a store that ran seed 5 alone holds.
+TEST(StoreCampaign, JournalAndMetricsFollowTheCampaignRunLast) {
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  Metrics.reset();
+  Metrics.setEnabled(true);
+  const std::string Fresh = uniqueDir("pair-fresh");
+  const std::string Decisions = runJournaled(Fresh, policyFor(5, 1));
+  std::string Error;
+  std::unique_ptr<CampaignStore> FreshStore =
+      CampaignStore::openForTools(Fresh, Error);
+  ASSERT_NE(FreshStore, nullptr) << Error;
+  telemetry::MetricsSnapshot FreshMetrics;
+  ASSERT_TRUE(FreshStore->loadMetrics(FreshMetrics, Error)) << Error;
+  const uint64_t FreshRuns = FreshMetrics.Counters.at("exec.runs");
+
+  // Seed 5, then seed 9, then seed 5 resumed, all in one store: the
+  // resumed campaign gets its own journal and metrics back, not the ones
+  // seed 9 left.
+  const std::string Dir = uniqueDir("pair");
+  for (uint64_t Seed : {5, 9}) {
+    Metrics.reset();
+    runJournaled(Dir, policyFor(Seed, 1));
+  }
+  const std::string Seed9Journal = readAll(obs::journalPathFor(Dir));
+  Metrics.reset();
+  EXPECT_EQ(runJournaled(Dir, policyFor(5, 1).withResume(true)), Decisions);
+  EXPECT_EQ(readAll(obs::journalPathFor(Dir)),
+            readAll(obs::journalPathFor(Fresh)));
+  EXPECT_EQ(Metrics.counterValue("exec.runs"), FreshRuns);
+
+  // Seed 9's pair waited in parked/ and comes back on its own resume.
+  Metrics.reset();
+  runJournaled(Dir, policyFor(9, 1).withResume(true));
+  EXPECT_EQ(readAll(obs::journalPathFor(Dir)), Seed9Journal);
+  Metrics.reset();
+  Metrics.setEnabled(false);
+}
+
+/// One injected write fault: a file-size limit for the whole process
+/// (SIGXFSZ ignored, so the first write past it fails with EFBIG), or one
+/// store file whose atomic write fails because a directory sits at its
+/// temporary path.
+struct WriteFault {
+  rlim_t FileSizeLimit = RLIM_INFINITY;
+  std::string Blocked; // relative to the store
+};
+
+/// Runs the journaled campaign in \p Dir under \p Fault. Returns the
+/// FileWriteError's message, or "" when the run completed (its decisions
+/// then go to \p Decisions). The fault is lifted before returning.
+std::string runUnderFault(const std::string &Dir,
+                          const ExecutionPolicy &Policy,
+                          const WriteFault &Fault, std::string &Decisions) {
+  std::string Error;
+  const std::string Planted = Dir + "/" + Fault.Blocked + ".tmp";
+  if (!Fault.Blocked.empty()) {
+    // The store directories down to the planted one.
+    for (size_t Slash = Dir.size(); Slash != std::string::npos;
+         Slash = Planted.find('/', Slash + 1))
+      ensureDir(Planted.substr(0, Slash));
+    ensureDir(Planted);
+  }
+  struct rlimit Saved;
+  EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &Saved), 0);
+  struct rlimit Limited = Saved;
+  Limited.rlim_cur = std::min(Fault.FileSizeLimit, Saved.rlim_max);
+  auto SavedHandler = std::signal(SIGXFSZ, SIG_IGN);
+  EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &Limited), 0);
+  std::string Failure;
+  try {
+    Decisions = runJournaled(Dir, Policy);
+  } catch (const FileWriteError &E) {
+    Failure = E.what();
+  }
+  EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &Saved), 0);
+  std::signal(SIGXFSZ, SavedHandler);
+  if (!Fault.Blocked.empty()) {
+    EXPECT_EQ(::rmdir(Planted.c_str()), 0) << Planted;
+  }
+  return Failure;
+}
+
+/// Which kind of store file a write error names.
+std::string failedFileKind(const std::string &Failure) {
+  for (const char *Kind : {".ckpt", "repro.msb", "meta.json", "events.jsonl",
+                           "manifest.bin", "corpus/"})
+    if (Failure.find(Kind) != std::string::npos)
+      return Kind;
+  return "other";
+}
+
+/// A sweep of write faults over a journaled bug-finding plus dedup
+/// campaign (each gtest case runs in its own process, so a file-size
+/// limit stays local): limits that cut the journal at different points,
+/// and blocked checkpoint, manifest, bucket and corpus files taken from a
+/// clean run. Every run either completes with the clean run's decisions
+/// or throws FileWriteError; resuming without the fault then reproduces
+/// the clean run's decisions, journal, bugs/ and corpus/ byte for byte.
+void sweepWriteFaults(size_t Jobs) {
+  const ExecutionPolicy Policy = policyFor(5, Jobs);
+  const std::string Clean = uniqueDir("faults-clean");
+  const std::string Decisions = runJournaled(Clean, Policy);
+  const std::string CleanJournal = readAll(obs::journalPathFor(Clean));
+  const auto CleanTrees = bugsAndCorpus(Clean);
+
+  std::vector<WriteFault> Faults;
+  for (rlim_t Limit : {1024, 8192, 40000, 1 << 20})
+    Faults.push_back({Limit, ""});
+  const std::vector<std::string> Checkpoints =
+      listDir(Clean + "/checkpoint", ".ckpt");
+  ASSERT_GE(Checkpoints.size(), 2u);
+  for (const std::string &Name : {Checkpoints.front(), Checkpoints.back()})
+    Faults.push_back({RLIM_INFINITY, "checkpoint/" + Name});
+  Faults.push_back({RLIM_INFINITY, "checkpoint/manifest.bin"});
+  const std::vector<std::string> Buckets = listDir(Clean + "/bugs");
+  ASSERT_GE(Buckets.size(), 2u);
+  for (const std::string &Bucket : {Buckets.front(), Buckets.back()})
+    Faults.push_back({RLIM_INFINITY, "bugs/" + Bucket + "/repro.msb"});
+  Faults.push_back({RLIM_INFINITY, "bugs/" + Buckets[1] + "/meta.json"});
+  Faults.push_back(
+      {RLIM_INFINITY, "corpus/" + listDir(Clean + "/corpus").back()});
+
+  std::map<std::string, size_t> FailuresByKind;
+  std::ostringstream Hits;
+  for (size_t I = 0; I < Faults.size(); ++I) {
+    const WriteFault &Fault = Faults[I];
+    const std::string Dir = uniqueDir("faults-" + std::to_string(I));
+    std::string Limited;
+    const std::string Failure = runUnderFault(Dir, Policy, Fault, Limited);
+    Hits << "\n  "
+         << (Fault.Blocked.empty()
+                 ? "limit " + std::to_string(Fault.FileSizeLimit)
+                 : "blocked " + Fault.Blocked)
+         << ": " << (Failure.empty() ? "completed" : Failure);
+    if (Failure.empty()) {
+      EXPECT_EQ(Limited, Decisions) << Hits.str();
+      continue;
+    }
+    ++FailuresByKind[failedFileKind(Failure)];
+    EXPECT_EQ(runJournaled(Dir, ExecutionPolicy(Policy).withResume(true)),
+              Decisions)
+        << Hits.str();
+    EXPECT_EQ(readAll(obs::journalPathFor(Dir)), CleanJournal) << Hits.str();
+    EXPECT_EQ(bugsAndCorpus(Dir), CleanTrees) << Hits.str();
+  }
+  std::cout << "write faults at " << Jobs << " job(s):" << Hits.str() << "\n";
+  for (const char *Kind : {".ckpt", "manifest.bin", "repro.msb", "meta.json",
+                           "corpus/", "events.jsonl"})
+    EXPECT_TRUE(FailuresByKind.count(Kind))
+        << "no fault failed a " << Kind << " write:" << Hits.str();
+  EXPECT_EQ(FailuresByKind.count("other"), 0u) << Hits.str();
+}
+
+TEST(StoreCampaign, WriteFaultsFailLoudlyAndResumeExactly) {
+  sweepWriteFaults(1);
+}
+
+TEST(StoreCampaign, WriteFaultsFailLoudlyAndResumeExactlyAtTwoJobs) {
+  sweepWriteFaults(2);
+}
+
+/// A corpus entry that cannot be removed (here a non-empty directory,
+/// which stays put even for root) is reported and not counted; gc still
+/// evicts the rest.
+TEST(StoreCampaign, GcReportsAnEntryItCannotRemove) {
+  std::string Dir = uniqueDir("gc-stuck");
+  std::string Error;
+  std::unique_ptr<CampaignStore> Store =
+      CampaignStore::open(Dir, policyFor(5, 1), Error);
+  ASSERT_NE(Store, nullptr) << Error;
+  runCampaign(policyFor(5, 1), Store.get());
+  const size_t Entries = Store->corpusFiles().size();
+  ASSERT_GT(Entries, 2u);
+
+  const std::string Stuck = Dir + "/corpus/aaa-stuck.msb";
+  ensureDir(Stuck);
+  writeFile(Stuck + "/keep", "x");
+
+  EXPECT_EQ(Store->gc(1, Error), Entries);
+  EXPECT_NE(Error.find("aaa-stuck.msb"), std::string::npos) << Error;
+  EXPECT_EQ(Store->corpusFiles(), std::vector<std::string>{"aaa-stuck.msb"});
 }
 
 } // namespace

@@ -10,7 +10,8 @@
 /// codecs bit-exactly (ModuleHash equality, fact-set equality, replayed-
 /// sequence equivalence), and corrupt files — bit flips anywhere,
 /// truncation at every length, a future format version — must be rejected
-/// with a diagnostic, never crash or silently parse.
+/// with a diagnostic, never crash or silently parse. Whole files go
+/// through support/FileIO.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "core/Fuzzer.h"
 #include "gen/Generator.h"
 #include "ir/Text.h"
+#include "support/FileIO.h"
 #include "support/ModuleHash.h"
 
 #include <gtest/gtest.h>
@@ -222,15 +224,24 @@ TEST(StoreSerde, AtomicWriteAndReadBack) {
   std::string Dir = ::testing::TempDir() + "serde-atomic";
   std::string Path = Dir + "-file.bin";
   std::string Error;
-  ASSERT_TRUE(atomicWriteFile(Path, "hello store", Error)) << Error;
+  atomicWriteFile(Path, "hello store");
   std::string Back;
   ASSERT_TRUE(readFileBytes(Path, Back, Error)) << Error;
   EXPECT_EQ(Back, "hello store");
   // Overwrite is atomic too: the new content fully replaces the old.
-  ASSERT_TRUE(atomicWriteFile(Path, "second", Error)) << Error;
+  atomicWriteFile(Path, "second");
   ASSERT_TRUE(readFileBytes(Path, Back, Error)) << Error;
   EXPECT_EQ(Back, "second");
   EXPECT_FALSE(readFileBytes(Path + ".missing", Back, Error));
+  // A write that cannot happen throws, naming the file.
+  try {
+    atomicWriteFile(Dir + "-missing/file.bin", "lost");
+    ADD_FAILURE() << "write into a missing directory did not throw";
+  } catch (const FileWriteError &E) {
+    EXPECT_NE(std::string(E.what()).find("-missing/file.bin"),
+              std::string::npos)
+        << E.what();
+  }
 }
 
 } // namespace

@@ -248,4 +248,11 @@ TEST(Telemetry, ParserRejectsCountersOutsideUint64) {
   }
 }
 
+
+TEST(Telemetry, MetricsWriteToAFullDeviceFails) {
+  std::string Error;
+  EXPECT_FALSE(writeGlobalMetrics("/dev/full", Error));
+  EXPECT_NE(Error.find("/dev/full"), std::string::npos) << Error;
+}
+
 } // namespace

@@ -233,4 +233,18 @@ TEST(TraceV2, LoaderReportsLineAccurateErrors) {
   EXPECT_NE(Error.find(":2:"), std::string::npos) << Error;
 }
 
+
+// Spans end in destructors, which cannot throw; the tracer keeps its
+// first failed write and close() reports it.
+TEST(TraceV2, CloseReportsAFailedWrite) {
+  std::string Error;
+  ASSERT_TRUE(Tracer::global().open("/dev/full", Error)) << Error;
+  { TraceSpan Span("lost"); }
+  Tracer::global().event("lost too");
+  EXPECT_THROW(Tracer::global().close(), FileWriteError);
+  EXPECT_FALSE(Tracer::global().enabled());
+  // The failure is reported once; a second close() does not repeat it.
+  EXPECT_NO_THROW(Tracer::global().close());
+}
+
 } // namespace

@@ -27,11 +27,13 @@ std::string spelled(const std::string &Name) {
 
 } // namespace
 
-void cli::fail(const std::string &Message) {
+void cli::failWith(int Code, const std::string &Message) {
   fprintf(stderr, "%s: error: %s\n", program_invocation_short_name,
           Message.c_str());
-  exit(1);
+  exit(Code);
 }
+
+void cli::fail(const std::string &Message) { failWith(1, Message); }
 
 Args::Args(int Argc, char **Argv, const Command &Cmd) {
   for (int I = 0; I < Argc; ++I) {

@@ -45,8 +45,15 @@ struct Command {
   std::vector<std::string> Switches;
 };
 
+/// Prints "<program>: error: <Message>" to stderr and exits \p Code.
+[[noreturn]] void failWith(int Code, const std::string &Message);
+
 /// Prints "<program>: error: <Message>" to stderr and exits 1.
 [[noreturn]] void fail(const std::string &Message);
+
+/// The exit code of `minispv` and the benches when a file write failed
+/// (support/FileIO.h's FileWriteError); the message names the file.
+inline constexpr int ExitWriteError = 5;
 
 /// Parses \p Text as an unsigned decimal of type T: digits only, no sign,
 /// no suffix, at most T's maximum.

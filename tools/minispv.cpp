@@ -71,6 +71,9 @@
 ///
 /// Every command accepts `--metrics-out m.json` (write a telemetry metrics
 /// dump on exit) and `--trace-out t.jsonl` (stream span/event records);
+/// every file goes through support/FileIO, and any failed write (an output
+/// file, the store, the journal, a metrics dump or a trace) exits 5
+/// naming the file;
 /// `minispv report` renders a metrics dump as a table, `report --trace`
 /// a per-phase/per-target time breakdown, and `report --compare` a bench
 /// regression verdict (exit 4 on regression).
@@ -99,6 +102,7 @@
 #include "serve/Coordinator.h"
 #include "serve/Worker.h"
 #include "store/CampaignStore.h"
+#include "support/FileIO.h"
 #include "support/Telemetry.h"
 #include "triage/Triage.h"
 #include "support/ThreadPool.h"
@@ -125,7 +129,8 @@ namespace {
 
 /// The minispv exit-code contract (see `minispv help`), shared by every
 /// subcommand that distinguishes outcomes: distinct so CI can tell "bad
-/// input" from "input missing" from "timed out" from "bench regression".
+/// input" from "input missing" from "timed out" from "bench regression"
+/// (cli::ExitWriteError, 5, is "a file write failed").
 enum ObsExit : int {
   ObsExitParseError = 1,
   ObsExitMissingInput = 2,
@@ -133,37 +138,14 @@ enum ObsExit : int {
   ObsExitRegression = 4,
 };
 
-[[noreturn]] void failWithCode(int Code, const std::string &Message) {
-  fprintf(stderr, "minispv: error: %s\n", Message.c_str());
-  exit(Code);
-}
-
-/// Like readFile, but a missing/unreadable file is a distinct exit code
-/// (the report/monitoring commands must not blur it into a parse error).
-std::string readFileOrExit(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    failWithCode(ObsExitMissingInput,
-                 "cannot open '" + Path + "' (missing or unreadable)");
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    fail("cannot open '" + Path + "'");
-  std::ostringstream Out;
-  Out << In.rdbuf();
-  return Out.str();
-}
-
-void writeFile(const std::string &Path, const std::string &Contents) {
-  std::ofstream Out(Path);
-  if (!Out)
-    fail("cannot write '" + Path + "'");
-  Out << Contents;
+/// Reads \p Path or exits \p Code naming it: 1 (bad input) by default, 2
+/// for the report/monitoring commands, which must not blur a missing file
+/// into a parse error.
+std::string readFile(const std::string &Path, int Code = ObsExitParseError) {
+  std::string Bytes, Error;
+  if (!readFileBytes(Path, Bytes, Error))
+    cli::failWith(Code, Error);
+  return Bytes;
 }
 
 Module readModule(const std::string &Path) {
@@ -474,8 +456,8 @@ struct TriagedBucket {
 
 /// Attributes every bug bucket in \p Store against \p Fleet: loads each
 /// reduced reproducer, runs pass-sequence bisection / differential
-/// localization, persists the verdict into the bucket (ATTR section +
-/// meta.json) and prints one `triage:` line per bucket. Bucket order is
+/// localization, persists the verdict into the bucket (repro.msb's ATTR
+/// section) and prints one `triage:` line per bucket. Bucket order is
 /// the store's aggregated (sorted) order and attributeAll commits results
 /// in item order, so the printout is byte-identical at any job count.
 std::vector<TriagedBucket>
@@ -586,8 +568,8 @@ int cmdCampaign(const Args &A, bool Serve) {
   std::unique_ptr<obs::JournalObserver> JournalObs;
   if (Store) {
     std::string Error;
-    // The journal is per store: it continues only a campaign the store
-    // already records, and starts afresh for any other.
+    // The store put this campaign's journal in place (parking another
+    // campaign's); it continues only a campaign the store records.
     Journal = obs::JournalWriter::open(Policy.StorePath,
                                        Store->foundCampaign(),
                                        A.has("deterministic-journal"), Error);
@@ -842,14 +824,31 @@ int cmdDb(const Args &A) {
       }
       return 0;
     }
-    const std::string BucketDir =
-        Store->dir() + "/bugs/" + A.Positional[1];
+    // Module text and diff are rendered from repro.msb.
+    const BugBucket Bucket = findBucket(A.Positional[1]);
+    Module Original, Reduced;
+    ShaderInput Input;
+    TransformationSequence Minimized;
+    if (!Store->loadReproducer(Bucket, Original, Input, Reduced, Minimized,
+                               Error))
+      fail(Error);
     if (Sub == "show") {
-      printf("%s\n--- reduced reproducer ---\n%s",
-             readFile(BucketDir + "/meta.json").c_str(),
-             readFile(BucketDir + "/repro.txt").c_str());
+      std::string Meta =
+          readFile(Store->dir() + "/bugs/" + Bucket.Dir + "/meta.json");
       triage::BugAttribution Attr;
-      if (Store->loadAttribution(findBucket(A.Positional[1]), Attr)) {
+      const bool Triaged = Store->loadAttribution(Bucket, Attr);
+      // A triaged bucket shows its attribution as meta.json's last key,
+      // rendered from repro.msb. Older stores wrote that key into the
+      // file; it is cut off first.
+      const std::string Marker = ",\n  \"attribution\": ";
+      if (size_t Pos = Meta.find(Marker); Pos != std::string::npos)
+        Meta = Meta.substr(0, Pos) + "\n}\n";
+      if (size_t End = Meta.rfind("\n}"); Triaged && End != std::string::npos)
+        Meta = Meta.substr(0, End) + Marker + triage::attributionJson(Attr) +
+               "\n}\n";
+      printf("%s\n--- reduced reproducer ---\n%s", Meta.c_str(),
+             writeModuleText(Reduced).c_str());
+      if (Triaged) {
         printf("--- attribution ---\nverdict=%s culprit=%s checks=%u "
                "runs=%u\n",
                triage::triageVerdictName(Attr.Verdict),
@@ -859,17 +858,19 @@ int cmdDb(const Args &A) {
           printf("reason: %s\n", Attr.Reason.c_str());
       }
     } else {
-      printf("%s", readFile(BucketDir + "/delta.diff").c_str());
+      printf("%s", diffModuleText(Original, Reduced).c_str());
     }
     return 0;
   }
   if (Sub == "gc") {
     size_t Budget = A.number("budget");
     size_t Before = Store->corpusBytes();
-    size_t Removed = Store->gc(Budget);
+    size_t Removed = Store->gc(Budget, Error);
     printf("gc: evicted %zu corpus entr%s (%zu -> %zu bytes, budget %zu)\n",
            Removed, Removed == 1 ? "y" : "ies", Before,
            Store->corpusBytes(), Budget);
+    if (!Error.empty())
+      cli::failWith(cli::ExitWriteError, Error);
     return 0;
   }
   if (Sub == "merge") {
@@ -948,8 +949,9 @@ int cmdTargets(const Args &A) {
 telemetry::MetricsSnapshot loadMetricsFileOrExit(const std::string &Path) {
   telemetry::MetricsSnapshot Snapshot;
   std::string Error;
-  if (!telemetry::metricsFromJson(readFileOrExit(Path), Snapshot, Error))
-    failWithCode(ObsExitParseError, Path + ": " + Error);
+  if (!telemetry::metricsFromJson(readFile(Path, ObsExitMissingInput),
+                                  Snapshot, Error))
+    cli::failWith(ObsExitParseError, Path + ": " + Error);
   return Snapshot;
 }
 
@@ -965,10 +967,10 @@ int cmdReport(const Args &A) {
     std::unique_ptr<CampaignStore> Store =
         CampaignStore::openForTools(A.get("store"), Error);
     if (!Store)
-      failWithCode(ObsExitMissingInput, Error);
+      cli::failWith(ObsExitMissingInput, Error);
     telemetry::MetricsSnapshot Snapshot;
     if (!Store->loadMetrics(Snapshot, Error))
-      failWithCode(ObsExitParseError, Error);
+      cli::failWith(ObsExitParseError, Error);
     Sources.emplace_back("store " + A.get("store"), std::move(Snapshot));
   }
 
@@ -1012,10 +1014,10 @@ int cmdReport(const Args &A) {
     std::vector<obs::TraceRecord> Records;
     std::string TracePath = A.get("trace");
     if (!std::ifstream(TracePath))
-      failWithCode(ObsExitMissingInput, "cannot open '" + TracePath +
-                                            "' (missing or unreadable)");
+      cli::failWith(ObsExitMissingInput, "cannot open '" + TracePath +
+                                             "' (missing or unreadable)");
     if (!obs::loadTraceFile(TracePath, Records, Error))
-      failWithCode(ObsExitParseError, Error);
+      cli::failWith(ObsExitParseError, Error);
     printf("%s", obs::renderTraceReport(
                      Records, Sources.empty() ? nullptr : &Sources[0].second)
                      .c_str());
@@ -1046,8 +1048,8 @@ int cmdTail(const Args &A) {
   const uint64_t IntervalMs = A.number("interval-ms", 200);
 
   if (!Follow && !std::ifstream(JournalPath))
-    failWithCode(ObsExitMissingInput, "cannot open '" + JournalPath +
-                                          "' (missing or unreadable)");
+    cli::failWith(ObsExitMissingInput, "cannot open '" + JournalPath +
+                                           "' (missing or unreadable)");
 
   obs::JournalTailer Tailer(JournalPath);
   auto Deadline = std::chrono::steady_clock::now() +
@@ -1057,7 +1059,7 @@ int cmdTail(const Args &A) {
     std::vector<obs::JournalEvent> Fresh;
     std::string Error;
     if (!Tailer.poll(Fresh, Error))
-      failWithCode(ObsExitParseError, Error);
+      cli::failWith(ObsExitParseError, Error);
     for (const obs::JournalEvent &Event : Fresh) {
       printf("%s\n", Json ? obs::serializeJournalEvent(Event).c_str()
                           : obs::formatJournalEvent(Event).c_str());
@@ -1068,10 +1070,10 @@ int cmdTail(const Args &A) {
     if (!Follow || Finished)
       break;
     if (TimeoutMs && std::chrono::steady_clock::now() >= Deadline)
-      failWithCode(ObsExitTimeout,
-                   "tail --follow timed out after " +
-                       std::to_string(TimeoutMs) +
-                       " ms without seeing CampaignFinished");
+      cli::failWith(ObsExitTimeout,
+                    "tail --follow timed out after " +
+                        std::to_string(TimeoutMs) +
+                        " ms without seeing CampaignFinished");
     std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
   }
   return 0;
@@ -1088,8 +1090,8 @@ int cmdTop(const Args &A) {
   const uint64_t IntervalMs = A.number("interval-ms", 500);
 
   if (Once && !std::ifstream(JournalPath))
-    failWithCode(ObsExitMissingInput, "cannot open '" + JournalPath +
-                                          "' (missing or unreadable)");
+    cli::failWith(ObsExitMissingInput, "cannot open '" + JournalPath +
+                                           "' (missing or unreadable)");
 
   obs::JournalTailer Tailer(JournalPath);
   std::vector<obs::JournalEvent> Events;
@@ -1102,12 +1104,12 @@ int cmdTop(const Args &A) {
   while (true) {
     std::string Error;
     if (!Tailer.poll(Events, Error))
-      failWithCode(ObsExitParseError, Error);
+      cli::failWith(ObsExitParseError, Error);
     obs::TopModel Model = obs::buildTopModel(Events);
     bool HaveServe = false;
     if (std::ifstream(obs::servePathFor(StoreDir))) {
       if (!ServeTailer.poll(ServeEvents, Error))
-        failWithCode(ObsExitParseError, Error);
+        cli::failWith(ObsExitParseError, Error);
       HaveServe = true;
     }
 
@@ -1134,9 +1136,9 @@ int cmdTop(const Args &A) {
     if (Once || Model.Finished)
       break;
     if (TimeoutMs && std::chrono::steady_clock::now() >= Deadline)
-      failWithCode(ObsExitTimeout,
-                   "top timed out after " + std::to_string(TimeoutMs) +
-                       " ms without seeing CampaignFinished");
+      cli::failWith(ObsExitTimeout,
+                    "top timed out after " + std::to_string(TimeoutMs) +
+                        " ms without seeing CampaignFinished");
     std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
   }
   return 0;
@@ -1185,7 +1187,10 @@ int cmdHelp(const Args &) {
       "     input)\n"
       "  2  missing input (file or store not found)\n"
       "  3  timeout (top/tail --timeout-ms)\n"
-      "  4  bench regression (report --compare)\n");
+      "  4  bench regression (report --compare)\n"
+      "  5  a file write failed (output file, store, journal, metrics or\n"
+      "     trace; the message names the file). A store is left for\n"
+      "     `campaign --resume` to finish as if nothing had failed\n");
   return 0;
 }
 
@@ -1282,17 +1287,20 @@ int main(int Argc, char **Argv) {
   if (!TraceOut.empty()) {
     std::string Error;
     if (!telemetry::Tracer::global().open(TraceOut, Error))
-      fail(Error);
+      cli::failWith(cli::ExitWriteError, Error);
   }
 
-  int Code = Cmd.Run(A);
-
-  if (!MetricsOut.empty()) {
-    std::string Error;
-    if (!telemetry::writeGlobalMetrics(MetricsOut, Error))
-      fail(Error);
-    fprintf(stderr, "minispv: wrote metrics to %s\n", MetricsOut.c_str());
+  try {
+    int Code = Cmd.Run(A);
+    if (!MetricsOut.empty()) {
+      std::string Error;
+      if (!telemetry::writeGlobalMetrics(MetricsOut, Error))
+        throw FileWriteError(Error);
+      fprintf(stderr, "minispv: wrote metrics to %s\n", MetricsOut.c_str());
+    }
+    telemetry::Tracer::global().close();
+    return Code;
+  } catch (const FileWriteError &E) {
+    cli::failWith(cli::ExitWriteError, E.what());
   }
-  telemetry::Tracer::global().close();
-  return Code;
 }
