@@ -181,8 +181,8 @@ template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
     Phase.Save(NextWave, Complete);
   };
   size_t WavesSinceSave = 0;
-  for (size_t WaveStart = Phase.StartWave;
-       WaveStart < Phase.Total && *Phase.Tally < Phase.Budget;
+  size_t WaveStart = Phase.StartWave;
+  for (; WaveStart < Phase.Total && *Phase.Tally < Phase.Budget;
        WaveStart += ShardSize) {
     if (checkDeadline())
       return false;
@@ -226,12 +226,17 @@ template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
     if (Observer)
       Observer->onWaveCommitted(Phase.Key, WaveEnd, Phase.Total,
                                 *Phase.Tally);
-    if (Checkpointer && ++WavesSinceSave >= Policy.CheckpointInterval) {
+    // The wave that ends the phase is saved once, as its complete
+    // checkpoint.
+    const bool Last = WaveEnd == Phase.Total || *Phase.Tally >= Phase.Budget;
+    if (Checkpointer &&
+        (Last || ++WavesSinceSave >= Policy.CheckpointInterval)) {
       WavesSinceSave = 0;
-      checkpoint(WaveEnd, /*Complete=*/false);
+      checkpoint(Last ? Phase.Total : WaveEnd, Last);
     }
   }
-  if (Checkpointer)
+  // A phase that ran no wave still ends complete.
+  if (Checkpointer && WaveStart == Phase.StartWave)
     checkpoint(Phase.Total, /*Complete=*/true);
   return true;
 }

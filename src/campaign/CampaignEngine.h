@@ -438,9 +438,11 @@ private:
   /// check and under a campaign.wave span; the quarantine snapshot; the
   /// phase's parallel compute; serial breaker commits (with
   /// onTargetQuarantined) and the phase's fold, in test-index order;
-  /// truncation; onWaveCommitted; and the checkpoint cadence plus the
-  /// final complete checkpoint, each preceded by onCheckpointSaved.
-  /// Returns false when the deadline cut the phase short.
+  /// truncation; onWaveCommitted; and the checkpoint cadence, each save
+  /// preceded by onCheckpointSaved. The wave that ends the phase (at
+  /// Total or at the tally's Budget) is saved once, as the complete
+  /// checkpoint at Total. Returns false when the deadline cut the phase
+  /// short.
   template <typename PhaseT> bool runWaves(const PhaseT &Phase);
 
   /// One evaluation job per test in [\p WaveStart, \p WaveEnd) of \p Tool

@@ -6,8 +6,6 @@
 
 #include "core/Fact.h"
 
-#include <algorithm>
-
 using namespace spvfuzz;
 
 // Built with append rather than `"%" + std::to_string(...)`: inserting into
@@ -72,33 +70,6 @@ FactManager::synonymsOf(const DataDescriptor &D) const {
       Result.push_back(Member);
   }
   return Result;
-}
-
-std::vector<std::pair<DataDescriptor, DataDescriptor>>
-FactManager::canonicalSynonyms() const {
-  // Group every recorded descriptor by its root, pick the smallest member
-  // of each class as the representative, then emit sorted (member,
-  // representative) pairs for the non-trivial classes.
-  std::map<DataDescriptor, std::vector<DataDescriptor>> Classes;
-  for (const auto &[Member, Parent] : SynonymParent) {
-    (void)Parent;
-    Classes[findRoot(Member)].push_back(Member);
-  }
-  std::vector<std::pair<DataDescriptor, DataDescriptor>> Out;
-  for (auto &[Root, Members] : Classes) {
-    (void)Root;
-    if (Members.size() < 2)
-      continue;
-    const DataDescriptor *Representative = &Members.front();
-    for (const DataDescriptor &Member : Members)
-      if (Member < *Representative)
-        Representative = &Member;
-    for (const DataDescriptor &Member : Members)
-      if (!(Member == *Representative))
-        Out.emplace_back(Member, *Representative);
-  }
-  std::sort(Out.begin(), Out.end());
-  return Out;
 }
 
 std::vector<Id> FactManager::idSynonymsOf(Id TheId) const {

@@ -75,15 +75,6 @@ public:
   /// All whole-id descriptors (no indices) synonymous with id \p TheId.
   std::vector<Id> idSynonymsOf(Id TheId) const;
 
-  /// The synonym relation in canonical form, for serialization and
-  /// equality checks: one (member, representative) pair per descriptor in a
-  /// non-trivial equivalence class, where the representative is the class's
-  /// smallest member and pairs are sorted by member. Self pairs are
-  /// omitted, so the result is independent of insertion order and of any
-  /// path compression the union-find has performed.
-  std::vector<std::pair<DataDescriptor, DataDescriptor>>
-  canonicalSynonyms() const;
-
   // --- Irrelevant -------------------------------------------------------------
 
   void addIrrelevantId(Id TheId) { IrrelevantIds.insert(TheId); }

@@ -400,24 +400,14 @@ void JournalWriter::truncateForPhaseResume(const std::string &Phase,
                                            uint64_t StartWave) {
   std::lock_guard<std::mutex> Lock(Mutex);
   // The checkpoint the phase resumes from was journaled before it was
-  // saved, so its CheckpointSaved line is the last one kept. A second
-  // line at the same wave belongs to the phase's final checkpoint, which
-  // the resumed phase saves (and journals) again.
+  // saved, so its CheckpointSaved line is kept; the phase's first event
+  // past StartWave belongs to the waves about to be recomputed.
   size_t Cut = Events.size();
-  for (size_t I = 0; I < Events.size(); ++I) {
-    const JournalEvent &Event = Events[I];
-    if (Event.Phase != Phase)
-      continue;
-    if (Event.Wave > StartWave) {
+  for (size_t I = 0; I < Events.size(); ++I)
+    if (Events[I].Phase == Phase && Events[I].Wave > StartWave) {
       Cut = I;
       break;
     }
-    if (StartWave > 0 && Event.Kind == JournalEventKind::CheckpointSaved &&
-        Event.Wave == StartWave) {
-      Cut = I + 1;
-      break;
-    }
-  }
   if (Cut == Events.size())
     return;
   uint64_t KeepBytes = Cut == 0 ? 0 : LineEnds[Cut - 1];
@@ -577,9 +567,6 @@ void JournalObserver::onWaveCommitted(const std::string &Phase,
   Event.Total = Total;
   Event.Count = Count;
   Writer.append(std::move(Event));
-  // Wave boundary: make everything up to here durable *before* the store
-  // checkpoints, keeping the journal at-or-ahead of the store.
-  Writer.commit();
 }
 
 void JournalObserver::onCheckpointSaved(const std::string &Phase,
@@ -589,5 +576,6 @@ void JournalObserver::onCheckpointSaved(const std::string &Phase,
   Event.Phase = Phase;
   Event.Wave = WaveEnd;
   Writer.append(std::move(Event));
+  // Durable before the store saves: the journal stays at or ahead of it.
   Writer.commit();
 }

@@ -19,10 +19,10 @@
 ///   {"v":2,"seq":12,"kind":"BugFound","phase":"eval/spirv-fuzz/100",
 ///    "wave":64,"test":41,"target":"Mali","signature":"...","wall_us":...}
 ///
-/// Crash safety: lines are flushed to the OS as they are appended and
-/// fsync'd at wave boundaries (JournalWriter::commit), and every append
-/// happens *before* the corresponding store checkpoint save — so after a
-/// crash or a failed write the journal is always at or ahead of the
+/// Crash safety: lines are flushed to the OS as they are appended, and
+/// the journal is fsync'd once per store save (JournalWriter::commit, in
+/// onCheckpointSaved) *before* the store writes its checkpoint — so after
+/// a crash or a failed write the journal is always at or ahead of the
 /// store. A failed append, fsync or truncation throws FileWriteError
 /// (support/FileIO.h), out of the observer hooks too. On resume the
 /// writer keeps the parseable prefix (a torn tail from a mid-write crash
@@ -202,16 +202,14 @@ public:
   uint64_t append(JournalEvent Event);
 
   /// Durability point: fsyncs the journal file (FileWriteError on
-  /// failure). The engine observer calls this at wave boundaries, before
-  /// the store checkpoint save.
+  /// failure). The engine observer calls this once per checkpoint, before
+  /// the store saves it.
   void commit();
 
   /// Trims the journal for a phase resuming at wave boundary
   /// \p StartWave: everything from the first event of \p Phase with
-  /// Wave > StartWave, or from just past its CheckpointSaved line at
-  /// StartWave, is dropped, because the engine is about to recompute
-  /// those waves (and save the phase's final checkpoint) and re-append
-  /// their events.
+  /// Wave > StartWave is dropped, because the engine is about to
+  /// recompute those waves and re-append their events.
   void truncateForPhaseResume(const std::string &Phase, uint64_t StartWave);
 
   bool empty() const;

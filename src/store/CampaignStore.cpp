@@ -257,67 +257,72 @@ bool readReductionPayload(ByteReader &R, ReductionCheckpoint &C,
 }
 
 //===----------------------------------------------------------------------===//
-// Manifest codec
+// The index the checkpoints carry
 //===----------------------------------------------------------------------===//
 
-std::string encodeManifest(const StoreManifest &Manifest) {
-  ByteWriter W;
-  W.u32(static_cast<uint32_t>(Manifest.Campaigns.size()));
-  for (const CampaignEntry &Campaign : Manifest.Campaigns) {
-    W.str(Campaign.Id);
-    W.str(Campaign.ConfigDigest);
-    W.u32(static_cast<uint32_t>(Campaign.Buckets.size()));
-    for (const BugBucket &Bucket : Campaign.Buckets) {
-      W.str(Bucket.Target);
-      W.str(Bucket.Signature);
-      W.str(Bucket.TypesKey);
-      W.str(Bucket.Dir);
-      W.u64(Bucket.Count);
-    }
+/// Reduction records by phase.
+using PhaseRecordMap = std::map<std::string, std::vector<ReductionRecord>>;
+
+/// Every campaign the checkpoints under \p Dir record, with its reduction
+/// records: each decodable .ckpt registers its CAMP, and a REDU payload
+/// adds its phase's records.
+std::map<std::string, PhaseRecordMap> readCheckpoints(const std::string &Dir) {
+  std::map<std::string, PhaseRecordMap> Campaigns;
+  for (const std::string &Name : listDir(Dir + "/checkpoint", ".ckpt")) {
+    std::string Bytes, Error;
+    StoreFile File;
+    if (!readFileBytes(Dir + "/checkpoint/" + Name, Bytes, Error) ||
+        !StoreFile::decode(Bytes, File, Error))
+      continue;
+    const std::string *Campaign = File.find("CAMP");
+    if (!Campaign)
+      continue;
+    PhaseRecordMap &Phases = Campaigns[*Campaign];
+    const std::string *Phase = File.find("PHSE");
+    const std::string *Payload = File.find("REDU");
+    if (!Phase || !Payload)
+      continue;
+    ByteReader R(*Payload);
+    ReductionCheckpoint C;
+    if (readReductionPayload(R, C, File.Version))
+      Phases[*Phase] = std::move(C.Records);
   }
-  StoreFile File;
-  File.add("MNFT", W.take());
-  return File.encode();
+  return Campaigns;
 }
 
-bool decodeManifest(const std::string &Bytes, StoreManifest &Manifest,
-                    std::string &ErrorOut) {
-  StoreFile File;
-  if (!StoreFile::decode(Bytes, File, ErrorOut))
-    return false;
-  const std::string *Payload = File.find("MNFT");
-  if (!Payload) {
-    ErrorOut = "manifest has no MNFT section";
-    return false;
+/// One campaign's buckets, counted over its reduction records in every
+/// phase: idempotent under checkpoint replay, so a resumed run never
+/// double-counts.
+std::vector<BugBucket> bucketsOf(const PhaseRecordMap &Phases) {
+  std::map<std::tuple<std::string, std::string, std::string>, uint64_t>
+      Counts;
+  for (const auto &[Phase, Records] : Phases) {
+    (void)Phase;
+    for (const ReductionRecord &Record : Records)
+      ++Counts[{Record.TargetName, Record.Signature,
+                triage::dedupTypesKey(Record.Types)}];
   }
-  ByteReader R(*Payload);
-  uint32_t CampaignCount = 0;
-  if (!R.u32(CampaignCount) || !R.checkCount(CampaignCount, 12)) {
-    ErrorOut = "corrupt manifest: " + R.error();
-    return false;
+  std::vector<BugBucket> Buckets;
+  for (const auto &[Key, Count] : Counts) {
+    const auto &[Target, Signature, TypesKey] = Key;
+    Buckets.push_back({Target, Signature, TypesKey,
+                       bucketDirName(Target, Signature, TypesKey), Count});
   }
-  Manifest.Campaigns.clear();
-  for (uint32_t I = 0; I < CampaignCount; ++I) {
-    CampaignEntry Campaign;
-    uint32_t BucketCount = 0;
-    if (!R.str(Campaign.Id) || !R.str(Campaign.ConfigDigest) ||
-        !R.u32(BucketCount) || !R.checkCount(BucketCount, 24)) {
-      ErrorOut = "corrupt manifest: " + R.error();
-      return false;
-    }
-    for (uint32_t B = 0; B < BucketCount; ++B) {
-      BugBucket Bucket;
-      if (!R.str(Bucket.Target) || !R.str(Bucket.Signature) ||
-          !R.str(Bucket.TypesKey) || !R.str(Bucket.Dir) ||
-          !R.u64(Bucket.Count)) {
-        ErrorOut = "corrupt manifest: " + R.error();
-        return false;
-      }
-      Campaign.Buckets.push_back(std::move(Bucket));
-    }
-    Manifest.Campaigns.push_back(std::move(Campaign));
-  }
-  return true;
+  return Buckets;
+}
+
+/// \p Manifest's entry for campaign \p Id, inserted in id order when
+/// missing.
+CampaignEntry &entryFor(StoreManifest &Manifest, const std::string &Id) {
+  auto It = std::lower_bound(
+      Manifest.Campaigns.begin(), Manifest.Campaigns.end(), Id,
+      [](const CampaignEntry &Entry, const std::string &Key) {
+        return Entry.Id < Key;
+      });
+  if (It == Manifest.Campaigns.end() || It->Id != Id)
+    It = Manifest.Campaigns.insert(
+        It, CampaignEntry{Id, Id.substr(Id.rfind('-') + 1), {}});
+  return *It;
 }
 
 } // namespace
@@ -331,10 +336,6 @@ CampaignEntry *StoreManifest::find(const std::string &Id) {
     if (Campaign.Id == Id)
       return &Campaign;
   return nullptr;
-}
-
-const CampaignEntry *StoreManifest::find(const std::string &Id) const {
-  return const_cast<StoreManifest *>(this)->find(Id);
 }
 
 std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy,
@@ -394,31 +395,17 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
   std::unique_ptr<CampaignStore> Store(new CampaignStore());
   Store->Root = Dir;
   Store->CampaignId = campaignIdFor(Policy, Fleet);
-  Store->ConfigDigest = campaignConfigDigest(Policy, Fleet);
 
   for (const char *Sub : {"", "/checkpoint", "/bugs", "/corpus", "/journal"})
     ensureDir(Dir + Sub);
 
-  const std::string ManifestPath = Dir + "/checkpoint/manifest.bin";
-  if (pathExists(ManifestPath)) {
-    std::string Bytes;
-    if (!readFileBytes(ManifestPath, Bytes, ErrorOut) ||
-        !decodeManifest(Bytes, Store->Manifest, ErrorOut))
-      return nullptr;
-  }
-
-  const CampaignEntry *Existing = Store->Manifest.find(Store->CampaignId);
-  if (Existing && !Policy.Resume) {
+  Store->loadIndex();
+  if (Store->Found && !Policy.Resume) {
     ErrorOut = "store already records campaign " + Store->CampaignId +
                "; pass --resume to continue it (or use a different seed to "
                "accumulate a new campaign)";
     return nullptr;
   }
-  if (Existing && Existing->ConfigDigest != Store->ConfigDigest) {
-    ErrorOut = "config digest mismatch for campaign " + Store->CampaignId;
-    return nullptr;
-  }
-  Store->Found = Existing != nullptr;
 
   // journal/events.jsonl and checkpoint/metrics.json belong to the
   // campaign the store ran last. Opening it for another campaign parks
@@ -442,26 +429,6 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
     if (pathExists(Mine + "-metrics.json"))
       moveFile(Mine + "-metrics.json", Metrics);
   }
-
-  // Reload this campaign's reduction records from its checkpoints so
-  // bucket counts survive reopen even before the next save.
-  for (const std::string &Name : listDir(Dir + "/checkpoint", ".ckpt")) {
-    std::string Bytes, Error;
-    if (!readFileBytes(Dir + "/checkpoint/" + Name, Bytes, Error))
-      continue;
-    StoreFile File;
-    if (!StoreFile::decode(Bytes, File, Error))
-      continue;
-    const std::string *Campaign = File.find("CAMP");
-    const std::string *Phase = File.find("PHSE");
-    const std::string *Payload = File.find("REDU");
-    if (!Campaign || !Phase || !Payload || *Campaign != Store->CampaignId)
-      continue;
-    ByteReader R(*Payload);
-    ReductionCheckpoint C;
-    if (readReductionPayload(R, C, File.Version))
-      Store->PhaseRecords[*Phase] = std::move(C.Records);
-  }
   return Store;
 }
 
@@ -469,16 +436,22 @@ std::unique_ptr<CampaignStore>
 CampaignStore::openForTools(const std::string &Dir, std::string &ErrorOut) {
   std::unique_ptr<CampaignStore> Store(new CampaignStore());
   Store->Root = Dir;
-  const std::string ManifestPath = Dir + "/checkpoint/manifest.bin";
-  if (!pathExists(ManifestPath)) {
-    ErrorOut = Dir + " is not a campaign store (no checkpoint/manifest.bin)";
+  Store->loadIndex();
+  if (Store->Manifest.Campaigns.empty()) {
+    ErrorOut = Dir + " is not a campaign store (no checkpoint/*.ckpt)";
     return nullptr;
   }
-  std::string Bytes;
-  if (!readFileBytes(ManifestPath, Bytes, ErrorOut) ||
-      !decodeManifest(Bytes, Store->Manifest, ErrorOut))
-    return nullptr;
   return Store;
+}
+
+void CampaignStore::loadIndex() {
+  for (auto &[Id, Phases] : readCheckpoints(Root)) {
+    entryFor(Manifest, Id).Buckets = bucketsOf(Phases);
+    if (Id == CampaignId) {
+      Found = true;
+      PhaseRecords = std::move(Phases);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -515,7 +488,11 @@ bool CampaignStore::loadCheckpointFile(const std::string &Phase,
 void CampaignStore::commitCheckpoint(const std::string &Phase,
                                      const char *SectionTag,
                                      std::string Payload) {
-  commitManifest();
+  // Telemetry at this commit point, for resume merging and report --store.
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  if (Metrics.enabled())
+    atomicWriteFile(Root + "/checkpoint/metrics.json",
+                    telemetry::metricsToJson(Metrics.snapshot()));
   // The phase checkpoint goes last: a failed write before it leaves the
   // previous checkpoint in place, so resume redoes this wave.
   StoreFile File;
@@ -526,6 +503,7 @@ void CampaignStore::commitCheckpoint(const std::string &Phase,
                       hexDigits(hashString(CampaignId + "\n" + Phase), 16) +
                       ".ckpt",
                   File.encode());
+  entryFor(Manifest, CampaignId).Buckets = bucketsOf(PhaseRecords);
 }
 
 bool CampaignStore::loadEvaluation(const std::string &Phase,
@@ -595,7 +573,7 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
   ensureDir(BucketPath);
 
   // The bucket keeps its first reproducer as the representative; later
-  // hits only raise the manifest count. repro.msb goes last, so a bucket
+  // hits only raise its count. repro.msb goes last, so a bucket
   // without it is rewritten whole on resume.
   if (!pathExists(BucketPath + "/repro.msb")) {
     ByteWriter OrigW, InputW, ReducedW, SeqW;
@@ -714,48 +692,6 @@ bool CampaignStore::loadAttribution(const BugBucket &Bucket,
 }
 
 //===----------------------------------------------------------------------===//
-// Manifest commit
-//===----------------------------------------------------------------------===//
-
-void CampaignStore::commitManifest() {
-  // Rebuild this campaign's buckets from every reduction record in its
-  // checkpoints — idempotent under checkpoint replay, so a resumed run
-  // never double-counts.
-  std::map<std::tuple<std::string, std::string, std::string>, uint64_t>
-      Counts;
-  for (const auto &[Phase, Records] : PhaseRecords) {
-    (void)Phase;
-    for (const ReductionRecord &Record : Records)
-      ++Counts[{Record.TargetName, Record.Signature,
-                triage::dedupTypesKey(Record.Types)}];
-  }
-  CampaignEntry *Entry = Manifest.find(CampaignId);
-  if (!Entry) {
-    Manifest.Campaigns.push_back(CampaignEntry{CampaignId, ConfigDigest, {}});
-    Entry = &Manifest.Campaigns.back();
-  }
-  Entry->Buckets.clear();
-  for (const auto &[Key, Count] : Counts) {
-    const auto &[Target, Signature, TypesKey] = Key;
-    BugBucket Bucket;
-    Bucket.Target = Target;
-    Bucket.Signature = Signature;
-    Bucket.TypesKey = TypesKey;
-    Bucket.Dir = bucketDirName(Target, Signature, TypesKey);
-    Bucket.Count = Count;
-    Entry->Buckets.push_back(std::move(Bucket));
-  }
-
-  atomicWriteFile(Root + "/checkpoint/manifest.bin", encodeManifest(Manifest));
-
-  // Telemetry at this commit point, for resume merging and report --store.
-  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  if (Metrics.enabled())
-    atomicWriteFile(Root + "/checkpoint/metrics.json",
-                    telemetry::metricsToJson(Metrics.snapshot()));
-}
-
-//===----------------------------------------------------------------------===//
 // Triage operations
 //===----------------------------------------------------------------------===//
 
@@ -783,10 +719,10 @@ std::vector<BugBucket> CampaignStore::aggregatedBuckets() const {
 }
 
 bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
+  StoreManifest Added;
   for (const CampaignEntry &Campaign : Other.Manifest.Campaigns) {
     if (Manifest.find(Campaign.Id))
       continue; // same campaign, same buckets — nothing new
-    Manifest.Campaigns.push_back(Campaign);
     for (const BugBucket &Bucket : Campaign.Buckets) {
       const std::string From = Other.Root + "/bugs/" + Bucket.Dir;
       const std::string To = Root + "/bugs/" + Bucket.Dir;
@@ -803,8 +739,23 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
           !copyFile(Other.Root + "/corpus/" + Name, Root + "/corpus/" + Name,
                     ErrorOut))
         return false;
+    Added.Campaigns.push_back(Campaign);
   }
-  atomicWriteFile(Root + "/checkpoint/manifest.bin", encodeManifest(Manifest));
+  // The checkpoints are the index, so they go last: a merge cut short
+  // before them leaves the campaign out, and the next merge copies it.
+  for (const std::string &Name :
+       listDir(Other.Root + "/checkpoint", ".ckpt")) {
+    std::string Bytes, Error;
+    StoreFile File;
+    if (!readFileBytes(Other.Root + "/checkpoint/" + Name, Bytes, ErrorOut))
+      return false;
+    const std::string *Campaign =
+        StoreFile::decode(Bytes, File, Error) ? File.find("CAMP") : nullptr;
+    if (Campaign && Added.find(*Campaign))
+      atomicWriteFile(Root + "/checkpoint/" + Name, Bytes);
+  }
+  for (CampaignEntry &Campaign : Added.Campaigns)
+    entryFor(Manifest, Campaign.Id) = std::move(Campaign);
   return true;
 }
 
@@ -823,12 +774,9 @@ bool CampaignStore::mergeFromDirectory(const std::string &Dir,
     const std::string Sub = Dir + "/" + Name;
     if (!pathExists(Sub + "/"))
       continue; // not a directory
-    if (Sub == Root || !pathExists(Sub + "/checkpoint/manifest.bin")) {
-      ++SkippedOut;
-      continue;
-    }
     std::string OpenError;
-    std::unique_ptr<CampaignStore> Source = openForTools(Sub, OpenError);
+    std::unique_ptr<CampaignStore> Source =
+        Sub == Root ? nullptr : openForTools(Sub, OpenError);
     if (!Source) {
       ++SkippedOut;
       continue;

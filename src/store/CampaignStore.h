@@ -8,8 +8,8 @@
 /// The persistent campaign store: durable checkpoints, a cross-campaign
 /// bug database and reduced reproducers, under one directory:
 ///
-///   <dir>/checkpoint/          manifest.bin + one .ckpt per phase +
-///                              metrics.json (telemetry at the last commit)
+///   <dir>/checkpoint/          one .ckpt per phase of each campaign +
+///                              metrics.json (telemetry at the last save)
 ///   <dir>/bugs/<bucket>/       one dir per dedup bucket (target,
 ///                              signature, transformation-type set):
 ///                              meta.json and repro.msb (modules, input,
@@ -22,23 +22,27 @@
 ///                              each campaign other than the one the
 ///                              store ran last
 ///
-/// `db list/show/diff` render everything else (module text, diffs, the
-/// attribution) from manifest.bin and repro.msb.
+/// The checkpoints are the store's index: opening a store reads every
+/// .ckpt, and each registers its campaign (the CAMP section) and, with
+/// its reduction records, that campaign's bucket counts. `db list/show/
+/// diff` render everything else (module text, diffs, the attribution)
+/// from that index and repro.msb.
 ///
 /// Every file is written write-temp-then-rename with fsync (FileIO.h's
 /// atomicWriteFile), so a crash leaves the store at some complete earlier
 /// state, never torn. A failed write throws FileWriteError out of the
-/// call, hooks included. Each commit writes the phase .ckpt last and each
-/// bucket its repro.msb last, so whatever failed before them is redone
-/// on resume. The store implements CampaignCheckpointer: attach it to a
-/// CampaignEngine and the engine checkpoints at wave boundaries;
-/// reopening with Resume and re-running the same campaign replays the
-/// checkpoints and continues — byte-identical to an uninterrupted run.
+/// call, hooks included. Each save writes metrics.json, then the phase
+/// .ckpt, and each bucket its repro.msb last, so whatever failed before
+/// them is redone on resume. The store implements CampaignCheckpointer:
+/// attach it to a CampaignEngine and the engine checkpoints at wave
+/// boundaries; reopening with Resume and re-running the same campaign
+/// replays the checkpoints and continues — byte-identical to an
+/// uninterrupted run.
 ///
 /// Buckets are keyed per campaign id (seed + config digest), which makes
 /// checkpoint replay idempotent and lets independent campaigns accumulate
-/// into one store; merge() folds a second store's campaigns in the same
-/// way, the cross-campaign deduplication of ISSUE 5.
+/// into one store; merge() folds a second store's campaigns, checkpoints
+/// included, in the same way: cross-campaign deduplication.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,16 +76,16 @@ struct BugBucket {
 /// One campaign recorded in the store.
 struct CampaignEntry {
   std::string Id;           // "seed<seed>-<digest16>"
-  std::string ConfigDigest; // 16 hex chars over the result-shaping policy
+  std::string ConfigDigest; // the id's suffix: campaignConfigDigest
   std::vector<BugBucket> Buckets;
 };
 
-/// The store-level manifest: every campaign that has written here.
+/// The store's index, read from its checkpoints: every campaign that has
+/// saved one here, in id order.
 struct StoreManifest {
   std::vector<CampaignEntry> Campaigns;
 
   CampaignEntry *find(const std::string &Id);
-  const CampaignEntry *find(const std::string &Id) const;
 };
 
 /// Digest over the result-shaping policy fields (seed, transformation
@@ -101,15 +105,13 @@ std::string campaignIdFor(const ExecutionPolicy &Policy,
 class CampaignStore : public CampaignCheckpointer {
 public:
   /// Opens (creating if needed) the store at \p Dir for the campaign
-  /// \p Policy describes on \p Fleet. Without Policy.Resume the campaign
-  /// id must not already be in the manifest (fresh store or
-  /// cross-campaign accumulation only); with Resume an existing entry
-  /// must match the config digest. Returns nullptr with a diagnostic on
-  /// a corrupt manifest or a refused campaign; a failed directory
-  /// creation or move throws FileWriteError. When the journal belongs to
-  /// another campaign, that campaign's journal and metrics.json move into
-  /// parked/ under its id, and this campaign's parked pair, if any, moves
-  /// back.
+  /// \p Policy describes on \p Fleet. Without Policy.Resume the store
+  /// must hold no checkpoint of the campaign (fresh store or
+  /// cross-campaign accumulation only). Returns nullptr with a diagnostic
+  /// on a refused campaign; a failed directory creation or move throws
+  /// FileWriteError. When the journal belongs to another campaign, that
+  /// campaign's journal and metrics.json move into parked/ under its id,
+  /// and this campaign's parked pair, if any, moves back.
   static std::unique_ptr<CampaignStore> open(const std::string &Dir,
                                              const ExecutionPolicy &Policy,
                                              const TargetFleet &Fleet,
@@ -120,14 +122,15 @@ public:
                                              std::string &ErrorOut);
 
   /// Opens an existing store read-mostly for the triage CLI (db/report):
-  /// no campaign registration, no resume checks. The manifest must parse.
+  /// no campaign registration, no resume checks. Returns nullptr with a
+  /// diagnostic when no checkpoint names a campaign.
   static std::unique_ptr<CampaignStore> openForTools(const std::string &Dir,
                                                      std::string &ErrorOut);
 
   const std::string &dir() const { return Root; }
   const std::string &campaignId() const { return CampaignId; }
   const StoreManifest &manifest() const { return Manifest; }
-  /// Whether open() found this campaign in the manifest, i.e. the run
+  /// Whether open() found a checkpoint of this campaign, i.e. the run
   /// continues a campaign the store records rather than starting one.
   /// Only then do the journal and metrics.json in place continue it.
   bool foundCampaign() const { return Found; }
@@ -161,8 +164,7 @@ public:
   /// Persists \p Attr into \p Bucket: rewrites repro.msb with an ATTR
   /// section (replacing any previous one). Returns false with a
   /// diagnostic when repro.msb cannot be read. Attribution lives in the
-  /// bucket, not the manifest — commitManifest rebuilds manifest entries
-  /// from checkpoint records and would drop anything stored there.
+  /// bucket: the index holds only what the checkpoints record.
   bool recordAttribution(const BugBucket &Bucket,
                          const triage::BugAttribution &Attr,
                          std::string &ErrorOut);
@@ -174,14 +176,14 @@ public:
 
   /// Folds \p Other's campaigns into this store: campaigns whose id this
   /// store already has are skipped (same campaign, same buckets); new ones
-  /// bring their manifest entries, bucket directories and corpus files.
-  /// Returns false with a diagnostic when a file of \p Other cannot be
-  /// read.
+  /// bring their bucket directories and corpus files and, last, their
+  /// checkpoints. Returns false with a diagnostic when a file of \p Other
+  /// cannot be read.
   bool merge(const CampaignStore &Other, std::string &ErrorOut);
 
   /// Folds every store found directly under \p Dir into this one (merge(),
-  /// applied to each subdirectory in sorted order). Subdirectories that do
-  /// not hold a parseable store are counted in \p SkippedOut and left
+  /// applied to each subdirectory in sorted order). Subdirectories whose
+  /// checkpoint/ names no campaign are counted in \p SkippedOut and left
   /// alone; \p MergedOut counts the stores folded. Returns false with a
   /// diagnostic only on a read failure while merging an actual store.
   bool mergeFromDirectory(const std::string &Dir, size_t &MergedOut,
@@ -214,21 +216,20 @@ private:
 
   bool loadCheckpointFile(const std::string &Phase, const char *SectionTag,
                           std::string &PayloadOut, uint32_t &VersionOut);
-  /// One commit: commitManifest, then the phase checkpoint file.
+  /// One save: the telemetry snapshot, then the phase checkpoint file;
+  /// this campaign's index entry then follows the saved records.
   void commitCheckpoint(const std::string &Phase, const char *SectionTag,
                         std::string Payload);
-  /// Rebuilds this campaign's manifest entry from every reduction record
-  /// in its checkpoints (idempotent under replay), then persists the
-  /// manifest and the telemetry snapshot.
-  void commitManifest();
+  /// Builds Manifest from checkpoint/*.ckpt, and Found and PhaseRecords
+  /// from this campaign's checkpoints.
+  void loadIndex();
 
   std::string Root;
   std::string CampaignId;
-  std::string ConfigDigest;
   bool Found = false;
   StoreManifest Manifest;
-  /// Reduction records per phase key, accumulated from checkpoint saves
-  /// (and reloaded from disk at open), the source of bucket counts.
+  /// This campaign's reduction records per phase key, from its
+  /// checkpoints and later saves: the source of its bucket counts.
   std::map<std::string, std::vector<ReductionRecord>> PhaseRecords;
 };
 

@@ -8,7 +8,6 @@
 
 #include "support/ModuleHash.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -338,75 +337,4 @@ bool spvfuzz::readTestEvaluationBinary(ByteReader &R, TestEvaluation &Eval) {
     Eval.Signatures[std::move(Target)] = std::move(Signature);
   }
   return R.strs(Eval.ToolErrored);
-}
-
-// --- Fact codec ------------------------------------------------------------
-
-namespace {
-
-std::vector<uint32_t> sortedIds(const std::unordered_set<Id> &Set) {
-  std::vector<uint32_t> Out(Set.begin(), Set.end());
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
-void writeDescriptor(ByteWriter &W, const DataDescriptor &D) {
-  W.u32(D.Object);
-  W.words(D.Indices);
-}
-
-bool readDescriptor(ByteReader &R, DataDescriptor &D) {
-  return R.u32(D.Object) && R.words(D.Indices);
-}
-
-} // namespace
-
-void spvfuzz::writeFactsBinary(ByteWriter &W, const FactManager &Facts) {
-  W.words(sortedIds(Facts.deadBlocks()));
-  W.words(sortedIds(Facts.irrelevantIds()));
-  W.words(sortedIds(Facts.irrelevantPointees()));
-  W.words(sortedIds(Facts.liveSafeFunctions()));
-  auto Synonyms = Facts.canonicalSynonyms();
-  W.u32(static_cast<uint32_t>(Synonyms.size()));
-  for (const auto &[Member, Representative] : Synonyms) {
-    writeDescriptor(W, Member);
-    writeDescriptor(W, Representative);
-  }
-  writeShaderInputBinary(W, Facts.knownInput());
-}
-
-bool spvfuzz::readFactsBinary(ByteReader &R, FactManager &Facts) {
-  Facts = FactManager();
-  std::vector<uint32_t> Ids;
-  if (!R.words(Ids))
-    return false;
-  for (uint32_t TheId : Ids)
-    Facts.addDeadBlock(TheId);
-  if (!R.words(Ids))
-    return false;
-  for (uint32_t TheId : Ids)
-    Facts.addIrrelevantId(TheId);
-  if (!R.words(Ids))
-    return false;
-  for (uint32_t TheId : Ids)
-    Facts.addIrrelevantPointee(TheId);
-  if (!R.words(Ids))
-    return false;
-  for (uint32_t TheId : Ids)
-    Facts.addLiveSafeFunction(TheId);
-  uint32_t SynonymCount = 0;
-  // Each pair is at least two descriptors of 8 bytes each.
-  if (!R.u32(SynonymCount) || !R.checkCount(SynonymCount, 16))
-    return false;
-  for (uint32_t I = 0; I < SynonymCount; ++I) {
-    DataDescriptor Member, Representative;
-    if (!readDescriptor(R, Member) || !readDescriptor(R, Representative))
-      return false;
-    Facts.addSynonym(Member, Representative);
-  }
-  ShaderInput Input;
-  if (!readShaderInputBinary(R, Input))
-    return false;
-  Facts.setKnownInput(Input);
-  return true;
 }

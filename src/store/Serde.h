@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent store's binary container and the codecs for the three
-/// campaign payload types: modules, fact sets and transformation sequences
-/// (the sequence codec lives in core/Transformation.h, next to the kind
-/// tables). The container is
+/// The persistent store's binary container and the codecs for its
+/// payloads: modules, shader inputs, test evaluations and transformation
+/// sequences (the sequence codec lives in core/Transformation.h, next to
+/// the kind tables). The container is
 ///
 ///   MagicBytes(8) FormatVersion(u32) PayloadChecksum(u64)
 ///   SectionCount(u32) { Tag(4) Size(u64) Payload(Size) }*
@@ -27,7 +27,6 @@
 #define STORE_SERDE_H
 
 #include "campaign/Campaign.h"
-#include "core/Fact.h"
 #include "exec/Value.h"
 #include "ir/Module.h"
 #include "support/BinaryIO.h"
@@ -71,12 +70,6 @@ struct StoreFile {
 /// exactly Bound, EntryPointId, globals and functions.
 void writeModuleBinary(ByteWriter &W, const Module &M);
 bool readModuleBinary(ByteReader &R, Module &M);
-
-/// Fact sets are written in canonical form (sorted id sets, the synonym
-/// relation as canonicalSynonyms pairs), so two managers holding the same
-/// facts serialize to identical bytes regardless of insertion order.
-void writeFactsBinary(ByteWriter &W, const FactManager &Facts);
-bool readFactsBinary(ByteReader &R, FactManager &Facts);
 
 /// Shader inputs (bindings in key order; values recurse with a depth cap).
 void writeShaderInputBinary(ByteWriter &W, const ShaderInput &Input);

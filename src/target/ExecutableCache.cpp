@@ -27,7 +27,7 @@ ExecutableCache::getOrCompile(const Target &T, const Module &M,
   // Compile outside the lock: pipelines are the expensive part and the
   // artifact is deterministic, so a racing duplicate compile is wasted
   // work, not wrong results.
-  Art = T.compile(M);
+  Art = T.compile(M, ModuleHash);
   Lru.insert(K, Art, Art->approxBytes());
   return Art;
 }

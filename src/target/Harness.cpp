@@ -67,6 +67,7 @@ HarnessedTarget::runBatch(const Module &M,
   // wired) still amortizes the compile across the loop.
   std::vector<TargetRun> Runs;
   Runs.reserve(Inputs.size());
+  const uint64_t AId = deterministic() ? Inner->artifactId(hashModule(M)) : 0;
   for (const ShaderInput &Input : Inputs) {
     telemetry::TraceSpan RunSpan("target.run");
     TargetRun &Run = Runs.emplace_back();
@@ -74,7 +75,6 @@ HarnessedTarget::runBatch(const Module &M,
       Run = votedRun(M, Input);
     } else {
       // One attempt suffices, and is safe to memoize.
-      const uint64_t AId = Inner->artifactId(hashModule(M));
       const uint64_t IHash = hashShaderInput(Input);
       if (!Cache->lookup(AId, IHash, Run)) {
         Run = Inner->run(M, Input, context(0));

@@ -149,8 +149,9 @@ Target::compileWith(const Module &M, const BugHost &Bugs,
   return Art;
 }
 
-std::shared_ptr<const TargetArtifact> Target::compile(const Module &M) const {
-  return compileWith(M, Spec.Bugs, hashModule(M));
+std::shared_ptr<const TargetArtifact>
+Target::compile(const Module &M, uint64_t ModuleHash) const {
+  return compileWith(M, Spec.Bugs, ModuleHash);
 }
 
 void Target::replayCompileMetrics(const TargetArtifact &Art) const {
@@ -183,12 +184,13 @@ Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
   if (Inputs.empty())
     return Runs;
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  const uint64_t MHash = hashModule(M);
 
   // Infrastructure faults fire before the compiler even starts; the draw
   // does not depend on the input, so one covers the whole batch (one
   // toolchain invocation, one failure).
   if (Spec.Faults.ToolErrorRate > 0.0 &&
-      toolErrorFires(Ctx.CampaignSeed, hashModule(M), Spec.Name, Ctx.Attempt,
+      toolErrorFires(Ctx.CampaignSeed, MHash, Spec.Name, Ctx.Attempt,
                      Spec.Faults.ToolErrorRate)) {
     TargetRun Run;
     Run.RunOutcome = Outcome::ToolError;
@@ -204,7 +206,6 @@ Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
   // module), compiled fresh under this attempt's resolved bug host
   // otherwise — a non-firing flaky bug is simply absent from the compiler
   // this time around.
-  const uint64_t MHash = hashModule(M);
   std::shared_ptr<const TargetArtifact> Art;
   if (!Spec.Bugs.hasNondeterministic()) {
     if (Ctx.ExeCache && Spec.deterministic())

@@ -207,12 +207,13 @@ public:
   /// determinism contract triage attribution relies on.
   BugHost solidBugs() const;
 
-  /// Compiles \p M into a shareable artifact under this target's static
-  /// bug host (the deterministic, attempt-0 view): runs the pipeline,
-  /// records how many passes ran, and — when the target executes and the
-  /// pipeline did not crash — compiles the optimized module into an
-  /// Executable.
-  std::shared_ptr<const TargetArtifact> compile(const Module &M) const;
+  /// Compiles \p M, whose structural hash is \p ModuleHash, into a
+  /// shareable artifact under this target's static bug host (the
+  /// deterministic, attempt-0 view): runs the pipeline, records how many
+  /// passes ran, and — when the target executes and the pipeline did not
+  /// crash — compiles the optimized module into an Executable.
+  std::shared_ptr<const TargetArtifact> compile(const Module &M,
+                                                uint64_t ModuleHash) const;
 
   /// Dense identity of (this target, source module hash). Stable across
   /// processes; keys artifact and evaluation caches.

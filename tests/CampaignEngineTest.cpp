@@ -588,7 +588,7 @@ TEST(CampaignEngine, DecisionStreamMatchesGolden) {
     Transcript += std::string("== ") + C.Name + "\n" + A;
   }
 
-  const uint64_t Golden = 0x2e7a2356aa2d6bd1ull;
+  const uint64_t Golden = 0x9d0a3f3a5d513081ull;
   const uint64_t Digest = fnv1a64(Transcript);
   if (Digest != Golden) {
     const char *Path = "CampaignEngine.DecisionStream.txt";

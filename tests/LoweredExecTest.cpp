@@ -306,7 +306,8 @@ TEST(LoweredExecTest, TargetStepBudgetBoundaryAgrees) {
   Module Loop = makeLoopModule(2000);
   ASSERT_TRUE(validateModule(Loop).empty());
 
-  std::shared_ptr<const TargetArtifact> Art = Swift.compile(Loop);
+  std::shared_ptr<const TargetArtifact> Art =
+      Swift.compile(Loop, hashModule(Loop));
   ASSERT_FALSE(Art->Crash.has_value());
   ASSERT_NE(Art->Exe, nullptr);
   ShaderInput Input;

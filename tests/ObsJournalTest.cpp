@@ -296,9 +296,9 @@ TEST(Journal, TruncateForPhaseResumeDropsRecomputedSuffix) {
   EXPECT_EQ(OnDisk[3].Seq, 3u);
 }
 
-// The checkpoint a phase resumes from was journaled before it was saved;
-// its CheckpointSaved line stays, once, and the final checkpoint's second
-// line at the same wave goes, because the resumed phase saves it again.
+// The checkpoint a phase resumes from was journaled before it was saved,
+// once per wave boundary; its CheckpointSaved line stays, and the later
+// waves' lines go, because the resumed phase saves them again.
 TEST(Journal, TruncateKeepsTheResumedCheckpointOnce) {
   std::string Dir = uniqueDir("truncate-checkpoint");
   std::string Error;
@@ -316,7 +316,6 @@ TEST(Journal, TruncateKeepsTheResumedCheckpointOnce) {
     Writer->append(Phased(JournalEventKind::WaveCommitted, Wave));
     Writer->append(Phased(JournalEventKind::CheckpointSaved, Wave));
   }
-  Writer->append(Phased(JournalEventKind::CheckpointSaved, 40)); // final
 
   Writer->truncateForPhaseResume("eval/a", 40);
   ASSERT_EQ(Writer->events().size(), 4u);

@@ -615,8 +615,8 @@ std::string runUnderFault(const std::string &Dir,
 
 /// Which kind of store file a write error names.
 std::string failedFileKind(const std::string &Failure) {
-  for (const char *Kind : {".ckpt", "repro.msb", "meta.json", "events.jsonl",
-                           "manifest.bin", "corpus/"})
+  for (const char *Kind :
+       {".ckpt", "repro.msb", "meta.json", "events.jsonl", "corpus/"})
     if (Failure.find(Kind) != std::string::npos)
       return Kind;
   return "other";
@@ -625,8 +625,8 @@ std::string failedFileKind(const std::string &Failure) {
 /// A sweep of write faults over a journaled bug-finding plus dedup
 /// campaign (each gtest case runs in its own process, so a file-size
 /// limit stays local): limits that cut the journal at different points,
-/// and blocked checkpoint, manifest, bucket and corpus files taken from a
-/// clean run. Every run either completes with the clean run's decisions
+/// and blocked checkpoint, bucket and corpus files taken from a clean
+/// run. Every run either completes with the clean run's decisions
 /// or throws FileWriteError; resuming without the fault then reproduces
 /// the clean run's decisions, journal, bugs/ and corpus/ byte for byte.
 void sweepWriteFaults(size_t Jobs) {
@@ -644,7 +644,6 @@ void sweepWriteFaults(size_t Jobs) {
   ASSERT_GE(Checkpoints.size(), 2u);
   for (const std::string &Name : {Checkpoints.front(), Checkpoints.back()})
     Faults.push_back({RLIM_INFINITY, "checkpoint/" + Name});
-  Faults.push_back({RLIM_INFINITY, "checkpoint/manifest.bin"});
   const std::vector<std::string> Buckets = listDir(Clean + "/bugs");
   ASSERT_GE(Buckets.size(), 2u);
   for (const std::string &Bucket : {Buckets.front(), Buckets.back()})
@@ -677,8 +676,8 @@ void sweepWriteFaults(size_t Jobs) {
     EXPECT_EQ(bugsAndCorpus(Dir), CleanTrees) << Hits.str();
   }
   std::cout << "write faults at " << Jobs << " job(s):" << Hits.str() << "\n";
-  for (const char *Kind : {".ckpt", "manifest.bin", "repro.msb", "meta.json",
-                           "corpus/", "events.jsonl"})
+  for (const char *Kind :
+       {".ckpt", "repro.msb", "meta.json", "corpus/", "events.jsonl"})
     EXPECT_TRUE(FailuresByKind.count(Kind))
         << "no fault failed a " << Kind << " write:" << Hits.str();
   EXPECT_EQ(FailuresByKind.count("other"), 0u) << Hits.str();
@@ -690,6 +689,52 @@ TEST(StoreCampaign, WriteFaultsFailLoudlyAndResumeExactly) {
 
 TEST(StoreCampaign, WriteFaultsFailLoudlyAndResumeExactlyAtTwoJobs) {
   sweepWriteFaults(2);
+}
+
+/// A campaign whose first checkpoint failed to save is not recorded: the
+/// metrics.json written just before it must not count on resume, which
+/// starts from an empty registry as a new process does and must count
+/// what a fresh run counts.
+TEST(StoreCampaign, FailedFirstCheckpointResumesWithFreshCounters) {
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  const ExecutionPolicy Policy = policyFor(5, 1);
+  const char *Counters[] = {"campaign.tests", "exec.runs", "target.compiles"};
+  Metrics.reset();
+  Metrics.setEnabled(true);
+  const std::string Decisions = runJournaled(uniqueDir("first-fresh"), Policy);
+  std::map<std::string, uint64_t> Fresh;
+  for (const char *Name : Counters)
+    Fresh[Name] = Metrics.counterValue(Name);
+
+  // The first save's checkpoint is the only .ckpt a run stopped after
+  // one save leaves.
+  const std::string Probe = uniqueDir("first-probe");
+  std::string Error;
+  {
+    std::unique_ptr<CampaignStore> Store =
+        CampaignStore::open(Probe, Policy, Error);
+    ASSERT_NE(Store, nullptr) << Error;
+    AbortAfter Crashing(*Store, 1);
+    EXPECT_THROW(runCampaign(Policy, &Crashing), std::runtime_error);
+  }
+  const std::vector<std::string> First =
+      listDir(Probe + "/checkpoint", ".ckpt");
+  ASSERT_EQ(First.size(), 1u);
+
+  const std::string Dir = uniqueDir("first-blocked");
+  Metrics.reset();
+  std::string Unused;
+  const std::string Failure = runUnderFault(
+      Dir, Policy, {RLIM_INFINITY, "checkpoint/" + First[0]}, Unused);
+  ASSERT_NE(Failure.find(First[0]), std::string::npos) << Failure;
+
+  Metrics.reset();
+  EXPECT_EQ(runJournaled(Dir, ExecutionPolicy(Policy).withResume(true)),
+            Decisions);
+  for (const char *Name : Counters)
+    EXPECT_EQ(Metrics.counterValue(Name), Fresh[Name]) << Name;
+  Metrics.reset();
+  Metrics.setEnabled(false);
 }
 
 /// A corpus entry that cannot be removed (here a non-empty directory,

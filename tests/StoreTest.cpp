@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The store's serde layer: 200 fuzzer-generated (module, facts,
-/// transformation-sequence) triples must round-trip through the binary
-/// codecs bit-exactly (ModuleHash equality, fact-set equality, replayed-
-/// sequence equivalence), and corrupt files — bit flips anywhere,
+/// The store's serde layer: 200 fuzzer-generated (module,
+/// transformation-sequence) pairs must round-trip through the binary
+/// codecs bit-exactly (ModuleHash equality, replayed-sequence
+/// equivalence), and corrupt files — bit flips anywhere,
 /// truncation at every length, a future format version — must be rejected
 /// with a diagnostic, never crash or silently parse. Whole files go
 /// through support/FileIO.
@@ -24,8 +24,6 @@
 #include "support/ModuleHash.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 using namespace spvfuzz;
 
@@ -51,25 +49,9 @@ Triple makeTriple(uint64_t Seed) {
   return Case;
 }
 
-std::vector<Id> sorted(const std::unordered_set<Id> &Set) {
-  std::vector<Id> Out(Set.begin(), Set.end());
-  std::sort(Out.begin(), Out.end());
-  return Out;
-}
-
-void expectFactsEqual(const FactManager &A, const FactManager &B) {
-  EXPECT_EQ(sorted(A.deadBlocks()), sorted(B.deadBlocks()));
-  EXPECT_EQ(sorted(A.irrelevantIds()), sorted(B.irrelevantIds()));
-  EXPECT_EQ(sorted(A.irrelevantPointees()), sorted(B.irrelevantPointees()));
-  EXPECT_EQ(sorted(A.liveSafeFunctions()), sorted(B.liveSafeFunctions()));
-  EXPECT_EQ(A.canonicalSynonyms(), B.canonicalSynonyms());
-  EXPECT_EQ(hashShaderInput(A.knownInput()), hashShaderInput(B.knownInput()));
-}
-
 std::string encodeTriple(const Triple &Case) {
   ByteWriter W;
   writeModuleBinary(W, Case.Result.Variant);
-  writeFactsBinary(W, Case.Result.Facts);
   writeSequenceBinary(W, Case.Result.Sequence);
   return W.take();
 }
@@ -81,12 +63,9 @@ TEST(StoreSerde, TwoHundredTriplesRoundTrip) {
 
     ByteReader R(Bytes);
     Module Variant;
-    FactManager Facts;
     TransformationSequence Sequence;
     ASSERT_TRUE(readModuleBinary(R, Variant)) << "seed " << Seed << ": "
                                               << R.error();
-    ASSERT_TRUE(readFactsBinary(R, Facts)) << "seed " << Seed << ": "
-                                           << R.error();
     ASSERT_TRUE(readSequenceBinary(R, Sequence)) << "seed " << Seed << ": "
                                                  << R.error();
     EXPECT_TRUE(R.atEnd()) << "seed " << Seed << ": trailing bytes";
@@ -96,10 +75,7 @@ TEST(StoreSerde, TwoHundredTriplesRoundTrip) {
         << "seed " << Seed;
     EXPECT_EQ(Variant.Bound, Case.Result.Variant.Bound) << "seed " << Seed;
 
-    // (b) The fact sets survive: sets, synonym classes, known input.
-    expectFactsEqual(Facts, Case.Result.Facts);
-
-    // (c) Replaying the deserialized sequence from the original program
+    // (b) Replaying the deserialized sequence from the original program
     // lands on the same variant as replaying the original sequence.
     Module FromOriginal = Case.Original.M;
     Module FromDecoded = Case.Original.M;
