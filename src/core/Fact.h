@@ -81,14 +81,10 @@ public:
   bool idIsIrrelevant(Id TheId) const {
     return IrrelevantIds.count(TheId) != 0;
   }
-  const std::unordered_set<Id> &irrelevantIds() const { return IrrelevantIds; }
 
   void addIrrelevantPointee(Id Pointer) { IrrelevantPointees.insert(Pointer); }
   bool pointeeIsIrrelevant(Id Pointer) const {
     return IrrelevantPointees.count(Pointer) != 0;
-  }
-  const std::unordered_set<Id> &irrelevantPointees() const {
-    return IrrelevantPointees;
   }
 
   // --- LiveSafe ----------------------------------------------------------------
@@ -96,9 +92,6 @@ public:
   void addLiveSafeFunction(Id Func) { LiveSafeFunctions.insert(Func); }
   bool functionIsLiveSafe(Id Func) const {
     return LiveSafeFunctions.count(Func) != 0;
-  }
-  const std::unordered_set<Id> &liveSafeFunctions() const {
-    return LiveSafeFunctions;
   }
 
   // --- Known input values ---------------------------------------------------

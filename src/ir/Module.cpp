@@ -36,25 +36,6 @@ std::vector<Id> BasicBlock::successors() const {
   }
 }
 
-void BasicBlock::replaceSuccessor(Id From, Id To) {
-  assert(hasTerminator() && "block has no terminator");
-  Instruction &Term = terminator();
-  switch (Term.Opcode) {
-  case Op::Branch:
-    if (Term.idOperand(0) == From)
-      Term.Operands[0] = Operand::id(To);
-    break;
-  case Op::BranchConditional:
-    if (Term.idOperand(1) == From)
-      Term.Operands[1] = Operand::id(To);
-    if (Term.idOperand(2) == From)
-      Term.Operands[2] = Operand::id(To);
-    break;
-  default:
-    break;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Function
 //===----------------------------------------------------------------------===//
@@ -127,10 +108,6 @@ Function *Module::findFunction(Id FuncId) {
 
 const Function *Module::findFunction(Id FuncId) const {
   return const_cast<Module *>(this)->findFunction(FuncId);
-}
-
-Function *Module::functionContainingBlock(Id LabelId) {
-  return findBlockDef(LabelId).first;
 }
 
 size_t Module::instructionCount() const {

@@ -57,9 +57,6 @@ struct BasicBlock {
   /// Returns the label ids of this block's CFG successors (empty for
   /// Return/ReturnValue/Kill).
   std::vector<Id> successors() const;
-
-  /// Replaces successor label \p From with \p To in the terminator.
-  void replaceSuccessor(Id From, Id To);
 };
 
 /// Function control mask bits (operand 0 of OpFunction).
@@ -139,9 +136,6 @@ struct Module {
   /// Returns the function with result id \p FuncId, or nullptr.
   Function *findFunction(Id FuncId);
   const Function *findFunction(Id FuncId) const;
-
-  /// Returns the function whose blocks include \p LabelId, or nullptr.
-  Function *functionContainingBlock(Id LabelId);
 
   const Function *entryPoint() const { return findFunction(EntryPointId); }
   Function *entryPoint() { return findFunction(EntryPointId); }

@@ -79,15 +79,6 @@ Id ModuleBuilder::getIntConstant(int32_t Value) {
                   {Operand::literal(static_cast<uint32_t>(Value))}));
 }
 
-Id ModuleBuilder::getCompositeConstant(Id Type,
-                                       const std::vector<Id> &Components) {
-  std::vector<Operand> Ops;
-  for (Id Component : Components)
-    Ops.push_back(Operand::id(Component));
-  return addConstantDecl(
-      Instruction(Op::ConstantComposite, Type, InvalidId, std::move(Ops)));
-}
-
 Id ModuleBuilder::addUniform(Id ValueType, uint32_t Binding) {
   Id PtrType = getPointerType(StorageClass::Uniform, ValueType);
   Id Result = M.takeFreshId();

@@ -40,7 +40,6 @@ public:
 
   Id getBoolConstant(bool Value);
   Id getIntConstant(int32_t Value);
-  Id getCompositeConstant(Id Type, const std::vector<Id> &Components);
 
   // --- Variables ----------------------------------------------------------
 

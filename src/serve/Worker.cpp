@@ -58,9 +58,9 @@ int ShardWorker::run(int InFd, int OutFd, std::string &ErrorOut) {
       return 1;
     }
 
-    // Construction counters (corpus/tool building) are the coordinator's
-    // to count, exactly once, like a serial run: the delta a result ships
-    // starts here.
+    // Construction counters (building the corpus and tools) are the
+    // coordinator's to count, exactly once, like a serial run: the delta
+    // a result ships starts here.
     if (Opts.CollectMetrics)
       Metrics.reset();
     ShardResultMsg Result;

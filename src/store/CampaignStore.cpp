@@ -17,8 +17,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <sys/stat.h>
-
 using namespace spvfuzz;
 
 //===----------------------------------------------------------------------===//
@@ -26,11 +24,6 @@ using namespace spvfuzz;
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-size_t fileSize(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 ? static_cast<size_t>(St.st_size) : 0;
-}
 
 uint64_t hashString(const std::string &S) {
   StructuralHasher H;
@@ -320,8 +313,7 @@ CampaignEntry &entryFor(StoreManifest &Manifest, const std::string &Id) {
         return Entry.Id < Key;
       });
   if (It == Manifest.Campaigns.end() || It->Id != Id)
-    It = Manifest.Campaigns.insert(
-        It, CampaignEntry{Id, Id.substr(Id.rfind('-') + 1), {}});
+    It = Manifest.Campaigns.insert(It, CampaignEntry{Id, {}});
   return *It;
 }
 
@@ -396,7 +388,7 @@ CampaignStore::open(const std::string &Dir, const ExecutionPolicy &Policy,
   Store->Root = Dir;
   Store->CampaignId = campaignIdFor(Policy, Fleet);
 
-  for (const char *Sub : {"", "/checkpoint", "/bugs", "/corpus", "/journal"})
+  for (const char *Sub : {"", "/checkpoint", "/bugs", "/journal"})
     ensureDir(Dir + Sub);
 
   Store->loadIndex();
@@ -570,56 +562,41 @@ void CampaignStore::recordReproducer(const ReductionRecord &Record,
   const std::string BucketDir =
       bucketDirName(Record.TargetName, Record.Signature, TypesKey);
   const std::string BucketPath = Root + "/bugs/" + BucketDir;
-  ensureDir(BucketPath);
 
   // The bucket keeps its first reproducer as the representative; later
-  // hits only raise its count. repro.msb goes last, so a bucket
-  // without it is rewritten whole on resume.
-  if (!pathExists(BucketPath + "/repro.msb")) {
-    ByteWriter OrigW, InputW, ReducedW, SeqW;
-    writeModuleBinary(OrigW, Original);
-    writeShaderInputBinary(InputW, Input);
-    writeModuleBinary(ReducedW, Reduced);
-    writeSequenceBinary(SeqW, Minimized);
-    StoreFile Repro;
-    Repro.add("ORIG", OrigW.take());
-    Repro.add("INPT", InputW.take());
-    Repro.add("REDU", ReducedW.take());
-    Repro.add("SEQN", SeqW.take());
-
-    std::string Meta = "{\n  \"tool\": ";
-    json::appendString(Meta, Record.Tool);
-    Meta += ",\n  \"target\": ";
-    json::appendString(Meta, Record.TargetName);
-    Meta += ",\n  \"signature\": ";
-    json::appendString(Meta, Record.Signature);
-    Meta += ",\n  \"types\": ";
-    json::appendString(Meta, TypesKey);
-    Meta += ",\n  \"testIndex\": " + std::to_string(Record.TestIndex);
-    Meta += ",\n  \"originalCount\": " + std::to_string(Record.OriginalCount);
-    Meta +=
-        ",\n  \"unreducedCount\": " + std::to_string(Record.UnreducedCount);
-    Meta += ",\n  \"reducedCount\": " + std::to_string(Record.ReducedCount);
-    Meta +=
-        ",\n  \"minimizedLength\": " + std::to_string(Record.MinimizedLength);
-    Meta += "\n}\n";
-
-    atomicWriteFile(BucketPath + "/meta.json", Meta);
-    atomicWriteFile(BucketPath + "/repro.msb", Repro.encode());
-  }
-
-  // Corpus entry: the reduced reproducer, gc'able bulk storage.
-  ByteWriter ReducedW, InputW;
-  writeModuleBinary(ReducedW, Reduced);
+  // hits write nothing (the checkpoints' records count them). repro.msb
+  // goes last, so a bucket without it is rewritten whole on resume.
+  if (pathExists(BucketPath + "/repro.msb"))
+    return;
+  ensureDir(BucketPath);
+  ByteWriter OrigW, InputW, ReducedW, SeqW;
+  writeModuleBinary(OrigW, Original);
   writeShaderInputBinary(InputW, Input);
-  StoreFile Entry;
-  Entry.add("REDU", ReducedW.take());
-  Entry.add("INPT", InputW.take());
-  const std::string CorpusName = CampaignId + "-" + sanitizeName(Record.Tool) +
-                                 "-t" + std::to_string(Record.TestIndex) +
-                                 "-" + sanitizeName(Record.TargetName) +
-                                 ".msb";
-  atomicWriteFile(Root + "/corpus/" + CorpusName, Entry.encode());
+  writeModuleBinary(ReducedW, Reduced);
+  writeSequenceBinary(SeqW, Minimized);
+  StoreFile Repro;
+  Repro.add("ORIG", OrigW.take());
+  Repro.add("INPT", InputW.take());
+  Repro.add("REDU", ReducedW.take());
+  Repro.add("SEQN", SeqW.take());
+
+  std::string Meta = "{\n  \"tool\": ";
+  json::appendString(Meta, Record.Tool);
+  Meta += ",\n  \"target\": ";
+  json::appendString(Meta, Record.TargetName);
+  Meta += ",\n  \"signature\": ";
+  json::appendString(Meta, Record.Signature);
+  Meta += ",\n  \"types\": ";
+  json::appendString(Meta, TypesKey);
+  Meta += ",\n  \"testIndex\": " + std::to_string(Record.TestIndex);
+  Meta += ",\n  \"originalCount\": " + std::to_string(Record.OriginalCount);
+  Meta += ",\n  \"unreducedCount\": " + std::to_string(Record.UnreducedCount);
+  Meta += ",\n  \"reducedCount\": " + std::to_string(Record.ReducedCount);
+  Meta += ",\n  \"minimizedLength\": " + std::to_string(Record.MinimizedLength);
+  Meta += "\n}\n";
+
+  atomicWriteFile(BucketPath + "/meta.json", Meta);
+  atomicWriteFile(BucketPath + "/repro.msb", Repro.encode());
 }
 
 bool CampaignStore::loadReproducer(const BugBucket &Bucket, Module &OriginalOut,
@@ -733,12 +710,6 @@ bool CampaignStore::merge(const CampaignStore &Other, std::string &ErrorOut) {
         if (!copyFile(From + "/" + Name, To + "/" + Name, ErrorOut))
           return false;
     }
-    for (const std::string &Name : listDir(Other.Root + "/corpus", ".msb"))
-      if (Name.compare(0, Campaign.Id.size() + 1, Campaign.Id + "-") == 0 &&
-          !pathExists(Root + "/corpus/" + Name) &&
-          !copyFile(Other.Root + "/corpus/" + Name, Root + "/corpus/" + Name,
-                    ErrorOut))
-        return false;
     Added.Campaigns.push_back(Campaign);
   }
   // The checkpoints are the index, so they go last: a merge cut short
@@ -788,77 +759,17 @@ bool CampaignStore::mergeFromDirectory(const std::string &Dir,
   return true;
 }
 
-std::vector<std::string> CampaignStore::corpusFiles() const {
-  return listDir(Root + "/corpus", ".msb");
-}
-
-size_t CampaignStore::corpusBytes() const {
-  size_t Total = 0;
-  for (const std::string &Name : corpusFiles())
-    Total += fileSize(Root + "/corpus/" + Name);
-  return Total;
-}
-
-size_t CampaignStore::gc(size_t BudgetBytes, std::string &ErrorOut) {
-  std::vector<std::string> Files = corpusFiles();
-  std::vector<size_t> Sizes;
-  size_t Total = 0;
-  for (const std::string &Name : Files) {
-    Sizes.push_back(fileSize(Root + "/corpus/" + Name));
-    Total += Sizes.back();
-  }
-  size_t Removed = 0;
-  ErrorOut.clear();
-  // Evicts one entry and returns the bytes it leaves on disk: all of them
-  // when it cannot be removed, which is reported (the first such failure)
-  // and not counted.
-  auto evict = [&](const std::string &Name, size_t Size) -> size_t {
-    try {
-      removeFile(Root + "/corpus/" + Name);
-    } catch (const FileWriteError &E) {
-      if (ErrorOut.empty())
-        ErrorOut = E.what();
-      return Size;
-    }
-    ++Removed;
-    return 0;
-  };
-  // ReplayCache's farthest-first thinning: keep every other entry (the
-  // later of each pair, walking from the end) until the budget fits.
-  while (Total > BudgetBytes && Files.size() > 1) {
-    std::vector<std::string> Kept;
-    std::vector<size_t> KeptSizes;
-    size_t KeptTotal = 0;
-    for (size_t I = Files.size(); I-- > 0;) {
-      if ((Files.size() - 1 - I) % 2 == 0) {
-        KeptTotal += Sizes[I];
-        Kept.push_back(std::move(Files[I]));
-        KeptSizes.push_back(Sizes[I]);
-      } else {
-        KeptTotal += evict(Files[I], Sizes[I]);
-      }
-    }
-    std::reverse(Kept.begin(), Kept.end());
-    std::reverse(KeptSizes.begin(), KeptSizes.end());
-    Files = std::move(Kept);
-    Sizes = std::move(KeptSizes);
-    Total = KeptTotal;
-  }
-  if (Total > BudgetBytes && Files.size() == 1)
-    evict(Files[0], Sizes[0]);
-  return Removed;
-}
-
 //===----------------------------------------------------------------------===//
 // Telemetry
 //===----------------------------------------------------------------------===//
 
-bool CampaignStore::loadMetrics(telemetry::MetricsSnapshot &Out,
-                                std::string &ErrorOut) const {
-  const std::string Path = Root + "/checkpoint/metrics.json";
+bool CampaignStore::loadMetrics(const std::string &Dir,
+                                telemetry::MetricsSnapshot &Out,
+                                std::string &ErrorOut) {
+  const std::string Path = Dir + "/checkpoint/metrics.json";
   std::string Bytes;
   if (!pathExists(Path)) {
-    ErrorOut = "no metrics saved in " + Root;
+    ErrorOut = "no metrics saved in " + Dir;
     return false;
   }
   return readFileBytes(Path, Bytes, ErrorOut) &&
@@ -870,6 +781,6 @@ void CampaignStore::restoreMetrics() const {
     return;
   telemetry::MetricsSnapshot Snapshot;
   std::string Error;
-  if (loadMetrics(Snapshot, Error))
+  if (loadMetrics(Root, Snapshot, Error))
     telemetry::MetricsRegistry::global().restore(Snapshot);
 }

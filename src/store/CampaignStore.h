@@ -14,8 +14,7 @@
 ///                              signature, transformation-type set):
 ///                              meta.json and repro.msb (modules, input,
 ///                              sequence and, once triaged, attribution)
-///   <dir>/corpus/              one .msb per reduced reproducer, the gc'able
-///                              bulk storage
+///                              of the first reproducer to land in it
 ///   <dir>/journal/             events.jsonl, the decision journal
 ///                              (obs/Journal.h)
 ///   <dir>/parked/              <id>-events.jsonl + <id>-metrics.json of
@@ -75,8 +74,7 @@ struct BugBucket {
 
 /// One campaign recorded in the store.
 struct CampaignEntry {
-  std::string Id;           // "seed<seed>-<digest16>"
-  std::string ConfigDigest; // the id's suffix: campaignConfigDigest
+  std::string Id; // "seed<seed>-<digest16>"
   std::vector<BugBucket> Buckets;
 };
 
@@ -176,9 +174,9 @@ public:
 
   /// Folds \p Other's campaigns into this store: campaigns whose id this
   /// store already has are skipped (same campaign, same buckets); new ones
-  /// bring their bucket directories and corpus files and, last, their
-  /// checkpoints. Returns false with a diagnostic when a file of \p Other
-  /// cannot be read.
+  /// bring their bucket directories and, last, their checkpoints.
+  /// Returns false with a diagnostic when a file of \p Other cannot be
+  /// read.
   bool merge(const CampaignStore &Other, std::string &ErrorOut);
 
   /// Folds every store found directly under \p Dir into this one (merge(),
@@ -189,27 +187,18 @@ public:
   bool mergeFromDirectory(const std::string &Dir, size_t &MergedOut,
                           size_t &SkippedOut, std::string &ErrorOut);
 
-  /// Evicts corpus entries until their total size fits \p BudgetBytes,
-  /// using ReplayCache's farthest-first policy: repeatedly keep every
-  /// other entry (newest of each pair). Returns the number of files
-  /// removed; an entry that cannot be removed is left, not counted, and
-  /// the first such failure is named in \p ErrorOut (empty otherwise).
-  size_t gc(size_t BudgetBytes, std::string &ErrorOut);
-
-  /// Total bytes currently in corpus/.
-  size_t corpusBytes() const;
-
-  /// Sorted corpus file names (relative to corpus/).
-  std::vector<std::string> corpusFiles() const;
-
   /// Restores persisted telemetry (checkpoint/metrics.json) into the
   /// global metrics registry; no-op if none was saved yet or the store
   /// does not record this campaign (foundCampaign), whose run never wrote
   /// it.
   void restoreMetrics() const;
 
-  /// Reads the persisted telemetry snapshot; false if none was saved.
-  bool loadMetrics(telemetry::MetricsSnapshot &Out, std::string &ErrorOut) const;
+  /// Reads the telemetry snapshot persisted in the store at \p Dir
+  /// (checkpoint/metrics.json) without opening the store; false with a
+  /// diagnostic if none was saved or it does not parse.
+  static bool loadMetrics(const std::string &Dir,
+                          telemetry::MetricsSnapshot &Out,
+                          std::string &ErrorOut);
 
 private:
   CampaignStore() = default;

@@ -95,11 +95,6 @@ void spvfuzz::ensureDir(const std::string &Path) {
     fail("cannot create directory", Path);
 }
 
-void spvfuzz::removeFile(const std::string &Path) {
-  if (::unlink(Path.c_str()) != 0)
-    fail("cannot remove", Path);
-}
-
 void spvfuzz::moveFile(const std::string &From, const std::string &To) {
   if (::rename(From.c_str(), To.c_str()) != 0)
     fail("cannot move", From);

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Every file the program writes goes through here. A failed write,
-/// fsync, rename, truncate or removal throws FileWriteError naming the
-/// file, so no caller carries on past it; `minispv` and the benches exit 5
-/// on it. Reads report an unreadable file by returning false.
+/// fsync, rename or truncate throws FileWriteError naming the file, so
+/// no caller carries on past it; `minispv` and the benches exit 5 on it.
+/// Reads report an unreadable file by returning false.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +39,6 @@ void atomicWriteFile(const std::string &Path, std::string_view Bytes);
 
 /// Creates directory \p Path (its parent must exist) unless it exists.
 void ensureDir(const std::string &Path);
-/// Removes the file \p Path (never a directory).
-void removeFile(const std::string &Path);
 /// Renames \p From to \p To and fsyncs the directory of \p To.
 void moveFile(const std::string &From, const std::string &To);
 

@@ -191,6 +191,17 @@ TEST(StoreCampaign, DurableRunMatchesPlainRun) {
   ASSERT_NE(Store, nullptr) << Error;
   EXPECT_EQ(runCampaign(policyFor(5, 1), Store.get()), Baseline);
   EXPECT_FALSE(Store->manifest().Campaigns.empty());
+
+  // The store writes each reproducer once, into its bucket, and nothing
+  // besides the buckets, the checkpoints and the journal.
+  EXPECT_EQ(listDir(Dir),
+            (std::vector<std::string>{"bugs", "checkpoint", "journal"}));
+  const std::vector<std::string> Buckets = listDir(Dir + "/bugs");
+  EXPECT_FALSE(Buckets.empty());
+  for (const std::string &Bucket : Buckets)
+    EXPECT_EQ(listDir(Dir + "/bugs/" + Bucket),
+              (std::vector<std::string>{"meta.json", "repro.msb"}))
+        << Bucket;
 }
 
 TEST(StoreCampaign, CrashedThenResumedRunIsByteIdentical) {
@@ -439,40 +450,6 @@ TEST(StoreCampaign, MergeOfDisjointStoresEqualsCombinedCampaign) {
   EXPECT_EQ(bucketTable(*Reopened), Before);
 }
 
-TEST(StoreCampaign, GcEvictsFarthestFirstUnderBudget) {
-  std::string Dir = uniqueDir("gc");
-  std::string Error;
-  std::unique_ptr<CampaignStore> Store =
-      CampaignStore::open(Dir, policyFor(5, 1), Error);
-  ASSERT_NE(Store, nullptr) << Error;
-  runCampaign(policyFor(5, 1), Store.get());
-
-  std::vector<std::string> Before = Store->corpusFiles();
-  ASSERT_GT(Before.size(), 2u);
-  size_t Bytes = Store->corpusBytes();
-  ASSERT_GT(Bytes, 0u);
-
-  // A generous budget evicts nothing.
-  EXPECT_EQ(Store->gc(Bytes, Error), 0u);
-  EXPECT_EQ(Error, "");
-  EXPECT_EQ(Store->corpusFiles(), Before);
-
-  // Halving the budget thins the corpus but keeps the newest entry.
-  size_t Removed = Store->gc(Bytes / 2, Error);
-  EXPECT_EQ(Error, "");
-  EXPECT_GT(Removed, 0u);
-  EXPECT_LE(Store->corpusBytes(), Bytes / 2);
-  std::vector<std::string> After = Store->corpusFiles();
-  ASSERT_FALSE(After.empty());
-  EXPECT_EQ(After.back(), Before.back());
-
-  // Budget zero clears it entirely.
-  Store->gc(0, Error);
-  EXPECT_EQ(Error, "");
-  EXPECT_EQ(Store->corpusBytes(), 0u);
-  EXPECT_TRUE(Store->corpusFiles().empty());
-}
-
 /// Runs the campaign the way `minispv campaign --store Dir
 /// --deterministic-journal` does: the store restores its metrics, the
 /// journal continues only a campaign the store records, and the run is
@@ -517,15 +494,13 @@ std::string readAll(const std::string &Path) {
   return Bytes;
 }
 
-/// Every file under bugs/ and corpus/, by path relative to the store.
-std::map<std::string, std::string> bugsAndCorpus(const std::string &Dir) {
+/// Every file under bugs/, by path relative to the store.
+std::map<std::string, std::string> bugFiles(const std::string &Dir) {
   std::map<std::string, std::string> Files;
   for (const std::string &Bucket : listDir(Dir + "/bugs"))
     for (const std::string &Name : listDir(Dir + "/bugs/" + Bucket))
       Files["bugs/" + Bucket + "/" + Name] =
           readAll(Dir + "/bugs/" + Bucket + "/" + Name);
-  for (const std::string &Name : listDir(Dir + "/corpus"))
-    Files["corpus/" + Name] = readAll(Dir + "/corpus/" + Name);
   return Files;
 }
 
@@ -539,11 +514,8 @@ TEST(StoreCampaign, JournalAndMetricsFollowTheCampaignRunLast) {
   const std::string Fresh = uniqueDir("pair-fresh");
   const std::string Decisions = runJournaled(Fresh, policyFor(5, 1));
   std::string Error;
-  std::unique_ptr<CampaignStore> FreshStore =
-      CampaignStore::openForTools(Fresh, Error);
-  ASSERT_NE(FreshStore, nullptr) << Error;
   telemetry::MetricsSnapshot FreshMetrics;
-  ASSERT_TRUE(FreshStore->loadMetrics(FreshMetrics, Error)) << Error;
+  ASSERT_TRUE(CampaignStore::loadMetrics(Fresh, FreshMetrics, Error)) << Error;
   const uint64_t FreshRuns = FreshMetrics.Counters.at("exec.runs");
 
   // Seed 5, then seed 9, then seed 5 resumed, all in one store: the
@@ -615,8 +587,7 @@ std::string runUnderFault(const std::string &Dir,
 
 /// Which kind of store file a write error names.
 std::string failedFileKind(const std::string &Failure) {
-  for (const char *Kind :
-       {".ckpt", "repro.msb", "meta.json", "events.jsonl", "corpus/"})
+  for (const char *Kind : {".ckpt", "repro.msb", "meta.json", "events.jsonl"})
     if (Failure.find(Kind) != std::string::npos)
       return Kind;
   return "other";
@@ -625,16 +596,16 @@ std::string failedFileKind(const std::string &Failure) {
 /// A sweep of write faults over a journaled bug-finding plus dedup
 /// campaign (each gtest case runs in its own process, so a file-size
 /// limit stays local): limits that cut the journal at different points,
-/// and blocked checkpoint, bucket and corpus files taken from a clean
-/// run. Every run either completes with the clean run's decisions
-/// or throws FileWriteError; resuming without the fault then reproduces
-/// the clean run's decisions, journal, bugs/ and corpus/ byte for byte.
+/// and blocked checkpoint and bucket files taken from a clean run. Every
+/// run either completes with the clean run's decisions or throws
+/// FileWriteError; resuming without the fault then reproduces the clean
+/// run's decisions, journal and bugs/ byte for byte.
 void sweepWriteFaults(size_t Jobs) {
   const ExecutionPolicy Policy = policyFor(5, Jobs);
   const std::string Clean = uniqueDir("faults-clean");
   const std::string Decisions = runJournaled(Clean, Policy);
   const std::string CleanJournal = readAll(obs::journalPathFor(Clean));
-  const auto CleanTrees = bugsAndCorpus(Clean);
+  const auto CleanBugs = bugFiles(Clean);
 
   std::vector<WriteFault> Faults;
   for (rlim_t Limit : {1024, 8192, 40000, 1 << 20})
@@ -649,8 +620,6 @@ void sweepWriteFaults(size_t Jobs) {
   for (const std::string &Bucket : {Buckets.front(), Buckets.back()})
     Faults.push_back({RLIM_INFINITY, "bugs/" + Bucket + "/repro.msb"});
   Faults.push_back({RLIM_INFINITY, "bugs/" + Buckets[1] + "/meta.json"});
-  Faults.push_back(
-      {RLIM_INFINITY, "corpus/" + listDir(Clean + "/corpus").back()});
 
   std::map<std::string, size_t> FailuresByKind;
   std::ostringstream Hits;
@@ -673,11 +642,10 @@ void sweepWriteFaults(size_t Jobs) {
               Decisions)
         << Hits.str();
     EXPECT_EQ(readAll(obs::journalPathFor(Dir)), CleanJournal) << Hits.str();
-    EXPECT_EQ(bugsAndCorpus(Dir), CleanTrees) << Hits.str();
+    EXPECT_EQ(bugFiles(Dir), CleanBugs) << Hits.str();
   }
   std::cout << "write faults at " << Jobs << " job(s):" << Hits.str() << "\n";
-  for (const char *Kind :
-       {".ckpt", "repro.msb", "meta.json", "corpus/", "events.jsonl"})
+  for (const char *Kind : {".ckpt", "repro.msb", "meta.json", "events.jsonl"})
     EXPECT_TRUE(FailuresByKind.count(Kind))
         << "no fault failed a " << Kind << " write:" << Hits.str();
   EXPECT_EQ(FailuresByKind.count("other"), 0u) << Hits.str();
@@ -735,28 +703,6 @@ TEST(StoreCampaign, FailedFirstCheckpointResumesWithFreshCounters) {
     EXPECT_EQ(Metrics.counterValue(Name), Fresh[Name]) << Name;
   Metrics.reset();
   Metrics.setEnabled(false);
-}
-
-/// A corpus entry that cannot be removed (here a non-empty directory,
-/// which stays put even for root) is reported and not counted; gc still
-/// evicts the rest.
-TEST(StoreCampaign, GcReportsAnEntryItCannotRemove) {
-  std::string Dir = uniqueDir("gc-stuck");
-  std::string Error;
-  std::unique_ptr<CampaignStore> Store =
-      CampaignStore::open(Dir, policyFor(5, 1), Error);
-  ASSERT_NE(Store, nullptr) << Error;
-  runCampaign(policyFor(5, 1), Store.get());
-  const size_t Entries = Store->corpusFiles().size();
-  ASSERT_GT(Entries, 2u);
-
-  const std::string Stuck = Dir + "/corpus/aaa-stuck.msb";
-  ensureDir(Stuck);
-  writeFile(Stuck + "/keep", "x");
-
-  EXPECT_EQ(Store->gc(1, Error), Entries);
-  EXPECT_NE(Error.find("aaa-stuck.msb"), std::string::npos) << Error;
-  EXPECT_EQ(Store->corpusFiles(), std::vector<std::string>{"aaa-stuck.msb"});
 }
 
 } // namespace

@@ -46,7 +46,6 @@
 ///   minispv db       list  --store DIR
 ///   minispv db       show  <bucket> --store DIR
 ///   minispv db       diff  <bucket> --store DIR
-///   minispv db       gc    --store DIR --budget BYTES
 ///   minispv db       merge --store DIR (--from DIR2 | --from-dir DIR)
 ///
 /// A flag the command does not accept (see the table beside dispatch) is
@@ -745,7 +744,7 @@ int cmdWorker(const Args &A) {
 
 int cmdDb(const Args &A) {
   if (A.Positional.empty())
-    fail("usage: minispv db <list|show|diff|gc|merge> --store DIR ...");
+    fail("usage: minispv db <list|show|diff|merge> --store DIR ...");
   const std::string &Sub = A.Positional[0];
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
@@ -862,17 +861,6 @@ int cmdDb(const Args &A) {
     }
     return 0;
   }
-  if (Sub == "gc") {
-    size_t Budget = A.number("budget");
-    size_t Before = Store->corpusBytes();
-    size_t Removed = Store->gc(Budget, Error);
-    printf("gc: evicted %zu corpus entr%s (%zu -> %zu bytes, budget %zu)\n",
-           Removed, Removed == 1 ? "y" : "ies", Before,
-           Store->corpusBytes(), Budget);
-    if (!Error.empty())
-      cli::failWith(cli::ExitWriteError, Error);
-    return 0;
-  }
   if (Sub == "merge") {
     if (A.has("from-dir")) {
       // Fold every store found one level under the directory — the shape
@@ -964,12 +952,10 @@ int cmdReport(const Args &A) {
   // sequence) instead of one silently shadowing the other.
   std::vector<std::pair<std::string, telemetry::MetricsSnapshot>> Sources;
   if (A.has("store")) {
-    std::unique_ptr<CampaignStore> Store =
-        CampaignStore::openForTools(A.get("store"), Error);
-    if (!Store)
+    if (!CampaignStore::openForTools(A.get("store"), Error))
       cli::failWith(ObsExitMissingInput, Error);
     telemetry::MetricsSnapshot Snapshot;
-    if (!Store->loadMetrics(Snapshot, Error))
+    if (!CampaignStore::loadMetrics(A.get("store"), Snapshot, Error))
       cli::failWith(ObsExitParseError, Error);
     Sources.emplace_back("store " + A.get("store"), std::move(Snapshot));
   }
@@ -1114,15 +1100,11 @@ int cmdTop(const Args &A) {
     }
 
     // The store's persisted metrics snapshot (saved at checkpoints) adds
-    // cache hit rates when available; its absence is not an error.
+    // cache hit rates when available; its absence is not an error. It is
+    // read directly: opening the store would decode every checkpoint.
     telemetry::MetricsSnapshot Metrics;
-    bool HaveMetrics = false;
-    {
-      std::string StoreError;
-      std::unique_ptr<CampaignStore> Store =
-          CampaignStore::openForTools(StoreDir, StoreError);
-      HaveMetrics = Store && Store->loadMetrics(Metrics, StoreError);
-    }
+    const bool HaveMetrics =
+        CampaignStore::loadMetrics(StoreDir, Metrics, Error);
 
     if (!Once)
       printf("\033[H\033[2J"); // refresh in place
@@ -1178,7 +1160,7 @@ int cmdHelp(const Args &) {
       "             panel when DIR/journal/serve.jsonl exists)\n"
       "  tail       stream the campaign's decision journal\n"
       "  db         triage the cross-campaign bug database\n"
-      "             (list/show/diff/gc/merge; merge takes --from STORE\n"
+      "             (list/show/diff/merge; merge takes --from STORE\n"
       "             or --from-dir DIR-of-stores)\n"
       "\n"
       "exit codes (uniform across subcommands):\n"
@@ -1239,7 +1221,7 @@ const std::vector<Command> &commands() {
               {"workers", "worker-jobs", "minispv", "kill-worker-after"}),
        CampaignSwitches},
       {"worker", cmdWorker, {"jobs"}, {}},
-      {"db", cmdDb, {"store", "budget", "from", "from-dir"}, {}},
+      {"db", cmdDb, {"store", "from", "from-dir"}, {}},
       {"triage", cmdTriage, {"store", "jobs"}, {}},
       {"targets", cmdTargets, {}, {"faulty-fleet"}},
       {"report",
