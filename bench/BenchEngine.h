@@ -6,11 +6,12 @@
 ///
 /// \file
 /// Shared plumbing for routing the evaluation binaries through the
-/// CampaignEngine: the worker-thread count and a scope timer. The timer
-/// reports to stderr so stdout stays byte-identical across job counts —
-/// `diff <(bench --jobs 1) <(bench --jobs 8)` is the bit-identical
-/// parallelism check. Flags are parsed by tools/CommandLine.h, the
-/// parser `minispv` uses: a bench refuses any flag it does not list.
+/// CampaignEngine: the worker-thread count, the scale overrides and a
+/// scope timer. The timer reports to stderr so stdout stays
+/// byte-identical across job counts — `diff <(bench --jobs 1) <(bench
+/// --jobs 8)` is the bit-identical parallelism check. Flags are parsed by
+/// tools/CommandLine.h, the parser `minispv` uses: a bench refuses any
+/// flag it does not list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +43,20 @@ inline size_t jobs(const cli::Args &A) {
       cli::fail("REPRO_JOBS expects an unsigned integer, got '" +
                 std::string(Env) + "'");
   return Jobs;
+}
+
+/// A scale override from the environment (REPRO_TESTS, REPRO_REDUCTIONS):
+/// \p Default when \p Name is unset or empty, else a whole number of at
+/// least 1 — anything else exits 1 naming the variable.
+inline size_t envCount(const char *Name, size_t Default) {
+  const char *Env = std::getenv(Name);
+  if (!Env || !*Env)
+    return Default;
+  size_t Count = 0;
+  if (!cli::parseUnsigned(std::string_view(Env), Count) || Count == 0)
+    cli::fail(std::string(Name) + " expects a whole number of at least 1, "
+                                  "got '" + Env + "'");
+  return Count;
 }
 
 /// Prints "engine: jobs=N elapsed=X.XXs" to stderr at scope exit; running

@@ -23,13 +23,13 @@ using namespace spvfuzz;
 int main(int argc, char **argv) {
   const cli::Args A(argc - 1, argv + 1, {"", nullptr, {"jobs", "j"}, {}});
   size_t Jobs = bench::jobs(A);
+  BugFindingConfig Config;
+  Config.TestsPerTool = bench::envCount("REPRO_TESTS", 600);
   bench::BenchTelemetry Telemetry(
       {"campaign.tests", "target.compiles", "exec.runs"},
       /*RateCounter=*/"campaign.tests");
   CampaignEngine Engine(
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(250));
-  BugFindingConfig Config;
-  Config.TestsPerTool = envSize("REPRO_TESTS", 600);
   printf("Figure 7: complementarity of spirv-fuzz (A), spirv-fuzz-simple "
          "(B), glsl-fuzz (C)\n(%zu tests per tool)\n\n",
          Config.TestsPerTool);

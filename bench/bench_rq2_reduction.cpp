@@ -94,6 +94,9 @@ int main(int argc, char **argv) {
                     {"", nullptr, {"jobs", "j", "order"},
                      {"faulty-fleet", "post-reduce"}});
   size_t Jobs = bench::jobs(A);
+  ReductionConfig Config;
+  Config.TestsPerTool = bench::envCount("REPRO_TESTS", 300);
+  Config.MaxReductionsPerTool = bench::envCount("REPRO_REDUCTIONS", 120);
   bool FaultyFleet = A.has("faulty-fleet");
   bool PostReduce = A.has("post-reduce");
   CandidateOrder Order = CandidateOrder::Paper;
@@ -130,9 +133,6 @@ int main(int argc, char **argv) {
   ConfiguredPolicy.withReduceOrder(Order).withPostReduce(PostReduce);
   CampaignEngine Engine(ConfiguredPolicy, CorpusSpec{}, ToolsetSpec{},
                         FaultyFleet ? TargetFleet::faulty() : TargetFleet{});
-  ReductionConfig Config;
-  Config.TestsPerTool = envSize("REPRO_TESTS", 300);
-  Config.MaxReductionsPerTool = envSize("REPRO_REDUCTIONS", 120);
   if (FaultyFleet) {
     // The faulty rows on top of the default ğ4.2 GPU-less set. Pixel-3 is
     // GPU-typed and would otherwise be excluded; SwiftShader-old is

@@ -71,7 +71,6 @@ double runAtWorkerCount(size_t Workers, const std::string &Dir,
   if (Workers > 1) {
     serve::ServeOptions SOpts;
     SOpts.Workers = Workers;
-    SOpts.WorkerJobs = 1;
     SOpts.MinispvPath = MinispvPath;
     Coordinator = std::make_unique<serve::ServeCoordinator>(SOpts);
     if (!Coordinator->start(
@@ -129,7 +128,7 @@ int runScaleout(const std::string &Spec, const cli::Args &A) {
       return 2;
     }
 
-  size_t Tests = envSize("REPRO_TESTS", 600);
+  size_t Tests = bench::envCount("REPRO_TESTS", 600);
   printf("Table 3 scale-out: %zu tests per tool, fastest of %zu runs\n",
          Tests, ScaleoutRepeats);
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
@@ -169,13 +168,13 @@ int runBench(int argc, char **argv) {
   if (!A.getAll("scaleout").empty())
     return runScaleout(A.get("scaleout"), A);
   size_t Jobs = bench::jobs(A);
+  BugFindingConfig Config;
+  Config.TestsPerTool = bench::envCount("REPRO_TESTS", 600);
   bench::BenchTelemetry Telemetry(
       {"campaign.tests", "target.compiles", "exec.runs"},
       /*RateCounter=*/"campaign.tests");
   CampaignEngine Engine(
       ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(250));
-  BugFindingConfig Config;
-  Config.TestsPerTool = envSize("REPRO_TESTS", 600);
   printf("Table 3: bug-finding ability (%zu tests per tool, %zu groups)\n\n",
          Config.TestsPerTool, Config.NumGroups);
   bench::EngineTimer Timer(Jobs);

@@ -25,22 +25,21 @@
 #include "BenchEngine.h"
 #include "BenchTelemetry.h"
 #include "opt/BugHost.h"
-#include "store/CampaignStore.h"
-#include "support/FileIO.h"
 #include "triage/Triage.h"
 
 #include <cstdio>
-#include <memory>
 
 using namespace spvfuzz;
 
-namespace {
-
-int runBench(int argc, char **argv) {
+int main(int argc, char **argv) {
   const cli::Args A(argc - 1, argv + 1,
-                    {"", nullptr, {"jobs", "j", "store"},
-                     {"faulty-fleet", "ground-truth", "resume"}});
+                    {"", nullptr, {"jobs", "j"},
+                     {"faulty-fleet", "ground-truth"}});
   size_t Jobs = bench::jobs(A);
+  ReductionConfig Config;
+  Config.TestsPerTool = bench::envCount("REPRO_TESTS", 500);
+  Config.MaxReductionsPerTool = bench::envCount("REPRO_REDUCTIONS", 260);
+  Config.CapPerSignature = 6; // paper caps at 20 on GPU targets
   bool FaultyFleet = A.has("faulty-fleet");
   bool GroundTruth = A.has("ground-truth");
   std::vector<std::string> Footer = {"target.compiles",
@@ -58,31 +57,10 @@ int runBench(int argc, char **argv) {
   }
   bench::BenchTelemetry Telemetry(Footer,
                                   /*RateCounter=*/"campaign.reductions");
-  ExecutionPolicy Policy =
-      ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(150);
-
-  // `--store DIR` makes the bench durable: an interrupted regeneration
-  // resumes with `--store DIR --resume` and prints the same table.
-  // The fleet is part of the campaign identity, so a --faulty-fleet store
-  // never resumes as a standard one or the other way round.
-  TargetFleet Fleet =
-      FaultyFleet ? TargetFleet::faulty() : TargetFleet::standard();
-  std::unique_ptr<CampaignStore> Store;
-  std::string StorePath = A.get("store");
-  if (!StorePath.empty()) {
-    Policy.withStorePath(StorePath).withResume(A.has("resume"));
-    std::string Error;
-    Store = CampaignStore::open(StorePath, Policy, Fleet, Error);
-    if (!Store) {
-      fprintf(stderr, "bench_table4_dedup: %s\n", Error.c_str());
-      return 1;
-    }
-    Store->restoreMetrics();
-  }
-
-  CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, std::move(Fleet));
-  if (Store)
-    Engine.setCheckpointer(Store.get());
+  CampaignEngine Engine(
+      ExecutionPolicy{}.withJobs(Jobs).withTransformationLimit(150),
+      CorpusSpec{}, ToolsetSpec{},
+      FaultyFleet ? TargetFleet::faulty() : TargetFleet::standard());
 
   // Ground-truth mode captures every reduced reproducer as it is
   // committed (serial fold order, so the capture is deterministic at any
@@ -101,10 +79,6 @@ int runBench(int argc, char **argv) {
           Reproducers.push_back({Record, Reduced, Input});
         });
 
-  ReductionConfig Config;
-  Config.TestsPerTool = envSize("REPRO_TESTS", 500);
-  Config.MaxReductionsPerTool = envSize("REPRO_REDUCTIONS", 260);
-  Config.CapPerSignature = 6; // paper caps at 20 on GPU targets
   printf("Table 4: effectiveness of test-case deduplication "
          "(cap %zu reduced tests per signature%s)\n\n",
          Config.CapPerSignature,
@@ -212,14 +186,4 @@ int runBench(int argc, char **argv) {
                       : 1.0);
   }
   return 0;
-}
-
-} // namespace
-
-int main(int argc, char **argv) {
-  try {
-    return runBench(argc, argv);
-  } catch (const FileWriteError &E) {
-    cli::failWith(cli::ExitWriteError, E.what());
-  }
 }

@@ -33,21 +33,12 @@ std::vector<ToolConfig> spvfuzz::standardTools(const ToolsetSpec &Spec) {
   Baseline.Profile = FuzzerProfile::Baseline;
   Baseline.EnableRecommendations = false;
 
-  // Seed streams are fixed by canonical position so that filtering the tool
-  // list does not change any surviving tool's per-test seed sequence.
-  std::vector<ToolConfig> All = {{"spirv-fuzz", Full, 0},
-                                 {"spirv-fuzz-simple", Simple, 1},
-                                 {"glsl-fuzz", Baseline, 2}};
-  if (Spec.Names.empty())
-    return All;
-  std::vector<ToolConfig> Filtered;
-  for (const ToolConfig &Tool : All)
-    for (const std::string &Name : Spec.Names)
-      if (Tool.Name == Name) {
-        Filtered.push_back(Tool);
-        break;
-      }
-  return Filtered;
+  // Seed streams are fixed by canonical position so that running a subset
+  // of the tools (ReductionConfig::ToolNames) does not change any
+  // surviving tool's per-test seed sequence.
+  return {{"spirv-fuzz", Full, 0},
+          {"spirv-fuzz-simple", Simple, 1},
+          {"glsl-fuzz", Baseline, 2}};
 }
 
 static uint64_t splitmix64(uint64_t X) {

@@ -74,22 +74,16 @@ struct ToolConfig {
   uint32_t SeedStream = 0;
 };
 
-/// Builder for the tool list. Defaults to the three configurations of
-/// Table 3 — spirv-fuzz, spirv-fuzz-simple (recommendations disabled) and
-/// glsl-fuzz (the baseline profile). An unset TransformationLimit is filled
+/// Builder for the tool list: the three configurations of Table 3 —
+/// spirv-fuzz, spirv-fuzz-simple (recommendations disabled) and glsl-fuzz
+/// (the baseline profile). An unset TransformationLimit is filled
 /// in by the consumer (CampaignEngine uses its ExecutionPolicy limit; bare
 /// standardTools falls back to 300).
 struct ToolsetSpec {
   std::optional<uint32_t> TransformationLimit;
-  /// Restrict to these tool names; empty keeps all three.
-  std::vector<std::string> Names;
 
   ToolsetSpec &withTransformationLimit(uint32_t Limit) {
     TransformationLimit = Limit;
-    return *this;
-  }
-  ToolsetSpec &withTool(std::string Name) {
-    Names.push_back(std::move(Name));
     return *this;
   }
 };

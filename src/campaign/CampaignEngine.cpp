@@ -48,8 +48,6 @@ CampaignEngine::CampaignEngine(ExecutionPolicy PolicyIn, CorpusSpec CorpusOpts,
   HarnessPolicy HarnessOpts;
   HarnessOpts.CampaignSeed = Policy.Seed;
   HarnessOpts.TargetDeadlineSteps = Policy.TargetDeadlineSteps;
-  HarnessOpts.FlakyRetries = Policy.FlakyRetries;
-  HarnessOpts.QuarantineThreshold = Policy.QuarantineThreshold;
   Har = std::make_unique<Harness>(Fleet, HarnessOpts, Eval.get(), ExeC.get());
   if (Policy.Jobs != 1)
     Pool = std::make_unique<ThreadPool>(Policy.Jobs);
@@ -475,12 +473,10 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       Wanted.push_back(&T);
 
   // Plan shared by every reduction task of this phase; the pool and the
-  // per-tool AddFunction-shrink knob are filled in per task. Replay
-  // snapshots keep the ReductionPlan defaults.
+  // per-tool AddFunction-shrink knob are filled in per task.
   ReductionPlan BasePlan;
   BasePlan.Order = Policy.ReduceOrder;
   BasePlan.PostReduce = Policy.PostReduce;
-  BasePlan.PostPasses = Policy.PostReducePasses;
 
   for (const ToolConfig &Tool : Tools) {
     if (std::find(WantedTools.begin(), WantedTools.end(), Tool.Name) ==
@@ -504,11 +500,8 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
     if (Policy.ReduceOrder != CandidateOrder::Paper)
       Phase.Key +=
           std::string("/order=") + candidateOrderName(Policy.ReduceOrder);
-    if (Policy.PostReduce) {
+    if (Policy.PostReduce)
       Phase.Key += "/post";
-      for (const std::string &Pass : Policy.PostReducePasses)
-        Phase.Key += "=" + Pass;
-    }
     for (const std::string &TargetName : WantedTargets)
       Phase.Key += "/" + TargetName;
     Phase.Total = Config.TestsPerTool;

@@ -57,12 +57,6 @@ struct ExecutionPolicy {
   /// unlimited. The default equals the interpreter's own step limit, so
   /// solid targets behave exactly as before the harness existed.
   uint64_t TargetDeadlineSteps = 1ull << 22;
-  /// Voting-pool size for runs against nondeterministic (flaky) targets:
-  /// an interesting verdict must reproduce on a strict majority.
-  uint32_t FlakyRetries = 5;
-  /// Consecutive hard tool-error runs before a target is quarantined
-  /// (sidelined from subsequent scheduling waves).
-  uint32_t QuarantineThreshold = 3;
   /// Directory of the persistent campaign store, empty = no persistence.
   /// Consumed by the CLI/bench layer, which constructs a CampaignStore
   /// there and attaches it via setCheckpointer (the engine itself never
@@ -89,13 +83,11 @@ struct ExecutionPolicy {
   /// deterministic) reduction schedules, so the knob is part of the
   /// campaign identity when non-default.
   CandidateOrder ReduceOrder = CandidateOrder::Paper;
-  /// Run the IR-level post-reduction pass list against each reproducer's
-  /// reference module after sequence reduction (off by default; changes
-  /// reduction records, so part of the campaign identity when on).
+  /// Run the standard IR-level post-reduction pass list against each
+  /// reproducer's reference module after sequence reduction (off by
+  /// default; changes reduction records, so part of the campaign identity
+  /// when on).
   bool PostReduce = false;
-  /// Post-reduction passes to run when PostReduce is set, by name; empty =
-  /// the full standard list.
-  std::vector<std::string> PostReducePasses;
 
   ExecutionPolicy &withJobs(size_t Count) {
     Jobs = Count;
@@ -115,14 +107,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withTargetDeadlineSteps(uint64_t Steps) {
     TargetDeadlineSteps = Steps;
-    return *this;
-  }
-  ExecutionPolicy &withFlakyRetries(uint32_t Attempts) {
-    FlakyRetries = Attempts;
-    return *this;
-  }
-  ExecutionPolicy &withQuarantineThreshold(uint32_t Threshold) {
-    QuarantineThreshold = Threshold;
     return *this;
   }
   ExecutionPolicy &withStorePath(std::string Path) {
@@ -147,10 +131,6 @@ struct ExecutionPolicy {
   }
   ExecutionPolicy &withPostReduce(bool On) {
     PostReduce = On;
-    return *this;
-  }
-  ExecutionPolicy &withPostReducePasses(std::vector<std::string> Names) {
-    PostReducePasses = std::move(Names);
     return *this;
   }
 };
@@ -216,8 +196,8 @@ public:
 /// In-process companion to CampaignCheckpointer::recordReproducer: called
 /// with the same arguments, at the same serial commit point, in the same
 /// acceptance order. Lets the CLI/bench layer capture reproducer artifacts
-/// for post-passes (triage attribution, ground-truth scoring) without the
-/// engine growing a dependency on those layers — and without a store.
+/// for later analysis (triage attribution, ground-truth scoring) without
+/// the engine growing a dependency on those layers — and without a store.
 using ReproducerSink = std::function<void(
     const ReductionRecord &Record, const Module &Original,
     const ShaderInput &Input, const Module &Reduced,

@@ -6,21 +6,7 @@
 
 #include "campaign/Experiments.h"
 
-#include <algorithm>
-#include <cstdlib>
-
 using namespace spvfuzz;
-
-size_t spvfuzz::envSize(const char *Name, size_t Default) {
-  const char *Value = std::getenv(Name);
-  if (!Value || !*Value)
-    return Default;
-  char *End = nullptr;
-  unsigned long long Parsed = strtoull(Value, &End, 10);
-  if (End == Value || Parsed == 0)
-    return Default;
-  return static_cast<size_t>(Parsed);
-}
 
 //===----------------------------------------------------------------------===//
 // Table 3 + Figure 7

@@ -24,9 +24,6 @@
 
 namespace spvfuzz {
 
-/// Reads a size_t environment override, returning \p Default when unset.
-size_t envSize(const char *Name, size_t Default);
-
 //===----------------------------------------------------------------------===//
 // Table 3 + Figure 7 (RQ1)
 //===----------------------------------------------------------------------===//

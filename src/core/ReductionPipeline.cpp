@@ -83,6 +83,11 @@ double ProbabilisticModel::chunkScore(const TransformationSequence &Current,
 
 namespace {
 
+/// Prefix-snapshot spacing and byte budget of each reduction's
+/// ReplayCache. Snapshots never change results, only the cost of a check.
+constexpr size_t SnapshotInterval = 8;
+constexpr size_t SnapshotBudgetBytes = 64ull << 20;
+
 /// One chunk-removal candidate within a scan: the current sequence with
 /// [Start, End) deleted. The candidate shares the prefix [0, Start) with
 /// the current sequence, which is what lets the ReplayCache resume from a
@@ -128,8 +133,7 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
   const bool Learned = Plan.Order == CandidateOrder::Learned;
   ProbabilisticModel Model;
 
-  ReplayCache Cache(Original, Input, Plan.SnapshotInterval,
-                    Plan.SnapshotBudgetBytes);
+  ReplayCache Cache(Original, Input, SnapshotInterval, SnapshotBudgetBytes);
 
   // Learned mode's decision memo: replayed-variant hash -> verdict. The
   // interestingness test is a pure function of the variant (the EvalCache
@@ -568,13 +572,6 @@ const std::vector<ReductionPassPtr> &spvfuzz::standardPostReducePasses() {
   return Passes;
 }
 
-ReductionPassPtr spvfuzz::findPostReducePass(const std::string &Name) {
-  for (const ReductionPassPtr &Pass : standardPostReducePasses())
-    if (Name == Pass->name())
-      return Pass;
-  return nullptr;
-}
-
 void ReductionPipeline::postReduceStage(const Module &Original,
                                         const ShaderInput &Input,
                                         const InterestingnessTest &Test,
@@ -582,14 +579,7 @@ void ReductionPipeline::postReduceStage(const Module &Original,
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   telemetry::TraceSpan Span("reduce.post");
 
-  std::vector<ReductionPassPtr> Passes;
-  if (Plan.PostPasses.empty()) {
-    Passes = standardPostReducePasses();
-  } else {
-    for (const std::string &Name : Plan.PostPasses)
-      if (ReductionPassPtr Pass = findPostReducePass(Name))
-        Passes.push_back(std::move(Pass));
-  }
+  const std::vector<ReductionPassPtr> &Passes = standardPostReducePasses();
   Result.PostStats.clear();
   Result.PostStats.resize(Passes.size());
   for (size_t P = 0; P != Passes.size(); ++P)

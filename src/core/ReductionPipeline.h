@@ -154,9 +154,6 @@ using ReductionPassPtr = std::shared_ptr<const ReductionPass>;
 /// round.
 const std::vector<ReductionPassPtr> &standardPostReducePasses();
 
-/// Looks up a standard pass by name; nullptr if unknown.
-ReductionPassPtr findPostReducePass(const std::string &Name);
-
 //===----------------------------------------------------------------------===//
 // Plan and pipeline
 //===----------------------------------------------------------------------===//
@@ -165,11 +162,6 @@ ReductionPassPtr findPostReducePass(const std::string &Name);
 /// campaign/ExecutionPolicy. The defaults reproduce the paper's reducer
 /// exactly.
 struct ReductionPlan {
-  /// Prefix-snapshot spacing for incremental replay (see ReplayCache);
-  /// 0 disables snapshots and every check replays from the original.
-  size_t SnapshotInterval = 8;
-  /// Approximate byte budget for retained snapshots.
-  size_t SnapshotBudgetBytes = 64ull << 20;
   /// When non-null, each scan's candidates are evaluated speculatively on
   /// the pool while acceptance commits strictly in serial scan order;
   /// results invalidated by an earlier acceptance are discarded (counted
@@ -181,22 +173,10 @@ struct ReductionPlan {
   /// Shrink surviving AddFunction payloads after sequence reduction
   /// (core/FunctionShrinker.h).
   bool ShrinkFunctions = false;
-  /// Run the IR-level post-reduction pass list against the reference
+  /// Run the standard post-reduction pass list against the reference
   /// module after sequence reduction.
   bool PostReduce = false;
-  /// Post-reduction passes to run, by name; empty = the full standard
-  /// list. Unknown names are ignored (callers validate user input with
-  /// findPostReducePass).
-  std::vector<std::string> PostPasses;
 
-  ReductionPlan &withSnapshotInterval(size_t Interval) {
-    SnapshotInterval = Interval;
-    return *this;
-  }
-  ReductionPlan &withSnapshotBudgetBytes(size_t Bytes) {
-    SnapshotBudgetBytes = Bytes;
-    return *this;
-  }
   ReductionPlan &withPool(ThreadPool *P) {
     Pool = P;
     return *this;
@@ -207,10 +187,6 @@ struct ReductionPlan {
   }
   ReductionPlan &withPostReduce(bool On) {
     PostReduce = On;
-    return *this;
-  }
-  ReductionPlan &withPostPasses(std::vector<std::string> Names) {
-    PostPasses = std::move(Names);
     return *this;
   }
 };

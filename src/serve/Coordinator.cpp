@@ -53,9 +53,7 @@ size_t ServeCoordinator::liveWorkers() const {
 bool ServeCoordinator::start(const WorkerConfigMsg &Config,
                              std::string &ErrorOut) {
   ConfigFrame = frameMessage(encodeWorkerConfig(Config));
-  const std::string JobsStr = std::to_string(Opts.WorkerJobs);
-  const char *Argv[] = {"minispv", "worker", "--jobs", JobsStr.c_str(),
-                        nullptr};
+  const char *Argv[] = {"minispv", "worker", nullptr};
   for (size_t I = 0; I < Opts.Workers; ++I) {
     // Both ends are close-on-exec, so no later worker inherits this one's
     // end: a dead worker's socket must read end of stream.

@@ -54,8 +54,6 @@ struct ServeOptions {
   /// 0 it spawns none, and workers join through attachWorker (the tests
   /// run them on threads).
   size_t Workers = 2;
-  /// --jobs passed to each spawned worker.
-  size_t WorkerJobs = 1;
   /// Binary to exec for workers; defaults to this very binary.
   std::string MinispvPath = "/proc/self/exe";
   /// Test/CI hook: after this many folded shards, SIGKILL one spawned

@@ -108,18 +108,15 @@ bool readFlag(ByteReader &R, bool &Out) {
 }
 
 /// The policy fields that shape results (exactly those
-/// campaignConfigDigest reads); the rest keep their defaults, and a
-/// worker sets its own Jobs.
+/// campaignConfigDigest reads); the rest keep their defaults, Jobs = 1
+/// among them.
 void writePolicy(ByteWriter &W, const ExecutionPolicy &Policy) {
   W.u64(Policy.Seed);
   W.u32(Policy.TransformationLimit);
   W.u64(Policy.TargetDeadlineSteps);
-  W.u32(Policy.FlakyRetries);
-  W.u32(Policy.QuarantineThreshold);
   W.u64(Policy.UniformInputs);
   W.u8(static_cast<uint8_t>(Policy.ReduceOrder));
   W.u8(Policy.PostReduce ? 1 : 0);
-  W.strs(Policy.PostReducePasses);
 }
 
 bool readPolicy(ByteReader &R, ExecutionPolicy &Policy) {
@@ -127,15 +124,14 @@ bool readPolicy(ByteReader &R, ExecutionPolicy &Policy) {
   uint64_t UniformInputs = 0;
   uint8_t Order = 0;
   if (!R.u64(Policy.Seed) || !R.u32(Policy.TransformationLimit) ||
-      !R.u64(Policy.TargetDeadlineSteps) || !R.u32(Policy.FlakyRetries) ||
-      !R.u32(Policy.QuarantineThreshold) || !R.u64(UniformInputs) ||
+      !R.u64(Policy.TargetDeadlineSteps) || !R.u64(UniformInputs) ||
       !R.u8(Order))
     return false;
   if (Order > static_cast<uint8_t>(CandidateOrder::Learned))
     return R.failAt("unknown candidate order " + std::to_string(Order));
   Policy.UniformInputs = static_cast<size_t>(UniformInputs);
   Policy.ReduceOrder = static_cast<CandidateOrder>(Order);
-  return readFlag(R, Policy.PostReduce) && R.strs(Policy.PostReducePasses);
+  return readFlag(R, Policy.PostReduce);
 }
 
 void writeRequest(ByteWriter &W, const ShardRequest &Request) {

@@ -45,13 +45,13 @@ namespace serve {
 
 /// The wire version this build speaks. Bump on any incompatible message
 /// change; decoders refuse every other version.
-inline constexpr uint32_t ShardProtocolVersion = 4;
+inline constexpr uint32_t ShardProtocolVersion = 5;
 
 /// What a worker needs to replicate the coordinator's campaign: the
 /// policy (its result-shaping fields travel, the ones
 /// campaignConfigDigest reads) and the fleet. The worker rebuilds the
-/// same corpus, tools and fleet from it, runs the policy at its own
-/// --jobs, and checks that it derives CampaignId.
+/// same corpus, tools and fleet from it, runs the policy serially, and
+/// checks that it derives CampaignId.
 struct WorkerConfigMsg {
   /// campaignIdFor(Policy, fleet) at the coordinator.
   std::string CampaignId;

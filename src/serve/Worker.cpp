@@ -28,9 +28,9 @@ int ShardWorker::run(int InFd, int OutFd, std::string &ErrorOut) {
 
   // Replicate the campaign policy and fleet and prove it by digest: a
   // worker built from a different binary or config would compute
-  // different shards.
-  ExecutionPolicy Policy = Config.Policy;
-  Policy.withJobs(Opts.Jobs);
+  // different shards. The policy arrives with Jobs = 1, so the worker
+  // computes each shard serially; parallelism comes from the worker count.
+  const ExecutionPolicy &Policy = Config.Policy;
   const TargetFleet Fleet = fleetFor(Config);
   const std::string Derived = campaignIdFor(Policy, Fleet);
   if (Derived != Config.CampaignId) {

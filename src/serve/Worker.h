@@ -30,8 +30,6 @@ namespace spvfuzz {
 namespace serve {
 
 struct WorkerOptions {
-  /// Thread-parallelism inside the worker's own engine (jobs per shard).
-  size_t Jobs = 1;
   /// Ship per-shard metrics-counter deltas in results. On only in
   /// process mode: an in-process worker shares the global registry with
   /// the coordinator, so shipping deltas would double-count.

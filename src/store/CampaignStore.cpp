@@ -336,8 +336,11 @@ std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy,
   H.word(Policy.Seed);
   H.word(Policy.TransformationLimit);
   H.word(Policy.TargetDeadlineSteps);
-  H.word(Policy.FlakyRetries);
-  H.word(Policy.QuarantineThreshold);
+  // The harness's voting pool and quarantine threshold: constants, still
+  // hashed so that the ids of stores written when they were policy fields
+  // stay valid.
+  H.word(HarnessVotingAttempts);
+  H.word(HarnessQuarantineThreshold);
   // Reduction-pipeline knobs change reduction results, so they are part
   // of the campaign identity — but only when non-default, so digests of
   // paper-order campaigns are stable across versions.
@@ -349,11 +352,8 @@ std::string spvfuzz::campaignConfigDigest(const ExecutionPolicy &Policy,
     H.word(0x756e69u); // "uni"
     H.word(Policy.UniformInputs);
   }
-  if (Policy.PostReduce) {
+  if (Policy.PostReduce)
     H.word(0x706f7374u); // "post"
-    for (const std::string &Pass : Policy.PostReducePasses)
-      H.word(hashString(Pass));
-  }
   // Another fleet finds other bugs (and scan checkpoints name its
   // targets), so its target names join the identity; the standard fleet
   // (an empty one means it too) adds nothing.
@@ -641,7 +641,8 @@ bool CampaignStore::recordAttribution(const BugBucket &Bucket,
 
   // Rebuild the container at the current version with every non-ATTR
   // section preserved and the new ATTR appended (replacing any previous
-  // attribution: triage re-runs are idempotent).
+  // attribution: triage re-runs are idempotent). A re-triage that
+  // reaches the same verdict rebuilds the stored bytes and writes nothing.
   StoreFile Updated;
   for (const auto &[Tag, Payload] : Repro.Sections)
     if (Tag != "ATTR")
@@ -649,7 +650,9 @@ bool CampaignStore::recordAttribution(const BugBucket &Bucket,
   ByteWriter AttrW;
   triage::writeAttributionBinary(AttrW, Attr);
   Updated.add("ATTR", AttrW.take());
-  atomicWriteFile(BucketPath + "/repro.msb", Updated.encode());
+  std::string Encoded = Updated.encode();
+  if (Encoded != Bytes)
+    atomicWriteFile(BucketPath + "/repro.msb", Encoded);
   return true;
 }
 

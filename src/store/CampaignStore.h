@@ -87,12 +87,12 @@ struct StoreManifest {
 };
 
 /// Digest over the result-shaping policy fields (seed, transformation
-/// limit, harness knobs, and the reduction order, post-reduce passes and
-/// uniform-input count when they are not the defaults — not
-/// jobs/deadline/checkpoint cadence, which never change results) and
-/// over \p Fleet's target names when it is not the standard fleet (an
-/// empty fleet stands for the standard one, as in CampaignEngine). 16
-/// lowercase hex characters.
+/// limit, the harness's step budget and constants, and the reduction
+/// order, post-reduce switch and uniform-input count when they are not
+/// the defaults — not jobs/deadline/checkpoint cadence, which never
+/// change results) and over \p Fleet's target names when it is not the
+/// standard fleet (an empty fleet stands for the standard one, as in
+/// CampaignEngine). 16 lowercase hex characters.
 std::string campaignConfigDigest(const ExecutionPolicy &Policy,
                                  const TargetFleet &Fleet = TargetFleet{});
 
@@ -160,9 +160,10 @@ public:
                       std::string &ErrorOut) const;
 
   /// Persists \p Attr into \p Bucket: rewrites repro.msb with an ATTR
-  /// section (replacing any previous one). Returns false with a
-  /// diagnostic when repro.msb cannot be read. Attribution lives in the
-  /// bucket: the index holds only what the checkpoints record.
+  /// section (replacing any previous one), unless the rewrite would leave
+  /// its bytes unchanged. Returns false with a diagnostic when repro.msb
+  /// cannot be read. Attribution lives in the bucket: the index holds
+  /// only what the checkpoints record.
   bool recordAttribution(const BugBucket &Bucket,
                          const triage::BugAttribution &Attr,
                          std::string &ErrorOut);

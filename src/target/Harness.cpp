@@ -10,8 +10,6 @@
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 
-#include <algorithm>
-
 using namespace spvfuzz;
 
 namespace {
@@ -90,8 +88,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
                                     const ShaderInput &Input) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
 
-  const uint32_t Attempts = std::max(1u, Policy.FlakyRetries);
-  const uint32_t Quorum = Attempts / 2 + 1;
+  const uint32_t Quorum = HarnessVotingAttempts / 2 + 1;
 
   // One ballot per distinct (outcome, signature) verdict; the
   // representative run is the earliest attempt that produced it, so the
@@ -108,7 +105,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
   TargetRun LastError;
   bool HardFailure = false;
 
-  for (uint32_t Attempt = 0; Attempt < Attempts; ++Attempt) {
+  for (uint32_t Attempt = 0; Attempt < HarnessVotingAttempts; ++Attempt) {
     TargetRun R = Inner->run(M, Input, context(Attempt));
     ++Used;
     if (R.RunOutcome == Outcome::ToolError) {
@@ -117,7 +114,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
         Metrics.add("harness.tool_errors");
       // Enough back-to-back failures and the run as a whole is a hard
       // toolchain failure — no verdict, breaker material.
-      if (++ConsecutiveErrors >= Policy.QuarantineThreshold) {
+      if (++ConsecutiveErrors >= HarnessQuarantineThreshold) {
         HardFailure = true;
         break;
       }
@@ -136,10 +133,10 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
   if (Metrics.enabled() && Used > 1)
     Metrics.add("harness.retries", Used - 1);
 
-  // An empty ballot means every attempt tool-errored (without crossing the
-  // consecutive threshold mid-loop only when the threshold exceeds the
-  // attempt count) — still a hard failure from the caller's perspective.
-  if (HardFailure || Votes.empty())
+  // Every attempt tool-erroring crosses the consecutive threshold, so a
+  // run that was not a hard failure cast at least one ballot.
+  static_assert(HarnessQuarantineThreshold <= HarnessVotingAttempts);
+  if (HardFailure)
     return LastError;
 
   // The winning interesting verdict, if any, needs a strict majority — the
@@ -167,9 +164,8 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
   return Votes.begin()->second.Rep;
 }
 
-Harness::Harness(const TargetFleet &Fleet, HarnessPolicy Policy,
-                 EvalCache *Cache, ExecutableCache *ExeC)
-    : Policy(Policy) {
+Harness::Harness(const TargetFleet &Fleet, const HarnessPolicy &Policy,
+                 EvalCache *Cache, ExecutableCache *ExeC) {
   CachedViews.reserve(Fleet.size());
   UncachedViews.reserve(Fleet.size());
   for (const Target &T : Fleet) {
@@ -195,7 +191,7 @@ bool Harness::recordOutcome(const std::string &Name, bool HardToolError) {
   }
   if (B.Open)
     return false;
-  if (++B.ConsecutiveToolErrors < Policy.QuarantineThreshold)
+  if (++B.ConsecutiveToolErrors < HarnessQuarantineThreshold)
     return false;
   B.Open = true;
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();

@@ -40,6 +40,13 @@
 
 namespace spvfuzz {
 
+/// Attempts per run on nondeterministic targets: the voting pool n. An
+/// interesting verdict must reproduce on a strict majority (n/2 + 1).
+inline constexpr uint32_t HarnessVotingAttempts = 5;
+/// Consecutive hard tool errors before a voted run gives up, and
+/// consecutive hard tool-error runs before a target is quarantined.
+inline constexpr uint32_t HarnessQuarantineThreshold = 3;
+
 /// Knobs of the fault-tolerance harness (ExecutionPolicy mirrors these).
 struct HarnessPolicy {
   /// Campaign seed the per-attempt fault draws key on.
@@ -48,11 +55,6 @@ struct HarnessPolicy {
   /// matches the interpreter's own step limit, so solid targets behave
   /// exactly as if unharnessed.
   uint64_t TargetDeadlineSteps = 1ull << 22;
-  /// Attempts per run on nondeterministic targets: the voting pool n. An
-  /// interesting verdict must reproduce on a strict majority (n/2 + 1).
-  uint32_t FlakyRetries = 5;
-  /// Consecutive hard tool-error runs before a target is quarantined.
-  uint32_t QuarantineThreshold = 3;
 };
 
 /// One target wrapped with the harness's deadline, retry/voting and
@@ -78,7 +80,7 @@ public:
 
   /// The harnessed verdicts on a uniform-input matrix, one per input, in
   /// order: a single (possibly memoized) attempt for deterministic
-  /// targets; a majority vote over FlakyRetries attempts for
+  /// targets; a majority vote over HarnessVotingAttempts attempts for
   /// nondeterministic ones. A ToolError verdict means the attempts were
   /// dominated by hard toolchain failures (circuit-breaker material).
   /// Deterministic unmemoized targets compile once and execute the
@@ -113,10 +115,8 @@ public:
   /// shares compiled artifacts across *both* view sets — unlike outcome
   /// memoization, artifact sharing never changes counters or results, only
   /// cost, so the scan may use it too.
-  Harness(const TargetFleet &Fleet, HarnessPolicy Policy,
+  Harness(const TargetFleet &Fleet, const HarnessPolicy &Policy,
           EvalCache *Cache = nullptr, ExecutableCache *ExeC = nullptr);
-
-  const HarnessPolicy &policy() const { return Policy; }
 
   /// Harnessed views that memoize deterministic targets through the cache.
   const std::vector<HarnessedTarget> &cached() const { return CachedViews; }
@@ -159,7 +159,6 @@ public:
   void restoreBreakers(const std::map<std::string, BreakerState> &Snapshot);
 
 private:
-  HarnessPolicy Policy;
   std::vector<HarnessedTarget> CachedViews;
   std::vector<HarnessedTarget> UncachedViews;
 

@@ -34,9 +34,10 @@ const char *spvfuzz::outcomeName(Outcome O) {
 namespace {
 
 /// Probability that a flaky-flavored bug fires on any one attempt. High
-/// enough that a majority vote over FlakyRetries attempts almost always
-/// classifies the bug as reliably reproducible, low enough that single
-/// samples regularly disagree (which is the point of the model).
+/// enough that a majority vote over HarnessVotingAttempts attempts
+/// (target/Harness.h) almost always classifies the bug as reliably
+/// reproducible, low enough that single samples regularly disagree (which
+/// is the point of the model).
 constexpr double FlakyFireProbability = 0.75;
 
 /// Seeded Bernoulli draw with 24-bit resolution over a well-mixed word.

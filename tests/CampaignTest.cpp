@@ -20,6 +20,8 @@
 #include "ir/Text.h"
 #include "TestHelpers.h"
 
+#include <algorithm>
+
 using namespace spvfuzz;
 using namespace spvfuzz::test;
 
@@ -49,13 +51,16 @@ TEST(Campaign, StandardToolsMatchTableThreeConfigurations) {
 }
 
 TEST(Campaign, ToolsetSpecFilteringKeepsSeedStreams) {
-  std::vector<ToolConfig> Filtered =
-      standardTools(ToolsetSpec{}.withTool("glsl-fuzz"));
-  ASSERT_EQ(Filtered.size(), 1u);
-  EXPECT_EQ(Filtered[0].Name, "glsl-fuzz");
-  // Filtering must not reassign the stream: the surviving tool's per-test
-  // seeds are independent of which other tools run.
-  EXPECT_EQ(Filtered[0].SeedStream, 2u);
+  // A campaign that runs a subset of the tools (ReductionConfig::ToolNames)
+  // picks them out of the full list, so the stream is fixed by the tool:
+  // its per-test seeds are independent of which other tools run.
+  std::vector<ToolConfig> Tools = standardTools(ToolsetSpec{});
+  auto Glsl = std::find_if(Tools.begin(), Tools.end(),
+                           [](const ToolConfig &Tool) {
+                             return Tool.Name == "glsl-fuzz";
+                           });
+  ASSERT_NE(Glsl, Tools.end());
+  EXPECT_EQ(Glsl->SeedStream, 2u);
 }
 
 TEST(Campaign, TestSeedStreamsAreIndependent) {
@@ -175,15 +180,6 @@ TEST(FunctionShrinker, RemovesUnneededDonorInstructions) {
   // Five of the six adds were deletable; the first feeds the return.
   EXPECT_EQ(Decoded.Blocks[0].Body.size(), 2u);
   expectValidAndEquivalent(F.M, Shrunk.ReducedVariant, F.Input);
-}
-
-TEST(Experiments, EnvSizeParsesOverrides) {
-  EXPECT_EQ(envSize("SPVFUZZ_TEST_UNSET_VAR", 7), 7u);
-  setenv("SPVFUZZ_TEST_SET_VAR", "42", 1);
-  EXPECT_EQ(envSize("SPVFUZZ_TEST_SET_VAR", 7), 42u);
-  setenv("SPVFUZZ_TEST_SET_VAR", "junk", 1);
-  EXPECT_EQ(envSize("SPVFUZZ_TEST_SET_VAR", 7), 7u);
-  unsetenv("SPVFUZZ_TEST_SET_VAR");
 }
 
 TEST(Experiments, SmallBugFindingRunHasPaperShape) {

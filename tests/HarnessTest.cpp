@@ -194,9 +194,7 @@ TEST(Harness, VotingRetriesAreCounted) {
   using telemetry::MetricsRegistry;
   TargetFleet Fleet = TargetFleet::faulty();
   const Target *Old = fleetTarget(Fleet, "SwiftShader-old");
-  HarnessPolicy Policy;
-  Policy.FlakyRetries = 5;
-  HarnessedTarget H(*Old, Policy);
+  HarnessedTarget H(*Old, HarnessPolicy{});
   Fixture F;
 
   MetricsRegistry::global().setEnabled(true);
@@ -217,10 +215,8 @@ TEST(Harness, VotingRetriesAreCounted) {
 //===----------------------------------------------------------------------===//
 
 TEST(Harness, QuarantineEngagesAtThresholdAndClears) {
-  HarnessPolicy Policy;
-  Policy.QuarantineThreshold = 3;
   TargetFleet Fleet = TargetFleet::faulty();
-  Harness Har(Fleet, Policy);
+  Harness Har(Fleet, HarnessPolicy{});
 
   EXPECT_FALSE(Har.quarantined("Pixel-3"));
   EXPECT_FALSE(Har.recordOutcome("Pixel-3", true));
@@ -238,9 +234,7 @@ TEST(Harness, QuarantineEngagesAtThresholdAndClears) {
 }
 
 TEST(Harness, SuccessResetsTheConsecutiveErrorCount) {
-  HarnessPolicy Policy;
-  Policy.QuarantineThreshold = 3;
-  Harness Har(TargetFleet::faulty(), Policy);
+  Harness Har(TargetFleet::faulty(), HarnessPolicy{});
 
   EXPECT_FALSE(Har.recordOutcome("Pixel-3", true));
   EXPECT_FALSE(Har.recordOutcome("Pixel-3", true));

@@ -9,6 +9,19 @@ trap 'rm -rf "$Dir"' EXIT
 cd "$Dir"
 W="--tests 24 --seed 5 --dedup --deterministic-journal"
 
+# Runs minispv with the arguments after the first and fails the case
+# unless it exits with the code the first one names.
+expect_exit() {
+  Want="$1"
+  shift
+  Code=0
+  "$M" "$@" > /dev/null 2>&1 || Code=$?
+  if [ "$Code" -ne "$Want" ]; then
+    echo "minispv $*: exit $Code, expected $Want" >&2
+    exit 1
+  fi
+}
+
 case "$2" in
 db-show-old-meta)
   # Stores written before `db show` rendered the attribution from
@@ -47,6 +60,32 @@ serve-write-fault)
   "$M" serve $W --workers 2 --store full > /dev/null 2> err.txt || Code=$?
   test "$Code" -eq 5
   grep -q 'serve.jsonl' err.txt
+  ;;
+report-store-exit-codes)
+  # report --store tells a store (a checkpoint/*.ckpt name) from any other
+  # directory, then reads only its metrics.json.
+  "$M" campaign --tests 4 --seed 5 --limit 60 --store s > /dev/null 2>&1
+  cp -r s no-metrics
+  rm no-metrics/checkpoint/metrics.json
+  cp -r s bad-metrics
+  echo '{"counters": [' > bad-metrics/checkpoint/metrics.json
+  mkdir -p empty/checkpoint
+  expect_exit 2 report --store missing
+  expect_exit 2 report --store empty
+  expect_exit 1 report --store no-metrics
+  expect_exit 1 report --store bad-metrics
+  expect_exit 0 report --store s
+  ;;
+retriage-keeps-repros)
+  # A re-triage that reaches the stored verdicts writes nothing: every
+  # repro.msb keeps its inode, which an atomic rewrite would replace.
+  "$M" campaign --tests 8 --seed 5 --dedup --triage --store s \
+    > /dev/null 2>&1
+  ls -i s/bugs/*/repro.msb > before.txt
+  test -s before.txt
+  "$M" triage --store s > /dev/null
+  ls -i s/bugs/*/repro.msb > after.txt
+  cmp before.txt after.txt
   ;;
 *)
   echo "unknown case $2" >&2

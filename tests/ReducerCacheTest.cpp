@@ -8,8 +8,9 @@
 /// The contract of every reduction-performance feature — replay snapshots,
 /// evaluation memoization, speculative parallel checking — is that it
 /// changes cost, never results. These tests pin that contract: the same
-/// ReduceResult (minimized sequence, variant, Checks) must come out under
-/// every option combination, across many fuzzed campaigns; the structural
+/// ReduceResult (minimized sequence, variant, Checks) must come out with
+/// and without speculation, across many fuzzed campaigns; a replay from
+/// any snapshot must equal a replay from the original; the structural
 /// module hash must distinguish exactly the modules a target can
 /// distinguish; and a memoized harnessed target must return what the
 /// plain target returns.
@@ -19,8 +20,10 @@
 #include "campaign/CampaignEngine.h"
 #include "core/Fuzzer.h"
 #include "core/ReductionPipeline.h"
+#include "core/ReplayCache.h"
 #include "gen/Generator.h"
 #include "support/ModuleHash.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "target/Harness.h"
 #include "TestHelpers.h"
@@ -148,10 +151,8 @@ void expectSameReduceResult(const ReduceResult &A, const ReduceResult &B,
 }
 
 TEST(ReducerCache, AllOptionCombinationsAreBitIdentical) {
-  // Across >= 20 fuzzed campaigns, every performance configuration —
-  // snapshots off, dense snapshots, snapshots under a starved byte budget,
-  // and speculative parallel checking — must reproduce the plain serial
-  // ReduceResult exactly, Checks included.
+  // Across >= 20 fuzzed campaigns, speculative parallel checking must
+  // reproduce the plain serial ReduceResult exactly, Checks included.
   ThreadPool Pool(4);
   size_t SpeculativeWaste = 0;
   for (uint64_t Seed = 100; Seed < 122; ++Seed) {
@@ -165,28 +166,112 @@ TEST(ReducerCache, AllOptionCombinationsAreBitIdentical) {
     ReduceResult Baseline = ReductionPipeline(ReductionPlan{})
                                 .run(Program.M, Program.Input, Fuzzed.Sequence,
                                      Test);
-
-    for (const auto &[What, Plan] :
-         std::initializer_list<std::pair<const char *, ReductionPlan>>{
-             {"no-snapshots", ReductionPlan{}.withSnapshotInterval(0)},
-             {"dense", ReductionPlan{}.withSnapshotInterval(1)},
-             // A starved budget forces continual eviction.
-             {"starved-budget", ReductionPlan{}
-                                    .withSnapshotInterval(2)
-                                    .withSnapshotBudgetBytes(256)},
-             {"speculative", ReductionPlan{}.withPool(&Pool)}}) {
-      ReduceResult Result = ReductionPipeline(Plan).run(
-          Program.M, Program.Input, Fuzzed.Sequence, Test);
-      expectSameReduceResult(Baseline, Result, Seed, What);
-      if (Plan.Pool)
-        SpeculativeWaste += Result.SpeculativeChecks;
-      else
-        EXPECT_EQ(Result.SpeculativeChecks, 0u) << What << " seed " << Seed;
-    }
+    EXPECT_EQ(Baseline.SpeculativeChecks, 0u) << "seed " << Seed;
+    ReduceResult Speculative =
+        ReductionPipeline(ReductionPlan{}.withPool(&Pool))
+            .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
+    expectSameReduceResult(Baseline, Speculative, Seed, "speculative");
+    SpeculativeWaste += Speculative.SpeculativeChecks;
   }
   // Speculation actually happened (otherwise the parallel leg of this test
   // is vacuous). Waste is legal and expected; only Checks must match.
   EXPECT_GT(SpeculativeWaste, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// ReplayCache
+//===----------------------------------------------------------------------===//
+
+TEST(ReplayCache, EverySnapshotReplayMatchesAReplayFromTheOriginal) {
+  // Across the same fuzzed campaigns, three caches follow the
+  // prepare/replay/invalidateBeyond calls of a paper-order scan (back to
+  // front, halving the chunk size once a scan removes nothing, acceptance
+  // decided on the interval-0 replay): interval 0, which always replays
+  // from the original; dense snapshots; and interval 2 under a starved
+  // byte budget, which forces continual eviction. Every replayed module
+  // must equal the interval-0 one.
+  using telemetry::MetricsRegistry;
+  MetricsRegistry::global().setEnabled(true);
+  MetricsRegistry::global().reset();
+  size_t Campaigns = 0;
+  for (uint64_t Seed = 100; Seed < 122; ++Seed) {
+    GeneratedProgram Program = generateProgram(Seed);
+    FuzzerOptions Options;
+    Options.TransformationLimit = 60;
+    FuzzResult Fuzzed = fuzz(Program.M, Program.Input, {}, Seed, Options);
+    InterestingnessTest Test = grewBy(Program.M.instructionCount(), 5);
+    if (!Test(Fuzzed.Variant, Fuzzed.Facts))
+      continue;
+    ++Campaigns;
+
+    ReplayCache FromOriginal(Program.M, Program.Input, 0, 0);
+    ReplayCache Dense(Program.M, Program.Input, 1, 64ull << 20);
+    ReplayCache Starved(Program.M, Program.Input, 2, 256);
+    const std::pair<const char *, ReplayCache *> Snapshotting[] = {
+        {"dense", &Dense}, {"starved-budget", &Starved}};
+
+    // Replays \p Candidate, which shares its first \p Prefix entries with
+    // \p Current, on every cache; the interval-0 replay lands in \p Out.
+    auto Replay = [&](const TransformationSequence &Current,
+                      const TransformationSequence &Candidate, size_t Prefix,
+                      Module &Out, FactManager &Facts) {
+      FromOriginal.replay(Candidate, Prefix, Out, Facts);
+      const uint64_t Expected = hashModule(Out);
+      for (const auto &[What, Cache] : Snapshotting) {
+        Cache->prepare(Current, Prefix);
+        Module M;
+        FactManager F;
+        Cache->replay(Candidate, Prefix, M, F);
+        EXPECT_EQ(hashModule(M), Expected)
+            << What << " seed " << Seed << " prefix " << Prefix << " of "
+            << Current.size();
+      }
+    };
+
+    TransformationSequence Current = Fuzzed.Sequence;
+    size_t ChunkSize = std::max<size_t>(Current.size() / 2, 1);
+    while (true) {
+      bool RemovedAny = false;
+      for (size_t End = Current.size(); End > 0;) {
+        const size_t Start = End >= ChunkSize ? End - ChunkSize : 0;
+        TransformationSequence Candidate(Current.begin(),
+                                         Current.begin() + Start);
+        Candidate.insert(Candidate.end(), Current.begin() + End,
+                         Current.end());
+        Module Variant;
+        FactManager Facts;
+        Replay(Current, Candidate, Start, Variant, Facts);
+        if (Test(Variant, Facts)) {
+          Current = std::move(Candidate);
+          for (ReplayCache *Cache : {&FromOriginal, &Dense, &Starved})
+            Cache->invalidateBeyond(Start);
+          RemovedAny = true;
+        }
+        End = Start;
+      }
+      if (RemovedAny)
+        continue;
+      if (ChunkSize == 1)
+        break;
+      ChunkSize /= 2;
+    }
+    // The scan ends with a replay of the minimized sequence itself.
+    Module Final;
+    FactManager Facts;
+    Replay(Current, Current, Current.size(), Final, Facts);
+  }
+  const MetricsRegistry &Metrics = MetricsRegistry::global();
+  const uint64_t Skipped =
+      Metrics.counterValue("replaycache.transformations_skipped");
+  const uint64_t Evictions = Metrics.counterValue("replaycache.evictions");
+  MetricsRegistry::global().reset();
+  MetricsRegistry::global().setEnabled(false);
+
+  ASSERT_GE(Campaigns, 10u);
+  // Replays really started from snapshots, and the budget really evicted:
+  // otherwise the comparison above is vacuous.
+  EXPECT_GT(Skipped, 0u);
+  EXPECT_GT(Evictions, 0u);
 }
 
 TEST(ReducerCache, CachedInterestingnessMatchesUncached) {

@@ -146,9 +146,6 @@ TEST(ReductionPipeline, StandardPassListIsNamedAndFindable) {
   EXPECT_STREQ(Passes[0]->name(), "StripUnusedDefs");
   EXPECT_STREQ(Passes[1]->name(), "StripUnusedTypesAndGlobals");
   EXPECT_STREQ(Passes[2]->name(), "SimplifyReferenceProgram");
-  for (const ReductionPassPtr &Pass : Passes)
-    EXPECT_EQ(findPostReducePass(Pass->name()), Pass);
-  EXPECT_EQ(findPostReducePass("NoSuchPass"), nullptr);
 }
 
 TEST(ReductionPipeline, PostReducePreservesValidityAndInterestingness) {
@@ -220,23 +217,6 @@ TEST(ReductionPipeline, PostReduceShrinksDeadReferenceCode) {
       ++Shrunk;
   }
   EXPECT_GT(Shrunk, 0u);
-}
-
-TEST(ReductionPipeline, PostPassSubsetRunsOnlyThosePasses) {
-  GeneratedProgram Program = generateProgram(101);
-  FuzzerOptions Options;
-  Options.TransformationLimit = 60;
-  FuzzResult Fuzzed = fuzz(Program.M, Program.Input, {}, 101, Options);
-  InterestingnessTest Test = grewBy(Program.M.instructionCount(), 5);
-  ASSERT_TRUE(Test(Fuzzed.Variant, Fuzzed.Facts));
-
-  ReductionPlan Plan =
-      ReductionPlan{}.withPostReduce(true).withPostPasses(
-          {"SimplifyReferenceProgram"});
-  ReduceResult Result = ReductionPipeline(Plan).run(
-      Program.M, Program.Input, Fuzzed.Sequence, Test);
-  ASSERT_EQ(Result.PostStats.size(), 1u);
-  EXPECT_EQ(Result.PostStats[0].Pass, "SimplifyReferenceProgram");
 }
 
 //===----------------------------------------------------------------------===//

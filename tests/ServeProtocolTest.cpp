@@ -37,13 +37,9 @@ WorkerConfigMsg sampleConfig() {
       ExecutionPolicy{}
           .withSeed(2021)
           .withTransformationLimit(300)
-          .withFlakyRetries(7)
-          .withQuarantineThreshold(2)
           .withUniformInputs(2)
           .withReduceOrder(CandidateOrder::Learned)
-          .withPostReduce(true)
-          .withPostReducePasses(
-              {"StripUnusedDefs", "SimplifyReferenceProgram"}),
+          .withPostReduce(true),
       /*FaultyFleet=*/true);
 }
 
@@ -109,12 +105,9 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
   EXPECT_EQ(Out.Policy.Seed, In.Policy.Seed);
   EXPECT_EQ(Out.Policy.TransformationLimit, In.Policy.TransformationLimit);
   EXPECT_EQ(Out.Policy.TargetDeadlineSteps, In.Policy.TargetDeadlineSteps);
-  EXPECT_EQ(Out.Policy.FlakyRetries, In.Policy.FlakyRetries);
-  EXPECT_EQ(Out.Policy.QuarantineThreshold, In.Policy.QuarantineThreshold);
   EXPECT_EQ(Out.Policy.UniformInputs, In.Policy.UniformInputs);
   EXPECT_EQ(Out.Policy.ReduceOrder, In.Policy.ReduceOrder);
   EXPECT_EQ(Out.Policy.PostReduce, In.Policy.PostReduce);
-  EXPECT_EQ(Out.Policy.PostReducePasses, In.Policy.PostReducePasses);
   EXPECT_EQ(Out.FaultyFleet, In.FaultyFleet);
 
   // The policy a worker rebuilds from the wire must derive the
@@ -124,16 +117,12 @@ TEST(ServeProtocol, WorkerConfigRoundTrips) {
       {"default", ExecutionPolicy{}},
       {"learned order",
        ExecutionPolicy{}.withReduceOrder(CandidateOrder::Learned)},
-      {"post-reduce with passes",
-       ExecutionPolicy{}.withPostReduce(true).withPostReducePasses(
-           {"StripUnusedDefs", "StripUnusedTypesAndGlobals"})},
+      {"post-reduce", ExecutionPolicy{}.withPostReduce(true)},
       {"uniform inputs", ExecutionPolicy{}.withUniformInputs(4)},
       {"harness knobs", ExecutionPolicy{}
                             .withSeed(9)
                             .withTransformationLimit(60)
-                            .withTargetDeadlineSteps(1ull << 16)
-                            .withFlakyRetries(7)
-                            .withQuarantineThreshold(2)},
+                            .withTargetDeadlineSteps(1ull << 16)},
   };
   for (const bool Faulty : {false, true})
     for (const auto &[Name, Policy] : Policies) {

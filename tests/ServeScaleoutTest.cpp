@@ -86,10 +86,8 @@ void collectArtifacts(const std::string &Dir, RunOutput &Out) {
 }
 
 RunOutput runSerial(const std::string &Dir, size_t Tests,
-                    bool Faulty = false, uint32_t QuarantineThreshold = 0) {
+                    bool Faulty = false) {
   ExecutionPolicy Policy = testPolicy(Dir);
-  if (QuarantineThreshold)
-    Policy.QuarantineThreshold = QuarantineThreshold;
   const TargetFleet Fleet = Faulty ? TargetFleet::faulty() : TargetFleet{};
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
@@ -118,11 +116,8 @@ RunOutput runSerial(const std::string &Dir, size_t Tests,
 /// metric parity is the CLI smoke's job, where workers are real
 /// processes.
 RunOutput runServe(const std::string &Dir, size_t Tests,
-                   std::vector<WorkerOptions> Workers, bool Faulty = false,
-                   uint32_t QuarantineThreshold = 0) {
+                   std::vector<WorkerOptions> Workers, bool Faulty = false) {
   ExecutionPolicy Policy = testPolicy(Dir);
-  if (QuarantineThreshold)
-    Policy.QuarantineThreshold = QuarantineThreshold;
   const TargetFleet Fleet = Faulty ? TargetFleet::faulty() : TargetFleet{};
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
@@ -275,12 +270,12 @@ TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
 // serial run byte for byte.
 TEST(ServeScaleout, FaultyFleetQuarantineMaskMatchesSerial) {
   constexpr size_t Tests = 64;
-  RunOutput Serial = runSerial(uniqueDir("ff-serial"), Tests,
-                               /*Faulty=*/true, /*QuarantineThreshold=*/2);
+  RunOutput Serial =
+      runSerial(uniqueDir("ff-serial"), Tests, /*Faulty=*/true);
   EXPECT_NE(Serial.Journal.find("TargetQuarantined"), std::string::npos)
       << "expected the faulty fleet to quarantine a target in this run";
-  RunOutput Serve = runServe(uniqueDir("ff-serve"), Tests, {{}, {}},
-                             /*Faulty=*/true, /*QuarantineThreshold=*/2);
+  RunOutput Serve =
+      runServe(uniqueDir("ff-serve"), Tests, {{}, {}}, /*Faulty=*/true);
   // Each phase's two waves go out together, so a quarantine decided in
   // the fold of a phase's first wave finds the second one sent under the
   // old mask: it is sent again, and nothing was requeued for a death.

@@ -303,14 +303,14 @@ TEST(StoreCampaign, UniformInputsArePartOfTheCampaignIdentity) {
 /// instead of folding the faulty fleet's checkpoints into standard-fleet
 /// results (whose per-target tables lack the faulty targets). The
 /// standard fleet, given explicitly or as an empty fleet, keeps the
-/// digest it had before fleets were hashed.
+/// digest it had before fleets were hashed, and both digests are pinned.
 TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
   const ExecutionPolicy Policy = policyFor(5, 1);
   EXPECT_EQ(campaignConfigDigest(Policy, TargetFleet::standard()),
             "a2d5273362bffe3f");
   EXPECT_EQ(campaignIdFor(Policy, TargetFleet{}), campaignIdFor(Policy));
-  EXPECT_NE(campaignConfigDigest(Policy, TargetFleet::faulty()),
-            campaignConfigDigest(Policy));
+  EXPECT_EQ(campaignConfigDigest(Policy, TargetFleet::faulty()),
+            "a3efd1da8dde3f93");
 
   auto Scan = [](const ExecutionPolicy &P, TargetFleet Fleet,
                  CampaignCheckpointer *Checkpointer) {
@@ -347,6 +347,15 @@ TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
   Store = CampaignStore::open(Dir, Resumed, TargetFleet::faulty(), Error);
   ASSERT_NE(Store, nullptr) << Error;
   EXPECT_TRUE(Store->loadEvaluation("eval/spirv-fuzz/8", Checkpoint));
+}
+
+/// Learned order and post-reduction change reduction records, so they
+/// join the campaign identity. A campaign id names a store's checkpoints,
+/// so the id is pinned: a store an older build wrote must keep resuming.
+TEST(StoreCampaign, LearnedPostReduceCampaignIdIsPinned) {
+  ExecutionPolicy Learned = policyFor(5, 1);
+  Learned.withReduceOrder(CandidateOrder::Learned).withPostReduce(true);
+  EXPECT_EQ(campaignConfigDigest(Learned), "46e8c1c856e4bc29");
 }
 
 // The persisted metrics are per store, so a resume restores them only

@@ -21,20 +21,18 @@
 ///                    --target NAME (--signature SIG | --miscompilation)
 ///                    -o reduced.mvs --out-sequence min.txt [--jobs N]
 ///                    [--faulty-fleet] [--order paper|learned]
-///                    [--post-reduce] [--post-passes P1,P2,...]
-///                    [--out-original FILE]
+///                    [--post-reduce] [--out-original FILE]
 ///   minispv campaign [--jobs N] [--tests N] [--seed N] [--limit N]
 ///                    [--deadline-ms N] [--faulty-fleet]
-///                    [--deadline-steps N] [--flaky-retries N]
-///                    [--quarantine-threshold N] [--uniform-inputs N]
+///                    [--deadline-steps N] [--uniform-inputs N]
 ///                    [--dedup] [--reduce-order paper|learned]
-///                    [--post-reduce] [--post-passes P1,P2,...]
+///                    [--post-reduce]
 ///                    [--store DIR [--resume] [--checkpoint-interval N]
 ///                     [--deterministic-journal] [--triage]]
-///   minispv serve    [--workers K] [--worker-jobs N]
-///                    [--kill-worker-after N] [--minispv PATH]
+///   minispv serve    [--workers K] [--kill-worker-after N]
+///                    [--minispv PATH]
 ///                    [+ campaign flags except --deadline-ms]
-///   minispv worker   [--jobs N]
+///   minispv worker
 ///   minispv triage   --store DIR [--jobs N]
 ///   minispv targets  [--faulty-fleet]
 ///   minispv report   (metrics.json... | --store DIR) [--trace t.jsonl]
@@ -60,7 +58,8 @@
 /// `serve` is the multi-process form of `campaign`: the coordinator
 /// spawns K `worker` processes, each on one end of a socketpair as its
 /// stdin and stdout, hands them scheduling waves over those sockets (see
-/// serve/Coordinator.h) and folds their results back serially — stdout,
+/// serve/Coordinator.h; each worker computes a wave serially, so K is the
+/// parallelism) and folds their results back serially — stdout,
 /// the bug database, the decision journal and the metrics counters are
 /// byte-identical to the single-process run, even when a worker is killed
 /// mid-wave.
@@ -344,8 +343,8 @@ int cmdReplay(const Args &A) {
   return 0;
 }
 
-/// Shared by `reduce` and `campaign`: parses --order/--reduce-order and
-/// --post-passes, failing with the known-name list on a typo.
+/// Shared by `reduce` and `campaign`: parses --order/--reduce-order,
+/// failing with the known-name list on a typo.
 CandidateOrder parseOrderFlag(const Args &A, const char *Flag) {
   CandidateOrder Order = CandidateOrder::Paper;
   if (A.has(Flag) && !candidateOrderFromName(A.get(Flag), Order))
@@ -354,34 +353,13 @@ CandidateOrder parseOrderFlag(const Args &A, const char *Flag) {
   return Order;
 }
 
-std::vector<std::string> parsePostPasses(const Args &A) {
-  std::vector<std::string> Passes;
-  if (!A.has("post-passes"))
-    return Passes;
-  std::stringstream List(A.get("post-passes"));
-  std::string Name;
-  while (std::getline(List, Name, ',')) {
-    if (Name.empty())
-      continue;
-    if (!findPostReducePass(Name)) {
-      std::string Known;
-      for (const ReductionPassPtr &Pass : standardPostReducePasses())
-        Known += std::string(Known.empty() ? "" : ", ") + Pass->name();
-      fail("unknown post-reduction pass '" + Name + "' (known: " + Known +
-           ")");
-    }
-    Passes.push_back(Name);
-  }
-  return Passes;
-}
-
 int cmdReduce(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv reduce <module.mvs> --inputs <file> "
          "--sequence <file> --target NAME (--signature SIG | "
          "--miscompilation) -o <out> --out-sequence <out> "
          "[--jobs N] [--faulty-fleet] [--order paper|learned] "
-         "[--post-reduce] [--post-passes P1,P2,...] [--out-original FILE]");
+         "[--post-reduce] [--out-original FILE]");
   Module M = readModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   TransformationSequence Sequence = readSequence(A.require("sequence"));
@@ -405,8 +383,7 @@ int cmdReduce(const Args &A) {
     Plan.Pool = Pool.get();
   }
   Plan.Order = parseOrderFlag(A, "order");
-  Plan.PostReduce = A.has("post-reduce") || A.has("post-passes");
-  Plan.PostPasses = parsePostPasses(A);
+  Plan.PostReduce = A.has("post-reduce");
 
   ReduceResult Reduced =
       ReductionPipeline(Plan).run(M, Input, Sequence, Test);
@@ -518,16 +495,11 @@ int cmdCampaign(const Args &A, bool Serve) {
   Policy
       .withTargetDeadlineSteps(
           A.number("deadline-steps", Policy.TargetDeadlineSteps))
-      .withFlakyRetries(
-          A.number<uint32_t>("flaky-retries", Policy.FlakyRetries))
-      .withQuarantineThreshold(A.number<uint32_t>(
-          "quarantine-threshold", Policy.QuarantineThreshold))
       .withUniformInputs(A.number("uniform-inputs", Policy.UniformInputs));
   // Reduction-quality knobs: both change results (deterministically) and
   // therefore fold into the campaign id when non-default.
-  Policy.withReduceOrder(parseOrderFlag(A, "reduce-order"));
-  if (A.has("post-reduce") || A.has("post-passes"))
-    Policy.withPostReduce(true).withPostReducePasses(parsePostPasses(A));
+  Policy.withReduceOrder(parseOrderFlag(A, "reduce-order"))
+      .withPostReduce(A.has("post-reduce"));
   // --triage attributes every stored bug to its culprit pass after the
   // run. It is a post-pass over the bug database (so it needs --store)
   // and does not fold into the campaign id: the bug-finding decisions
@@ -611,7 +583,6 @@ int cmdCampaign(const Args &A, bool Serve) {
     }
     serve::ServeOptions SOpts;
     SOpts.Workers = A.number("workers", 2);
-    SOpts.WorkerJobs = A.number("worker-jobs", 1);
     SOpts.MinispvPath = A.get("minispv", "/proc/self/exe");
     SOpts.KillWorkerAfterShards = A.number("kill-worker-after", 0);
     SOpts.ServeJournal = ServeJournal.get();
@@ -724,9 +695,8 @@ int cmdCampaign(const Args &A, bool Serve) {
 
 /// The worker side of `minispv serve`, spawned by the coordinator with
 /// its socket as stdin and stdout; stderr is the coordinator's.
-int cmdWorker(const Args &A) {
+int cmdWorker(const Args &) {
   serve::WorkerOptions Opts;
-  Opts.Jobs = A.number("jobs", 1);
   // A worker process has its own registry, so shipping per-shard counter
   // deltas is safe (and required for coordinator totals to match serial).
   Opts.CollectMetrics = true;
@@ -952,8 +922,12 @@ int cmdReport(const Args &A) {
   // sequence) instead of one silently shadowing the other.
   std::vector<std::pair<std::string, telemetry::MetricsSnapshot>> Sources;
   if (A.has("store")) {
-    if (!CampaignStore::openForTools(A.get("store"), Error))
-      cli::failWith(ObsExitMissingInput, Error);
+    // A store is a directory with a checkpoint; telling it apart from a
+    // stray directory needs only the names, not the decoded checkpoints.
+    if (listDir(A.get("store") + "/checkpoint", ".ckpt").empty())
+      cli::failWith(ObsExitMissingInput,
+                    A.get("store") +
+                        " is not a campaign store (no checkpoint/*.ckpt)");
     telemetry::MetricsSnapshot Snapshot;
     if (!CampaignStore::loadMetrics(A.get("store"), Snapshot, Error))
       cli::failWith(ObsExitParseError, Error);
@@ -1144,11 +1118,11 @@ int cmdHelp(const Args &) {
       "  campaign   run a bug-finding campaign in this process\n"
       "             (--store DIR makes it durable/resumable)\n"
       "  serve      the same campaign, scaled out: spawns K worker\n"
-      "             processes and hands them waves over one socket\n"
-      "             each; output is byte-identical to `campaign` at any\n"
-      "             worker count\n"
+      "             processes (--workers K) and hands them waves over\n"
+      "             one socket each; output is byte-identical to\n"
+      "             `campaign` at any worker count\n"
       "  worker     one scale-out worker on stdin/stdout (spawned by\n"
-      "             serve)\n"
+      "             serve); it computes each wave serially\n"
       "  triage     attribute stored bugs to their culprit pass (crash\n"
       "             bisection + miscompilation localization); `campaign\n"
       "             --triage` runs the same post-pass inline\n"
@@ -1195,8 +1169,7 @@ const std::vector<Command> &commands() {
   // the reason) plus its deployment knobs.
   static const std::vector<std::string> CampaignValued = {
       "jobs", "tests", "seed", "limit", "deadline-ms", "deadline-steps",
-      "flaky-retries", "quarantine-threshold", "uniform-inputs",
-      "reduce-order", "post-passes", "store", "checkpoint-interval"};
+      "uniform-inputs", "reduce-order", "store", "checkpoint-interval"};
   static const std::vector<std::string> CampaignSwitches = {
       "faulty-fleet", "dedup", "post-reduce", "resume", "triage",
       "deterministic-journal"};
@@ -1212,15 +1185,15 @@ const std::vector<Command> &commands() {
       {"reduce",
        cmdReduce,
        {"inputs", "sequence", "target", "signature", "o", "out-sequence",
-        "jobs", "order", "post-passes", "out-original"},
+        "jobs", "order", "out-original"},
        {"faulty-fleet", "miscompilation", "post-reduce"}},
       {"campaign", cmdCampaignInProcess, CampaignValued, CampaignSwitches},
       {"serve",
        cmdServe,
        concat(CampaignValued,
-              {"workers", "worker-jobs", "minispv", "kill-worker-after"}),
+              {"workers", "minispv", "kill-worker-after"}),
        CampaignSwitches},
-      {"worker", cmdWorker, {"jobs"}, {}},
+      {"worker", cmdWorker, {}, {}},
       {"db", cmdDb, {"store", "from", "from-dir"}, {}},
       {"triage", cmdTriage, {"store", "jobs"}, {}},
       {"targets", cmdTargets, {}, {"faulty-fleet"}},
