@@ -182,12 +182,56 @@ void BM_ReduceSequence(benchmark::State &State) {
 }
 BENCHMARK(BM_ReduceSequence);
 
+/// Fixed-workload transformation throughput for the regression gate: the
+/// fuzzer over a fixed seed list, then each recorded sequence replayed once
+/// from the original — the loops that keep the module's id table and one
+/// ModuleAnalysis across transformations. Published as `*_per_sec` gauges;
+/// the fuzzer.applications.* and replay.applications.* counters it leaves
+/// in the registry are exact and show the same work was timed.
+void timeFuzzAndReplay(telemetry::MetricsRegistry &Metrics) {
+  const GeneratedProgram &Program = sharedProgram();
+  FuzzerOptions Options;
+  Options.TransformationLimit = 150;
+  constexpr uint64_t NumSeeds = 24;
+
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<FuzzResult> Results;
+  size_t Applied = 0;
+  for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
+    Results.push_back(fuzz(Program.M, Program.Input, {}, Seed, Options));
+    Applied += Results.back().Sequence.size();
+  }
+  double FuzzSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - Start)
+                           .count();
+
+  Start = std::chrono::steady_clock::now();
+  size_t Replayed = 0;
+  for (const FuzzResult &Result : Results) {
+    Module M = Program.M;
+    FactManager Facts;
+    Facts.setKnownInput(Program.Input);
+    Replayed += applySequence(M, Facts, Result.Sequence).size();
+  }
+  double ReplaySeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+
+  if (FuzzSeconds > 0.0)
+    Metrics.set("transform.fuzz_applications_per_sec",
+                static_cast<double>(Applied) / FuzzSeconds);
+  if (ReplaySeconds > 0.0)
+    Metrics.set("transform.replay_applications_per_sec",
+                static_cast<double>(Replayed) / ReplaySeconds);
+}
+
 /// Fixed-workload dispatch throughput for the regression gate: the same
 /// module run the same number of times through the tree interpreter and
 /// the lowered engine, timed separately. Published as `*_runs_per_sec`
 /// gauges (judged by `minispv report --compare`) plus the deterministic
 /// exec.* counters, and dumped to REPRO_METRICS_OUT — the committed
-/// snapshot is bench/baselines/BENCH_interp.json.
+/// snapshot is bench/baselines/BENCH_interp.json, which also holds the
+/// timeFuzzAndReplay gauges and counters.
 void dumpDispatchThroughput(const char *Path) {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   Metrics.setEnabled(true);
@@ -229,6 +273,7 @@ void dumpDispatchThroughput(const char *Path) {
                                                 ? TreeSeconds / LoweredSeconds
                                                 : 0.0);
   }
+  timeFuzzAndReplay(Metrics);
   std::string Error;
   if (!telemetry::writeGlobalMetrics(Path, Error))
     cli::failWith(cli::ExitWriteError, Error);

@@ -20,6 +20,7 @@
 
 #include "campaign/Campaign.h"
 #include "gen/Generator.h"
+#include "support/ModuleHash.h"
 #include "target/ExecutableCache.h"
 #include "target/Target.h"
 
@@ -87,8 +88,9 @@ static void runThroughput(const TargetFleet &Fleet, size_t NumModules,
     for (const GeneratedProgram &Program : Programs) {
       std::vector<ShaderInput> Matrix =
           uniformInputMatrix(Program.Input, NumInputs, 1000);
+      const uint64_t Hash = hashModule(Program.M);
       for (size_t Round = 0; Round < Rounds; ++Round)
-        for (const TargetRun &Run : T.runBatch(Program.M, Matrix, Ctx))
+        for (const TargetRun &Run : T.runBatch(Program.M, Hash, Matrix, Ctx))
           Digest = resultDigest(Digest, Run);
     }
     printf("  %-14s digest=%016llx\n", T.spec().Name.c_str(),

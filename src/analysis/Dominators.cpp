@@ -10,19 +10,21 @@
 
 using namespace spvfuzz;
 
-DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph) {
+DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph)
+    : Graph(&Graph) {
   (void)Func;
-  Entry = Graph.entryId();
-  const std::vector<Id> &Rpo = Graph.reversePostorder();
+  const uint32_t Entry = Graph.entryNode();
+  if (Entry == Cfg::NoNode)
+    return;
+  const size_t NumNodes = Graph.nodeCount();
+  const std::vector<uint32_t> &Rpo = Graph.reversePostorderNodes();
 
-  std::unordered_map<Id, size_t> RpoIndex;
-  RpoIndex.reserve(Rpo.size());
+  std::vector<uint32_t> RpoIndex(NumNodes, 0);
   for (size_t I = 0, E = Rpo.size(); I != E; ++I)
-    RpoIndex[Rpo[I]] = I;
+    RpoIndex[Rpo[I]] = static_cast<uint32_t>(I);
 
-  std::unordered_map<Id, Id> Idom;
-  Idom.reserve(Rpo.size());
-  auto Intersect = [&](Id A, Id B) {
+  std::vector<uint32_t> Idom(NumNodes, Cfg::NoNode);
+  auto Intersect = [&](uint32_t A, uint32_t B) {
     while (A != B) {
       while (RpoIndex[A] > RpoIndex[B])
         A = Idom[A];
@@ -36,41 +38,45 @@ DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (Id Block : Rpo) {
+    for (uint32_t Block : Rpo) {
       if (Block == Entry)
         continue;
-      Id NewIdom = InvalidId;
-      for (Id Pred : Graph.predecessors(Block)) {
-        if (!Graph.isReachable(Pred) || Idom.find(Pred) == Idom.end())
+      uint32_t NewIdom = Cfg::NoNode;
+      for (uint32_t Pred : Graph.predecessorNodes(Block)) {
+        if (!Graph.nodeReachable(Pred) || Idom[Pred] == Cfg::NoNode)
           continue;
-        NewIdom = NewIdom == InvalidId ? Pred : Intersect(NewIdom, Pred);
+        NewIdom = NewIdom == Cfg::NoNode ? Pred : Intersect(NewIdom, Pred);
       }
-      if (NewIdom == InvalidId)
+      if (NewIdom == Cfg::NoNode)
         continue;
-      auto It = Idom.find(Block);
-      if (It == Idom.end() || It->second != NewIdom) {
+      if (Idom[Block] != NewIdom) {
         Idom[Block] = NewIdom;
         Changed = true;
       }
     }
   }
-  // The entry's idom is conventionally "none".
-  Idom[Entry] = InvalidId;
 
-  // Number the tree with DFS intervals so dominates() is two lookups
+  // Number the tree with DFS intervals so dominates() is two loads
   // instead of a chain walk: A dominates B iff In[A] <= In[B] and
-  // Out[B] <= Out[A].
-  Nodes.reserve(Idom.size());
-  std::unordered_map<Id, std::vector<Id>> Children;
-  Children.reserve(Idom.size());
-  for (const auto &[Block, Parent] : Idom) {
-    Nodes[Block].Idom = Parent;
-    if (Parent != InvalidId)
-      Children[Parent].push_back(Block);
-  }
+  // Out[B] <= Out[A]. The entry's idom is conventionally "none".
+  Nodes.assign(NumNodes, Node());
+  std::vector<uint32_t> ChildBegin(NumNodes + 1, 0);
+  for (uint32_t N = 0; N < NumNodes; ++N)
+    if (N != Entry && Idom[N] != Cfg::NoNode) {
+      Nodes[N].Idom = Idom[N];
+      ++ChildBegin[Idom[N] + 1];
+    }
+  for (size_t N = 0; N < NumNodes; ++N)
+    ChildBegin[N + 1] += ChildBegin[N];
+  std::vector<uint32_t> Children(ChildBegin[NumNodes]);
+  std::vector<uint32_t> Fill(ChildBegin.begin(), ChildBegin.end() - 1);
+  for (uint32_t N = 0; N < NumNodes; ++N)
+    if (Nodes[N].Idom != Cfg::NoNode)
+      Children[Fill[Nodes[N].Idom]++] = N;
+
   uint32_t Clock = 0;
   // Iterative DFS; the second visit of a frame assigns the exit time.
-  std::vector<std::pair<Id, bool>> Stack;
+  std::vector<std::pair<uint32_t, bool>> Stack;
   Stack.push_back({Entry, false});
   while (!Stack.empty()) {
     auto [Block, Done] = Stack.back();
@@ -82,20 +88,14 @@ DominatorTree::DominatorTree(const Function &Func, const Cfg &Graph) {
     }
     N.In = ++Clock;
     Stack.push_back({Block, true});
-    auto It = Children.find(Block);
-    if (It != Children.end())
-      for (Id Child : It->second)
-        Stack.push_back({Child, false});
+    for (uint32_t C = ChildBegin[Block]; C < ChildBegin[Block + 1]; ++C)
+      Stack.push_back({Children[C], false});
   }
 }
 
-bool DominatorTree::dominates(Id A, Id B) const {
-  if (A == B)
-    return true;
-  auto AIt = Nodes.find(A);
-  auto BIt = Nodes.find(B);
-  if (AIt == Nodes.end() || BIt == Nodes.end())
-    return false;
-  return AIt->second.In <= BIt->second.In &&
-         BIt->second.Out <= AIt->second.Out;
+Id DominatorTree::immediateDominator(Id Block) const {
+  uint32_t N = Graph->node(Block);
+  if (N == Cfg::NoNode || Nodes.empty() || Nodes[N].Idom == Cfg::NoNode)
+    return InvalidId;
+  return Graph->nodeId(Nodes[N].Idom);
 }

@@ -8,51 +8,67 @@
 
 using namespace spvfuzz;
 
-ModuleAnalysis::ModuleAnalysis(const Module &M) : M(&M) {
+void ModuleAnalysis::record(Id TheId, const DefSlot &Where,
+                            const Function *Func, const BasicBlock *Block,
+                            const Instruction *Inst) {
+  if (TheId >= Defs.size())
+    return;
+  using K = DefInfo::Kind;
+  static constexpr K Kinds[] = {K::None,  K::Global, K::FunctionDef,
+                                K::Param, K::Label,  K::Body};
+  Defs[TheId] =
+      DefInfo{Kinds[static_cast<size_t>(Where.SlotKind)],
+              Func ? Func->id() : InvalidId,
+              Block ? Block->LabelId : InvalidId,
+              Where.SlotKind == DefSlot::Kind::Label
+                  ? static_cast<uint32_t>(Block->Body.size())
+                  : Where.Inst,
+              Where.Func,
+              Block ? Where.Index : 0,
+              Inst};
+}
+
+void ModuleAnalysis::refresh(const Module &NewM) {
+  beginRefresh(NewM);
+  NewM.forEachDefinition([this](auto... Def) { record(Def...); });
+  endRefresh();
+}
+
+void ModuleAnalysis::refreshWithIds(Module &NewM) {
+  beginRefresh(NewM);
+  NewM.refreshIds([this](auto... Def) { record(Def...); });
+  endRefresh();
+}
+
+void ModuleAnalysis::beginRefresh(const Module &NewM) {
+  M = &NewM;
   // Ids are dense (below M.Bound), so the def table is a flat vector filled
-  // with plain stores — this runs once per transformation attempt on both
-  // the fuzzing and replay hot paths. Out-of-bound ids (only possible in a
-  // module the validator will reject anyway) are ignored rather than
-  // indexed.
-  Defs.assign(M.Bound, DefInfo{});
-  auto Set = [this](Id TheId, DefInfo Info) {
-    if (TheId < Defs.size())
-      Defs[TheId] = Info;
-  };
-  for (const Instruction &Inst : M.GlobalInsts)
-    Set(Inst.Result,
-        DefInfo{DefInfo::Kind::Global, InvalidId, InvalidId, 0, &Inst});
-  FuncsById.reserve(M.Functions.size());
-  BlockSizes.reserve(M.Functions.size());
-  for (const Function &Func : M.Functions) {
-    FuncsById[Func.id()] = &Func;
-    Set(Func.Def.Result,
-        DefInfo{DefInfo::Kind::FunctionDef, Func.id(), InvalidId, 0,
-                &Func.Def});
-    for (const Instruction &Param : Func.Params)
-      Set(Param.Result,
-          DefInfo{DefInfo::Kind::Param, Func.id(), InvalidId, 0, &Param});
-    std::unordered_map<Id, size_t> &FuncBlockSizes = BlockSizes[Func.id()];
-    FuncBlockSizes.reserve(Func.Blocks.size());
-    for (const BasicBlock &Block : Func.Blocks) {
-      Set(Block.LabelId,
-          DefInfo{DefInfo::Kind::Label, Func.id(), Block.LabelId, 0,
-                  nullptr});
-      FuncBlockSizes[Block.LabelId] = Block.Body.size();
-      for (size_t I = 0, E = Block.Body.size(); I != E; ++I) {
-        const Instruction &Inst = Block.Body[I];
-        if (Inst.Result != InvalidId)
-          Set(Inst.Result, DefInfo{DefInfo::Kind::Body, Func.id(),
-                                   Block.LabelId, I, &Inst});
-      }
+  // with plain stores. Out-of-bound ids (only possible in a module the
+  // validator will reject anyway) are ignored rather than indexed.
+  Defs.reset(M->Bound);
+  UsesBuilt = false;
+}
+
+void ModuleAnalysis::endRefresh() {
+  // A function's graphs depend only on its block labels and terminator
+  // successors, so they survive any transformation that keeps those.
+  Funcs.resize(M->Functions.size());
+  for (size_t F = 0; F < Funcs.size(); ++F) {
+    FunctionState &State = Funcs[F];
+    const Function &Func = M->Functions[F];
+    if (State.FuncId != Func.id() ||
+        (State.Graph && !State.Graph->matches(Func))) {
+      State.Graph.reset();
+      State.Dom.reset();
     }
+    State.FuncId = Func.id();
   }
 }
 
 size_t ModuleAnalysis::useCount(Id TheId) const {
   if (!UsesBuilt) {
     UsesBuilt = true;
-    Uses.assign(M->Bound, 0);
+    Uses.reset(M->Bound);
     auto CountUses = [&](const Instruction &Inst) {
       Inst.forEachUsedId([&](Id Used) {
         if (Used < Uses.size())
@@ -70,7 +86,7 @@ size_t ModuleAnalysis::useCount(Id TheId) const {
           CountUses(Inst);
     }
   }
-  return TheId < Uses.size() ? Uses[TheId] : 0;
+  return Uses.lookup(TheId);
 }
 
 bool ModuleAnalysis::idAvailableBefore(Id ValueId, Id FuncId, Id BlockId,
@@ -89,45 +105,74 @@ bool ModuleAnalysis::idAvailableBefore(Id ValueId, Id FuncId, Id BlockId,
     return false;
   case DefInfo::Kind::Param:
     return Info->FuncId == FuncId;
-  case DefInfo::Kind::Body:
+  case DefInfo::Kind::Body: {
     if (Info->FuncId != FuncId)
       return false;
     if (Info->BlockId == BlockId)
       return Info->Index < InstIndex;
-    return domTree(FuncId).strictlyDominates(Info->BlockId, BlockId);
+    // Strict dominance between two distinct blocks, by Cfg node. The
+    // blocks' positions are only hints: the graph is built from the
+    // function as it is now, and checks them.
+    FunctionState &State = state(FuncId);
+    const Cfg &Graph = *State.Graph;
+    const DominatorTree &Dom = domTree(State);
+    const DefInfo *UseLabel = defInfo(BlockId);
+    uint32_t UseHint = UseLabel && UseLabel->DefKind == DefInfo::Kind::Label &&
+                               UseLabel->FuncId == FuncId
+                           ? UseLabel->BlockIndex
+                           : Cfg::NoNode;
+    uint32_t DefNode = Graph.node(Info->BlockId, Info->BlockIndex);
+    uint32_t UseNode = Graph.node(BlockId, UseHint);
+    return DefNode != Cfg::NoNode && UseNode != Cfg::NoNode &&
+           Dom.dominatesNode(DefNode, UseNode);
+  }
   }
   return false;
 }
 
 bool ModuleAnalysis::idAvailableAtEnd(Id ValueId, Id FuncId, Id BlockId) const {
-  auto FuncIt = BlockSizes.find(FuncId);
-  if (FuncIt == BlockSizes.end())
+  const DefInfo *Block = defInfo(BlockId);
+  if (!Block || Block->DefKind != DefInfo::Kind::Label ||
+      Block->FuncId != FuncId)
     return false;
-  auto BlockIt = FuncIt->second.find(BlockId);
-  if (BlockIt == FuncIt->second.end())
-    return false;
-  return idAvailableBefore(ValueId, FuncId, BlockId, BlockIt->second);
+  return idAvailableBefore(ValueId, FuncId, BlockId, Block->Index);
 }
 
-const Cfg &ModuleAnalysis::cfg(Id FuncId) const {
-  auto It = Cfgs.find(FuncId);
-  if (It == Cfgs.end()) {
-    auto FuncIt = FuncsById.find(FuncId);
-    assert(FuncIt != FuncsById.end() && "unknown function");
-    It = Cfgs.emplace(FuncId, std::make_unique<Cfg>(*FuncIt->second)).first;
+ModuleAnalysis::FunctionState &ModuleAnalysis::state(Id FuncId) const {
+  size_t FuncIndex = M->Functions.size();
+  const DefInfo *Info = defInfo(FuncId);
+  if (Info && Info->DefKind == DefInfo::Kind::FunctionDef) {
+    FuncIndex = Info->FuncIndex;
+  } else {
+    // Not in the def table (an id at or past the bound): the last function
+    // with that id, as a by-id map would hold.
+    for (size_t F = M->Functions.size(); F-- > 0;)
+      if (M->Functions[F].id() == FuncId) {
+        FuncIndex = F;
+        break;
+      }
   }
-  return *It->second;
+  assert(FuncIndex < M->Functions.size() && "unknown function");
+  if (FuncIndex >= Funcs.size())
+    Funcs.resize(FuncIndex + 1);
+  FunctionState &State = Funcs[FuncIndex];
+  if (!State.Graph) {
+    State.FuncId = FuncId;
+    State.Graph = std::make_unique<Cfg>(M->Functions[FuncIndex]);
+  }
+  return State;
 }
+
+const Cfg &ModuleAnalysis::cfg(Id FuncId) const { return *state(FuncId).Graph; }
 
 const DominatorTree &ModuleAnalysis::domTree(Id FuncId) const {
-  auto It = DomTrees.find(FuncId);
-  if (It == DomTrees.end()) {
-    auto FuncIt = FuncsById.find(FuncId);
-    assert(FuncIt != FuncsById.end() && "unknown function");
-    It = DomTrees
-             .emplace(FuncId, std::make_unique<DominatorTree>(*FuncIt->second,
-                                                              cfg(FuncId)))
-             .first;
+  return domTree(state(FuncId));
+}
+
+const DominatorTree &ModuleAnalysis::domTree(FunctionState &State) const {
+  if (!State.Dom) {
+    const Function &Func = M->Functions[&State - Funcs.data()];
+    State.Dom = std::make_unique<DominatorTree>(Func, *State.Graph);
   }
-  return *It->second;
+  return *State.Dom;
 }

@@ -9,14 +9,18 @@
 /// per-function CFGs and dominator trees. Transformations consult it to
 /// decide whether an id is *available* at a program point (defined in a
 /// dominating position), which is MiniSPV's (and SPIR-V's) core scoping
-/// rule. Invalidated by any module mutation; rebuild after transforming.
+/// rule.
 ///
-/// An analysis is constructed once per transformation attempt on both the
-/// fuzzing and replay hot paths, so construction builds only the def-site
-/// index eagerly; use counts, CFGs and dominator trees are computed
-/// on first query (most precondition checks never ask for them). The lazy
-/// state makes a ModuleAnalysis instance single-threaded: construct one
-/// per thread, never share.
+/// The def-site index is taken when the analysis is built or refreshed;
+/// use counts, CFGs and dominator trees are computed on first query (most
+/// precondition checks never ask for them), from the module as it is then.
+/// refresh() re-takes the def-site index into the same flat storage and
+/// keeps each function's CFG and dominator tree while the function's block
+/// labels and terminator successors are unchanged, so a refreshed analysis
+/// answers exactly as a fresh one would. The fuzzer and sequence replay
+/// each keep one per variant and refresh it after every applied
+/// transformation. The lazy state makes a ModuleAnalysis instance
+/// single-threaded: construct one per thread, never share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,28 +36,37 @@ namespace spvfuzz {
 
 class ModuleAnalysis {
 public:
-  explicit ModuleAnalysis(const Module &M);
+  /// An empty analysis; refresh() before querying.
+  ModuleAnalysis() = default;
+  explicit ModuleAnalysis(const Module &M) { refresh(M); }
+
+  /// Re-analyses \p M (which must outlive the analysis).
+  void refresh(const Module &M);
+
+  /// The same, also rebuilding \p M's id table in the same module walk:
+  /// what an owner that keeps both calls after each mutation.
+  void refreshWithIds(Module &M);
 
   struct DefInfo {
-    enum class Kind { None, Global, FunctionDef, Param, Body, Label };
+    enum class Kind : uint8_t { None, Global, FunctionDef, Param, Body, Label };
     Kind DefKind = Kind::None;
     Id FuncId = InvalidId;  // for Param/Body/Label/FunctionDef
     Id BlockId = InvalidId; // for Body/Label
-    size_t Index = 0;       // for Body: index into the block
+    /// Body: index into the block. Label: the block's instruction count.
+    uint32_t Index = 0;
+    /// Positions of the function and (Body/Label) the block.
+    uint32_t FuncIndex = 0;
+    uint32_t BlockIndex = 0;
     /// The defining instruction; nullptr for labels (which, as in
     /// Module::findDef, have no instruction). Valid while the analysed
     /// module is unchanged.
     const Instruction *Inst = nullptr;
   };
 
-  /// Returns the definition site of \p TheId, or nullptr. Ids are dense
-  /// (always below Module::Bound), so the table is a flat vector and the
-  /// lookup is an index, not a hash.
+  /// Returns the definition site of \p TheId, or nullptr.
   const DefInfo *defInfo(Id TheId) const {
-    if (TheId >= Defs.size())
-      return nullptr;
-    const DefInfo &Info = Defs[TheId];
-    return Info.DefKind == DefInfo::Kind::None ? nullptr : &Info;
+    const DefInfo *Info = Defs.find(TheId);
+    return Info && Info->DefKind != DefInfo::Kind::None ? Info : nullptr;
   }
 
   /// O(1) equivalent of Module::findDef over the analysed module: the
@@ -84,15 +97,29 @@ public:
   const DominatorTree &domTree(Id FuncId) const;
 
 private:
+  /// One function's lazily built graphs, by function position.
+  struct FunctionState {
+    Id FuncId = InvalidId;
+    std::unique_ptr<Cfg> Graph;
+    std::unique_ptr<DominatorTree> Dom;
+  };
+
+  void beginRefresh(const Module &M);
+  /// Records the definition of \p TheId at \p Where (last one wins).
+  void record(Id TheId, const DefSlot &Where, const Function *Func,
+              const BasicBlock *Block, const Instruction *Inst);
+  void endRefresh();
+
+  /// The state of function \p FuncId, with its Cfg built.
+  FunctionState &state(Id FuncId) const;
+  const DominatorTree &domTree(FunctionState &State) const;
+
   const Module *M = nullptr;
-  std::vector<DefInfo> Defs; // indexed by id, sized to the module bound
-  std::unordered_map<Id, const Function *> FuncsById;
-  std::unordered_map<Id, std::unordered_map<Id, size_t>> BlockSizes;
+  IdTable<DefInfo> Defs; // sized to the module bound
   // Lazily materialized query state (see file comment: single-threaded).
+  mutable std::vector<FunctionState> Funcs;
   mutable bool UsesBuilt = false;
-  mutable std::vector<size_t> Uses; // indexed by id
-  mutable std::unordered_map<Id, std::unique_ptr<Cfg>> Cfgs;
-  mutable std::unordered_map<Id, std::unique_ptr<DominatorTree>> DomTrees;
+  mutable IdTable<size_t> Uses;
 };
 
 } // namespace spvfuzz

@@ -18,6 +18,7 @@
 #include "core/Fuzzer.h"
 #include "core/Reducer.h"
 #include "gen/Generator.h"
+#include "support/ModuleHash.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
 #include "target/Target.h"
@@ -143,18 +144,23 @@ struct ScanVerdict {
 /// differential check: the variant's result on a target must match the
 /// original's result on that same target, for every input the original
 /// executes. Templated over the target view so plain, harnessed and cached
-/// targets fit; TargetT::runBatch(Module, span) returns one TargetRun per
-/// input. Returns one verdict per target, in target order.
+/// targets fit; TargetT::runBatch(Module, ModuleHash, span) returns one
+/// TargetRun per input. The variant is hashed once for every target, and
+/// the original at most once, when the first differential check runs it.
+/// Returns one verdict per target, in target order.
 template <typename TargetT>
 std::vector<ScanVerdict>
 scanTargets(const Module &Variant, const Module &Original,
             const std::vector<const TargetT *> &Targets, bool CrashesOnly,
             std::span<const ShaderInput> Inputs) {
   std::vector<ScanVerdict> Verdicts(Targets.size());
+  const uint64_t VariantHash = hashModule(Variant);
+  std::optional<uint64_t> OriginalHash;
   for (size_t I = 0; I < Targets.size(); ++I) {
     const TargetT &T = *Targets[I];
     ScanVerdict &Verdict = Verdicts[I];
-    const std::vector<TargetRun> VariantRuns = T.runBatch(Variant, Inputs);
+    const std::vector<TargetRun> VariantRuns =
+        T.runBatch(Variant, VariantHash, Inputs);
     auto Decided = std::find_if(
         VariantRuns.begin(), VariantRuns.end(), [](const TargetRun &R) {
           return R.RunOutcome == Outcome::ToolError || R.interesting();
@@ -169,7 +175,10 @@ scanTargets(const Module &Variant, const Module &Original,
       continue;
     // Every variant run executed; an original run that did not (the target
     // cannot even handle the original) is skipped.
-    const std::vector<TargetRun> OriginalRuns = T.runBatch(Original, Inputs);
+    if (!OriginalHash)
+      OriginalHash = hashModule(Original);
+    const std::vector<TargetRun> OriginalRuns =
+        T.runBatch(Original, *OriginalHash, Inputs);
     for (size_t K = 0; K < Inputs.size(); ++K)
       if (OriginalRuns[K].executed() &&
           VariantRuns[K].Result != OriginalRuns[K].Result) {

@@ -345,7 +345,6 @@ public:
   /// Attaches (or detaches, with nullptr) the persistence hook. The
   /// checkpointer must outlive the engine's campaign calls. Not owned.
   void setCheckpointer(CampaignCheckpointer *C) { Checkpointer = C; }
-  CampaignCheckpointer *checkpointer() const { return Checkpointer; }
 
   /// Attaches (or detaches, with nullptr) the in-process reproducer hook;
   /// fires beside the checkpointer's recordReproducer with identical
@@ -356,7 +355,6 @@ public:
   /// fire on the aggregation thread at serial commit points; the observer
   /// must outlive the engine's campaign calls. Not owned.
   void setObserver(CampaignObserver *O) { Observer = O; }
-  CampaignObserver *observer() const { return Observer; }
 
   /// Attaches (or detaches, with nullptr) the scale-out hook. When set,
   /// evaluateTests sources each wave's evaluations from the provider and

@@ -140,10 +140,9 @@ public:
   FuzzerImpl(const Module &Original, const ShaderInput &Input,
              const std::vector<const Module *> &Donors, uint64_t Seed,
              const FuzzerOptions &Options)
-      : Donors(Donors), Random(Seed), Options(Options) {
-    Result.Variant = Original;
-    Result.Facts.setKnownInput(Input);
-  }
+      : Donors(Donors), Random(Seed), Options(Options),
+        Result(startingPoint(Original, Input)),
+        Applier(Result.Variant, Result.Facts) {}
 
   FuzzResult run() {
     std::deque<PassId> Recommended;
@@ -174,6 +173,14 @@ public:
   }
 
 private:
+  static FuzzResult startingPoint(const Module &Original,
+                                  const ShaderInput &Input) {
+    FuzzResult Start;
+    Start.Variant = Original;
+    Start.Facts.setKnownInput(Input);
+    return Start;
+  }
+
   Module &module() { return Result.Variant; }
   FactManager &facts() { return Result.Facts; }
 
@@ -199,13 +206,12 @@ private:
         Instrumented ? transformationKindName(T->kind()) : nullptr;
     if (Instrumented)
       Metrics.add(std::string("fuzzer.attempts.") + KindName);
-    ModuleAnalysis Analysis(module());
-    if (!T->isApplicable(module(), Analysis, facts())) {
+    if (!Applier.isApplicable(*T)) {
       if (Instrumented)
         Metrics.add(std::string("fuzzer.precondition_failures.") + KindName);
       return false;
     }
-    T->apply(module(), facts());
+    Applier.apply(*T);
     if (Instrumented)
       Metrics.add(std::string("fuzzer.applications.") + KindName);
     Result.Sequence.push_back(std::move(T));
@@ -291,9 +297,8 @@ private:
   /// arguments and added parameters.
   Id makeIrrelevantConstant(Id Type) {
     Id NewId = freshId();
-    uint32_t Word = module().isBoolTypeId(Type) ? 0 : 0;
     return maybeApply(std::make_shared<TransformationAddConstantScalar>(
-               NewId, Type, Word, true))
+               NewId, Type, 0, true))
                ? NewId
                : InvalidId;
   }
@@ -717,7 +722,7 @@ private:
       for (const BasicBlock &Block : Func.Blocks) {
         if (!takeOpportunity())
           continue;
-        const std::vector<Id> &Preds = Graph.predecessors(Block.LabelId);
+        std::span<const Id> Preds = Graph.predecessors(Block.LabelId);
         if (Preds.empty())
           continue;
         std::vector<uint32_t> PredFreshPairs;
@@ -988,6 +993,9 @@ private:
   Rng Random;
   FuzzerOptions Options;
   FuzzResult Result;
+  /// Checks and applies every transformation to Result; the only mutator
+  /// of Result.Variant besides freshId().
+  TransformationApplier Applier;
 
   /// Maps donor (module, function) pairs already transplanted in this run
   /// to their new ids, so call chains can be transplanted once.

@@ -240,6 +240,21 @@ bool spvfuzz::readSequenceBinary(ByteReader &R,
   return true;
 }
 
+TransformationApplier::TransformationApplier(Module &M, FactManager &Facts)
+    : M(M), Facts(Facts) {
+  Analysis.refreshWithIds(M);
+}
+
+bool TransformationApplier::isApplicable(const Transformation &T) {
+  Module::ExactIds Exact(M);
+  return T.isApplicable(M, Analysis, Facts);
+}
+
+void TransformationApplier::apply(const Transformation &T) {
+  T.apply(M, Facts);
+  Analysis.refreshWithIds(M);
+}
+
 std::vector<size_t>
 spvfuzz::applySequence(Module &M, FactManager &Facts,
                        const TransformationSequence &Sequence) {
@@ -254,9 +269,9 @@ spvfuzz::applySequenceRange(Module &M, FactManager &Facts,
   std::vector<size_t> Applied;
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   const bool Instrumented = Metrics.enabled();
+  TransformationApplier Applier(M, Facts);
   for (size_t I = Begin; I != End; ++I) {
-    ModuleAnalysis Analysis(M);
-    if (!Sequence[I]->isApplicable(M, Analysis, Facts)) {
+    if (!Applier.isApplicable(*Sequence[I])) {
       if (Instrumented)
         Metrics.add(std::string("replay.skipped.") +
                     transformationKindName(Sequence[I]->kind()));
@@ -267,7 +282,7 @@ spvfuzz::applySequenceRange(Module &M, FactManager &Facts,
       // transformation kinds" ranking; the clock reads stay off the
       // uninstrumented path entirely.
       auto ApplyStart = std::chrono::steady_clock::now();
-      Sequence[I]->apply(M, Facts);
+      Applier.apply(*Sequence[I]);
       double Us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - ApplyStart)
                       .count();
@@ -275,7 +290,7 @@ spvfuzz::applySequenceRange(Module &M, FactManager &Facts,
       Metrics.add(std::string("replay.applications.") + Kind);
       Metrics.observe(std::string("transformation.apply_us.") + Kind, Us);
     } else {
-      Sequence[I]->apply(M, Facts);
+      Applier.apply(*Sequence[I]);
     }
     Applied.push_back(I);
   }

@@ -155,6 +155,32 @@ void writeSequenceBinary(ByteWriter &W, const TransformationSequence &Sequence);
 /// in the reader (and false returned), never undefined behaviour.
 bool readSequenceBinary(ByteReader &R, TransformationSequence &SequenceOut);
 
+/// Checks and applies transformations to one module, keeping what the
+/// checks need between transformations, as spirv-fuzz's IRContext keeps
+/// its analyses: the module's id table and one ModuleAnalysis, both
+/// refreshed by one module walk after each application (a failed check
+/// changes nothing, so the next check reuses them). fuzz() and
+/// applySequenceRange each hold one per variant. While it is in use,
+/// nothing else may mutate the module.
+class TransformationApplier {
+public:
+  /// Refreshes \p M's id table and the analysis. \p M and \p Facts must
+  /// outlive the applier.
+  TransformationApplier(Module &M, FactManager &Facts);
+
+  /// The precondition of \p T against the current module. The id table
+  /// answers exactly while it runs (Module::ExactIds).
+  bool isApplicable(const Transformation &T);
+
+  /// The effect of \p T, whose precondition must hold.
+  void apply(const Transformation &T);
+
+private:
+  Module &M;
+  FactManager &Facts;
+  ModuleAnalysis Analysis;
+};
+
 /// Definition 2.5: applies \p Sequence to (\p M, \p Facts) in order,
 /// skipping transformations whose preconditions fail. Returns the indices
 /// of the transformations that were actually applied.

@@ -13,15 +13,7 @@
 using namespace spvfuzz;
 
 bool spvfuzz::idIsFreshInModule(const Module &M, Id TheId) {
-  if (TheId == InvalidId)
-    return false;
-  if (M.findDef(TheId))
-    return false;
-  for (const Function &Func : M.Functions)
-    for (const BasicBlock &Block : Func.Blocks)
-      if (Block.LabelId == TheId)
-        return false;
-  return true;
+  return TheId != InvalidId && !M.isDefined(TheId);
 }
 
 bool spvfuzz::idsAreFreshAndDistinct(const Module &M,

@@ -363,7 +363,7 @@ bool TransformationPropagateInstructionUp::isApplicable(
   const Cfg &Graph = Analysis.cfg(Func->id());
   if (!Graph.isReachable(BlockId))
     return false;
-  const std::vector<Id> &Preds = Graph.predecessors(BlockId);
+  std::span<const Id> Preds = Graph.predecessors(BlockId);
   if (Preds.empty())
     return false;
 

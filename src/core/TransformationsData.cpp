@@ -517,7 +517,7 @@ bool TransformationAddSynonymViaPhi::isApplicable(
   const Cfg &Graph = Analysis.cfg(Func->id());
   if (!Graph.isReachable(BlockId))
     return false;
-  const std::vector<Id> &Preds = Graph.predecessors(BlockId);
+  std::span<const Id> Preds = Graph.predecessors(BlockId);
   if (Preds.empty())
     return false;
   if (M.typeOfId(Source) == InvalidId || Facts.idIsIrrelevant(Source))
@@ -538,11 +538,10 @@ void TransformationAddSynonymViaPhi::apply(Module &M,
                                            FactManager &Facts) const {
   auto [Func, Block] = M.findBlockDef(BlockId);
   assert(Block && "precondition violated");
-  ModuleAnalysis Analysis(M);
-  const std::vector<Id> &Preds = Analysis.cfg(Func->id()).predecessors(BlockId);
+  Cfg Graph(*Func);
   std::vector<Operand> PhiOps;
   std::unordered_set<Id> Seen;
-  for (Id Pred : Preds) {
+  for (Id Pred : Graph.predecessors(BlockId)) {
     if (!Seen.insert(Pred).second)
       continue; // duplicate edges contribute one phi pair
     PhiOps.push_back(Operand::id(Source));

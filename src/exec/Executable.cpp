@@ -280,11 +280,20 @@ EnterBlock : {
 #undef SPV_THREADED_DISPATCH
 }
 
+/// Lowers \p M with its id table refreshed for the lowerer's lookups, then
+/// frees the table: a cached artifact keeps its module, not the table.
+bytecode::LoweredProgram lowerIndexed(Module &M) {
+  M.refreshIds();
+  bytecode::LoweredProgram Prog = lowerModule(M);
+  M.dropIds();
+  return Prog;
+}
+
 } // namespace
 
 Executable::Executable(Module TheModule, uint64_t TheArtifactId)
     : M(std::move(TheModule)), ArtifactId(TheArtifactId),
-      Prog(lowerModule(M)) {}
+      Prog(lowerIndexed(M)) {}
 
 std::shared_ptr<const Executable> Executable::compile(Module M,
                                                       uint64_t ArtifactId) {

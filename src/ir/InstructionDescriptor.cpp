@@ -8,31 +8,12 @@
 
 using namespace spvfuzz;
 
-/// Finds the block and index of the body instruction with result id
-/// \p Base, or the block whose label is \p Base (index 0). Returns
-/// (nullptr, ...) if \p Base names neither.
-static LocatedInstruction findBase(Module &M, Id Base, bool &BaseIsLabel) {
-  BaseIsLabel = false;
-  for (Function &Func : M.Functions) {
-    for (BasicBlock &Block : Func.Blocks) {
-      if (Block.LabelId == Base) {
-        BaseIsLabel = true;
-        return {&Func, &Block, 0};
-      }
-      for (size_t I = 0, E = Block.Body.size(); I != E; ++I)
-        if (Block.Body[I].Result == Base && Base != InvalidId)
-          return {&Func, &Block, I};
-    }
-  }
-  return {};
-}
-
 LocatedInstruction
 spvfuzz::locateInstruction(Module &M, const InstructionDescriptor &Desc) {
-  bool BaseIsLabel = false;
-  LocatedInstruction Start = findBase(M, Desc.Base, BaseIsLabel);
-  if (!Start.valid())
+  Module::BodySite Base = M.findBodySite(Desc.Base);
+  if (!Base.Func)
     return {};
+  LocatedInstruction Start{Base.Func, Base.Block, Base.Index};
   uint32_t Remaining = Desc.Skip;
   for (size_t I = Start.Index, E = Start.Block->Body.size(); I != E; ++I) {
     if (Start.Block->Body[I].Opcode != Desc.TargetOpcode)

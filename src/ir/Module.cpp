@@ -23,16 +23,24 @@ size_t BasicBlock::firstInsertionIndex() const {
 }
 
 std::vector<Id> BasicBlock::successors() const {
+  Id Out[2];
+  return std::vector<Id>(Out, Out + successors(Out));
+}
+
+unsigned BasicBlock::successors(Id (&Out)[2]) const {
   if (!hasTerminator())
-    return {};
+    return 0;
   const Instruction &Term = terminator();
   switch (Term.Opcode) {
   case Op::Branch:
-    return {Term.idOperand(0)};
+    Out[0] = Term.idOperand(0);
+    return 1;
   case Op::BranchConditional:
-    return {Term.idOperand(1), Term.idOperand(2)};
+    Out[0] = Term.idOperand(1);
+    Out[1] = Term.idOperand(2);
+    return 2;
   default:
-    return {};
+    return 0;
   }
 }
 
@@ -62,6 +70,61 @@ std::optional<size_t> Function::blockIndex(Id LabelId) const {
 // Module
 //===----------------------------------------------------------------------===//
 
+const DefSlot *Module::checkedSlot(Id TheId) const {
+  if (!Ids.Built)
+    return nullptr;
+  const DefSlot *Slot = Ids.Slots.find(TheId);
+  if (!Slot)
+    return nullptr;
+  auto FuncAt = [this](uint32_t F) {
+    return F < Functions.size() ? &Functions[F] : nullptr;
+  };
+  auto BlockAt = [&](uint32_t F, uint32_t B) -> const BasicBlock * {
+    const Function *Func = FuncAt(F);
+    return Func && B < Func->Blocks.size() ? &Func->Blocks[B] : nullptr;
+  };
+  bool Holds = false;
+  switch (Slot->SlotKind) {
+  case DefSlot::Kind::None:
+  case DefSlot::Kind::Ambiguous:
+    return nullptr;
+  case DefSlot::Kind::Global:
+    Holds = Slot->Index < GlobalInsts.size() &&
+            GlobalInsts[Slot->Index].Result == TheId;
+    break;
+  case DefSlot::Kind::Function: {
+    const Function *Func = FuncAt(Slot->Func);
+    Holds = Func && Func->Def.Result == TheId;
+    break;
+  }
+  case DefSlot::Kind::Param: {
+    const Function *Func = FuncAt(Slot->Func);
+    Holds = Func && Slot->Index < Func->Params.size() &&
+            Func->Params[Slot->Index].Result == TheId;
+    break;
+  }
+  case DefSlot::Kind::Label: {
+    const BasicBlock *Block = BlockAt(Slot->Func, Slot->Index);
+    Holds = Block && Block->LabelId == TheId;
+    break;
+  }
+  case DefSlot::Kind::Body: {
+    const BasicBlock *Block = BlockAt(Slot->Func, Slot->Index);
+    Holds = Block && Slot->Inst < Block->Body.size() &&
+            Block->Body[Slot->Inst].Result == TheId;
+    break;
+  }
+  }
+  return Holds ? Slot : nullptr;
+}
+
+bool Module::knownAbsent(Id TheId) const {
+  if (!Ids.Exact)
+    return false;
+  const DefSlot *Slot = Ids.Slots.find(TheId);
+  return !Slot || Slot->SlotKind == DefSlot::Kind::None;
+}
+
 const Instruction *Module::findDef(Id TheId) const {
   return const_cast<Module *>(this)->findDef(TheId);
 }
@@ -69,6 +132,24 @@ const Instruction *Module::findDef(Id TheId) const {
 Instruction *Module::findDef(Id TheId) {
   if (TheId == InvalidId)
     return nullptr;
+  if (const DefSlot *Slot = checkedSlot(TheId)) {
+    switch (Slot->SlotKind) {
+    case DefSlot::Kind::Global:
+      return &GlobalInsts[Slot->Index];
+    case DefSlot::Kind::Function:
+      return &Functions[Slot->Func].Def;
+    case DefSlot::Kind::Param:
+      return &Functions[Slot->Func].Params[Slot->Index];
+    case DefSlot::Kind::Body:
+      return &Functions[Slot->Func].Blocks[Slot->Index].Body[Slot->Inst];
+    default:
+      if (Ids.Exact)
+        return nullptr; // a label, and the only definition of TheId
+      break;
+    }
+  } else if (knownAbsent(TheId)) {
+    return nullptr;
+  }
   for (Instruction &Inst : GlobalInsts)
     if (Inst.Result == TheId)
       return &Inst;
@@ -87,6 +168,16 @@ Instruction *Module::findDef(Id TheId) {
 }
 
 std::pair<Function *, BasicBlock *> Module::findBlockDef(Id LabelId) {
+  if (const DefSlot *Slot = checkedSlot(LabelId)) {
+    if (Slot->SlotKind == DefSlot::Kind::Label) {
+      Function &Func = Functions[Slot->Func];
+      return {&Func, &Func.Blocks[Slot->Index]};
+    }
+    if (Ids.Exact)
+      return {nullptr, nullptr};
+  } else if (knownAbsent(LabelId)) {
+    return {nullptr, nullptr};
+  }
   for (Function &Func : Functions)
     if (BasicBlock *Block = Func.findBlock(LabelId))
       return {&Func, Block};
@@ -97,6 +188,46 @@ std::pair<const Function *, const BasicBlock *>
 Module::findBlockDef(Id LabelId) const {
   auto Pair = const_cast<Module *>(this)->findBlockDef(LabelId);
   return {Pair.first, Pair.second};
+}
+
+Module::BodySite Module::findBodySite(Id TheId) {
+  if (const DefSlot *Slot = checkedSlot(TheId)) {
+    if (Slot->SlotKind == DefSlot::Kind::Label ||
+        Slot->SlotKind == DefSlot::Kind::Body) {
+      Function &Func = Functions[Slot->Func];
+      bool IsLabel = Slot->SlotKind == DefSlot::Kind::Label;
+      return {&Func, &Func.Blocks[Slot->Index], IsLabel ? 0 : Slot->Inst,
+              IsLabel};
+    }
+    if (Ids.Exact)
+      return {};
+  } else if (knownAbsent(TheId)) {
+    return {};
+  }
+  for (Function &Func : Functions) {
+    for (BasicBlock &Block : Func.Blocks) {
+      if (Block.LabelId == TheId)
+        return {&Func, &Block, 0, true};
+      for (size_t I = 0, E = Block.Body.size(); I != E; ++I)
+        if (Block.Body[I].Result == TheId && TheId != InvalidId)
+          return {&Func, &Block, I, false};
+    }
+  }
+  return {};
+}
+
+bool Module::isDefined(Id TheId) const {
+  if (checkedSlot(TheId))
+    return true;
+  if (knownAbsent(TheId))
+    return false;
+  if (findDef(TheId))
+    return true;
+  for (const Function &Func : Functions)
+    for (const BasicBlock &Block : Func.Blocks)
+      if (Block.LabelId == TheId)
+        return true;
+  return false;
 }
 
 Function *Module::findFunction(Id FuncId) {

@@ -16,6 +16,7 @@
 #ifndef IR_MODULE_H
 #define IR_MODULE_H
 
+#include "ir/IdTable.h"
 #include "ir/Instruction.h"
 
 #include <optional>
@@ -57,6 +58,9 @@ struct BasicBlock {
   /// Returns the label ids of this block's CFG successors (empty for
   /// Return/ReturnValue/Kill).
   std::vector<Id> successors() const;
+
+  /// Writes the successors to \p Out without allocating; returns how many.
+  unsigned successors(Id (&Out)[2]) const;
 };
 
 /// Function control mask bits (operand 0 of OpFunction).
@@ -99,6 +103,51 @@ struct Function {
   std::optional<size_t> blockIndex(Id LabelId) const;
 };
 
+/// Where one id is defined, by position in its module (see
+/// Module::refreshIds).
+struct DefSlot {
+  enum class Kind : uint8_t {
+    None,
+    Global,
+    Function,
+    Param,
+    Label,
+    Body,
+    Ambiguous, // defined more than once; lookups scan
+  };
+  Kind SlotKind = Kind::None;
+  uint32_t Func = 0;  // function index (Function, Param, Label, Body)
+  uint32_t Index = 0; // global (Global), parameter (Param) or block index
+  uint32_t Inst = 0;  // instruction index in the block (Body)
+};
+
+/// A module's positional id table. Copies and moves of a module start
+/// without one: a table belongs to the module object its owner refreshed,
+/// and the caches that hold thousands of module copies hold no tables.
+struct IdIndex {
+  IdTable<DefSlot> Slots;
+  bool Built = false;
+  /// Set only inside a Module::ExactIds scope.
+  bool Exact = false;
+
+  IdIndex() = default;
+  IdIndex(const IdIndex &) {}
+  IdIndex(IdIndex &&) noexcept {}
+  IdIndex &operator=(const IdIndex &) {
+    release();
+    return *this;
+  }
+  IdIndex &operator=(IdIndex &&) noexcept {
+    release();
+    return *this;
+  }
+
+  void release() {
+    Slots.release();
+    Built = Exact = false;
+  }
+};
+
 /// A MiniSPV module.
 struct Module {
   /// One greater than the largest id in use; fresh ids are taken from here.
@@ -113,6 +162,10 @@ struct Module {
   /// The id of the entry-point function (void return, no parameters).
   Id EntryPointId = InvalidId;
 
+  /// The positional id table behind findDef, findBlockDef, findBodySite
+  /// and isDefined. Nothing but refreshIds, dropIds and ExactIds writes it.
+  IdIndex Ids;
+
   /// Takes a fresh id, bumping Bound.
   Id takeFreshId() { return Bound++; }
 
@@ -121,6 +174,55 @@ struct Module {
     if (TheId >= Bound)
       Bound = TheId + 1;
   }
+
+  // --- The id table ---------------------------------------------------
+  //
+  // Each slot names where an id was defined when the table was last
+  // refreshed: a global index, a function, a parameter, a block label or a
+  // (function, block, instruction) position, never a pointer. A lookup
+  // checks its slot against the Result (or label) at that position and
+  // falls back to a scan of the module when the check fails, so a table
+  // left stale by a mutation still answers correctly, only slower; a
+  // lookup never writes. A module has no table until its owner refreshes
+  // one, and the owner of a private module refreshes it where it mutates.
+  // Answers assume the module's result ids are unique, as the validator
+  // requires.
+
+  /// Calls \p Visit(Id, const DefSlot &, const Function *, const BasicBlock *,
+  /// const Instruction *) for every definition, in the order the scans
+  /// search: the globals, then per function its OpFunction, its parameters
+  /// and, per block, the label and the body instructions. The pointers are
+  /// the definition's function, block and instruction, or nullptr where it
+  /// has none. Instructions without a result id are skipped; labels are not.
+  template <typename Visitor> void forEachDefinition(Visitor &&Visit) const;
+
+  /// Rebuilds the id table from the module as it is now.
+  void refreshIds() {
+    refreshIds([](Id, const DefSlot &, const Function *, const BasicBlock *,
+                  const Instruction *) {});
+  }
+  /// The same, also handing every definition to \p Also in the one walk.
+  template <typename Visitor> void refreshIds(Visitor &&Also);
+  /// Frees the id table; every lookup scans again.
+  void dropIds() { Ids.release(); }
+
+  /// While alive, lookups also answer "not defined" from the table instead
+  /// of scanning. Only an owner that refreshed the table after the last
+  /// mutation may open one, around code that does not mutate the module
+  /// (a transformation's precondition check).
+  class ExactIds {
+  public:
+    explicit ExactIds(Module &M) : Ids(M.Ids), Was(M.Ids.Exact) {
+      Ids.Exact = Ids.Built;
+    }
+    ~ExactIds() { Ids.Exact = Was; }
+    ExactIds(const ExactIds &) = delete;
+    ExactIds &operator=(const ExactIds &) = delete;
+
+  private:
+    IdIndex &Ids;
+    bool Was;
+  };
 
   /// Returns the defining instruction of \p TheId: a global declaration, an
   /// OpFunction, an OpFunctionParameter or a body instruction. Returns
@@ -132,6 +234,20 @@ struct Module {
   /// or {nullptr, nullptr}.
   std::pair<Function *, BasicBlock *> findBlockDef(Id LabelId);
   std::pair<const Function *, const BasicBlock *> findBlockDef(Id LabelId) const;
+
+  /// Where \p TheId is defined inside a function body: a block label (at
+  /// index 0, with IsLabel set) or a body instruction. Func is nullptr when
+  /// \p TheId names neither.
+  struct BodySite {
+    Function *Func = nullptr;
+    BasicBlock *Block = nullptr;
+    size_t Index = 0;
+    bool IsLabel = false;
+  };
+  BodySite findBodySite(Id TheId);
+
+  /// True if an instruction or a block label defines \p TheId.
+  bool isDefined(Id TheId) const;
 
   /// Returns the function with result id \p FuncId, or nullptr.
   Function *findFunction(Id FuncId);
@@ -174,7 +290,64 @@ struct Module {
 
   /// Appends \p Inst to the global section, reserving its result id.
   void addGlobal(Instruction Inst);
+
+private:
+  /// The slot of \p TheId, if the table has one whose position still
+  /// defines \p TheId.
+  const DefSlot *checkedSlot(Id TheId) const;
+  /// True if an ExactIds scope lets a miss mean "not defined": the table
+  /// has no slot for \p TheId.
+  bool knownAbsent(Id TheId) const;
 };
+
+template <typename Visitor>
+void Module::forEachDefinition(Visitor &&Visit) const {
+  using K = DefSlot::Kind;
+  for (uint32_t G = 0, E = static_cast<uint32_t>(GlobalInsts.size()); G != E;
+       ++G)
+    if (GlobalInsts[G].Result != InvalidId)
+      Visit(GlobalInsts[G].Result, DefSlot{K::Global, 0, G, 0}, nullptr,
+            nullptr, &GlobalInsts[G]);
+  for (uint32_t F = 0, FE = static_cast<uint32_t>(Functions.size()); F != FE;
+       ++F) {
+    const Function &Func = Functions[F];
+    if (Func.Def.Result != InvalidId)
+      Visit(Func.Def.Result, DefSlot{K::Function, F, 0, 0}, &Func, nullptr,
+            &Func.Def);
+    for (uint32_t P = 0, PE = static_cast<uint32_t>(Func.Params.size());
+         P != PE; ++P)
+      if (Func.Params[P].Result != InvalidId)
+        Visit(Func.Params[P].Result, DefSlot{K::Param, F, P, 0}, &Func,
+              nullptr, &Func.Params[P]);
+    for (uint32_t B = 0, BE = static_cast<uint32_t>(Func.Blocks.size());
+         B != BE; ++B) {
+      const BasicBlock &Block = Func.Blocks[B];
+      Visit(Block.LabelId, DefSlot{K::Label, F, B, 0}, &Func, &Block,
+            nullptr);
+      for (uint32_t I = 0, IE = static_cast<uint32_t>(Block.Body.size());
+           I != IE; ++I)
+        if (Block.Body[I].Result != InvalidId)
+          Visit(Block.Body[I].Result, DefSlot{K::Body, F, B, I}, &Func,
+                &Block, &Block.Body[I]);
+    }
+  }
+}
+
+template <typename Visitor> void Module::refreshIds(Visitor &&Also) {
+  IdTable<DefSlot> &Slots = Ids.Slots;
+  Slots.reset(Bound);
+  forEachDefinition([&](Id TheId, const DefSlot &Where, const Function *Func,
+                        const BasicBlock *Block, const Instruction *Inst) {
+    DefSlot &Slot = Slots[TheId]; // widens for ids past the bound
+    if (Slot.SlotKind == DefSlot::Kind::None)
+      Slot = Where;
+    else
+      Slot.SlotKind = DefSlot::Kind::Ambiguous;
+    Also(TheId, Where, Func, Block, Inst);
+  });
+  Ids.Built = true;
+  Ids.Exact = false;
+}
 
 } // namespace spvfuzz
 

@@ -7,6 +7,7 @@
 #include "opt/Passes.h"
 
 #include "analysis/Cfg.h"
+#include "ir/IdTable.h"
 #include "ir/ModuleBuilder.h"
 #include "support/Telemetry.h"
 
@@ -148,28 +149,6 @@ PassCrash crash(BugPoint Point) { return std::string(bugSignature(Point)); }
 // Shared utilities
 //===----------------------------------------------------------------------===//
 
-/// A flat table indexed by id, as in ModuleAnalysis: ids are dense below
-/// Module::Bound, so a lookup is an index, not a hash. Writes widen the
-/// table to cover any id actually present (ids at or past the bound only
-/// occur in modules the validator rejects); reads past the end see T{}.
-template <typename T> class IdTable {
-public:
-  explicit IdTable(const Module &M) : Slots(M.Bound) {}
-
-  T &operator[](Id TheId) {
-    if (TheId >= Slots.size())
-      Slots.resize(static_cast<size_t>(TheId) + 1);
-    return Slots[TheId];
-  }
-
-  T lookup(Id TheId) const {
-    return TheId < Slots.size() ? Slots[TheId] : T{};
-  }
-
-private:
-  std::vector<T> Slots;
-};
-
 /// Follows CopyObject chains to the underlying definition id.
 Id pointerRoot(const Module &M, Id TheId) {
   const Instruction *Def = M.findDef(TheId);
@@ -310,7 +289,7 @@ PassCrash runFrontendCheck(Module &M, const BugHost &Bugs) {
 PassCrash runSimplifyCfg(Module &M, const BugHost &Bugs) {
   // BlockAt maps a label to its block index + 1 (0: not a block of the
   // current function); it is cleared after each function.
-  IdTable<uint32_t> BlockAt(M);
+  IdTable<uint32_t> BlockAt(M.Bound);
   for (Function &Func : M.Functions) {
     removeUnreachableBlocks(Func);
     if (Bugs.enabled(BugPoint::CrashKillObstructsMerge))
@@ -1060,7 +1039,7 @@ PassCrash runBlockLayout(Module &M, const BugHost &Bugs) {
 
 PassCrash runDce(Module &M, const BugHost &Bugs) {
   // Operand uses per id. Result types are not uses here.
-  IdTable<uint32_t> Uses(M);
+  IdTable<uint32_t> Uses(M.Bound);
   auto Count = [&Uses](const Instruction &Inst) {
     for (const Operand &Opnd : Inst.Operands)
       if (Opnd.isId())
@@ -1092,7 +1071,7 @@ PassCrash runDce(Module &M, const BugHost &Bugs) {
   // count reaches zero dies too if its definition is removable. This
   // reaches the same fixpoint as recounting after every sweep: self-uses
   // and dead phi cycles keep their counts above zero and stay.
-  IdTable<const Instruction *> RemovableDef(M);
+  IdTable<const Instruction *> RemovableDef(M.Bound);
   std::vector<const Instruction *> Worklist;
   for (const Function &Func : M.Functions)
     for (const BasicBlock &Block : Func.Blocks)
@@ -1127,6 +1106,9 @@ PassCrash runDce(Module &M, const BugHost &Bugs) {
 namespace {
 
 PassCrash dispatchOptPass(OptPassKind Kind, Module &M, const BugHost &Bugs) {
+  // The pass owns M while it runs: its lookups check the table refreshed
+  // here and scan where the pass's own mutations have moved an id.
+  M.refreshIds();
   switch (Kind) {
   case OptPassKind::FrontendCheck:
     return runFrontendCheck(M, Bugs);

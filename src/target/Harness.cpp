@@ -45,17 +45,27 @@ RunContext HarnessedTarget::context(uint32_t Attempt) const {
 
 TargetRun HarnessedTarget::run(const Module &M,
                                const ShaderInput &Input) const {
-  return std::move(runBatch(M, std::span<const ShaderInput>(&Input, 1))[0]);
+  return std::move(
+      runBatch(M, hashModule(M), std::span<const ShaderInput>(&Input, 1))[0]);
+}
+
+TargetRun HarnessedTarget::runOnce(const Module &M, uint64_t ModuleHash,
+                                   const ShaderInput &Input,
+                                   uint32_t Attempt) const {
+  return std::move(Inner->runBatch(M, ModuleHash,
+                                   std::span<const ShaderInput>(&Input, 1),
+                                   context(Attempt))[0]);
 }
 
 std::vector<TargetRun>
-HarnessedTarget::runBatch(const Module &M,
+HarnessedTarget::runBatch(const Module &M, uint64_t ModuleHash,
                           std::span<const ShaderInput> Inputs) const {
   // A deterministic unmemoized target compiles once and executes the
   // artifact per input, all under one span.
   if (deterministic() && !Cache) {
     telemetry::TraceSpan RunSpan("target.run");
-    std::vector<TargetRun> Runs = Inner->runBatch(M, Inputs, context(0));
+    std::vector<TargetRun> Runs =
+        Inner->runBatch(M, ModuleHash, Inputs, context(0));
     finishRun(RunSpan, name(), Runs);
     return Runs;
   }
@@ -65,17 +75,17 @@ HarnessedTarget::runBatch(const Module &M,
   // wired) still amortizes the compile across the loop.
   std::vector<TargetRun> Runs;
   Runs.reserve(Inputs.size());
-  const uint64_t AId = deterministic() ? Inner->artifactId(hashModule(M)) : 0;
+  const uint64_t AId = deterministic() ? Inner->artifactId(ModuleHash) : 0;
   for (const ShaderInput &Input : Inputs) {
     telemetry::TraceSpan RunSpan("target.run");
     TargetRun &Run = Runs.emplace_back();
     if (!deterministic()) {
-      Run = votedRun(M, Input);
+      Run = votedRun(M, ModuleHash, Input);
     } else {
       // One attempt suffices, and is safe to memoize.
       const uint64_t IHash = hashShaderInput(Input);
       if (!Cache->lookup(AId, IHash, Run)) {
-        Run = Inner->run(M, Input, context(0));
+        Run = runOnce(M, ModuleHash, Input, 0);
         Cache->insert(AId, IHash, Run);
       }
     }
@@ -84,7 +94,7 @@ HarnessedTarget::runBatch(const Module &M,
   return Runs;
 }
 
-TargetRun HarnessedTarget::votedRun(const Module &M,
+TargetRun HarnessedTarget::votedRun(const Module &M, uint64_t ModuleHash,
                                     const ShaderInput &Input) const {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
 
@@ -106,7 +116,7 @@ TargetRun HarnessedTarget::votedRun(const Module &M,
   bool HardFailure = false;
 
   for (uint32_t Attempt = 0; Attempt < HarnessVotingAttempts; ++Attempt) {
-    TargetRun R = Inner->run(M, Input, context(Attempt));
+    TargetRun R = runOnce(M, ModuleHash, Input, Attempt);
     ++Used;
     if (R.RunOutcome == Outcome::ToolError) {
       LastError = R;

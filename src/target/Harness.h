@@ -86,16 +86,22 @@ public:
   /// Deterministic unmemoized targets compile once and execute the
   /// artifact per input (Target::runBatch) under one target.run span;
   /// memoized and voted targets get one target.run span per input.
-  std::vector<TargetRun> runBatch(const Module &M,
+  /// \p ModuleHash must be hashModule(M); it keys the EvalCache and is
+  /// handed to every Target::runBatch, so nothing below hashes again.
+  std::vector<TargetRun> runBatch(const Module &M, uint64_t ModuleHash,
                                   std::span<const ShaderInput> Inputs) const;
 
-  /// runBatch over the single input \p Input.
+  /// runBatch over the single input \p Input; hashes \p M once.
   TargetRun run(const Module &M, const ShaderInput &Input) const;
 
 private:
   /// The context of attempt \p Attempt under this harness's policy.
   RunContext context(uint32_t Attempt) const;
-  TargetRun votedRun(const Module &M, const ShaderInput &Input) const;
+  TargetRun votedRun(const Module &M, uint64_t ModuleHash,
+                     const ShaderInput &Input) const;
+  /// One attempt of Inner on a single input.
+  TargetRun runOnce(const Module &M, uint64_t ModuleHash,
+                    const ShaderInput &Input, uint32_t Attempt) const;
 
   const Target *Inner;
   HarnessPolicy Policy;

@@ -173,19 +173,19 @@ TargetRun Target::run(const Module &M, const ShaderInput &Input) const {
 
 TargetRun Target::run(const Module &M, const ShaderInput &Input,
                       const RunContext &Ctx) const {
-  std::vector<TargetRun> Runs =
-      runBatch(M, std::span<const ShaderInput>(&Input, 1), Ctx);
+  std::vector<TargetRun> Runs = runBatch(
+      M, hashModule(M), std::span<const ShaderInput>(&Input, 1), Ctx);
   return std::move(Runs.front());
 }
 
 std::vector<TargetRun>
-Target::runBatch(const Module &M, std::span<const ShaderInput> Inputs,
+Target::runBatch(const Module &M, uint64_t MHash,
+                 std::span<const ShaderInput> Inputs,
                  const RunContext &Ctx) const {
   std::vector<TargetRun> Runs;
   if (Inputs.empty())
     return Runs;
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
-  const uint64_t MHash = hashModule(M);
 
   // Infrastructure faults fire before the compiler even starts; the draw
   // does not depend on the input, so one covers the whole batch (one

@@ -233,7 +233,7 @@ public:
   /// One attempt under a fault context: resolves flaky draws for
   /// \p Ctx.Attempt, maps hang-flavored crashes and budget exhaustion to
   /// Outcome::Timeout, and surfaces tool errors. Pure in (M, Input, Ctx).
-  /// Equivalent to runBatch(M, {Input}, Ctx)[0].
+  /// Equivalent to runBatch(M, hashModule(M), {Input}, Ctx)[0].
   TargetRun run(const Module &M, const ShaderInput &Input,
                 const RunContext &Ctx) const;
 
@@ -243,15 +243,17 @@ public:
   /// (Crash/Timeout/ToolError) replicate across all results; per-input
   /// step-budget exhaustion maps to Timeout individually. Element i equals
   /// what run(M, Inputs[i], Ctx) would return. Returns one TargetRun per
-  /// input, in order.
-  std::vector<TargetRun> runBatch(const Module &M,
+  /// input, in order. \p ModuleHash must be hashModule(M): the caller
+  /// hashes once and hands the hash down, and every draw and cache key
+  /// here uses it.
+  std::vector<TargetRun> runBatch(const Module &M, uint64_t ModuleHash,
                                   std::span<const ShaderInput> Inputs,
                                   const RunContext &Ctx) const;
 
   /// Convenience: runBatch under a default context (no budget, attempt 0).
-  std::vector<TargetRun> runBatch(const Module &M,
+  std::vector<TargetRun> runBatch(const Module &M, uint64_t ModuleHash,
                                   std::span<const ShaderInput> Inputs) const {
-    return runBatch(M, Inputs, RunContext());
+    return runBatch(M, ModuleHash, Inputs, RunContext());
   }
 
 private:

@@ -18,6 +18,7 @@
 #include "core/TransformationUtil.h"
 #include "core/Transformations.h"
 #include "ir/Text.h"
+#include "support/ModuleHash.h"
 #include "TestHelpers.h"
 
 #include <algorithm>
@@ -132,6 +133,60 @@ TEST(Campaign, InterestingnessTestsDiscriminate) {
       *SwiftShader, bugSignature(BugPoint::CrashKillObstructsMerge), F.M,
       F.Input);
   EXPECT_FALSE(Other(WithDontInline, Facts));
+}
+
+/// A target view that records the module hash each runBatch receives and
+/// reports every run as a clean execution with the same result, so a scan
+/// goes through every target and every differential check.
+struct HashRecordingTarget {
+  explicit HashRecordingTarget(std::string Name, bool Executes = true)
+      : Name(std::move(Name)), Executes(Executes) {}
+
+  std::string Name;
+  bool Executes;
+  mutable std::vector<std::pair<const Module *, uint64_t>> Calls;
+
+  const std::string &name() const { return Name; }
+  bool canExecute() const { return Executes; }
+  std::vector<TargetRun> runBatch(const Module &M, uint64_t ModuleHash,
+                                  std::span<const ShaderInput> Inputs) const {
+    Calls.push_back({&M, ModuleHash});
+    return std::vector<TargetRun>(Inputs.size());
+  }
+};
+
+TEST(Campaign, ScanHashesEachModuleOnceAndHandsTheHashDown) {
+  GeneratedProgram Original = generateProgram(3);
+  FuzzResult Fuzzed = fuzz(Original.M, Original.Input, {}, 3, FuzzerOptions());
+  const uint64_t VariantHash = hashModule(Fuzzed.Variant);
+  const uint64_t OriginalHash = hashModule(Original.M);
+  ASSERT_NE(VariantHash, OriginalHash);
+  const std::vector<ShaderInput> Inputs =
+      uniformInputMatrix(Original.Input, 3, 11);
+
+  for (bool CrashesOnly : {false, true}) {
+    HashRecordingTarget Gpu("gpu"), Offline("offline", false), Gpu2("gpu2");
+    const std::vector<const HashRecordingTarget *> Targets = {&Gpu, &Offline,
+                                                              &Gpu2};
+    std::vector<ScanVerdict> Verdicts = scanTargets(
+        Fuzzed.Variant, Original.M, Targets, CrashesOnly, Inputs);
+    ASSERT_EQ(Verdicts.size(), 3u);
+    for (const HashRecordingTarget *T : Targets) {
+      // Every target runs the variant once, with the variant's hash.
+      ASSERT_FALSE(T->Calls.empty()) << T->Name;
+      EXPECT_EQ(T->Calls[0].first, &Fuzzed.Variant) << T->Name;
+      EXPECT_EQ(T->Calls[0].second, VariantHash) << T->Name;
+      // The differential check runs the original with the original's
+      // hash, on executing targets only, and a crash-only scan never
+      // runs (or hashes) the original at all.
+      const size_t Expected = !CrashesOnly && T->Executes ? 2 : 1;
+      ASSERT_EQ(T->Calls.size(), Expected) << T->Name;
+      if (Expected == 2) {
+        EXPECT_EQ(T->Calls[1].first, &Original.M) << T->Name;
+        EXPECT_EQ(T->Calls[1].second, OriginalHash) << T->Name;
+      }
+    }
+  }
 }
 
 TEST(FunctionShrinker, RemovesUnneededDonorInstructions) {

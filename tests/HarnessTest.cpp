@@ -259,7 +259,7 @@ TEST(Harness, FlakyTargetsNeverTouchTheEvalCache) {
   Cached.run(F.M, F.Input);
   // The batch path votes input by input, past the cache as well.
   const std::vector<ShaderInput> Matrix = uniformInputMatrix(F.Input, 3, 7);
-  EXPECT_EQ(Cached.runBatch(F.M, Matrix).size(), 3u);
+  EXPECT_EQ(Cached.runBatch(F.M, hashModule(F.M), Matrix).size(), 3u);
   EXPECT_EQ(Cache.entryCount(), 0u);
   EXPECT_EQ(Cache.hitCount() + Cache.missCount(), 0u);
 
@@ -271,10 +271,44 @@ TEST(Harness, FlakyTargetsNeverTouchTheEvalCache) {
   CachedOpt.run(F.M, F.Input);
   EXPECT_EQ(Cache.hitCount(), 1u);
   EXPECT_EQ(Cache.missCount(), 1u);
-  CachedOpt.runBatch(F.M, Matrix);
+  CachedOpt.runBatch(F.M, hashModule(F.M), Matrix);
   EXPECT_EQ(Cache.entryCount(), 3u);
   EXPECT_EQ(Cache.hitCount(), 2u);
   EXPECT_EQ(Cache.missCount(), 3u);
+}
+
+TEST(Harness, EvalCacheMissHandsItsKeyHashToTheTarget) {
+  // The harness keys the EvalCache on the hash it is given and hands that
+  // same hash to Target::runBatch, which keys the ExecutableCache on it
+  // without hashing again. A hash that is not hashModule(M) makes the hand-off
+  // visible: both caches hold entries under it, and none under the real one.
+  TargetFleet Fleet = TargetFleet::standard();
+  const Target *Swift = fleetTarget(Fleet, "SwiftShader");
+  ASSERT_TRUE(Swift->canExecute() && Swift->spec().deterministic());
+  EvalCache Cache(8u << 20);
+  ExecutableCache ExeCache(8u << 20);
+  HarnessedTarget H(*Swift, HarnessPolicy(), &Cache, &ExeCache);
+  Fixture F;
+  const uint64_t Real = hashModule(F.M);
+  const uint64_t Handed = Real ^ 0x5a5a5a5a5a5a5a5aULL;
+  TargetRun Run =
+      H.runBatch(F.M, Handed, std::span<const ShaderInput>(&F.Input, 1))[0];
+  EXPECT_EQ(Cache.missCount(), 1u);
+  EXPECT_EQ(ExeCache.missCount(), 1u);
+
+  TargetRun Memo;
+  EXPECT_TRUE(Cache.lookup(Swift->artifactId(Handed),
+                           hashShaderInput(F.Input), Memo));
+  EXPECT_FALSE(
+      Cache.lookup(Swift->artifactId(Real), hashShaderInput(F.Input), Memo));
+  std::shared_ptr<const TargetArtifact> Art =
+      ExeCache.getOrCompile(*Swift, F.M, Handed);
+  EXPECT_EQ(ExeCache.hitCount(), 1u) << "the compile was not keyed on the "
+                                        "handed hash";
+  EXPECT_EQ(Art->ModuleHash, Handed);
+  EXPECT_EQ(Art->ArtifactId, Swift->artifactId(Handed));
+  // The verdict itself does not depend on the hash on a solid target.
+  EXPECT_EQ(Run.Result, Swift->run(F.M, F.Input).Result);
 }
 
 } // namespace

@@ -233,7 +233,7 @@ TEST(Cfg, SuccessorsAndPredecessors) {
   const Function &Main = *F.M.findFunction(F.MainId);
   Cfg Graph(Main);
   EXPECT_EQ(Graph.entryId(), F.EntryBlock);
-  std::vector<Id> EntrySuccs = Graph.successors(F.EntryBlock);
+  std::span<const Id> EntrySuccs = Graph.successors(F.EntryBlock);
   ASSERT_EQ(EntrySuccs.size(), 2u);
   EXPECT_EQ(EntrySuccs[0], F.ThenBlock);
   EXPECT_EQ(EntrySuccs[1], F.ElseBlock);

@@ -361,7 +361,7 @@ TEST(LoweredExecTest, RunBatchMatchesRun) {
   const Target &Swift = findTarget(Fleet, "SwiftShader");
   GeneratedProgram Base = generateProgram(31);
   std::vector<ShaderInput> Matrix = uniformInputMatrix(Base.Input, 4, 31);
-  std::vector<TargetRun> Batch = Swift.runBatch(Base.M, Matrix);
+  std::vector<TargetRun> Batch = Swift.runBatch(Base.M, hashModule(Base.M), Matrix);
   ASSERT_EQ(Batch.size(), Matrix.size());
   for (size_t I = 0; I < Matrix.size(); ++I) {
     TargetRun Single = Swift.run(Base.M, Matrix[I]);
