@@ -6,6 +6,8 @@
 
 #include "analysis/ModuleAnalysis.h"
 
+#include <type_traits>
+
 using namespace spvfuzz;
 
 void ModuleAnalysis::record(Id TheId, const DefSlot &Where,
@@ -40,53 +42,74 @@ void ModuleAnalysis::refreshWithIds(Module &NewM) {
   endRefresh();
 }
 
+void ModuleAnalysis::refreshWithIds(Module &NewM, const ChangedParts &Change) {
+  if (Change.WholeModule || M != &NewM || !NewM.Ids.Built ||
+      !NewM.Ids.Unique) {
+    refreshWithIds(NewM);
+    return;
+  }
+  // The table is unique, so every id the parts defined had its one slot and
+  // def entry there; clear them, and the parts' walk writes what is there
+  // now. Ids taken since the last refresh widen the def table.
+  Defs.grow(NewM.Bound);
+  for (Id Gone : Change.Defined)
+    if (Gone < Defs.size())
+      Defs[Gone] = DefInfo{};
+  if (!NewM.refreshIds(Change, [this](auto... Def) { record(Def...); })) {
+    refreshWithIds(NewM);
+    return;
+  }
+  // An append that reallocated moved the globals, or every OpFunction.
+  // Their positions, and so their slots, are unchanged; only the def
+  // entries' instruction pointers are re-taken. A function's parameters and
+  // blocks live in buffers of their own, which moving the function keeps.
+  static_assert(std::is_nothrow_move_constructible_v<Function> &&
+                    std::is_nothrow_move_constructible_v<BasicBlock>,
+                "a reallocating vector must move functions and blocks");
+  if (reinterpret_cast<uintptr_t>(M->GlobalInsts.data()) != Change.GlobalsAt)
+    M->forEachDefinitionIn(ModulePart{ModulePart::Kind::Globals, 0, 0},
+                           [this](auto... Def) { record(Def...); });
+  if (reinterpret_cast<uintptr_t>(M->Functions.data()) != Change.FunctionsAt)
+    for (uint32_t F = 0; F < M->Functions.size(); ++F) {
+      const Function &Func = M->Functions[F];
+      if (Func.Def.Result != InvalidId)
+        record(Func.Def.Result, DefSlot{DefSlot::Kind::Function, F, 0, 0},
+               &Func, nullptr, &Func.Def);
+    }
+  size_t Kept = Funcs.size();
+  Funcs.resize(M->Functions.size());
+  for (uint32_t F : Change.Graphs)
+    if (F < Kept)
+      checkGraphs(F);
+  for (size_t F = Kept; F < Funcs.size(); ++F)
+    checkGraphs(F);
+}
+
 void ModuleAnalysis::beginRefresh(const Module &NewM) {
   M = &NewM;
   // Ids are dense (below M.Bound), so the def table is a flat vector filled
   // with plain stores. Out-of-bound ids (only possible in a module the
   // validator will reject anyway) are ignored rather than indexed.
   Defs.reset(M->Bound);
-  UsesBuilt = false;
 }
 
 void ModuleAnalysis::endRefresh() {
-  // A function's graphs depend only on its block labels and terminator
-  // successors, so they survive any transformation that keeps those.
   Funcs.resize(M->Functions.size());
-  for (size_t F = 0; F < Funcs.size(); ++F) {
-    FunctionState &State = Funcs[F];
-    const Function &Func = M->Functions[F];
-    if (State.FuncId != Func.id() ||
-        (State.Graph && !State.Graph->matches(Func))) {
-      State.Graph.reset();
-      State.Dom.reset();
-    }
-    State.FuncId = Func.id();
-  }
+  for (size_t F = 0; F < Funcs.size(); ++F)
+    checkGraphs(F);
 }
 
-size_t ModuleAnalysis::useCount(Id TheId) const {
-  if (!UsesBuilt) {
-    UsesBuilt = true;
-    Uses.reset(M->Bound);
-    auto CountUses = [&](const Instruction &Inst) {
-      Inst.forEachUsedId([&](Id Used) {
-        if (Used < Uses.size())
-          ++Uses[Used];
-      });
-    };
-    for (const Instruction &Inst : M->GlobalInsts)
-      CountUses(Inst);
-    for (const Function &Func : M->Functions) {
-      CountUses(Func.Def);
-      for (const Instruction &Param : Func.Params)
-        CountUses(Param);
-      for (const BasicBlock &Block : Func.Blocks)
-        for (const Instruction &Inst : Block.Body)
-          CountUses(Inst);
-    }
+void ModuleAnalysis::checkGraphs(size_t F) {
+  // A function's graphs depend only on its block labels and terminator
+  // successors, so they survive any transformation that keeps those.
+  FunctionState &State = Funcs[F];
+  const Function &Func = M->Functions[F];
+  if (State.FuncId != Func.id() ||
+      (State.Graph && !State.Graph->matches(Func))) {
+    State.Graph.reset();
+    State.Dom.reset();
   }
-  return Uses.lookup(TheId);
+  State.FuncId = Func.id();
 }
 
 bool ModuleAnalysis::idAvailableBefore(Id ValueId, Id FuncId, Id BlockId,

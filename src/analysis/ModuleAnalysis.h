@@ -5,22 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A module-wide snapshot combining definition sites, use counts, and
-/// per-function CFGs and dominator trees. Transformations consult it to
-/// decide whether an id is *available* at a program point (defined in a
-/// dominating position), which is MiniSPV's (and SPIR-V's) core scoping
-/// rule.
+/// A module-wide snapshot combining definition sites and per-function CFGs
+/// and dominator trees. Transformations consult it to decide whether an id
+/// is *available* at a program point (defined in a dominating position),
+/// which is MiniSPV's (and SPIR-V's) core scoping rule.
 ///
 /// The def-site index is taken when the analysis is built or refreshed;
-/// use counts, CFGs and dominator trees are computed on first query (most
-/// precondition checks never ask for them), from the module as it is then.
-/// refresh() re-takes the def-site index into the same flat storage and
-/// keeps each function's CFG and dominator tree while the function's block
-/// labels and terminator successors are unchanged, so a refreshed analysis
-/// answers exactly as a fresh one would. The fuzzer and sequence replay
-/// each keep one per variant and refresh it after every applied
-/// transformation. The lazy state makes a ModuleAnalysis instance
-/// single-threaded: construct one per thread, never share.
+/// CFGs and dominator trees are computed on first query (most precondition
+/// checks never ask for them), from the module as it is then. refresh()
+/// re-takes the def-site index into the same flat storage and keeps each
+/// function's CFG and dominator tree while the function's block labels and
+/// terminator successors are unchanged, so a refreshed analysis answers
+/// exactly as a fresh one would. The fuzzer and sequence replay each keep
+/// one per variant (TransformationApplier) and, after every applied
+/// transformation, refresh it together with the module's id table in the
+/// parts the transformation changed. The lazy state makes a ModuleAnalysis
+/// instance single-threaded: construct one per thread, never share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +43,16 @@ public:
   /// Re-analyses \p M (which must outlive the analysis).
   void refresh(const Module &M);
 
-  /// The same, also rebuilding \p M's id table in the same module walk:
-  /// what an owner that keeps both calls after each mutation.
+  /// The same, also rebuilding \p M's id table in the same module walk.
   void refreshWithIds(Module &M);
+
+  /// After a mutation of the analysed module \p M that \p Change was
+  /// resolved for (Module::resolveChange), brings the analysis and M's id
+  /// table up to date in the changed parts only, and checks the graphs of
+  /// the changed functions only: the same answers as refreshWithIds(M), in
+  /// a walk of what changed. Falls back to that full walk where a part
+  /// cannot be refreshed alone.
+  void refreshWithIds(Module &M, const ChangedParts &Change);
 
   struct DefInfo {
     enum class Kind : uint8_t { None, Global, FunctionDef, Param, Body, Label };
@@ -88,10 +95,6 @@ public:
   /// for phi incoming values.
   bool idAvailableAtEnd(Id ValueId, Id FuncId, Id BlockId) const;
 
-  /// Number of id uses of \p TheId across the module (including phi and
-  /// branch operands and result types). Counted on first call.
-  size_t useCount(Id TheId) const;
-
   /// Built on first query per function.
   const Cfg &cfg(Id FuncId) const;
   const DominatorTree &domTree(Id FuncId) const;
@@ -109,6 +112,8 @@ private:
   void record(Id TheId, const DefSlot &Where, const Function *Func,
               const BasicBlock *Block, const Instruction *Inst);
   void endRefresh();
+  /// Drops function \p F's graphs unless they still describe it.
+  void checkGraphs(size_t F);
 
   /// The state of function \p FuncId, with its Cfg built.
   FunctionState &state(Id FuncId) const;
@@ -118,8 +123,6 @@ private:
   IdTable<DefInfo> Defs; // sized to the module bound
   // Lazily materialized query state (see file comment: single-threaded).
   mutable std::vector<FunctionState> Funcs;
-  mutable bool UsesBuilt = false;
-  mutable IdTable<size_t> Uses;
 };
 
 } // namespace spvfuzz

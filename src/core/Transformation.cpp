@@ -109,6 +109,8 @@ bool spvfuzz::isDedupIgnoredKind(TransformationKind Kind) {
   }
 }
 
+void Transformation::describeChange(const Module &, ModuleChange &) const {}
+
 std::string Transformation::serialize() const {
   std::ostringstream Out;
   Out << transformationKindName(kind());
@@ -251,8 +253,12 @@ bool TransformationApplier::isApplicable(const Transformation &T) {
 }
 
 void TransformationApplier::apply(const Transformation &T) {
+  Change.What = ModuleChange::Kind::Whole;
+  Change.Sites.clear();
+  T.describeChange(M, Change);
+  M.resolveChange(Change, Parts);
   T.apply(M, Facts);
-  Analysis.refreshWithIds(M);
+  Analysis.refreshWithIds(M, Parts);
 }
 
 std::vector<size_t>

@@ -111,6 +111,13 @@ public:
   /// Semantics(P, I) and module validity, and may record new facts.
   virtual void apply(Module &M, FactManager &Facts) const = 0;
 
+  /// States what apply() changes among \p M's definitions, worked out
+  /// from \p M before it applies, with the precondition holding. \p Out
+  /// arrives as ModuleChange::Kind::Whole with no sites, which keeps the
+  /// full walk: a kind that states nothing costs time, never an answer. A
+  /// kind that states less than Whole must change no more than it states.
+  virtual void describeChange(const Module &M, ModuleChange &Out) const;
+
   /// Parameters for serialization.
   virtual ParamMap params() const = 0;
 
@@ -157,15 +164,16 @@ bool readSequenceBinary(ByteReader &R, TransformationSequence &SequenceOut);
 
 /// Checks and applies transformations to one module, keeping what the
 /// checks need between transformations, as spirv-fuzz's IRContext keeps
-/// its analyses: the module's id table and one ModuleAnalysis, both
-/// refreshed by one module walk after each application (a failed check
-/// changes nothing, so the next check reuses them). fuzz() and
+/// its analyses: the module's id table and one ModuleAnalysis. After each
+/// application it refreshes both only in the parts the transformation's
+/// describeChange named, and checks only the changed functions' graphs (a
+/// failed check changes nothing, so the next check reuses them). fuzz() and
 /// applySequenceRange each hold one per variant. While it is in use,
-/// nothing else may mutate the module.
+/// nothing else may mutate the module, except to take fresh ids.
 class TransformationApplier {
 public:
-  /// Refreshes \p M's id table and the analysis. \p M and \p Facts must
-  /// outlive the applier.
+  /// Builds \p M's id table and the analysis in one walk of the whole
+  /// module. \p M and \p Facts must outlive the applier.
   TransformationApplier(Module &M, FactManager &Facts);
 
   /// The precondition of \p T against the current module. The id table
@@ -175,10 +183,16 @@ public:
   /// The effect of \p T, whose precondition must hold.
   void apply(const Transformation &T);
 
+  /// The kept analysis, which answers as a fresh one over the module would.
+  const ModuleAnalysis &analysis() const { return Analysis; }
+
 private:
   Module &M;
   FactManager &Facts;
   ModuleAnalysis Analysis;
+  /// apply()'s scratch, kept to reuse its storage.
+  ModuleChange Change;
+  ChangedParts Parts;
 };
 
 /// Definition 2.5: applies \p Sequence to (\p M, \p Facts) in order,

@@ -78,6 +78,12 @@ spvfuzz::locateInstructionConst(const Module &M,
   return locateInstruction(const_cast<Module &>(M), Desc);
 }
 
+void spvfuzz::stateChange(ModuleChange &Out, ModuleChange::Kind What,
+                          std::initializer_list<Id> Sites) {
+  Out.What = What;
+  Out.Sites.assign(Sites.begin(), Sites.end());
+}
+
 void spvfuzz::removePhiEntriesForPred(BasicBlock &Block, Id Pred) {
   for (Instruction &Inst : Block.Body) {
     if (Inst.Opcode != Op::Phi)

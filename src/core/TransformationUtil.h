@@ -14,6 +14,8 @@
 
 #include "core/Transformation.h"
 
+#include <initializer_list>
+
 namespace spvfuzz {
 
 /// True if \p TheId is not used as any result id, label, or function id in
@@ -44,6 +46,11 @@ bool applyKeepsModuleValid(const Transformation &T, const Module &M,
 /// this wrapper for read-only resolution.
 LocatedInstruction locateInstructionConst(const Module &M,
                                           const InstructionDescriptor &Desc);
+
+/// Sets \p Out, a transformation's describeChange result, to \p What at
+/// \p Sites.
+void stateChange(ModuleChange &Out, ModuleChange::Kind What,
+                 std::initializer_list<Id> Sites = {});
 
 /// Removes phi entries for predecessor \p Pred from every phi of \p Block.
 void removePhiEntriesForPred(BasicBlock &Block, Id Pred);

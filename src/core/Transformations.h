@@ -39,6 +39,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -54,6 +55,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -70,6 +72,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -88,6 +91,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -105,6 +109,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -125,6 +130,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -146,6 +152,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -166,6 +173,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -186,6 +194,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -207,6 +216,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -232,6 +242,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -255,6 +266,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id FreshBlockId;
@@ -273,6 +285,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id BlockId;
@@ -293,6 +306,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id BlockId;
@@ -311,6 +325,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id BlockId;
@@ -327,6 +342,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id BlockId;
@@ -345,6 +361,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -367,6 +384,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id BlockId;
@@ -389,6 +407,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Pointer;
@@ -405,6 +424,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -424,6 +444,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -454,6 +475,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -475,6 +497,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -496,6 +519,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -519,6 +543,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -538,6 +563,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor Where;
@@ -558,6 +584,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -579,6 +606,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -600,6 +628,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -623,6 +652,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id FunctionId;
@@ -642,6 +672,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   /// Encodes \p Func into the word stream format.
@@ -668,6 +699,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id Fresh;
@@ -692,6 +724,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   InstructionDescriptor CallWhere;
@@ -713,6 +746,7 @@ public:
   bool isApplicable(const Module &M, const ModuleAnalysis &Analysis,
                     const FactManager &Facts) const override;
   void apply(Module &M, FactManager &Facts) const override;
+  void describeChange(const Module &M, ModuleChange &Out) const override;
   ParamMap params() const override;
 
   Id FunctionId;

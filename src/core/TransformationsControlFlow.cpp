@@ -59,6 +59,11 @@ void TransformationSplitBlock::apply(Module &M, FactManager &Facts) const {
     Facts.addDeadBlock(FreshBlockId);
 }
 
+void TransformationSplitBlock::describeChange(const Module &,
+                                              ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::FunctionTail, {Where.Base});
+}
+
 ParamMap TransformationSplitBlock::params() const {
   ParamMap Params;
   putDescriptor(Params, "where", Where);
@@ -135,6 +140,11 @@ void TransformationAddDeadBlock::apply(Module &M, FactManager &Facts) const {
   Facts.addDeadBlock(FreshBlockId);
 }
 
+void TransformationAddDeadBlock::describeChange(const Module &,
+                                                ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::FunctionTail, {ExistingBlockId});
+}
+
 ParamMap TransformationAddDeadBlock::params() const {
   ParamMap Params;
   putWord(Params, "fresh_block", FreshBlockId);
@@ -175,6 +185,11 @@ void TransformationReplaceBranchWithKill::apply(Module &M,
   Block->Body.back() = ModuleBuilder::makeKill();
 }
 
+void TransformationReplaceBranchWithKill::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands, {BlockId});
+}
+
 ParamMap TransformationReplaceBranchWithKill::params() const {
   ParamMap Params;
   putWord(Params, "block", BlockId);
@@ -210,6 +225,11 @@ void TransformationReplaceBranchWithConditional::apply(Module &M,
   (void)SwapArms;
   Block->Body.back() =
       ModuleBuilder::makeBranchConditional(CondId, Succ, Succ);
+}
+
+void TransformationReplaceBranchWithConditional::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands, {BlockId});
 }
 
 ParamMap TransformationReplaceBranchWithConditional::params() const {
@@ -252,6 +272,11 @@ void TransformationMoveBlockDown::apply(Module &M, FactManager &) const {
   std::swap(Func->Blocks[Index], Func->Blocks[Index + 1]);
 }
 
+void TransformationMoveBlockDown::describeChange(const Module &,
+                                                 ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::FunctionTail, {BlockId});
+}
+
 ParamMap TransformationMoveBlockDown::params() const {
   ParamMap Params;
   putWord(Params, "block", BlockId);
@@ -288,6 +313,11 @@ void TransformationInvertBranchCondition::apply(Module &M,
   Block->Body.back() =
       ModuleBuilder::makeBranchConditional(FreshNotId, FalseTarget, TrueTarget);
   M.reserveId(FreshNotId);
+}
+
+void TransformationInvertBranchCondition::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {BlockId});
 }
 
 ParamMap TransformationInvertBranchCondition::params() const {
@@ -330,6 +360,11 @@ void TransformationPermutePhiOperands::apply(Module &M, FactManager &) const {
     Reordered.push_back(Phi.Operands[2 * P + 1]);
   }
   Phi.Operands = std::move(Reordered);
+}
+
+void TransformationPermutePhiOperands::describeChange(const Module &,
+                                                      ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands);
 }
 
 ParamMap TransformationPermutePhiOperands::params() const {
@@ -463,6 +498,14 @@ void TransformationPropagateInstructionUp::apply(Module &M,
   InstIndex = firstNonPhiIndex(*Block);
   Block->Body[InstIndex] = Instruction(Op::Phi, Original.ResultType,
                                        Original.Result, std::move(PhiOperands));
+}
+
+void TransformationPropagateInstructionUp::describeChange(
+    const Module &, ModuleChange &Out) const {
+  // The block's first non-phi becomes a phi; each predecessor gets a copy.
+  stateChange(Out, ModuleChange::Kind::Blocks, {BlockId});
+  for (size_t I = 0; I + 1 < PredFreshPairs.size(); I += 2)
+    Out.Sites.push_back(PredFreshPairs[I]);
 }
 
 ParamMap TransformationPropagateInstructionUp::params() const {

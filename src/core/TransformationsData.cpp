@@ -55,6 +55,11 @@ void TransformationAddStore::apply(Module &M, FactManager &) const {
                          ModuleBuilder::makeStore(Pointer, ValueId));
 }
 
+void TransformationAddStore::describeChange(const Module &,
+                                            ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
+}
+
 ParamMap TransformationAddStore::params() const {
   ParamMap Params;
   putWord(Params, "pointer", Pointer);
@@ -93,6 +98,11 @@ void TransformationAddLoad::apply(Module &M, FactManager &Facts) const {
   M.reserveId(Fresh);
   if (Facts.pointeeIsIrrelevant(Pointer))
     Facts.addIrrelevantId(Fresh);
+}
+
+void TransformationAddLoad::describeChange(const Module &,
+                                           ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
 }
 
 ParamMap TransformationAddLoad::params() const {
@@ -141,6 +151,11 @@ void TransformationAddSynonymViaCopyObject::apply(Module &M,
   } else {
     Facts.addSynonym(DataDescriptor(Fresh), DataDescriptor(Source));
   }
+}
+
+void TransformationAddSynonymViaCopyObject::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
 }
 
 ParamMap TransformationAddSynonymViaCopyObject::params() const {
@@ -226,6 +241,11 @@ void TransformationAddArithmeticSynonym::apply(Module &M,
   Facts.addSynonym(DataDescriptor(Fresh), DataDescriptor(Source));
 }
 
+void TransformationAddArithmeticSynonym::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
+}
+
 ParamMap TransformationAddArithmeticSynonym::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -267,6 +287,11 @@ void TransformationReplaceIdWithSynonym::apply(Module &M,
   Loc.instruction().Operands[OperandIndex] = Operand::id(SynonymId);
 }
 
+void TransformationReplaceIdWithSynonym::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands);
+}
+
 ParamMap TransformationReplaceIdWithSynonym::params() const {
   ParamMap Params;
   putDescriptor(Params, "where", Where);
@@ -298,6 +323,11 @@ void TransformationReplaceIrrelevantId::apply(Module &M,
   LocatedInstruction Loc = locateInstruction(M, Where);
   assert(Loc.valid() && "precondition violated");
   Loc.instruction().Operands[OperandIndex] = Operand::id(ReplacementId);
+}
+
+void TransformationReplaceIrrelevantId::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands);
 }
 
 ParamMap TransformationReplaceIrrelevantId::params() const {
@@ -364,6 +394,11 @@ void TransformationReplaceConstantWithUniform::apply(Module &M,
   M.reserveId(FreshLoadId);
 }
 
+void TransformationReplaceConstantWithUniform::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
+}
+
 ParamMap TransformationReplaceConstantWithUniform::params() const {
   ParamMap Params;
   putDescriptor(Params, "where", Where);
@@ -389,6 +424,11 @@ void TransformationSwapCommutableOperands::apply(Module &M,
   LocatedInstruction Loc = locateInstruction(M, Where);
   assert(Loc.valid() && "precondition violated");
   std::swap(Loc.instruction().Operands[0], Loc.instruction().Operands[1]);
+}
+
+void TransformationSwapCommutableOperands::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands);
 }
 
 ParamMap TransformationSwapCommutableOperands::params() const {
@@ -454,6 +494,11 @@ void TransformationCompositeConstruct::apply(Module &M,
                      DataDescriptor(Components[I]));
 }
 
+void TransformationCompositeConstruct::describeChange(const Module &,
+                                                      ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
+}
+
 ParamMap TransformationCompositeConstruct::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -491,6 +536,11 @@ void TransformationCompositeExtract::apply(Module &M,
                   {Operand::id(Composite), Operand::literal(Index)}));
   M.reserveId(Fresh);
   Facts.addSynonym(DataDescriptor(Fresh), DataDescriptor(Composite, {Index}));
+}
+
+void TransformationCompositeExtract::describeChange(const Module &,
+                                                    ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
 }
 
 ParamMap TransformationCompositeExtract::params() const {
@@ -555,6 +605,11 @@ void TransformationAddSynonymViaPhi::apply(Module &M,
     Facts.addIrrelevantPointee(Fresh);
   }
   Facts.addSynonym(DataDescriptor(Fresh), DataDescriptor(Source));
+}
+
+void TransformationAddSynonymViaPhi::describeChange(const Module &,
+                                                    ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {BlockId});
 }
 
 ParamMap TransformationAddSynonymViaPhi::params() const {

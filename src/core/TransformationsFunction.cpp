@@ -36,6 +36,11 @@ void TransformationToggleDontInline::apply(Module &M, FactManager &) const {
                               : (Mask & ~uint32_t(FC_DontInline)));
 }
 
+void TransformationToggleDontInline::describeChange(const Module &,
+                                                    ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Operands);
+}
+
 ParamMap TransformationToggleDontInline::params() const {
   ParamMap Params;
   putWord(Params, "function", FunctionId);
@@ -227,6 +232,11 @@ void TransformationAddFunction::apply(Module &M, FactManager &Facts) const {
   M.Functions.push_back(std::move(Func));
 }
 
+void TransformationAddFunction::describeChange(const Module &,
+                                               ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedFunctions);
+}
+
 ParamMap TransformationAddFunction::params() const {
   ParamMap Params;
   Params["encoded"] = Encoded;
@@ -290,6 +300,11 @@ void TransformationAddFunctionCall::apply(Module &M,
                                      std::move(Ops)));
   M.reserveId(Fresh);
   Facts.addIrrelevantId(Fresh);
+}
+
+void TransformationAddFunctionCall::describeChange(const Module &,
+                                                   ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::Blocks, {Where.Base});
 }
 
 ParamMap TransformationAddFunctionCall::params() const {
@@ -460,6 +475,15 @@ void TransformationInlineFunction::apply(Module &M, FactManager &Facts) const {
   }
 }
 
+void TransformationInlineFunction::describeChange(const Module &M,
+                                                  ModuleChange &Out) const {
+  // The caller's blocks from the call on, and its entry block, which
+  // receives the callee's variables.
+  LocatedInstruction Loc = locateInstructionConst(M, CallWhere);
+  if (Loc.valid())
+    stateChange(Out, ModuleChange::Kind::FunctionTail, {Loc.Func->id()});
+}
+
 ParamMap TransformationInlineFunction::params() const {
   ParamMap Params;
   putDescriptor(Params, "call", CallWhere);
@@ -518,6 +542,12 @@ void TransformationAddParameter::apply(Module &M, FactManager &Facts) const {
           Inst.Operands.push_back(Operand::id(ArgConstId));
 
   Facts.addIrrelevantId(FreshParamId);
+}
+
+void TransformationAddParameter::describeChange(const Module &,
+                                                ModuleChange &Out) const {
+  // The parameter list; call sites elsewhere change operands only.
+  stateChange(Out, ModuleChange::Kind::FunctionTail, {FunctionId});
 }
 
 ParamMap TransformationAddParameter::params() const {

@@ -25,6 +25,11 @@ void TransformationAddTypeInt::apply(Module &M, FactManager &) const {
       Instruction(Op::TypeInt, InvalidId, Fresh, {Operand::literal(32)}));
 }
 
+void TransformationAddTypeInt::describeChange(const Module &,
+                                              ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
+}
+
 ParamMap TransformationAddTypeInt::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -39,6 +44,11 @@ bool TransformationAddTypeBool::isApplicable(const Module &M,
 
 void TransformationAddTypeBool::apply(Module &M, FactManager &) const {
   M.addGlobal(Instruction(Op::TypeBool, InvalidId, Fresh, {}));
+}
+
+void TransformationAddTypeBool::describeChange(const Module &,
+                                               ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
 }
 
 ParamMap TransformationAddTypeBool::params() const {
@@ -64,6 +74,11 @@ bool TransformationAddTypeVector::isApplicable(const Module &M,
 void TransformationAddTypeVector::apply(Module &M, FactManager &) const {
   M.addGlobal(Instruction(Op::TypeVector, InvalidId, Fresh,
                           {Operand::id(Component), Operand::literal(Count)}));
+}
+
+void TransformationAddTypeVector::describeChange(const Module &,
+                                                 ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
 }
 
 ParamMap TransformationAddTypeVector::params() const {
@@ -95,6 +110,11 @@ void TransformationAddTypeStruct::apply(Module &M, FactManager &) const {
   M.addGlobal(Instruction(Op::TypeStruct, InvalidId, Fresh, std::move(Ops)));
 }
 
+void TransformationAddTypeStruct::describeChange(const Module &,
+                                                 ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
+}
+
 ParamMap TransformationAddTypeStruct::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -119,6 +139,11 @@ void TransformationAddTypePointer::apply(Module &M, FactManager &) const {
   M.addGlobal(Instruction(Op::TypePointer, InvalidId, Fresh,
                           {Operand::literal(static_cast<uint32_t>(SC)),
                            Operand::id(Pointee)}));
+}
+
+void TransformationAddTypePointer::describeChange(const Module &,
+                                                  ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
 }
 
 ParamMap TransformationAddTypePointer::params() const {
@@ -152,6 +177,11 @@ void TransformationAddTypeFunction::apply(Module &M, FactManager &) const {
   for (Id Param : ParamTypes)
     Ops.push_back(Operand::id(Param));
   M.addGlobal(Instruction(Op::TypeFunction, InvalidId, Fresh, std::move(Ops)));
+}
+
+void TransformationAddTypeFunction::describeChange(const Module &,
+                                                   ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
 }
 
 ParamMap TransformationAddTypeFunction::params() const {
@@ -189,6 +219,11 @@ void TransformationAddConstantScalar::apply(Module &M,
   }
   if (Irrelevant)
     Facts.addIrrelevantId(Fresh);
+}
+
+void TransformationAddConstantScalar::describeChange(const Module &,
+                                                     ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
 }
 
 ParamMap TransformationAddConstantScalar::params() const {
@@ -236,6 +271,11 @@ void TransformationAddConstantComposite::apply(Module &M,
       Instruction(Op::ConstantComposite, Type, Fresh, std::move(Ops)));
 }
 
+void TransformationAddConstantComposite::describeChange(
+    const Module &, ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
+}
+
 ParamMap TransformationAddConstantComposite::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -274,6 +314,11 @@ void TransformationAddGlobalVariable::apply(Module &M,
   Facts.addIrrelevantPointee(Fresh);
 }
 
+void TransformationAddGlobalVariable::describeChange(const Module &,
+                                                     ModuleChange &Out) const {
+  stateChange(Out, ModuleChange::Kind::AppendedGlobals);
+}
+
 ParamMap TransformationAddGlobalVariable::params() const {
   ParamMap Params;
   putWord(Params, "fresh", Fresh);
@@ -310,6 +355,12 @@ void TransformationAddLocalVariable::apply(Module &M,
       ModuleBuilder::makeLocalVariable(PointerType, Fresh, Initializer));
   M.reserveId(Fresh);
   Facts.addIrrelevantPointee(Fresh);
+}
+
+void TransformationAddLocalVariable::describeChange(const Module &,
+                                                    ModuleChange &Out) const {
+  // The variable goes into the function's entry block.
+  stateChange(Out, ModuleChange::Kind::Blocks, {FunctionId});
 }
 
 ParamMap TransformationAddLocalVariable::params() const {

@@ -118,6 +118,72 @@ const DefSlot *Module::checkedSlot(Id TheId) const {
   return Holds ? Slot : nullptr;
 }
 
+void Module::resolveChange(const ModuleChange &Change,
+                           ChangedParts &Out) const {
+  Out.WholeModule = true;
+  Out.Parts.clear();
+  Out.Defined.clear();
+  Out.Graphs.clear();
+  Out.GlobalsAt = reinterpret_cast<uintptr_t>(GlobalInsts.data());
+  Out.FunctionsAt = reinterpret_cast<uintptr_t>(Functions.data());
+  if (!Ids.Built || !Ids.Unique)
+    return;
+  using K = ModuleChange::Kind;
+  switch (Change.What) {
+  case K::Whole:
+    return;
+  case K::AppendedGlobals:
+    Out.Parts.push_back({ModulePart::Kind::Globals, 0,
+                         static_cast<uint32_t>(GlobalInsts.size())});
+    break;
+  case K::AppendedFunctions:
+    Out.Parts.push_back({ModulePart::Kind::Functions, 0,
+                         static_cast<uint32_t>(Functions.size())});
+    break;
+  case K::FunctionTail:
+    if (Change.Sites.size() != 1)
+      return;
+    [[fallthrough]];
+  case K::Operands:
+  case K::Blocks:
+    for (Id Site : Change.Sites) {
+      const DefSlot *Slot = checkedSlot(Site);
+      if (!Slot)
+        return;
+      uint32_t Block = 0; // a function names its entry block
+      if (Slot->SlotKind == DefSlot::Kind::Label ||
+          Slot->SlotKind == DefSlot::Kind::Body)
+        Block = Slot->Index;
+      else if (Slot->SlotKind != DefSlot::Kind::Function ||
+               Functions[Slot->Func].Blocks.empty())
+        return;
+      if (Change.What != K::Operands) {
+        ModulePart Part{Change.What == K::Blocks
+                            ? ModulePart::Kind::Block
+                            : ModulePart::Kind::FunctionTail,
+                        Slot->Func, Block};
+        if (std::none_of(Out.Parts.begin(), Out.Parts.end(),
+                         [&](const ModulePart &Other) {
+                           return Other.Func == Part.Func &&
+                                  Other.Index == Part.Index;
+                         }))
+          Out.Parts.push_back(Part);
+      }
+      if (std::find(Out.Graphs.begin(), Out.Graphs.end(), Slot->Func) ==
+          Out.Graphs.end())
+        Out.Graphs.push_back(Slot->Func);
+    }
+    break;
+  }
+  for (const ModulePart &Part : Out.Parts)
+    forEachDefinitionIn(Part, [&Out](Id TheId, const DefSlot &,
+                                     const Function *, const BasicBlock *,
+                                     const Instruction *) {
+      Out.Defined.push_back(TheId);
+    });
+  Out.WholeModule = false;
+}
+
 bool Module::knownAbsent(Id TheId) const {
   if (!Ids.Exact)
     return false;

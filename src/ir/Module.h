@@ -19,6 +19,7 @@
 #include "ir/IdTable.h"
 #include "ir/Instruction.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -129,6 +130,9 @@ struct IdIndex {
   bool Built = false;
   /// Set only inside a Module::ExactIds scope.
   bool Exact = false;
+  /// Every definition has a slot of its own: no id is defined twice or at
+  /// or past the bound. Only such a table can be refreshed in part.
+  bool Unique = false;
 
   IdIndex() = default;
   IdIndex(const IdIndex &) {}
@@ -144,8 +148,69 @@ struct IdIndex {
 
   void release() {
     Slots.release();
-    Built = Exact = false;
+    Built = Exact = Unique = false;
   }
+};
+
+/// What a mutation does to a module's definitions, stated before it
+/// happens from the module as it is then (Transformation::describeChange).
+/// A site names a block: its label, an id defined in its body, or a
+/// function id, which names the function's entry block. Whatever the kind,
+/// the mutation may also rewrite operands anywhere, but it changes
+/// terminators only in the blocks its kind lets it change.
+struct ModuleChange {
+  enum class Kind : uint8_t {
+    /// Anything may change: the whole module is walked again. The default,
+    /// so a mutation that states nothing costs time, never an answer.
+    Whole,
+    /// No definition is added, removed or moved. Terminators change only
+    /// in the sites' blocks.
+    Operands,
+    /// Definitions are appended to GlobalInsts.
+    AppendedGlobals,
+    /// Only the bodies of the sites' blocks change; no block is added,
+    /// removed or moved.
+    Blocks,
+    /// The function of the one site changes from the site's block onward:
+    /// blocks there may be inserted, moved or split, and the function's
+    /// OpFunction and parameters may change.
+    FunctionTail,
+    /// Functions are appended.
+    AppendedFunctions,
+  };
+  Kind What = Kind::Whole;
+  std::vector<Id> Sites;
+};
+
+/// A part of a module, by position.
+struct ModulePart {
+  enum class Kind : uint8_t {
+    Globals,      // the globals from Index on
+    Block,        // the label and body of block Index of function Func
+    FunctionTail, // function Func's OpFunction, parameters and blocks from
+                  // block Index on
+    Functions,    // the functions from Index on
+  };
+  Kind PartKind = Kind::Globals;
+  uint32_t Func = 0;
+  uint32_t Index = 0;
+};
+
+/// A ModuleChange resolved against the module before the change
+/// (Module::resolveChange): what a refresh after it needs to know.
+struct ChangedParts {
+  /// The refresh must walk the whole module: the change is Whole, a site
+  /// did not resolve, or the table cannot be refreshed in part.
+  bool WholeModule = true;
+  /// The parts that may change, disjoint.
+  std::vector<ModulePart> Parts;
+  /// The ids the parts defined before the change.
+  std::vector<Id> Defined;
+  /// The functions (by position) whose control flow may change.
+  std::vector<uint32_t> Graphs;
+  /// Where the globals and the functions were stored before the change: an
+  /// append that reallocates moves every instruction they hold directly.
+  uintptr_t GlobalsAt = 0, FunctionsAt = 0;
 };
 
 /// A MiniSPV module.
@@ -184,9 +249,10 @@ struct Module {
   // falls back to a scan of the module when the check fails, so a table
   // left stale by a mutation still answers correctly, only slower; a
   // lookup never writes. A module has no table until its owner refreshes
-  // one, and the owner of a private module refreshes it where it mutates.
-  // Answers assume the module's result ids are unique, as the validator
-  // requires.
+  // one, and the owner of a private module refreshes it where it mutates;
+  // an owner told what a mutation changed (a ModuleChange) refreshes only
+  // those parts. Answers assume the module's result ids are unique, as the
+  // validator requires.
 
   /// Calls \p Visit(Id, const DefSlot &, const Function *, const BasicBlock *,
   /// const Instruction *) for every definition, in the order the scans
@@ -195,6 +261,9 @@ struct Module {
   /// the definition's function, block and instruction, or nullptr where it
   /// has none. Instructions without a result id are skipped; labels are not.
   template <typename Visitor> void forEachDefinition(Visitor &&Visit) const;
+  /// The same for the definitions in \p Part only.
+  template <typename Visitor>
+  void forEachDefinitionIn(const ModulePart &Part, Visitor &&Visit) const;
 
   /// Rebuilds the id table from the module as it is now.
   void refreshIds() {
@@ -203,6 +272,17 @@ struct Module {
   }
   /// The same, also handing every definition to \p Also in the one walk.
   template <typename Visitor> void refreshIds(Visitor &&Also);
+
+  /// Resolves \p Change, stated before a mutation, against the module and
+  /// its table as they are now. \p Out's storage is reused.
+  void resolveChange(const ModuleChange &Change, ChangedParts &Out) const;
+  /// After the mutation \p Change was resolved for, refreshes the table in
+  /// the changed parts only: clears the slots of the ids they defined
+  /// before, then slots and hands to \p Also every definition they hold
+  /// now. Returns false, leaving no table, if that finds an id defined
+  /// twice or at or past the bound; the caller then rebuilds it.
+  template <typename Visitor>
+  bool refreshIds(const ChangedParts &Change, Visitor &&Also);
   /// Frees the id table; every lookup scans again.
   void dropIds() { Ids.release(); }
 
@@ -302,14 +382,25 @@ private:
 
 template <typename Visitor>
 void Module::forEachDefinition(Visitor &&Visit) const {
+  forEachDefinitionIn(ModulePart{ModulePart::Kind::Globals, 0, 0}, Visit);
+  forEachDefinitionIn(ModulePart{ModulePart::Kind::Functions, 0, 0}, Visit);
+}
+
+template <typename Visitor>
+void Module::forEachDefinitionIn(const ModulePart &Part,
+                                 Visitor &&Visit) const {
   using K = DefSlot::Kind;
-  for (uint32_t G = 0, E = static_cast<uint32_t>(GlobalInsts.size()); G != E;
-       ++G)
-    if (GlobalInsts[G].Result != InvalidId)
-      Visit(GlobalInsts[G].Result, DefSlot{K::Global, 0, G, 0}, nullptr,
-            nullptr, &GlobalInsts[G]);
-  for (uint32_t F = 0, FE = static_cast<uint32_t>(Functions.size()); F != FE;
-       ++F) {
+  auto VisitBlock = [&](uint32_t F, uint32_t B) {
+    const Function &Func = Functions[F];
+    const BasicBlock &Block = Func.Blocks[B];
+    Visit(Block.LabelId, DefSlot{K::Label, F, B, 0}, &Func, &Block, nullptr);
+    for (uint32_t I = 0, IE = static_cast<uint32_t>(Block.Body.size());
+         I != IE; ++I)
+      if (Block.Body[I].Result != InvalidId)
+        Visit(Block.Body[I].Result, DefSlot{K::Body, F, B, I}, &Func, &Block,
+              &Block.Body[I]);
+  };
+  auto VisitFunction = [&](uint32_t F, uint32_t FirstBlock) {
     const Function &Func = Functions[F];
     if (Func.Def.Result != InvalidId)
       Visit(Func.Def.Result, DefSlot{K::Function, F, 0, 0}, &Func, nullptr,
@@ -319,34 +410,78 @@ void Module::forEachDefinition(Visitor &&Visit) const {
       if (Func.Params[P].Result != InvalidId)
         Visit(Func.Params[P].Result, DefSlot{K::Param, F, P, 0}, &Func,
               nullptr, &Func.Params[P]);
-    for (uint32_t B = 0, BE = static_cast<uint32_t>(Func.Blocks.size());
-         B != BE; ++B) {
-      const BasicBlock &Block = Func.Blocks[B];
-      Visit(Block.LabelId, DefSlot{K::Label, F, B, 0}, &Func, &Block,
-            nullptr);
-      for (uint32_t I = 0, IE = static_cast<uint32_t>(Block.Body.size());
-           I != IE; ++I)
-        if (Block.Body[I].Result != InvalidId)
-          Visit(Block.Body[I].Result, DefSlot{K::Body, F, B, I}, &Func,
-                &Block, &Block.Body[I]);
-    }
+    for (uint32_t B = FirstBlock,
+                  BE = static_cast<uint32_t>(Func.Blocks.size());
+         B < BE; ++B)
+      VisitBlock(F, B);
+  };
+  const uint32_t NumFunctions = static_cast<uint32_t>(Functions.size());
+  switch (Part.PartKind) {
+  case ModulePart::Kind::Globals:
+    for (uint32_t G = Part.Index, E = static_cast<uint32_t>(GlobalInsts.size());
+         G < E; ++G)
+      if (GlobalInsts[G].Result != InvalidId)
+        Visit(GlobalInsts[G].Result, DefSlot{K::Global, 0, G, 0}, nullptr,
+              nullptr, &GlobalInsts[G]);
+    break;
+  case ModulePart::Kind::Block:
+    if (Part.Func < NumFunctions &&
+        Part.Index < Functions[Part.Func].Blocks.size())
+      VisitBlock(Part.Func, Part.Index);
+    break;
+  case ModulePart::Kind::FunctionTail:
+    if (Part.Func < NumFunctions)
+      VisitFunction(Part.Func, Part.Index);
+    break;
+  case ModulePart::Kind::Functions:
+    for (uint32_t F = Part.Index; F < NumFunctions; ++F)
+      VisitFunction(F, 0);
+    break;
   }
 }
 
 template <typename Visitor> void Module::refreshIds(Visitor &&Also) {
   IdTable<DefSlot> &Slots = Ids.Slots;
   Slots.reset(Bound);
+  bool Unique = true;
   forEachDefinition([&](Id TheId, const DefSlot &Where, const Function *Func,
                         const BasicBlock *Block, const Instruction *Inst) {
     DefSlot &Slot = Slots[TheId]; // widens for ids past the bound
-    if (Slot.SlotKind == DefSlot::Kind::None)
+    if (Slot.SlotKind == DefSlot::Kind::None) {
       Slot = Where;
-    else
+    } else {
       Slot.SlotKind = DefSlot::Kind::Ambiguous;
+      Unique = false;
+    }
+    Unique = Unique && TheId < Bound;
     Also(TheId, Where, Func, Block, Inst);
   });
   Ids.Built = true;
   Ids.Exact = false;
+  Ids.Unique = Unique;
+}
+
+template <typename Visitor>
+bool Module::refreshIds(const ChangedParts &Change, Visitor &&Also) {
+  assert(!Change.WholeModule && Ids.Built && Ids.Unique &&
+         "only a unique table can be refreshed in part");
+  IdTable<DefSlot> &Slots = Ids.Slots;
+  for (Id Gone : Change.Defined)
+    Slots[Gone] = DefSlot{};
+  bool Unique = true;
+  for (const ModulePart &Part : Change.Parts)
+    forEachDefinitionIn(Part, [&](Id TheId, const DefSlot &Where,
+                                  const Function *Func,
+                                  const BasicBlock *Block,
+                                  const Instruction *Inst) {
+      DefSlot &Slot = Slots[TheId];
+      Unique = Unique && Slot.SlotKind == DefSlot::Kind::None && TheId < Bound;
+      Slot = Where;
+      Also(TheId, Where, Func, Block, Inst);
+    });
+  Ids.Exact = false;
+  Ids.Built = Ids.Unique = Unique;
+  return Unique;
 }
 
 } // namespace spvfuzz

@@ -140,6 +140,53 @@ CompareResult obs::compareSnapshots(const telemetry::MetricsSnapshot &Base,
                               " counter(s) differ between snapshots (work "
                               "drift; not judged for regression)");
 
+  // Exact counters: the listed work must repeat to the count.
+  if (!Opts.ExactCounters.empty()) {
+    std::set<std::string> Checked;
+    for (const std::string &Entry : Opts.ExactCounters) {
+      bool Prefix = !Entry.empty() && Entry.back() == '*';
+      std::string Stem = Prefix ? Entry.substr(0, Entry.size() - 1) : Entry;
+      bool Matched = false;
+      for (const std::string &Name : CounterNames) {
+        if (Prefix ? Name.compare(0, Stem.size(), Stem) != 0 : Name != Stem)
+          continue;
+        Matched = true;
+        if (!Checked.insert(Name).second)
+          continue;
+        auto BaseIt = Base.Counters.find(Name);
+        auto CurrentIt = Current.Counters.find(Name);
+        if (BaseIt == Base.Counters.end() ||
+            CurrentIt == Current.Counters.end())
+          Result.ExactMismatches.push_back(
+              "exact counter '" + Name + "' present only in the " +
+              (BaseIt == Base.Counters.end() ? "current" : "base") +
+              " snapshot");
+        else if (BaseIt->second != CurrentIt->second)
+          Result.ExactMismatches.push_back(
+              "exact counter '" + Name + "' differs: base " +
+              std::to_string(BaseIt->second) + ", current " +
+              std::to_string(CurrentIt->second));
+      }
+      if (!Matched)
+        Result.ExactMismatches.push_back("exact entry '" + Entry +
+                                         "' matches no counter");
+    }
+    Out << "exact counters: " << Checked.size() << " compared, "
+        << Result.ExactMismatches.size() << " mismatch(es)\n";
+    for (const std::string &Mismatch : Result.ExactMismatches)
+      Out << "  " << Mismatch << "\n";
+  }
+
   Result.Report = Out.str();
   return Result;
+}
+
+std::vector<std::string> obs::splitCounterList(const std::string &List) {
+  std::vector<std::string> Entries;
+  std::istringstream In(List);
+  std::string Entry;
+  while (std::getline(In, Entry, ','))
+    if (!Entry.empty())
+      Entries.push_back(Entry);
+  return Entries;
 }

@@ -11,12 +11,14 @@
 /// and exits nonzero when a throughput gauge regressed beyond the
 /// configured threshold, which is how CI gates on bench regressions.
 ///
-/// Regression rules are deliberately narrow: only timing gauges are
-/// judged. A `*per_sec*` gauge dropping by more than the threshold, or a
-/// `*wall_seconds*` gauge rising by more than it, is a regression; counter
-/// drift (different work done) is reported as a warning, never a failure,
-/// because decision counters are compared exactly by the determinism CI
-/// steps instead.
+/// Two rules. Timing: a `*per_sec*` gauge dropping by more than the
+/// threshold, or a `*wall_seconds*` gauge rising by more than it, is a
+/// regression. Work: the counters named by an exact list (names, or
+/// prefixes ending in `*`) must be identical in both snapshots, since a
+/// fixed workload does the same work on any machine; a listed counter that
+/// differs or is on one side only fails the gate, and so does a list entry
+/// that matches no counter. Counter drift outside the list is reported as a
+/// warning only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +36,20 @@ namespace obs {
 struct CompareOptions {
   /// Percentage change beyond which a judged gauge counts as regressed.
   double ThresholdPct = 25.0;
+  /// Counters that must be identical: names, or name prefixes ending in
+  /// '*' (`report --compare --exact`).
+  std::vector<std::string> ExactCounters;
 };
 
 struct CompareResult {
   /// The rendered delta table.
   std::string Report;
-  /// One line per regressed gauge; empty means the gate passes.
+  /// One line per regressed gauge; empty means the timing gate passes.
   std::vector<std::string> Regressions;
+  /// One line per exact counter that differs or is on one side only, and
+  /// per exact entry that matches no counter; empty means the work gate
+  /// passes.
+  std::vector<std::string> ExactMismatches;
   /// Non-fatal observations (counter drift, metrics missing on one side).
   std::vector<std::string> Warnings;
 };
@@ -48,6 +57,9 @@ struct CompareResult {
 CompareResult compareSnapshots(const telemetry::MetricsSnapshot &Base,
                                const telemetry::MetricsSnapshot &Current,
                                const CompareOptions &Opts = CompareOptions{});
+
+/// Splits a comma-separated `--exact` list, dropping empty entries.
+std::vector<std::string> splitCounterList(const std::string &List);
 
 } // namespace obs
 } // namespace spvfuzz

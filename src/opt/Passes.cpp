@@ -141,6 +141,19 @@ const char *spvfuzz::optPassName(OptPassKind Kind) {
   return "unknown";
 }
 
+bool spvfuzz::optPassLooksUpIds(OptPassKind Kind) {
+  switch (Kind) {
+  case OptPassKind::SimplifyCfg:
+  case OptPassKind::CopyPropagation:
+  case OptPassKind::PhiSimplify:
+  case OptPassKind::BlockLayout:
+  case OptPassKind::Dce:
+    return false;
+  default:
+    return true;
+  }
+}
+
 namespace {
 
 PassCrash crash(BugPoint Point) { return std::string(bugSignature(Point)); }
@@ -1107,8 +1120,10 @@ namespace {
 
 PassCrash dispatchOptPass(OptPassKind Kind, Module &M, const BugHost &Bugs) {
   // The pass owns M while it runs: its lookups check the table refreshed
-  // here and scan where the pass's own mutations have moved an id.
-  M.refreshIds();
+  // here and scan where the pass's own mutations have moved an id. A pass
+  // that looks nothing up leaves the table as it finds it.
+  if (optPassLooksUpIds(Kind))
+    M.refreshIds();
   switch (Kind) {
   case OptPassKind::FrontendCheck:
     return runFrontendCheck(M, Bugs);

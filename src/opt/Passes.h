@@ -41,6 +41,12 @@ enum class OptPassKind : uint8_t {
 
 const char *optPassName(OptPassKind Kind);
 
+/// True for the passes that look ids up in the module (findDef and the
+/// queries built on it); runOptPass refreshes the module's id table on
+/// entry to those only. simplify-cfg, copy-propagation, phi-simplify,
+/// block-layout and dce read blocks and instructions directly.
+bool optPassLooksUpIds(OptPassKind Kind);
+
 /// The outcome of one pass: nullopt, or the crash signature of an injected
 /// crash bug that fired.
 using PassCrash = std::optional<std::string>;

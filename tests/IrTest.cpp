@@ -276,9 +276,6 @@ TEST(ModuleAnalysis, AvailabilityRules) {
       Analysis.idAvailableBefore(F.HelperParam, F.HelperId, F.HelperBlock, 0));
   EXPECT_FALSE(
       Analysis.idAvailableBefore(F.HelperParam, F.MainId, F.EntryBlock, 1));
-  // Use counts.
-  EXPECT_GE(Analysis.useCount(F.LoadX), 2u); // condition + call argument
-  EXPECT_EQ(Analysis.useCount(99999), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -76,6 +76,46 @@ report-store-exit-codes)
   expect_exit 1 report --store bad-metrics
   expect_exit 0 report --store s
   ;;
+report-compare-exact)
+  # --exact gates on work: a listed counter raised by one exits 4 even
+  # under --warn-only, which still forgives a timing regression.
+  cat > base.json <<'EOF'
+{
+  "counters": {
+    "exec.runs": 4096,
+    "fuzzer.applications.SplitBlock": 290,
+    "fuzzer.attempts.SplitBlock": 292
+  },
+  "gauges": {
+    "bench.wall_seconds": 0.25
+  },
+  "histograms": {}
+}
+EOF
+  awk -F': ' '/"fuzzer.applications.SplitBlock":/ {
+    sub(/,$/, "", $2); $0 = $1 ": " ($2 + 1) "," } { print }' \
+    base.json > drift.json
+  grep -q '"fuzzer.applications.SplitBlock": 291,' drift.json
+  sed 's/"bench.wall_seconds": [0-9.]*/"bench.wall_seconds": 9/' \
+    base.json > slow.json
+  expect_exit 0 report --compare base.json base.json --exact 'fuzzer.*'
+  expect_exit 4 report --compare base.json drift.json --exact 'fuzzer.*'
+  expect_exit 4 report --compare base.json drift.json --warn-only \
+    --exact exec.runs,fuzzer.applications.SplitBlock
+  expect_exit 0 report --compare base.json drift.json --warn-only
+  expect_exit 4 report --compare base.json slow.json --exact 'fuzzer.*'
+  expect_exit 0 report --compare base.json slow.json --warn-only \
+    --exact 'fuzzer.*'
+  expect_exit 4 report --compare base.json base.json --exact 'replay.*'
+  expect_exit 1 report --compare base.json base.json --exact ,
+  Code=0
+  "$M" report --compare base.json drift.json --exact 'exec.*,fuzzer.*' \
+    > out.txt 2> err.txt || Code=$?
+  test "$Code" -eq 4
+  grep -q "'fuzzer.applications.SplitBlock' differs: base 290, current 291" \
+    err.txt
+  grep -q 'exact counters: 3 compared, 1 mismatch' out.txt
+  ;;
 retriage-keeps-repros)
   # A re-triage that reaches the stored verdicts writes nothing: every
   # repro.msb keeps its inode, which an atomic rewrite would replace.

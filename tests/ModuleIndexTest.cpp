@@ -6,12 +6,14 @@
 //
 // Differential tests for the state kept across transformations: the
 // module's positional id table against the linear scans it replaced
-// (tests/ReferenceLookups.cpp), and a refreshed ModuleAnalysis, which keeps
-// CFGs and dominator trees, against a fresh one. They run at every point
-// where an owner refreshes the table: after each applied transformation
-// of a fuzzer run, after each transformation replayed by applySequence,
-// and after each pass of every standard-fleet pipeline, where the pass's
-// own mutations have left the table stale.
+// (tests/ReferenceLookups.cpp), a refreshed ModuleAnalysis, which keeps
+// CFGs and dominator trees, against a fresh one, and the table and analysis
+// a TransformationApplier refreshes in part, after each application, against
+// a fresh walk of the whole module. They run at every point where an owner
+// refreshes the table: after each applied transformation of a fuzzer run,
+// after each transformation replayed by applySequence, and after each pass
+// of every standard-fleet pipeline, where the pass's own mutations have
+// left the table stale.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +21,14 @@
 #include "TestHelpers.h"
 
 #include "core/TransformationUtil.h"
+#include "core/Transformations.h"
 #include "support/ModuleHash.h"
 #include "support/Rng.h"
 #include "target/Target.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 using namespace spvfuzz;
 
@@ -73,18 +78,13 @@ struct KeepCounts {
   size_t Kept = 0, Dropped = 0;
 };
 
-/// Refreshes \p Kept on \p M, then checks it against a fresh analysis:
-/// the same successors, the same predecessors in the same order, the same
-/// reachability and reverse postorder, and the same dominance for every
-/// block pair. Querying every function leaves all graphs built, so the
-/// next refresh has graphs to keep.
-void refreshAndCompare(ModuleAnalysis &Kept, bool Built, const Module &M,
-                       KeepCounts &Counts, const std::string &Where) {
-  if (Built)
-    for (const Function &Func : M.Functions)
-      ++(Kept.cfg(Func.id()).matches(Func) ? Counts.Kept : Counts.Dropped);
-  Kept.refresh(M);
-  ModuleAnalysis Fresh(M);
+/// Checks \p Kept's graphs against \p Fresh's, both over modules with
+/// \p M's functions: the same successors, the same predecessors in the
+/// same order, the same reachability and reverse postorder, and the same
+/// dominance for every block pair. Querying every function leaves all of
+/// \p Kept's graphs built, so its next refresh has graphs to keep.
+void expectSameGraphs(const ModuleAnalysis &Kept, const ModuleAnalysis &Fresh,
+                      const Module &M, const std::string &Where) {
   for (const Function &Func : M.Functions) {
     const Cfg &KG = Kept.cfg(Func.id()), &FG = Fresh.cfg(Func.id());
     ASSERT_EQ(KG.reversePostorder(), FG.reversePostorder()) << Where;
@@ -113,11 +113,110 @@ void refreshAndCompare(ModuleAnalysis &Kept, bool Built, const Module &M,
   }
 }
 
+/// Refreshes \p Kept on \p M, then checks it against a fresh analysis.
+void refreshAndCompare(ModuleAnalysis &Kept, bool Built, const Module &M,
+                       KeepCounts &Counts, const std::string &Where) {
+  if (Built)
+    for (const Function &Func : M.Functions)
+      ++(Kept.cfg(Func.id()).matches(Func) ? Counts.Kept : Counts.Dropped);
+  Kept.refresh(M);
+  expectSameGraphs(Kept, ModuleAnalysis(M), M, Where);
+}
+
+/// The instruction at \p Slot's position in \p M; nullptr for a label.
+const Instruction *instructionAt(const Module &M, const DefSlot &Slot) {
+  switch (Slot.SlotKind) {
+  case DefSlot::Kind::Global:
+    return &M.GlobalInsts[Slot.Index];
+  case DefSlot::Kind::Function:
+    return &M.Functions[Slot.Func].Def;
+  case DefSlot::Kind::Param:
+    return &M.Functions[Slot.Func].Params[Slot.Index];
+  case DefSlot::Kind::Body:
+    return &M.Functions[Slot.Func].Blocks[Slot.Index].Body[Slot.Inst];
+  default:
+    return nullptr;
+  }
+}
+
+/// Where \p Inst sits in \p M, by a scan: the position an ambiguous slot
+/// does not name.
+DefSlot positionOf(const Module &M, const Instruction *Inst) {
+  DefSlot Found;
+  M.forEachDefinition([&](Id, const DefSlot &Where, const Function *,
+                          const BasicBlock *, const Instruction *At) {
+    if (At == Inst)
+      Found = Where;
+  });
+  return Found;
+}
+
+/// Checks what is kept for \p M after a change, the module's id table and
+/// \p Kept (the analysis refreshed with it), against a fresh
+/// refreshWithIds over a copy: every slot and every def-info field for
+/// each id below the bound and a few past it (instruction pointers by
+/// position), and the graphs.
+void expectKeptStateMatchesFresh(const ModuleAnalysis &Kept, const Module &M,
+                                 const std::string &Where) {
+  Module Copy = M;
+  ModuleAnalysis Fresh;
+  Fresh.refreshWithIds(Copy);
+  ASSERT_TRUE(M.Ids.Built) << Where;
+  ASSERT_EQ(M.Ids.Unique, Copy.Ids.Unique) << Where;
+  for (Id X = 0; X < M.Bound + 3; ++X) {
+    DefSlot KS = M.Ids.Slots.lookup(X), FS = Copy.Ids.Slots.lookup(X);
+    ASSERT_EQ(KS.SlotKind, FS.SlotKind) << Where << ": slot of %" << X;
+    ASSERT_EQ(KS.Func, FS.Func) << Where << ": slot of %" << X;
+    ASSERT_EQ(KS.Index, FS.Index) << Where << ": slot of %" << X;
+    ASSERT_EQ(KS.Inst, FS.Inst) << Where << ": slot of %" << X;
+    const ModuleAnalysis::DefInfo *KI = Kept.defInfo(X);
+    const ModuleAnalysis::DefInfo *FI = Fresh.defInfo(X);
+    ASSERT_EQ(KI == nullptr, FI == nullptr) << Where << ": def of %" << X;
+    if (!FI)
+      continue;
+    ASSERT_EQ(KI->DefKind, FI->DefKind) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->FuncId, FI->FuncId) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->BlockId, FI->BlockId) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->Index, FI->Index) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->FuncIndex, FI->FuncIndex) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->BlockIndex, FI->BlockIndex) << Where << ": def of %" << X;
+    DefSlot At = FS.SlotKind == DefSlot::Kind::Ambiguous
+                     ? positionOf(Copy, FI->Inst)
+                     : FS;
+    ASSERT_EQ(FI->Inst, instructionAt(Copy, At)) << Where << ": def of %" << X;
+    ASSERT_EQ(KI->Inst, instructionAt(M, At)) << Where << ": def of %" << X;
+  }
+  expectSameGraphs(Kept, Fresh, M, Where);
+}
+
+/// How many applications of each kind expectKeptStateMatchesFresh checked.
+using KindCounts = std::array<size_t, NumTransformationKinds>;
+
+/// Applies \p Sequence to \p M with one applier, as applySequenceRange
+/// does, checking the kept state after every application.
+void applyAndCheckKeptState(Module &M, FactManager &Facts,
+                            const TransformationSequence &Sequence,
+                            KindCounts &Checked, const std::string &Where) {
+  TransformationApplier Applier(M, Facts);
+  for (size_t I = 0; I < Sequence.size(); ++I) {
+    const Transformation &T = *Sequence[I];
+    if (!Applier.isApplicable(T))
+      continue;
+    Applier.apply(T);
+    expectKeptStateMatchesFresh(Applier.analysis(), M,
+                                Where + " after " +
+                                    transformationKindName(T.kind()) + " #" +
+                                    std::to_string(I));
+    ++Checked[static_cast<size_t>(T.kind())];
+  }
+}
+
 } // namespace
 
 /// The fuzzer's loop: a TransformationApplier checks and applies the
-/// sequence a fuzzer run recorded. After each application the table is
-/// refreshed and answers like the scans; so does a kept analysis.
+/// sequence a fuzzer run recorded. After each application the table
+/// answers like the scans, the applier's analysis like a fresh walk, and a
+/// separately refreshed analysis keeps its graphs correctly.
 TEST(ModuleIndex, FuzzerApplicationsMatchReference) {
   KeepCounts Counts;
   for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
@@ -137,6 +236,7 @@ TEST(ModuleIndex, FuzzerApplicationsMatchReference) {
       ASSERT_TRUE(Applier.isApplicable(T)) << Where;
       Applier.apply(T);
       expectRefreshedLookupsMatchReference(M, Where);
+      expectKeptStateMatchesFresh(Applier.analysis(), M, Where);
       // The fuzzer takes fresh ids between applications; an exact table
       // still calls them fresh.
       Id Fresh = M.takeFreshId();
@@ -184,18 +284,149 @@ TEST(ModuleIndex, ReplayedTransformationsMatchReference) {
   }
 }
 
-/// Every pass of every standard-fleet pipeline refreshes the table on
-/// entry and then mutates the module, so after the pass the table is stale
-/// and every answer it gives must come from a checked slot or a scan.
+/// Every kind's stated change, checked: the applier's table and analysis
+/// after every application, over the recorded sequences replayed whole and
+/// by a random half (where preconditions fail and the states differ), plus
+/// hand-built applications of the kinds those sequences never hold.
+TEST(ModuleIndex, EveryKindKeepsTheTableAndAnalysisExact) {
+  KindCounts Checked{};
+  for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
+    test::FuzzCase Case = test::runFuzz(Seed, Limit);
+    Rng Random(Seed);
+    TransformationSequence Half;
+    for (const TransformationPtr &T : Case.Result.Sequence)
+      if (Random.flip())
+        Half.push_back(T);
+    for (const TransformationSequence *Sequence :
+         {&Case.Result.Sequence, &Half}) {
+      Module M = Case.Original.M;
+      FactManager Facts;
+      Facts.setKnownInput(Case.Original.Input);
+      applyAndCheckKeptState(M, Facts, *Sequence, Checked,
+                             "seed " + std::to_string(Seed) + " replay");
+    }
+  }
+
+  // The fixture, with the kinds no recorded sequence holds: new types and
+  // constants, a private global, a scratch local with an irrelevant
+  // constant stored into it, and a dead block whose branch becomes a kill.
+  // Then a call to a new void function, inlined: the call's result id is
+  // the one definition a transformation removes.
+  test::Fixture F;
+  Module M = F.M;
+  FactManager Facts;
+  Facts.setKnownInput(F.Input);
+  ModuleBuilder Builder(M);
+  Id FunctionPtr = Builder.getPointerType(StorageClass::Function, F.IntType);
+  Id TrueConst = Builder.getBoolConstant(true);
+  Id Scratch = M.takeFreshId(), Trivial = M.takeFreshId();
+  Id VecType = M.takeFreshId(), PrivatePtr = M.takeFreshId();
+  Id Dead = M.takeFreshId();
+  const BasicBlock &Merge = *M.findFunction(F.MainId)->findBlock(F.MergeBlock);
+  InstructionDescriptor BeforeStore = describeInstruction(Merge, 1);
+  InstructionDescriptor BeforeReturn{Merge.Body[0].Result, Op::Return, 0};
+  Function Empty;
+  Empty.Def = Instruction(
+      Op::Function, F.VoidType, M.takeFreshId(),
+      {Operand::literal(FC_None),
+       Operand::id(M.findFunction(F.MainId)->functionTypeId())});
+  Empty.Blocks.emplace_back(M.takeFreshId());
+  Empty.Blocks[0].Body.push_back(ModuleBuilder::makeReturn());
+  Id Call = M.takeFreshId();
+  TransformationSequence Sequence = {
+      std::make_shared<TransformationAddTypeStruct>(
+          M.takeFreshId(), std::vector<Id>{F.IntType, F.BoolType}),
+      std::make_shared<TransformationAddTypeVector>(VecType, F.IntType, 2),
+      std::make_shared<TransformationAddConstantComposite>(
+          M.takeFreshId(), VecType, std::vector<Id>{F.Const2, F.Const3}),
+      std::make_shared<TransformationAddTypePointer>(
+          PrivatePtr, StorageClass::Private, F.IntType),
+      std::make_shared<TransformationAddGlobalVariable>(M.takeFreshId(),
+                                                        PrivatePtr, F.Const2),
+      std::make_shared<TransformationAddLocalVariable>(Scratch, FunctionPtr,
+                                                       F.MainId, InvalidId),
+      std::make_shared<TransformationAddConstantScalar>(Trivial, F.IntType, 0,
+                                                        true),
+      std::make_shared<TransformationAddStore>(Scratch, Trivial, BeforeStore),
+      // The store now sits before the merge block's second instruction;
+      // its irrelevant value operand becomes the block's first load.
+      std::make_shared<TransformationReplaceIrrelevantId>(
+          BeforeStore, 1,
+          Merge.Body[0].Result),
+      std::make_shared<TransformationAddDeadBlock>(Dead, F.ThenBlock,
+                                                   TrueConst),
+      std::make_shared<TransformationReplaceBranchWithKill>(Dead),
+      std::make_shared<TransformationAddFunction>(
+          TransformationAddFunction::encodeFunction(Empty), true),
+      std::make_shared<TransformationAddFunctionCall>(
+          Call, Empty.id(), std::vector<Id>{}, BeforeReturn),
+      std::make_shared<TransformationInlineFunction>(
+          InstructionDescriptor{Call, Op::FunctionCall, 0}, M.takeFreshId(),
+          std::vector<uint32_t>{Empty.Blocks[0].LabelId, M.takeFreshId()}),
+      // Last: a second int or bool type leaves a module the validator,
+      // and so the kill's precondition, rejects.
+      std::make_shared<TransformationAddTypeInt>(M.takeFreshId()),
+      std::make_shared<TransformationAddTypeBool>(M.takeFreshId()),
+  };
+  KindCounts HandBuilt{};
+  applyAndCheckKeptState(M, Facts, Sequence, HandBuilt, "fixture");
+  for (const TransformationPtr &T : Sequence)
+    EXPECT_EQ(HandBuilt[static_cast<size_t>(T->kind())], 1u)
+        << transformationKindName(T->kind()) << " did not apply";
+  for (size_t K = 0; K < NumTransformationKinds; ++K)
+    EXPECT_GT(Checked[K] + HandBuilt[K], 0u)
+        << transformationKindName(static_cast<TransformationKind>(K))
+        << " was never checked";
+}
+
+/// A refresh in part clears an id its parts no longer define, and falls
+/// back to a whole walk where they now define an id that is defined
+/// elsewhere too or define a new id twice (changes no transformation makes
+/// to a valid module): the table and the analysis still answer as a fresh
+/// walk does, ambiguous slots included.
+TEST(ModuleIndex, RefreshInPartFallsBackToAWholeWalk) {
+  for (int Case = 0; Case < 4; ++Case) {
+    test::Fixture F;
+    Module M = F.M;
+    ModuleAnalysis Kept;
+    Kept.refreshWithIds(M);
+    ModuleChange Change;
+    Change.What = ModuleChange::Kind::Blocks;
+    Change.Sites = {F.MergeBlock};
+    ChangedParts Parts;
+    M.resolveChange(Change, Parts);
+    ASSERT_FALSE(Parts.WholeModule);
+    BasicBlock &Merge = *M.findFunction(F.MainId)->findBlock(F.MergeBlock);
+    Id Fresh = M.takeFreshId();
+    if (Case == 0)
+      Merge.Body.insert(Merge.Body.begin(),
+                        ModuleBuilder::makeLoad(F.IntType, F.LoadX, F.U0));
+    if (Case >= 2)
+      Merge.Body.erase(Merge.Body.begin());
+    if (Case == 1 || Case == 3)
+      Merge.Body.insert(Merge.Body.begin(), 2,
+                        ModuleBuilder::makeLoad(F.IntType, Fresh, F.U0));
+    Kept.refreshWithIds(M, Parts);
+    expectKeptStateMatchesFresh(Kept, M, "case " + std::to_string(Case));
+    EXPECT_EQ(M.Ids.Unique, Case == 2);
+  }
+}
+
+/// Every pass of every standard-fleet pipeline that looks ids up refreshes
+/// the table on entry and then mutates the module, so after the pass the
+/// table is stale and every answer it gives must come from a checked slot
+/// or a scan. A pass that looks nothing up builds no table.
 TEST(ModuleIndex, StaleTablesAfterOptPassesMatchReference) {
   TargetFleet Fleet = TargetFleet::standard();
   for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
     test::FuzzCase Case = test::runFuzz(Seed, Limit);
     for (const Target &T : Fleet) {
       Module M = Case.Result.Variant;
+      bool Refreshed = false;
       for (OptPassKind Kind : T.spec().Pipeline) {
         ASSERT_FALSE(runOptPass(Kind, M, BugHost()));
-        ASSERT_TRUE(M.Ids.Built);
+        Refreshed = Refreshed || optPassLooksUpIds(Kind);
+        ASSERT_EQ(M.Ids.Built, Refreshed);
         expectLookupsMatchReference(
             M, "seed " + std::to_string(Seed) + " " + T.name() + " after " +
                    optPassName(Kind));

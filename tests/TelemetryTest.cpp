@@ -8,10 +8,12 @@
 /// Unit tests for the metrics registry, centred on the property the
 /// parallel campaign engine relies on: merging per-worker registries is
 /// associative and commutative, so p50/p90/p99 snapshots do not depend on
-/// observation order or merge shape.
+/// observation order or merge shape. Also the bench gate's snapshot
+/// comparison (obs/BenchCompare).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/BenchCompare.h"
 #include "support/Telemetry.h"
 
 #include "gtest/gtest.h"
@@ -256,3 +258,50 @@ TEST(Telemetry, MetricsWriteToAFullDeviceFails) {
 }
 
 } // namespace
+
+TEST(BenchCompare, ExactCountersGateWorkNotTime) {
+  MetricsSnapshot Base;
+  Base.Counters = {{"fuzzer.applications.SplitBlock", 290},
+                   {"fuzzer.attempts.SplitBlock", 292},
+                   {"exec.runs", 4096},
+                   {"harness.retries", 3}};
+  Base.Gauges = {{"transform.fuzz_applications_per_sec", 100000.0}};
+  MetricsSnapshot Current = Base;
+  // Timing alone moves: a regression, but no exact mismatch.
+  Current.Gauges["transform.fuzz_applications_per_sec"] = 10.0;
+  Current.Counters["harness.retries"] = 5; // drift outside the list
+  obs::CompareOptions Opts;
+  Opts.ExactCounters = obs::splitCounterList("fuzzer.*,exec.runs");
+  ASSERT_EQ(Opts.ExactCounters,
+            (std::vector<std::string>{"fuzzer.*", "exec.runs"}));
+  obs::CompareResult Result = obs::compareSnapshots(Base, Current, Opts);
+  EXPECT_EQ(Result.Regressions.size(), 1u);
+  EXPECT_TRUE(Result.ExactMismatches.empty());
+  EXPECT_NE(Result.Report.find("exact counters: 3 compared, 0 mismatch"),
+            std::string::npos)
+      << Result.Report;
+
+  // One listed counter raised by one, one missing on a side, and an
+  // entry that matches nothing: each is named.
+  Current = Base;
+  Current.Counters["fuzzer.applications.SplitBlock"] = 291;
+  Current.Counters["fuzzer.applications.AddLoad"] = 1;
+  Opts.ExactCounters = {"fuzzer.*", "replay.*", "exec.runs"};
+  Result = obs::compareSnapshots(Base, Current, Opts);
+  EXPECT_TRUE(Result.Regressions.empty());
+  ASSERT_EQ(Result.ExactMismatches.size(), 3u) << Result.Report;
+  EXPECT_EQ(Result.ExactMismatches[0],
+            "exact counter 'fuzzer.applications.AddLoad' present only in the "
+            "current snapshot");
+  EXPECT_EQ(Result.ExactMismatches[1],
+            "exact counter 'fuzzer.applications.SplitBlock' differs: base "
+            "290, current 291");
+  EXPECT_EQ(Result.ExactMismatches[2],
+            "exact entry 'replay.*' matches no counter");
+
+  // Without a list, counter drift is a warning only.
+  Result = obs::compareSnapshots(Base, Current);
+  EXPECT_TRUE(Result.ExactMismatches.empty());
+  EXPECT_FALSE(Result.Warnings.empty());
+  EXPECT_TRUE(obs::splitCounterList(",,").empty());
+}

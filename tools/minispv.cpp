@@ -38,6 +38,7 @@
 ///   minispv report   (metrics.json... | --store DIR) [--trace t.jsonl]
 ///   minispv report   --compare BASE.json CURRENT.json
 ///                    [--regression-threshold PCT] [--warn-only]
+///                    [--exact NAME,PREFIX*,...]
 ///   minispv top      <store> [--once] [--interval-ms N] [--timeout-ms N]
 ///   minispv tail     <store> [--follow] [--json] [--interval-ms N]
 ///                    [--timeout-ms N]
@@ -74,7 +75,9 @@
 /// naming the file;
 /// `minispv report` renders a metrics dump as a table, `report --trace`
 /// a per-phase/per-target time breakdown, and `report --compare` a bench
-/// regression verdict (exit 4 on regression).
+/// regression verdict (exit 4 on regression). With `--exact`, the listed
+/// counters (names, or prefixes ending in `*`) must be identical in both
+/// dumps; drift exits 4 even under `--warn-only`, which covers timing only.
 ///
 /// `campaign --store` also appends a typed event journal to
 /// DIR/journal/events.jsonl at every serial commit point; `top` renders a
@@ -940,28 +943,39 @@ int cmdReport(const Args &A) {
     // positional file from the fresh bench run.
     if (A.Positional.size() != 1)
       fail("usage: minispv report --compare BASE.json CURRENT.json "
-           "[--regression-threshold PCT] [--warn-only]");
+           "[--regression-threshold PCT] [--warn-only] "
+           "[--exact NAME,PREFIX*,...]");
     telemetry::MetricsSnapshot Base = loadMetricsFileOrExit(A.get("compare"));
     telemetry::MetricsSnapshot Current =
         loadMetricsFileOrExit(A.Positional[0]);
     obs::CompareOptions Opts;
     Opts.ThresholdPct = static_cast<double>(
         A.number("regression-threshold", 25));
+    if (A.has("exact")) {
+      Opts.ExactCounters = obs::splitCounterList(A.get("exact"));
+      if (Opts.ExactCounters.empty())
+        fail("--exact needs at least one counter name or prefix");
+    }
     obs::CompareResult Result = obs::compareSnapshots(Base, Current, Opts);
     printf("comparing %s (base) vs %s (current)\n\n", A.get("compare").c_str(),
            A.Positional[0].c_str());
     printf("%s", Result.Report.c_str());
     for (const std::string &Warning : Result.Warnings)
       fprintf(stderr, "minispv: warning: %s\n", Warning.c_str());
-    if (Result.Regressions.empty()) {
-      printf("\nno regressions beyond %.0f%%\n", Opts.ThresholdPct);
-      return 0;
-    }
+    // --warn-only covers timing, which moves with the machine; the exact
+    // counters measure work, which does not.
+    for (const std::string &Mismatch : Result.ExactMismatches)
+      fprintf(stderr, "minispv: EXACT COUNTER DRIFT: %s\n", Mismatch.c_str());
     for (const std::string &Regression : Result.Regressions)
       fprintf(stderr, "minispv: %s: %s\n",
               A.has("warn-only") ? "warning (regression)" : "REGRESSION",
               Regression.c_str());
-    return A.has("warn-only") ? 0 : ObsExitRegression;
+    if (Result.Regressions.empty())
+      printf("\nno regressions beyond %.0f%%\n", Opts.ThresholdPct);
+    if (!Result.ExactMismatches.empty() ||
+        (!Result.Regressions.empty() && !A.has("warn-only")))
+      return ObsExitRegression;
+    return 0;
   }
 
   for (const std::string &Path : A.Positional)
@@ -986,7 +1000,8 @@ int cmdReport(const Args &A) {
 
   if (Sources.empty())
     fail("usage: minispv report (<metrics.json>... | --store DIR) "
-         "[--trace t.jsonl] [--compare BASE.json CURRENT.json]");
+         "[--trace t.jsonl] [--compare BASE.json CURRENT.json "
+         "[--exact NAME,PREFIX*,...]]");
   for (const auto &[Label, Snapshot] : Sources) {
     if (Sources.size() > 1)
       printf("=== %s ===\n", Label.c_str());
@@ -1130,6 +1145,8 @@ int cmdHelp(const Args &) {
       "\n"
       "observability commands:\n"
       "  report     render metrics dumps, traces, bench comparisons\n"
+      "             (--compare BASE CURRENT; --exact LIST also requires\n"
+      "             the listed work counters to match exactly)\n"
       "  top        live single-screen campaign summary (+ per-worker\n"
       "             panel when DIR/journal/serve.jsonl exists)\n"
       "  tail       stream the campaign's decision journal\n"
@@ -1143,7 +1160,10 @@ int cmdHelp(const Args &) {
       "     input)\n"
       "  2  missing input (file or store not found)\n"
       "  3  timeout (top/tail --timeout-ms)\n"
-      "  4  bench regression (report --compare)\n"
+      "  4  bench regression (report --compare): a timing gauge beyond\n"
+      "     the threshold (not with --warn-only), or with --exact LIST a\n"
+      "     listed counter (name, or prefix ending in *) that differs or\n"
+      "     is in one dump only\n"
       "  5  a file write failed (output file, store, journal, metrics or\n"
       "     trace; the message names the file). A store is left for\n"
       "     `campaign --resume` to finish as if nothing had failed\n");
@@ -1199,7 +1219,7 @@ const std::vector<Command> &commands() {
       {"targets", cmdTargets, {}, {"faulty-fleet"}},
       {"report",
        cmdReport,
-       {"store", "compare", "regression-threshold", "trace"},
+       {"store", "compare", "regression-threshold", "trace", "exact"},
        {"warn-only"}},
       {"top", cmdTop, {"timeout-ms", "interval-ms"}, {"once"}},
       {"tail", cmdTail, {"timeout-ms", "interval-ms"}, {"follow", "json"}},
