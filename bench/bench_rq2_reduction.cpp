@@ -108,9 +108,8 @@ int main(int argc, char **argv) {
   bool Compare = Order != CandidateOrder::Paper || PostReduce;
   std::vector<std::string> Footer = {
       "target.compiles", "campaign.reductions", "reducer.checks",
-      "baseline_reducer.checks", "reducer.speculative_checks",
-      "evalcache.hits", "evalcache.misses", "replaycache.replays",
-      "replaycache.transformations_skipped"};
+      "baseline_reducer.checks", "evalcache.hits", "evalcache.misses",
+      "replaycache.replays", "replaycache.transformations_skipped"};
   if (Order == CandidateOrder::Learned) {
     Footer.push_back("reducer.model.updates");
     Footer.push_back("reducer.model.reorders");

@@ -45,6 +45,7 @@ void ModuleAnalysis::refreshWithIds(Module &NewM) {
 void ModuleAnalysis::refreshWithIds(Module &NewM, const ChangedParts &Change) {
   if (Change.WholeModule || M != &NewM || !NewM.Ids.Built ||
       !NewM.Ids.Unique) {
+    ++WholeWalkFallbacks;
     refreshWithIds(NewM);
     return;
   }
@@ -56,6 +57,7 @@ void ModuleAnalysis::refreshWithIds(Module &NewM, const ChangedParts &Change) {
     if (Gone < Defs.size())
       Defs[Gone] = DefInfo{};
   if (!NewM.refreshIds(Change, [this](auto... Def) { record(Def...); })) {
+    ++WholeWalkFallbacks;
     refreshWithIds(NewM);
     return;
   }

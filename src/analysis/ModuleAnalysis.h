@@ -54,6 +54,11 @@ public:
   /// cannot be refreshed alone.
   void refreshWithIds(Module &M, const ChangedParts &Change);
 
+  /// How many refreshes in part fell back to the whole-module walk over
+  /// this analysis's life: a change that names no parts, or parts that
+  /// cannot be refreshed alone.
+  size_t wholeWalkFallbacks() const { return WholeWalkFallbacks; }
+
   struct DefInfo {
     enum class Kind : uint8_t { None, Global, FunctionDef, Param, Body, Label };
     Kind DefKind = Kind::None;
@@ -123,6 +128,7 @@ private:
   IdTable<DefInfo> Defs; // sized to the module bound
   // Lazily materialized query state (see file comment: single-threaded).
   mutable std::vector<FunctionState> Funcs;
+  size_t WholeWalkFallbacks = 0;
 };
 
 } // namespace spvfuzz

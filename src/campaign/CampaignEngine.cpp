@@ -472,8 +472,9 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         WantedTargets.end())
       Wanted.push_back(&T);
 
-  // Plan shared by every reduction task of this phase; the pool and the
-  // per-tool AddFunction-shrink knob are filled in per task.
+  // Plan shared by every reduction task of this phase; the per-tool
+  // AddFunction-shrink knob is filled in per task. It has no pool: a task
+  // is itself a pool job and reduces serially.
   ReductionPlan BasePlan;
   BasePlan.Order = Policy.ReduceOrder;
   BasePlan.PostReduce = Policy.PostReduce;
@@ -588,21 +589,16 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       }
     };
 
-    // Run the wave's accepted reductions; commit records in acceptance
-    // order. Two schedules, same records:
-    //  - speculative (spirv-fuzz tools, pool available): reductions run
-    //    one at a time on this thread while each reduction speculates its
-    //    delta-debugging candidates across the pool. Reductions must not
-    //    themselves be pool jobs then — a job submitting to and blocking
-    //    on its own pool can deadlock it.
-    //  - otherwise: reductions fan out across the pool (glsl-fuzz's group
-    //    reducer has no speculative path).
-    const bool Speculative = Pool && Tool.Name != "glsl-fuzz";
+    // Run the wave's accepted reductions: each one is a pool job that
+    // reduces serially (each starts a fresh pipeline, so running them side
+    // by side cannot change a record). Records commit in acceptance order,
+    // each as soon as it and every earlier one are done, so reproducer
+    // writes overlap the reductions still running.
     Phase.EndWave = [&](size_t WaveEnd, telemetry::TraceSpan &WaveSpan) {
       std::vector<ReductionTask> Tasks = std::move(Accepted);
       Accepted.clear();
-      auto RunTask = [this, &Tool, &BasePlan, Speculative,
-                      WaveId = WaveSpan.id()](const ReductionTask &Task)
+      auto RunTask = [this, &Tool, &BasePlan, WaveId = WaveSpan.id()](
+                         const ReductionTask &Task)
           -> std::optional<ReductionOutcome> {
         if (cancelled())
           return std::nullopt;
@@ -620,7 +616,6 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         InterestingnessTest Test = makeInterestingnessTestFor(
             *Task.T, Task.Signature, Reference.M, Reference.Input);
         ReductionPlan TaskPlan = BasePlan;
-        TaskPlan.Pool = Speculative ? Pool.get() : nullptr;
         // The §3.4 spirv-reduce step (AddFunction payload shrinking) is a
         // pipeline stage now; glsl-fuzz's group reducer has neither it nor
         // a sequence-level pipeline.
@@ -644,7 +639,6 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         Record.ReducedCount = Reduced.ReducedVariant.instructionCount();
         Record.MinimizedLength = Reduced.Minimized.size();
         Record.Checks = Reduced.Checks;
-        Record.SpeculativeChecks = Reduced.SpeculativeChecks;
         Record.Types = dedupTypesOf(Reduced.Minimized);
         Record.PostStats = std::move(Reduced.PostStats);
         Out.ReferenceIndex = Task.Scan->ReferenceIndex;
@@ -657,20 +651,28 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         return Out;
       };
 
-      std::vector<std::optional<ReductionOutcome>> Outcomes;
-      if (Speculative) {
-        Outcomes.reserve(Tasks.size());
+      // Without a pool each task runs inline when its turn to commit comes.
+      std::vector<std::future<std::optional<ReductionOutcome>>> Futures;
+      if (Pool) {
+        Futures.reserve(Tasks.size());
         for (const ReductionTask &Task : Tasks)
-          Outcomes.push_back(RunTask(Task));
-      } else {
-        std::vector<std::function<std::optional<ReductionOutcome>()>>
-            ReduceJobs;
-        ReduceJobs.reserve(Tasks.size());
-        for (const ReductionTask &Task : Tasks)
-          ReduceJobs.push_back([&RunTask, Task] { return RunTask(Task); });
-        Outcomes = runJobs(std::move(ReduceJobs));
+          Futures.push_back(
+              Pool->submit([&RunTask, &Task] { return RunTask(Task); }));
       }
-      for (std::optional<ReductionOutcome> &Out : Outcomes) {
+      // The jobs read Tasks, RunTask, BasePlan and the wave's scan outcomes
+      // by reference, so every exit from here waits for all of them first:
+      // a deadline, a store write that throws, a throwing observer.
+      struct DrainOnExit {
+        std::vector<std::future<std::optional<ReductionOutcome>>> &Futures;
+        ~DrainOnExit() {
+          for (auto &Future : Futures)
+            if (Future.valid())
+              Future.wait();
+        }
+      } Drain{Futures};
+      for (size_t I = 0; I < Tasks.size(); ++I) {
+        std::optional<ReductionOutcome> Out =
+            Pool ? Futures[I].get() : RunTask(Tasks[I]);
         if (!Out)
           return false;
         telemetry::MetricsRegistry::global().add("campaign.reductions");

@@ -392,7 +392,9 @@ public:
   /// ğ4.2 reduction-quality driver (RQ2). Cap and budget decisions
   /// (CapPerSignature, MaxReductionsPerTool) are applied serially, in
   /// test-index order, on the aggregation thread, so the set of reductions
-  /// run is identical at any job count.
+  /// run is identical at any job count. A wave's accepted reductions then
+  /// run side by side as pool jobs, each reducing serially, and their
+  /// records commit in acceptance order.
   ReductionData runReductions(const ReductionConfig &Config);
 
   /// Table 4 driver (RQ3): crash-only reductions + Figure 6 dedup.

@@ -166,7 +166,9 @@ struct ReductionPlan {
   /// the pool while acceptance commits strictly in serial scan order;
   /// results invalidated by an earlier acceptance are discarded (counted
   /// in ReduceResult::SpeculativeChecks). The pipeline only submits leaf
-  /// jobs — never call run() itself from a job on the same pool.
+  /// jobs — never call run() itself from a job on the same pool. Only
+  /// `minispv reduce --jobs` sets it; campaign reductions are pool jobs
+  /// themselves and leave it null.
   ThreadPool *Pool = nullptr;
   /// Chunk-candidate ordering for the delta-debugging scans.
   CandidateOrder Order = CandidateOrder::Paper;

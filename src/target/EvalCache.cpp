@@ -47,6 +47,36 @@ bool EvalCache::lookup(uint64_t ArtifactId, uint64_t InputHash,
   return Hit;
 }
 
+TargetRun EvalCache::lookupOrRun(uint64_t ArtifactId, uint64_t InputHash,
+                                 const std::function<TargetRun()> &Compute) {
+  const Key K{ArtifactId, InputHash};
+  TargetRun Run;
+  {
+    // Wait out a computation of this key that is under way, then look up,
+    // so each call counts once: a hit, or the miss it computes.
+    std::unique_lock<std::mutex> Lock(FlightMutex);
+    FlightDone.wait(Lock, [&] { return !InFlight.count(K); });
+    if (lookup(ArtifactId, InputHash, Run))
+      return Run;
+    InFlight.insert(K);
+  }
+  // The claim is released however Compute ends, waking the waiters.
+  struct Release {
+    EvalCache &Cache;
+    const Key &K;
+    ~Release() {
+      {
+        std::lock_guard<std::mutex> Lock(Cache.FlightMutex);
+        Cache.InFlight.erase(K);
+      }
+      Cache.FlightDone.notify_all();
+    }
+  } Claim{*this, K};
+  Run = Compute();
+  insert(ArtifactId, InputHash, Run);
+  return Run;
+}
+
 void EvalCache::insert(uint64_t ArtifactId, uint64_t InputHash,
                        const TargetRun &Run) {
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();

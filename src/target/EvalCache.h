@@ -20,8 +20,11 @@
 /// Because the memoized function is deterministic, a hit returns exactly
 /// what a miss would have computed: cache state (and therefore budget,
 /// eviction order, or cross-thread interleaving) can never change a
-/// reduction or dedup result, only its cost. Hit/miss/eviction counters
-/// are published through telemetry as evalcache.*.
+/// reduction or dedup result, only its cost. Concurrent requests for one
+/// key compute it once (lookupOrRun), so as long as nothing is evicted the
+/// hits, the misses and the runs behind the misses are those of the same
+/// requests made one after another. Hit/miss/eviction counters are
+/// published through telemetry as evalcache.*.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +33,11 @@
 
 #include "support/LruCache.h"
 #include "target/Target.h"
+
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <unordered_set>
 
 namespace spvfuzz {
 
@@ -45,16 +53,22 @@ public:
   /// Target::artifactId of the module's structural hash.
   bool lookup(uint64_t ArtifactId, uint64_t InputHash, TargetRun &Out);
 
-  /// Caches \p Run under the key, evicting least-recently-used entries
-  /// until the byte budget holds. No-op when the budget is 0 or the entry
-  /// alone exceeds it.
-  void insert(uint64_t ArtifactId, uint64_t InputHash, const TargetRun &Run);
+  /// The outcome cached under the key, or else \p Compute's, which is then
+  /// inserted. While one call computes a key, other calls for that key wait
+  /// for it and then count as hits.
+  TargetRun lookupOrRun(uint64_t ArtifactId, uint64_t InputHash,
+                        const std::function<TargetRun()> &Compute);
 
   size_t entryCount() const { return Lru.entryCount(); }
   uint64_t hitCount() const { return Lru.hitCount(); }
   uint64_t missCount() const { return Lru.missCount(); }
 
 private:
+  /// Caches \p Run under the key, evicting least-recently-used entries
+  /// until the byte budget holds. No-op when the budget is 0 or the entry
+  /// alone exceeds it.
+  void insert(uint64_t ArtifactId, uint64_t InputHash, const TargetRun &Run);
+
   struct Key {
     uint64_t ArtifactId = 0;
     uint64_t InputHash = 0;
@@ -68,6 +82,10 @@ private:
   };
 
   LruCache<Key, TargetRun, KeyHasher> Lru;
+  /// Keys a lookupOrRun call is computing.
+  std::mutex FlightMutex;
+  std::condition_variable FlightDone;
+  std::unordered_set<Key, KeyHasher> InFlight;
 };
 
 } // namespace spvfuzz

@@ -83,11 +83,9 @@ HarnessedTarget::runBatch(const Module &M, uint64_t ModuleHash,
       Run = votedRun(M, ModuleHash, Input);
     } else {
       // One attempt suffices, and is safe to memoize.
-      const uint64_t IHash = hashShaderInput(Input);
-      if (!Cache->lookup(AId, IHash, Run)) {
-        Run = runOnce(M, ModuleHash, Input, 0);
-        Cache->insert(AId, IHash, Run);
-      }
+      Run = Cache->lookupOrRun(AId, hashShaderInput(Input), [&] {
+        return runOnce(M, ModuleHash, Input, 0);
+      });
     }
     finishRun(RunSpan, name(), std::span<const TargetRun>(&Run, 1));
   }

@@ -22,6 +22,8 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -155,6 +157,7 @@ TEST(CampaignEngine, ReductionsAreIdenticalAcrossJobCounts) {
     EXPECT_EQ(X.ReducedCount, Y.ReducedCount) << "record " << I;
     EXPECT_EQ(X.MinimizedLength, Y.MinimizedLength) << "record " << I;
     EXPECT_EQ(X.Checks, Y.Checks) << "record " << I;
+    EXPECT_EQ(X.SpeculativeChecks, Y.SpeculativeChecks) << "record " << I;
     EXPECT_EQ(X.Types, Y.Types) << "record " << I;
   }
 }
@@ -174,27 +177,6 @@ void expectSameReductionRecords(const ReductionData &A,
     EXPECT_EQ(X.Checks, Y.Checks) << "record " << I;
     EXPECT_EQ(X.Types, Y.Types) << "record " << I;
   }
-}
-
-TEST(CampaignEngine, SpeculativeReductionIsIdenticalToSerial) {
-  // The speculative path evaluates delta-debugging candidates ahead of
-  // time on the pool; only SpeculativeChecks (wasted work) may differ from
-  // the serial run — the decision sequence, and therefore every record
-  // field including Checks, must not.
-  ReductionConfig Config;
-  Config.TestsPerTool = 60;
-  Config.CapPerSignature = 2;
-  Config.MaxReductionsPerTool = 8;
-
-  CampaignEngine Serial = makeEngine(1);
-  ReductionData A = Serial.runReductions(Config);
-  CampaignEngine Speculative = makeEngine(8);
-  ReductionData B = Speculative.runReductions(Config);
-
-  expectSameReductionRecords(A, B);
-  // The serial run never discards evaluations.
-  for (const ReductionRecord &Record : A.Records)
-    EXPECT_EQ(Record.SpeculativeChecks, 0u);
 }
 
 TEST(CampaignEngine, DedupClassesAreIdenticalAcrossJobCounts) {
@@ -223,36 +205,46 @@ TEST(CampaignEngine, DedupClassesAreIdenticalAcrossJobCounts) {
   EXPECT_GT(A.Total.Tests, 0u);
 }
 
-TEST(CampaignEngine, MetricsCounterTotalsAreIdenticalAcrossJobCounts) {
-  // Counter totals are commutative sums, so they must not depend on how
-  // jobs interleave. (Each gtest binary test runs in its own process, so
-  // resetting the global registry here cannot race another test.)
+/// The counter totals of \p Run on a fresh engine with \p Jobs workers.
+/// (Each gtest binary test runs in its own process, so resetting the
+/// global registry here cannot race another test.)
+std::map<std::string, uint64_t>
+countersOf(size_t Jobs, const std::function<void(CampaignEngine &)> &Run) {
   using telemetry::MetricsRegistry;
-  BugFindingConfig Config;
-  Config.TestsPerTool = 40;
-  Config.NumGroups = 4;
-
   MetricsRegistry::global().setEnabled(true);
   MetricsRegistry::global().reset();
   {
-    CampaignEngine Serial = makeEngine(1);
-    Serial.runBugFinding(Config);
+    CampaignEngine Engine = makeEngine(Jobs);
+    Run(Engine);
   }
-  std::map<std::string, uint64_t> SerialCounters =
-      MetricsRegistry::global().snapshot().Counters;
-
-  MetricsRegistry::global().reset();
-  {
-    CampaignEngine Parallel = makeEngine(8);
-    Parallel.runBugFinding(Config);
-  }
-  std::map<std::string, uint64_t> ParallelCounters =
+  std::map<std::string, uint64_t> Counters =
       MetricsRegistry::global().snapshot().Counters;
   MetricsRegistry::global().reset();
   MetricsRegistry::global().setEnabled(false);
+  return Counters;
+}
 
-  EXPECT_EQ(SerialCounters, ParallelCounters);
-  EXPECT_FALSE(SerialCounters.empty());
+TEST(CampaignEngine, MetricsCounterTotalsAreIdenticalAcrossJobCounts) {
+  // Counter totals are commutative sums, so they must not depend on how
+  // jobs interleave: not in the scan, and not in the reductions, which
+  // run side by side on the pool and share the evaluation cache.
+  BugFindingConfig Scan;
+  Scan.TestsPerTool = 40;
+  Scan.NumGroups = 4;
+  auto BugFinding = [&](CampaignEngine &Engine) { Engine.runBugFinding(Scan); };
+  std::map<std::string, uint64_t> Serial = countersOf(1, BugFinding);
+  EXPECT_EQ(Serial, countersOf(8, BugFinding));
+  EXPECT_FALSE(Serial.empty());
+
+  ReductionConfig Reduce;
+  Reduce.TestsPerTool = 60;
+  Reduce.CapPerSignature = 3;
+  Reduce.MaxReductionsPerTool = 10;
+  auto Dedup = [&](CampaignEngine &Engine) { Engine.runDedup(Reduce); };
+  Serial = countersOf(1, Dedup);
+  EXPECT_EQ(Serial, countersOf(8, Dedup));
+  EXPECT_GT(Serial["campaign.reductions"], 1u);
+  EXPECT_GT(Serial["evalcache.hits"], 0u);
 }
 
 TEST(CampaignEngine, DeadlineTruncatesWork) {
@@ -409,8 +401,8 @@ TEST(CampaignEngine, UniformInputBatchesAreIdenticalAcrossJobCounts) {
 /// Writes one text line per decision the engine hands to its hooks: every
 /// observer callback, every checkpoint it saves and every reproducer it
 /// records. Loads report no checkpoint, so every phase runs from wave 0.
-/// SpeculativeChecks is left out: it is a cost that varies with the
-/// schedule, not a decision.
+/// SpeculativeChecks is left out: campaign reductions never speculate, so
+/// it is always 0 there.
 class DecisionRecorder : public CampaignObserver, public CampaignCheckpointer {
 public:
   std::ostringstream Out;

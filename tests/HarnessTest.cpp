@@ -20,6 +20,11 @@
 #include "target/Harness.h"
 #include "TestHelpers.h"
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 using namespace spvfuzz;
 using namespace spvfuzz::test;
 
@@ -309,6 +314,34 @@ TEST(Harness, EvalCacheMissHandsItsKeyHashToTheTarget) {
   EXPECT_EQ(Art->ArtifactId, Swift->artifactId(Handed));
   // The verdict itself does not depend on the hash on a solid target.
   EXPECT_EQ(Run.Result, Swift->run(F.M, F.Input).Result);
+}
+
+TEST(Harness, EvalCacheRunsARacingKeyOnce) {
+  // A request for a key another request is computing waits for it and
+  // counts as a hit, as it would had the two come one after the other; so
+  // reductions racing on one module leave the counters a serial run does.
+  EvalCache Cache(8u << 20);
+  std::atomic<int> Runs{0};
+  std::promise<void> Started;
+  auto Compute = [&] {
+    ++Runs;
+    TargetRun Run;
+    Run.Signature = "computed";
+    return Run;
+  };
+  std::thread First([&] {
+    Cache.lookupOrRun(1, 2, [&] {
+      Started.set_value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      return Compute();
+    });
+  });
+  Started.get_future().wait();
+  EXPECT_EQ(Cache.lookupOrRun(1, 2, Compute).Signature, "computed");
+  First.join();
+  EXPECT_EQ(Runs.load(), 1);
+  EXPECT_EQ(Cache.hitCount(), 1u);
+  EXPECT_EQ(Cache.missCount(), 1u);
 }
 
 } // namespace

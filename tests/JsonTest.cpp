@@ -23,12 +23,12 @@
 #include "support/Trace.h"
 #include "triage/Attribution.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 using namespace spvfuzz;
 
@@ -36,12 +36,6 @@ namespace {
 
 /// A quote, a backslash, a newline and byte 0x01.
 const std::string Special = "q\"b\\s\nn\x01z";
-
-std::string uniquePath(const std::string &Hint) {
-  static int Counter = 0;
-  return ::testing::TempDir() + "spvfuzz-json-" + Hint + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(Counter++);
-}
 
 std::string readAll(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -74,7 +68,8 @@ telemetry::MetricsSnapshot goldenSnapshot() {
 }
 
 std::string goldenTraceLine() {
-  std::string Path = uniquePath("trace");
+  test::ScratchDir Scratch("json");
+  std::string Path = Scratch.path("trace");
   std::string Error;
   EXPECT_TRUE(telemetry::Tracer::global().open(Path, Error)) << Error;
   // A start time far in the future pins dur_us at 0.
@@ -125,8 +120,9 @@ struct StoreFiles {
 };
 
 StoreFiles goldenStoreFiles() {
+  test::ScratchDir Scratch("json");
   StoreFiles Files;
-  std::string Dir = uniquePath("store");
+  std::string Dir = Scratch.path("store");
   std::string Error;
   ExecutionPolicy Policy = ExecutionPolicy{}.withSeed(5);
   std::unique_ptr<CampaignStore> Store =

@@ -193,10 +193,11 @@ void expectKeptStateMatchesFresh(const ModuleAnalysis &Kept, const Module &M,
 using KindCounts = std::array<size_t, NumTransformationKinds>;
 
 /// Applies \p Sequence to \p M with one applier, as applySequenceRange
-/// does, checking the kept state after every application.
-void applyAndCheckKeptState(Module &M, FactManager &Facts,
-                            const TransformationSequence &Sequence,
-                            KindCounts &Checked, const std::string &Where) {
+/// does, checking the kept state after every application. Returns how
+/// many of the applier's refreshes fell back to a whole walk.
+size_t applyAndCheckKeptState(Module &M, FactManager &Facts,
+                              const TransformationSequence &Sequence,
+                              KindCounts &Checked, const std::string &Where) {
   TransformationApplier Applier(M, Facts);
   for (size_t I = 0; I < Sequence.size(); ++I) {
     const Transformation &T = *Sequence[I];
@@ -209,6 +210,7 @@ void applyAndCheckKeptState(Module &M, FactManager &Facts,
                                     std::to_string(I));
     ++Checked[static_cast<size_t>(T.kind())];
   }
+  return Applier.analysis().wholeWalkFallbacks();
 }
 
 } // namespace
@@ -219,6 +221,7 @@ void applyAndCheckKeptState(Module &M, FactManager &Facts,
 /// separately refreshed analysis keeps its graphs correctly.
 TEST(ModuleIndex, FuzzerApplicationsMatchReference) {
   KeepCounts Counts;
+  size_t WholeWalks = 0;
   for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
     test::FuzzCase Case = test::runFuzz(Seed, Limit);
     Module M = Case.Original.M;
@@ -251,10 +254,15 @@ TEST(ModuleIndex, FuzzerApplicationsMatchReference) {
     // (the hash does not cover the bound, which the extra takes moved).
     EXPECT_EQ(hashModule(M), hashModule(Case.Result.Variant))
         << "seed " << Seed;
+    WholeWalks += Applier.analysis().wholeWalkFallbacks();
   }
   // Most transformations keep control flow; some change it.
   EXPECT_GT(Counts.Kept, Counts.Dropped);
   EXPECT_GT(Counts.Dropped, 0u);
+  // No refresh in part fell back to a whole walk. A kind whose stated
+  // change grows to the whole module would move this count while every
+  // answer above stays right.
+  EXPECT_EQ(WholeWalks, 0u);
 }
 
 /// Sequence replay: applySequence, one transformation at a time, over the
@@ -290,6 +298,7 @@ TEST(ModuleIndex, ReplayedTransformationsMatchReference) {
 /// hand-built applications of the kinds those sequences never hold.
 TEST(ModuleIndex, EveryKindKeepsTheTableAndAnalysisExact) {
   KindCounts Checked{};
+  size_t WholeWalks = 0;
   for (uint64_t Seed = 0; Seed < NumSeeds; ++Seed) {
     test::FuzzCase Case = test::runFuzz(Seed, Limit);
     Rng Random(Seed);
@@ -302,10 +311,13 @@ TEST(ModuleIndex, EveryKindKeepsTheTableAndAnalysisExact) {
       Module M = Case.Original.M;
       FactManager Facts;
       Facts.setKnownInput(Case.Original.Input);
-      applyAndCheckKeptState(M, Facts, *Sequence, Checked,
-                             "seed " + std::to_string(Seed) + " replay");
+      WholeWalks +=
+          applyAndCheckKeptState(M, Facts, *Sequence, Checked,
+                                 "seed " + std::to_string(Seed) + " replay");
     }
   }
+  // Pinned as in FuzzerApplicationsMatchReference.
+  EXPECT_EQ(WholeWalks, 0u);
 
   // The fixture, with the kinds no recorded sequence holds: new types and
   // constants, a private global, a scratch local with an irrelevant
@@ -409,6 +421,7 @@ TEST(ModuleIndex, RefreshInPartFallsBackToAWholeWalk) {
     Kept.refreshWithIds(M, Parts);
     expectKeptStateMatchesFresh(Kept, M, "case " + std::to_string(Case));
     EXPECT_EQ(M.Ids.Unique, Case == 2);
+    EXPECT_EQ(Kept.wholeWalkFallbacks(), Case == 2 ? 0u : 1u);
   }
 }
 

@@ -19,6 +19,8 @@
 #include "obs/Monitor.h"
 #include "store/CampaignStore.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -26,21 +28,11 @@
 #include <stdexcept>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 using namespace spvfuzz;
 using namespace spvfuzz::obs;
 
 namespace {
-
-std::string uniqueDir(const std::string &Hint) {
-  static int Counter = 0;
-  std::string Dir = ::testing::TempDir() + "spvfuzz-journal-" + Hint + "-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(Counter++);
-  ::mkdir(Dir.c_str(), 0755);
-  return Dir;
-}
 
 std::string readAll(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -177,7 +169,8 @@ TEST(Journal, ParserRejectsCountsOutsideUint64) {
 //===----------------------------------------------------------------------===//
 
 TEST(Journal, WriterAssignsSequenceAndWallClock) {
-  std::string Dir = uniqueDir("writer");
+  test::ScratchDir Scratch("journal-writer");
+  const std::string &Dir = Scratch.root();
   std::string Error;
   std::unique_ptr<JournalWriter> Writer =
       JournalWriter::open(Dir, /*Resume=*/false, /*Deterministic=*/false,
@@ -214,7 +207,8 @@ TEST(Journal, WriterAssignsSequenceAndWallClock) {
 }
 
 TEST(Journal, ResumeTruncatesTornAndCorruptTails) {
-  std::string Dir = uniqueDir("torn");
+  test::ScratchDir Scratch("journal-torn");
+  const std::string &Dir = Scratch.root();
   std::string Error;
   std::unique_ptr<JournalWriter> Writer =
       JournalWriter::open(Dir, false, /*Deterministic=*/true, Error);
@@ -253,7 +247,8 @@ TEST(Journal, ResumeTruncatesTornAndCorruptTails) {
 }
 
 TEST(Journal, TruncateForPhaseResumeDropsRecomputedSuffix) {
-  std::string Dir = uniqueDir("truncate");
+  test::ScratchDir Scratch("journal-truncate");
+  const std::string &Dir = Scratch.root();
   std::string Error;
   std::unique_ptr<JournalWriter> Writer =
       JournalWriter::open(Dir, false, /*Deterministic=*/true, Error);
@@ -300,7 +295,8 @@ TEST(Journal, TruncateForPhaseResumeDropsRecomputedSuffix) {
 // once per wave boundary; its CheckpointSaved line stays, and the later
 // waves' lines go, because the resumed phase saves them again.
 TEST(Journal, TruncateKeepsTheResumedCheckpointOnce) {
-  std::string Dir = uniqueDir("truncate-checkpoint");
+  test::ScratchDir Scratch("journal-truncate-checkpoint");
+  const std::string &Dir = Scratch.root();
   std::string Error;
   std::unique_ptr<JournalWriter> Writer =
       JournalWriter::open(Dir, false, /*Deterministic=*/true, Error);
@@ -344,7 +340,8 @@ TEST(Journal, WritesToAFullDeviceThrow) {
 //===----------------------------------------------------------------------===//
 
 TEST(Journal, TailerDeliversOnlyCompleteLines) {
-  std::string Dir = uniqueDir("tailer");
+  test::ScratchDir Scratch("journal-tailer");
+  const std::string &Dir = Scratch.root();
   std::string Path = journalPathFor(Dir);
   ::mkdir((Dir + "/journal").c_str(), 0755);
 
@@ -414,10 +411,11 @@ std::string runJournaled(const ExecutionPolicy &Policy,
 }
 
 TEST(JournalEngine, DeterministicJournalIdenticalAcrossJobCounts) {
-  std::string Serial = runJournaled(policyFor(5, 1), nullptr,
-                                    uniqueDir("jobs1"), false);
-  std::string Parallel = runJournaled(policyFor(5, 8), nullptr,
-                                      uniqueDir("jobs8"), false);
+  test::ScratchDir SerialDir("journal-jobs1"), ParallelDir("journal-jobs8");
+  std::string Serial =
+      runJournaled(policyFor(5, 1), nullptr, SerialDir.root(), false);
+  std::string Parallel =
+      runJournaled(policyFor(5, 8), nullptr, ParallelDir.root(), false);
   EXPECT_EQ(Serial, Parallel);
   EXPECT_NE(Serial.find("\"kind\":\"BugFound\""), std::string::npos)
       << "campaign should journal at least one bug";
@@ -475,11 +473,12 @@ private:
 };
 
 TEST(JournalEngine, CrashedJournalIsPrefixAndResumeReproducesIt) {
+  test::ScratchDir Scratch("journal");
   // The uninterrupted reference run, journaled and counted.
   std::string Baseline;
   size_t TotalSaves;
   {
-    std::string Dir = uniqueDir("baseline");
+    std::string Dir = Scratch.path("baseline");
     std::string Error;
     std::unique_ptr<CampaignStore> Store =
         CampaignStore::open(Dir, policyFor(5, 1), Error);
@@ -493,7 +492,7 @@ TEST(JournalEngine, CrashedJournalIsPrefixAndResumeReproducesIt) {
 
   // Kill the campaign at the first, a middle, and the last checkpoint.
   for (size_t CrashAfterSaves : {size_t(0), TotalSaves / 2, TotalSaves - 1}) {
-    std::string Dir = uniqueDir("crash" + std::to_string(CrashAfterSaves));
+    std::string Dir = Scratch.path("crash" + std::to_string(CrashAfterSaves));
     std::string Error;
     {
       std::unique_ptr<CampaignStore> Store =

@@ -223,12 +223,6 @@ TEST(ReductionPipeline, PostReduceShrinksDeadReferenceCode) {
 // Store-backed campaign resume
 //===----------------------------------------------------------------------===//
 
-std::string uniqueDir(const std::string &Hint) {
-  static int Counter = 0;
-  return ::testing::TempDir() + "spvfuzz-pipeline-" + Hint + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(Counter++);
-}
-
 /// Forwards to a real store but throws (a simulated crash) when the save
 /// budget runs out — before the inner save, like a crash mid-commit.
 class AbortAfter : public CampaignCheckpointer {
@@ -304,6 +298,7 @@ std::string runLearnedReductions(const ExecutionPolicy &Policy,
 }
 
 TEST(ReductionPipeline, StoreResumeReplaysLearnedPostReduceByteIdentical) {
+  test::ScratchDir Scratch("pipeline");
   std::string Baseline = runLearnedReductions(learnedPolicy(5, 1), nullptr);
   ASSERT_FALSE(Baseline.empty());
   // The flattened records mention post-reduce stats (the phase really ran).
@@ -311,7 +306,7 @@ TEST(ReductionPipeline, StoreResumeReplaysLearnedPostReduceByteIdentical) {
 
   // Interrupt a stored learned+post-reduce campaign mid-phase, then resume
   // at eight jobs: the records must match the uninterrupted serial run.
-  std::string Dir = uniqueDir("resume");
+  std::string Dir = Scratch.path("resume");
   std::string Error;
   {
     ExecutionPolicy Fresh = learnedPolicy(5, 1);

@@ -24,6 +24,8 @@
 #include "store/Serde.h"
 #include "support/FileIO.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -37,12 +39,6 @@ using namespace spvfuzz;
 using namespace spvfuzz::serve;
 
 namespace {
-
-std::string uniqueDir(const std::string &Hint) {
-  static int Counter = 0;
-  return ::testing::TempDir() + "spvfuzz-scaleout-" + Hint + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(Counter++);
-}
 
 ExecutionPolicy testPolicy(const std::string &StoreDir) {
   ExecutionPolicy Policy;
@@ -203,18 +199,20 @@ void expectIdentical(const RunOutput &Serial, const RunOutput &Serve,
 }
 
 TEST(ServeScaleout, TwoWorkersMatchSerial) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 48;
-  RunOutput Serial = runSerial(uniqueDir("serial"), Tests);
-  RunOutput Serve = runServe(uniqueDir("serve2"), Tests, {{}, {}});
+  RunOutput Serial = runSerial(Scratch.path("serial"), Tests);
+  RunOutput Serve = runServe(Scratch.path("serve2"), Tests, {{}, {}});
   EXPECT_GT(Serve.Folded, 0u);
   expectIdentical(Serial, Serve, "2 workers");
 }
 
 TEST(ServeScaleout, FourWorkersMatchSerial) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 48;
-  RunOutput Serial = runSerial(uniqueDir("serial4"), Tests);
+  RunOutput Serial = runSerial(Scratch.path("serial4"), Tests);
   RunOutput Serve =
-      runServe(uniqueDir("serve4"), Tests, {{}, {}, {}, {}});
+      runServe(Scratch.path("serve4"), Tests, {{}, {}, {}, {}});
   expectIdentical(Serial, Serve, "4 workers");
 }
 
@@ -223,12 +221,13 @@ TEST(ServeScaleout, FourWorkersMatchSerial) {
 // picks up the remainder. Every run must be byte-identical to the
 // uninterrupted serial run.
 TEST(ServeScaleout, CrashMatrixAtEveryShardBoundary) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 32; // one wave per tool -> 3 shards total
-  RunOutput Serial = runSerial(uniqueDir("cm-serial"), Tests);
+  RunOutput Serial = runSerial(Scratch.path("cm-serial"), Tests);
   for (uint64_t Boundary = 1; Boundary <= 3; ++Boundary) {
     WorkerOptions Dying;
     Dying.MaxShards = Boundary;
-    RunOutput Serve = runServe(uniqueDir("cm-" + std::to_string(Boundary)),
+    RunOutput Serve = runServe(Scratch.path("cm-" + std::to_string(Boundary)),
                                Tests, {Dying, {}});
     expectIdentical(Serial, Serve,
                     "death at boundary " + std::to_string(Boundary));
@@ -239,12 +238,13 @@ TEST(ServeScaleout, CrashMatrixAtEveryShardBoundary) {
 // closes: the coordinator must drop the torn bytes, requeue the wave and
 // have it recomputed.
 TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 32;
-  RunOutput Serial = runSerial(uniqueDir("torn-serial"), Tests);
+  RunOutput Serial = runSerial(Scratch.path("torn-serial"), Tests);
   WorkerOptions Dying;
   Dying.MaxShards = 1;
   Dying.TruncateLastResult = true;
-  RunOutput Serve = runServe(uniqueDir("torn-serve"), Tests, {Dying, {}});
+  RunOutput Serve = runServe(Scratch.path("torn-serve"), Tests, {Dying, {}});
   EXPECT_GT(Serve.Requeues, 0u) << "the torn wave should have been requeued";
   expectIdentical(Serial, Serve, "torn result");
 }
@@ -254,11 +254,12 @@ TEST(ServeScaleout, TornResultFrameIsRetiredAndRecomputed) {
 // shard lost, none double-counted. Worker 1 gets each phase's one wave
 // while it is idle, so it is the one holding the second phase's wave.
 TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 32;
-  RunOutput Serial = runSerial(uniqueDir("ab-serial"), Tests);
+  RunOutput Serial = runSerial(Scratch.path("ab-serial"), Tests);
   WorkerOptions Dying;
   Dying.AbandonAfterShards = 1;
-  RunOutput Serve = runServe(uniqueDir("ab-serve"), Tests, {Dying, {}});
+  RunOutput Serve = runServe(Scratch.path("ab-serve"), Tests, {Dying, {}});
   EXPECT_GT(Serve.Requeues, 0u) << "the abandoned wave should be requeued";
   expectIdentical(Serial, Serve, "abandoned shard");
 }
@@ -269,13 +270,14 @@ TEST(ServeScaleout, AbandonedLeaseIsExpiredAndReLeased) {
 // journal (including TargetQuarantined events) must still match the
 // serial run byte for byte.
 TEST(ServeScaleout, FaultyFleetQuarantineMaskMatchesSerial) {
+  test::ScratchDir Scratch("scaleout");
   constexpr size_t Tests = 64;
   RunOutput Serial =
-      runSerial(uniqueDir("ff-serial"), Tests, /*Faulty=*/true);
+      runSerial(Scratch.path("ff-serial"), Tests, /*Faulty=*/true);
   EXPECT_NE(Serial.Journal.find("TargetQuarantined"), std::string::npos)
       << "expected the faulty fleet to quarantine a target in this run";
   RunOutput Serve =
-      runServe(uniqueDir("ff-serve"), Tests, {{}, {}}, /*Faulty=*/true);
+      runServe(Scratch.path("ff-serve"), Tests, {{}, {}}, /*Faulty=*/true);
   // Each phase's two waves go out together, so a quarantine decided in
   // the fold of a phase's first wave finds the second one sent under the
   // old mask: it is sent again, and nothing was requeued for a death.
@@ -307,8 +309,9 @@ TEST(ServeScaleout, WorkerRefusesAForeignCampaignId) {
 }
 
 TEST(ServeScaleout, MergeFromDirectoryFoldsEveryStore) {
+  test::ScratchDir Scratch("scaleout");
   // Two disjoint campaigns in two stores under one directory...
-  std::string Parent = uniqueDir("mergedir");
+  std::string Parent = Scratch.path("mergedir");
   ::mkdir(Parent.c_str(), 0755);
   runSerial(Parent + "/a", 32);
   {
@@ -327,7 +330,7 @@ TEST(ServeScaleout, MergeFromDirectoryFoldsEveryStore) {
   // ...plus a non-store subdirectory that must be skipped, not fatal.
   ::mkdir((Parent + "/junk").c_str(), 0755);
 
-  std::string Dest = uniqueDir("mergedst");
+  std::string Dest = Scratch.path("mergedst");
   ExecutionPolicy Policy = testPolicy(Dest);
   Policy.Seed = 79;
   std::string Error;

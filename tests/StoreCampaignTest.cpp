@@ -21,9 +21,12 @@
 #include "support/FileIO.h"
 #include "support/Telemetry.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -34,12 +37,6 @@
 using namespace spvfuzz;
 
 namespace {
-
-std::string uniqueDir(const std::string &Hint) {
-  static int Counter = 0;
-  return ::testing::TempDir() + "spvfuzz-store-" + Hint + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(Counter++);
-}
 
 /// Forwards to a real store but throws (a simulated crash) when the save
 /// budget runs out — before the inner save, like a crash mid-commit.
@@ -183,8 +180,9 @@ std::string crashAndResume(const std::string &Dir, uint64_t Seed,
 }
 
 TEST(StoreCampaign, DurableRunMatchesPlainRun) {
+  test::ScratchDir Scratch("store");
   std::string Baseline = runCampaign(policyFor(5, 1), nullptr);
-  std::string Dir = uniqueDir("durable");
+  std::string Dir = Scratch.path("durable");
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
       CampaignStore::open(Dir, policyFor(5, 1), Error);
@@ -205,13 +203,14 @@ TEST(StoreCampaign, DurableRunMatchesPlainRun) {
 }
 
 TEST(StoreCampaign, CrashedThenResumedRunIsByteIdentical) {
+  test::ScratchDir Scratch("store");
   std::string Baseline = runCampaign(policyFor(5, 1), nullptr);
 
   // Learn how many checkpoint saves a full campaign performs, so the
   // simulated crashes below are guaranteed to fire.
   size_t TotalSaves;
   {
-    std::string Dir = uniqueDir("count");
+    std::string Dir = Scratch.path("count");
     std::string Error;
     std::unique_ptr<CampaignStore> Store =
         CampaignStore::open(Dir, policyFor(5, 1), Error);
@@ -227,19 +226,21 @@ TEST(StoreCampaign, CrashedThenResumedRunIsByteIdentical) {
   for (size_t CrashAfterSaves :
        {size_t(0), TotalSaves / 4, TotalSaves / 2, TotalSaves - 1}) {
     std::string Dir =
-        uniqueDir("crash" + std::to_string(CrashAfterSaves));
+        Scratch.path("crash" + std::to_string(CrashAfterSaves));
     EXPECT_EQ(crashAndResume(Dir, 5, CrashAfterSaves, 1), Baseline)
         << "crash after " << CrashAfterSaves << " saves";
   }
 }
 
 TEST(StoreCampaign, ResumeAtEightJobsIsByteIdentical) {
+  test::ScratchDir Scratch("store");
   std::string Baseline = runCampaign(policyFor(5, 1), nullptr);
-  EXPECT_EQ(crashAndResume(uniqueDir("jobs8"), 5, 5, 8), Baseline);
+  EXPECT_EQ(crashAndResume(Scratch.path("jobs8"), 5, 5, 8), Baseline);
 }
 
 TEST(StoreCampaign, ReopenWithoutResumeIsRefused) {
-  std::string Dir = uniqueDir("refuse");
+  test::ScratchDir Scratch("store");
+  std::string Dir = Scratch.path("refuse");
   std::string Error;
   std::unique_ptr<CampaignStore> Store =
       CampaignStore::open(Dir, policyFor(5, 1), Error);
@@ -262,12 +263,13 @@ TEST(StoreCampaign, ReopenWithoutResumeIsRefused) {
 /// of its own instead of continuing the recorded one. K = 1 keeps the
 /// digest it had before the count was hashed.
 TEST(StoreCampaign, UniformInputsArePartOfTheCampaignIdentity) {
+  test::ScratchDir Scratch("store");
   ExecutionPolicy Single = policyFor(5, 1);
   ExecutionPolicy Batched = policyFor(5, 1).withUniformInputs(4);
   EXPECT_EQ(campaignConfigDigest(Single), "a2d5273362bffe3f");
   EXPECT_NE(campaignConfigDigest(Batched), campaignConfigDigest(Single));
 
-  std::string Dir = uniqueDir("uniform");
+  std::string Dir = Scratch.path("uniform");
   std::string Error;
   {
     std::unique_ptr<CampaignStore> Store =
@@ -305,6 +307,7 @@ TEST(StoreCampaign, UniformInputsArePartOfTheCampaignIdentity) {
 /// standard fleet, given explicitly or as an empty fleet, keeps the
 /// digest it had before fleets were hashed, and both digests are pinned.
 TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
+  test::ScratchDir Scratch("store");
   const ExecutionPolicy Policy = policyFor(5, 1);
   EXPECT_EQ(campaignConfigDigest(Policy, TargetFleet::standard()),
             "a2d5273362bffe3f");
@@ -323,7 +326,7 @@ TEST(StoreCampaign, FleetIsPartOfTheCampaignIdentity) {
     return renderBugFinding(Data);
   };
 
-  std::string Dir = uniqueDir("fleet");
+  std::string Dir = Scratch.path("fleet");
   std::string Error;
   {
     std::unique_ptr<CampaignStore> Store =
@@ -363,11 +366,12 @@ TEST(StoreCampaign, LearnedPostReduceCampaignIdIsPinned) {
 // standard fleet starts a campaign of its own, which must not count the
 // faulty run's tests as its own.
 TEST(StoreCampaign, ResumeRestoresMetricsOnlyForARecordedCampaign) {
+  test::ScratchDir Scratch("store");
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   Metrics.reset();
   Metrics.setEnabled(true);
   const ExecutionPolicy Policy = policyFor(5, 1);
-  const std::string Dir = uniqueDir("foreign-metrics");
+  const std::string Dir = Scratch.path("foreign-metrics");
   std::string Error;
   {
     std::unique_ptr<CampaignStore> Store =
@@ -413,8 +417,9 @@ std::string bucketTable(const CampaignStore &Store) {
 }
 
 TEST(StoreCampaign, MergeOfDisjointStoresEqualsCombinedCampaign) {
-  std::string DirA = uniqueDir("mergeA"), DirB = uniqueDir("mergeB"),
-              DirC = uniqueDir("combined");
+  test::ScratchDir Scratch("store");
+  std::string DirA = Scratch.path("mergeA"), DirB = Scratch.path("mergeB"),
+              DirC = Scratch.path("combined");
   std::string Error;
 
   std::unique_ptr<CampaignStore> A =
@@ -513,14 +518,56 @@ std::map<std::string, std::string> bugFiles(const std::string &Dir) {
   return Files;
 }
 
+/// Every file of the store in \p Dir but checkpoint/metrics.json (its
+/// timings differ between any two runs), by path relative to the store.
+std::map<std::string, std::string> storeFiles(const std::string &Dir) {
+  std::map<std::string, std::string> Files;
+  for (const std::filesystem::directory_entry &Entry :
+       std::filesystem::recursive_directory_iterator(Dir))
+    if (Entry.is_regular_file()) {
+      const std::string Relative =
+          std::filesystem::relative(Entry.path(), Dir).string();
+      if (Relative != "checkpoint/metrics.json")
+        Files[Relative] = readAll(Entry.path().string());
+    }
+  return Files;
+}
+
+/// Reductions run side by side on the pool and commit in acceptance order,
+/// so a stored bug-finding and dedup campaign writes the same bytes at one
+/// job and at eight: checkpoints (reduction records included), journal,
+/// bug buckets and reproducers.
+TEST(StoreCampaign, StoredDedupCampaignIsByteIdenticalAcrossJobCounts) {
+  test::ScratchDir Scratch("store");
+  const std::string Serial = Scratch.path("jobs1");
+  const std::string Parallel = Scratch.path("jobs8");
+  const std::string Decisions = runJournaled(Serial, policyFor(5, 1));
+  EXPECT_EQ(runJournaled(Parallel, policyFor(5, 8)), Decisions);
+
+  const std::map<std::string, std::string> SerialFiles = storeFiles(Serial);
+  const std::map<std::string, std::string> ParallelFiles =
+      storeFiles(Parallel);
+  EXPECT_GT(SerialFiles.count("journal/events.jsonl"), 0u);
+  EXPECT_FALSE(bugFiles(Serial).empty());
+  std::vector<std::string> SerialNames, ParallelNames;
+  for (const auto &[Name, Bytes] : SerialFiles)
+    SerialNames.push_back(Name);
+  for (const auto &[Name, Bytes] : ParallelFiles)
+    ParallelNames.push_back(Name);
+  ASSERT_EQ(SerialNames, ParallelNames);
+  for (const auto &[Name, Bytes] : SerialFiles)
+    EXPECT_TRUE(Bytes == ParallelFiles.at(Name)) << Name << " differs";
+}
+
 /// A store's journal and metrics.json belong to the campaign it ran last:
 /// resuming seed 5 after seed 9 ran in the same store must give seed 5's
 /// own journal and counters back, as a store that ran seed 5 alone holds.
 TEST(StoreCampaign, JournalAndMetricsFollowTheCampaignRunLast) {
+  test::ScratchDir Scratch("store");
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   Metrics.reset();
   Metrics.setEnabled(true);
-  const std::string Fresh = uniqueDir("pair-fresh");
+  const std::string Fresh = Scratch.path("pair-fresh");
   const std::string Decisions = runJournaled(Fresh, policyFor(5, 1));
   std::string Error;
   telemetry::MetricsSnapshot FreshMetrics;
@@ -530,7 +577,7 @@ TEST(StoreCampaign, JournalAndMetricsFollowTheCampaignRunLast) {
   // Seed 5, then seed 9, then seed 5 resumed, all in one store: the
   // resumed campaign gets its own journal and metrics back, not the ones
   // seed 9 left.
-  const std::string Dir = uniqueDir("pair");
+  const std::string Dir = Scratch.path("pair");
   for (uint64_t Seed : {5, 9}) {
     Metrics.reset();
     runJournaled(Dir, policyFor(Seed, 1));
@@ -610,8 +657,9 @@ std::string failedFileKind(const std::string &Failure) {
 /// FileWriteError; resuming without the fault then reproduces the clean
 /// run's decisions, journal and bugs/ byte for byte.
 void sweepWriteFaults(size_t Jobs) {
+  test::ScratchDir Scratch("store");
   const ExecutionPolicy Policy = policyFor(5, Jobs);
-  const std::string Clean = uniqueDir("faults-clean");
+  const std::string Clean = Scratch.path("faults-clean");
   const std::string Decisions = runJournaled(Clean, Policy);
   const std::string CleanJournal = readAll(obs::journalPathFor(Clean));
   const auto CleanBugs = bugFiles(Clean);
@@ -634,7 +682,7 @@ void sweepWriteFaults(size_t Jobs) {
   std::ostringstream Hits;
   for (size_t I = 0; I < Faults.size(); ++I) {
     const WriteFault &Fault = Faults[I];
-    const std::string Dir = uniqueDir("faults-" + std::to_string(I));
+    const std::string Dir = Scratch.path("faults-" + std::to_string(I));
     std::string Limited;
     const std::string Failure = runUnderFault(Dir, Policy, Fault, Limited);
     Hits << "\n  "
@@ -673,19 +721,21 @@ TEST(StoreCampaign, WriteFaultsFailLoudlyAndResumeExactlyAtTwoJobs) {
 /// starts from an empty registry as a new process does and must count
 /// what a fresh run counts.
 TEST(StoreCampaign, FailedFirstCheckpointResumesWithFreshCounters) {
+  test::ScratchDir Scratch("store");
   telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
   const ExecutionPolicy Policy = policyFor(5, 1);
   const char *Counters[] = {"campaign.tests", "exec.runs", "target.compiles"};
   Metrics.reset();
   Metrics.setEnabled(true);
-  const std::string Decisions = runJournaled(uniqueDir("first-fresh"), Policy);
+  const std::string Decisions =
+      runJournaled(Scratch.path("first-fresh"), Policy);
   std::map<std::string, uint64_t> Fresh;
   for (const char *Name : Counters)
     Fresh[Name] = Metrics.counterValue(Name);
 
   // The first save's checkpoint is the only .ckpt a run stopped after
   // one save leaves.
-  const std::string Probe = uniqueDir("first-probe");
+  const std::string Probe = Scratch.path("first-probe");
   std::string Error;
   {
     std::unique_ptr<CampaignStore> Store =
@@ -698,7 +748,7 @@ TEST(StoreCampaign, FailedFirstCheckpointResumesWithFreshCounters) {
       listDir(Probe + "/checkpoint", ".ckpt");
   ASSERT_EQ(First.size(), 1u);
 
-  const std::string Dir = uniqueDir("first-blocked");
+  const std::string Dir = Scratch.path("first-blocked");
   Metrics.reset();
   std::string Unused;
   const std::string Failure = runUnderFault(

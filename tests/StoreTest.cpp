@@ -23,6 +23,8 @@
 #include "support/FileIO.h"
 #include "support/ModuleHash.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 using namespace spvfuzz;
@@ -197,8 +199,8 @@ TEST(StoreSerde, CorruptModulePayloadsNeverCrash) {
 }
 
 TEST(StoreSerde, AtomicWriteAndReadBack) {
-  std::string Dir = ::testing::TempDir() + "serde-atomic";
-  std::string Path = Dir + "-file.bin";
+  test::ScratchDir Scratch("serde-atomic");
+  std::string Path = Scratch.path("file.bin");
   std::string Error;
   atomicWriteFile(Path, "hello store");
   std::string Back;
@@ -211,10 +213,10 @@ TEST(StoreSerde, AtomicWriteAndReadBack) {
   EXPECT_FALSE(readFileBytes(Path + ".missing", Back, Error));
   // A write that cannot happen throws, naming the file.
   try {
-    atomicWriteFile(Dir + "-missing/file.bin", "lost");
+    atomicWriteFile(Scratch.path("missing/file.bin"), "lost");
     ADD_FAILURE() << "write into a missing directory did not throw";
   } catch (const FileWriteError &E) {
-    EXPECT_NE(std::string(E.what()).find("-missing/file.bin"),
+    EXPECT_NE(std::string(E.what()).find("missing/file.bin"),
               std::string::npos)
         << E.what();
   }

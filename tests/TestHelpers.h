@@ -18,8 +18,44 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <stdexcept>
+#include <string>
+
+#include <stdlib.h>
+
 namespace spvfuzz {
 namespace test {
+
+/// A directory of one test's own under ::testing::TempDir(). mkdtemp
+/// makes it, so no other test or process (not even a later one that
+/// reuses this pid) is handed the same path; the destructor removes it and
+/// everything in it. Declare one at the top of a test and take the paths
+/// the test writes from path().
+class ScratchDir {
+public:
+  explicit ScratchDir(const std::string &Hint) {
+    std::string Template =
+        ::testing::TempDir() + "spvfuzz-" + Hint + "-XXXXXX";
+    if (!::mkdtemp(Template.data()))
+      throw std::runtime_error("mkdtemp failed for " + Template);
+    Root = Template;
+  }
+  ~ScratchDir() {
+    std::error_code Ec;
+    std::filesystem::remove_all(Root, Ec);
+  }
+  ScratchDir(const ScratchDir &) = delete;
+  ScratchDir &operator=(const ScratchDir &) = delete;
+
+  /// The directory itself.
+  const std::string &root() const { return Root; }
+  /// \p Name inside the directory. Nothing is created there.
+  std::string path(const std::string &Name) const { return Root + "/" + Name; }
+
+private:
+  std::string Root;
+};
 
 /// A small, fully-known module:
 ///

@@ -18,6 +18,8 @@
 #include "store/CampaignStore.h"
 #include "support/Trace.h"
 
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -30,16 +32,10 @@ using namespace spvfuzz::telemetry;
 
 namespace {
 
-std::string uniqueTracePath(const std::string &Hint) {
-  static int Counter = 0;
-  return ::testing::TempDir() + "spvfuzz-trace-" + Hint + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(Counter++) +
-         ".jsonl";
-}
-
 std::vector<obs::TraceRecord> traceSession(const std::string &Hint,
                                            const std::function<void()> &Body) {
-  std::string Path = uniqueTracePath(Hint);
+  test::ScratchDir Scratch("trace");
+  std::string Path = Scratch.path(Hint + ".jsonl");
   std::string Error;
   EXPECT_TRUE(Tracer::global().open(Path, Error)) << Error;
   Body();
@@ -219,7 +215,8 @@ TEST(TraceV2, ReportRanksTransformationKindsFromMetrics) {
 }
 
 TEST(TraceV2, LoaderReportsLineAccurateErrors) {
-  std::string Path = uniqueTracePath("errors");
+  test::ScratchDir Scratch("trace");
+  std::string Path = Scratch.path("errors.jsonl");
   std::vector<obs::TraceRecord> Records;
   std::string Error;
   EXPECT_FALSE(obs::loadTraceFile(Path, Records, Error));

@@ -23,8 +23,6 @@
 #include "triage/Triage.h"
 #include "TestHelpers.h"
 
-#include <unistd.h>
-
 using namespace spvfuzz;
 using namespace spvfuzz::test;
 using namespace spvfuzz::triage;
@@ -711,10 +709,8 @@ TEST(Triage, TypesKeyMatchesStoreRendering) {
 }
 
 TEST(TriageStore, AttributionRoundTripsThroughStore) {
-  static int Counter = 0;
-  std::string Dir = ::testing::TempDir() + "spvfuzz-triage-store-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(Counter++);
+  test::ScratchDir Scratch("triage");
+  std::string Dir = Scratch.path("store");
   ExecutionPolicy Policy =
       ExecutionPolicy{}.withSeed(5).withJobs(1).withTransformationLimit(120);
   std::string Error;
