@@ -69,23 +69,8 @@ FuzzResult CampaignEngine::regenerate(const ToolConfig &Tool, size_t TestIndex,
 }
 
 bool CampaignEngine::deadlineExpired() const {
-  if (Policy.Deadline.count() <= 0)
-    return false;
-  return cancelled() ||
+  return Policy.Deadline.count() > 0 &&
          std::chrono::steady_clock::now() - Start >= Policy.Deadline;
-}
-
-bool CampaignEngine::checkDeadline() {
-  if (Policy.Deadline.count() <= 0)
-    return false;
-  if (cancelled())
-    return true;
-  if (std::chrono::steady_clock::now() - Start < Policy.Deadline)
-    return false;
-  CancelFlag.store(true, std::memory_order_relaxed);
-  if (Pool)
-    Pool->requestCancel();
-  return true;
 }
 
 template <typename ResultT>
@@ -110,7 +95,7 @@ CampaignEngine::runJobs(std::vector<std::function<ResultT()>> Jobs) {
 namespace {
 
 /// What one scheduling phase plugs into CampaignEngine::runWaves. Results
-/// are per test; nullopt marks a job the deadline cut short.
+/// are per test.
 template <typename ResultT> struct WavePhase {
   using Targets = std::vector<const HarnessedTarget *>;
 
@@ -129,17 +114,16 @@ template <typename ResultT> struct WavePhase {
   size_t Budget = std::numeric_limits<size_t>::max();
   /// Computes tests [WaveStart, WaveEnd) on the wave's targets, in
   /// parallel, returning results in test-index order.
-  std::function<std::vector<std::optional<ResultT>>(
-      size_t WaveStart, size_t WaveEnd, const Targets &WaveTargets,
-      telemetry::TraceSpan &WaveSpan)>
+  std::function<std::vector<ResultT>(size_t WaveStart, size_t WaveEnd,
+                                     const Targets &WaveTargets,
+                                     telemetry::TraceSpan &WaveSpan)>
       Compute;
   /// Serially folds one test's result, after its breaker commit.
   std::function<void(size_t WaveEnd, size_t TestIndex,
                      const Targets &WaveTargets, ResultT &Result)>
       Fold;
-  /// Serial work after a wave's last fold; false when the deadline cut it
-  /// short.
-  std::function<bool(size_t WaveEnd, telemetry::TraceSpan &WaveSpan)> EndWave;
+  /// Serial work after a wave's last fold.
+  std::function<void(size_t WaveEnd, telemetry::TraceSpan &WaveSpan)> EndWave;
   /// Saves the phase's checkpoint at boundary NextWave.
   std::function<void(size_t NextWave, bool Complete)> Save;
 };
@@ -182,7 +166,10 @@ template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
   size_t WaveStart = Phase.StartWave;
   for (; WaveStart < Phase.Total && *Phase.Tally < Phase.Budget;
        WaveStart += ShardSize) {
-    if (checkDeadline())
+    // The deadline is a wave-boundary decision: a wave that starts runs
+    // whole, so every checkpoint describes a state the uninterrupted run
+    // passes through.
+    if (deadlineExpired())
       return false;
     const size_t WaveEnd = std::min(Phase.Total, WaveStart + ShardSize);
 
@@ -202,25 +189,19 @@ template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
 
     auto Results = Phase.Compute(WaveStart, WaveEnd, WaveTargets, WaveSpan);
     for (size_t Offset = 0; Offset < Results.size(); ++Offset) {
-      // A wave cut short mid-commit is not checkpointed: the last saved
-      // checkpoint still describes a state the uninterrupted run passed
-      // through, and resume recomputes this wave whole.
-      if (!Results[Offset])
-        return false;
       // Serial breaker commit, in test-index and target order: hard tool
       // errors advance a target's consecutive-failure count, anything else
       // resets it.
       for (size_t Slot = 0; Slot < WaveTargets.size(); ++Slot) {
         const std::string &Name = WaveTargets[Slot]->name();
         if (Har->recordOutcome(Name,
-                               toolErrored(*Results[Offset], Slot, Name)) &&
+                               toolErrored(Results[Offset], Slot, Name)) &&
             Observer)
           Observer->onTargetQuarantined(Phase.Key, WaveEnd, Name);
       }
-      Phase.Fold(WaveEnd, WaveStart + Offset, WaveTargets, *Results[Offset]);
+      Phase.Fold(WaveEnd, WaveStart + Offset, WaveTargets, Results[Offset]);
     }
-    if (!Phase.EndWave(WaveEnd, WaveSpan))
-      return false;
+    Phase.EndWave(WaveEnd, WaveSpan);
     if (Observer)
       Observer->onWaveCommitted(Phase.Key, WaveEnd, Phase.Total,
                                 *Phase.Tally);
@@ -239,18 +220,14 @@ template <typename PhaseT> bool CampaignEngine::runWaves(const PhaseT &Phase) {
   return true;
 }
 
-std::vector<std::function<std::optional<TestEvaluation>()>>
-CampaignEngine::evaluationJobs(
+std::vector<std::function<TestEvaluation()>> CampaignEngine::evaluationJobs(
     const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
     bool CrashesOnly, const std::vector<const HarnessedTarget *> &Targets,
     uint64_t WaveId) {
-  std::vector<std::function<std::optional<TestEvaluation>()>> Jobs;
+  std::vector<std::function<TestEvaluation()>> Jobs;
   Jobs.reserve(WaveEnd - WaveStart);
   for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-    Jobs.push_back([this, &Tool, &Targets, Index, CrashesOnly,
-                    WaveId]() -> std::optional<TestEvaluation> {
-      if (cancelled())
-        return std::nullopt;
+    Jobs.push_back([this, &Tool, &Targets, Index, CrashesOnly, WaveId] {
       telemetry::TracePhaseScope JobPhase("fuzz");
       telemetry::TraceSpan JobSpan("campaign.evaluate", WaveId);
       JobSpan.note({"test", Index});
@@ -327,17 +304,13 @@ CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
     // With a provider attached, the wave's computation (and only the
     // computation; the fold stays here) is sourced from it. A declined
     // shard falls back to the local pool.
-    std::vector<std::optional<TestEvaluation>> Results;
     if (Provider) {
       Request.WaveStart = WaveStart;
       Request.WaveEnd = WaveEnd;
       Request.Sidelined = sidelinedNames();
       std::vector<TestEvaluation> Provided;
-      if (Provider->takeShard(Request, Provided)) {
-        for (TestEvaluation &Eval : Provided)
-          Results.emplace_back(std::move(Eval));
-        return Results;
-      }
+      if (Provider->takeShard(Request, Provided))
+        return Provided;
     }
     return runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, CrashesOnly,
                                   WaveTargets, WaveSpan.id()));
@@ -355,7 +328,6 @@ CampaignEngine::evaluateTests(const ToolConfig &Tool, size_t Count,
     if (WaveSpan.active() && Metrics.enabled())
       WaveSpan.note(
           {"steps", Metrics.counterValue("exec.steps") - StepsBefore});
-    return true;
   };
   Phase.Save = [&](size_t NextWave, bool Complete) {
     Checkpointer->saveEvaluation(
@@ -380,13 +352,8 @@ CampaignEngine::evaluateShard(const ToolConfig &Tool,
   const size_t WaveStart = static_cast<size_t>(Request.WaveStart);
   const size_t WaveEnd = static_cast<size_t>(Request.WaveEnd);
   telemetry::TracePhaseScope EvalPhase("fuzz");
-  std::vector<TestEvaluation> Evals;
-  Evals.reserve(WaveEnd - WaveStart);
-  for (std::optional<TestEvaluation> &Eval :
-       runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, Request.CrashesOnly,
-                              WaveTargets, telemetry::currentSpanId())))
-    Evals.push_back(std::move(Eval.value()));
-  return Evals;
+  return runJobs(evaluationJobs(Tool, WaveStart, WaveEnd, Request.CrashesOnly,
+                                WaveTargets, telemetry::currentSpanId()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -473,8 +440,7 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       Wanted.push_back(&T);
 
   // Plan shared by every reduction task of this phase; the per-tool
-  // AddFunction-shrink knob is filled in per task. It has no pool: a task
-  // is itself a pool job and reduces serially.
+  // AddFunction-shrink knob is filled in per task.
   ReductionPlan BasePlan;
   BasePlan.Order = Policy.ReduceOrder;
   BasePlan.PostReduce = Policy.PostReduce;
@@ -532,13 +498,10 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
                         const std::vector<const HarnessedTarget *> &WaveTargets,
                         telemetry::TraceSpan &WaveSpan) {
       const uint64_t WaveId = WaveSpan.id();
-      std::vector<std::function<std::optional<ScanOutcome>()>> Jobs;
+      std::vector<std::function<ScanOutcome()>> Jobs;
       Jobs.reserve(WaveEnd - WaveStart);
       for (size_t Index = WaveStart; Index < WaveEnd; ++Index)
-        Jobs.push_back([this, &Tool, &WaveTargets, &Config, Index,
-                        WaveId]() -> std::optional<ScanOutcome> {
-          if (cancelled())
-            return std::nullopt;
+        Jobs.push_back([this, &Tool, &WaveTargets, &Config, Index, WaveId] {
           telemetry::TracePhaseScope JobPhase("scan");
           telemetry::TraceSpan JobSpan("campaign.scan", WaveId);
           JobSpan.note({"test", Index});
@@ -597,11 +560,8 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
     Phase.EndWave = [&](size_t WaveEnd, telemetry::TraceSpan &WaveSpan) {
       std::vector<ReductionTask> Tasks = std::move(Accepted);
       Accepted.clear();
-      auto RunTask = [this, &Tool, &BasePlan, WaveId = WaveSpan.id()](
-                         const ReductionTask &Task)
-          -> std::optional<ReductionOutcome> {
-        if (cancelled())
-          return std::nullopt;
+      auto RunTask = [this, &Tool, &BasePlan,
+                      WaveId = WaveSpan.id()](const ReductionTask &Task) {
         telemetry::TracePhaseScope JobPhase("reduce");
         telemetry::TraceSpan JobSpan("campaign.reduce", WaveId);
         JobSpan.note({"test", Task.TestIndex});
@@ -652,7 +612,7 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       };
 
       // Without a pool each task runs inline when its turn to commit comes.
-      std::vector<std::future<std::optional<ReductionOutcome>>> Futures;
+      std::vector<std::future<ReductionOutcome>> Futures;
       if (Pool) {
         Futures.reserve(Tasks.size());
         for (const ReductionTask &Task : Tasks)
@@ -661,9 +621,9 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
       }
       // The jobs read Tasks, RunTask, BasePlan and the wave's scan outcomes
       // by reference, so every exit from here waits for all of them first:
-      // a deadline, a store write that throws, a throwing observer.
+      // a store write that throws, a throwing observer or job.
       struct DrainOnExit {
-        std::vector<std::future<std::optional<ReductionOutcome>>> &Futures;
+        std::vector<std::future<ReductionOutcome>> &Futures;
         ~DrainOnExit() {
           for (auto &Future : Futures)
             if (Future.valid())
@@ -671,36 +631,32 @@ ReductionData CampaignEngine::runReductions(const ReductionConfig &Config) {
         }
       } Drain{Futures};
       for (size_t I = 0; I < Tasks.size(); ++I) {
-        std::optional<ReductionOutcome> Out =
-            Pool ? Futures[I].get() : RunTask(Tasks[I]);
-        if (!Out)
-          return false;
+        ReductionOutcome Out = Pool ? Futures[I].get() : RunTask(Tasks[I]);
         telemetry::MetricsRegistry::global().add("campaign.reductions");
         if (Observer) {
-          Observer->onReductionStep(Phase.Key, WaveEnd, Out->Record);
-          for (const PostReducePassStats &Stat : Out->Record.PostStats)
+          Observer->onReductionStep(Phase.Key, WaveEnd, Out.Record);
+          for (const PostReducePassStats &Stat : Out.Record.PostStats)
             if (Stat.Attempted > 0)
-              Observer->onPostReduceStep(Phase.Key, WaveEnd, Out->Record,
+              Observer->onPostReduceStep(Phase.Key, WaveEnd, Out.Record,
                                          Stat);
         }
         if (Checkpointer || Sink) {
           const GeneratedProgram &Reference =
-              CorpusData.References[Out->ReferenceIndex];
+              CorpusData.References[Out.ReferenceIndex];
           // With post-reduction on, the reproducer's reference is the
           // post-reduced module the records were measured against.
           const Module &Original =
-              Out->PostOriginal ? *Out->PostOriginal : Reference.M;
+              Out.PostOriginal ? *Out.PostOriginal : Reference.M;
           if (Checkpointer)
-            Checkpointer->recordReproducer(Out->Record, Original,
-                                           Reference.Input, Out->Reduced,
-                                           Out->Minimized);
+            Checkpointer->recordReproducer(Out.Record, Original,
+                                           Reference.Input, Out.Reduced,
+                                           Out.Minimized);
           if (Sink)
-            Sink(Out->Record, Original, Reference.Input, Out->Reduced,
-                 Out->Minimized);
+            Sink(Out.Record, Original, Reference.Input, Out.Reduced,
+                 Out.Minimized);
         }
-        Data.Records.push_back(std::move(Out->Record));
+        Data.Records.push_back(std::move(Out.Record));
       }
-      return true;
     };
     Phase.Save = [&](size_t NextWave, bool Complete) {
       Checkpointer->saveReduction(

@@ -27,11 +27,9 @@
 #include "target/EvalCache.h"
 #include "target/Harness.h"
 
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 
 namespace spvfuzz {
 
@@ -49,8 +47,9 @@ struct ExecutionPolicy {
   /// Transformations applied per generated test (paper: 2000).
   uint32_t TransformationLimit = 300;
   /// Soft wall-clock budget measured from engine construction; zero means
-  /// unlimited. A run that hits the deadline stops issuing work and returns
-  /// truncated results — deadline-limited runs are therefore *not*
+  /// unlimited. It is checked before each wave, and a wave that starts runs
+  /// whole: a run past its deadline stops at the next wave boundary and
+  /// returns truncated results — deadline-limited runs are therefore *not*
   /// deterministic across thread counts.
   std::chrono::milliseconds Deadline{0};
   /// Simulated step budget per target attempt (target/Harness.h); 0 =
@@ -369,9 +368,7 @@ public:
   /// events, no checkpoints — this is the worker-side unit of work behind
   /// ShardProvider, running the same jobs as evaluateTests, so it is
   /// byte-for-byte what evaluateTests would compute for the same wave
-  /// under the same quarantine mask. Call it only before the engine's
-  /// deadline latches (serve campaigns and workers set none); a job the
-  /// deadline cut short throws std::bad_optional_access.
+  /// under the same quarantine mask.
   std::vector<TestEvaluation> evaluateShard(const ToolConfig &Tool,
                                             const ShardRequest &Request);
 
@@ -381,7 +378,8 @@ public:
 
   /// Evaluates tests [0, \p Count) of \p Tool on every target, in parallel
   /// per the policy. The result vector is in test-index order regardless of
-  /// Jobs; it is shorter than \p Count only if the deadline expired.
+  /// Jobs. It holds whole waves, and is shorter than \p Count only if the
+  /// deadline passed before some wave started.
   std::vector<TestEvaluation> evaluateTests(const ToolConfig &Tool,
                                             size_t Count,
                                             bool CrashesOnly = false);
@@ -417,28 +415,21 @@ private:
   /// ShardSize tests from the phase's start wave, each behind the deadline
   /// check and under a campaign.wave span; the quarantine snapshot; the
   /// phase's parallel compute; serial breaker commits (with
-  /// onTargetQuarantined) and the phase's fold, in test-index order;
-  /// truncation; onWaveCommitted; and the checkpoint cadence, each save
-  /// preceded by onCheckpointSaved. The wave that ends the phase (at
-  /// Total or at the tally's Budget) is saved once, as the complete
-  /// checkpoint at Total. Returns false when the deadline cut the phase
-  /// short.
+  /// onTargetQuarantined) and the phase's fold, in test-index order; the
+  /// phase's end-of-wave work; onWaveCommitted; and the checkpoint
+  /// cadence, each save preceded by onCheckpointSaved. The wave that ends
+  /// the phase (at Total or at the tally's Budget) is saved once, as the
+  /// complete checkpoint at Total. Returns false when the deadline stopped
+  /// the phase at a wave boundary.
   template <typename PhaseT> bool runWaves(const PhaseT &Phase);
 
   /// One evaluation job per test in [\p WaveStart, \p WaveEnd) of \p Tool
-  /// against \p Targets; a job returns nullopt once the deadline passed.
-  /// evaluateTests and evaluateShard both run these.
-  std::vector<std::function<std::optional<TestEvaluation>()>>
+  /// against \p Targets. evaluateTests and evaluateShard both run these.
+  std::vector<std::function<TestEvaluation()>>
   evaluationJobs(const ToolConfig &Tool, size_t WaveStart, size_t WaveEnd,
                  bool CrashesOnly,
                  const std::vector<const HarnessedTarget *> &Targets,
                  uint64_t WaveId);
-
-  /// Returns true (and latches cancellation) once the deadline has passed.
-  bool checkDeadline();
-  bool cancelled() const {
-    return CancelFlag.load(std::memory_order_relaxed);
-  }
 
   ExecutionPolicy Policy;
   Corpus CorpusData;
@@ -456,7 +447,6 @@ private:
   std::unique_ptr<Harness> Har;
   std::unique_ptr<ThreadPool> Pool; // null when Jobs == 1
   std::chrono::steady_clock::time_point Start;
-  std::atomic<bool> CancelFlag{false};
   CampaignCheckpointer *Checkpointer = nullptr;
   ReproducerSink Sink;
   CampaignObserver *Observer = nullptr;

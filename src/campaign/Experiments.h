@@ -98,11 +98,6 @@ struct ReductionRecord {
   size_t ReducedCount = 0;   // instructions in the reduced variant
   size_t MinimizedLength = 0;
   size_t Checks = 0;
-  /// Speculative evaluations the reducer discarded. Always 0: a campaign
-  /// reduction runs as one pool job and never speculates (only `minispv
-  /// reduce --jobs` does). Kept because the store's record format holds
-  /// it.
-  size_t SpeculativeChecks = 0;
   std::set<TransformationKind> Types; // dedup types of the minimized seq
   /// Per-pass accounting of the IR-level post-reduction stage; empty when
   /// the policy ran sequence reduction only.

@@ -30,10 +30,10 @@ namespace spvfuzz {
 
 /// The interestingness test: returns true iff the variant produced by a
 /// candidate subsequence still exhibits the bug (gfauto's generated script
-/// in the paper's pipeline). When a ReductionPlan supplies a ThreadPool,
-/// the test is invoked concurrently from worker threads and must be
-/// thread-safe (the standard factories below are, as long as the target's
-/// run() is).
+/// in the paper's pipeline). One reduction calls its test serially, but a
+/// campaign runs reductions side by side and their tests share targets,
+/// so a test must be thread-safe (the standard factories below are, as
+/// long as the target's run() is).
 using InterestingnessTest =
     std::function<bool(const Module &Variant, const FactManager &Facts)>;
 
@@ -59,16 +59,10 @@ struct ReduceResult {
   Module ReducedVariant;
   /// Facts after applying Minimized.
   FactManager ReducedFacts;
-  /// Number of *decided* serial interestingness checks across both
-  /// reduction stages: the delta-debugging decision sequence (plus any
-  /// AddFunction shrinking) and the IR-level post-reduction passes.
-  /// Identical whether or not speculation is enabled — speculative
-  /// evaluations that were discarded are counted separately below.
+  /// Number of interestingness checks across both reduction stages: the
+  /// delta-debugging decision sequence (plus any AddFunction shrinking)
+  /// and the IR-level post-reduction passes.
   size_t Checks = 0;
-  /// Speculative evaluations whose results were discarded because an
-  /// earlier candidate in the same batch was accepted (wasted work; 0 when
-  /// no thread pool was supplied).
-  size_t SpeculativeChecks = 0;
   /// The post-reduced reference module. Meaningful only when the plan
   /// enabled post-reduction (PostStats non-empty); default-constructed
   /// otherwise, and the original module remains the reference.

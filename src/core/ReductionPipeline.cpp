@@ -11,11 +11,9 @@
 #include "core/ReplayCache.h"
 #include "support/ModuleHash.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -88,19 +86,6 @@ namespace {
 constexpr size_t SnapshotInterval = 8;
 constexpr size_t SnapshotBudgetBytes = 64ull << 20;
 
-/// One chunk-removal candidate within a scan: the current sequence with
-/// [Start, End) deleted. The candidate shares the prefix [0, Start) with
-/// the current sequence, which is what lets the ReplayCache resume from a
-/// snapshot instead of replaying from scratch.
-struct ChunkCandidate {
-  size_t Start = 0;
-  size_t End = 0;
-  TransformationSequence Seq;
-  bool Interesting = false;
-  /// Structural hash of the replayed variant — the decision-memo key.
-  uint64_t Hash = 0;
-};
-
 /// A (Start, End) chunk range plus its learned-order sort key.
 struct ChunkRange {
   size_t Start = 0;
@@ -108,6 +93,10 @@ struct ChunkRange {
   double Score = 0;
 };
 
+/// Writes \p Current with the chunk [\p Start, \p End) deleted into \p Out.
+/// The candidate shares the prefix [0, Start) with \p Current, which is
+/// what lets the ReplayCache resume from a snapshot instead of replaying
+/// from scratch.
 void buildCandidate(const TransformationSequence &Current, size_t Start,
                     size_t End, TransformationSequence &Out) {
   Out.clear();
@@ -138,13 +127,10 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
   // Learned mode's decision memo: replayed-variant hash -> verdict. The
   // interestingness test is a pure function of the variant (the EvalCache
   // contract), so a candidate whose module was already decided needs no
-  // new oracle consultation — that decision is free. Entries are inserted
-  // only at the serial consumption points, in decision order, so the memo
-  // (like the model) is identical at any job count; it is insert-only,
-  // which lets workers read it lock-free while no batch is being consumed.
-  // Seeded with the current sequence's own module: removing transformations
-  // that replay as no-ops yields a byte-identical variant, which must be
-  // interesting for the same reason the current sequence is.
+  // new oracle consultation — that decision is free. Seeded with the
+  // current sequence's own module: removing transformations that replay as
+  // no-ops yields a byte-identical variant, which must be interesting for
+  // the same reason the current sequence is.
   std::unordered_map<uint64_t, bool> Memo;
   if (Learned) {
     Module Init;
@@ -153,42 +139,11 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
     Memo.emplace(hashModule(Init), true);
   }
 
-  // Candidates per speculative batch. 1 (no pool) degenerates to the plain
-  // serial algorithm; with a pool, one batch of W candidates is evaluated
-  // concurrently and then consumed in scan order, so the accept/reject
-  // decision sequence — and therefore Checks and the minimized result — is
-  // identical to the serial run.
-  const size_t BatchWidth =
-      Plan.Pool ? std::max<size_t>(Plan.Pool->workerCount(), 1) : 1;
-
-  // Evaluates one candidate: incremental replay from the deepest snapshot
-  // at or below the candidate's shared prefix, then the interestingness
-  // test. Safe to run concurrently with other evaluations (Cache.replay is
-  // read-only; the test must be thread-safe per the header contract).
-  auto Evaluate = [&Cache, &Test, &Memo, Learned](ChunkCandidate &C) {
-    Module Variant;
-    FactManager Facts;
-    Cache.replay(C.Seq, C.Start, Variant, Facts);
-    if (Learned) {
-      // A memo hit here skips the expensive test; the memo is frozen
-      // while workers run (inserts happen only between batches), and hits
-      // are purely a wall-time saving — check accounting is decided
-      // against the live memo at the serial consumption point below.
-      C.Hash = hashModule(Variant);
-      auto It = Memo.find(C.Hash);
-      if (It != Memo.end()) {
-        C.Interesting = It->second;
-        return;
-      }
-    }
-    C.Interesting = Test(Variant, Facts);
-  };
-
   size_t ChunkSize = Current.size() / 2;
   if (ChunkSize == 0)
     ChunkSize = 1;
 
-  std::vector<ChunkCandidate> Batch(BatchWidth);
+  TransformationSequence Candidate;
   std::vector<ChunkRange> Ranges;
 
   while (true) {
@@ -229,123 +184,75 @@ ReduceResult ReductionPipeline::reduceSequenceStage(
       Ranges = std::move(Sorted);
     }
 
-    size_t NextRange = 0;
-    while (NextRange < Ranges.size()) {
-      // Assemble up to BatchWidth candidates in scan order.
-      size_t BatchSize = 0;
-      size_t DeepestPrefix = 0;
-      while (BatchSize < BatchWidth &&
-             NextRange + BatchSize < Ranges.size()) {
-        const ChunkRange &R = Ranges[NextRange + BatchSize];
-        ChunkCandidate &C = Batch[BatchSize++];
-        C.Start = R.Start;
-        C.End = R.End;
-        buildCandidate(Current, C.Start, C.End, C.Seq);
-        C.Interesting = false;
-        DeepestPrefix = std::max(DeepestPrefix, C.Start);
-      }
-      // Snapshots need only reach the deepest shared prefix of this batch.
-      Cache.prepare(Current, DeepestPrefix);
+    for (size_t Next = 0; Next < Ranges.size(); ++Next) {
+      const size_t Start = Ranges[Next].Start;
+      const size_t End = Ranges[Next].End;
+      buildCandidate(Current, Start, End, Candidate);
+      // Incremental replay from the deepest snapshot at or below the
+      // candidate's shared prefix.
+      Cache.prepare(Current, Start);
+      Module Variant;
+      FactManager Facts;
+      Cache.replay(Candidate, Start, Variant, Facts);
 
-      if (BatchSize > 1) {
-        // Barrier: every future must be collected before Current or the
-        // cache is mutated below — the jobs read both through references.
-        std::vector<std::future<void>> Futures;
-        Futures.reserve(BatchSize);
-        for (size_t I = 0; I != BatchSize; ++I)
-          Futures.push_back(
-              Plan.Pool->submit([&Evaluate, &C = Batch[I]] { Evaluate(C); }));
-        for (std::future<void> &F : Futures)
-          F.get();
+      // In learned mode a memo hit reuses the earlier verdict for the
+      // byte-identical module and the decision consumes no check; only
+      // misses consult the oracle.
+      bool Interesting = false;
+      bool Counted = true;
+      if (Learned) {
+        const uint64_t Hash = hashModule(Variant);
+        auto It = Memo.find(Hash);
+        if (It != Memo.end()) {
+          Interesting = It->second;
+          Counted = false;
+          if (Metrics.enabled())
+            Metrics.add("reducer.model.memo_hits");
+        } else {
+          Interesting = Test(Variant, Facts);
+          Memo.emplace(Hash, Interesting);
+        }
       } else {
-        Evaluate(Batch[0]);
+        Interesting = Test(Variant, Facts);
       }
+      if (Counted) {
+        ++Result.Checks;
+        if (Metrics.enabled())
+          Metrics.add("reducer.checks");
+      }
+      if (Learned) {
+        Model.recordOutcome(Current, Start, End, Interesting);
+        if (Metrics.enabled())
+          Metrics.add("reducer.model.updates");
+      }
+      if (!Interesting)
+        continue;
 
-      // Consume in scan order. Checks counts only consumed candidates, so
-      // it matches the serial algorithm exactly; evaluated-but-discarded
-      // candidates are accounted separately as speculative waste. Model
-      // updates happen here — at the serial decision points, in decision
-      // order — which is what keeps the learned order job-count-invariant.
-      size_t Consumed = 0;
-      bool Accepted = false;
-      size_t AcceptedStart = 0;
-      size_t AcceptedEnd = 0;
-      for (; Consumed != BatchSize; ++Consumed) {
-        ChunkCandidate &C = Batch[Consumed];
-        // In learned mode a live-memo hit reuses the earlier verdict for
-        // the byte-identical module and the decision consumes no check;
-        // only misses consult the oracle. A worker-side skip above is
-        // always a hit here (the memo is insert-only), so an uncounted
-        // decision at jobs=1 never ran the test either.
-        bool Counted = true;
-        if (Learned) {
-          auto It = Memo.find(C.Hash);
-          if (It != Memo.end()) {
-            C.Interesting = It->second;
-            Counted = false;
-            if (Metrics.enabled())
-              Metrics.add("reducer.model.memo_hits");
-          } else {
-            Memo.emplace(C.Hash, C.Interesting);
-          }
-        }
-        if (Counted) {
-          ++Result.Checks;
-          if (Metrics.enabled())
-            Metrics.add("reducer.checks");
-        }
-        if (Learned) {
-          Model.recordOutcome(Current, C.Start, C.End, C.Interesting);
-          if (Metrics.enabled())
-            Metrics.add("reducer.model.updates");
-        }
-        if (C.Interesting) {
-          AcceptedStart = C.Start;
-          AcceptedEnd = C.End;
-          Current = std::move(C.Seq);
-          Cache.invalidateBeyond(C.Start);
-          RemovedAny = true;
-          Accepted = true;
-          ++Consumed;
-          break;
+      Current.swap(Candidate);
+      Cache.invalidateBeyond(Start);
+      RemovedAny = true;
+      // Remap the pending ranges onto the shortened sequence. The
+      // enumeration partitions the scan, and remapping preserves
+      // disjointness, so a pending range is either entirely inside the
+      // untouched prefix (kept as-is) or entirely past the removed chunk
+      // (shifted down by its width) — it never straddles the removal. In
+      // paper order the scan is strictly decreasing, so everything pending
+      // is prefix-side and this is exactly the fixed scan's continuation;
+      // in learned order the remap keeps the sorted-ahead candidates alive
+      // instead of forfeiting them to the next pass's re-enumeration.
+      const size_t Width = End - Start;
+      size_t Keep = Next + 1;
+      for (size_t I = Next + 1; I != Ranges.size(); ++I) {
+        ChunkRange R = Ranges[I];
+        if (R.End <= Start) {
+          Ranges[Keep++] = R;
+        } else if (R.Start >= End) {
+          R.Start -= Width;
+          R.End -= Width;
+          Ranges[Keep++] = R;
         }
       }
-      NextRange += Consumed;
-      if (Accepted) {
-        if (Consumed != BatchSize) {
-          // The rest of the batch was speculated against the
-          // pre-acceptance sequence; their results no longer answer the
-          // question the serial scan would ask next. Discard and continue
-          // from the acceptance point.
-          size_t Wasted = BatchSize - Consumed;
-          Result.SpeculativeChecks += Wasted;
-          if (Metrics.enabled())
-            Metrics.add("reducer.speculative_checks", Wasted);
-        }
-        // Remap the pending ranges onto the shortened sequence. The
-        // enumeration partitions the scan, and remapping preserves
-        // disjointness, so a pending range is either entirely inside the
-        // untouched prefix (kept as-is) or entirely past the removed
-        // chunk (shifted down by its width) — it never straddles the
-        // removal. In paper order the scan is strictly decreasing, so
-        // everything pending is prefix-side and this is exactly the fixed
-        // scan's continuation; in learned order the remap keeps the
-        // sorted-ahead candidates alive instead of forfeiting them to the
-        // next pass's re-enumeration.
-        const size_t Width = AcceptedEnd - AcceptedStart;
-        size_t Keep = NextRange;
-        for (size_t I = NextRange; I != Ranges.size(); ++I) {
-          ChunkRange R = Ranges[I];
-          if (R.End <= AcceptedStart) {
-            Ranges[Keep++] = R;
-          } else if (R.Start >= AcceptedEnd) {
-            R.Start -= Width;
-            R.End -= Width;
-            Ranges[Keep++] = R;
-          }
-        }
-        Ranges.resize(Keep);
-      }
+      Ranges.resize(Keep);
     }
     if (RemovedAny)
       continue; // retry at the same chunk size until a scan removes nothing
@@ -684,10 +591,8 @@ ReduceResult ReductionPipeline::run(const Module &Original,
         HasAddFunction = true;
     if (HasAddFunction) {
       size_t PriorChecks = Result.Checks;
-      size_t PriorSpeculative = Result.SpeculativeChecks;
       Result = shrinkAddFunctions(Original, Input, Result.Minimized, Test);
       Result.Checks += PriorChecks;
-      Result.SpeculativeChecks += PriorSpeculative;
     }
   }
 

@@ -23,10 +23,11 @@
 ///      checks in a full-sweep scan (every enumerated candidate is
 ///      decided either way), so after an acceptance the pending ranges
 ///      are remapped onto the shortened sequence rather than dropped, and
-///      the memo removes the oracle consultations. Acceptance still
-///      commits in strictly serial scan order through the speculation
-///      machinery, so the minimized sequence — and the serial check
-///      count — is bit-identical at any job count.
+///      the memo removes the oracle consultations. The scan is serial:
+///      each candidate is decided, and on acceptance committed, before
+///      the next is built, so a reduction is deterministic. Parallelism
+///      comes from running independent reductions side by side (the
+///      campaign engine runs each as one pool job).
 ///   2. AddFunction shrinking — the spirv-reduce analogue
 ///      (core/FunctionShrinker.h), folded in behind a plan knob so callers
 ///      no longer hand-roll the check accounting.
@@ -57,8 +58,6 @@
 
 namespace spvfuzz {
 
-class ThreadPool;
-
 //===----------------------------------------------------------------------===//
 // Candidate ordering
 //===----------------------------------------------------------------------===//
@@ -82,10 +81,9 @@ bool candidateOrderFromName(const std::string &Name, CandidateOrder &Out);
 
 /// Chisel-style online model of removal success: per transformation kind,
 /// how often chunks containing that kind were successfully removed. Pure
-/// and deterministic — state advances only at the serial consumption
-/// points of the scan, in decision order, so the model (and therefore the
-/// learned candidate order) is identical at any job count and fully
-/// replayable.
+/// and deterministic — state advances once per decision of the scan, in
+/// decision order, so the model (and therefore the learned candidate
+/// order) is fully replayable.
 class ProbabilisticModel {
 public:
   /// Records the serial decision for the chunk [\p Start, \p End) of
@@ -162,14 +160,6 @@ const std::vector<ReductionPassPtr> &standardPostReducePasses();
 /// campaign/ExecutionPolicy. The defaults reproduce the paper's reducer
 /// exactly.
 struct ReductionPlan {
-  /// When non-null, each scan's candidates are evaluated speculatively on
-  /// the pool while acceptance commits strictly in serial scan order;
-  /// results invalidated by an earlier acceptance are discarded (counted
-  /// in ReduceResult::SpeculativeChecks). The pipeline only submits leaf
-  /// jobs — never call run() itself from a job on the same pool. Only
-  /// `minispv reduce --jobs` sets it; campaign reductions are pool jobs
-  /// themselves and leave it null.
-  ThreadPool *Pool = nullptr;
   /// Chunk-candidate ordering for the delta-debugging scans.
   CandidateOrder Order = CandidateOrder::Paper;
   /// Shrink surviving AddFunction payloads after sequence reduction
@@ -179,10 +169,6 @@ struct ReductionPlan {
   /// module after sequence reduction.
   bool PostReduce = false;
 
-  ReductionPlan &withPool(ThreadPool *P) {
-    Pool = P;
-    return *this;
-  }
   ReductionPlan &withOrder(CandidateOrder O) {
     Order = O;
     return *this;

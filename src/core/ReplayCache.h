@@ -20,11 +20,9 @@
 /// bound by an arbitrary byte budget (eviction thins snapshots to every
 /// other one, doubling the effective interval, until the budget holds).
 ///
-/// Concurrency contract: prepare() and invalidateBeyond() mutate the
-/// snapshot list and must run with no concurrent calls; replay() only
-/// reads it, so any number of replay() calls may run in parallel between
-/// mutations. The speculative reducer prepares snapshots serially before
-/// each batch and replays from worker threads.
+/// Concurrency contract: one reduction owns its cache and uses it from one
+/// thread. prepare() and invalidateBeyond() mutate the snapshot list;
+/// replay() only reads it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,19 +44,18 @@ public:
 
   /// Ensures snapshots exist at every effective-interval multiple up to
   /// \p PrefixLen of \p Current, replaying forward from the deepest
-  /// existing snapshot. Serial only.
+  /// existing snapshot.
   void prepare(const TransformationSequence &Current, size_t PrefixLen);
 
   /// Drops snapshots deeper than \p PrefixLen. Call when the current
   /// sequence changes past that point (a chunk was accepted): snapshots of
-  /// the unchanged prefix stay valid. Serial only.
+  /// the unchanged prefix stay valid.
   void invalidateBeyond(size_t PrefixLen);
 
   /// Replays \p Candidate onto (\p MOut, \p FactsOut), starting from the
   /// deepest snapshot whose prefix length is <= \p SharedPrefixLen —
   /// \p Candidate must agree with the sequence last passed to prepare() on
-  /// its first \p SharedPrefixLen entries. Read-only; thread-safe against
-  /// other replay() calls.
+  /// its first \p SharedPrefixLen entries. Read-only.
   void replay(const TransformationSequence &Candidate, size_t SharedPrefixLen,
               Module &MOut, FactManager &FactsOut) const;
 

@@ -139,7 +139,9 @@ void writeRecord(ByteWriter &W, const ReductionRecord &Record) {
   W.u64(Record.ReducedCount);
   W.u64(Record.MinimizedLength);
   W.u64(Record.Checks);
-  W.u64(Record.SpeculativeChecks);
+  // A retired slot (discarded speculative checks), kept so the format and
+  // existing stores stay as they are; readRecord skips it.
+  W.u64(0);
   W.u32(static_cast<uint32_t>(Record.Types.size()));
   for (TransformationKind Kind : Record.Types)
     W.u16(static_cast<uint16_t>(Kind));
@@ -154,12 +156,12 @@ void writeRecord(ByteWriter &W, const ReductionRecord &Record) {
 
 bool readRecord(ByteReader &R, ReductionRecord &Record, uint32_t Version) {
   uint64_t TestIndex = 0, Original = 0, Unreduced = 0, Reduced = 0,
-           Minimized = 0, Checks = 0, Speculative = 0;
+           Minimized = 0, Checks = 0, Retired = 0;
   uint32_t TypeCount = 0;
   if (!R.str(Record.Tool) || !R.str(Record.TargetName) ||
       !R.str(Record.Signature) || !R.u64(TestIndex) || !R.u64(Original) ||
       !R.u64(Unreduced) || !R.u64(Reduced) || !R.u64(Minimized) ||
-      !R.u64(Checks) || !R.u64(Speculative) || !R.u32(TypeCount) ||
+      !R.u64(Checks) || !R.u64(Retired) || !R.u32(TypeCount) ||
       !R.checkCount(TypeCount, 2))
     return false;
   Record.TestIndex = static_cast<size_t>(TestIndex);
@@ -168,7 +170,6 @@ bool readRecord(ByteReader &R, ReductionRecord &Record, uint32_t Version) {
   Record.ReducedCount = static_cast<size_t>(Reduced);
   Record.MinimizedLength = static_cast<size_t>(Minimized);
   Record.Checks = static_cast<size_t>(Checks);
-  Record.SpeculativeChecks = static_cast<size_t>(Speculative);
   Record.Types.clear();
   for (uint32_t I = 0; I < TypeCount; ++I) {
     uint16_t Kind = 0;

@@ -36,11 +36,6 @@ void ThreadPool::enqueue(std::function<void()> Job) {
   WorkAvailable.notify_one();
 }
 
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Idle.wait(Lock, [this] { return Queue.empty() && Busy == 0; });
-}
-
 void ThreadPool::workerLoop() {
   for (;;) {
     std::function<void()> Job;
@@ -52,16 +47,9 @@ void ThreadPool::workerLoop() {
         return; // Stopping and drained.
       Job = std::move(Queue.front());
       Queue.pop_front();
-      ++Busy;
     }
     // A job is a packaged_task wrapper: it never throws (exceptions land in
     // the associated future).
     Job();
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      --Busy;
-      if (Queue.empty() && Busy == 0)
-        Idle.notify_all();
-    }
   }
 }

@@ -5,17 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool used by the campaign engine to fan out per-test
-/// jobs. Design points that matter for deterministic campaigns:
+/// A fixed-size thread pool used by the campaign engine to fan out a
+/// wave's per-test jobs and reductions (and by triage to fan out
+/// attributions).
+/// Design points that matter for deterministic campaigns:
 ///
 ///  - submit() returns a std::future, so callers aggregate results in
 ///    *submission* order regardless of completion order — the mechanism by
 ///    which an N-thread campaign is bit-identical to a serial one.
 ///  - Exceptions thrown by a job are captured in its future and rethrown
 ///    from get() on the aggregating thread; they never kill a worker.
-///  - Cancellation is cooperative: requestCancel() raises a flag that jobs
-///    poll via cancelRequested(); queued jobs still run (so every future
-///    becomes ready) but are expected to return early.
 ///  - The destructor drains the queue: all submitted jobs execute before
 ///    the workers join, so no future is ever abandoned mid-flight.
 ///
@@ -24,7 +23,6 @@
 #ifndef SUPPORT_THREADPOOL_H
 #define SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -64,19 +62,6 @@ public:
     return Future;
   }
 
-  /// Raises the cooperative cancellation flag. Jobs already queued still
-  /// run (their futures must become ready), but well-behaved jobs check
-  /// cancelRequested() and return early.
-  void requestCancel() { Cancel.store(true, std::memory_order_release); }
-  bool cancelRequested() const {
-    return Cancel.load(std::memory_order_acquire);
-  }
-  /// Lowers the cancellation flag again (a pool outlives many campaigns).
-  void clearCancel() { Cancel.store(false, std::memory_order_release); }
-
-  /// Blocks until the queue is empty and every worker is idle.
-  void wait();
-
 private:
   void enqueue(std::function<void()> Job);
   void workerLoop();
@@ -84,11 +69,8 @@ private:
   std::vector<std::thread> Workers;
   mutable std::mutex Mutex;
   std::condition_variable WorkAvailable;
-  std::condition_variable Idle;
   std::deque<std::function<void()>> Queue;
-  size_t Busy = 0;
   bool Stopping = false;
-  std::atomic<bool> Cancel{false};
 };
 
 } // namespace spvfuzz

@@ -9,8 +9,8 @@
 /// bit-identical to the serial run — same TestEvaluations, same reduction
 /// records, same dedup classes, same metrics counter totals — including on
 /// the faulty fleet, where flaky bugs, timeouts, retries and quarantine are
-/// in play. Also covers the ExecutionPolicy defaults and deadline
-/// truncation.
+/// in play. Also covers the ExecutionPolicy defaults and the deadline,
+/// which stops a phase only at a wave boundary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -157,7 +157,6 @@ TEST(CampaignEngine, ReductionsAreIdenticalAcrossJobCounts) {
     EXPECT_EQ(X.ReducedCount, Y.ReducedCount) << "record " << I;
     EXPECT_EQ(X.MinimizedLength, Y.MinimizedLength) << "record " << I;
     EXPECT_EQ(X.Checks, Y.Checks) << "record " << I;
-    EXPECT_EQ(X.SpeculativeChecks, Y.SpeculativeChecks) << "record " << I;
     EXPECT_EQ(X.Types, Y.Types) << "record " << I;
   }
 }
@@ -269,6 +268,109 @@ TEST(CampaignEngine, NoDeadlineNeverExpires) {
   CampaignEngine Engine(ExecutionPolicy{}.withTransformationLimit(120),
                         smallCorpus());
   EXPECT_FALSE(Engine.deadlineExpired());
+}
+
+/// A deadline with margin: the engine must not reach it before the first
+/// wave starts, even under a sanitizer.
+CampaignEngine makeDeadlineEngine() {
+  return CampaignEngine(ExecutionPolicy{}
+                            .withJobs(2)
+                            .withTransformationLimit(120)
+                            .withDeadline(std::chrono::milliseconds(400)),
+                        smallCorpus());
+}
+
+void waitOutDeadline(const CampaignEngine &Engine) {
+  while (!Engine.deadlineExpired())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+/// Declines every shard, but only once the deadline has passed, so the
+/// wave it was asked for is computed locally after the deadline.
+class DeclineAfterDeadline : public ShardProvider {
+public:
+  explicit DeclineAfterDeadline(const CampaignEngine &Engine)
+      : Engine(Engine) {}
+
+  void beginPhase(const ShardRequest &, size_t) override {}
+  bool takeShard(const ShardRequest &, std::vector<TestEvaluation> &) override {
+    ++Requests;
+    waitOutDeadline(Engine);
+    return false;
+  }
+  void endPhase(const std::string &Phase, bool Complete) override {
+    Ended.emplace_back(Phase, Complete);
+  }
+
+  const CampaignEngine &Engine;
+  size_t Requests = 0;
+  std::vector<std::pair<std::string, bool>> Ended;
+};
+
+TEST(CampaignEngine, DeadlineStopsEvaluationAtAWaveBoundary) {
+  // The deadline passes while the first wave is being computed: that wave
+  // runs whole, and the phase stops before the second.
+  CampaignEngine Engine = makeDeadlineEngine();
+  ASSERT_FALSE(Engine.deadlineExpired());
+  DeclineAfterDeadline Provider(Engine);
+  Engine.setShardProvider(&Provider);
+  const ToolConfig &Tool = Engine.tools()[0];
+  std::vector<TestEvaluation> Evals = Engine.evaluateTests(Tool, 64);
+  EXPECT_EQ(Evals.size(), CampaignEngine::ShardSize);
+  EXPECT_EQ(Provider.Requests, 1u);
+  ASSERT_EQ(Provider.Ended.size(), 1u);
+  EXPECT_EQ(Provider.Ended[0].first, "eval/" + Tool.Name + "/64");
+  EXPECT_FALSE(Provider.Ended[0].second);
+}
+
+/// Waits out the deadline at the first bug a reduce phase reports, so the
+/// wave's reductions all start after it.
+class WaitAtFirstReduceBug : public CampaignObserver {
+public:
+  explicit WaitAtFirstReduceBug(const CampaignEngine &Engine)
+      : Engine(Engine) {}
+
+  void onBugFound(const std::string &Phase, size_t WaveEnd, size_t,
+                  const std::string &, const std::string &) override {
+    if (Phase.rfind("reduce/", 0) != 0)
+      return;
+    if (BugWaves.empty())
+      waitOutDeadline(Engine);
+    BugWaves.push_back(WaveEnd);
+  }
+  void onReductionStep(const std::string &, size_t,
+                       const ReductionRecord &Record) override {
+    Steps.push_back(Record.TargetName + "/" + Record.Signature + "/" +
+                    std::to_string(Record.TestIndex));
+  }
+
+  const CampaignEngine &Engine;
+  std::vector<size_t> BugWaves;
+  std::vector<std::string> Steps;
+};
+
+TEST(CampaignEngine, DeadlineStopsReductionAtAWaveBoundary) {
+  // The deadline passes during the first wave's fold: its reductions still
+  // run and commit, and no later wave starts.
+  CampaignEngine Engine = makeDeadlineEngine();
+  ASSERT_FALSE(Engine.deadlineExpired());
+  WaitAtFirstReduceBug Observer(Engine);
+  Engine.setObserver(&Observer);
+  ReductionConfig Config;
+  Config.TestsPerTool = 64;
+  Config.CapPerSignature = 2;
+  Config.MaxReductionsPerTool = 8;
+  ReductionData Data = Engine.runReductions(Config);
+  ASSERT_FALSE(Observer.BugWaves.empty());
+  for (size_t WaveEnd : Observer.BugWaves)
+    EXPECT_EQ(WaveEnd, CampaignEngine::ShardSize);
+  ASSERT_GE(Data.Records.size(), 1u);
+  ASSERT_EQ(Observer.Steps.size(), Data.Records.size());
+  for (size_t I = 0; I < Data.Records.size(); ++I) {
+    const ReductionRecord &Record = Data.Records[I];
+    EXPECT_EQ(Observer.Steps[I], Record.TargetName + "/" + Record.Signature +
+                                     "/" + std::to_string(Record.TestIndex));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -401,8 +503,6 @@ TEST(CampaignEngine, UniformInputBatchesAreIdenticalAcrossJobCounts) {
 /// Writes one text line per decision the engine hands to its hooks: every
 /// observer callback, every checkpoint it saves and every reproducer it
 /// records. Loads report no checkpoint, so every phase runs from wave 0.
-/// SpeculativeChecks is left out: campaign reductions never speculate, so
-/// it is always 0 there.
 class DecisionRecorder : public CampaignObserver, public CampaignCheckpointer {
 public:
   std::ostringstream Out;

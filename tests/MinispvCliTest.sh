@@ -127,6 +127,32 @@ retriage-keeps-repros)
   ls -i s/bugs/*/repro.msb > after.txt
   cmp before.txt after.txt
   ;;
+reduce-readme-example)
+  # README.md's "Command-line tool" example: the paper's Figure 3, one
+  # attribute flip, reduced from a 75-transformation sequence.
+  "$M" gen --seed 7 -o prog.mvs > /dev/null
+  "$M" gen --seed 900 -o donor.mvs > /dev/null
+  "$M" fuzz prog.mvs --inputs prog.mvs.in --seed 2 -o variant.mvs \
+    --sequence seq.txt --donor donor.mvs > fuzz.txt
+  grep -qFx 'applied 75 transformations: 372 -> 521 instructions' fuzz.txt
+  Code=0
+  "$M" run variant.mvs --inputs prog.mvs.in --target SwiftShader \
+    > run.txt || Code=$?
+  test "$Code" -eq 2
+  grep -qFx 'SwiftShader: CRASH: inliner: unexpected DontInline attribute' \
+    run.txt
+  Reduce="reduce prog.mvs --inputs prog.mvs.in --sequence seq.txt
+    --target SwiftShader -o reduced.mvs --out-sequence min.txt"
+  "$M" $Reduce --signature "inliner: unexpected DontInline attribute" \
+    > reduce.txt
+  grep -qFx -e "reduced to 1 transformations in 21 checks; delta vs \
+original: +0 instructions" reduce.txt
+  grep -qFx -e '- %15 = OpFunction %1 None %14' reduce.txt
+  grep -qFx -e '+ %15 = OpFunction %1 DontInline %14' reduce.txt
+  # A reduction runs serially: there is no --jobs to set.
+  expect_exit 1 $Reduce --signature "inliner: unexpected DontInline attribute" \
+    --jobs 2
+  ;;
 *)
   echo "unknown case $2" >&2
   exit 2

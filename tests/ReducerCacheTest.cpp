@@ -5,15 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The contract of every reduction-performance feature — replay snapshots,
-/// evaluation memoization, speculative parallel checking — is that it
-/// changes cost, never results. These tests pin that contract: the same
-/// ReduceResult (minimized sequence, variant, Checks) must come out with
-/// and without speculation, across many fuzzed campaigns; a replay from
-/// any snapshot must equal a replay from the original; the structural
-/// module hash must distinguish exactly the modules a target can
-/// distinguish; and a memoized harnessed target must return what the
-/// plain target returns.
+/// The contract of every reduction-performance feature — replay snapshots
+/// and evaluation memoization — is that it changes cost, never results.
+/// These tests pin that contract: a replay from any snapshot must equal a
+/// replay from the original; the structural module hash must distinguish
+/// exactly the modules a target can distinguish; and a memoized harnessed
+/// target must return what the plain target returns, so a reduction
+/// through it yields the same ReduceResult (minimized sequence, variant,
+/// Checks).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +23,6 @@
 #include "gen/Generator.h"
 #include "support/ModuleHash.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "target/Harness.h"
 #include "TestHelpers.h"
 
@@ -124,7 +122,7 @@ TEST(EvalCache, CachedTargetMatchesTarget) {
 }
 
 //===----------------------------------------------------------------------===//
-// Reduction determinism across all performance options
+// Reduction helpers
 //===----------------------------------------------------------------------===//
 
 /// An interestingness test every fuzzed campaign satisfies: the variant
@@ -150,40 +148,12 @@ void expectSameReduceResult(const ReduceResult &A, const ReduceResult &B,
   EXPECT_EQ(A.Checks, B.Checks) << What << " seed " << Seed;
 }
 
-TEST(ReducerCache, AllOptionCombinationsAreBitIdentical) {
-  // Across >= 20 fuzzed campaigns, speculative parallel checking must
-  // reproduce the plain serial ReduceResult exactly, Checks included.
-  ThreadPool Pool(4);
-  size_t SpeculativeWaste = 0;
-  for (uint64_t Seed = 100; Seed < 122; ++Seed) {
-    GeneratedProgram Program = generateProgram(Seed);
-    FuzzerOptions Options;
-    Options.TransformationLimit = 60;
-    FuzzResult Fuzzed = fuzz(Program.M, Program.Input, {}, Seed, Options);
-    InterestingnessTest Test = grewBy(Program.M.instructionCount(), 5);
-    if (!Test(Fuzzed.Variant, Fuzzed.Facts))
-      continue; // fuzzing added too little on this seed; fine
-    ReduceResult Baseline = ReductionPipeline(ReductionPlan{})
-                                .run(Program.M, Program.Input, Fuzzed.Sequence,
-                                     Test);
-    EXPECT_EQ(Baseline.SpeculativeChecks, 0u) << "seed " << Seed;
-    ReduceResult Speculative =
-        ReductionPipeline(ReductionPlan{}.withPool(&Pool))
-            .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
-    expectSameReduceResult(Baseline, Speculative, Seed, "speculative");
-    SpeculativeWaste += Speculative.SpeculativeChecks;
-  }
-  // Speculation actually happened (otherwise the parallel leg of this test
-  // is vacuous). Waste is legal and expected; only Checks must match.
-  EXPECT_GT(SpeculativeWaste, 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // ReplayCache
 //===----------------------------------------------------------------------===//
 
 TEST(ReplayCache, EverySnapshotReplayMatchesAReplayFromTheOriginal) {
-  // Across the same fuzzed campaigns, three caches follow the
+  // Across the fuzzed campaigns of seeds 100-121, three caches follow the
   // prepare/replay/invalidateBeyond calls of a paper-order scan (back to
   // front, halving the chunk size once a scan removes nothing, acceptance
   // decided on the interval-0 replay): interval 0, which always replays

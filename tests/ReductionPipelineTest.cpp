@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ReductionPipeline contract: learned candidate ordering is
-/// bit-identical at any job count and never spends more interestingness
-/// checks than the paper's fixed scan (and strictly fewer in aggregate);
-/// every IR-level post-reduction pass preserves validity and
-/// interestingness of the reproducer it hands back; and a store-backed
-/// campaign using learned + post-reduce reduction resumes byte-identically
-/// after an interruption.
+/// The ReductionPipeline contract: learned candidate ordering never spends
+/// more interestingness checks than the paper's fixed scan (and strictly
+/// fewer in aggregate, with both totals pinned); every IR-level
+/// post-reduction pass preserves validity and interestingness of the
+/// reproducer it hands back; and a store-backed campaign using learned +
+/// post-reduce reduction resumes byte-identically after an interruption.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #include "core/ReductionPipeline.h"
 #include "gen/Generator.h"
 #include "store/CampaignStore.h"
-#include "support/ThreadPool.h"
 #include "TestHelpers.h"
 
 #include <sstream>
@@ -74,7 +72,7 @@ TEST(CandidateOrderNames, RoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Learned ordering: determinism and check budget
+// Learned ordering: check budget
 //===----------------------------------------------------------------------===//
 
 /// An interestingness test every fuzzed campaign satisfies: the variant
@@ -86,25 +84,10 @@ InterestingnessTest grewBy(size_t OriginalCount, size_t Extra) {
   };
 }
 
-void expectSameReduceResult(const ReduceResult &A, const ReduceResult &B,
-                            uint64_t Seed, const char *What) {
-  ASSERT_EQ(A.Minimized.size(), B.Minimized.size())
-      << What << " seed " << Seed;
-  for (size_t I = 0; I < A.Minimized.size(); ++I)
-    EXPECT_EQ(A.Minimized[I]->kind(), B.Minimized[I]->kind())
-        << What << " seed " << Seed << " step " << I;
-  EXPECT_EQ(writeModuleText(A.ReducedVariant),
-            writeModuleText(B.ReducedVariant))
-      << What << " seed " << Seed;
-  EXPECT_EQ(A.Checks, B.Checks) << What << " seed " << Seed;
-}
-
-TEST(ReductionPipeline, LearnedIsJobInvariantAndNeverWorseThanPaper) {
-  // Across >= 20 fuzzed campaigns: learned-order reduction at one job and
-  // at eight speculative jobs is bit-identical (sequence, variant and
-  // Checks), never spends more checks than the paper order on any seed,
-  // and spends strictly fewer in aggregate (the decision memo's savings).
-  ThreadPool Pool(8);
+TEST(ReductionPipeline, LearnedIsNeverWorseThanPaper) {
+  // Across 22 fuzzed campaigns: learned-order reduction never spends more
+  // checks than the paper order on any seed, and spends strictly fewer in
+  // aggregate (the decision memo's savings).
   size_t PaperChecks = 0, LearnedChecks = 0, Campaigns = 0;
   for (uint64_t Seed = 100; Seed < 160 && Campaigns < 22; ++Seed) {
     GeneratedProgram Program = generateProgram(Seed);
@@ -119,25 +102,24 @@ TEST(ReductionPipeline, LearnedIsJobInvariantAndNeverWorseThanPaper) {
     ReduceResult Paper =
         ReductionPipeline(ReductionPlan{})
             .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
-    ReductionPlan Serial = ReductionPlan{}.withOrder(CandidateOrder::Learned);
-    ReduceResult Learned = ReductionPipeline(Serial).run(
-        Program.M, Program.Input, Fuzzed.Sequence, Test);
-    ReductionPlan Parallel =
-        ReductionPlan{}.withOrder(CandidateOrder::Learned).withPool(&Pool);
-    ReduceResult LearnedJobs8 = ReductionPipeline(Parallel).run(
-        Program.M, Program.Input, Fuzzed.Sequence, Test);
+    ReduceResult Learned =
+        ReductionPipeline(ReductionPlan{}.withOrder(CandidateOrder::Learned))
+            .run(Program.M, Program.Input, Fuzzed.Sequence, Test);
 
-    expectSameReduceResult(Learned, LearnedJobs8, Seed, "jobs 1 vs 8");
     EXPECT_LE(Learned.Checks, Paper.Checks) << "seed " << Seed;
     EXPECT_TRUE(Test(Learned.ReducedVariant, Learned.ReducedFacts))
         << "seed " << Seed;
     PaperChecks += Paper.Checks;
     LearnedChecks += Learned.Checks;
   }
-  ASSERT_GE(Campaigns, 20u);
+  ASSERT_EQ(Campaigns, 22u);
   EXPECT_LT(LearnedChecks, PaperChecks)
       << "learned ordering saved nothing across " << Campaigns
       << " campaigns";
+  // Pinned totals: a change to how many checks either scan decides fails
+  // here.
+  EXPECT_EQ(PaperChecks, 400u);
+  EXPECT_EQ(LearnedChecks, 249u);
 }
 
 TEST(ReductionPipeline, StandardPassListIsNamedAndFindable) {
@@ -273,8 +255,7 @@ ExecutionPolicy learnedPolicy(uint64_t Seed, size_t Jobs) {
 }
 
 /// Every result-shaping field of the reduce phase flattened to one
-/// comparable string (PostStats included; SpeculativeChecks excluded — it
-/// is a cost measurement that varies with scheduling).
+/// comparable string (PostStats included).
 std::string runLearnedReductions(const ExecutionPolicy &Policy,
                                  CampaignCheckpointer *Checkpointer) {
   CampaignEngine Engine(Policy, CorpusSpec{}, ToolsetSpec{}, TargetFleet{});

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Unit tests for support/ThreadPool: results come back in submission
-/// order via futures, exceptions propagate through future::get, and
-/// cooperative cancellation lets queued jobs drain cheaply.
+/// order via futures, exceptions propagate through future::get, and the
+/// destructor runs every queued job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,37 +48,10 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   EXPECT_EQ(Pool.submit([] { return 8; }).get(), 8);
 }
 
-TEST(ThreadPool, CooperativeCancellationShortCircuitsQueuedJobs) {
-  ThreadPool Pool(1);
-  ASSERT_FALSE(Pool.cancelRequested());
-  Pool.requestCancel();
-  std::vector<std::future<bool>> Futures;
-  for (size_t I = 0; I < 16; ++I)
-    Futures.push_back(
-        Pool.submit([&Pool] { return Pool.cancelRequested(); }));
-  for (std::future<bool> &Future : Futures)
-    EXPECT_TRUE(Future.get()) << "queued job did not observe the cancel";
-  Pool.clearCancel();
-  EXPECT_FALSE(Pool.cancelRequested());
-  EXPECT_FALSE(Pool.submit([&Pool] { return Pool.cancelRequested(); }).get());
-}
-
 TEST(ThreadPool, ZeroWorkersFallsBackToHardwareConcurrency) {
   ThreadPool Pool(0);
   EXPECT_GE(Pool.workerCount(), 1u);
   EXPECT_EQ(Pool.submit([] { return 42; }).get(), 42);
-}
-
-TEST(ThreadPool, WaitBlocksUntilQueueDrains) {
-  ThreadPool Pool(2);
-  std::atomic<size_t> Done{0};
-  for (size_t I = 0; I < 32; ++I)
-    Pool.submit([&Done] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      ++Done;
-    });
-  Pool.wait();
-  EXPECT_EQ(Done.load(), 32u);
 }
 
 TEST(ThreadPool, DestructorDrainsOutstandingJobs) {

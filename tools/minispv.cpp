@@ -19,7 +19,7 @@
 ///                    -o variant.mvs
 ///   minispv reduce   prog.mvs --inputs prog.in --sequence seq.txt
 ///                    --target NAME (--signature SIG | --miscompilation)
-///                    -o reduced.mvs --out-sequence min.txt [--jobs N]
+///                    -o reduced.mvs --out-sequence min.txt
 ///                    [--faulty-fleet] [--order paper|learned]
 ///                    [--post-reduce] [--out-original FILE]
 ///   minispv campaign [--jobs N] [--tests N] [--seed N] [--limit N]
@@ -106,7 +106,6 @@
 #include "support/FileIO.h"
 #include "support/Telemetry.h"
 #include "triage/Triage.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include "CommandLine.h"
@@ -361,7 +360,7 @@ int cmdReduce(const Args &A) {
     fail("usage: minispv reduce <module.mvs> --inputs <file> "
          "--sequence <file> --target NAME (--signature SIG | "
          "--miscompilation) -o <out> --out-sequence <out> "
-         "[--jobs N] [--faulty-fleet] [--order paper|learned] "
+         "[--faulty-fleet] [--order paper|learned] "
          "[--post-reduce] [--out-original FILE]");
   Module M = readModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
@@ -374,17 +373,8 @@ int cmdReduce(const Args &A) {
           ? makeMiscompilationInterestingness(*T, M, Input)
           : makeCrashInterestingness(*T, A.require("signature"), Input);
 
-  // Jobs is a performance knob: every setting reduces to the same result.
-  // Order and post-reduce change which result — deterministically, still
-  // independent of the job count.
   ReductionPlan Plan;
   Plan.ShrinkFunctions = true;
-  size_t Jobs = A.number("jobs", 1);
-  std::unique_ptr<ThreadPool> Pool;
-  if (Jobs != 1) {
-    Pool = std::make_unique<ThreadPool>(Jobs);
-    Plan.Pool = Pool.get();
-  }
   Plan.Order = parseOrderFlag(A, "order");
   Plan.PostReduce = A.has("post-reduce");
 
@@ -1205,7 +1195,7 @@ const std::vector<Command> &commands() {
       {"reduce",
        cmdReduce,
        {"inputs", "sequence", "target", "signature", "o", "out-sequence",
-        "jobs", "order", "out-original"},
+        "order", "out-original"},
        {"faulty-fleet", "miscompilation", "post-reduce"}},
       {"campaign", cmdCampaignInProcess, CampaignValued, CampaignSwitches},
       {"serve",
