@@ -6,6 +6,7 @@
 
 #include "core/Fuzzer.h"
 
+#include "core/AvailableValues.h"
 #include "core/TransformationUtil.h"
 #include "core/Transformations.h"
 #include "exec/Interpreter.h"
@@ -350,43 +351,13 @@ private:
     return Points;
   }
 
-  /// A candidate value together with its (module-level) type id, so that
-  /// callers can classify candidates without a per-candidate findDef scan.
-  struct ValueInfo {
-    Id ValueId = InvalidId;
-    Id TypeId = InvalidId;
-  };
-
-  /// Ids holding values of type \p TypeId available before \p Point.
-  /// Excludes irrelevant ids unless \p AllowIrrelevant.
-  std::vector<ValueInfo> availableValues(const ModuleAnalysis &Analysis,
+  /// Ids holding values of type \p TypeId available before \p Point, by
+  /// the sweep's snapshot. Excludes irrelevant ids unless \p AllowIrrelevant.
+  std::vector<ValueInfo> availableValues(const AvailableValueIndex &Values,
                                          const InsertPoint &Point, Id TypeId,
                                          bool AllowIrrelevant) {
-    std::vector<ValueInfo> Out;
-    auto Consider = [&](Id Candidate, Id CandidateType) {
-      if (TypeId != InvalidId && CandidateType != TypeId)
-        return;
-      if (CandidateType == InvalidId)
-        return;
-      if (!AllowIrrelevant && facts().idIsIrrelevant(Candidate))
-        return;
-      if (Analysis.idAvailableBefore(Candidate, Point.FuncId, Point.BlockId,
-                                     Point.Index))
-        Out.push_back({Candidate, CandidateType});
-    };
-    for (const Instruction &Global : module().GlobalInsts)
-      if (isConstantDecl(Global.Opcode) || Global.Opcode == Op::Variable)
-        Consider(Global.Result, Global.ResultType);
-    const Function *Func = module().findFunction(Point.FuncId);
-    if (Func) {
-      for (const Instruction &Param : Func->Params)
-        Consider(Param.Result, Param.ResultType);
-      for (const BasicBlock &Block : Func->Blocks)
-        for (const Instruction &Inst : Block.Body)
-          if (Inst.Result != InvalidId)
-            Consider(Inst.Result, Inst.ResultType);
-    }
-    return Out;
+    return Values.available(Point.FuncId, Point.BlockId, Point.Index, TypeId,
+                            AllowIrrelevant, facts());
   }
 
   /// Candidates for operand replacement: (descriptor, operand index,
@@ -483,6 +454,7 @@ private:
 
   void passAddStores() {
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const InsertPoint &Point : collectInsertPoints()) {
       bool Dead = facts().blockIsDead(Point.BlockId);
       if (!takeOpportunity())
@@ -491,7 +463,7 @@ private:
       // dead, otherwise only irrelevant pointees.
       std::vector<ValueInfo> Pointers;
       for (const ValueInfo &Candidate :
-           availableValues(Analysis, Point, InvalidId, true)) {
+           availableValues(Available, Point, InvalidId, true)) {
         if (!module().isPointerTypeId(Candidate.TypeId))
           continue;
         if (module().pointerInfo(Candidate.TypeId).first ==
@@ -506,7 +478,7 @@ private:
       const ValueInfo &Pointer = Random.pick(Pointers);
       Id Pointee = module().pointerInfo(Pointer.TypeId).second;
       std::vector<ValueInfo> Values =
-          availableValues(Analysis, Point, Pointee, /*AllowIrrelevant=*/Dead);
+          availableValues(Available, Point, Pointee, /*AllowIrrelevant=*/Dead);
       if (Values.empty())
         continue;
       maybeApply(std::make_shared<TransformationAddStore>(
@@ -543,12 +515,13 @@ private:
 
   void passAddLoads() {
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const InsertPoint &Point : collectInsertPoints()) {
       if (!takeOpportunity())
         continue;
       std::vector<Id> Pointers;
       for (const ValueInfo &Candidate :
-           availableValues(Analysis, Point, InvalidId, true)) {
+           availableValues(Available, Point, InvalidId, true)) {
         if (!module().isPointerTypeId(Candidate.TypeId))
           continue;
         if (module().pointerInfo(Candidate.TypeId).first ==
@@ -567,6 +540,7 @@ private:
     // Phi synonyms at merge points.
     {
       ModuleAnalysis Analysis(module());
+      AvailableValueIndex Available(module(), Analysis);
       for (const Function &Func : module().Functions) {
         const Cfg &Graph = Analysis.cfg(Func.id());
         for (const BasicBlock &Block : Func.Blocks) {
@@ -576,7 +550,7 @@ private:
                             InstructionDescriptor()};
           std::vector<Id> Sources;
           for (const ValueInfo &Candidate :
-               availableValues(Analysis, Point, InvalidId, false))
+               availableValues(Available, Point, InvalidId, false))
             if (module().isIntTypeId(Candidate.TypeId) ||
                 module().isBoolTypeId(Candidate.TypeId))
               Sources.push_back(Candidate.ValueId);
@@ -588,13 +562,14 @@ private:
       }
     }
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const InsertPoint &Point : collectInsertPoints()) {
       if (!takeOpportunity())
         continue;
       std::vector<ValueInfo> Sources;
       std::vector<Id> PointerSources;
       for (const ValueInfo &Candidate :
-           availableValues(Analysis, Point, InvalidId, false)) {
+           availableValues(Available, Point, InvalidId, false)) {
         if (module().isIntTypeId(Candidate.TypeId) ||
             module().isBoolTypeId(Candidate.TypeId))
           Sources.push_back(Candidate);
@@ -742,6 +717,7 @@ private:
 
   void passReplaceBranchesWithConditionals() {
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const Function &Func : module().Functions) {
       for (const BasicBlock &Block : Func.Blocks) {
         if (!Block.hasTerminator() ||
@@ -751,7 +727,7 @@ private:
                           InstructionDescriptor()};
         std::vector<Id> Conditions;
         for (const ValueInfo &Candidate :
-             availableValues(Analysis, Point, InvalidId, true))
+             availableValues(Available, Point, InvalidId, true))
           if (module().isBoolTypeId(Candidate.TypeId))
             Conditions.push_back(Candidate.ValueId);
         if (Conditions.empty())
@@ -816,11 +792,12 @@ private:
     if (IntType == InvalidId)
       return;
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const InsertPoint &Point : collectInsertPoints()) {
       if (!takeOpportunity())
         continue;
       std::vector<ValueInfo> Ints =
-          availableValues(Analysis, Point, IntType, false);
+          availableValues(Available, Point, IntType, false);
       if (Ints.size() < 2)
         continue;
       uint32_t Count = Random.uniform(2, 4);
@@ -939,6 +916,7 @@ private:
 
   void passReplaceIrrelevantIds() {
     ModuleAnalysis Analysis(module());
+    AvailableValueIndex Available(module(), Analysis);
     for (const UseSite &Use : collectValueUses()) {
       if (!facts().idIsIrrelevant(Use.Current) || !takeOpportunity())
         continue;
@@ -948,7 +926,7 @@ private:
       InsertPoint Point{Loc.Func->id(), Loc.Block->LabelId, Loc.Index,
                         Use.Where};
       std::vector<ValueInfo> Replacements = availableValues(
-          Analysis, Point, module().typeOfId(Use.Current), true);
+          Available, Point, module().typeOfId(Use.Current), true);
       if (Replacements.empty())
         continue;
       maybeApply(std::make_shared<TransformationReplaceIrrelevantId>(
@@ -1290,6 +1268,7 @@ void FuzzerImpl::passAddFunctions() {
 
 void FuzzerImpl::passAddFunctionCalls() {
   ModuleAnalysis Analysis(module());
+  AvailableValueIndex Available(module(), Analysis);
   for (const InsertPoint &Point : collectInsertPoints()) {
     if (!takeOpportunity())
       continue;
@@ -1317,7 +1296,7 @@ void FuzzerImpl::passAddFunctionCalls() {
         Arg = makeIrrelevantConstant(Param.ResultType);
       } else {
         std::vector<ValueInfo> Options =
-            availableValues(Analysis, Point, Param.ResultType, true);
+            availableValues(Available, Point, Param.ResultType, true);
         if (!Options.empty())
           Arg = Random.pick(Options).ValueId;
       }

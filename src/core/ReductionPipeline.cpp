@@ -504,7 +504,7 @@ void ReductionPipeline::postReduceStage(const Module &Original,
                           const std::vector<size_t> &Units) {
     Module Candidate = Pass.withUnitsRemoved(Ref, Units);
     ++Stat.Attempted;
-    if (!validateModule(Candidate).empty())
+    if (!isValidModule(Candidate))
       return false;
     Module Variant = Candidate;
     FactManager Facts;

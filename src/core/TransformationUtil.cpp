@@ -8,6 +8,7 @@
 
 #include "analysis/Validator.h"
 
+#include <atomic>
 #include <unordered_set>
 
 using namespace spvfuzz;
@@ -63,12 +64,50 @@ bool spvfuzz::functionReachesViaCalls(const Module &M, Id From, Id To) {
   return false;
 }
 
+static std::atomic<CloneCheckObserver> TheCloneCheckObserver{nullptr};
+
+void spvfuzz::setCloneCheckObserver(CloneCheckObserver Observer) {
+  TheCloneCheckObserver.store(Observer);
+}
+
+/// The functions of \p Clone whose bodies must be checked after a change
+/// resolved as \p Parts turned \p M into it, into \p Out; false if the
+/// whole module must be.
+static bool changedFunctions(const Module &M, const Module &Clone,
+                             const ChangedParts &Parts,
+                             std::vector<uint32_t> &Out) {
+  if (Parts.WholeModule || Clone.GlobalInsts.size() != M.GlobalInsts.size() ||
+      Clone.Functions.size() < M.Functions.size())
+    return false;
+  for (uint32_t F : Parts.Graphs) {
+    const Function &Before = M.Functions[F], &After = Clone.Functions[F];
+    if (After.Def != Before.Def || After.Params != Before.Params)
+      return false;
+    Out.push_back(F);
+  }
+  for (size_t F = M.Functions.size(); F < Clone.Functions.size(); ++F)
+    Out.push_back(static_cast<uint32_t>(F));
+  return true;
+}
+
 bool spvfuzz::applyKeepsModuleValid(const Transformation &T, const Module &M,
                                     const FactManager &Facts) {
+  // Resolved against M: the clone has no id table, and shares M's
+  // positions until T applies.
+  ModuleChange Change;
+  T.describeChange(M, Change);
+  ChangedParts Parts;
+  M.resolveChange(Change, Parts);
   Module Clone = M;
   FactManager FactsClone = Facts;
   T.apply(Clone, FactsClone);
-  return isValidModule(Clone);
+  std::vector<uint32_t> Checked;
+  bool Valid = changedFunctions(M, Clone, Parts, Checked)
+                   ? isValidModuleInFunctions(Clone, Checked)
+                   : isValidModule(Clone);
+  if (CloneCheckObserver Observer = TheCloneCheckObserver.load())
+    Observer(Clone, Valid);
+  return Valid;
 }
 
 LocatedInstruction

@@ -36,10 +36,26 @@ bool functionReachesViaCalls(const Module &M, Id From, Id To);
 /// Clones the module and facts, applies \p T without checking its
 /// precondition, and validates the result. Used as a belt-and-braces
 /// component of the preconditions of the intricate CFG-restructuring
-/// transformations (inlining, kill-replacement, instruction propagation),
-/// whose full static legality conditions are subtle.
+/// transformations (inlining, kill-replacement, instruction propagation)
+/// and of AddFunction, whose full static legality conditions are subtle.
+///
+/// \p M must be valid. The validator checks the ids, the entry point and
+/// the globals of the clone, but the bodies of only the functions T
+/// changes: those its describeChange names (resolved against M's id
+/// table) and those it appends. Every other function is unchanged and was
+/// valid, so the verdict is the whole-module validator's. That needs T's
+/// apply to change no function outside its statement; a change that does
+/// not resolve, touches the globals or changes a signature is validated
+/// whole.
 bool applyKeepsModuleValid(const Transformation &T, const Module &M,
                            const FactManager &Facts);
+
+/// Called with every clone applyKeepsModuleValid validates and its
+/// verdict. Tests install one to compare the verdict with whole-module
+/// validation; it may be called from several threads at once. nullptr,
+/// the default, calls nothing.
+using CloneCheckObserver = void (*)(const Module &Clone, bool Valid);
+void setCloneCheckObserver(CloneCheckObserver Observer);
 
 /// Resolves a descriptor against a const module. locateInstruction needs a
 /// mutable module only to hand back mutable pointers; preconditions use

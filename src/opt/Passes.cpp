@@ -141,8 +141,10 @@ const char *spvfuzz::optPassName(OptPassKind Kind) {
   return "unknown";
 }
 
-bool spvfuzz::optPassLooksUpIds(OptPassKind Kind) {
+bool spvfuzz::optPassLooksUpIds(OptPassKind Kind, const BugHost &Bugs) {
   switch (Kind) {
+  case OptPassKind::FrontendCheck:
+    return Bugs.enabled(BugPoint::CrashNegatedConstantBranch);
   case OptPassKind::SimplifyCfg:
   case OptPassKind::CopyPropagation:
   case OptPassKind::PhiSimplify:
@@ -253,13 +255,17 @@ bool removeUnreachableBlocks(Function &Func) {
 //===----------------------------------------------------------------------===//
 
 PassCrash runFrontendCheck(Module &M, const BugHost &Bugs) {
+  const bool KillInCallee = Bugs.enabled(BugPoint::CrashKillInCallee);
+  const bool TrivialPhi = Bugs.enabled(BugPoint::CrashTrivialPhi);
+  const bool NegatedConstantBranch =
+      Bugs.enabled(BugPoint::CrashNegatedConstantBranch);
   if (Bugs.enabled(BugPoint::CrashModuleFunctionLimit) &&
       M.Functions.size() >= 5)
     return crash(BugPoint::CrashModuleFunctionLimit);
   if (Bugs.enabled(BugPoint::CrashUnusedCallResult)) {
     // Lowering scratch-register assignment chokes on calls whose results
     // are never consumed (a shape only the fuzzer produces).
-    std::unordered_map<Id, size_t> UseCounts;
+    IdTable<uint32_t> UseCounts(M.Bound);
     for (const Function &Func : M.Functions)
       for (const BasicBlock &Block : Func.Blocks)
         for (const Instruction &Inst : Block.Body)
@@ -270,20 +276,21 @@ PassCrash runFrontendCheck(Module &M, const BugHost &Bugs) {
       for (const BasicBlock &Block : Func.Blocks)
         for (const Instruction &Inst : Block.Body)
           if (Inst.Opcode == Op::FunctionCall && Inst.Result != InvalidId &&
-              !M.isVoidTypeId(Inst.ResultType) && UseCounts[Inst.Result] == 0)
+              UseCounts.lookup(Inst.Result) == 0 &&
+              !M.isVoidTypeId(Inst.ResultType))
             return crash(BugPoint::CrashUnusedCallResult);
   }
+  if (!KillInCallee && !TrivialPhi && !NegatedConstantBranch)
+    return std::nullopt;
   for (const Function &Func : M.Functions) {
     for (const BasicBlock &Block : Func.Blocks) {
       for (const Instruction &Inst : Block.Body) {
-        if (Bugs.enabled(BugPoint::CrashKillInCallee) &&
-            Inst.Opcode == Op::Kill && Func.id() != M.EntryPointId)
+        if (KillInCallee && Inst.Opcode == Op::Kill &&
+            Func.id() != M.EntryPointId)
           return crash(BugPoint::CrashKillInCallee);
-        if (Bugs.enabled(BugPoint::CrashTrivialPhi) &&
-            Inst.Opcode == Op::Phi && Inst.Operands.size() == 2)
+        if (TrivialPhi && Inst.Opcode == Op::Phi && Inst.Operands.size() == 2)
           return crash(BugPoint::CrashTrivialPhi);
-        if (Bugs.enabled(BugPoint::CrashNegatedConstantBranch) &&
-            Inst.Opcode == Op::BranchConditional) {
+        if (NegatedConstantBranch && Inst.Opcode == Op::BranchConditional) {
           const Instruction *CondDef = M.findDef(Inst.idOperand(0));
           if (CondDef && CondDef->Opcode == Op::LogicalNot &&
               scalarConstantDef(M, CondDef->idOperand(0)))
@@ -1122,7 +1129,7 @@ PassCrash dispatchOptPass(OptPassKind Kind, Module &M, const BugHost &Bugs) {
   // The pass owns M while it runs: its lookups check the table refreshed
   // here and scan where the pass's own mutations have moved an id. A pass
   // that looks nothing up leaves the table as it finds it.
-  if (optPassLooksUpIds(Kind))
+  if (optPassLooksUpIds(Kind, Bugs))
     M.refreshIds();
   switch (Kind) {
   case OptPassKind::FrontendCheck:

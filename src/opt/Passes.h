@@ -42,10 +42,12 @@ enum class OptPassKind : uint8_t {
 const char *optPassName(OptPassKind Kind);
 
 /// True for the passes that look ids up in the module (findDef and the
-/// queries built on it); runOptPass refreshes the module's id table on
-/// entry to those only. simplify-cfg, copy-propagation, phi-simplify,
-/// block-layout and dce read blocks and instructions directly.
-bool optPassLooksUpIds(OptPassKind Kind);
+/// queries built on it) when \p Bugs are enabled; runOptPass refreshes the
+/// module's id table on entry to those only. simplify-cfg,
+/// copy-propagation, phi-simplify, block-layout and dce read blocks and
+/// instructions directly, and frontend-check looks ids up per branch only
+/// for CrashNegatedConstantBranch.
+bool optPassLooksUpIds(OptPassKind Kind, const BugHost &Bugs);
 
 /// The outcome of one pass: nullopt, or the crash signature of an injected
 /// crash bug that fired.

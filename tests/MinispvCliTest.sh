@@ -153,6 +153,41 @@ original: +0 instructions" reduce.txt
   expect_exit 1 $Reduce --signature "inliner: unexpected DontInline attribute" \
     --jobs 2
   ;;
+validate-malformed-operands)
+  # Modules the assembler accepts whose operands have the wrong shape:
+  # validate reports each with a diagnostic and exits 1, never crashes.
+  Fn='%3 = OpFunction %1 None %2'
+  Label='%4 = OpLabel'
+  # Validates the module read from stdin; it must exit 1 with the
+  # diagnostic the first argument names.
+  expect_diagnostic() {
+    cat > m.mvs
+    Code=0
+    "$M" validate m.mvs > /dev/null 2> err.txt || Code=$?
+    if [ "$Code" -ne 1 ] || ! grep -qFx "m.mvs: $1" err.txt; then
+      echo "validate: exit $Code, expected 1 with '$1':" >&2
+      cat err.txt >&2
+      exit 1
+    fi
+  }
+  printf '%s\n' 'OpEntryPoint %3' '%1 = OpTypeVoid' '%2 = OpTypeFunction %1' \
+    '%3 = OpFunction %1 None' "$Label" OpReturn OpFunctionEnd |
+    expect_diagnostic 'function %3: malformed OpFunction'
+  printf '%s\n' 'OpEntryPoint %3' '%1 = OpTypeVoid' '%2 = OpTypeFunction' \
+    "$Fn" "$Label" OpReturn OpFunctionEnd |
+    expect_diagnostic 'malformed OpTypeFunction'
+  printf '%s\n' 'OpEntryPoint %3' '%1 = OpTypeVoid' '%2 = OpTypeFunction %1' \
+    '%5 = OpTypeInt 32' '%6 = OpTypePointer Private' \
+    '%7 = OpVariable %6 Private' "$Fn" "$Label" OpReturn OpFunctionEnd |
+    expect_diagnostic 'OpVariable result type must be a pointer'
+  printf '%s\n' 'OpEntryPoint %3' '%1 = OpTypeVoid' '%2 = OpTypeFunction %1' \
+    "$Fn" "$Label" OpBranch '%8 = OpLabel' OpReturn OpFunctionEnd |
+    expect_diagnostic 'OpBranch in block %4: expected 1 operands'
+  printf '%s\n' 'OpEntryPoint %3' '%1 = OpTypeVoid' '%2 = OpTypeFunction %1' \
+    '%5 = OpTypeBool' '%6 = OpConstantTrue %5' "$Fn" "$Label" \
+    'OpBranchConditional %6 %8' '%8 = OpLabel' OpReturn OpFunctionEnd |
+    expect_diagnostic 'OpBranchConditional in block %4: expected 3 operands'
+  ;;
 *)
   echo "unknown case $2" >&2
   exit 2

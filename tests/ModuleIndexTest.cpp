@@ -438,7 +438,7 @@ TEST(ModuleIndex, StaleTablesAfterOptPassesMatchReference) {
       bool Refreshed = false;
       for (OptPassKind Kind : T.spec().Pipeline) {
         ASSERT_FALSE(runOptPass(Kind, M, BugHost()));
-        Refreshed = Refreshed || optPassLooksUpIds(Kind);
+        Refreshed = Refreshed || optPassLooksUpIds(Kind, BugHost());
         ASSERT_EQ(M.Ids.Built, Refreshed);
         expectLookupsMatchReference(
             M, "seed " + std::to_string(Seed) + " " + T.name() + " after " +

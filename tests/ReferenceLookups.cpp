@@ -72,3 +72,32 @@ bool spvfuzz::reference::idIsFreshInModule(const Module &M, Id TheId) {
         return false;
   return true;
 }
+
+std::vector<ValueInfo> spvfuzz::reference::availableValues(
+    const Module &M, const ModuleAnalysis &Analysis, const FactManager &Facts,
+    Id FuncId, Id BlockId, size_t Index, Id TypeId, bool AllowIrrelevant) {
+  std::vector<ValueInfo> Out;
+  auto Consider = [&](Id Candidate, Id CandidateType) {
+    if (TypeId != InvalidId && CandidateType != TypeId)
+      return;
+    if (CandidateType == InvalidId)
+      return;
+    if (!AllowIrrelevant && Facts.idIsIrrelevant(Candidate))
+      return;
+    if (Analysis.idAvailableBefore(Candidate, FuncId, BlockId, Index))
+      Out.push_back({Candidate, CandidateType});
+  };
+  for (const Instruction &Global : M.GlobalInsts)
+    if (isConstantDecl(Global.Opcode) || Global.Opcode == Op::Variable)
+      Consider(Global.Result, Global.ResultType);
+  const Function *Func = M.findFunction(FuncId);
+  if (Func) {
+    for (const Instruction &Param : Func->Params)
+      Consider(Param.Result, Param.ResultType);
+    for (const BasicBlock &Block : Func->Blocks)
+      for (const Instruction &Inst : Block.Body)
+        if (Inst.Result != InvalidId)
+          Consider(Inst.Result, Inst.ResultType);
+  }
+  return Out;
+}

@@ -11,14 +11,23 @@
 /// or be rejected with a line-accurate "line N: ..." diagnostic. No crash,
 /// no silent acceptance of garbage, no diagnostic without a location.
 ///
+/// Whatever parses must also validate without a crash: the validator
+/// checks every operand's shape before it reads the operand. A
+/// deterministic sweep edits one token of one line at a time (dropped,
+/// truncated, or turned from an id into a literal or back) and validates
+/// every variant that parses.
+///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Validator.h"
 #include "gen/Generator.h"
 #include "ir/Text.h"
 #include "support/ModuleHash.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace spvfuzz;
 
@@ -103,6 +112,7 @@ TEST(TextRobustness, ThousandMutatedDisassemblies) {
       // same module. (Validity is not required — the assembler accepts
       // structurally well-formed but semantically bogus modules.)
       ++Parsed;
+      EXPECT_EQ(isValidModule(M), validateModule(M).empty()) << Text;
       std::string Again = writeModuleText(M);
       Module M2;
       ASSERT_TRUE(readModuleText(Again, M2, Error))
@@ -119,6 +129,60 @@ TEST(TextRobustness, ThousandMutatedDisassemblies) {
   // The mutator must actually exercise both outcomes.
   EXPECT_GT(Parsed, 0u);
   EXPECT_GT(Rejected, 100u);
+}
+
+/// The one-token edits of \p Token: dropped, its last character cut, and
+/// an id turned into a literal or a literal into an id.
+std::vector<std::string> tokenEdits(const std::string &Token) {
+  std::vector<std::string> Edits = {"", Token.substr(0, Token.size() - 1)};
+  if (Token[0] == '%')
+    Edits.push_back(Token.substr(1));
+  else if (isdigit(static_cast<unsigned char>(Token[0])) || Token[0] == '-')
+    Edits.push_back("%" + Token);
+  return Edits;
+}
+
+TEST(TextRobustness, EveryOneTokenEditValidatesWithoutCrashing) {
+  size_t Parsed = 0, Invalid = 0;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    std::vector<std::string> Lines;
+    std::istringstream In(writeModuleText(generateProgram(Seed).M));
+    for (std::string Line; std::getline(In, Line);)
+      Lines.push_back(Line);
+    for (size_t L = 0; L < Lines.size(); ++L) {
+      std::vector<std::string> Tokens;
+      std::istringstream Words(Lines[L]);
+      for (std::string Word; Words >> Word;)
+        Tokens.push_back(Word);
+      for (size_t T = 0; T < Tokens.size(); ++T)
+        for (const std::string &Edit : tokenEdits(Tokens[T])) {
+          std::string Text;
+          for (size_t Other = 0; Other < Lines.size(); ++Other) {
+            if (Other != L) {
+              Text += Lines[Other] + "\n";
+              continue;
+            }
+            for (size_t U = 0; U < Tokens.size(); ++U) {
+              const std::string &Word = U == T ? Edit : Tokens[U];
+              if (!Word.empty())
+                Text += Word + " ";
+            }
+            Text += "\n";
+          }
+          Module M;
+          std::string Error;
+          if (!readModuleText(Text, M, Error))
+            continue;
+          ++Parsed;
+          std::vector<std::string> Diags = validateModule(M);
+          Invalid += !Diags.empty();
+          ASSERT_EQ(isValidModule(M), Diags.empty())
+              << "seed " << Seed << " line " << L + 1 << " token " << T;
+        }
+    }
+  }
+  EXPECT_GT(Parsed, 5000u);
+  EXPECT_GT(Invalid, 1000u);
 }
 
 TEST(TextRobustness, OverflowAndTrailingTokensAreRejected) {
