@@ -10,17 +10,20 @@
 /// is *available* at a program point (defined in a dominating position),
 /// which is MiniSPV's (and SPIR-V's) core scoping rule.
 ///
-/// The def-site index is taken when the analysis is built or refreshed;
-/// CFGs and dominator trees are computed on first query (most precondition
-/// checks never ask for them), from the module as it is then. refresh()
-/// re-takes the def-site index into the same flat storage and keeps each
-/// function's CFG and dominator tree while the function's block labels and
-/// terminator successors are unchanged, so a refreshed analysis answers
-/// exactly as a fresh one would. The fuzzer and sequence replay each keep
-/// one per variant (TransformationApplier) and, after every applied
-/// transformation, refresh it together with the module's id table in the
-/// parts the transformation changed. The lazy state makes a ModuleAnalysis
-/// instance single-threaded: construct one per thread, never share.
+/// Definition sites are DefSlots, positions in the module (Module::slotIds),
+/// and every answer is derived from the slot's position, as Module::findDef
+/// derives its own. An analysis refreshed with ids (the TransformationApplier
+/// of the fuzzer and of sequence replay) reads the module's own id table,
+/// which the applier refreshes in the parts each transformation changed; one
+/// built over a const module (the validator, a fuzzer sweep's snapshot)
+/// fills a table of its own the same way. Either way an id defined more than
+/// once is undefined to the analysis. CFGs and dominator trees are computed
+/// on first query (most precondition checks never ask for them), from the
+/// module as it is then, and a refresh keeps each function's while its
+/// block labels and terminator successors are unchanged, so a refreshed
+/// analysis answers exactly as a fresh one would. The lazy state makes a
+/// ModuleAnalysis instance single-threaded: construct one per thread, never
+/// share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,18 +43,19 @@ public:
   ModuleAnalysis() = default;
   explicit ModuleAnalysis(const Module &M) { refresh(M); }
 
-  /// Re-analyses \p M (which must outlive the analysis).
+  /// Re-analyses \p M (which must outlive the analysis) into a table of
+  /// the analysis's own.
   void refresh(const Module &M);
 
-  /// The same, also rebuilding \p M's id table in the same module walk.
+  /// The same, rebuilding \p M's id table and reading it.
   void refreshWithIds(Module &M);
 
   /// After a mutation of the analysed module \p M that \p Change was
-  /// resolved for (Module::resolveChange), brings the analysis and M's id
-  /// table up to date in the changed parts only, and checks the graphs of
-  /// the changed functions only: the same answers as refreshWithIds(M), in
-  /// a walk of what changed. Falls back to that full walk where a part
-  /// cannot be refreshed alone.
+  /// resolved for (Module::resolveChange), refreshes M's id table in the
+  /// changed parts only, and checks the graphs of the changed functions
+  /// only: the same answers as refreshWithIds(M), in a walk of what
+  /// changed. Falls back to that full walk where a part cannot be refreshed
+  /// alone.
   void refreshWithIds(Module &M, const ChangedParts &Change);
 
   /// How many refreshes in part fell back to the whole-module walk over
@@ -59,34 +63,23 @@ public:
   /// cannot be refreshed alone.
   size_t wholeWalkFallbacks() const { return WholeWalkFallbacks; }
 
-  struct DefInfo {
-    enum class Kind : uint8_t { None, Global, FunctionDef, Param, Body, Label };
-    Kind DefKind = Kind::None;
-    Id FuncId = InvalidId;  // for Param/Body/Label/FunctionDef
-    Id BlockId = InvalidId; // for Body/Label
-    /// Body: index into the block. Label: the block's instruction count.
-    uint32_t Index = 0;
-    /// Positions of the function and (Body/Label) the block.
-    uint32_t FuncIndex = 0;
-    uint32_t BlockIndex = 0;
-    /// The defining instruction; nullptr for labels (which, as in
-    /// Module::findDef, have no instruction). Valid while the analysed
-    /// module is unchanged.
-    const Instruction *Inst = nullptr;
-  };
-
-  /// Returns the definition site of \p TheId, or nullptr.
-  const DefInfo *defInfo(Id TheId) const {
-    const DefInfo *Info = Defs.find(TheId);
-    return Info && Info->DefKind != DefInfo::Kind::None ? Info : nullptr;
+  /// Where \p TheId is defined, or nullptr if nothing or more than one
+  /// thing defines it.
+  const DefSlot *slot(Id TheId) const {
+    const DefSlot *Slot =
+        (ReadsModuleIds ? M->Ids.Slots : OwnSlots).find(TheId);
+    return Slot && Slot->SlotKind != DefSlot::Kind::None &&
+                   Slot->SlotKind != DefSlot::Kind::Ambiguous
+               ? Slot
+               : nullptr;
   }
 
   /// O(1) equivalent of Module::findDef over the analysed module: the
   /// defining instruction of \p TheId, or nullptr for unknown ids and
   /// labels.
   const Instruction *def(Id TheId) const {
-    const DefInfo *Info = defInfo(TheId);
-    return Info ? Info->Inst : nullptr;
+    const DefSlot *Slot = slot(TheId);
+    return Slot ? M->instructionAt(*Slot) : nullptr;
   }
 
   /// True if \p ValueId may be used by the instruction at position
@@ -112,11 +105,9 @@ private:
     std::unique_ptr<DominatorTree> Dom;
   };
 
-  void beginRefresh(const Module &M);
-  /// Records the definition of \p TheId at \p Where (last one wins).
-  void record(Id TheId, const DefSlot &Where, const Function *Func,
-              const BasicBlock *Block, const Instruction *Inst);
-  void endRefresh();
+  /// Starts analysing \p M: keeps each function's graphs that still
+  /// describe it.
+  void rebind(const Module &M);
   /// Drops function \p F's graphs unless they still describe it.
   void checkGraphs(size_t F);
 
@@ -125,7 +116,9 @@ private:
   const DominatorTree &domTree(FunctionState &State) const;
 
   const Module *M = nullptr;
-  IdTable<DefInfo> Defs; // sized to the module bound
+  /// Set by refreshWithIds: the slots are M's own table, not OwnSlots.
+  bool ReadsModuleIds = false;
+  IdTable<DefSlot> OwnSlots;
   // Lazily materialized query state (see file comment: single-threaded).
   mutable std::vector<FunctionState> Funcs;
   size_t WholeWalkFallbacks = 0;

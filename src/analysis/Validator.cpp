@@ -141,13 +141,12 @@ private:
   }
 
   void checkIds() {
-    // SPIR-V's universal limit on the id bound. Past it, the tables below
-    // and the analysis, all sized by the bound, are not built at all.
-    constexpr Id MaxBound = 0x3FFFFF;
-    if (M.Bound > MaxBound) {
+    // Past SPIR-V's limit on the id bound, the tables below and the
+    // analysis, all sized by the bound, are not built at all.
+    if (M.Bound > Module::MaxBound) {
       error([&] {
         return "id bound " + std::to_string(M.Bound) + " exceeds the limit " +
-               std::to_string(MaxBound);
+               std::to_string(Module::MaxBound);
       });
       return;
     }
@@ -538,8 +537,7 @@ private:
 
   void checkValueOperand(const Where &At, const Function &Func,
                          const BasicBlock &Block, size_t Index, Id ValueId) {
-    const ModuleAnalysis::DefInfo *Info = Analysis->defInfo(ValueId);
-    if (!Info) {
+    if (!Analysis->slot(ValueId)) {
       error(At, [&] { return "use of undefined id " + idStr(ValueId); });
       return;
     }

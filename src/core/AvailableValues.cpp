@@ -13,34 +13,32 @@ AvailableValueIndex::AvailableValueIndex(const Module &M,
     : Snapshot(Snapshot) {
   // A definition goes in only where the snapshot has it, exactly as
   // ModuleAnalysis::idAvailableBefore would find it.
-  using K = ModuleAnalysis::DefInfo::Kind;
-  auto At = [&](Id TheId, K Kind) {
-    const ModuleAnalysis::DefInfo *Info = Snapshot.defInfo(TheId);
-    return Info && Info->DefKind == Kind ? Info : nullptr;
+  using K = DefSlot::Kind;
+  auto At = [&](Id TheId, const DefSlot &Where) {
+    const DefSlot *Slot = Snapshot.slot(TheId);
+    return Slot && *Slot == Where;
   };
-  for (const Instruction &Global : M.GlobalInsts)
+  for (uint32_t G = 0; G < M.GlobalInsts.size(); ++G) {
+    const Instruction &Global = M.GlobalInsts[G];
     if ((isConstantDecl(Global.Opcode) || Global.Opcode == Op::Variable) &&
-        At(Global.Result, K::Global))
+        At(Global.Result, {K::Global, 0, G, 0}))
       Globals.push_back({Global.Result, Global.ResultType});
-  for (const Function &Func : M.Functions) {
+  }
+  for (uint32_t F = 0; F < M.Functions.size(); ++F) {
+    const Function &Func = M.Functions[F];
     FunctionValues Values{Func.id(), static_cast<uint32_t>(Params.size()), 0,
                           static_cast<uint32_t>(Blocks.size()), 0};
-    for (const Instruction &Param : Func.Params) {
-      const ModuleAnalysis::DefInfo *Info = At(Param.Result, K::Param);
-      if (Info && Info->FuncId == Func.id())
-        Params.push_back({Param.Result, Param.ResultType});
-    }
-    for (const BasicBlock &Block : Func.Blocks) {
+    for (uint32_t P = 0; P < Func.Params.size(); ++P)
+      if (At(Func.Params[P].Result, {K::Param, F, P, 0}))
+        Params.push_back({Func.Params[P].Result, Func.Params[P].ResultType});
+    for (uint32_t B = 0; B < Func.Blocks.size(); ++B) {
+      const BasicBlock &Block = Func.Blocks[B];
       BlockValues Entry{Block.LabelId, static_cast<uint32_t>(Bodies.size()),
                         0, {}, false};
       for (uint32_t I = 0, E = static_cast<uint32_t>(Block.Body.size());
            I != E; ++I) {
         const Instruction &Inst = Block.Body[I];
-        if (Inst.Result == InvalidId)
-          continue;
-        const ModuleAnalysis::DefInfo *Info = At(Inst.Result, K::Body);
-        if (Info && Info->FuncId == Func.id() &&
-            Info->BlockId == Block.LabelId && Info->Index == I)
+        if (Inst.Result != InvalidId && At(Inst.Result, {K::Body, F, B, I}))
           Bodies.push_back({{Inst.Result, Inst.ResultType}, I});
       }
       Entry.End = static_cast<uint32_t>(Bodies.size());
@@ -62,12 +60,13 @@ AvailableValueIndex::function(Id FuncId) const {
 
 uint32_t AvailableValueIndex::blockPosition(const FunctionValues &Func,
                                             Id BlockId) const {
-  const ModuleAnalysis::DefInfo *Label = Snapshot.defInfo(BlockId);
-  if (Label && Label->DefKind == ModuleAnalysis::DefInfo::Kind::Label &&
-      Label->FuncId == Func.FuncId &&
-      Func.BlockBegin + Label->BlockIndex < Func.BlockEnd &&
-      Blocks[Func.BlockBegin + Label->BlockIndex].Label == BlockId)
-    return Label->BlockIndex;
+  // Functions holds one entry per function, in the snapshot's order.
+  const DefSlot *Label = Snapshot.slot(BlockId);
+  if (Label && Label->SlotKind == DefSlot::Kind::Label &&
+      Label->Func == static_cast<uint32_t>(&Func - Functions.data()) &&
+      Func.BlockBegin + Label->Index < Func.BlockEnd &&
+      Blocks[Func.BlockBegin + Label->Index].Label == BlockId)
+    return Label->Index;
   return UINT32_MAX;
 }
 

@@ -164,16 +164,17 @@ bool readSequenceBinary(ByteReader &R, TransformationSequence &SequenceOut);
 
 /// Checks and applies transformations to one module, keeping what the
 /// checks need between transformations, as spirv-fuzz's IRContext keeps
-/// its analyses: the module's id table and one ModuleAnalysis. After each
-/// application it refreshes both only in the parts the transformation's
+/// its analyses: the module's id table and one ModuleAnalysis that answers
+/// from it (and keeps the functions' graphs). After each application it
+/// refreshes the table only in the parts the transformation's
 /// describeChange named, and checks only the changed functions' graphs (a
 /// failed check changes nothing, so the next check reuses them). fuzz() and
 /// applySequenceRange each hold one per variant. While it is in use,
 /// nothing else may mutate the module, except to take fresh ids.
 class TransformationApplier {
 public:
-  /// Builds \p M's id table and the analysis in one walk of the whole
-  /// module. \p M and \p Facts must outlive the applier.
+  /// Builds \p M's id table in one walk of the whole module, and the
+  /// analysis over it. \p M and \p Facts must outlive the applier.
   TransformationApplier(Module &M, FactManager &Facts);
 
   /// The precondition of \p T against the current module. The id table

@@ -14,7 +14,7 @@
 using namespace spvfuzz;
 
 bool spvfuzz::idIsFreshInModule(const Module &M, Id TheId) {
-  return TheId != InvalidId && !M.isDefined(TheId);
+  return TheId != InvalidId && TheId < Module::MaxBound && !M.isDefined(TheId);
 }
 
 bool spvfuzz::idsAreFreshAndDistinct(const Module &M,

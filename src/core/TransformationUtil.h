@@ -19,7 +19,8 @@
 namespace spvfuzz {
 
 /// True if \p TheId is not used as any result id, label, or function id in
-/// \p M (and is not 0), i.e. it may be introduced as a fresh id.
+/// \p M, is not 0 and is below Module::MaxBound, i.e. it may be introduced
+/// as a fresh id and the module stays within SPIR-V's id bound.
 bool idIsFreshInModule(const Module &M, Id TheId);
 
 /// All ids in \p Ids are fresh in \p M and pairwise distinct.

@@ -433,8 +433,9 @@ bool TransformationPropagateInstructionUp::isApplicable(
     const Instruction *OperandDef = M.findDef(Opnd.asId());
     bool IsLocalPhi = false;
     if (OperandDef && OperandDef->Opcode == Op::Phi) {
-      const ModuleAnalysis::DefInfo *Info = Analysis.defInfo(Opnd.asId());
-      IsLocalPhi = Info && Info->BlockId == BlockId;
+      const DefSlot *Def = Analysis.slot(Opnd.asId());
+      IsLocalPhi = Def && Def->SlotKind == DefSlot::Kind::Body &&
+                   &M.Functions[Def->Func].Blocks[Def->Index] == Block;
     }
     if (IsLocalPhi)
       continue;

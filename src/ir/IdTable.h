@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A flat table indexed by id. Ids are dense below Module::Bound, so a
-/// lookup is an index, not a hash. The module's positional id table, the
-/// ModuleAnalysis def table and the optimizer passes' per-id state all use
-/// it.
+/// lookup is an index, not a hash. The module's positional id table, which
+/// a ModuleAnalysis reads (over a const module it fills one of its own the
+/// same way), and the optimizer passes' per-id state use it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +31,6 @@ public:
 
   /// Makes every slot below \p Bound T{} again, keeping the storage.
   void reset(size_t Bound) { Slots.assign(Bound, T{}); }
-
-  /// Widens the table to \p Bound, keeping every slot it has.
-  void grow(size_t Bound) {
-    if (Bound > Slots.size())
-      Slots.resize(Bound);
-  }
 
   /// Frees the storage.
   void release() { std::vector<T>().swap(Slots); }

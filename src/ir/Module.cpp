@@ -70,6 +70,124 @@ std::optional<size_t> Function::blockIndex(Id LabelId) const {
 // Module
 //===----------------------------------------------------------------------===//
 
+/// Calls \p Visit(Id, const DefSlot &) for every definition in \p Part of
+/// \p M, in the order the scans search: the globals, then per function its
+/// OpFunction, its parameters and, per block, the label and the body
+/// instructions. Instructions without a result id are skipped; labels are
+/// not.
+template <typename Visitor>
+static void forEachDefinitionIn(const Module &M, const ModulePart &Part,
+                                Visitor &&Visit) {
+  using K = DefSlot::Kind;
+  auto VisitBlock = [&](uint32_t F, uint32_t B) {
+    const BasicBlock &Block = M.Functions[F].Blocks[B];
+    Visit(Block.LabelId, DefSlot{K::Label, F, B, 0});
+    for (uint32_t I = 0, IE = static_cast<uint32_t>(Block.Body.size());
+         I != IE; ++I)
+      if (Block.Body[I].Result != InvalidId)
+        Visit(Block.Body[I].Result, DefSlot{K::Body, F, B, I});
+  };
+  auto VisitFunction = [&](uint32_t F, uint32_t FirstBlock) {
+    const Function &Func = M.Functions[F];
+    if (Func.Def.Result != InvalidId)
+      Visit(Func.Def.Result, DefSlot{K::Function, F, 0, 0});
+    for (uint32_t P = 0, PE = static_cast<uint32_t>(Func.Params.size());
+         P != PE; ++P)
+      if (Func.Params[P].Result != InvalidId)
+        Visit(Func.Params[P].Result, DefSlot{K::Param, F, P, 0});
+    for (uint32_t B = FirstBlock,
+                  BE = static_cast<uint32_t>(Func.Blocks.size());
+         B < BE; ++B)
+      VisitBlock(F, B);
+  };
+  const uint32_t NumFunctions = static_cast<uint32_t>(M.Functions.size());
+  switch (Part.PartKind) {
+  case ModulePart::Kind::Globals:
+    for (uint32_t G = Part.Index,
+                  E = static_cast<uint32_t>(M.GlobalInsts.size());
+         G < E; ++G)
+      if (M.GlobalInsts[G].Result != InvalidId)
+        Visit(M.GlobalInsts[G].Result, DefSlot{K::Global, 0, G, 0});
+    break;
+  case ModulePart::Kind::Block:
+    if (Part.Func < NumFunctions &&
+        Part.Index < M.Functions[Part.Func].Blocks.size())
+      VisitBlock(Part.Func, Part.Index);
+    break;
+  case ModulePart::Kind::FunctionTail:
+    if (Part.Func < NumFunctions)
+      VisitFunction(Part.Func, Part.Index);
+    break;
+  case ModulePart::Kind::Functions:
+    for (uint32_t F = Part.Index; F < NumFunctions; ++F)
+      VisitFunction(F, 0);
+    break;
+  }
+}
+
+void Module::refreshIds() {
+  Ids.Unique = slotIds(Ids.Slots);
+  Ids.Built = true;
+  Ids.Exact = false;
+}
+
+bool Module::slotIds(IdTable<DefSlot> &Slots) const {
+  Slots.reset(Bound);
+  bool Unique = true;
+  auto Record = [&](Id TheId, const DefSlot &Where) {
+    DefSlot &Slot = Slots[TheId]; // widens for ids past the bound
+    if (Slot.SlotKind == DefSlot::Kind::None) {
+      Slot = Where;
+    } else {
+      Slot.SlotKind = DefSlot::Kind::Ambiguous;
+      Unique = false;
+    }
+    Unique = Unique && TheId < Bound;
+  };
+  forEachDefinitionIn(*this, ModulePart{ModulePart::Kind::Globals, 0, 0},
+                      Record);
+  forEachDefinitionIn(*this, ModulePart{ModulePart::Kind::Functions, 0, 0},
+                      Record);
+  return Unique;
+}
+
+bool Module::refreshIds(const ChangedParts &Change) {
+  assert(!Change.WholeModule && Ids.Built && Ids.Unique &&
+         "only a unique table can be refreshed in part");
+  IdTable<DefSlot> &Slots = Ids.Slots;
+  for (Id Gone : Change.Defined)
+    Slots[Gone] = DefSlot{};
+  bool Unique = true;
+  for (const ModulePart &Part : Change.Parts)
+    forEachDefinitionIn(*this, Part, [&](Id TheId, const DefSlot &Where) {
+      DefSlot &Slot = Slots[TheId];
+      Unique = Unique && Slot.SlotKind == DefSlot::Kind::None && TheId < Bound;
+      Slot = Where;
+    });
+  Ids.Exact = false;
+  Ids.Built = Ids.Unique = Unique;
+  return Unique;
+}
+
+const Instruction *Module::instructionAt(const DefSlot &Slot) const {
+  return const_cast<Module *>(this)->instructionAt(Slot);
+}
+
+Instruction *Module::instructionAt(const DefSlot &Slot) {
+  switch (Slot.SlotKind) {
+  case DefSlot::Kind::Global:
+    return &GlobalInsts[Slot.Index];
+  case DefSlot::Kind::Function:
+    return &Functions[Slot.Func].Def;
+  case DefSlot::Kind::Param:
+    return &Functions[Slot.Func].Params[Slot.Index];
+  case DefSlot::Kind::Body:
+    return &Functions[Slot.Func].Blocks[Slot.Index].Body[Slot.Inst];
+  default:
+    return nullptr;
+  }
+}
+
 const DefSlot *Module::checkedSlot(Id TheId) const {
   if (!Ids.Built)
     return nullptr;
@@ -124,8 +242,6 @@ void Module::resolveChange(const ModuleChange &Change,
   Out.Parts.clear();
   Out.Defined.clear();
   Out.Graphs.clear();
-  Out.GlobalsAt = reinterpret_cast<uintptr_t>(GlobalInsts.data());
-  Out.FunctionsAt = reinterpret_cast<uintptr_t>(Functions.data());
   if (!Ids.Built || !Ids.Unique)
     return;
   using K = ModuleChange::Kind;
@@ -176,9 +292,7 @@ void Module::resolveChange(const ModuleChange &Change,
     break;
   }
   for (const ModulePart &Part : Out.Parts)
-    forEachDefinitionIn(Part, [&Out](Id TheId, const DefSlot &,
-                                     const Function *, const BasicBlock *,
-                                     const Instruction *) {
+    forEachDefinitionIn(*this, Part, [&Out](Id TheId, const DefSlot &) {
       Out.Defined.push_back(TheId);
     });
   Out.WholeModule = false;
@@ -199,20 +313,10 @@ Instruction *Module::findDef(Id TheId) {
   if (TheId == InvalidId)
     return nullptr;
   if (const DefSlot *Slot = checkedSlot(TheId)) {
-    switch (Slot->SlotKind) {
-    case DefSlot::Kind::Global:
-      return &GlobalInsts[Slot->Index];
-    case DefSlot::Kind::Function:
-      return &Functions[Slot->Func].Def;
-    case DefSlot::Kind::Param:
-      return &Functions[Slot->Func].Params[Slot->Index];
-    case DefSlot::Kind::Body:
-      return &Functions[Slot->Func].Blocks[Slot->Index].Body[Slot->Inst];
-    default:
-      if (Ids.Exact)
-        return nullptr; // a label, and the only definition of TheId
-      break;
-    }
+    if (Instruction *Inst = instructionAt(*Slot))
+      return Inst;
+    if (Ids.Exact)
+      return nullptr; // a label, and the only definition of TheId
   } else if (knownAbsent(TheId)) {
     return nullptr;
   }

@@ -120,6 +120,8 @@ struct DefSlot {
   uint32_t Func = 0;  // function index (Function, Param, Label, Body)
   uint32_t Index = 0; // global (Global), parameter (Param) or block index
   uint32_t Inst = 0;  // instruction index in the block (Body)
+
+  bool operator==(const DefSlot &) const = default;
 };
 
 /// A module's positional id table. Copies and moves of a module start
@@ -208,13 +210,14 @@ struct ChangedParts {
   std::vector<Id> Defined;
   /// The functions (by position) whose control flow may change.
   std::vector<uint32_t> Graphs;
-  /// Where the globals and the functions were stored before the change: an
-  /// append that reallocates moves every instruction they hold directly.
-  uintptr_t GlobalsAt = 0, FunctionsAt = 0;
 };
 
 /// A MiniSPV module.
 struct Module {
+  /// SPIR-V's universal limit on the id bound: a valid module's ids are all
+  /// below it, and so is every fresh id a transformation may take.
+  static constexpr Id MaxBound = 0x3FFFFF;
+
   /// One greater than the largest id in use; fresh ids are taken from here.
   Id Bound = 1;
 
@@ -251,40 +254,34 @@ struct Module {
   // lookup never writes. A module has no table until its owner refreshes
   // one, and the owner of a private module refreshes it where it mutates;
   // an owner told what a mutation changed (a ModuleChange) refreshes only
-  // those parts. Answers assume the module's result ids are unique, as the
-  // validator requires.
-
-  /// Calls \p Visit(Id, const DefSlot &, const Function *, const BasicBlock *,
-  /// const Instruction *) for every definition, in the order the scans
-  /// search: the globals, then per function its OpFunction, its parameters
-  /// and, per block, the label and the body instructions. The pointers are
-  /// the definition's function, block and instruction, or nullptr where it
-  /// has none. Instructions without a result id are skipped; labels are not.
-  template <typename Visitor> void forEachDefinition(Visitor &&Visit) const;
-  /// The same for the definitions in \p Part only.
-  template <typename Visitor>
-  void forEachDefinitionIn(const ModulePart &Part, Visitor &&Visit) const;
+  // those parts. A ModuleAnalysis refreshed with ids reads the slots without
+  // checking them, so its owner refreshes the table after every mutation.
+  // Answers assume the module's result ids are unique, as the validator
+  // requires.
 
   /// Rebuilds the id table from the module as it is now.
-  void refreshIds() {
-    refreshIds([](Id, const DefSlot &, const Function *, const BasicBlock *,
-                  const Instruction *) {});
-  }
-  /// The same, also handing every definition to \p Also in the one walk.
-  template <typename Visitor> void refreshIds(Visitor &&Also);
+  void refreshIds();
+  /// Fills \p Slots as refreshIds fills the module's own table: a slot per
+  /// id, Ambiguous for an id defined more than once. Returns true if every
+  /// definition has a slot of its own below the bound.
+  bool slotIds(IdTable<DefSlot> &Slots) const;
 
   /// Resolves \p Change, stated before a mutation, against the module and
   /// its table as they are now. \p Out's storage is reused.
   void resolveChange(const ModuleChange &Change, ChangedParts &Out) const;
   /// After the mutation \p Change was resolved for, refreshes the table in
   /// the changed parts only: clears the slots of the ids they defined
-  /// before, then slots and hands to \p Also every definition they hold
-  /// now. Returns false, leaving no table, if that finds an id defined
-  /// twice or at or past the bound; the caller then rebuilds it.
-  template <typename Visitor>
-  bool refreshIds(const ChangedParts &Change, Visitor &&Also);
+  /// before, then slots every definition they hold now. Returns false,
+  /// leaving no table, if that finds an id defined twice or at or past the
+  /// bound; the caller then rebuilds it.
+  bool refreshIds(const ChangedParts &Change);
   /// Frees the id table; every lookup scans again.
   void dropIds() { Ids.release(); }
+
+  /// The instruction at \p Slot's position, which must exist; nullptr for a
+  /// label, which has none (as findDef answers), and for an empty slot.
+  const Instruction *instructionAt(const DefSlot &Slot) const;
+  Instruction *instructionAt(const DefSlot &Slot);
 
   /// While alive, lookups also answer "not defined" from the table instead
   /// of scanning. Only an owner that refreshed the table after the last
@@ -379,110 +376,6 @@ private:
   /// has no slot for \p TheId.
   bool knownAbsent(Id TheId) const;
 };
-
-template <typename Visitor>
-void Module::forEachDefinition(Visitor &&Visit) const {
-  forEachDefinitionIn(ModulePart{ModulePart::Kind::Globals, 0, 0}, Visit);
-  forEachDefinitionIn(ModulePart{ModulePart::Kind::Functions, 0, 0}, Visit);
-}
-
-template <typename Visitor>
-void Module::forEachDefinitionIn(const ModulePart &Part,
-                                 Visitor &&Visit) const {
-  using K = DefSlot::Kind;
-  auto VisitBlock = [&](uint32_t F, uint32_t B) {
-    const Function &Func = Functions[F];
-    const BasicBlock &Block = Func.Blocks[B];
-    Visit(Block.LabelId, DefSlot{K::Label, F, B, 0}, &Func, &Block, nullptr);
-    for (uint32_t I = 0, IE = static_cast<uint32_t>(Block.Body.size());
-         I != IE; ++I)
-      if (Block.Body[I].Result != InvalidId)
-        Visit(Block.Body[I].Result, DefSlot{K::Body, F, B, I}, &Func, &Block,
-              &Block.Body[I]);
-  };
-  auto VisitFunction = [&](uint32_t F, uint32_t FirstBlock) {
-    const Function &Func = Functions[F];
-    if (Func.Def.Result != InvalidId)
-      Visit(Func.Def.Result, DefSlot{K::Function, F, 0, 0}, &Func, nullptr,
-            &Func.Def);
-    for (uint32_t P = 0, PE = static_cast<uint32_t>(Func.Params.size());
-         P != PE; ++P)
-      if (Func.Params[P].Result != InvalidId)
-        Visit(Func.Params[P].Result, DefSlot{K::Param, F, P, 0}, &Func,
-              nullptr, &Func.Params[P]);
-    for (uint32_t B = FirstBlock,
-                  BE = static_cast<uint32_t>(Func.Blocks.size());
-         B < BE; ++B)
-      VisitBlock(F, B);
-  };
-  const uint32_t NumFunctions = static_cast<uint32_t>(Functions.size());
-  switch (Part.PartKind) {
-  case ModulePart::Kind::Globals:
-    for (uint32_t G = Part.Index, E = static_cast<uint32_t>(GlobalInsts.size());
-         G < E; ++G)
-      if (GlobalInsts[G].Result != InvalidId)
-        Visit(GlobalInsts[G].Result, DefSlot{K::Global, 0, G, 0}, nullptr,
-              nullptr, &GlobalInsts[G]);
-    break;
-  case ModulePart::Kind::Block:
-    if (Part.Func < NumFunctions &&
-        Part.Index < Functions[Part.Func].Blocks.size())
-      VisitBlock(Part.Func, Part.Index);
-    break;
-  case ModulePart::Kind::FunctionTail:
-    if (Part.Func < NumFunctions)
-      VisitFunction(Part.Func, Part.Index);
-    break;
-  case ModulePart::Kind::Functions:
-    for (uint32_t F = Part.Index; F < NumFunctions; ++F)
-      VisitFunction(F, 0);
-    break;
-  }
-}
-
-template <typename Visitor> void Module::refreshIds(Visitor &&Also) {
-  IdTable<DefSlot> &Slots = Ids.Slots;
-  Slots.reset(Bound);
-  bool Unique = true;
-  forEachDefinition([&](Id TheId, const DefSlot &Where, const Function *Func,
-                        const BasicBlock *Block, const Instruction *Inst) {
-    DefSlot &Slot = Slots[TheId]; // widens for ids past the bound
-    if (Slot.SlotKind == DefSlot::Kind::None) {
-      Slot = Where;
-    } else {
-      Slot.SlotKind = DefSlot::Kind::Ambiguous;
-      Unique = false;
-    }
-    Unique = Unique && TheId < Bound;
-    Also(TheId, Where, Func, Block, Inst);
-  });
-  Ids.Built = true;
-  Ids.Exact = false;
-  Ids.Unique = Unique;
-}
-
-template <typename Visitor>
-bool Module::refreshIds(const ChangedParts &Change, Visitor &&Also) {
-  assert(!Change.WholeModule && Ids.Built && Ids.Unique &&
-         "only a unique table can be refreshed in part");
-  IdTable<DefSlot> &Slots = Ids.Slots;
-  for (Id Gone : Change.Defined)
-    Slots[Gone] = DefSlot{};
-  bool Unique = true;
-  for (const ModulePart &Part : Change.Parts)
-    forEachDefinitionIn(Part, [&](Id TheId, const DefSlot &Where,
-                                  const Function *Func,
-                                  const BasicBlock *Block,
-                                  const Instruction *Inst) {
-      DefSlot &Slot = Slots[TheId];
-      Unique = Unique && Slot.SlotKind == DefSlot::Kind::None && TheId < Bound;
-      Slot = Where;
-      Also(TheId, Where, Func, Block, Inst);
-    });
-  Ids.Exact = false;
-  Ids.Built = Ids.Unique = Unique;
-  return Unique;
-}
 
 } // namespace spvfuzz
 

@@ -188,6 +188,47 @@ validate-malformed-operands)
     'OpBranchConditional %6 %8' '%8 = OpLabel' OpReturn OpFunctionEnd |
     expect_diagnostic 'OpBranchConditional in block %4: expected 3 operands'
   ;;
+invalid-modules)
+  # run, fuzz (the module and every donor), replay and reduce work only on
+  # modules that validate accepts. An OpBranch without its label (which
+  # crashed them) and an id past SPIR-V's bound (whose id table could not
+  # be allocated) exit 1 with validate's diagnostic, before any work.
+  "$M" gen --seed 7 -o prog.mvs > /dev/null
+  echo 'AddConstantScalar fresh=500 irrelevant=1 type=2 word=0' > seq.txt
+  : > empty.in
+  Head='OpEntryPoint %3
+%1 = OpTypeVoid
+%2 = OpTypeFunction %1
+%3 = OpFunction %1 None %2'
+  printf '%s\n' "$Head" '%4 = OpLabel' OpBranch '%8 = OpLabel' OpReturn \
+    OpFunctionEnd > branch.mvs
+  printf '%s\n' "$Head" '%4000000000 = OpLabel' OpReturn OpFunctionEnd \
+    > bound.mvs
+  for F in branch bound; do
+    if [ "$F" = branch ]; then
+      Diag='OpBranch in block %4: expected 1 operands'
+    else
+      Diag='id bound 4000000001 exceeds the limit 4194303'
+    fi
+    for Cmd in "run $F.mvs --inputs empty.in" \
+        "fuzz $F.mvs --inputs empty.in --seed 1 -o out.mvs --sequence out.txt" \
+        "fuzz prog.mvs --inputs prog.mvs.in --seed 1 -o out.mvs
+          --sequence out.txt --donor $F.mvs" \
+        "replay $F.mvs --inputs empty.in --sequence seq.txt -o out.mvs" \
+        "reduce $F.mvs --inputs empty.in --sequence seq.txt
+          --target SwiftShader --signature none -o out.mvs
+          --out-sequence out.txt"; do
+      Code=0
+      "$M" $Cmd > /dev/null 2> err.txt || Code=$?
+      if [ "$Code" -ne 1 ] || ! grep -qFx "$F.mvs: $Diag" err.txt ||
+          [ -e out.mvs ]; then
+        echo "minispv $Cmd: exit $Code, expected 1 with '$Diag':" >&2
+        cat err.txt >&2
+        exit 1
+      fi
+    done
+  done
+  ;;
 *)
   echo "unknown case $2" >&2
   exit 2

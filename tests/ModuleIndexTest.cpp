@@ -123,68 +123,89 @@ void refreshAndCompare(ModuleAnalysis &Kept, bool Built, const Module &M,
   expectSameGraphs(Kept, ModuleAnalysis(M), M, Where);
 }
 
-/// The instruction at \p Slot's position in \p M; nullptr for a label.
-const Instruction *instructionAt(const Module &M, const DefSlot &Slot) {
-  switch (Slot.SlotKind) {
-  case DefSlot::Kind::Global:
-    return &M.GlobalInsts[Slot.Index];
-  case DefSlot::Kind::Function:
-    return &M.Functions[Slot.Func].Def;
-  case DefSlot::Kind::Param:
-    return &M.Functions[Slot.Func].Params[Slot.Index];
-  case DefSlot::Kind::Body:
-    return &M.Functions[Slot.Func].Blocks[Slot.Index].Body[Slot.Inst];
-  default:
-    return nullptr;
+/// How many times each id below \p Size is defined in \p M, by a walk.
+std::vector<unsigned> definitionCounts(const Module &M, Id Size) {
+  std::vector<unsigned> Counts(Size);
+  auto Count = [&](Id TheId) {
+    if (TheId != InvalidId && TheId < Size)
+      ++Counts[TheId];
+  };
+  for (const Instruction &Global : M.GlobalInsts)
+    Count(Global.Result);
+  for (const Function &Func : M.Functions) {
+    Count(Func.Def.Result);
+    for (const Instruction &Param : Func.Params)
+      Count(Param.Result);
+    for (const BasicBlock &Block : Func.Blocks) {
+      Count(Block.LabelId);
+      for (const Instruction &Inst : Block.Body)
+        Count(Inst.Result);
+    }
   }
+  return Counts;
 }
 
-/// Where \p Inst sits in \p M, by a scan: the position an ambiguous slot
-/// does not name.
-DefSlot positionOf(const Module &M, const Instruction *Inst) {
-  DefSlot Found;
-  M.forEachDefinition([&](Id, const DefSlot &Where, const Function *,
-                          const BasicBlock *, const Instruction *At) {
-    if (At == Inst)
-      Found = Where;
-  });
-  return Found;
+/// Where the module's own lookups find \p X in \p M, as a slot: the block
+/// findBlockDef finds, or the position of the instruction findDef finds.
+DefSlot foundSlot(Module &M, Id X) {
+  using K = DefSlot::Kind;
+  auto At = [](const auto &Items, const auto *Item) {
+    return static_cast<uint32_t>(Item - Items.data());
+  };
+  if (auto [Func, Block] = M.findBlockDef(X); Block)
+    return {K::Label, At(M.Functions, Func), At(Func->Blocks, Block), 0};
+  const Instruction *Def = M.findDef(X);
+  if (!Def)
+    return {};
+  for (uint32_t G = 0; G < M.GlobalInsts.size(); ++G)
+    if (Def == &M.GlobalInsts[G])
+      return {K::Global, 0, G, 0};
+  for (uint32_t F = 0; F < M.Functions.size(); ++F) {
+    const Function &Func = M.Functions[F];
+    if (Def == &Func.Def)
+      return {K::Function, F, 0, 0};
+    for (uint32_t P = 0; P < Func.Params.size(); ++P)
+      if (Def == &Func.Params[P])
+        return {K::Param, F, P, 0};
+  }
+  Module::BodySite Site = M.findBodySite(X);
+  return {K::Body, At(M.Functions, Site.Func),
+          At(Site.Func->Blocks, Site.Block), static_cast<uint32_t>(Site.Index)};
 }
 
 /// Checks what is kept for \p M after a change, the module's id table and
-/// \p Kept (the analysis refreshed with it), against a fresh
-/// refreshWithIds over a copy: every slot and every def-info field for
-/// each id below the bound and a few past it (instruction pointers by
-/// position), and the graphs.
-void expectKeptStateMatchesFresh(const ModuleAnalysis &Kept, const Module &M,
+/// \p Kept (the analysis refreshed with it), against a fresh refreshIds
+/// over a copy and a ModuleAnalysis built over that const copy, for each id
+/// below the bound and a few past it: every slot, and every answer of both
+/// analyses, which read the kept and the copy's own table. An id defined
+/// once must be where the kept module's findDef and findBlockDef find it,
+/// and def() must be what findDef returns; an id defined more than once is
+/// undefined to both. Then the graphs.
+void expectKeptStateMatchesFresh(const ModuleAnalysis &Kept, Module &M,
                                  const std::string &Where) {
   Module Copy = M;
-  ModuleAnalysis Fresh;
-  Fresh.refreshWithIds(Copy);
+  Copy.refreshIds();
+  const ModuleAnalysis Fresh(Copy);
   ASSERT_TRUE(M.Ids.Built) << Where;
   ASSERT_EQ(M.Ids.Unique, Copy.Ids.Unique) << Where;
+  const std::pair<const ModuleAnalysis *, Module *> Analyses[] = {
+      {&Kept, &M}, {&Fresh, &Copy}};
+  std::vector<unsigned> Counts = definitionCounts(M, M.Bound + 3);
   for (Id X = 0; X < M.Bound + 3; ++X) {
     DefSlot KS = M.Ids.Slots.lookup(X), FS = Copy.Ids.Slots.lookup(X);
-    ASSERT_EQ(KS.SlotKind, FS.SlotKind) << Where << ": slot of %" << X;
-    ASSERT_EQ(KS.Func, FS.Func) << Where << ": slot of %" << X;
-    ASSERT_EQ(KS.Index, FS.Index) << Where << ": slot of %" << X;
-    ASSERT_EQ(KS.Inst, FS.Inst) << Where << ": slot of %" << X;
-    const ModuleAnalysis::DefInfo *KI = Kept.defInfo(X);
-    const ModuleAnalysis::DefInfo *FI = Fresh.defInfo(X);
-    ASSERT_EQ(KI == nullptr, FI == nullptr) << Where << ": def of %" << X;
-    if (!FI)
-      continue;
-    ASSERT_EQ(KI->DefKind, FI->DefKind) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->FuncId, FI->FuncId) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->BlockId, FI->BlockId) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->Index, FI->Index) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->FuncIndex, FI->FuncIndex) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->BlockIndex, FI->BlockIndex) << Where << ": def of %" << X;
-    DefSlot At = FS.SlotKind == DefSlot::Kind::Ambiguous
-                     ? positionOf(Copy, FI->Inst)
-                     : FS;
-    ASSERT_EQ(FI->Inst, instructionAt(Copy, At)) << Where << ": def of %" << X;
-    ASSERT_EQ(KI->Inst, instructionAt(M, At)) << Where << ": def of %" << X;
+    ASSERT_TRUE(KS == FS) << Where << ": slot of %" << X;
+    bool Once = X != InvalidId && Counts[X] == 1;
+    DefSlot Want = Once ? foundSlot(M, X) : DefSlot{};
+    ASSERT_EQ(Once, Want.SlotKind != DefSlot::Kind::None)
+        << Where << ": lookups of %" << X;
+    for (auto [Analysis, Over] : Analyses) {
+      const char *Which = Analysis == &Kept ? " (kept)" : " (fresh)";
+      const DefSlot *Got = Analysis->slot(X);
+      ASSERT_EQ(Got != nullptr, Once) << Where << Which << ": def of %" << X;
+      ASSERT_TRUE(!Got || *Got == Want) << Where << Which << ": def of %" << X;
+      ASSERT_EQ(Analysis->def(X), Once ? Over->findDef(X) : nullptr)
+          << Where << Which << ": def of %" << X;
+    }
   }
   expectSameGraphs(Kept, Fresh, M, Where);
 }

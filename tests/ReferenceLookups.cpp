@@ -62,7 +62,7 @@ LocatedInstruction spvfuzz::reference::findBase(Module &M, Id Base,
 }
 
 bool spvfuzz::reference::idIsFreshInModule(const Module &M, Id TheId) {
-  if (TheId == InvalidId)
+  if (TheId == InvalidId || TheId >= Module::MaxBound)
     return false;
   if (reference::findDef(M, TheId))
     return false;

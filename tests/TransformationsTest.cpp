@@ -102,6 +102,28 @@ TEST(AddConstantScalar, BoolFormsAndRejection) {
   EXPECT_FALSE(Bad.isApplicable(M, Analysis, Facts));
 }
 
+/// A fresh id must leave the module within SPIR-V's id bound: a replayed
+/// transformation that names one at or past Module::MaxBound is skipped,
+/// like any failed precondition, and the variant stays valid.
+TEST(FreshIds, StayBelowTheIdBoundLimit) {
+  GeneratedProgram Program = generateProgram(7);
+  Id BoolType = findBoolTypeId(Program.M);
+  ASSERT_NE(BoolType, InvalidId);
+  for (Id Fresh : {Module::MaxBound - 1, Module::MaxBound, Id(4000000000)}) {
+    Module M = Program.M;
+    FactManager Facts;
+    Facts.setKnownInput(Program.Input);
+    TransformationSequence Sequence = {
+        std::make_shared<TransformationAddConstantScalar>(Fresh, BoolType, 0,
+                                                          true)};
+    EXPECT_EQ(applySequence(M, Facts, Sequence).size(),
+              Fresh < Module::MaxBound ? 1u : 0u)
+        << "%" << Fresh;
+    std::vector<std::string> Diags = validateModule(M);
+    EXPECT_TRUE(Diags.empty()) << "%" << Fresh << ": " << Diags.front();
+  }
+}
+
 TEST(AddConstantComposite, BuildsVectorConstant) {
   Fixture F;
   Module M = F.M;

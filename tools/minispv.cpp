@@ -156,6 +156,24 @@ Module readModule(const std::string &Path) {
   return M;
 }
 
+/// Validates \p M, read from \p Path, printing each diagnostic to stderr
+/// as "<path>: <diagnostic>"; true if there is none.
+bool reportValidation(const Module &M, const std::string &Path) {
+  std::vector<std::string> Diags = validateModule(M);
+  for (const std::string &Diag : Diags)
+    fprintf(stderr, "%s: %s\n", Path.c_str(), Diag.c_str());
+  return Diags.empty();
+}
+
+/// Reads a module that a command runs, fuzzes, replays onto or reduces: one
+/// the validator rejects exits 1 with its diagnostics, before any work.
+Module readValidModule(const std::string &Path) {
+  Module M = readModule(Path);
+  if (!reportValidation(M, Path))
+    exit(ObsExitParseError);
+  return M;
+}
+
 ShaderInput readInputs(const std::string &Path) {
   ShaderInput Input;
   std::istringstream In(readFile(Path));
@@ -250,23 +268,18 @@ int cmdValidate(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv validate <module.mvs>");
   Module M = readModule(A.Positional[0]);
-  std::vector<std::string> Diags = validateModule(M);
-  if (Diags.empty()) {
-    printf("%s: valid (%zu instructions, %zu functions)\n",
-           A.Positional[0].c_str(), M.instructionCount(),
-           M.Functions.size());
-    return 0;
-  }
-  for (const std::string &Diag : Diags)
-    fprintf(stderr, "%s: %s\n", A.Positional[0].c_str(), Diag.c_str());
-  return 1;
+  if (!reportValidation(M, A.Positional[0]))
+    return 1;
+  printf("%s: valid (%zu instructions, %zu functions)\n",
+         A.Positional[0].c_str(), M.instructionCount(), M.Functions.size());
+  return 0;
 }
 
 int cmdRun(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv run <module.mvs> --inputs <file> [--target NAME] "
          "[--faulty-fleet]");
-  Module M = readModule(A.Positional[0]);
+  Module M = readValidModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   if (!A.has("target")) {
     ExecResult Result = Executable::compile(std::move(M))->run(Input);
@@ -300,13 +313,13 @@ int cmdFuzz(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv fuzz <module.mvs> --inputs <file> --seed N "
          "-o <out> --sequence <out> [--donor <file>]... [--baseline]");
-  Module M = readModule(A.Positional[0]);
+  Module M = readValidModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   uint64_t Seed = A.number("seed", 0);
 
   std::vector<Module> DonorModules;
   for (const std::string &Path : A.getAll("donor"))
-    DonorModules.push_back(readModule(Path));
+    DonorModules.push_back(readValidModule(Path));
   std::vector<const Module *> Donors;
   for (const Module &Donor : DonorModules)
     Donors.push_back(&Donor);
@@ -333,7 +346,7 @@ int cmdReplay(const Args &A) {
   if (A.Positional.empty())
     fail("usage: minispv replay <module.mvs> --inputs <file> "
          "--sequence <file> -o <out>");
-  Module M = readModule(A.Positional[0]);
+  Module M = readValidModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   TransformationSequence Sequence = readSequence(A.require("sequence"));
   FactManager Facts;
@@ -362,7 +375,7 @@ int cmdReduce(const Args &A) {
          "--miscompilation) -o <out> --out-sequence <out> "
          "[--faulty-fleet] [--order paper|learned] "
          "[--post-reduce] [--out-original FILE]");
-  Module M = readModule(A.Positional[0]);
+  Module M = readValidModule(A.Positional[0]);
   ShaderInput Input = readInputs(A.require("inputs"));
   TransformationSequence Sequence = readSequence(A.require("sequence"));
   TargetFleet Fleet = fleetFor(A.has("faulty-fleet"));
@@ -1147,7 +1160,8 @@ int cmdHelp(const Args &) {
       "exit codes (uniform across subcommands):\n"
       "  0  success\n"
       "  1  parse/usage/protocol error (unknown or bad flags, malformed\n"
-      "     input)\n"
+      "     input; run, fuzz, replay and reduce print the diagnostics of\n"
+      "     a module or donor that validate rejects)\n"
       "  2  missing input (file or store not found)\n"
       "  3  timeout (top/tail --timeout-ms)\n"
       "  4  bench regression (report --compare): a timing gauge beyond\n"
